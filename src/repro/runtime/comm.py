@@ -319,8 +319,11 @@ class CommunicationManager:
         if not self.overlap:
             return 0.0
         devs = self.platform.devices
-        return max([devs[g].busy_until for g in gpus if g is not None],
-                   default=0.0)
+        floor = 0.0
+        for g in gpus:
+            if g is not None and devs[g].busy_until > floor:
+                floor = devs[g].busy_until
+        return floor
 
     def _kernel_barrier(self) -> None:
         target = max([d.busy_until for d in self.platform.devices]
@@ -615,10 +618,10 @@ class CommunicationManager:
         if not self.overlap or len(targets) < 2 or total == 0:
             return False
         bus = self.platform.bus
-        direct = sum(bus._duration("p2p", n, g, t)
+        direct = sum(bus.duration("p2p", n, g, t)
                      for t in targets for _, n in runs)
-        staged = (bus._duration("d2h", total, g, None)
-                  + bus._duration("h2d", total, None, g))
+        staged = (bus.duration("d2h", total, g, None)
+                  + bus.duration("h2d", total, None, g))
         return staged < direct
 
     def _propagate_dirty_windowed(self, ma: ManagedArray) -> None:
@@ -637,6 +640,19 @@ class CommunicationManager:
             if ma.dirty[0] is not None:
                 ma.dirty[0].clear()
             return
+        plan = ma.windowed_plan
+        if plan is None or plan[0] != ma.version:
+            # Per source GPU: the resident copies a write of it may land
+            # in -- ``(target, block lo, block hi, target data,
+            # cross_node)``.  Which elements are dirty is per-launch
+            # data; who can receive them is the layout's.
+            plan = ma.windowed_plan = (ma.version, [
+                [(t, ma.blocks[t].lo, ma.blocks[t].hi, ma.buffers[t].data,
+                  self._node(t) != self._node(g))
+                 for t in range(ngpus)
+                 if t != g and ma.buffers[t] is not None]
+                for g in range(ngpus)])
+        targets = plan[1]
         bus = self.platform.bus
         cross: list[tuple[int, int, int]] = []
         for g in range(ngpus):
@@ -645,34 +661,32 @@ class CommunicationManager:
                 continue
             buf = ma.buffers[g]
             assert buf is not None
+            g_lo = ma.blocks[g].lo
             # Contiguous-writes fast path: a dense dirty interval
             # intersects each target block as an interval, so both the
             # gather and the scatter become slice copies.
             sl = tracker.dirty_slice() if self.fastpath else None
             if sl is None:
                 idx = tracker.dirty_elements()
-                vals = buf.data[idx - ma.blocks[g].lo].copy()
-            for t in range(ngpus):
-                if t == g or ma.buffers[t] is None:
-                    continue
-                tb = ma.blocks[t]
+                vals = buf.data[idx - g_lo].copy()
+            for t, tb_lo, tb_hi, t_data, cross_node in targets[g]:
                 if sl is not None:
-                    ov_lo = max(sl[0], tb.lo)
-                    ov_hi = min(sl[1], tb.hi)
+                    ov_lo = max(sl[0], tb_lo)
+                    ov_hi = min(sl[1], tb_hi)
                     n = max(0, ov_hi - ov_lo)
                     if n == 0:
                         continue
-                    slo = ov_lo - ma.blocks[g].lo
-                    ma.buffers[t].data[ov_lo - tb.lo:ov_hi - tb.lo] = \
+                    slo = ov_lo - g_lo
+                    t_data[ov_lo - tb_lo:ov_hi - tb_lo] = \
                         buf.data[slo:slo + n]
                 else:
-                    sel = (idx >= tb.lo) & (idx < tb.hi)
+                    sel = (idx >= tb_lo) & (idx < tb_hi)
                     n = int(sel.sum())
                     if n == 0:
                         continue
-                    ma.buffers[t].data[idx[sel] - tb.lo] = vals[sel]
+                    t_data[idx[sel] - tb_lo] = vals[sel]
                 nbytes = n * ma.itemsize
-                if self._node(t) != self._node(g):
+                if cross_node:
                     cross.append((g, t, nbytes))
                 else:
                     with self._tag(MECH_WINDOWED, ma.name):
@@ -737,7 +751,32 @@ class CommunicationManager:
 
     def _refresh_halos(self, ma: ManagedArray) -> None:
         """Owner blocks changed: update overlapping copies on other GPUs."""
+        plan = ma.halo_plan
+        if plan is None or plan[0] != ma.version:
+            plan = ma.halo_plan = (ma.version, self._derive_halo_plan(ma))
+        copies, cross = plan[1]
+        bus = self.platform.bus
+        name = ma.name
+        with self._tag(MECH_HALO, name):
+            for g, t, dst, src, nbytes, cross_node in copies:
+                np.copyto(dst, src)
+                if not cross_node:
+                    tr = bus.p2p(g, t, nbytes, not_before=self._floor(g, t))
+                    self._note(tr, g, t)
+                self.bytes_halo += nbytes
+                self._account(name, "halo", nbytes, transfers=1)
+        self._flush_internode(ma, MECH_HALO, cross)
+
+    def _derive_halo_plan(self, ma: ManagedArray) -> tuple[list, list]:
+        """Halo exchange schedule of the resident layout: every
+        ``(src_gpu, dst_gpu, dst_view, src_view, nbytes, cross_node)``
+        where a primary block overlaps another GPU's copy, in issue
+        order, plus the ``(src_gpu, dst_gpu, nbytes)`` pairs that cross
+        a node boundary.  The views alias the live device buffers, so
+        the plan is only valid for the ``ma.version`` it was built at.
+        """
         ngpus = self.platform.ngpus
+        copies: list[tuple] = []
         cross: list[tuple[int, int, int]] = []
         for g in range(ngpus):
             src = ma.buffers[g]
@@ -754,19 +793,15 @@ class CommunicationManager:
                     continue
                 src_lo = ov.lo - ma.blocks[g].lo
                 dst_lo = ov.lo - ma.blocks[t].lo
-                np.copyto(ma.buffers[t].data[dst_lo:dst_lo + ov.size],
-                          src.data[src_lo:src_lo + ov.size])
                 nbytes = ov.size * ma.itemsize
-                if self._node(t) != self._node(g):
+                cross_node = self._node(t) != self._node(g)
+                copies.append((g, t,
+                               ma.buffers[t].data[dst_lo:dst_lo + ov.size],
+                               src.data[src_lo:src_lo + ov.size],
+                               nbytes, cross_node))
+                if cross_node:
                     cross.append((g, t, nbytes))
-                else:
-                    with self._tag(MECH_HALO, ma.name):
-                        tr = self.platform.bus.p2p(
-                            g, t, nbytes, not_before=self._floor(g, t))
-                    self._note(tr, g, t)
-                self.bytes_halo += nbytes
-                self._account(ma.name, "halo", nbytes, transfers=1)
-        self._flush_internode(ma, MECH_HALO, cross)
+        return copies, cross
 
     # -- reduction destinations ------------------------------------------------------------
 

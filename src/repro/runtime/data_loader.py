@@ -35,7 +35,12 @@ from ..trace.events import (
     MECH_UPDATE,
     MECH_WRITEBACK,
 )
-from ..translator.array_config import ArrayConfig, Placement, WriteHandling
+from ..translator.array_config import (
+    ArrayConfig,
+    Placement,
+    ReadWindow,
+    WriteHandling,
+)
 from ..translator.kernel_support import red_identity
 from ..vcuda.api import Platform
 from ..vcuda.bus import CATEGORY_CPU_GPU
@@ -46,6 +51,7 @@ from .partition import (
     make_window_evaluator,
     primary_blocks,
     window_for_tasks,
+    window_free_names,
 )
 from .writemiss import WriteMissBuffer
 
@@ -134,6 +140,14 @@ class ManagedArray:
     #: executor's launch fast path caches argument bindings per
     #: (plan, GPU) and revalidates against this counter.
     version: int = 0
+    #: ``(version, plan)``: exchange geometry the communication manager
+    #: derived from this layout (halo refresh; windowed dirty
+    #: propagation) and replays until :attr:`version` moves.  The plans
+    #: hold views of the device buffers, which is why every path that
+    #: replaces buffers must bump :attr:`version` -- the one
+    #: invalidation rule.
+    halo_plan: tuple | None = None
+    windowed_plan: tuple | None = None
 
     @property
     def itemsize(self) -> int:
@@ -167,6 +181,13 @@ class DataLoader:
         self.migrate_deltas = migrate_deltas
         self.arrays: dict[str, ManagedArray] = {}
         self._region_stack: list[list[str]] = []
+        #: Latest derivation per ``localaccess`` window, keyed by the
+        #: window's ``id`` (the entry pins the object, so the id stays
+        #: sound): ``[window, free names, key, blocks, signature]``.  See
+        #: :meth:`_window_blocks`.  One entry per window, so it cannot
+        #: grow with the launch count; it dies with the loader, i.e.
+        #: with the run.
+        self._window_memo: dict[int, list] = {}
         #: Called with the array name before any host-path access to its
         #: device buffers (writeback, reload, update).  The overlap-mode
         #: executor installs a barrier here: queued kernels and in-flight
@@ -297,7 +318,6 @@ class DataLoader:
         Called before every kernel launch set.  All H2D transfers are
         queued asynchronously and synchronized once (``CPU-GPU`` time).
         """
-        evaluate = None
         # Adaptive mode: GPUs the balancer starved (empty task slice)
         # hold no replica blocks either -- they read nothing, and every
         # resident replica is one more target of each dirty broadcast.
@@ -318,17 +338,8 @@ class DataLoader:
                 placement = cfg.placement
                 if placement == Placement.DISTRIBUTED:
                     assert cfg.window is not None
-                    if evaluate is None:
-                        # Built on demand: only window expressions read
-                        # host scalars/arrays, and most loops have none.
-                        host_arrays = {n: m.host
-                                       for n, m in self.arrays.items()}
-                        evaluate = make_window_evaluator(
-                            loop_var, host_scalars, host_arrays)
-                    blocks = [
-                        window_for_tasks(cfg.window, t, ma.length, evaluate)
-                        for t in tasks
-                    ]
+                    blocks, signature = self._window_blocks(
+                        cfg.window, tasks, ma.length, loop_var, host_scalars)
                 elif idle is not None:
                     blocks = [Block(0, 0) if idle[g] else Block(0, ma.length)
                               for g in range(ngpus)]
@@ -366,6 +377,58 @@ class DataLoader:
                         loop=self.tracer.current_loop)
             # (Re)wire write-side system structures for this loop.
             self._prepare_write_side(ma, cfg)
+
+    def _window_blocks(self, window: ReadWindow,
+                       tasks: list[tuple[int, int]], length: int,
+                       loop_var: str, host_scalars: dict[str, Any],
+                       ) -> tuple[list[Block], tuple]:
+        """Per-GPU blocks and load signature of a ``localaccess`` window.
+
+        Both are a pure function of the window, the task split, the
+        array length and the values of the host scalars the bounds
+        read, so they are derived once per such combination and
+        replayed on every later launch that repeats it: deciding that a
+        reload can be skipped then costs one tuple comparison, not four
+        tree-walking evaluations per GPU.  A changed scalar, a resplit
+        or a different length misses and re-derives.  A bound that
+        subscripts a host array (``col[bounds(row[i], row[i+1]-1)]``)
+        is never replayed: the array's contents are not part of the
+        key.  The returned list is shared between launches -- callers
+        copy before keeping it.
+        """
+        ent = self._window_memo.get(id(window))
+        if ent is None or ent[0] is not window:
+            ent = self._window_memo[id(window)] = [
+                window, window_free_names(window), None, None, None]
+        names = ent[1]
+        key = None
+        if names is not None:
+            values = []
+            for n in names:
+                if n == loop_var:
+                    continue
+                v = host_scalars.get(n)
+                if not isinstance(v, (int, float, np.generic)):
+                    # Missing or not a scalar: evaluate (and fail) as an
+                    # unmemoized bound would.
+                    break
+                # 1 == 1.0 == True, but C division differs by type.
+                values.append((v.__class__, v))
+            else:
+                key = (loop_var, tuple(tasks), length, values)
+                if key == ent[2]:
+                    return ent[3], ent[4]
+        # Only a miss reads host scalars and arrays at all.
+        evaluate = make_window_evaluator(
+            loop_var, host_scalars,
+            {n: m.host for n, m in self.arrays.items()})
+        blocks = [window_for_tasks(window, t, length, evaluate)
+                  for t in tasks]
+        signature = (Placement.DISTRIBUTED,
+                     tuple((b.lo, b.hi) for b in blocks), False)
+        if key is not None:
+            ent[2:] = key, blocks, signature
+        return blocks, signature
 
     def _load(self, ma: ManagedArray, placement: Placement,
               blocks: list[Block], signature: tuple, identity: Any) -> None:

@@ -224,6 +224,26 @@ def make_window_evaluator(
     return evaluate
 
 
+def window_free_names(window: ReadWindow) -> tuple[str, ...] | None:
+    """Names the bounds of ``window`` read (the loop variable included),
+    or ``None`` when a bound subscripts a host array.
+
+    The blocks :func:`window_for_tasks` derives are a pure function of
+    the task slice, the array length and the values of these names, so
+    the data loader derives them once per distinct combination; a bound
+    that reads array *elements* (the BFS case) depends on data the
+    names do not capture and is re-evaluated on every launch.
+    """
+    names: list[str] = []
+    for bound in (window.lower, window.upper):
+        for e in C.walk_expr(bound):
+            if isinstance(e, C.Index):
+                return None
+            if isinstance(e, C.Ident) and e.name not in names:
+                names.append(e.name)
+    return tuple(names)
+
+
 def window_for_tasks(
     window: ReadWindow,
     tasks: tuple[int, int],

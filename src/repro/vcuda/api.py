@@ -17,6 +17,7 @@ directly against this class; the OpenACC runtime sits on top of it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,6 +56,9 @@ class Platform:
                         for i, spec in enumerate(machine.gpu_specs[:ngpus])]
         self.bus = Bus(machine, self.clock)
         self.profiler = Profiler(self.clock, ngpus=ngpus)
+        #: Node of each active device, resolved once (a cluster's
+        #: ``node_of`` walks its node list on every call).
+        self._nodes = [machine.node_of(g) for g in range(ngpus)]
 
     @property
     def ngpus(self) -> int:
@@ -65,10 +69,10 @@ class Platform:
         """Nodes actually holding active devices.  Device indices are a
         contiguous prefix of the machine's GPUs and ``node_of`` is
         monotone, so the last device's node bounds the active set."""
-        return self.machine.node_of(self.ngpus - 1) + 1
+        return self._nodes[-1] + 1
 
     def node_of(self, device: int) -> int:
-        return self.machine.node_of(device)
+        return self._nodes[device]
 
     def node_devices(self, node: int) -> range:
         """Active device indices hosted on ``node``."""
@@ -215,33 +219,39 @@ class Platform:
         if target <= now:
             self.bus.retire()
             return 0.0
-        kernel_iv: list[tuple[float, float]] = []
+        # Clipped (start, end) lists per lane: kernels, GPU-GPU, NET and
+        # CPU-GPU transfers overlapping (now, target).
+        kernels, gpu, net, cpu = lanes = tuple(([], []) for _ in range(4))
         for d in self.devices:
             for s, e in d.busy_intervals(now):
                 if s < target:
-                    kernel_iv.append((max(s, now), min(e, target)))
-        gpu_iv: list[tuple[float, float]] = []
-        net_iv: list[tuple[float, float]] = []
-        cpu_iv: list[tuple[float, float]] = []
+                    kernels[0].append(max(s, now))
+                    kernels[1].append(min(e, target))
         for t in self.bus.pending:
             if t.end > now and t.start < target:
                 if t.category == CATEGORY_GPU_GPU:
-                    dest = gpu_iv
+                    dest = gpu
                 elif t.category == CATEGORY_NET:
-                    dest = net_iv
+                    dest = net
                 else:
-                    dest = cpu_iv
-                dest.append((max(t.start, now), min(t.end, target)))
+                    dest = cpu
+                dest[0].append(max(t.start, now))
+                dest[1].append(min(t.end, target))
         points = {now, target}
-        for s, e in kernel_iv + gpu_iv + net_iv + cpu_iv:
-            points.add(s)
-            points.add(e)
+        for starts, ends in lanes:
+            points.update(starts)
+            points.update(ends)
+            starts.sort()
+            ends.sort()
         pts = sorted(points)
         for a, b in zip(pts, pts[1:]):
             mid = (a + b) / 2.0
-            in_kernel = any(s <= mid < e for s, e in kernel_iv)
-            in_gpu = any(s <= mid < e for s, e in gpu_iv)
-            in_net = any(s <= mid < e for s, e in net_iv)
+            # A lane is active at ``mid`` when more of its intervals have
+            # started than ended by then (every start <= its end).
+            in_kernel = (bisect_right(kernels[0], mid)
+                         > bisect_right(kernels[1], mid))
+            in_gpu = bisect_right(gpu[0], mid) > bisect_right(gpu[1], mid)
+            in_net = bisect_right(net[0], mid) > bisect_right(net[1], mid)
             if in_kernel:
                 clock.advance_to(b, CATEGORY_KERNELS)
                 if in_gpu:
@@ -254,7 +264,7 @@ class Platform:
                     clock.charge(b - a, CATEGORY_NET_OVERLAPPED)
             elif in_net:
                 clock.advance_to(b, CATEGORY_NET)
-            elif any(s <= mid < e for s, e in cpu_iv):
+            elif bisect_right(cpu[0], mid) > bisect_right(cpu[1], mid):
                 clock.advance_to(b, CATEGORY_CPU_GPU)
             else:
                 clock.advance_to(b, idle_category)

@@ -110,18 +110,24 @@ class Bus:
         self.machine = machine
         self.spec: BusSpec = machine.bus
         self.clock = clock
-        #: Virtual time at which each GPU's PCIe link becomes free.
-        self._link_free_at: list[float] = [0.0] * machine.gpu_count
-        #: Virtual time at which each I/O hub's host uplink frees up.
-        n_hubs = 1 + max((machine.hub_of(g) for g in range(machine.gpu_count)),
-                         default=0)
-        self._hub_free_at: list[float] = [0.0] * n_hubs
-        #: Virtual time at which each node's NIC port frees up.
-        self._nic_free_at: list[float] = [0.0] * machine.node_count
         #: True on a cluster with two or more nodes: the only case in
         #: which any NIC path is ever taken (one-node machines -- plain
         #: or ClusterSpec -- schedule bit-identically).
         self._multinode = machine.node_count > 1
+        #: Per GPU, resolved once (the topology is fixed for the bus's
+        #: life): its I/O hub, its node and that node's PCIe spec.
+        gpus = range(machine.gpu_count)
+        self._dev_hub = [machine.hub_of(g) for g in gpus]
+        self._dev_node = [machine.node_of(g) for g in gpus]
+        self._dev_spec = [machine.node_bus(n) if self._multinode
+                          else self.spec for n in self._dev_node]
+        #: Virtual time at which each GPU's PCIe link becomes free.
+        self._link_free_at: list[float] = [0.0] * machine.gpu_count
+        #: Virtual time at which each I/O hub's host uplink frees up.
+        self._hub_free_at: list[float] = \
+            [0.0] * (1 + max(self._dev_hub, default=0))
+        #: Virtual time at which each node's NIC port frees up.
+        self._nic_free_at: list[float] = [0.0] * machine.node_count
         self._pending: list[Transfer] = []
         self.completed: list[Transfer] = []
         #: Optional clock-advance hook ``(timestamp, category) -> None``.
@@ -138,14 +144,12 @@ class Bus:
     # -- pricing ------------------------------------------------------------
 
     def _node_of(self, device: int | None) -> int:
-        return 0 if device is None else self.machine.node_of(device)
+        return 0 if device is None else self._dev_node[device]
 
     def _bus_spec(self, device: int | None) -> BusSpec:
         """PCIe spec of the node hosting ``device`` (home node for
         host-side endpoints)."""
-        if not self._multinode or device is None:
-            return self.spec
-        return self.machine.node_bus(self.machine.node_of(device))
+        return self.spec if device is None else self._dev_spec[device]
 
     def _duration(self, kind: TransferKind, nbytes: int, src: int | None,
                   dst: int | None) -> float:
@@ -160,7 +164,7 @@ class Bus:
             bw = spec.d2h_bandwidth
         else:
             assert src is not None and dst is not None
-            same_hub = self.machine.hub_of(src) == self.machine.hub_of(dst)
+            same_hub = self._dev_hub[src] == self._dev_hub[dst]
             bw = spec.p2p_same_hub if same_hub else spec.p2p_cross_hub
         return spec.latency + nbytes / bw
 
@@ -184,29 +188,40 @@ class Bus:
         self, kind: TransferKind, nbytes: int, src: int | None, dst: int | None,
         not_before: float = 0.0, category: str | None = None,
     ) -> Transfer:
-        links = [d for d in (src, dst) if d is not None]
         duration = self._duration(kind, nbytes, src, dst)
-        start = max([self.clock.now, not_before]
-                    + [self._link_free_at[d] for d in links])
+        free = self._link_free_at
+        # The latest of: now, the issue dependency, both endpoint links
+        # (and the hub uplink below).
+        start = self.clock.now
+        if not_before > start:
+            start = not_before
+        if src is not None and free[src] > start:
+            start = free[src]
+        if dst is not None and free[dst] > start:
+            start = free[dst]
+        dev = src if src is not None else dst
         hub = None
         hub_occupancy = 0.0
-        if kind in ("h2d", "d2h") and links:
+        if kind != "p2p" and dev is not None:
             # Host transfers also consume the shared I/O-hub uplink, for a
             # fraction of their duration equal to link/uplink bandwidth:
             # concurrent same-hub transfers serialize on that share.
-            spec = self._bus_spec(links[0])
-            hub = self.machine.hub_of(links[0])
+            spec = self._dev_spec[dev]
+            hub = self._dev_hub[dev]
             link_bw = (spec.h2d_bandwidth if kind == "h2d"
                        else spec.d2h_bandwidth)
             hub_occupancy = duration * min(
                 1.0, link_bw / spec.hub_uplink_bandwidth)
-            start = max(start, self._hub_free_at[hub])
+            if self._hub_free_at[hub] > start:
+                start = self._hub_free_at[hub]
         end = start + duration
-        for d in links:
-            self._link_free_at[d] = end
+        if src is not None:
+            free[src] = end
+        if dst is not None:
+            free[dst] = end
         if hub is not None:
             self._hub_free_at[hub] = start + hub_occupancy
-        node = self._node_of(links[0]) if links else 0
+        node = 0 if dev is None else self._dev_node[dev]
         t = Transfer(kind=kind, nbytes=nbytes, src_device=src, dst_device=dst,
                      start=start, end=end, category_override=category,
                      src_node=node, dst_node=node)
@@ -223,15 +238,26 @@ class Bus:
         """Reserve both endpoint nodes' NIC ports (and, for a direct
         cross-node peer copy, the endpoint GPUs' PCIe links)."""
         duration = self._net_duration(src_node, dst_node, nbytes)
-        links = [d for d in (src, dst) if d is not None]
-        start = max([self.clock.now, not_before,
-                     self._nic_free_at[src_node], self._nic_free_at[dst_node]]
-                    + [self._link_free_at[d] for d in links])
+        nic = self._nic_free_at
+        free = self._link_free_at
+        start = self.clock.now
+        if not_before > start:
+            start = not_before
+        if nic[src_node] > start:
+            start = nic[src_node]
+        if nic[dst_node] > start:
+            start = nic[dst_node]
+        if src is not None and free[src] > start:
+            start = free[src]
+        if dst is not None and free[dst] > start:
+            start = free[dst]
         end = start + duration
-        self._nic_free_at[src_node] = end
-        self._nic_free_at[dst_node] = end
-        for d in links:
-            self._link_free_at[d] = end
+        nic[src_node] = end
+        nic[dst_node] = end
+        if src is not None:
+            free[src] = end
+        if dst is not None:
+            free[dst] = end
         t = Transfer(kind="net", nbytes=nbytes, src_device=src,
                      dst_device=dst, start=start, end=end,
                      category_override=category,

@@ -115,6 +115,10 @@ class Device:
         #: Absolute virtual time at which this device's queued work ends;
         #: lets kernels on different devices run concurrently.
         self.busy_until: float = 0.0
+        #: ``busy_intervals`` cursor: every launch before it had ended by
+        #: ``_live_since``.
+        self._live_from = 0
+        self._live_since = 0.0
 
     # -- timing ------------------------------------------------------------
 
@@ -160,9 +164,24 @@ class Device:
         The timeline-attributing clock advance uses these to decide
         which parts of a waited interval were covered by kernel work.
         """
-        return [(l.start, l.end) for l in self.launches if l.end > since]
+        launches = self.launches
+        if since < self._live_since:
+            self._live_from = 0
+        # Launch ends are monotone (each launch starts at or after
+        # ``busy_until``, the previous one's end), so the launches that
+        # ended by ``since`` are a prefix, and the clock that supplies
+        # ``since`` only moves forward: resume from where the last call
+        # stopped instead of filtering the whole history.
+        i = self._live_from
+        while i < len(launches) and launches[i].end <= since:
+            i += 1
+        self._live_from = i
+        self._live_since = since
+        return [(l.start, l.end) for l in launches[i:]]
 
     def reset(self) -> None:
         self.memory.free_all()
         self.launches.clear()
         self.busy_until = 0.0
+        self._live_from = 0
+        self._live_since = 0.0

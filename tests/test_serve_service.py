@@ -248,21 +248,45 @@ class TestLifecycleObservability:
         assert rec.compile_outcome in ("cache_hit", "cache_miss")
 
 
+def hold_workers(service):
+    """Make every admitted request wait for the returned event before
+    it compiles or runs.  Queueing tests open the gate only once every
+    submission is in, so what they observe is the scheduler's decisions
+    and never how fast a worker thread happened to finish."""
+    gate = threading.Event()
+    compile_ = service._compile
+
+    def gated_compile(request):
+        assert gate.wait(timeout=120), "test never opened the gate"
+        return compile_(request)
+
+    service._compile = gated_compile
+    return gate
+
+
+def admission_order(service):
+    return [ev.label for ev in service.tracer.events
+            if ev.kind == EVENT_REQ_ADMITTED]
+
+
 class TestQueueingEdges:
     def test_queue_when_full_serializes_without_loss(self):
         fleet = hypothetical_node(2, gpus_per_hub=2)
         service = ProgramService(fleet)
-        tickets = [service.submit(make_request("stencil", 2, label=f"q{i}"))
-                   for i in range(4)]
+        gate = hold_workers(service)
+        for i in range(4):
+            service.submit(make_request("stencil", 2, label=f"q{i}"))
+        # q0 holds the whole fleet; the rest had to queue behind it.
+        assert admission_order(service) == ["q0"]
+        gate.set()
         records = service.drain(timeout=120)
         assert all(r.error is None for r in records)
         report = service.report()
         assert report.completed == 4
         # 2-GPU requests on a 2-GPU fleet can never overlap.
         assert report.peak_concurrency == 1
-        # The queue imposed FIFO order: waits are monotone.
-        waits = [t.wait_seconds for t in tickets]
-        assert waits == sorted(waits)
+        # The queue imposed FIFO order.
+        assert admission_order(service) == ["q0", "q1", "q2", "q3"]
 
     def test_oversized_gpus_rejected_with_code(self):
         service = ProgramService(hypothetical_node(2, gpus_per_hub=2))
@@ -283,15 +307,20 @@ class TestQueueingEdges:
     def test_bounded_queue_rejects_overflow(self):
         fleet = hypothetical_node(2, gpus_per_hub=2)
         service = ProgramService(fleet, max_queue=2)
-        for i in range(8):
-            try:
-                service.submit(make_request("stencil", 2, label=f"b{i}"))
-            except AdmissionError as exc:
-                assert exc.code == "queue_full"
-                break
-        else:
-            pytest.fail("bounded queue never filled")
-        service.drain(timeout=120)
+        gate = hold_workers(service)
+        # b0 is admitted and holds the fleet, b1 and b2 fill the queue.
+        for i in range(3):
+            service.submit(make_request("stencil", 2, label=f"b{i}"))
+        with pytest.raises(AdmissionError) as exc:
+            service.submit(make_request("stencil", 2, label="b3"))
+        assert exc.value.code == "queue_full"
+        gate.set()
+        records = service.drain(timeout=120)
+        assert [r.request_id for r in records] == ["b0", "b1", "b2"]
+        assert all(r.error is None for r in records)
+        report = service.report()
+        assert report.completed == 3 and report.rejected == 1
+        assert report.peak_concurrency == 1
 
     def test_rejection_leaves_a_trace_event(self):
         service = ProgramService(hypothetical_node(2, gpus_per_hub=2))
@@ -333,17 +362,19 @@ class TestFairnessUnderLoad:
         # the admission order observable.
         fleet = hypothetical_node(2, gpus_per_hub=2)
         service = ProgramService(fleet, policy="fair")
-        # Tenant A floods first; tenant B's single request arrives last.
+        gate = hold_workers(service)
+        # Tenant A floods first; tenant B's single request arrives last,
+        # while a0 still holds the fleet.
         for i in range(6):
             service.submit(make_request("stencil", 2, tenant="flood",
                                         label=f"a{i}"))
         service.submit(make_request("jacobi", 2, tenant="patient",
                                     label="b0"))
+        gate.set()
         service.drain(timeout=120)
-        admitted = [ev.label for ev in service.tracer.events
-                    if ev.kind == EVENT_REQ_ADMITTED]
+        admitted = admission_order(service)
         # b0 must not be admitted last: fairness lets it overtake the
-        # flood (a0 may already be running when b0 arrives).
+        # flood.
         assert admitted.index("b0") < len(admitted) - 1, admitted
         report = service.report()
         assert report.per_tenant_completed == {"flood": 6, "patient": 1}
