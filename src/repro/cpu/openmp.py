@@ -144,6 +144,9 @@ class _NullLoader:
     def update_device(self, names) -> None:
         pass
 
+    def before_host_write(self, host) -> None:
+        pass
+
 
 @dataclass
 class OpenMPRun:

@@ -854,8 +854,8 @@ class CommunicationManager:
         merged = _combine(op, np.asarray(ma.host).copy(),
                           ma.buffers[alive[0]].data) if alive else \
             np.asarray(ma.host).copy()
-        np.copyto(ma.host, merged.astype(ma.host.dtype, copy=False))
-        np.copyto(ma.staging, ma.host)
+        ma.store_home(0, ma.length,
+                      merged.astype(ma.host.dtype, copy=False))
         # Broadcast the final values back (reverse tree / flat fan-out).
         for g in alive:
             np.copyto(ma.buffers[g].data, ma.host)

@@ -32,7 +32,7 @@ from ..vcuda.device import LaunchConfig
 from .balancer import AdaptiveBalancer
 from .comm import CommunicationManager
 from .data_loader import DataLoader
-from .kernelctx import KernelContext
+from .kernelctx import KernelContext, ScratchArena
 from .reduction_rt import finalize_scalar_reductions
 
 
@@ -114,6 +114,8 @@ class AccExecutor:
         #: counter.  Values pin the plan/config objects they were built
         #: from so identity comparisons stay sound.
         self._ctx_cache: dict[tuple[int, int], tuple] = {}
+        #: Kernel scratch, one arena per device, alive for this run.
+        self._arenas = [ScratchArena() for _ in range(platform.ngpus)]
         #: Halo-split stride qualification per array config (overlap
         #: mode re-derives it every launch otherwise).
         self._stride_qual: dict[int, tuple[Any, Any]] = {}
@@ -385,7 +387,10 @@ class AccExecutor:
 
     def finish(self) -> float:
         """End-of-program drain: retire in-flight communication and
-        outstanding kernel time so the profiler snapshot is complete."""
+        outstanding kernel time so the profiler snapshot is complete,
+        and give the kernels' scratch back."""
+        for arena in self._arenas:
+            arena.release()
         return self.comm.drain()
 
     # -- context construction ------------------------------------------------------
@@ -415,7 +420,7 @@ class AccExecutor:
                     return ctx
         ctx = KernelContext(device_index=g, i0=t0, i1=t1,
                             scalars=dict(scalars), trace=self.tracer,
-                            fastpath=self.fastpath)
+                            fastpath=self.fastpath, arena=self._arenas[g])
         deps = []
         for name, cfg in arrays.items():
             ma = self.loader._get(name)

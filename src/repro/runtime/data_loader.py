@@ -103,12 +103,10 @@ class ManagedArray:
 
     name: str
     host: np.ndarray
-    #: Device-visible image of the host array, captured at region entry
-    #: (OpenACC transfers at the region boundary; loads are deferred to
-    #: kernel time here, so the image preserves entry-time snapshot
-    #: semantics against later host writes).  ``update device`` refreshes
-    #: it; writebacks keep it coherent with the host copy.
-    staging: np.ndarray = None  # type: ignore[assignment]
+    #: Entry-time image of the host array, taken lazily (see
+    #: :attr:`staging`); None while the host array itself still is that
+    #: image.
+    snapshot: np.ndarray | None = None
     #: Transfer on region entry / before first use (copy, copyin).
     transfer_in: bool = True
     #: Transfer back on region exit (copy, copyout).
@@ -148,6 +146,26 @@ class ManagedArray:
     #: invalidation rule.
     halo_plan: tuple | None = None
     windowed_plan: tuple | None = None
+
+    @property
+    def staging(self) -> np.ndarray:
+        """Device-visible image of the host array as of region entry.
+
+        OpenACC transfers at the region boundary; loads are deferred to
+        kernel time here, so the image preserves entry-time snapshot
+        semantics against later host writes.  It is copy-on-write: it
+        *is* the host array until host code is about to write one
+        (:meth:`DataLoader.before_host_write`), which detaches it.
+        ``update device`` re-attaches it; writebacks land in both.
+        """
+        return self.host if self.snapshot is None else self.snapshot
+
+    def store_home(self, lo: int, hi: int, data: np.ndarray) -> None:
+        """Device data arrives home: into the host copy and the staging
+        image (one copy while they are the same array)."""
+        np.copyto(self.host[lo:hi], data)
+        if self.snapshot is not None:
+            np.copyto(self.snapshot[lo:hi], data)
 
     @property
     def itemsize(self) -> int:
@@ -225,10 +243,17 @@ class DataLoader:
             ma = ManagedArray(
                 name=name,
                 host=host,
-                staging=host.copy(),
                 transfer_in=kind in ("copy", "copyin"),
                 transfer_out=kind in ("copy", "copyout"),
             )
+            # Two names for one host buffer: a writeback through either
+            # would show through the other's staging image, so both get
+            # their private snapshot right away.
+            for other in self.arrays.values():
+                if np.may_share_memory(other.host, host):
+                    for twin in (other, ma):
+                        if twin.snapshot is None:
+                            twin.snapshot = twin.host.copy()
             ngpus = self.platform.ngpus
             ma.buffers = [None] * ngpus
             ma.blocks = [Block(0, 0)] * ngpus
@@ -251,6 +276,17 @@ class DataLoader:
         if self.platform.bus.pending_count():
             self.platform.bus.sync_category(CATEGORY_CPU_GPU)
 
+    def before_host_write(self, host: np.ndarray) -> None:
+        """Host code is about to write ``host``: an array of an open
+        region whose staging image still is the host array takes its
+        entry-time snapshot now.  Arrays no load will ever read from the
+        host (``create``, ``copyout`` before the device first wrote them
+        back) never do."""
+        for ma in self.arrays.values():
+            if ma.host is host and ma.snapshot is None \
+                    and (ma.transfer_in or ma.materialized):
+                ma.snapshot = host.copy()
+
     def update_host(self, names: list[str]) -> None:
         """``#pragma acc update host(...)``: device -> host now."""
         for name in names:
@@ -267,7 +303,7 @@ class DataLoader:
             if self.pre_access_hook is not None:
                 self.pre_access_hook(name)
             ma.device_ahead = False
-            np.copyto(ma.staging, ma.host)
+            ma.snapshot = None  # the image is the host array again
             if ma.valid and ma.placement is not None:
                 # Eagerly refresh the resident blocks.
                 with self._tag(MECH_UPDATE, name):
@@ -626,8 +662,7 @@ class DataLoader:
                 for g, buf in enumerate(ma.buffers):
                     if buf is not None:
                         blk = ma.blocks[g]
-                        np.copyto(ma.host[blk.lo:blk.hi], buf.data)
-                        np.copyto(ma.staging[blk.lo:blk.hi], buf.data)
+                        ma.store_home(blk.lo, blk.hi, buf.data)
                         self.platform.bus.d2h(g, blk.size * ma.itemsize)
                         break
             else:
@@ -638,10 +673,8 @@ class DataLoader:
                     if prim.size == 0:
                         continue
                     lo = prim.lo - ma.blocks[g].lo
-                    np.copyto(ma.host[prim.lo:prim.hi],
-                              buf.data[lo:lo + prim.size])
-                    np.copyto(ma.staging[prim.lo:prim.hi],
-                              buf.data[lo:lo + prim.size])
+                    ma.store_home(prim.lo, prim.hi,
+                                  buf.data[lo:lo + prim.size])
                     self.platform.bus.d2h(g, prim.size * ma.itemsize)
         ma.device_ahead = False
         ma.materialized = True

@@ -26,6 +26,58 @@ from .partition import Block
 from .writemiss import WriteMissBuffer
 
 
+class ScratchArena:
+    """Reusable lane-vector scratch for the kernels of one device.
+
+    Generated kernels keep float temporaries, float locals and fusion's
+    demoted intermediates in numbered *slots* instead of allocating a
+    fresh lane-length array per operation.  A slot is a raw byte buffer
+    that only ever grows, so a steady-state launch allocates nothing
+    (``misses`` counts the growths).  The arena is simulator memory --
+    it stands for registers and shared memory, not for device DRAM --
+    so it never goes through the device's ``MemoryAccountant``.
+
+    The executor owns one arena per device for the length of a run and
+    releases it when the run finishes; a context built without one (the
+    sanitizer's shadow runs, the OpenMP baseline) gets a private arena,
+    so a shadow run can never share scratch with the run it shadows.
+    """
+
+    __slots__ = ("_raw", "_views", "misses")
+
+    def __init__(self) -> None:
+        self._raw: list[np.ndarray] = []
+        #: Latest ``(n, dtype, view)`` handed out per slot.
+        self._views: list[tuple] = []
+        self.misses = 0
+
+    def slot(self, k: int, n: int, dtype: type = np.float32) -> np.ndarray:
+        """Slot ``k`` as a length-``n`` vector of ``dtype`` (contents
+        unspecified)."""
+        if k < len(self._views):
+            ent = self._views[k]
+            if ent[0] == n and ent[1] is dtype:
+                return ent[2]
+        while len(self._raw) <= k:
+            self._raw.append(np.empty(0, dtype=np.uint8))
+            self._views.append((-1, None, None))
+        nbytes = max(0, n) * np.dtype(dtype).itemsize
+        if self._raw[k].shape[0] < nbytes:
+            self._raw[k] = np.empty(nbytes, dtype=np.uint8)
+            self.misses += 1
+        view = self._raw[k][:nbytes].view(dtype)
+        self._views[k] = (n, dtype, view)
+        return view
+
+    @property
+    def nbytes(self) -> int:
+        return sum(raw.shape[0] for raw in self._raw)
+
+    def release(self) -> None:
+        self._raw.clear()
+        self._views.clear()
+
+
 @dataclass
 class KernelContext:
     """Execution context of one kernel launch on one GPU."""
@@ -62,13 +114,14 @@ class KernelContext:
     #: and dirty-mark volumes are counted per (loop, GPU, array).  None
     #: (the default) costs one branch per instrumentation call.
     trace: Any = None
-    #: Wall-clock fast paths in the generated code: kernels emit both a
-    #: contiguous-span path (slice loads/stores, O(words) dirty marks)
-    #: and the original gather/scatter path, branching on this flag at
-    #: run time.  Same compiled kernel, bit-identical results and
-    #: modeled cost either way -- only the host-side Python work
-    #: differs.
+    #: Which body of the generated kernel runs: the span-native lowering
+    #: (slices, lane intervals, ``out=`` into arena slots) or the
+    #: reference gather/scatter body.  Same compiled kernel,
+    #: bit-identical results and modeled cost either way -- only the
+    #: host-side Python work differs.
     fastpath: bool = True
+    #: Scratch slots of the span-native body.
+    arena: ScratchArena = field(default_factory=ScratchArena)
     #: Memoized lane-index vector (``_iota_key`` is its (i0, i1)).
     _iota: np.ndarray | None = None
     _iota_key: tuple[int, int] | None = None
@@ -78,10 +131,13 @@ class KernelContext:
     ks = ks
 
     def iota(self) -> np.ndarray:
-        """The launch's global lane indices ``arange(i0, i1)``, memoized
-        across launches with the same geometry (the dominant case once
-        contexts are cached).  Returned read-only so a stale launch can
-        never corrupt it; ``ks.bcv`` copies non-writeable inputs."""
+        """The launch's global lane indices ``arange(i0, i1)``.  On the
+        fast path it is memoized across launches with the same geometry
+        (the dominant case once contexts are cached) and returned
+        read-only so a stale launch can never corrupt it; ``ks.bcv``
+        copies non-writeable inputs."""
+        if not self.fastpath:
+            return np.arange(self.i0, self.i1, dtype=np.int64)
         key = (self.i0, self.i1)
         if self._iota is None or self._iota_key != key:
             v = np.arange(self.i0, self.i1, dtype=np.int64)

@@ -53,10 +53,10 @@ from .infer import harmonize_windows, infer_array_window
 from ..vcuda.device import KernelWork
 from .cost import KernelCostInfo
 from .interpreter import KernelInterpreter
+from .spanlower import vectorize_loop
 from .vectorizer import (
     KernelSourceInfo,
     VectorizeError,
-    Vectorizer,
     compile_kernel_source,
 )
 
@@ -458,8 +458,8 @@ def _compile_loop(name: str, loop_stmt: C.For, loop_dir: AccLoop,
                     "num_gangs must be a positive constant", par_dir.line)
             plan.max_gangs = ng
     try:
-        vec = Vectorizer(name, analysis, config, scalar_types, dict(local_types))
-        info = vec.generate()
+        info = vectorize_loop(name, analysis, config, scalar_types,
+                              local_types)
         plan.source_info = info
         plan.fn = compile_kernel_source(info)
         plan.cost = info.cost

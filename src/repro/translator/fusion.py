@@ -53,12 +53,12 @@ Enabled with ``CompileOptions(fuse=True)``.  The pass is structured as:
    disappear entirely.
 
 4. **Fused codegen** -- one kernel whose body is the members' vectorized
-   bodies concatenated under a shared header (one lane-index vector,
-   the union of array/scalar bindings, scratch allocation for demoted
-   arrays).  Each member re-runs through its own :class:`Vectorizer`
-   with a *shared* cost collector and offset temp/label counters, so
-   the fused static cost is charged once per launch and the span fast
-   paths are reused verbatim.  The interpreter path runs the member
+   bodies concatenated under a shared header (the union of array/scalar
+   bindings, scratch allocation for demoted arrays).  Each member is
+   lowered again by :func:`repro.translator.spanlower.lower_body` with
+   a *shared* cost collector and offset temp/label counters, so the
+   fused static cost is charged once per launch and the span lowering
+   is reused verbatim.  The interpreter path runs the member
    interpreters back to back, which is exactly the fused vectorized
    statement order.
 
@@ -85,10 +85,10 @@ from .array_config import ArrayConfig, LoopConfig, Placement, WriteHandling
 from .cost import CostCollector, KernelCostInfo
 from .infer import window_from_span
 from .interpreter import KernelInterpreter
+from .spanlower import binding_lines, kernel_source, lower_body
 from .vectorizer import (
     _DTYPES,
     KernelSourceInfo,
-    Vectorizer,
     VectorizeError,
     compile_kernel_source,
 )
@@ -664,31 +664,23 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
             raise VectorizeError(
                 f"member local shadows fused array binding: {sorted(clash)}")
 
-    header = [
-        "def kernel(ctx):",
-        "    np = ctx.np",
-        "    ks = ctx.ks",
-        "    _n = ctx.i1 - ctx.i0",
-        "    if _n <= 0:",
-        "        return",
-        "    _i = (ctx.iota() if ctx.fastpath"
-        " else np.arange(ctx.i0, ctx.i1, dtype=np.int64))",
-    ]
-    for aname in sorted(merged.arrays):
-        header.append(f"    v_{aname} = ctx.arrays[{aname!r}]")
-        header.append(f"    _b_{aname} = ctx.base[{aname!r}]")
-    for d in sorted(demoted, key=lambda d: d.name):
-        dt = _DTYPES[d.ctype]
-        header.append(
-            f"    v_{d.name} = np.zeros({d.coeff} * (_n - 1) + "
-            f"{d.hi - d.lo + 1}, dtype={dt})")
-        header.append(
-            f"    _b_{d.name} = {d.coeff} * ctx.i0 + {d.lo}")
-    for sname in scalar_names:
-        header.append(f"    v_{sname} = ctx.scalars[{sname!r}]")
+    # Demoted scratch: arena slots on the span branch (zeroed like the
+    # ``np.zeros`` of the reference branch), numbered below the members'
+    # own slots.
+    bindings = binding_lines(sorted(merged.arrays), scalar_names)
+    ref_prelude: list[str] = []
+    fast_prelude: list[str] = []
+    for k, d in enumerate(sorted(demoted, key=lambda d: d.name)):
+        size = f"{d.coeff} * (_n - 1) + {d.hi - d.lo + 1}"
+        dtype = _DTYPES[d.ctype]
+        bindings.append(
+            (f"    _b_{d.name} = {d.coeff} * ctx.i0 + {d.lo}", None))
+        ref_prelude.append(f"    v_{d.name} = np.zeros({size}, dtype={dtype})")
+        fast_prelude += [f"    v_{d.name} = _slot({k}, {size}, {dtype})",
+                         f"    v_{d.name}.fill(0)"]
 
     shared_cost = CostCollector()
-    lines: list[str] = []
+    bodies = []
     inner_labels: list[str] = []
     tmp_base = 0
     label_base = 0
@@ -696,26 +688,19 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
     for m in members:
         local_types = _local_types(m, scope)
         codegen_cfg = _member_codegen_config(m, demoted, group_written)
-        vec = Vectorizer(m.name, m.analysis, codegen_cfg, scalar_types,
-                         dict(local_types))
-        vec.cost = shared_cost
-        vec._tmp = tmp_base
-        vec._label = label_base
-        vec.lines = []
-        for pname in vec.private_names:
-            dt = _DTYPES.get(local_types.get(pname, "float"), "np.float64")
-            vec.emit(f"v_{pname} = ks.bcv(0, _n, {dt})")
-            vec.locals[pname] = f"v_{pname}"
-            vec.local_axis[pname] = 0
-        vec.emit_stmt(m.analysis.nest.body)
-        lines.extend(vec.lines)
-        inner_labels.extend(vec.inner_labels)
-        tmp_base = vec._tmp
-        label_base = vec._label
+        body = lower_body(m.name, m.analysis, codegen_cfg, scalar_types,
+                          local_types, shared_cost, tmp_base=tmp_base,
+                          label_base=label_base, slot_base=len(demoted))
+        bodies.append(body)
+        inner_labels.extend(body.inner_labels)
+        tmp_base = body.tmp_end
+        label_base = body.label_end
         # A member local named like a host scalar shadowed the shared
         # ``v_{scalar}`` binding for the rest of the kernel: restore it.
-        for n in sorted(set(vec.locals) & set(scalar_names)):
-            lines.append(f"    v_{n} = ctx.scalars[{n!r}]")
+        for n in sorted(body.locals & set(scalar_names)):
+            restore = f"    v_{n} = ctx.scalars[{n!r}]"
+            body.ref.append(restore)
+            body.fast.append(restore)
         interps.append(KernelInterpreter(
             body=m.analysis.nest.body,
             loop_var=m.loop_var,
@@ -725,7 +710,7 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
             local_types=dict(local_types),
         ))
 
-    source = "\n".join(header + lines) + "\n"
+    source = kernel_source(bindings, bodies, ref_prelude, fast_prelude)
     info = KernelSourceInfo(
         name=name,
         source=source,

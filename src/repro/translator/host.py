@@ -301,6 +301,7 @@ class HostExecutor:
             idx = int(ev.eval(a.target.indices[0]))
             if a.op:
                 value = _apply_scalar_op(arr[idx], a.op, value, a.line)
+            self.loader.before_host_write(arr)
             arr[idx] = value
             return value
         raise HostError(f"unsupported assignment target (line {a.line})")

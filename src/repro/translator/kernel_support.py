@@ -29,13 +29,13 @@ def ld(arr: np.ndarray, idx):
     return arr[min(max(int(idx), 0), arr.shape[0] - 1)]
 
 
-def ld_span(arr: np.ndarray, lo: int, n: int, copy: bool = True):
+def ld_span(arr: np.ndarray, lo: int, n: int, copy: bool = False):
     """Contiguous gather ``arr[lo:lo+n]`` -- the :func:`ld` fast path.
 
     Value-identical to ``ld(arr, arange(lo, lo+n))``: when the span is
-    fully in bounds it is one slice (copied unless the caller proved the
-    array is never written in this kernel, in which case a view is
-    safe); otherwise it falls back to the exact clipped gather that
+    fully in bounds it is one slice (a view; ``copy`` when the value may
+    outlive a later store to the array); otherwise it falls back to the
+    exact clipped gather that
     :func:`ld` performs, preserving guarded-load semantics for
     predicated lanes.
     """
@@ -61,6 +61,23 @@ def ld_span(arr: np.ndarray, lo: int, n: int, copy: bool = True):
     return out
 
 
+def span_out(arr: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Writable view ``arr[lo:lo+n]`` -- the destination of a span store.
+
+    A slice silently truncates where a scatter would fail, so the bounds
+    are checked here: an unpredicated store outside the device buffer is
+    a window the compiler or the program got wrong, and raises like the
+    indexed store it replaces.
+    """
+    if n <= 0:
+        return arr[0:0]
+    if lo < 0 or lo + n > arr.shape[0]:
+        raise IndexError(
+            f"span store [{lo}, {lo + n}) outside a buffer of "
+            f"{arr.shape[0]} elements")
+    return arr[lo:lo + n]
+
+
 def store_span(arr: np.ndarray, lo: int, n: int, values, op: str = "") -> None:
     """Contiguous store ``arr[lo:lo+n] op= values`` -- the :func:`store`
     fast path.
@@ -68,25 +85,24 @@ def store_span(arr: np.ndarray, lo: int, n: int, values, op: str = "") -> None:
     The indices of a span are unique, so slice assignment equals fancy
     assignment and in-place ufuncs equal unbuffered ``ufunc.at``:
     results are bit-identical to ``store(arr, arange(lo, lo+n), ...)``.
-    Callers guard bounds (an out-of-range span takes the original
-    indexed path, preserving its error behavior).
     """
+    dst = span_out(arr, lo, n)
     if op == "":
-        arr[lo:lo + n] = values
+        dst[...] = values
     elif op == "+":
-        arr[lo:lo + n] += values
+        dst += values
     elif op == "-":
-        arr[lo:lo + n] -= values
+        dst -= values
     elif op == "*":
-        arr[lo:lo + n] *= values
+        dst *= values
     elif op == "max":
-        np.maximum(arr[lo:lo + n], values, out=arr[lo:lo + n])
+        np.maximum(dst, values, out=dst)
     elif op == "min":
-        np.minimum(arr[lo:lo + n], values, out=arr[lo:lo + n])
+        np.minimum(dst, values, out=dst)
     elif op == "&":
-        arr[lo:lo + n] &= values
+        dst &= values
     elif op == "|":
-        arr[lo:lo + n] |= values
+        dst |= values
     else:
         raise ValueError(f"unsupported store op {op!r}")
 
@@ -97,9 +113,14 @@ def store_span_masked(arr: np.ndarray, lo: int, n: int, values, mask) -> None:
     Equals ``store(arr, arange(lo, lo+n)[mask], bcv(values)[mask])`` for
     plain assignment -- span indices are unique, so masked copyto and
     gather/scatter write the same lanes with the same values -- but
-    skips building the index and value gather vectors entirely.
+    skips building the index and value gather vectors.  Inactive lanes
+    may legitimately fall outside the buffer (a data-dependent predicate
+    guarding the edge); only then is the index vector built.
     """
-    np.copyto(arr[lo:lo + n], values, where=mask)
+    if 0 <= lo and lo + n <= arr.shape[0]:
+        np.copyto(arr[lo:lo + n], values, where=mask)
+    else:
+        store(arr, np.flatnonzero(mask) + lo, msel(bcv(values, n), mask))
 
 
 def msel(v, mask):

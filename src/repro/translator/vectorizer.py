@@ -28,6 +28,13 @@ nothing when writes are statically proven local).  While emitting, the
 generator charges every operation into a :class:`CostCollector`, which
 becomes the kernel's pricing model.
 
+This module is the *reference* lowering: every access is a guarded
+gather or an indexed scatter (``ks.ld`` / ``ks.store``) and every
+predicate a boolean lane mask.  :mod:`repro.translator.spanlower`
+subclasses it with the span-native lowering and assembles both bodies
+into one kernel; only the reference pass charges the cost model, so a
+kernel's modeled cost cannot depend on which body runs.
+
 The emitted source is kept on the compiled kernel object
 (``CompiledKernel.source``) so tests and users can inspect it, just as
 one would inspect the CUDA the paper's translator writes out.
@@ -82,6 +89,9 @@ _MATH_CALLS = {
     "max": ("np.maximum", "minmax"), "fmax": ("np.maximum", "minmax"),
     "fmaxf": ("np.maximum", "minmax"),
 }
+
+#: Temp-name numbers reserved per body statement (see ``emit_stmt``).
+_TEMPS_PER_STMT = 8
 
 _DTYPES = {"float": "np.float32", "double": "np.float64", "char": "np.int8",
            "int": "np.int32", "unsigned int": "np.uint32",
@@ -149,6 +159,9 @@ class Vectorizer:
         self.csr_vars: dict[str, str] = {}
         self.reduction_vars = {v: op for op, v in analysis.scalar_reductions}
         self._inner_by_id = {id(il.stmt): il for il in analysis.inner_loops}
+        self._stmt_base: dict[int, int] = {}
+        #: The body read the lane-index vector ``_i``.
+        self.uses_iota = False
         self.private_names: list[str] = (
             list(analysis.nest.directive.private)
             if analysis.nest.directive is not None else [])
@@ -165,6 +178,11 @@ class Vectorizer:
     def tmp(self, prefix: str = "_t") -> str:
         self._tmp += 1
         return f"{prefix}{self._tmp}"
+
+    def lanes_vec(self, src: str, dtype: str) -> str:
+        """``src`` as a lane vector of ``dtype``, active lanes only."""
+        vec = f"ks.bcv({src}, {self.axis.lanes}, {dtype})"
+        return vec if self.mask is None else f"ks.msel({vec}, {self.mask})"
 
     def new_label(self) -> str:
         label = f"L{self._label}"
@@ -261,44 +279,6 @@ class Vectorizer:
 
     # -- expression translation ------------------------------------------------------
 
-    def tx_quiet(self, e: C.Expr) -> str:
-        """Translate ``e`` without charging the cost model.
-
-        The span fast paths re-derive the affine *offset* of an index
-        expression whose full form was already translated (and priced)
-        the normal way; pricing the offset again would change the
-        kernel's modeled cost depending on whether a fast path was
-        emitted, breaking bit-identical modeled time.
-        """
-        saved = self.cost
-        self.cost = CostCollector()
-        try:
-            return self.tx(e)
-        finally:
-            self.cost = saved
-
-    def span_start(self, idx: C.Expr, *, for_store: bool) -> str | None:
-        """Offset expression of a unit-stride outer-lane access, or None.
-
-        An access spans ``[off + i0, off + i1)`` contiguously when the
-        kernel is on the plain outer axis (CSR flattening reshuffles
-        lanes), the index is affine in the loop variable with
-        coefficient 1, and the offset is lane-invariant (host scalars,
-        literals, and constant-inner-loop variables qualify; kernel
-        locals do not).  Stores additionally require no predication
-        mask -- a masked load may still span because every lane
-        evaluates under predication anyway and the fallback gather is
-        value-identical.
-        """
-        if len(self.axis_stack) != 1 or self.axis.kind != "outer":
-            return None
-        if for_store and self.mask is not None:
-            return None
-        aff = affine_in(idx, self.an.nest.var)
-        if aff is None or aff.coeff != 1 or self.lane_varying(aff.offset):
-            return None
-        return self.tx_quiet(aff.offset)
-
     def tx(self, e: C.Expr) -> str:
         if isinstance(e, C.IntLit):
             return repr(e.value)
@@ -330,7 +310,7 @@ class Vectorizer:
     def tx_ident(self, e: C.Ident) -> str:
         n = e.name
         if n == self.an.nest.var:
-            return self.outer_lane_expr("_i")
+            return self.outer_lane_expr(self.lane_index())
         if n in self.csr_vars:
             return self.csr_vars[n]
         if n in self.scalar_vars:
@@ -341,12 +321,26 @@ class Vectorizer:
                 "statement", e.line,
             )
         if n in self.locals:
-            return self.outer_lane_expr(self.locals[n], declared_at=self.local_axis[n])
+            return self.outer_lane_expr(self.local_src(n),
+                                        declared_at=self.local_axis[n])
         if n in self.config.arrays:
             raise VectorizeError(f"array {n!r} used without subscript", e.line)
         if n in self.scalar_types or n in (s for s in self.an.host_scalars):
             return f"v_{n}"
         raise VectorizeError(f"unknown identifier {n!r}", e.line)
+
+    def lane_index(self) -> str:
+        """Name of the vector of global lane indices of the outer axis."""
+        self.uses_iota = True
+        return "_i"
+
+    def local_src(self, name: str) -> str:
+        """Python expression for the lane vector of kernel local ``name``."""
+        return self.locals[name]
+
+    def value_src(self, e: C.Expr) -> str:
+        """Translate the value operand of a statement."""
+        return self.tx(e)
 
     def outer_lane_expr(self, pyname: str, declared_at: int = 0) -> str:
         """Value of a lane vector, gathered into a csr axis if needed.
@@ -445,18 +439,7 @@ class Vectorizer:
         idx_src = self.tx(idx)
         self.cost.intop(1)
         self.cost.access(_itemsize(cfg.ctype), self.classify_access(name, idx))
-        slow = f"ks.ld(v_{name}, ({idx_src}) - _b_{name})"
-        off = self.span_start(idx, for_store=False)
-        if off is None:
-            return slow
-        # Unit-stride gather -> slice: a view when this kernel never
-        # stores to the array, else a copy (a view could alias a later
-        # in-place span store).  Out-of-range spans fall back to the
-        # clipped gather inside ld_span, so values match ks.ld exactly.
-        copy = "True" if cfg.written else "False"
-        fast = (f"ks.ld_span(v_{name}, ({off}) + ctx.i0 - _b_{name}, _n, "
-                f"{copy})")
-        return f"({fast} if ctx.fastpath else {slow})"
+        return f"ks.ld(v_{name}, {idx_src} - _b_{name})"
 
     def linear_index(self, e: C.Index) -> C.Expr:
         if len(e.indices) != 1:
@@ -468,6 +451,10 @@ class Vectorizer:
     # -- statements -----------------------------------------------------------------
 
     def emit_stmt(self, s: C.Stmt) -> None:
+        # Temp names restart from the statement's own number, so two
+        # lowerings of one body name their temporaries alike wherever
+        # they emit the same code.
+        self._tmp = max(self._tmp, self._stmt_base.get(id(s), 0))
         red = self._reduction_directive(s)
         if red is not None:
             self.emit_reduction_to_array(s, red)
@@ -517,7 +504,7 @@ class Vectorizer:
         pyname = f"v_{s.name}"
         dt = _DTYPES.get(s.ctype.base, "np.float64")
         if s.init is not None:
-            val = self.tx(s.init)
+            val = self.value_src(s.init)
         else:
             val = "0"
         self.emit(f"{pyname} = ks.bcv({val}, {self.axis.lanes}, {dt})")
@@ -555,7 +542,7 @@ class Vectorizer:
                 raise VectorizeError(
                     f"only '+=' updates of outer variable {name!r} are "
                     "supported inside a data-dependent inner loop", a.line)
-            val = self.tx(a.value)
+            val = self.value_src(a.value)
             pos = self.axis.pos
             assert pos is not None
             if self.mask is None:
@@ -569,13 +556,13 @@ class Vectorizer:
             self.axis.gathered.pop(pyname, None)
             return
         if a.op:
-            cur = self.outer_lane_expr(pyname, declared_at)
-            val_src = self.tx(a.value)
+            cur = self.outer_lane_expr(self.local_src(name), declared_at)
+            val_src = self.value_src(a.value)
             is_float = self.expr_type(a.value) == "float" or \
                 self.local_types.get(name) in ("float", "double")
             newv = self._apply_op(cur, a.op, val_src, is_float)
         else:
-            newv = self.tx(a.value)
+            newv = self.value_src(a.value)
         # Round to the variable's declared type (C/Fortran assignment
         # semantics): without this, a float64 literal silently upgrades
         # a float local and the accumulation precision drifts.
@@ -619,7 +606,7 @@ class Vectorizer:
                 raise VectorizeError(
                     f"reduction variable {name!r} declared with {op!r} but "
                     f"updated with {a.op!r}=", a.line)
-            contrib = self.tx(a.value)
+            contrib = self.value_src(a.value)
         else:
             # Pattern: var = var op expr  /  var = max(var, expr) etc.
             contrib = self._extract_reduction_contrib(name, op, a.value)
@@ -631,17 +618,17 @@ class Vectorizer:
     def _extract_reduction_contrib(self, name: str, op: str, value: C.Expr) -> str:
         if isinstance(value, C.BinOp) and _op_matches(value.op, op):
             if isinstance(value.left, C.Ident) and value.left.name == name:
-                return self.tx(value.right)
+                return self.value_src(value.right)
             if isinstance(value.right, C.Ident) and value.right.name == name:
-                return self.tx(value.left)
+                return self.value_src(value.left)
         if isinstance(value, C.Call) and value.func in ("min", "max", "fmin",
                                                         "fmax", "fminf", "fmaxf") \
                 and _op_matches(value.func.lstrip("f").rstrip("f") , op):
             args = value.args
             if isinstance(args[0], C.Ident) and args[0].name == name:
-                return self.tx(args[1])
+                return self.value_src(args[1])
             if isinstance(args[1], C.Ident) and args[1].name == name:
-                return self.tx(args[0])
+                return self.value_src(args[0])
         raise VectorizeError(
             f"statement does not match the declared {op!r} reduction on "
             f"{name!r}")
@@ -680,85 +667,23 @@ class Vectorizer:
         if a.op:
             self.cost.serialize(2.0)
         handling = cfg.write_handling
-        # Cost charges above are unconditional: the kernel carries both
-        # the span fast path and the original scatter path, branching on
-        # ctx.fastpath at run time, and its modeled cost must not depend
-        # on which branch executes.
         if handling == WriteHandling.DIRTY_BITS:
             # Dirty-bit instrumentation cost (one byte flag + chunk bit).
             self.cost.access(1, ACCESS_RANDOM)
             self.cost.intop(2)
         elif handling == WriteHandling.MISS_CHECK:
             self.cost.intop(4)
-
-        def emit_slow() -> None:
-            gi = self.tmp("_gi")
-            gv = self.tmp("_gv")
-            self.emit(f"{gi} = ks.msel(ks.bcv({idx_src}, {self.axis.lanes}, "
-                      f"np.int64), {self.mask or 'None'})")
-            self.emit(f"{gv} = ks.msel(ks.bcv({val_src}, {self.axis.lanes}, "
-                      f"None), {self.mask or 'None'})")
-            if handling == WriteHandling.MISS_CHECK:
-                self.emit(f"ctx.write_checked({name!r}, {gi}, {gv}, {a.op!r})")
-            else:
-                self.emit(f"ks.store(v_{name}, {gi} - _b_{name}, {gv}, "
-                          f"{a.op!r})")
-                if handling == WriteHandling.DIRTY_BITS:
-                    self.emit(f"ctx.mark_dirty({name!r}, {gi})")
-
-        off = self.span_start(idx, for_store=True)
-        if off is None:
-            # A predicated plain store may still span: masked copyto over
-            # the slice writes exactly the active lanes, and flatnonzero
-            # recovers their global indices for exact dirty marking (the
-            # marks must not widen -- transfer bytes are modeled).
-            if (self.mask is not None and not a.op
-                    and handling != WriteHandling.MISS_CHECK):
-                moff = self.span_start(idx, for_store=False)
-                if moff is not None:
-                    s = self.tmp("_s")
-                    self.emit(f"{s} = ({moff}) + ctx.i0")
-                    self.emit(f"if ctx.fastpath and 0 <= {s} - _b_{name} and "
-                              f"{s} - _b_{name} + _n <= v_{name}.shape[0]:")
-                    self.indent += 1
-                    self.emit(f"ks.store_span_masked(v_{name}, "
-                              f"{s} - _b_{name}, _n, {val_src}, {self.mask})")
-                    if handling == WriteHandling.DIRTY_BITS:
-                        self.emit(f"ctx.mark_dirty({name!r}, "
-                                  f"np.flatnonzero({self.mask}) + {s})")
-                    self.indent -= 1
-                    self.emit("else:")
-                    self.indent += 1
-                    emit_slow()
-                    self.indent -= 1
-                    return
-            emit_slow()
-            return
-        s = self.tmp("_s")
-        self.emit(f"{s} = ({off}) + ctx.i0")
+        gi = self.lanes_vec(idx_src, "np.int64")
+        gv = self.lanes_vec(val_src, "None")
+        if handling != WriteHandling.LOCAL_PROVEN:
+            gi_vec, gi = gi, self.tmp("_gi")
+            self.emit(f"{gi} = {gi_vec}")
         if handling == WriteHandling.MISS_CHECK:
-            # The span form performs the window check itself (misses
-            # become one ascending record), so no bounds guard here.
-            self.emit(f"if ctx.fastpath:")
-            self.indent += 1
-            self.emit(f"ctx.write_checked_span({name!r}, {s}, {s} + _n, "
-                      f"{val_src}, {a.op!r})")
-            self.indent -= 1
-        else:
-            # Out-of-range spans take the original path so its error
-            # behavior (IndexError from the scatter) is preserved.
-            self.emit(f"if ctx.fastpath and 0 <= {s} - _b_{name} and "
-                      f"{s} - _b_{name} + _n <= v_{name}.shape[0]:")
-            self.indent += 1
-            self.emit(f"ks.store_span(v_{name}, {s} - _b_{name}, _n, "
-                      f"{val_src}, {a.op!r})")
-            if handling == WriteHandling.DIRTY_BITS:
-                self.emit(f"ctx.mark_dirty_span({name!r}, {s}, _n)")
-            self.indent -= 1
-        self.emit("else:")
-        self.indent += 1
-        emit_slow()
-        self.indent -= 1
+            self.emit(f"ctx.write_checked({name!r}, {gi}, {gv}, {a.op!r})")
+            return
+        self.emit(f"ks.store(v_{name}, {gi} - _b_{name}, {gv}, {a.op!r})")
+        if handling == WriteHandling.DIRTY_BITS:
+            self.emit(f"ctx.mark_dirty({name!r}, {gi})")
 
     def emit_reduction_to_array(self, s: C.Stmt, d: AccReductionToArray) -> None:
         if not (isinstance(s, C.ExprStmt) and isinstance(s.expr, C.Assign)
@@ -778,7 +703,7 @@ class Vectorizer:
                 f"reductiontoarray({d.op}) must annotate a compound "
                 f"'{d.op}=' update", s.line)
         idx_src = self.tx(self.linear_index(target))
-        val_src = self.tx(a.value)
+        val_src = self.value_src(a.value)
         self.cost.intop(2)
         # Priced as coalesced read-modify-write: the translator emits the
         # hierarchical reduction (shared memory within a block, then per
@@ -789,10 +714,8 @@ class Vectorizer:
         self.cost.serialize(2.0)
         gi = self.tmp("_gi")
         gv = self.tmp("_gv")
-        self.emit(f"{gi} = ks.msel(ks.bcv({idx_src}, {self.axis.lanes}, np.int64), "
-                  f"{self.mask or 'None'})")
-        self.emit(f"{gv} = ks.msel(ks.bcv({val_src}, {self.axis.lanes}, None), "
-                  f"{self.mask or 'None'})")
+        self.emit(f"{gi} = {self.lanes_vec(idx_src, 'np.int64')}")
+        self.emit(f"{gv} = {self.lanes_vec(val_src, 'None')}")
         self.emit(f"ctx.reduce_to_array({name!r}, {gi}, {gv}, {d.op!r})")
 
     # -- control flow ----------------------------------------------------------------------
@@ -802,10 +725,10 @@ class Vectorizer:
         c = self.tmp("_c")
         self.emit(f"{c} = ks.bcv({cond_src}, {self.axis.lanes}, bool)")
         outer_mask = self.mask
-        m_then = self.tmp("_m")
         if outer_mask is None:
-            self.emit(f"{m_then} = {c}")
+            m_then = c
         else:
+            m_then = self.tmp("_m")
             self.emit(f"{m_then} = {outer_mask} & {c}")
         self.mask = m_then
         self.emit_stmt(s.then)
@@ -920,48 +843,26 @@ class Vectorizer:
 
     # -- driver ------------------------------------------------------------------------------
 
-    def generate(self) -> KernelSourceInfo:
-        nest = self.an.nest
-        header = [
-            f"def kernel(ctx):",
-            f"    np = ctx.np",
-            f"    ks = ctx.ks",
-            f"    _n = ctx.i1 - ctx.i0",
-            f"    if _n <= 0:",
-            f"        return",
-            # ctx.iota() memoizes the lane-index vector across launches
-            # with the same geometry (read-only; ks.bcv copies on write).
-            f"    _i = (ctx.iota() if ctx.fastpath"
-            f" else np.arange(ctx.i0, ctx.i1, dtype=np.int64))",
-        ]
-        for name in sorted(self.config.arrays):
-            header.append(f"    v_{name} = ctx.arrays[{name!r}]")
-            header.append(f"    _b_{name} = ctx.base[{name!r}]")
-        for name in sorted(set(self.an.host_scalars)):
-            header.append(f"    v_{name} = ctx.scalars[{name!r}]")
-        for op, var in self.an.scalar_reductions:
-            header.append(f"    _racc_{var} = ks.red_identity({op!r})")
-        for name in self.private_names:
-            dt = _DTYPES.get(self.local_types.get(name, "float"),
-                             "np.float64")
-            header.append(f"    v_{name} = ks.bcv(0, _n, {dt})")
-            self.locals[name] = f"v_{name}"
-            self.local_axis[name] = 0
+    def emit_private(self, name: str) -> None:
+        """A ``private`` clause variable: a zeroed local of the outer axis."""
+        dt = _DTYPES.get(self.local_types.get(name, "float"), "np.float64")
+        self.emit(f"v_{name} = ks.bcv(0, {self.axis.lanes}, {dt})")
+        self.locals[name] = f"v_{name}"
+        self.local_axis[name] = 0
+
+    def emit_body(self) -> list[str]:
+        """Lower the loop body; returns the emitted lines (also kept in
+        ``self.lines``), indented for a branch of the kernel function."""
         self.lines = []
-        self.emit_stmt(nest.body)
-        footer = []
-        for op, var in self.an.scalar_reductions:
-            footer.append(f"    ctx.reduce_scalar({op!r}, {var!r}, _racc_{var})")
-        source = "\n".join(header + self.lines + footer) + "\n"
-        return KernelSourceInfo(
-            name=self.kernel_name,
-            source=source,
-            cost=KernelCostInfo(buckets=self.cost.buckets),
-            array_names=sorted(self.config.arrays),
-            scalar_names=sorted(set(self.an.host_scalars)),
-            inner_labels=list(self.inner_labels),
-            scalar_reductions=list(self.an.scalar_reductions),
-        )
+        self.indent = 1
+        if not self._stmt_base:
+            self._stmt_base = {
+                id(st): self._tmp + _TEMPS_PER_STMT * k
+                for k, st in enumerate(C.walk(self.an.nest.body), 1)}
+        for name in self.private_names:
+            self.emit_private(name)
+        self.emit_stmt(self.an.nest.body)
+        return self.lines
 
 
 def _itemsize(ctype: str) -> int:

@@ -131,6 +131,92 @@ class TestDataLoaderRegions:
             dl.update_host(["ghost"])
 
 
+class TestCopyOnWriteStaging:
+    """The region-entry staging image is the host array itself until
+    host code writes it; what the device sees must not change."""
+
+    HOST_WRITE = """
+    void k(int n, float *a, float *b) {
+      #pragma acc data copyin(a[0:n]) copy(b[0:n])
+      {
+        a[0] = 99.0f;
+        #pragma acc parallel loop
+        for (int i = 0; i < n; i++) { b[i] = a[i]; }
+      }
+    }
+    """
+    SHARED_BUFFER = """
+    void k(int n, float *a, float *b, float *out) {
+      #pragma acc data copy(a[0:n]) copyin(b[0:n]) copyout(out[0:n])
+      {
+        #pragma acc parallel loop
+        for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0f; }
+        #pragma acc update host(a[0:n])
+        ;
+        #pragma acc parallel loop
+        for (int i = 0; i < n; i++) { out[i] = b[i]; }
+      }
+    }
+    """
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_host_write_before_first_load_sees_entry_data(self, ngpus,
+                                                           sanitize):
+        import repro
+        a = np.arange(8, dtype=np.float32) + 1
+        args = {"n": 8, "a": a, "b": np.zeros(8, np.float32)}
+        repro.compile(self.HOST_WRITE).run("k", args, ngpus=ngpus,
+                                           sanitize=sanitize)
+        assert a[0] == 99.0            # the host write happened
+        assert args["b"][0] == 1.0     # the device loaded entry-time data
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_two_names_for_one_buffer(self, ngpus, sanitize):
+        import repro
+        buf = np.arange(8, dtype=np.float32)
+        out = np.zeros(8, np.float32)
+        repro.compile(self.SHARED_BUFFER).run(
+            "k", {"n": 8, "a": buf, "b": buf, "out": out}, ngpus=ngpus,
+            sanitize=sanitize)
+        np.testing.assert_array_equal(buf, np.arange(8) + 1)
+        # b was entered before a's writeback reached the shared buffer.
+        np.testing.assert_array_equal(out, np.arange(8))
+
+    def make(self, kind):
+        p = Platform(DESKTOP_MACHINE, 2)
+        dl = DataLoader(p)
+        host = np.arange(8, dtype=np.float32)
+        dl.enter_region([("a", host, kind)])
+        return dl, dl.arrays["a"], host
+
+    def test_entry_copies_nothing(self):
+        _, ma, host = self.make("copy")
+        assert ma.staging is host
+
+    def test_host_write_detaches_update_device_reattaches(self):
+        dl, ma, host = self.make("copyin")
+        dl.before_host_write(host)
+        host[0] = -1.0
+        assert ma.staging is not host and ma.staging[0] == 0.0
+        dl.update_device(["a"])
+        assert ma.staging is host
+
+    @pytest.mark.parametrize("kind", ["create", "copyout"])
+    def test_arrays_never_read_from_the_host_never_snapshot(self, kind):
+        dl, ma, host = self.make(kind)
+        dl.before_host_write(host)
+        assert ma.staging is host
+
+    def test_writeback_lands_in_host_and_snapshot(self):
+        dl, ma, host = self.make("copy")
+        dl.before_host_write(host)
+        ma.store_home(2, 4, np.array([7.0, 8.0], np.float32))
+        np.testing.assert_array_equal(host[2:4], [7, 8])
+        np.testing.assert_array_equal(ma.snapshot[2:4], [7, 8])
+
+
 class TestDataLoaderPlacement:
     def ensure(self, dl, configs, n, ngpus, scalars=None):
         tasks = split_tasks(0, n, ngpus)

@@ -514,6 +514,28 @@ class TestGeneratedSource:
         assert "ctx.dyn_count('L0'" in text
 
 
+#: ``sum(len(plan.source))`` per bundled program at the commit before
+#: the span-native lowering, whose kernels nested both load forms in
+#: every access and emitted store values twice.  A ceiling, not a pin.
+SOURCE_BYTES_BEFORE_SPAN_LOWERING = {
+    "bfs": 1686, "gradpipe": 3354, "heat2d": 2930, "jacobi": 2949,
+    "kmeans": 3216, "md": 2512, "phasepipe": 3675, "shift_scale": 680,
+    "spmv": 1449, "stencil": 3970, "stencil_probes": 3841,
+}
+
+
+@pytest.mark.parametrize("app", sorted(SOURCE_BYTES_BEFORE_SPAN_LOWERING))
+def test_generated_source_stays_below_ceiling(app):
+    from repro.apps import ALL_APPS, EXTRA_APPS
+    from repro.bench.multinode import STENCIL_PROBES_SOURCE
+
+    sources = {n: s.source for n, s in {**ALL_APPS, **EXTRA_APPS}.items()}
+    sources["stencil_probes"] = STENCIL_PROBES_SOURCE
+    plans = compile_source(sources[app]).plans
+    assert sum(len(p.source.encode()) for p in plans) \
+        < SOURCE_BYTES_BEFORE_SPAN_LOWERING[app]
+
+
 class TestRejections:
     def expect_reject(self, src, match=None):
         opts = CompileOptions(require_vectorized=True)
