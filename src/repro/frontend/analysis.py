@@ -59,7 +59,12 @@ class AffineForm:
 
 def expr_mentions(e: C.Expr, names: set[str]) -> bool:
     """True if expression ``e`` references any identifier in ``names``."""
-    return any(isinstance(x, C.Ident) and x.name in names for x in C.walk_expr(e))
+    if not names:
+        return False
+    for x in C.walk_expr(e):
+        if isinstance(x, C.Ident) and x.name in names:
+            return True
+    return False
 
 
 def const_value(e: C.Expr) -> int | None:
@@ -406,13 +411,14 @@ def analyze_loop(nest: LoopNest, array_names: set[str],
     # names the loop directive lists as private: those live outside the
     # loop syntactically but are per-iteration scratch semantically.
     la.locals_.extend(private_names)
-    for st in C.walk(nest.body):
+    stmts = list(C.walk(nest.body))
+    for st in stmts:
         if isinstance(st, C.Decl):
             la.locals_.append(st.name)
     local_set = set(la.locals_)
 
     # Inner loops.
-    for st in C.walk(nest.body):
+    for st in stmts:
         if isinstance(st, C.For):
             la.inner_loops.append(_classify_inner_loop(st, nest.var, array_names))
         elif isinstance(st, C.While):
@@ -424,28 +430,22 @@ def analyze_loop(nest: LoopNest, array_names: set[str],
                 la.array_reductions.append(d)
 
     # Data-dependence: a name is "opaque" if derived from memory loads.
-    opaque = _opaque_locals(nest.body, array_names, local_set)
+    opaque = _opaque_locals(stmts, array_names, local_set)
 
-    # Accesses.
-    reduction_arrays = {d.array for d in la.array_reductions}
-    for st in C.walk(nest.body):
-        writes: list[C.Expr] = []
-        for e in C.stmt_exprs(st):
-            for x in C.walk_expr(e):
-                if isinstance(x, C.Assign) and isinstance(x.target, C.Index):
-                    writes.append(x.target)
-        for e in C.stmt_exprs(st):
-            _collect_accesses(e, nest.var, array_names, opaque, la, writes, st.line)
-
-    # Host scalars: identifiers used in the body that are neither locals,
-    # the loop var, nor arrays.
+    # Accesses, and host scalars: identifiers used in the body that are
+    # neither locals, the loop var, nor arrays.
     seen: set[str] = set()
-    for x in C.all_exprs(nest.body):
-        if isinstance(x, C.Ident) and x.name not in array_names \
-                and x.name not in local_set and x.name != nest.var \
-                and x.name not in seen and not _is_builtin(x.name):
-            seen.add(x.name)
-            la.host_scalars.append(x.name)
+    for st in stmts:
+        for e in C.stmt_exprs(st):
+            nodes = list(C.walk_expr(e))
+            _collect_accesses(nodes, nest.var, array_names, opaque, la,
+                              st.line)
+            for x in nodes:
+                if isinstance(x, C.Ident) and x.name not in array_names \
+                        and x.name not in local_set and x.name != nest.var \
+                        and x.name not in seen and not _is_builtin(x.name):
+                    seen.add(x.name)
+                    la.host_scalars.append(x.name)
     # Bounds may also reference host scalars.
     for bound in (nest.lower, nest.upper):
         for x in C.walk_expr(bound):
@@ -467,14 +467,15 @@ def _is_builtin(name: str) -> bool:
     return name in _BUILTINS
 
 
-def _opaque_locals(body: C.Stmt, array_names: set[str],
+def _opaque_locals(stmts: list[C.Stmt], array_names: set[str],
                    local_set: set[str]) -> set[str]:
-    """Locals whose value depends on memory loads (fixed point)."""
+    """Locals whose value depends on memory loads (fixed point) among
+    the statements ``stmts`` of a loop body."""
     opaque: set[str] = set()
     changed = True
     while changed:
         changed = False
-        for st in C.walk(body):
+        for st in stmts:
             target_name = None
             value = None
             if isinstance(st, C.Decl) and st.init is not None:
@@ -493,26 +494,26 @@ def _opaque_locals(body: C.Stmt, array_names: set[str],
     return opaque
 
 
-def _collect_accesses(e: C.Expr, var: str, array_names: set[str],
-                      opaque: set[str], la: LoopAnalysis,
-                      write_targets: list[C.Expr], line: int) -> None:
-    for x in C.walk_expr(e):
+def _collect_accesses(nodes: list[C.Expr], var: str, array_names: set[str],
+                      opaque: set[str], la: LoopAnalysis, line: int) -> None:
+    """Record the array accesses among ``nodes``, the pre-order walk of
+    one expression of the loop body."""
+    #: Subscripts that are assignment targets -> their assignment.
+    stores = {id(x.target): x for x in nodes if isinstance(x, C.Assign)}
+    for x in nodes:
         if not isinstance(x, C.Index):
             continue
         if not isinstance(x.array, C.Ident) or x.array.name not in array_names:
             continue
         name = x.array.name
-        is_write = any(x is w for w in write_targets)
-        is_read = not is_write
+        store = stores.get(id(x))
+        is_write = store is not None
         # Compound assignment reads the target too.
-        if is_write:
-            for parent in C.walk_expr(e):
-                if isinstance(parent, C.Assign) and parent.target is x and parent.op:
-                    is_read = True
+        is_read = not is_write or bool(store.op)
         lin = linearize_index(x, var)
-        aff = affine_in(lin, var, opaque) if lin is not None else None
-        if aff is not None and expr_mentions(lin, opaque):
-            aff = None
+        opaque_index = lin is not None and expr_mentions(lin, opaque)
+        aff = affine_in(lin, var, opaque) \
+            if lin is not None and not opaque_index else None
         acc = ArrayAccess(
             array=name,
             indices=list(x.indices),
@@ -520,7 +521,7 @@ def _collect_accesses(e: C.Expr, var: str, array_names: set[str],
             is_write=is_write,
             line=x.line or line,
             affine=aff,
-            data_dependent=lin is not None and expr_mentions(lin, opaque)
+            data_dependent=opaque_index
             or any(isinstance(y, C.Index) for idx in x.indices
                    for y in C.walk_expr(idx)),
         )

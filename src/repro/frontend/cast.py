@@ -301,9 +301,18 @@ def child_exprs(e: Expr) -> Iterator[Expr]:
 
 def walk_expr(e: Expr) -> Iterator[Expr]:
     """Pre-order traversal of an expression tree."""
-    yield e
-    for c in child_exprs(e):
-        yield from walk_expr(c)
+    # One generator and an explicit stack: the translator walks every
+    # expression many times, and nested ``yield from`` costs a frame
+    # per tree level per node.
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, BinOp):
+            stack.append(e.right)
+            stack.append(e.left)
+        elif not isinstance(e, (Ident, IntLit, FloatLit)):
+            stack.extend(reversed(list(child_exprs(e))))
 
 
 def child_stmts(s: Stmt) -> Iterator[Stmt]:
@@ -342,9 +351,11 @@ def stmt_exprs(s: Stmt) -> Iterator[Expr]:
 
 def walk(s: Stmt) -> Iterator[Stmt]:
     """Pre-order traversal of a statement tree."""
-    yield s
-    for c in child_stmts(s):
-        yield from walk(c)
+    stack = [s]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(list(child_stmts(s))))
 
 
 def all_exprs(s: Stmt) -> Iterator[Expr]:

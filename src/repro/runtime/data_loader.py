@@ -128,6 +128,10 @@ class ManagedArray:
     #: then on the host copy is meaningful data even for 'create' arrays,
     #: so reloads must be priced as real transfers.
     materialized: bool = False
+    #: ``update device`` fed the array from the host: from then on a load
+    #: may read meaningful host data whatever the clause kind, so the
+    #: staging image must be preserved against host writes.
+    host_fed: bool = False
     #: Set when an external placement decision (the adaptive advisor's
     #: demote/promote) made the resident layout suspect: the reload-skip
     #: fast path must not fire until the next load/migration rebuilds
@@ -156,7 +160,8 @@ class ManagedArray:
         semantics against later host writes.  It is copy-on-write: it
         *is* the host array until host code is about to write one
         (:meth:`DataLoader.before_host_write`), which detaches it.
-        ``update device`` re-attaches it; writebacks land in both.
+        ``update device`` re-attaches it (unless another region name
+        shares the buffer); writebacks land in both.
         """
         return self.host if self.snapshot is None else self.snapshot
 
@@ -247,13 +252,12 @@ class DataLoader:
                 transfer_out=kind in ("copy", "copyout"),
             )
             # Two names for one host buffer: a writeback through either
-            # would show through the other's staging image, so both get
-            # their private snapshot right away.
-            for other in self.arrays.values():
-                if np.may_share_memory(other.host, host):
-                    for twin in (other, ma):
-                        if twin.snapshot is None:
-                            twin.snapshot = twin.host.copy()
+            # would show through the other's staging image, so both keep
+            # a private snapshot from now on.
+            for other in self._twins(ma):
+                for twin in (other, ma):
+                    if twin.snapshot is None:
+                        twin.snapshot = twin.host.copy()
             ngpus = self.platform.ngpus
             ma.buffers = [None] * ngpus
             ma.blocks = [Block(0, 0)] * ngpus
@@ -276,15 +280,21 @@ class DataLoader:
         if self.platform.bus.pending_count():
             self.platform.bus.sync_category(CATEGORY_CPU_GPU)
 
+    def _twins(self, ma: ManagedArray) -> list[ManagedArray]:
+        """Other open-region arrays viewing ``ma``'s host buffer."""
+        return [other for other in self.arrays.values()
+                if other is not ma
+                and np.may_share_memory(other.host, ma.host)]
+
     def before_host_write(self, host: np.ndarray) -> None:
         """Host code is about to write ``host``: an array of an open
         region whose staging image still is the host array takes its
-        entry-time snapshot now.  Arrays no load will ever read from the
-        host (``create``, ``copyout`` before the device first wrote them
-        back) never do."""
+        entry-time snapshot now.  Arrays no load reads meaningful host
+        data for (``create``, ``copyout``, until the device first wrote
+        them back or ``update device`` fed them) never do."""
         for ma in self.arrays.values():
             if ma.host is host and ma.snapshot is None \
-                    and (ma.transfer_in or ma.materialized):
+                    and (ma.transfer_in or ma.materialized or ma.host_fed):
                 ma.snapshot = host.copy()
 
     def update_host(self, names: list[str]) -> None:
@@ -303,7 +313,12 @@ class DataLoader:
             if self.pre_access_hook is not None:
                 self.pre_access_hook(name)
             ma.device_ahead = False
-            ma.snapshot = None  # the image is the host array again
+            ma.host_fed = True
+            if self._twins(ma):
+                # The private image stays private: refresh it.
+                np.copyto(ma.snapshot, ma.host)
+            else:
+                ma.snapshot = None  # the image is the host array again
             if ma.valid and ma.placement is not None:
                 # Eagerly refresh the resident blocks.
                 with self._tag(MECH_UPDATE, name):

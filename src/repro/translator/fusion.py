@@ -698,9 +698,8 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
         # A member local named like a host scalar shadowed the shared
         # ``v_{scalar}`` binding for the rest of the kernel: restore it.
         for n in sorted(body.locals & set(scalar_names)):
-            restore = f"    v_{n} = ctx.scalars[{n!r}]"
-            body.ref.append(restore)
-            body.fast.append(restore)
+            restore = [f"    v_{n} = ctx.scalars[{n!r}]"]
+            body.blocks.append((restore, restore))
         interps.append(KernelInterpreter(
             body=m.analysis.nest.body,
             loop_var=m.loop_var,

@@ -26,16 +26,14 @@ and under NEP 50 alike; a host scalar's Python type is checked once at
 kernel entry); whatever cannot be proven is evaluated unbuffered, as the
 reference does.
 
-:func:`lower_body` runs both lowerings over one loop body and
-:func:`kernel_source` assembles them under a single ``ctx.fastpath``
-test.  Only the reference pass charges the cost model.
+:func:`lower_body` runs both lowerings over one loop body, statement by
+statement, and :func:`kernel_source` assembles them under a single
+``ctx.fastpath`` test.  Only the reference pass charges the cost model.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from difflib import SequenceMatcher
 
 from ..frontend import cast as C
 from ..frontend.analysis import LoopAnalysis, affine_in, const_value
@@ -143,6 +141,8 @@ class SpanVectorizer(Vectorizer):
         self._pending: list[_Val] = []
         #: Host scalars whose Python type the ``out=`` proofs rely on.
         self.weak: dict[str, str] = {}
+        #: The body loads a span (``_ld`` must be bound).
+        self.loads = False
 
     # -- lane spans ----------------------------------------------------------------
 
@@ -213,6 +213,8 @@ class SpanVectorizer(Vectorizer):
         be in place), or computed from such a local."""
         floats = {n for n, t in self.local_types.items()
                   if t in ("float", "double")}
+        if not floats:
+            return set()
         assigns: list[tuple[str, C.Expr]] = []
         chosen: set[str] = set()
         # Every local counts as lane-varying here, declared yet or not.
@@ -260,6 +262,7 @@ class SpanVectorizer(Vectorizer):
             return None
         name = e.base_name()
         r = self.region
+        self.loads = True
         # Out-of-range spans (halo loads at block edges under a data-
         # dependent predicate) fall back to the clipped gather inside
         # ld_span, so values match ks.ld exactly.
@@ -754,11 +757,12 @@ class SpanVectorizer(Vectorizer):
 
 @dataclass
 class LoweredBody:
-    """Both lowerings of one parallel-loop body (lines at function
-    indent)."""
+    """Both lowerings of one parallel-loop body, cut at the body's
+    top-level statements."""
 
-    ref: list[str]
-    fast: list[str]
+    #: ``(span lines, reference lines)`` per piece, at function indent;
+    #: one list twice where only the reference lowering ran.
+    blocks: list[tuple[list[str], list[str]]]
     inner_labels: list[str]
     #: Counter positions after this body (fusion chains members).
     tmp_end: int
@@ -766,98 +770,124 @@ class LoweredBody:
     #: Which body reads the full-span lane-index vector ``_i``.
     ref_iota: bool
     fast_iota: bool
-    #: Arena slots the span body uses.
-    slots: int
-    #: Host scalars the span body's ``out=`` proofs need as exactly a
-    #: Python ``float`` / ``int``.
-    weak: dict[str, str]
+    #: Host scalars either body reads.
+    scalars: set[str]
     #: Kernel-local names (they may shadow scalar bindings).
     locals: set[str]
+    #: Arena slots the span body uses, and whether it loads a span.
+    slots: int = 0
+    loads: bool = False
+    #: Host scalars the span body's ``out=`` proofs need as exactly a
+    #: Python ``float`` / ``int``.
+    weak: dict[str, str] = field(default_factory=dict)
 
 
 def lower_body(name: str, analysis: LoopAnalysis, config: LoopConfig,
                scalar_types: dict[str, str], local_types: dict[str, str],
                cost: CostCollector, tmp_base: int = 0, label_base: int = 0,
                slot_base: int = 0) -> LoweredBody:
-    """Lower one loop body twice: the reference pass charges ``cost``,
-    the span pass a scratch collector."""
+    """Lower one loop body twice, piece by piece: the reference pass
+    charges ``cost``, the span pass a scratch collector."""
     ref = Vectorizer(name, analysis, config, scalar_types, dict(local_types))
     ref.cost = cost
     ref._tmp = tmp_base
     ref._label = label_base
-    ref.emit_body()
     if not any(acc.affine is not None and acc.affine.coeff == 1
                for usage in analysis.arrays.values()
                for acc in usage.accesses):
         # No unit-stride access: nothing for the span lowering to add.
+        blocks = [(lines, lines) for lines in map(ref.emit_piece,
+                                                  ref.body_pieces())]
         return LoweredBody(
-            ref=ref.lines, fast=ref.lines, inner_labels=ref.inner_labels,
-            tmp_end=ref._tmp, label_end=ref._label, ref_iota=ref.uses_iota,
-            fast_iota=ref.uses_iota, slots=0, weak={},
+            blocks=blocks, inner_labels=ref.inner_labels, tmp_end=ref._tmp,
+            label_end=ref._label, ref_iota=ref.uses_iota,
+            fast_iota=ref.uses_iota, scalars=ref.used_scalars,
             locals=set(ref.locals))
     fast = SpanVectorizer(name, analysis, config, scalar_types,
                           dict(local_types), slot_base=slot_base)
-    fast._tmp = tmp_base
     fast._label = label_base
-    fast._stmt_base = ref._stmt_base
-    fast.emit_body()
+    blocks = []
+    for piece in ref.body_pieces():
+        # Both passes number a piece's temporaries from one base, so
+        # they name them alike wherever they emit the same code.
+        fast._tmp = ref._tmp
+        lines = ref.emit_piece(piece)
+        blocks.append((fast.emit_piece(piece), lines))
+        ref._tmp = max(ref._tmp, fast._tmp)
     return LoweredBody(
-        ref=ref.lines, fast=fast.lines, inner_labels=ref.inner_labels,
-        tmp_end=max(ref._tmp, fast._tmp), label_end=ref._label,
-        ref_iota=ref.uses_iota, fast_iota=fast.top.iota is not None,
-        slots=fast.slots_used, weak=fast.weak, locals=set(ref.locals))
+        blocks=blocks, inner_labels=ref.inner_labels, tmp_end=ref._tmp,
+        label_end=ref._label, ref_iota=ref.uses_iota,
+        fast_iota=fast.top.iota is not None,
+        scalars=ref.used_scalars | fast.used_scalars,
+        locals=set(ref.locals), slots=fast.slots_used, loads=fast.loads,
+        weak=fast.weak)
 
 
 def _indent_of(line: str) -> int:
     return len(line) - len(line.lstrip(" "))
 
 
-def _statements(lines: list[str]) -> list[tuple[str, ...]]:
-    """Split a block of generated lines into its top-level statements
-    (a line at the block's indent plus the deeper lines under it)."""
-    out: list[list[str]] = []
-    base = _indent_of(lines[0]) if lines else 0
-    for line in lines:
-        if _indent_of(line) == base:
-            out.append([line])
-        else:
-            out[-1].append(line)
-    return [tuple(st) for st in out]
+def merge_blocks(blocks: list[tuple[list[str], list[str]]]
+                 ) -> tuple[list[str], bool]:
+    """One statement list that runs the span lines of ``blocks`` when
+    ``_f`` is true and the reference lines otherwise, and whether the
+    two differ at all.
 
-
-def merge_bodies(fast: list[str], ref: list[str]) -> list[str]:
-    """One statement list that runs ``fast`` when ``_f`` is true and
-    ``ref`` otherwise, sharing what the two have in common.
-
-    ``_f`` is constant during a launch, so ``if _f: A; X else: B; X``
-    factors into ``(if _f: A else: B); X`` for any statements, and two
-    loops with the same header into one loop over the merged bodies.
-    The result executes exactly one of the two input sequences.
+    ``_f`` is constant during a launch, so lines the two lowerings agree
+    on are emitted once and only the others under ``if _f:`` /
+    ``else:``.  The blocks pair up by body statement; inside a pair the
+    lines pair up one to one when the two lowerings emitted the same
+    shape (same count, differences only in simple statements at one
+    indent), else the pair is branched whole.  Runs of differing lines
+    share one branch.  The result executes exactly one of the two input
+    sequences.
     """
-    fs, rs = _statements(fast), _statements(ref)
-    pad = " " * _indent_of((fast or ref or [""])[0])
     out: list[str] = []
-    matcher = SequenceMatcher(a=fs, b=rs, autojunk=False)
-    for tag, i0, i1, j0, j1 in matcher.get_opcodes():
-        if tag == "equal":
-            for st in fs[i0:i1]:
-                out.extend(st)
-            continue
-        f_only, r_only = fs[i0:i1], rs[j0:j1]
-        if len(f_only) == len(r_only) == 1 \
-                and f_only[0][0] == r_only[0][0] \
-                and f_only[0][0].lstrip().startswith("for "):
-            out.append(f_only[0][0])
-            out.extend(merge_bodies(list(f_only[0][1:]),
-                                    list(r_only[0][1:])))
-            continue
-        for test, group in (("if _f:", f_only), ("if not _f:", r_only)):
-            if group and test == "if not _f:" and f_only:
-                test = "else:"
-            if group:
-                out.append(pad + test)
-                out.extend("    " + line for st in group for line in st)
-    return out
+    fast_run: list[str] = []
+    ref_run: list[str] = []
+    pad = ""
+    branched = False
+
+    def flush() -> None:
+        nonlocal branched
+        if not (fast_run or ref_run):
+            return
+        branched = True
+        if fast_run:
+            out.append(pad + "if _f:")
+            out.extend("    " + line for line in fast_run)
+        if ref_run:
+            out.append(pad + ("else:" if fast_run else "if not _f:"))
+            out.extend("    " + line for line in ref_run)
+        fast_run.clear()
+        ref_run.clear()
+
+    def differ(fast: list[str], ref: list[str], indent: int) -> None:
+        nonlocal pad
+        if len(pad) != indent:
+            flush()
+            pad = " " * indent
+        fast_run.extend(fast)
+        ref_run.extend(ref)
+
+    for fast, ref in blocks:
+        if fast == ref:
+            flush()
+            out.extend(ref)
+        elif len(fast) == len(ref) and all(
+                a == b or (a[-1] != ":" != b[-1]
+                           and _indent_of(a) == _indent_of(b))
+                for a, b in zip(fast, ref)):
+            for a, b in zip(fast, ref):
+                if a == b:
+                    flush()
+                    out.append(a)
+                else:
+                    differ([a], [b], _indent_of(a))
+        else:
+            differ(fast, ref, _indent_of((fast or ref)[0]))
+    flush()
+    return out, branched
 
 
 def kernel_source(bindings: list[tuple[str, str | None]],
@@ -865,46 +895,32 @@ def kernel_source(bindings: list[tuple[str, str | None]],
                   ref_prelude: list[str] = (), fast_prelude: list[str] = (),
                   footer: list[str] = ()) -> str:
     """Assemble the kernel function from the shared ``bindings`` and the
-    merged bodies (:func:`merge_bodies`): one ``ctx.fastpath`` test per
-    kernel, one branch per statement that differs.  A host scalar an
+    merged bodies (:func:`merge_blocks`): one ``ctx.fastpath`` test per
+    kernel, one branch per run of lines that differ.  A host scalar an
     ``out=`` proof leaned on must be exactly the Python type its C type
     maps to, or the launch takes the reference statements."""
-    fast: list[str] = []
-    ref: list[str] = []
-    weak: dict[str, str] = {}
-    for body in bodies:
-        fast.extend(body.fast)
-        ref.extend(body.ref)
-        weak.update(body.weak)
-    fast_head = list(fast_prelude)
-    # The span lowering writes loads as ``_ld(...)``; the alias pays for
-    # itself from the third load on.
-    if sum(line.count("_ld(") for line in fast) > 2:
-        fast_head.insert(0, "    _ld = ks.ld_span")
-    else:
-        fast = [line.replace("_ld(", "ks.ld_span(") for line in fast]
-    if fast_prelude or any(b.slots for b in bodies):
-        fast_head.insert(0, "    _slot = ctx.arena.slot")
-    ref_head = list(ref_prelude)
-    shared_head = []
+    head = []
+    ref_prelude = list(ref_prelude)
     if any(b.fast_iota for b in bodies):
         # Memoized across launches on the fast path (read-only; ks.bcv
         # copies on write), a plain arange otherwise.
-        shared_head.append("    _i = ctx.iota()")
+        head.append("    _i = ctx.iota()")
     elif any(b.ref_iota for b in bodies):
-        ref_head.insert(0, "    _i = np.arange(ctx.i0, ctx.i1, dtype=np.int64)")
-    fast, ref = fast_head + fast, ref_head + ref
-    merged = ref if fast == ref else merge_bodies(fast, ref)
-    tests = sum(line.lstrip() in ("if _f:", "if not _f:") for line in merged)
-    guard = "".join(f" and type(v_{n}) is {t}" for n, t in sorted(weak.items()))
-    if tests == 1 and not guard:
-        merged = [line.replace("if _f:", "if ctx.fastpath:")
-                  .replace("if not _f:", "if not ctx.fastpath:")
-                  for line in merged]
-    elif tests:
-        shared_head.append(f"    _f = ctx.fastpath{guard}")
-    body = "\n".join(shared_head + merged + list(footer))
-    used = set(re.findall(r"\bv_\w+", body))
+        ref_prelude.insert(
+            0, "    _i = np.arange(ctx.i0, ctx.i1, dtype=np.int64)")
+    if fast_prelude or any(b.slots for b in bodies):
+        head.append("    _slot = ctx.arena.slot")
+    if any(b.loads for b in bodies):
+        head.append("    _ld = ks.ld_span")
+    merged, branched = merge_blocks(
+        [(list(fast_prelude), ref_prelude)]
+        + [block for body in bodies for block in body.blocks])
+    weak = {n: t for body in bodies for n, t in body.weak.items()}
+    if branched:
+        guard = "".join(f" and type(v_{n}) is {t}"
+                        for n, t in sorted(weak.items()))
+        head.append(f"    _f = ctx.fastpath{guard}")
+    used = set().union(*(body.scalars for body in bodies))
     lines = [
         "def kernel(ctx):",
         "    np = ctx.np",
@@ -912,16 +928,19 @@ def kernel_source(bindings: list[tuple[str, str | None]],
         "    _n = ctx.i1 - ctx.i0",
         "    if _n <= 0:",
         "        return",
-        # Only what the body reads is bound.
-        *(line for line, name in bindings if name is None or name in used),
+        # Only the scalars a body reads are bound.
+        *(line for line, scalar in bindings
+          if scalar is None or scalar in used),
+        *head, *merged, *footer,
     ]
-    return "\n".join(lines) + "\n" + body + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def binding_lines(arrays: list[str], scalars: list[str]
                   ) -> list[tuple[str, str | None]]:
     """Kernel-entry bindings of device buffers, their global bases and
-    the host scalars, each with the name whose use makes it needed."""
+    the host scalars (each of those with the scalar's name: it is bound
+    only if a body reads it)."""
     lines: list[tuple[str, str | None]] = []
     if arrays:
         lines.append(("    _A, _B = ctx.arrays, ctx.base", None))
@@ -929,7 +948,7 @@ def binding_lines(arrays: list[str], scalars: list[str]
         lines.append((f"    v_{name}, _b_{name} = _A[{name!r}], _B[{name!r}]",
                       None))
     for name in scalars:
-        lines.append((f"    v_{name} = ctx.scalars[{name!r}]", f"v_{name}"))
+        lines.append((f"    v_{name} = ctx.scalars[{name!r}]", name))
     return lines
 
 

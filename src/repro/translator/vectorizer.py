@@ -90,9 +90,6 @@ _MATH_CALLS = {
     "fmaxf": ("np.maximum", "minmax"),
 }
 
-#: Temp-name numbers reserved per body statement (see ``emit_stmt``).
-_TEMPS_PER_STMT = 8
-
 _DTYPES = {"float": "np.float32", "double": "np.float64", "char": "np.int8",
            "int": "np.int32", "unsigned int": "np.uint32",
            "long": "np.int64", "unsigned long": "np.uint64"}
@@ -159,9 +156,10 @@ class Vectorizer:
         self.csr_vars: dict[str, str] = {}
         self.reduction_vars = {v: op for op, v in analysis.scalar_reductions}
         self._inner_by_id = {id(il.stmt): il for il in analysis.inner_loops}
-        self._stmt_base: dict[int, int] = {}
         #: The body read the lane-index vector ``_i``.
         self.uses_iota = False
+        #: Host scalars the body reads (only these are bound).
+        self.used_scalars: set[str] = set()
         self.private_names: list[str] = (
             list(analysis.nest.directive.private)
             if analysis.nest.directive is not None else [])
@@ -326,6 +324,7 @@ class Vectorizer:
         if n in self.config.arrays:
             raise VectorizeError(f"array {n!r} used without subscript", e.line)
         if n in self.scalar_types or n in (s for s in self.an.host_scalars):
+            self.used_scalars.add(n)
             return f"v_{n}"
         raise VectorizeError(f"unknown identifier {n!r}", e.line)
 
@@ -451,10 +450,6 @@ class Vectorizer:
     # -- statements -----------------------------------------------------------------
 
     def emit_stmt(self, s: C.Stmt) -> None:
-        # Temp names restart from the statement's own number, so two
-        # lowerings of one body name their temporaries alike wherever
-        # they emit the same code.
-        self._tmp = max(self._tmp, self._stmt_base.get(id(s), 0))
         red = self._reduction_directive(s)
         if red is not None:
             self.emit_reduction_to_array(s, red)
@@ -850,18 +845,23 @@ class Vectorizer:
         self.locals[name] = f"v_{name}"
         self.local_axis[name] = 0
 
-    def emit_body(self) -> list[str]:
-        """Lower the loop body; returns the emitted lines (also kept in
-        ``self.lines``), indented for a branch of the kernel function."""
+    def body_pieces(self) -> list[C.Stmt | str]:
+        """The loop body cut at its top level: ``private`` clause names,
+        then the statements of the body."""
+        body = self.an.nest.body
+        top = body.body if isinstance(body, C.Compound) \
+            and self._reduction_directive(body) is None else [body]
+        return [*self.private_names, *top]
+
+    def emit_piece(self, piece: C.Stmt | str) -> list[str]:
+        """Lower one of :meth:`body_pieces`; returns its lines, indented
+        for the top level of the kernel function."""
         self.lines = []
         self.indent = 1
-        if not self._stmt_base:
-            self._stmt_base = {
-                id(st): self._tmp + _TEMPS_PER_STMT * k
-                for k, st in enumerate(C.walk(self.an.nest.body), 1)}
-        for name in self.private_names:
-            self.emit_private(name)
-        self.emit_stmt(self.an.nest.body)
+        if isinstance(piece, str):
+            self.emit_private(piece)
+        else:
+            self.emit_stmt(piece)
         return self.lines
 
 

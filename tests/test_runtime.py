@@ -159,6 +159,33 @@ class TestCopyOnWriteStaging:
     }
     """
 
+    UPDATE_THEN_WRITE = """
+    void k(int n, float *a, float *out) {
+      #pragma acc data %s(a[0:n]) copyout(out[0:n])
+      {
+        a[0] = 5.0f;
+        #pragma acc update device(a[0:n])
+        a[0] = 77.0f;
+        #pragma acc parallel loop
+        for (int i = 0; i < n; i++) { out[i] = a[i]; }
+      }
+    }
+    """
+    SHARED_BUFFER_UPDATE = """
+    void k(int n, float *a, float *b, float *out) {
+      #pragma acc data copy(a[0:n]) copyin(b[0:n]) copyout(out[0:n])
+      {
+        #pragma acc update device(b[0:n])
+        #pragma acc parallel loop
+        for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0f; }
+        #pragma acc update host(a[0:n])
+        ;
+        #pragma acc parallel loop
+        for (int i = 0; i < n; i++) { out[i] = b[i]; }
+      }
+    }
+    """
+
     @pytest.mark.parametrize("sanitize", [False, True])
     @pytest.mark.parametrize("ngpus", [1, 2])
     def test_host_write_before_first_load_sees_entry_data(self, ngpus,
@@ -182,6 +209,35 @@ class TestCopyOnWriteStaging:
             sanitize=sanitize)
         np.testing.assert_array_equal(buf, np.arange(8) + 1)
         # b was entered before a's writeback reached the shared buffer.
+        np.testing.assert_array_equal(out, np.arange(8))
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    @pytest.mark.parametrize("kind", ["create", "copyout", "copyin"])
+    def test_host_write_after_update_device_sees_update_time_data(
+            self, kind, ngpus, sanitize):
+        import repro
+        a = np.arange(8, dtype=np.float32)
+        out = np.zeros(8, np.float32)
+        repro.compile(self.UPDATE_THEN_WRITE % kind).run(
+            "k", {"n": 8, "a": a, "out": out}, ngpus=ngpus,
+            sanitize=sanitize)
+        # update device fed the array, whatever its clause kind: the
+        # later host write must not reach the deferred load.
+        assert out[0] == 5.0
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_two_names_for_one_buffer_after_update_device(self, ngpus,
+                                                           sanitize):
+        import repro
+        buf = np.arange(8, dtype=np.float32)
+        out = np.zeros(8, np.float32)
+        repro.compile(self.SHARED_BUFFER_UPDATE).run(
+            "k", {"n": 8, "a": buf, "b": buf, "out": out}, ngpus=ngpus,
+            sanitize=sanitize)
+        np.testing.assert_array_equal(buf, np.arange(8) + 1)
+        # update device(b) must leave b's image private to b.
         np.testing.assert_array_equal(out, np.arange(8))
 
     def make(self, kind):
@@ -208,6 +264,9 @@ class TestCopyOnWriteStaging:
         dl, ma, host = self.make(kind)
         dl.before_host_write(host)
         assert ma.staging is host
+        dl.update_device(["a"])  # now a load reads host data
+        dl.before_host_write(host)
+        assert ma.staging is not host
 
     def test_writeback_lands_in_host_and_snapshot(self):
         dl, ma, host = self.make("copy")

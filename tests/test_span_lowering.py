@@ -34,7 +34,7 @@ from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
 from repro.runtime.kernelctx import KernelContext, ScratchArena
 from repro.translator.compiler import CompileOptions, KernelPlan
-from repro.translator.spanlower import SpanVectorizer, merge_bodies
+from repro.translator.spanlower import SpanVectorizer, merge_blocks
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
 APPS["stencil_probes"] = AppSpec(
@@ -119,7 +119,8 @@ def lowering_of(src):
     vec = SpanVectorizer(plan.name, plan.analysis, plan.config,
                          {"n": "int", "p": "int", "w": "float"},
                          {"t": "int", "f": "float"})
-    vec.emit_body()
+    for piece in vec.body_pieces():
+        vec.emit_piece(piece)
     return vec, plan.analysis.nest.body
 
 
@@ -193,22 +194,40 @@ class TestIntervalDerivation:
             assert vector_op not in fast
 
 
-class TestMergeBodies:
-    def test_shares_common_statements_and_loop_headers(self):
-        fast = ["    a = 1", "    for j in r:", "        x = f(j)",
-                "        y = 2", "    z = 3"]
-        ref = ["    a = 1", "    for j in r:", "        x = g(j)",
-               "        y = 2", "    z = 3"]
-        assert merge_bodies(fast, ref) == [
+class TestMergeBlocks:
+    def test_same_shape_blocks_branch_only_the_lines_that_differ(self):
+        loop_f = ["    for j in r:", "        x = f(j)", "        y = 2"]
+        loop_r = ["    for j in r:", "        x = g(j)", "        y = 2"]
+        shared = ["    a = 1"]
+        assert merge_blocks([(shared, shared), (loop_f, loop_r)]) == ([
             "    a = 1", "    for j in r:", "        if _f:",
             "            x = f(j)", "        else:", "            x = g(j)",
-            "        y = 2", "    z = 3"]
+            "        y = 2"], True)
 
-    def test_one_sided_statements(self):
-        assert merge_bodies(["    a = 1", "    b = 2"], ["    b = 2"]) == [
-            "    if _f:", "        a = 1", "    b = 2"]
-        assert merge_bodies(["    b = 2"], ["    a = 1", "    b = 2"]) == [
-            "    if not _f:", "        a = 1", "    b = 2"]
+    def test_other_blocks_branch_whole_and_runs_share_one_branch(self):
+        blocks = [(["    p = lo()", "    q = hi()"], ["    c = mask()"]),
+                  (["    for a in s:", "        st(a)"], ["    st(c)"]),
+                  (["    z = 3"], ["    z = 3"])]
+        assert merge_blocks(blocks) == ([
+            "    if _f:", "        p = lo()", "        q = hi()",
+            "        for a in s:", "            st(a)",
+            "    else:", "        c = mask()", "        st(c)",
+            "    z = 3"], True)
+
+    def test_a_differing_compound_header_is_never_split(self):
+        fast = ["    for j in f():", "        x = 1"]
+        ref = ["    for j in g():", "        x = 1"]
+        assert merge_blocks([(fast, ref)])[0] == [
+            "    if _f:", *("    " + line for line in fast),
+            "    else:", *("    " + line for line in ref)]
+
+    def test_one_sided_blocks(self):
+        both = ["    b = 2"]
+        assert merge_blocks([(["    a = 1"], []), (both, both)]) == (
+            ["    if _f:", "        a = 1", "    b = 2"], True)
+        assert merge_blocks([([], ["    a = 1"]), (both, both)]) == (
+            ["    if not _f:", "        a = 1", "    b = 2"], True)
+        assert merge_blocks([(both, both)]) == (both, False)
 
 
 # -- (b) observational identity across bodies and engines ----------------------
