@@ -31,7 +31,7 @@ import numpy as np
 import repro
 from repro.apps import ALL_APPS, EXTRA_APPS
 from repro.bench import write_bench_json
-from repro.bench.scaling import machine_for
+from repro.bench.machines import machine_for
 
 APPS = ALL_APPS | EXTRA_APPS
 

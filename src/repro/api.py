@@ -164,7 +164,6 @@ class AccProgram:
         adaptive: bool = False,
         sanitize: bool | None = None,
         trace: bool | None = None,
-        fastpath: bool = True,
         internode: str = "staged",
         collective: str = "none",
     ) -> ProgramRun:
@@ -198,14 +197,6 @@ class AccProgram:
         modeled times and result arrays are bit-identical with tracing
         on or off.  The recorded :class:`repro.trace.Tracer` is on
         :attr:`ProgramRun.tracer`.
-
-        ``fastpath=False`` disables the runtime's wall-clock fast paths
-        (packed dirty bitsets, span codegen branches, launch-context
-        caching, batched miss replay) and runs the straightforward
-        reference implementations instead.  Purely a host-side speed
-        knob: results, modeled time and transfer bytes are bit-identical
-        either way (the determinism matrix pins this); the wall-clock
-        benchmarks use it as the "before" baseline.
 
         ``machine`` may also be a :class:`~repro.vcuda.specs.ClusterSpec`
         (or a name from :data:`repro.vcuda.specs.CLUSTERS`): GPUs across
@@ -241,7 +232,7 @@ class AccProgram:
         platform = Platform(spec, ngpus)
         loader = DataLoader(platform, chunk_bytes=chunk_bytes,
                             reload_skipping=reload_skipping,
-                            migrate_deltas=adaptive, fastpath=fastpath)
+                            migrate_deltas=adaptive)
         sanitizer = None
         if sanitize:
             from .sanitizer import Sanitizer
@@ -258,8 +249,8 @@ class AccProgram:
                                tree_reduction=tree_reduction,
                                overlap=overlap, coalesce=coalesce,
                                adaptive=adaptive, sanitizer=sanitizer,
-                               tracer=tracer, fastpath=fastpath,
-                               internode=internode, collective=collective)
+                               tracer=tracer, internode=internode,
+                               collective=collective)
         host = HostExecutor(self.compiled, executor)
         result = host.call(entry, args)
         return ProgramRun(

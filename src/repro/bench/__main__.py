@@ -1,23 +1,10 @@
-"""Benchmark CLI: ``python -m repro.bench [mode]``.
+"""Benchmark CLI: ``python -m repro.bench`` prints every regenerated
+paper table and figure (modeled seconds).  Host seconds are measured by
+``perf/run.py``, not here.
 
-Modes:
-    paper     (default) print every regenerated paper table and figure
-    scaling   run the wall-clock scaling sweep and write its artifact
-
-Paper options:
+Options:
     --workload {tiny,test,bench}   input scale (default: bench)
     --machine {desktop,supercomputer,both}
-
-Scaling options:
-    --out PATH        write BENCH_scaling.json-style artifact here
-    --repeats N       best-of-N timing per configuration (default: 1)
-    --quick           smallest sizes and 1/2 GPUs only (smoke run)
-    --apps A,B        subset of apps (artifact apps plus gradpipe,
-                      phasepipe)
-    --sizes N1,N2     explicit element counts instead of the per-app
-                      sweep sizes
-    --fuse            time fuse=False vs fuse=True (both with default
-                      fast paths) instead of fastpath off/on
 """
 
 from __future__ import annotations
@@ -34,7 +21,14 @@ from .report import (
 )
 
 
-def _paper(args) -> int:
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(prog="python -m repro.bench",
+                                 description=__doc__)
+    ap.add_argument("--workload", default="bench",
+                    choices=["tiny", "test", "bench"])
+    ap.add_argument("--machine", default="both",
+                    choices=["desktop", "supercomputer", "both"])
+    args = ap.parse_args(argv)
     machines = (["desktop", "supercomputer"] if args.machine == "both"
                 else [args.machine])
 
@@ -49,75 +43,6 @@ def _paper(args) -> int:
         print()
         print(render_fig9(fig9(m, workload=args.workload), f"Fig. 9 ({m})"))
     return 0
-
-
-def _scaling(args) -> int:
-    from . import scaling
-
-    apps = args.apps.split(",") if args.apps else None
-    known = set(scaling.CASES) | set(scaling.EXTRA_CASES)
-    for app in (apps or []):
-        if app not in known:
-            print(f"unknown app {app!r}; choose from "
-                  f"{', '.join(sorted(known))}")
-            return 2
-
-    gpu_counts = (1, 2) if args.quick else scaling.GPU_COUNTS
-    if args.sizes:
-        sizes = tuple(int(s) for s in args.sizes.split(","))
-    elif args.quick:
-        cases = [scaling.case_for(a) for a in (apps or list(scaling.CASES))]
-        sizes = (min(min(c["sizes"]) for c in cases),)
-    else:
-        sizes = None
-
-    label = "fused" if args.fuse else "fastpath"
-
-    def progress(p):
-        print(f"  {p.app} n={p.n} ngpus={p.ngpus}: "
-              f"{p.seconds_before:.3f}s -> {p.seconds_after:.3f}s "
-              f"({label} {p.speedup:.2f}x)", flush=True)
-
-    points = scaling.sweep(apps=apps, gpu_counts=gpu_counts,
-                           repeats=args.repeats, sizes=sizes,
-                           progress=progress, fuse=args.fuse)
-    print()
-    print(scaling.render(points))
-    if args.out:
-        art = scaling.write_artifact(args.out, points)
-        print(f"\nwrote {args.out} "
-              f"({len(art['points'])} points)")
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(prog="python -m repro.bench",
-                                 description=__doc__)
-    ap.add_argument("mode", nargs="?", default="paper",
-                    choices=["paper", "scaling"])
-    ap.add_argument("--workload", default="bench",
-                    choices=["tiny", "test", "bench"])
-    ap.add_argument("--machine", default="both",
-                    choices=["desktop", "supercomputer", "both"])
-    ap.add_argument("--out", default=None,
-                    help="scaling: artifact output path")
-    ap.add_argument("--repeats", type=int, default=1,
-                    help="scaling: best-of-N timing")
-    ap.add_argument("--quick", action="store_true",
-                    help="scaling: smallest sizes, 1/2 GPUs only")
-    ap.add_argument("--apps", default=None,
-                    help="scaling: comma-separated app subset "
-                         "(default: artifact apps)")
-    ap.add_argument("--sizes", default=None,
-                    help="scaling: comma-separated element counts "
-                         "(default: per-app sweep sizes)")
-    ap.add_argument("--fuse", action="store_true",
-                    help="scaling: compare fuse=False vs fuse=True "
-                         "instead of fastpath off/on")
-    args = ap.parse_args(argv)
-    if args.mode == "scaling":
-        return _scaling(args)
-    return _paper(args)
 
 
 if __name__ == "__main__":

@@ -37,6 +37,12 @@ def machine(name: str | MachineSpec | ClusterSpec) -> MachineSpec | ClusterSpec:
             f"{sorted(MACHINES) + sorted(CLUSTERS)}") from None
 
 
+def machine_for(ngpus: int) -> MachineSpec:
+    """Desktop while it has enough GPUs, else a hypothetical node."""
+    spec = MACHINES["desktop"]
+    return spec if ngpus <= spec.gpu_count else hypothetical_node(ngpus)
+
+
 def hypothetical_cluster(nodes: int, gpus_per_node: int,
                          nic: NicSpec | None = None) -> ClusterSpec:
     """A what-if cluster of identical :func:`hypothetical_node` nodes.
@@ -110,6 +116,6 @@ def mixed_node(fast: int = 2, slow: int = 2,
     )
 
 
-__all__ = ["machine", "hypothetical_node", "hypothetical_cluster",
-           "mixed_node", "MACHINES", "CLUSTERS", "DESKTOP_MACHINE",
-           "SUPERCOMPUTER_NODE"]
+__all__ = ["machine", "machine_for", "hypothetical_node",
+           "hypothetical_cluster", "mixed_node", "MACHINES", "CLUSTERS",
+           "DESKTOP_MACHINE", "SUPERCOMPUTER_NODE"]

@@ -111,9 +111,8 @@ class OpenMPExecutor:
 
             initial = host_env[name]
             final = red_fold(op, partial, np.asarray(initial), None, 1)
-            if isinstance(initial, (int, np.integer)):
-                final = int(final)
-            host_env[name] = final
+            host_env[name] = int(final) \
+                if isinstance(initial, (int, np.integer)) else float(final)
         stats = CpuLoopStats(kernel_name=plan.name, n_iterations=n,
                              seconds=seconds, dyn_counts=dict(ctx.dyn_counts))
         self.history.append(stats)

@@ -96,7 +96,6 @@ class CommunicationManager:
                  overlap: bool = False,
                  coalesce: bool = False,
                  tracer: Any | None = None,
-                 fastpath: bool = True,
                  internode: str = "staged",
                  collective: str = "none") -> None:
         if internode not in ("staged", "naive"):
@@ -126,11 +125,6 @@ class CommunicationManager:
         self.collectives = (
             CollectiveEngine(platform, collective, tracer=tracer)
             if collective != "none" else None)
-        #: Wall-clock fast paths (slice-based dirty propagation, batched
-        #: miss replay).  Pure host-side implementation detail: modeled
-        #: time, transfer bytes and array contents are bit-identical
-        #: either way -- the determinism matrix pins that.
-        self.fastpath = fastpath
         #: Opt-in tracer: transfers issued inside a :meth:`_tag` block
         #: carry the coherence mechanism and array that produced them.
         self.tracer = tracer
@@ -527,7 +521,7 @@ class CommunicationManager:
             # dirty set is one interval, gather/scatter with a slice
             # instead of an index vector -- the same elements, the same
             # values, no index array.
-            sl = tracker.dirty_slice() if self.fastpath else None
+            sl = tracker.dirty_slice()
             if sl is not None:
                 idx: Any = slice(sl[0], sl[1])
             else:
@@ -665,7 +659,7 @@ class CommunicationManager:
             # Contiguous-writes fast path: a dense dirty interval
             # intersects each target block as an interval, so both the
             # gather and the scatter become slice copies.
-            sl = tracker.dirty_slice() if self.fastpath else None
+            sl = tracker.dirty_slice()
             if sl is None:
                 idx = tracker.dirty_elements()
                 vals = buf.data[idx - g_lo].copy()
@@ -714,8 +708,7 @@ class CommunicationManager:
             # into one ownership partition + one scatter per owner
             # instead of per-record-group work.  Replay order within
             # each op is preserved, so results match drain() exactly.
-            groups = buf.drain_batched() if self.fastpath else buf.drain()
-            for addrs, vals, op in groups:
+            for addrs, vals, op in buf.drain_batched():
                 owners = owner_of(addrs, ma.primary)
                 for t in np.unique(owners):
                     t = int(t)

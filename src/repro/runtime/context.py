@@ -77,19 +77,13 @@ class AccExecutor:
         balancer: AdaptiveBalancer | None = None,
         sanitizer: Any | None = None,
         tracer: Any | None = None,
-        fastpath: bool = True,
         internode: str = "staged",
         collective: str = "none",
     ) -> None:
         if engine not in ("vector", "interp"):
             raise ValueError("engine must be 'vector' or 'interp'")
         self.platform = platform
-        #: Wall-clock fast paths: span codegen branches, launch-context
-        #: caching, slice dirty propagation.  Results and modeled time
-        #: are bit-identical with the flag off (the determinism matrix
-        #: pins this); off is the measured "before" baseline.
-        self.fastpath = fastpath
-        self.loader = loader or DataLoader(platform, fastpath=fastpath)
+        self.loader = loader or DataLoader(platform)
         #: Opt-in coherence sanitizer (:mod:`repro.sanitizer`).  None by
         #: default: the hot path pays a single ``is None`` test per loop.
         self.sanitizer = sanitizer
@@ -106,13 +100,12 @@ class AccExecutor:
         self.comm = CommunicationManager(platform, self.loader,
                                          tree_reduction=tree_reduction,
                                          overlap=overlap, coalesce=coalesce,
-                                         tracer=tracer, fastpath=fastpath,
-                                         internode=internode,
+                                         tracer=tracer, internode=internode,
                                          collective=collective)
-        #: Launch fast path: per-(plan, GPU) kernel contexts with their
-        #: argument bindings, revalidated against each array's version
-        #: counter.  Values pin the plan/config objects they were built
-        #: from so identity comparisons stay sound.
+        #: Per-(plan, GPU) kernel contexts with their argument bindings,
+        #: revalidated against each array's version counter.  Values
+        #: pin the plan/config objects they were built from so identity
+        #: comparisons stay sound.
         self._ctx_cache: dict[tuple[int, int], tuple] = {}
         #: Kernel scratch, one arena per device, alive for this run.
         self._arenas = [ScratchArena() for _ in range(platform.ngpus)]
@@ -400,27 +393,26 @@ class AccExecutor:
                       configs: dict | None = None) -> KernelContext:
         arrays = configs if configs is not None else plan.config.arrays
         key = (id(plan), g)
-        if self.fastpath:
-            hit = self._ctx_cache.get(key)
-            if hit is not None:
-                ctx, c_plan, c_arrays, deps = hit
-                if c_plan is plan and c_arrays is arrays and all(
-                        ma.version == v for ma, v in deps):
-                    # Steady-state launch: every binding (buffer views,
-                    # base offsets, trackers, miss buffers, windows) is
-                    # unchanged -- refresh only the per-launch slice,
-                    # scalars and result slots.
-                    ctx.i0 = t0
-                    ctx.i1 = t1
-                    ctx.scalars = dict(scalars)
-                    ctx.trace = self.tracer
-                    ctx.dyn_counts = {}
-                    ctx.scalar_results = {}
-                    ctx.scalar_ops = {}
-                    return ctx
+        hit = self._ctx_cache.get(key)
+        if hit is not None:
+            ctx, c_plan, c_arrays, deps = hit
+            if c_plan is plan and c_arrays is arrays and all(
+                    ma.version == v for ma, v in deps):
+                # Steady-state launch: every binding (buffer views,
+                # base offsets, trackers, miss buffers, windows) is
+                # unchanged -- refresh only the per-launch slice,
+                # scalars and result slots.
+                ctx.i0 = t0
+                ctx.i1 = t1
+                ctx.scalars = dict(scalars)
+                ctx.trace = self.tracer
+                ctx.dyn_counts = {}
+                ctx.scalar_results = {}
+                ctx.scalar_ops = {}
+                return ctx
         ctx = KernelContext(device_index=g, i0=t0, i1=t1,
                             scalars=dict(scalars), trace=self.tracer,
-                            fastpath=self.fastpath, arena=self._arenas[g])
+                            arena=self._arenas[g])
         deps = []
         for name, cfg in arrays.items():
             ma = self.loader._get(name)
@@ -443,6 +435,5 @@ class AccExecutor:
                 ctx.miss[name] = buf_m
             if cfg.write_handling == WriteHandling.REDUCTION:
                 ctx.reduction_arrays[name] = ctx.arrays[name]
-        if self.fastpath:
-            self._ctx_cache[key] = (ctx, plan, arrays, deps)
+        self._ctx_cache[key] = (ctx, plan, arrays, deps)
         return ctx

@@ -45,7 +45,7 @@ from ..translator.kernel_support import red_identity
 from ..vcuda.api import Platform
 from ..vcuda.bus import CATEGORY_CPU_GPU
 from ..vcuda.memory import DeviceBuffer, PURPOSE_USER
-from .dirty import DEFAULT_CHUNK_BYTES, ReferenceTwoLevelDirty, TwoLevelDirty
+from .dirty import DEFAULT_CHUNK_BYTES, TwoLevelDirty
 from .partition import (
     Block,
     make_window_evaluator,
@@ -187,16 +187,10 @@ class DataLoader:
     def __init__(self, platform: Platform,
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                  reload_skipping: bool = True,
-                 migrate_deltas: bool = False,
-                 fastpath: bool = True) -> None:
+                 migrate_deltas: bool = False) -> None:
         self.platform = platform
         self.chunk_bytes = chunk_bytes
         self.reload_skipping = reload_skipping
-        #: Wall-clock fast paths: packed-bitset dirty trackers and
-        #: memoized load signatures.  ``fastpath=False`` selects the
-        #: reference ``uint8`` tracker -- observable behavior (transfer
-        #: bytes, scan results, modeled time) is identical either way.
-        self.fastpath = fastpath
         #: Adaptive mode: when the required blocks differ from what is
         #: resident, move only the deltas between old and new blocks
         #: (device-local keeps, peer fetches from old owners, host
@@ -640,11 +634,9 @@ class DataLoader:
         ngpus = self.platform.ngpus
         ma.reduction_identity = None
         if cfg.write_handling == WriteHandling.DIRTY_BITS:
-            tracker_cls = TwoLevelDirty if self.fastpath \
-                else ReferenceTwoLevelDirty
             for g in range(ngpus):
                 if ma.dirty[g] is None:
-                    ma.dirty[g] = tracker_cls(
+                    ma.dirty[g] = TwoLevelDirty(
                         ma.name, ma.length, ma.itemsize,
                         memory=self.platform.devices[g].memory,
                         chunk_bytes=self.chunk_bytes)

@@ -114,13 +114,7 @@ class KernelContext:
     #: and dirty-mark volumes are counted per (loop, GPU, array).  None
     #: (the default) costs one branch per instrumentation call.
     trace: Any = None
-    #: Which body of the generated kernel runs: the span-native lowering
-    #: (slices, lane intervals, ``out=`` into arena slots) or the
-    #: reference gather/scatter body.  Same compiled kernel,
-    #: bit-identical results and modeled cost either way -- only the
-    #: host-side Python work differs.
-    fastpath: bool = True
-    #: Scratch slots of the span-native body.
+    #: Scratch slots of the span-native statements.
     arena: ScratchArena = field(default_factory=ScratchArena)
     #: Memoized lane-index vector (``_iota_key`` is its (i0, i1)).
     _iota: np.ndarray | None = None
@@ -131,13 +125,10 @@ class KernelContext:
     ks = ks
 
     def iota(self) -> np.ndarray:
-        """The launch's global lane indices ``arange(i0, i1)``.  On the
-        fast path it is memoized across launches with the same geometry
-        (the dominant case once contexts are cached) and returned
-        read-only so a stale launch can never corrupt it; ``ks.bcv``
-        copies non-writeable inputs."""
-        if not self.fastpath:
-            return np.arange(self.i0, self.i1, dtype=np.int64)
+        """The launch's global lane indices ``arange(i0, i1)``, memoized
+        across launches with the same geometry (the dominant case, as
+        contexts are cached) and returned read-only so a stale launch
+        can never corrupt it; ``ks.bcv`` copies non-writeable inputs."""
         key = (self.i0, self.i1)
         if self._iota is None or self._iota_key != key:
             v = np.arange(self.i0, self.i1, dtype=np.int64)

@@ -47,10 +47,10 @@ def finalize_scalar_reductions(
             raise KeyError(
                 f"reduction variable {name!r} is not a live host variable")
         final = red_fold(op, acc, np.asarray(initial), None, 1)
-        if isinstance(initial, (int, np.integer)) and op not in ("max", "min"):
-            final = int(final)
-        elif isinstance(initial, (int, np.integer)):
-            final = int(final) if float(final) == int(final) else final
+        # A host scalar is a Python scalar of its C type, always: a
+        # later kernel's ``out=`` proofs and NEP 50 promotion see it.
+        final = int(final) if isinstance(initial, (int, np.integer)) \
+            else float(final)
         host_env[name] = final
         finalized[name] = final
     if platform.bus.pending_count():

@@ -285,12 +285,8 @@ class ShadowOracle:
             if initial is None:
                 continue
             final = red_fold(op, acc, np.asarray(initial), None, 1)
-            if isinstance(initial, (int, np.integer)) and op not in ("max",
-                                                                     "min"):
-                final = int(final)
-            elif isinstance(initial, (int, np.integer)):
-                final = int(final) if float(final) == int(final) else final
-            expect.scalars[name] = final
+            expect.scalars[name] = int(final) \
+                if isinstance(initial, (int, np.integer)) else float(final)
         self.loops_run += 1
         return expect
 

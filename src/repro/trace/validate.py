@@ -30,8 +30,7 @@ import numpy as np
 
 from ..api import compile as compile_acc
 from ..apps import ALL_APPS, EXTRA_APPS
-from ..bench.machines import hypothetical_node
-from ..vcuda.specs import MACHINES
+from ..bench.machines import machine_for
 from .events import INSTANT_KINDS, SPAN_KINDS
 from .export import chrome_trace, jsonl, reconcile
 
@@ -42,13 +41,6 @@ OTHER_TOL = 1e-9
 
 class ValidationError(AssertionError):
     pass
-
-
-def _machine_for(ngpus: int):
-    spec = MACHINES["desktop"]
-    if ngpus <= spec.gpu_count:
-        return spec
-    return hypothetical_node(ngpus)
 
 
 def _check(cond: bool, msg: str) -> None:
@@ -109,7 +101,7 @@ def validate_reconciliation(tracer, breakdown) -> None:
 
 
 def _run(app, ngpus: int, trace: bool):
-    spec = _machine_for(ngpus)
+    spec = machine_for(ngpus)
     args = app.args_for("tiny")
     prog = compile_acc(app.source)
     run = prog.run(app.entry, args, machine=spec, ngpus=ngpus, trace=trace)

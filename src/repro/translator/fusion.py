@@ -664,20 +664,16 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
             raise VectorizeError(
                 f"member local shadows fused array binding: {sorted(clash)}")
 
-    # Demoted scratch: arena slots on the span branch (zeroed like the
-    # ``np.zeros`` of the reference branch), numbered below the members'
+    # Demoted scratch: zeroed arena slots, numbered below the members'
     # own slots.
     bindings = binding_lines(sorted(merged.arrays), scalar_names)
-    ref_prelude: list[str] = []
-    fast_prelude: list[str] = []
+    prelude: list[str] = []
     for k, d in enumerate(sorted(demoted, key=lambda d: d.name)):
         size = f"{d.coeff} * (_n - 1) + {d.hi - d.lo + 1}"
-        dtype = _DTYPES[d.ctype]
         bindings.append(
             (f"    _b_{d.name} = {d.coeff} * ctx.i0 + {d.lo}", None))
-        ref_prelude.append(f"    v_{d.name} = np.zeros({size}, dtype={dtype})")
-        fast_prelude += [f"    v_{d.name} = _slot({k}, {size}, {dtype})",
-                         f"    v_{d.name}.fill(0)"]
+        prelude += [f"    v_{d.name} = _slot({k}, {size}, {_DTYPES[d.ctype]})",
+                    f"    v_{d.name}.fill(0)"]
 
     shared_cost = CostCollector()
     bodies = []
@@ -695,11 +691,6 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
         inner_labels.extend(body.inner_labels)
         tmp_base = body.tmp_end
         label_base = body.label_end
-        # A member local named like a host scalar shadowed the shared
-        # ``v_{scalar}`` binding for the rest of the kernel: restore it.
-        for n in sorted(body.locals & set(scalar_names)):
-            restore = [f"    v_{n} = ctx.scalars[{n!r}]"]
-            body.blocks.append((restore, restore))
         interps.append(KernelInterpreter(
             body=m.analysis.nest.body,
             loop_var=m.loop_var,
@@ -709,7 +700,7 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
             local_types=dict(local_types),
         ))
 
-    source = kernel_source(bindings, bodies, ref_prelude, fast_prelude)
+    source = kernel_source(bindings, bodies, prelude)
     info = KernelSourceInfo(
         name=name,
         source=source,

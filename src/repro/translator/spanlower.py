@@ -22,13 +22,14 @@ is a contiguous span ``[i0, i1)``, so
 the slot's dtype is the dtype NumPy would have chosen.  That is proven
 per operation from the C types (array and local dtypes are exact; a
 Python ``float`` is weak against a float array under value-based casting
-and under NEP 50 alike; a host scalar's Python type is checked once at
-kernel entry); whatever cannot be proven is evaluated unbuffered, as the
-reference does.
+and under NEP 50 alike; a host scalar a proof leans on is bound through
+its C type at kernel entry); whatever cannot be proven is evaluated
+unbuffered, as the reference does.
 
 :func:`lower_body` runs both lowerings over one loop body, statement by
-statement, and :func:`kernel_source` assembles them under a single
-``ctx.fastpath`` test.  Only the reference pass charges the cost model.
+statement: the reference pass only charges the cost model, the span
+pass writes the kernel -- one body, which :func:`kernel_source`
+assembles.  A body with no unit-stride access is the reference's.
 """
 
 from __future__ import annotations
@@ -154,6 +155,7 @@ class SpanVectorizer(Vectorizer):
         r = self.region
         if r.iota is None:
             if r is self.top:
+                self.uses_iota = True
                 r.iota = "_i"
             else:
                 r.iota = self.tmp("_i")
@@ -196,7 +198,7 @@ class SpanVectorizer(Vectorizer):
     def touches_span(self, node: C.Expr | C.Stmt) -> bool:
         """Does ``node`` make a unit-stride access or use a slot local?
         Only such statements are lowered span-natively; the rest keep
-        the reference's text, which the kernel assembly then shares."""
+        the reference's text."""
         exprs = C.walk_expr(node) if isinstance(node, C.Expr) \
             else C.all_exprs(node)
         for x in exprs:
@@ -757,28 +759,25 @@ class SpanVectorizer(Vectorizer):
 
 @dataclass
 class LoweredBody:
-    """Both lowerings of one parallel-loop body, cut at the body's
-    top-level statements."""
+    """One parallel-loop body as kernel statements."""
 
-    #: ``(span lines, reference lines)`` per piece, at function indent;
-    #: one list twice where only the reference lowering ran.
-    blocks: list[tuple[list[str], list[str]]]
+    #: Statement lines, at function indent.
+    lines: list[str]
     inner_labels: list[str]
     #: Counter positions after this body (fusion chains members).
     tmp_end: int
     label_end: int
-    #: Which body reads the full-span lane-index vector ``_i``.
-    ref_iota: bool
-    fast_iota: bool
-    #: Host scalars either body reads.
+    #: The body reads the full-span lane-index vector ``_i``.
+    iota: bool
+    #: Host scalars the body reads.
     scalars: set[str]
     #: Kernel-local names (they may shadow scalar bindings).
     locals: set[str]
-    #: Arena slots the span body uses, and whether it loads a span.
+    #: Arena slots the body uses, and whether it loads a span.
     slots: int = 0
     loads: bool = False
-    #: Host scalars the span body's ``out=`` proofs need as exactly a
-    #: Python ``float`` / ``int``.
+    #: Host scalars the ``out=`` proofs need as exactly a Python
+    #: ``float`` / ``int`` (name -> type name).
     weak: dict[str, str] = field(default_factory=dict)
 
 
@@ -787,140 +786,66 @@ def lower_body(name: str, analysis: LoopAnalysis, config: LoopConfig,
                cost: CostCollector, tmp_base: int = 0, label_base: int = 0,
                slot_base: int = 0) -> LoweredBody:
     """Lower one loop body twice, piece by piece: the reference pass
-    charges ``cost``, the span pass a scratch collector."""
+    charges ``cost`` (modeled seconds depend on nothing else), the span
+    pass writes the statements."""
     ref = Vectorizer(name, analysis, config, scalar_types, dict(local_types))
     ref.cost = cost
     ref._tmp = tmp_base
     ref._label = label_base
-    if not any(acc.affine is not None and acc.affine.coeff == 1
-               for usage in analysis.arrays.values()
-               for acc in usage.accesses):
-        # No unit-stride access: nothing for the span lowering to add.
-        blocks = [(lines, lines) for lines in map(ref.emit_piece,
-                                                  ref.body_pieces())]
-        return LoweredBody(
-            blocks=blocks, inner_labels=ref.inner_labels, tmp_end=ref._tmp,
-            label_end=ref._label, ref_iota=ref.uses_iota,
-            fast_iota=ref.uses_iota, scalars=ref.used_scalars,
-            locals=set(ref.locals))
-    fast = SpanVectorizer(name, analysis, config, scalar_types,
-                          dict(local_types), slot_base=slot_base)
-    fast._label = label_base
-    blocks = []
+    # Without a unit-stride access the span lowering has nothing to
+    # add: the reference's statements are the body.
+    out = ref
+    if any(acc.affine is not None and acc.affine.coeff == 1
+           for usage in analysis.arrays.values()
+           for acc in usage.accesses):
+        out = SpanVectorizer(name, analysis, config, scalar_types,
+                             dict(local_types), slot_base=slot_base)
+        out._label = label_base
+    lines: list[str] = []
     for piece in ref.body_pieces():
-        # Both passes number a piece's temporaries from one base, so
-        # they name them alike wherever they emit the same code.
-        fast._tmp = ref._tmp
-        lines = ref.emit_piece(piece)
-        blocks.append((fast.emit_piece(piece), lines))
-        ref._tmp = max(ref._tmp, fast._tmp)
-    return LoweredBody(
-        blocks=blocks, inner_labels=ref.inner_labels, tmp_end=ref._tmp,
-        label_end=ref._label, ref_iota=ref.uses_iota,
-        fast_iota=fast.top.iota is not None,
-        scalars=ref.used_scalars | fast.used_scalars,
-        locals=set(ref.locals), slots=fast.slots_used, loads=fast.loads,
-        weak=fast.weak)
+        if out is not ref:
+            # Both passes number a piece's temporaries from one base.
+            ref._tmp = out._tmp = max(ref._tmp, out._tmp)
+            ref.emit_piece(piece)
+        lines += out.emit_piece(piece)
+    body = LoweredBody(
+        lines=lines, inner_labels=ref.inner_labels,
+        tmp_end=max(ref._tmp, out._tmp), label_end=ref._label,
+        iota=out.uses_iota, scalars=out.used_scalars, locals=set(out.locals))
+    if out is not ref:
+        body.slots, body.loads, body.weak = out.slots_used, out.loads, out.weak
+    return body
 
 
-def _indent_of(line: str) -> int:
-    return len(line) - len(line.lstrip(" "))
-
-
-def merge_blocks(blocks: list[tuple[list[str], list[str]]]
-                 ) -> tuple[list[str], bool]:
-    """One statement list that runs the span lines of ``blocks`` when
-    ``_f`` is true and the reference lines otherwise, and whether the
-    two differ at all.
-
-    ``_f`` is constant during a launch, so lines the two lowerings agree
-    on are emitted once and only the others under ``if _f:`` /
-    ``else:``.  The blocks pair up by body statement; inside a pair the
-    lines pair up one to one when the two lowerings emitted the same
-    shape (same count, differences only in simple statements at one
-    indent), else the pair is branched whole.  Runs of differing lines
-    share one branch.  The result executes exactly one of the two input
-    sequences.
-    """
-    out: list[str] = []
-    fast_run: list[str] = []
-    ref_run: list[str] = []
-    pad = ""
-    branched = False
-
-    def flush() -> None:
-        nonlocal branched
-        if not (fast_run or ref_run):
-            return
-        branched = True
-        if fast_run:
-            out.append(pad + "if _f:")
-            out.extend("    " + line for line in fast_run)
-        if ref_run:
-            out.append(pad + ("else:" if fast_run else "if not _f:"))
-            out.extend("    " + line for line in ref_run)
-        fast_run.clear()
-        ref_run.clear()
-
-    def differ(fast: list[str], ref: list[str], indent: int) -> None:
-        nonlocal pad
-        if len(pad) != indent:
-            flush()
-            pad = " " * indent
-        fast_run.extend(fast)
-        ref_run.extend(ref)
-
-    for fast, ref in blocks:
-        if fast == ref:
-            flush()
-            out.extend(ref)
-        elif len(fast) == len(ref) and all(
-                a == b or (a[-1] != ":" != b[-1]
-                           and _indent_of(a) == _indent_of(b))
-                for a, b in zip(fast, ref)):
-            for a, b in zip(fast, ref):
-                if a == b:
-                    flush()
-                    out.append(a)
-                else:
-                    differ([a], [b], _indent_of(a))
-        else:
-            differ(fast, ref, _indent_of((fast or ref)[0]))
-    flush()
-    return out, branched
+def scalar_binding(name: str, pytype: str | None = None) -> str:
+    """Kernel-entry binding of host scalar ``name``; through ``pytype``
+    when an ``out=`` proof leans on its Python type."""
+    src = f"ctx.scalars[{name!r}]"
+    if pytype:
+        src = f"{pytype}({src})"
+    return f"    v_{name} = {src}"
 
 
 def kernel_source(bindings: list[tuple[str, str | None]],
                   bodies: list[LoweredBody],
-                  ref_prelude: list[str] = (), fast_prelude: list[str] = (),
-                  footer: list[str] = ()) -> str:
-    """Assemble the kernel function from the shared ``bindings`` and the
-    merged bodies (:func:`merge_blocks`): one ``ctx.fastpath`` test per
-    kernel, one branch per run of lines that differ.  A host scalar an
-    ``out=`` proof leaned on must be exactly the Python type its C type
-    maps to, or the launch takes the reference statements."""
+                  prelude: list[str] = (), footer: list[str] = ()) -> str:
+    """Assemble the kernel function: ``bindings``, what the bodies need
+    bound (recorded by the passes while they emitted), ``prelude``, the
+    bodies, ``footer``."""
     head = []
-    ref_prelude = list(ref_prelude)
-    if any(b.fast_iota for b in bodies):
-        # Memoized across launches on the fast path (read-only; ks.bcv
-        # copies on write), a plain arange otherwise.
+    if any(b.iota for b in bodies):
+        # Memoized across launches (read-only; ks.bcv copies on write).
         head.append("    _i = ctx.iota()")
-    elif any(b.ref_iota for b in bodies):
-        ref_prelude.insert(
-            0, "    _i = np.arange(ctx.i0, ctx.i1, dtype=np.int64)")
-    if fast_prelude or any(b.slots for b in bodies):
+    if prelude or any(b.slots for b in bodies):
         head.append("    _slot = ctx.arena.slot")
     if any(b.loads for b in bodies):
         head.append("    _ld = ks.ld_span")
-    merged, branched = merge_blocks(
-        [(list(fast_prelude), ref_prelude)]
-        + [block for body in bodies for block in body.blocks])
     weak = {n: t for body in bodies for n, t in body.weak.items()}
-    if branched:
-        guard = "".join(f" and type(v_{n}) is {t}"
-                        for n, t in sorted(weak.items()))
-        head.append(f"    _f = ctx.fastpath{guard}")
     used = set().union(*(body.scalars for body in bodies))
+    # Only the scalars a body reads are bound; one an ``out=`` proof
+    # leans on, through its C type.
+    bound = [(scalar_binding(s, weak[s]) if s in weak else line, s)
+             for line, s in bindings if s is None or s in used]
     lines = [
         "def kernel(ctx):",
         "    np = ctx.np",
@@ -928,12 +853,14 @@ def kernel_source(bindings: list[tuple[str, str | None]],
         "    _n = ctx.i1 - ctx.i0",
         "    if _n <= 0:",
         "        return",
-        # Only the scalars a body reads are bound.
-        *(line for line, scalar in bindings
-          if scalar is None or scalar in used),
-        *head, *merged, *footer,
+        *(line for line, _ in bound), *head, *prelude,
     ]
-    return "\n".join(lines) + "\n"
+    for body in bodies:
+        lines += body.lines
+        # A local named like a host scalar shadowed its binding for the
+        # rest of the kernel: restore it.
+        lines += [line for line, s in bound if s in body.locals]
+    return "\n".join(lines + list(footer)) + "\n"
 
 
 def binding_lines(arrays: list[str], scalars: list[str]
@@ -948,7 +875,7 @@ def binding_lines(arrays: list[str], scalars: list[str]
         lines.append((f"    v_{name}, _b_{name} = _A[{name!r}], _B[{name!r}]",
                       None))
     for name in scalars:
-        lines.append((f"    v_{name} = ctx.scalars[{name!r}]", name))
+        lines.append((scalar_binding(name), name))
     return lines
 
 

@@ -31,9 +31,10 @@ becomes the kernel's pricing model.
 This module is the *reference* lowering: every access is a guarded
 gather or an indexed scatter (``ks.ld`` / ``ks.store``) and every
 predicate a boolean lane mask.  :mod:`repro.translator.spanlower`
-subclasses it with the span-native lowering and assembles both bodies
-into one kernel; only the reference pass charges the cost model, so a
-kernel's modeled cost cannot depend on which body runs.
+subclasses it with the span-native lowering, which writes the kernel
+wherever a body has a unit-stride access; only the reference pass
+charges the cost model, so a kernel's modeled cost cannot depend on how
+its statements were lowered.
 
 The emitted source is kept on the compiled kernel object
 (``CompiledKernel.source``) so tests and users can inspect it, just as

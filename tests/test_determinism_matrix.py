@@ -38,11 +38,6 @@ FLAG_COMBOS = [
     {"adaptive": True},
     {"trace": True},
     {"sanitize": True},
-    # fastpath=False switches every wall-clock fast path (packed dirty
-    # bitsets, span codegen branches, launch-context caching, batched
-    # miss replay) to the reference implementations; the baseline runs
-    # with fastpath on, so this axis pins on-vs-off bit-identity.
-    {"fastpath": False},
     # fuse=True rewrites the kernel schedule itself (merged launches,
     # elided inter-loop communication, scratch-demoted intermediates);
     # results must still be bit-identical to the unfused baseline.
@@ -55,8 +50,6 @@ FLAG_COMBOS = [
     {"collective": "tree"},
     {"overlap": True, "coalesce": True, "adaptive": True,
      "trace": True, "sanitize": True},
-    {"overlap": True, "coalesce": True, "adaptive": True,
-     "trace": True, "sanitize": True, "fastpath": False},
     {"overlap": True, "coalesce": True, "adaptive": True,
      "trace": True, "sanitize": True, "fuse": True},
 ]

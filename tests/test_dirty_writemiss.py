@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.runtime.dirty import ReferenceTwoLevelDirty, TwoLevelDirty
+from repro.runtime.dirty import TwoLevelDirty
 from repro.runtime.writemiss import (
     MissBufferOverflow,
     RECORD_BYTES,
     WriteMissBuffer,
 )
 from repro.vcuda.memory import DeviceMemory, PURPOSE_SYSTEM
+from tests.dirty_oracle import ReferenceTwoLevelDirty
 
 
 class TestTwoLevelDirty:

@@ -1,21 +1,23 @@
 """Span-native kernel lowering (:mod:`repro.translator.spanlower`).
 
-The span body of a generated kernel must be indistinguishable from the
-reference body in everything but host time.  Four angles:
+The span statements are the kernel, so they are checked against the one
+semantic reference there is, the scalar interpreter
+(``engine="interp"``).  Four angles:
 
 (a) the lane interval derived from an ``if`` condition selects exactly
-    the lanes of the reference's boolean mask (Hypothesis differential,
-    task slices not starting at 0 included);
-(b) every bundled program agrees on arrays, modeled seconds, bus bytes
-    per kind, dynamic trip counts, dirty-chunk bytes and write-miss
-    bytes between the span body, ``fastpath=False`` and
-    ``engine="interp"``;
+    the lanes the interpreter's per-iteration test does (Hypothesis
+    differential, task slices not starting at 0 included);
+(b) every bundled program agrees on arrays, bus bytes per kind,
+    dirty-chunk bytes and write-miss bytes -- and on modeled seconds
+    and dynamic trip counts where the interpreter reports trips --
+    between the generated kernels and ``engine="interp"``;
 (c) every ``out=`` operation produces the dtype and the bits NumPy's
     own (unbuffered) evaluation produces;
 (d) the sanitizer stays clean -- its shadow runs never share scratch
     with the run they shadow;
 
-and a count-based steady-state gate in the style of
+a textual pin that a kernel holds one body and ``run`` no switch
+between two, and a count-based steady-state gate in the style of
 ``test_launch_replay.py``: after the first sweep a launch allocates no
 lane-length array and builds no index vector, and a finished run keeps
 no scratch.
@@ -34,7 +36,7 @@ from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
 from repro.runtime.kernelctx import KernelContext, ScratchArena
 from repro.translator.compiler import CompileOptions, KernelPlan
-from repro.translator.spanlower import SpanVectorizer, merge_blocks
+from repro.translator.spanlower import SpanVectorizer
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
 APPS["stencil_probes"] = AppSpec(
@@ -96,12 +98,12 @@ def interval_args(n):
           suppress_health_check=[HealthCheck.too_slow])
 def test_interval_matches_boolean_mask(outer, inner, n):
     """Random affine conditions, nested and with else-branches: the span
-    body, the mask body and the interpreter write the same lanes.  Three
-    GPUs give task slices that do not start at 0 and -- at n=1, 2 --
-    empty and single-lane slices."""
+    statements and the interpreter write the same lanes, bit for bit.
+    Three GPUs give task slices that do not start at 0 and -- at
+    n=1, 2 -- empty and single-lane slices."""
     prog = repro.compile(INTERVAL_KERNEL % {"outer": outer, "inner": inner})
     results = []
-    for flags in ({}, {"fastpath": False}, {"engine": "interp"}):
+    for flags in ({}, {"engine": "interp"}):
         for ngpus in (1, 3):
             args = interval_args(n)
             prog.run("k", args, machine=NODE4, ngpus=ngpus, **flags)
@@ -187,50 +189,34 @@ class TestIntervalDerivation:
     def test_interval_branch_builds_no_index_vector(self):
         text = repro.compile(APPS["stencil"].source).kernel_source(
             "stencil_L0")
-        fast = text.split("else:\n        _i = np.arange")[0]
-        assert "max(ctx.i0, 1)" in fast
+        assert "max(ctx.i0, 1)" in text
         for vector_op in ("iota", "arange", "np.where", "flatnonzero",
                           "where=", "mark_dirty("):
-            assert vector_op not in fast
+            assert vector_op not in text
 
 
-class TestMergeBlocks:
-    def test_same_shape_blocks_branch_only_the_lines_that_differ(self):
-        loop_f = ["    for j in r:", "        x = f(j)", "        y = 2"]
-        loop_r = ["    for j in r:", "        x = g(j)", "        y = 2"]
-        shared = ["    a = 1"]
-        assert merge_blocks([(shared, shared), (loop_f, loop_r)]) == ([
-            "    a = 1", "    for j in r:", "        if _f:",
-            "            x = f(j)", "        else:", "            x = g(j)",
-            "        y = 2"], True)
-
-    def test_other_blocks_branch_whole_and_runs_share_one_branch(self):
-        blocks = [(["    p = lo()", "    q = hi()"], ["    c = mask()"]),
-                  (["    for a in s:", "        st(a)"], ["    st(c)"]),
-                  (["    z = 3"], ["    z = 3"])]
-        assert merge_blocks(blocks) == ([
-            "    if _f:", "        p = lo()", "        q = hi()",
-            "        for a in s:", "            st(a)",
-            "    else:", "        c = mask()", "        st(c)",
-            "    z = 3"], True)
-
-    def test_a_differing_compound_header_is_never_split(self):
-        fast = ["    for j in f():", "        x = 1"]
-        ref = ["    for j in g():", "        x = 1"]
-        assert merge_blocks([(fast, ref)])[0] == [
-            "    if _f:", *("    " + line for line in fast),
-            "    else:", *("    " + line for line in ref)]
-
-    def test_one_sided_blocks(self):
-        both = ["    b = 2"]
-        assert merge_blocks([(["    a = 1"], []), (both, both)]) == (
-            ["    if _f:", "        a = 1", "    b = 2"], True)
-        assert merge_blocks([([], ["    a = 1"]), (both, both)]) == (
-            ["    if not _f:", "        a = 1", "    b = 2"], True)
-        assert merge_blocks([(both, both)]) == (both, False)
+# -- one body per kernel ---------------------------------------------------------
 
 
-# -- (b) observational identity across bodies and engines ----------------------
+@pytest.mark.parametrize("options", [CompileOptions(), CompileOptions(fuse=True)],
+                         ids=["default", "fuse"])
+@pytest.mark.parametrize("app", list(APPS))
+def test_kernels_hold_one_body(app, options):
+    """No run-time selection between two lowerings, and no second
+    (``np.zeros``) form of fusion's scratch prelude."""
+    for plan in repro.compile(APPS[app].source, options).compiled.plans:
+        for marker in ("_f = ", "if _f:", "fastpath", "np.zeros("):
+            assert marker not in plan.source, (plan.name, marker)
+
+
+def test_run_has_no_fastpath_keyword():
+    spec = APPS["stencil"]
+    with pytest.raises(TypeError, match="fastpath"):
+        repro.compile(spec.source).run(spec.entry, spec.args_for("tiny"),
+                                       fastpath=False)
+
+
+# -- (b) observational identity across engines -------------------------------
 
 CONFIGS = {
     "default": (None, {}),
@@ -257,32 +243,35 @@ def observe(app, ngpus, options, flags):
     }
 
 
+def assert_interp_agrees(interp, arr):
+    """Integer arrays bitwise; float arrays close -- the scalar
+    interpreter rounds float expressions like C, not like NumPy (the
+    tolerance is test_differential's)."""
+    assert interp.dtype == arr.dtype
+    if arr.dtype.kind == "f":
+        np.testing.assert_allclose(interp, arr, rtol=1e-5, atol=1e-6)
+    else:
+        np.testing.assert_array_equal(interp, arr)
+
+
 @pytest.mark.parametrize("config", list(CONFIGS))
 @pytest.mark.parametrize("ngpus", [1, 2, 4])
 @pytest.mark.parametrize("app", list(APPS))
 def test_bodies_and_engines_agree(app, ngpus, config):
     options, flags = CONFIGS[config]
     span = observe(app, ngpus, options, flags)
-    for other_flags in ({"fastpath": False}, {"engine": "interp"}):
-        other = observe(app, ngpus, options, {**flags, **other_flags})
-        for name, arr in span["arrays"].items():
-            if "engine" in other_flags and arr.dtype.kind == "f":
-                # The scalar interpreter rounds float expressions like
-                # C, not like NumPy: close, as test_differential has it.
-                np.testing.assert_allclose(other["arrays"][name], arr,
-                                           rtol=1e-5, atol=1e-6)
-            else:
-                np.testing.assert_array_equal(other["arrays"][name], arr)
-        keys = ["bus", "dirty_bytes", "miss_bytes"]
-        if "engine" not in other_flags or not any(
-                counts for per_gpu in span["dyn_counts"]
-                for counts in per_gpu):
-            # The scalar interpreter reports no inner-loop trip counts,
-            # so its modeled kernel seconds agree with the vector
-            # engine's only where that reports none either.
-            keys += ["elapsed", "dyn_counts"]
-        for key in keys:
-            assert other[key] == span[key], (key, other_flags)
+    interp = observe(app, ngpus, options, {**flags, "engine": "interp"})
+    for name, arr in span["arrays"].items():
+        assert_interp_agrees(interp["arrays"][name], arr)
+    keys = ["bus", "dirty_bytes", "miss_bytes"]
+    if not any(counts for per_gpu in span["dyn_counts"]
+               for counts in per_gpu):
+        # The scalar interpreter reports no inner-loop trip counts, so
+        # its modeled kernel seconds agree with the vector engine's
+        # only where that reports none either.
+        keys += ["elapsed", "dyn_counts"]
+    for key in keys:
+        assert interp[key] == span[key], key
 
 
 # -- (c) dtype audit -------------------------------------------------------------
@@ -315,7 +304,8 @@ class AuditedNumpy:
 
 DTYPE_KERNELS = {
     # float/double/int locals, casts, Python scalars (host scalars and
-    # literals), a same-array read at another offset.
+    # literals), a same-array read at another offset (ahead of the
+    # write, so the sequential interpreter reads what the lanes read).
     "mixed": """
     void k(int n, int m, float a, double b, float *x, double *d, int *c,
            float *y) {
@@ -326,8 +316,8 @@ DTYPE_KERNELS = {
         int t = c[i] + m;
         float h = (float)g + f * (float)t;
         if (i > 2) { f = f / (x[i - 1] + 4.0f) - b; }
-        y[i] = y[i - 1] * 0.5f + h - f * 3 + fabs(f) + sqrt(x[i] * x[i]);
-        d[i] = g * 2.0 + d[i - 1] - fmax(g, 0.5);
+        y[i] = y[i + 1] * 0.5f + h - f * 3 + fabs(f) + sqrt(x[i] * x[i]);
+        d[i] = g * 2.0 + d[i + 1] - fmax(g, 0.5);
       }
     }
     """,
@@ -340,21 +330,20 @@ DTYPE_KERNELS = {
 }
 
 
-def launch(prog, name, scalars, arrays, fastpath=True, audit=None):
+def launch(prog, name, scalars, arrays, engine="vector", audit=None):
     ctx = KernelContext(device_index=0, i0=scalars.pop("_i0", 0),
-                        i1=scalars["n"], scalars=scalars, permissive=True,
-                        fastpath=fastpath)
+                        i1=scalars["n"], scalars=scalars, permissive=True)
     if audit is not None:
         ctx.np = audit
     for k, v in arrays.items():
         ctx.arrays[k] = v
         ctx.base[k] = 0
-    prog.kernel(name).fn(ctx)
+    prog.kernel(name).execute(ctx, engine)
     return ctx
 
 
 class TestDtypeAudit:
-    def arrays(self, n=33):
+    def arrays(self, n=34):
         rng = np.random.default_rng(3)
         return {"x": rng.uniform(-2, 2, n).astype(np.float32),
                 "d": rng.uniform(-2, 2, n),
@@ -365,30 +354,67 @@ class TestDtypeAudit:
         prog = repro.compile(DTYPE_KERNELS["mixed"])
         audit = AuditedNumpy()
         scalars = {"_i0": 1, "n": 33, "m": 3, "a": 0.3, "b": 1.7}
-        fast = self.arrays()
-        launch(prog, "k_L0", dict(scalars), fast, audit=audit)
+        span = self.arrays()
+        launch(prog, "k_L0", dict(scalars), span, audit=audit)
         assert audit.buffered >= 8  # the lowering did buffer
-        ref = self.arrays()
-        launch(prog, "k_L0", dict(scalars), ref, fastpath=False)
-        for name in fast:
-            assert fast[name].dtype == ref[name].dtype
-            np.testing.assert_array_equal(fast[name], ref[name])
+        interp = self.arrays()
+        launch(prog, "k_L0", dict(scalars), interp, engine="interp")
+        for name in span:
+            assert_interp_agrees(interp[name], span[name])
 
-    @pytest.mark.parametrize("a", [0.3, np.float32(0.3), np.float64(0.3), 1])
-    def test_unproven_host_scalar_takes_the_reference_statements(self, a):
-        """``out=`` leans on ``a`` being a Python float; any other type
-        runs the reference statements, whatever NumPy would make of it."""
+    @pytest.mark.parametrize(
+        "a", [0.3, np.float32(0.3), np.float64(0.3), 1],
+        ids=["float", "np.float32", "np.float64", "int"])
+    def test_host_scalar_is_bound_through_its_c_type(self, a):
+        """``out=`` leans on ``a`` being a Python float, so the kernel
+        binds it as one: whatever the caller hands in, the audited
+        ``out=`` statements run and give the bits of ``a = float(a)``."""
         prog = repro.compile(DTYPE_KERNELS["host_scalar_types"])
-        assert "type(v_a) is float" in prog.kernel_source("k_L0")
-        out = {}
-        for fastpath in (True, False):
+        assert "v_a = float(ctx.scalars['a'])" in prog.kernel_source("k_L0")
+        out = []
+        for value in (a, float(a)):
             arrays = {"x": self.arrays()["x"], "y": self.arrays()["y"]}
             audit = AuditedNumpy()
-            launch(prog, "k_L0", {"n": 33, "a": a}, arrays,
-                   fastpath=fastpath, audit=audit)
-            assert (audit.buffered > 0) == (fastpath and type(a) is float)
-            out[fastpath] = arrays["y"]
-        np.testing.assert_array_equal(out[True], out[False])
+            launch(prog, "k_L0", {"n": 33, "a": value}, arrays, audit=audit)
+            assert audit.buffered > 0
+            out.append(arrays["y"].tobytes())
+        assert out[0] == out[1]
+
+
+REDUCE_THEN_READ = """
+void f(int n, float *x, float *y) {
+  float acc = 0.0f;
+  #pragma acc parallel loop reduction(+:acc)
+  for (int i = 0; i < n; i++) { acc += x[i]; }
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { y[i] = acc * x[i] + y[i]; }
+}
+void g(int n, float acc, float *x, float *y) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { y[i] = acc * x[i] + y[i]; }
+}
+"""
+
+
+@pytest.mark.parametrize("ngpus", [1, 2, 4])
+def test_reduction_result_is_a_python_float(ngpus, monkeypatch):
+    """A reduction result is a host scalar like any other: a Python
+    float, which a later kernel's ``out=`` proofs may lean on and which
+    stays weak against float32 under NEP 50."""
+    audit = AuditedNumpy()
+    monkeypatch.setattr(KernelContext, "np", audit)
+    prog = repro.compile(REDUCE_THEN_READ)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1, 1, 257).astype(np.float32)
+    y = rng.uniform(-1, 1, 257).astype(np.float32)
+    reduced = {"n": 257, "x": x.copy(), "y": y.copy()}
+    run = prog.run("f", reduced, machine=NODE4, ngpus=ngpus)
+    acc = run.result.env["acc"]
+    assert type(acc) is float
+    assert audit.buffered > 0  # f_L0 has no arithmetic: f_L1 buffered
+    passed = {"n": 257, "acc": acc, "x": x.copy(), "y": y.copy()}
+    prog.run("g", passed, machine=NODE4, ngpus=ngpus)
+    assert reduced["y"].tobytes() == passed["y"].tobytes()
 
 
 # -- (d) sanitizer ---------------------------------------------------------------

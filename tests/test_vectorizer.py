@@ -455,7 +455,7 @@ class TestGeneratedSource:
         prog = repro.compile(src)
         text = prog.kernel_source("k_L0")
         assert "def kernel(ctx):" in text
-        assert "np.arange(ctx.i0, ctx.i1" in text
+        assert "ks.store_span(v_x, ctx.i0 - _b_x, _n" in text
 
     def test_index_rewriting_subtracts_base(self):
         src = """
@@ -514,17 +514,20 @@ class TestGeneratedSource:
         assert "ctx.dyn_count('L0'" in text
 
 
-#: ``sum(len(plan.source))`` per bundled program at the commit before
-#: the span-native lowering, whose kernels nested both load forms in
-#: every access and emitted store values twice.  A ceiling, not a pin.
-SOURCE_BYTES_BEFORE_SPAN_LOWERING = {
-    "bfs": 1686, "gradpipe": 3354, "heat2d": 2930, "jacobi": 2949,
-    "kmeans": 3216, "md": 2512, "phasepipe": 3675, "shift_scale": 680,
-    "spmv": 1449, "stencil": 3970, "stencil_probes": 3841,
+#: ``sum(len(plan.source))`` per bundled program at ``5d71940``, the
+#: last commit whose kernels carried a reference twin of the span
+#: statements under an ``_f`` test.  A ceiling, not a pin: strict for
+#: every program that carried a twin, all but the two whose loops have
+#: no unit-stride access and always were the reference's statements.
+SOURCE_BYTES_WITH_REFERENCE_TWIN = {
+    "bfs": 1578, "gradpipe": 2037, "heat2d": 2652, "jacobi": 2917,
+    "kmeans": 2764, "md": 2170, "phasepipe": 2513, "shift_scale": 664,
+    "spmv": 1249, "stencil": 3248, "stencil_probes": 3114,
 }
+NEVER_HAD_A_TWIN = {"md", "heat2d"}
 
 
-@pytest.mark.parametrize("app", sorted(SOURCE_BYTES_BEFORE_SPAN_LOWERING))
+@pytest.mark.parametrize("app", sorted(SOURCE_BYTES_WITH_REFERENCE_TWIN))
 def test_generated_source_stays_below_ceiling(app):
     from repro.apps import ALL_APPS, EXTRA_APPS
     from repro.bench.multinode import STENCIL_PROBES_SOURCE
@@ -532,8 +535,9 @@ def test_generated_source_stays_below_ceiling(app):
     sources = {n: s.source for n, s in {**ALL_APPS, **EXTRA_APPS}.items()}
     sources["stencil_probes"] = STENCIL_PROBES_SOURCE
     plans = compile_source(sources[app]).plans
-    assert sum(len(p.source.encode()) for p in plans) \
-        < SOURCE_BYTES_BEFORE_SPAN_LOWERING[app]
+    size = sum(len(p.source.encode()) for p in plans)
+    ceiling = SOURCE_BYTES_WITH_REFERENCE_TWIN[app]
+    assert size < ceiling or (app in NEVER_HAD_A_TWIN and size == ceiling)
 
 
 class TestRejections:
