@@ -35,6 +35,7 @@ from .translator.compiler import (
     compile_source,
 )
 from .translator.host import HostExecutor, RunResult
+from .translator.hostgen import format_host_source
 from .vcuda.api import Platform
 from .vcuda.memory import PURPOSE_SYSTEM, PURPOSE_USER
 from .vcuda.profiler import TimeBreakdown
@@ -137,6 +138,10 @@ class AccProgram:
     def kernel_source(self, name: str) -> str:
         """The generated vectorized NumPy source for one kernel."""
         return self.compiled.plan(name).source
+
+    def host_source(self, func: str) -> str:
+        """The generated Python source of one host function."""
+        return format_host_source(self.compiled, func)
 
     def explain(self) -> "ExplainReport":
         """Per-loop, per-array placement report (``repro.explain``).

@@ -24,7 +24,10 @@ falls back to recompilation -- the store is a cache, not a database.
 
 Freezing: kernel callables are exec'd functions and cannot be pickled;
 :class:`~repro.translator.compiler.KernelPlan` drops them on pickle and
-re-execs the generated source on unpickle.  The ``regions_by_stmt`` /
+re-execs the generated source on unpickle.  The host program travels as
+its generated text, which names regions by their position in
+``regions_by_stmt`` (order survives the round trip) and is exec'd by the
+first run through the same source-keyed cache.  The ``regions_by_stmt`` /
 ``plans_by_loop`` / ``fused_stmts`` maps are keyed by ``id()`` of AST
 statements, which is not stable across processes, so freezing converts
 them to (statement object, value) pairs -- pickle preserves object
@@ -89,6 +92,7 @@ def freeze_program(compiled: CompiledProgram) -> bytes:
         "fusion_groups": compiled.fusion_groups,
         "fusion_bails": compiled.fusion_bails,
         "fused_stmts": [idx[k] for k in compiled.fused_stmts],
+        "host_source": compiled.host_source,
     }
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -106,6 +110,7 @@ def thaw_program(payload: bytes) -> CompiledProgram:
     compiled.fusion_groups = state["fusion_groups"]
     compiled.fusion_bails = state["fusion_bails"]
     compiled.fused_stmts = {id(s) for s in state["fused_stmts"]}
+    compiled.host_source = state["host_source"]
     return compiled
 
 

@@ -3,9 +3,9 @@
 Mirrors the paper's translator (section IV-B): every parallel loop in a
 ``parallel``/``kernels`` region becomes a kernel (vectorized NumPy
 source plus a scalar interpreter fallback), the host program around it
-is kept as AST for the host executor, and the per-loop array
-configuration information is derived from the access analysis and the
-``localaccess``/``reductiontoarray`` extensions:
+becomes Python source too (:mod:`repro.translator.hostgen`), and the
+per-loop array configuration information is derived from the access
+analysis and the ``localaccess``/``reductiontoarray`` extensions:
 
 * arrays *without* ``localaccess`` -> replica placement; if written,
   two-level dirty-bit instrumentation;
@@ -182,6 +182,9 @@ class CompiledProgram:
     fusion_groups: list = field(default_factory=list)
     fusion_bails: list = field(default_factory=list)
     fused_stmts: set[int] = field(default_factory=set)
+    #: Generated Python module of the host program, one ``host_<name>``
+    #: function per C function (:mod:`repro.translator.hostgen`).
+    host_source: str = ""
 
     def plan(self, name: str) -> KernelPlan:
         for p in self.plans:
@@ -305,6 +308,10 @@ def compile_program(program: C.Program,
         scope = build_function_scope(func, compiled.global_scope)
         compiled.scopes[func.name] = scope
         _compile_function(func, scope, compiled, options)
+    # The host program is emitted last: fusion has settled which region
+    # each statement launches and which member statements disappear.
+    from .hostgen import emit_host_program
+    compiled.host_source = emit_host_program(compiled)
     return compiled
 
 

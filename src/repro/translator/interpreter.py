@@ -8,9 +8,10 @@ tests execute random programs through both engines and require
 identical effects (array contents, dirty sets, miss records, reduction
 partials).
 
-The expression evaluator is shared with the host-program executor
-(:mod:`repro.translator.host`), which interprets the *non-offloaded*
-parts of the OpenACC program.
+The expression evaluator also prices ``localaccess`` window bounds
+(:func:`repro.runtime.partition.make_window_evaluator`); the host
+program is compiled (:mod:`repro.translator.hostgen`) and shares the
+division, modulo and compound-assignment rules defined here.
 """
 
 from __future__ import annotations
@@ -133,17 +134,9 @@ class ExprEvaluator:
         if op == "*":
             return l * r
         if op == "/":
-            if _is_int(l) and _is_int(r):
-                if r == 0:
-                    raise InterpError("integer division by zero", e.line)
-                return int(l) // int(r)
-            return l / r
+            return c_div(l, r, e.line)
         if op == "%":
-            if _is_int(l) and _is_int(r):
-                if r == 0:
-                    raise InterpError("integer modulo by zero", e.line)
-                return int(l) % int(r)
-            return math.fmod(l, r)
+            return c_mod(l, r, e.line)
         if op == "<":
             return 1 if l < r else 0
         if op == ">":
@@ -173,11 +166,30 @@ def _is_int(v: Any) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-class _BreakLoop(Exception):
+def c_div(l: Any, r: Any, line: int = 0) -> Any:
+    """``l / r`` of two host or kernel scalars: integer division when
+    both are integers, true division otherwise."""
+    if _is_int(l) and _is_int(r):
+        if r == 0:
+            raise InterpError("integer division by zero", line)
+        return int(l) // int(r)
+    return l / r
+
+
+def c_mod(l: Any, r: Any, line: int = 0) -> Any:
+    """``l % r``: integer modulo when both are integers, else ``fmod``."""
+    if _is_int(l) and _is_int(r):
+        if r == 0:
+            raise InterpError("integer modulo by zero", line)
+        return int(l) % int(r)
+    return math.fmod(l, r)
+
+
+class _LoopBreak(Exception):
     pass
 
 
-class _ContinueLoop(Exception):
+class _LoopContinue(Exception):
     pass
 
 
@@ -264,9 +276,9 @@ class KernelInterpreter:
         elif isinstance(s, C.For):
             self._exec_for(s, env, ctx, partials, red_ops)
         elif isinstance(s, (C.Break,)):
-            raise _BreakLoop()
+            raise _LoopBreak()
         elif isinstance(s, (C.Continue,)):
-            raise _ContinueLoop()
+            raise _LoopContinue()
         elif isinstance(s, C.While):
             raise InterpError("while loops not allowed in parallel bodies",
                               s.line)
@@ -291,9 +303,9 @@ class KernelInterpreter:
                 break
             try:
                 self._exec(s.body, env, ctx, partials, red_ops)
-            except _BreakLoop:
+            except _LoopBreak:
                 break
-            except _ContinueLoop:
+            except _LoopContinue:
                 pass
             if s.step is not None:
                 self._exec_assign(_as_assign(s.step), env, ctx, partials, red_ops)

@@ -877,27 +877,32 @@ def _op_matches(stmt_op: str, red_op: str) -> bool:
     return {"max": "max", "min": "min"}.get(stmt_op) == red_op
 
 
-#: Source-text-keyed kernel callables: generated kernels are pure
-#: functions of ``ctx`` (no free variables, no module state), so one
-#: exec'd callable serves every program that generates identical
-#: source -- recompiles with ``cache=False`` and repeated runs skip the
-#: compile+exec entirely.
-_EXEC_CACHE: dict[str, Any] = {}
+#: Source-text-keyed namespaces of exec'd generated code: kernels and
+#: host programs are pure functions of their arguments (no free
+#: variables beyond the helpers seeded at exec, no module state), so one
+#: exec serves every program that generates identical source --
+#: recompiles with ``cache=False``, registry thaws and repeated runs
+#: skip the compile+exec entirely.
+_EXEC_CACHE: dict[str, dict] = {}
 _EXEC_CACHE_MAX = 512
+
+
+def exec_source(source: str, filename: str, seed: dict | None = None) -> dict:
+    """Exec generated ``source`` once per process; returns its namespace
+    (``seed`` holds the names the text expects to find bound)."""
+    namespace = _EXEC_CACHE.get(source)
+    if namespace is None:
+        namespace = dict(seed or ())
+        exec(compile(source, filename, "exec"), namespace)
+        if len(_EXEC_CACHE) >= _EXEC_CACHE_MAX:
+            _EXEC_CACHE.clear()
+        _EXEC_CACHE[source] = namespace
+    return namespace
 
 
 def compile_kernel_source(info: KernelSourceInfo):
     """Exec the generated source and return the kernel callable."""
-    fn = _EXEC_CACHE.get(info.source)
-    if fn is None:
-        namespace: dict = {}
-        code = compile(info.source, f"<kernel {info.name}>", "exec")
-        exec(code, namespace)
-        fn = namespace["kernel"]
-        if len(_EXEC_CACHE) >= _EXEC_CACHE_MAX:
-            _EXEC_CACHE.clear()
-        _EXEC_CACHE[info.source] = fn
-    return fn
+    return exec_source(info.source, f"<kernel {info.name}>")["kernel"]
 
 
 def format_source(info: KernelSourceInfo) -> str:

@@ -154,6 +154,22 @@ class TestDocSnippets:
         finally:
             sys.path.remove(str(REPO / "src"))
 
+    def test_host_source_snippet_is_current(self):
+        """docs/PERFORMANCE.md "Host program" shows what the host emitter
+        generates for the C function printed above it."""
+        text = (REPO / "docs" / "PERFORMANCE.md").read_text(encoding="utf-8")
+        m = re.search(r"<!-- host-source-snippet: (\w+) -->\n```c\n(.*?)```"
+                      r"\n+```python\n(.*?)```", text, re.DOTALL)
+        assert m, "docs/PERFORMANCE.md lost its host-source snippet"
+        func, c_source, shown = m.groups()
+        sys.path.insert(0, str(REPO / "src"))
+        try:
+            import repro
+            generated = repro.compile(c_source).host_source(func)
+        finally:
+            sys.path.remove(str(REPO / "src"))
+        assert generated == shown
+
     def test_auto_localaccess_example_runs(self):
         """The example the inference docs reference, at a tiny size."""
         proc = _run([sys.executable, "examples/auto_localaccess.py",

@@ -4,6 +4,7 @@ update directives, implicit data attributes."""
 import numpy as np
 import pytest
 
+import repro
 from repro.translator.host import HostError
 from tests.util import run_source
 
@@ -81,6 +82,82 @@ class TestControlFlow:
         src = "int k(int a, int b) { return a / b; }"
         _, run = run_source(src, {"a": 7, "b": 2})
         assert run.value == 3
+
+
+class TestStoresAreChecked:
+    """Host stores are range-checked like host loads: a negative index
+    must not wrap into the tail of the array, and an index past the end
+    is a ``HostError`` with the array, the index and the line."""
+
+    def store(self, stmt, **extra):
+        src = f"""
+        void k(int n, float x, float *a) {{
+          float tmp[4];
+          {stmt}
+        }}
+        """
+        a = np.arange(4, dtype=np.float32)
+        args, _ = run_source(src, {"n": 4, "x": 1.5, "a": a, **extra})
+        return args["a"]
+
+    def test_negative_index_does_not_wrap(self):
+        with pytest.raises(HostError, match=r"a\[-1\].*line 4"):
+            self.store("a[0 - 1] = 5.0f;")
+
+    def test_compound_store_does_not_read_a_wrapped_slot(self):
+        a = np.arange(4, dtype=np.float32)
+        with pytest.raises(HostError, match=r"a\[-2\].*line 4"):
+            self.store("a[0 - 2] += x;", a=a)
+        np.testing.assert_array_equal(a, np.arange(4))
+
+    def test_index_past_the_end(self):
+        with pytest.raises(HostError, match=r"a\[4\].*line 4"):
+            self.store("a[n] = x;")
+
+    def test_host_declared_array(self):
+        with pytest.raises(HostError, match=r"tmp\[4\].*line 4"):
+            self.store("tmp[4] = x;")
+
+    def test_store_in_value_position(self):
+        with pytest.raises(HostError, match=r"a\[-1\].*line 4"):
+            self.store("x = (a[0 - 1] = 2.0f);")
+
+    def test_in_range_stores_still_land(self):
+        out = self.store("a[n - 1] = x; a[0] += x; tmp[3] = a[0];")
+        np.testing.assert_array_equal(out, [1.5, 1, 2, 1.5])
+
+
+class TestStructuredErrors:
+    """What used to escape as ``_Break`` / ``_Continue`` /
+    ``RecursionError``."""
+
+    @pytest.mark.parametrize("word", ["break", "continue"])
+    def test_loop_exit_outside_a_loop_is_a_compile_error(self, word):
+        src = "int k() {\n  %s;\n  return 1;\n}" % word
+        with pytest.raises(repro.CompileError, match=word) as err:
+            repro.compile(src)
+        assert err.value.line == 2
+
+    def test_loop_exit_through_a_data_region_compiles(self):
+        src = """
+        int k(int n, float *x) {
+          int i = 0;
+          while (1) {
+            #pragma acc data copy(x[0:n])
+            { i += 1; if (i > 2) { break; } }
+          }
+          return i;
+        }"""
+        _, run = run_source(src, {"n": 2, "x": np.zeros(2, np.float32)})
+        assert run.value == 3
+
+    def test_unbounded_recursion_is_a_host_error(self):
+        src = """
+        int f(int d) { return f(d + 1); }
+        int k() { return f(0); }
+        """
+        with pytest.raises(HostError, match="'f'"):
+            run_source(src, {}, entry="k")
 
 
 class TestFunctions:
