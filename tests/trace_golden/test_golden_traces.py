@@ -23,12 +23,15 @@ from .common import (
     CASES,
     CLUSTER_CASES,
     COLLECTIVE_CASES,
+    ROUTE_CASES,
     cluster_golden_path,
     collective_golden_path,
     golden_path,
     load_cluster_golden,
     load_collective_golden,
     load_golden,
+    load_route_golden,
+    route_digest,
     traced_cluster_run,
     traced_collective_run,
     traced_run,
@@ -192,3 +195,20 @@ def test_collective_trace_byte_totals_match_bus(app, nodes, gpus, sched):
             f"{kind}: traced {traced} != bus {bus.bytes_moved(kind)}")
     assert summary["transfer_bytes"].get("net", 0) > 0, (
         "collective run never touched the NIC")
+
+
+# -- route matrix -------------------------------------------------------------
+
+
+def test_route_matrix_golden_lists_every_case():
+    assert list(load_route_golden()) == list(ROUTE_CASES)
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_route_matrix_schedule_matches_golden(case):
+    """The modeled schedule of this route -- every transfer with its
+    start and end, every mechanism tag, elapsed and the breakdown
+    lanes -- is exactly the recorded one."""
+    assert route_digest(case) == load_route_golden()[case], (
+        f"modeled schedule of {case} moved; if intended, regenerate with "
+        "tests/trace_golden/update_goldens.py and explain the diff")

@@ -1,7 +1,8 @@
 """Regenerate the recorded golden-trace summaries.
 
 Run after an intentional change to the runtime's decision structure
-(new events, different transfer batching, changed loop counts)::
+(new events, different transfer batching, changed loop counts) or, for
+the route matrix, to the modeled schedule itself::
 
     PYTHONPATH=src python tests/trace_golden/update_goldens.py
 
@@ -26,9 +27,12 @@ from tests.trace_golden.common import (  # noqa: E402
     CLUSTER_CASES,
     COLLECTIVE_CASES,
     GOLDEN_DIR,
+    ROUTE_CASES,
+    ROUTE_GOLDEN,
     cluster_golden_path,
     collective_golden_path,
     golden_path,
+    route_digest,
     traced_cluster_run,
     traced_collective_run,
     traced_run,
@@ -57,6 +61,7 @@ def main() -> int:
         check_invariants(run.tracer)
         _write(collective_golden_path(app, nodes, gpus, sched),
                normalize(run.tracer))
+    _write(ROUTE_GOLDEN, {case: route_digest(case) for case in ROUTE_CASES})
     return 0
 
 
