@@ -1,30 +1,41 @@
-"""Topology-aware collective communication engine (docs/COLLECTIVES.md).
+"""The transport under the communication manager (docs/COLLECTIVES.md).
 
-The PR 9 cluster tier ships inter-node replica broadcasts as one NIC
-transfer per destination node and staged exchanges as a serialized
-gather -> NIC -> scatter per node pair.  This module replaces both with
-structured collectives chosen from the modeled topology:
+The comm manager (:mod:`repro.runtime.comm`) applies every coherence
+data effect with NumPy and then states *what moved* in one of two
+shapes; :class:`Transport` owns *how* it moves -- every schedule, the
+choice between them, the mechanism tag, the issue floor and the
+NIC-side counters:
 
-* **ring** -- a chunked pipeline around a group-contiguous node ring
-  (PCIe-hub-local ring inside a node).  Bandwidth-optimal for large
-  payloads: the slowest link is loaded once per chunk instead of once
-  per destination, and chunk *k* on leg *i+1* overlaps chunk *k+1* on
-  leg *i*.
-* **tree** -- a binomial tree, ``ceil(log2 N)`` rounds of concurrent
-  full-payload sends.  Latency-optimal for small payloads.
-* **auto** -- price both against the modeled per-edge bandwidth and
-  latency (:func:`node_schedule_costs`) and take the cheaper one; the
-  oversubscribed cross-group bandwidth of a two-level fabric enters the
-  edge costs directly and acts as the tiebreak.
+* **pairs** ``[(src_gpu, dst_gpu, nbytes)]`` of pairwise-distinct
+  payloads (halo slabs, windowed dirty overlaps, miss records,
+  reduction hops).  Same-node pairs are direct peer copies; cross-node
+  pairs go one NIC transfer per GPU pair (``naive``), aggregated per
+  node pair as a serialized gather -> NIC -> scatter (``staged``), or
+  as the same aggregation pipelined in NIC-sized chunks so the NIC leg
+  of chunk *k* hides behind the PCIe legs of chunks *k±1*
+  (``ring``/``tree``/``auto``).
+* **broadcast** ``(src_gpu, targets, chunk runs)`` of one shared
+  payload (replica dirty chunks).  Replicas on other nodes receive it
+  once per *node*, not per member; the node hosts and the node-local
+  replicas are reached by a direct fan-out, a host-staged D2H + H2Ds,
+  or a structured collective:
 
-A *progress engine* (:meth:`CollectiveEngine.exchange`) reschedules the
-staged node-pair exchange as a chunked pipeline so the NIC leg of chunk
-*k* hides behind the PCIe gather/scatter legs of chunks *k±1*.
+  * **ring** -- a chunked pipeline around a group-contiguous node ring
+    (PCIe-hub-local ring inside a node).  Bandwidth-optimal for large
+    payloads: the slowest link is loaded once per chunk instead of once
+    per destination, and chunk *k* on leg *i+1* overlaps chunk *k+1* on
+    leg *i*.
+  * **tree** -- a binomial tree, ``ceil(log2 N)`` rounds of concurrent
+    full-payload sends.  Latency-optimal for small payloads.
+  * **auto** -- price both against the modeled per-edge bandwidth and
+    latency (:func:`node_schedule_costs`) and take the cheaper one; the
+    oversubscribed cross-group bandwidth of a two-level fabric enters
+    the edge costs directly and acts as the tiebreak.
 
-Everything here only re-prices *when* modeled transfers happen; array
-data is applied eagerly by the comm manager before any schedule runs,
-so results are bit-identical across ``collective`` modes by
-construction (the determinism matrix pins it).
+Everything here only prices *when* modeled transfers happen; array data
+is applied eagerly by the comm manager before any schedule runs, so
+results are bit-identical across transports by construction (the
+determinism matrix pins it).
 """
 
 from __future__ import annotations
@@ -38,11 +49,15 @@ from ..trace.events import (
     MECH_COLLECTIVE_PIPELINE,
     MECH_COLLECTIVE_RING,
     MECH_COLLECTIVE_TREE,
+    MECH_INTERNODE_STAGED,
+    MECH_REPLICA,
+    MECH_REPLICA_STAGED,
 )
 
 __all__ = [
     "COLLECTIVE_MODES",
-    "CollectiveEngine",
+    "TRANSPORTS",
+    "Transport",
     "node_schedule_costs",
     "ring_order",
     "select_node_schedule",
@@ -51,13 +66,15 @@ __all__ = [
 
 #: Valid values of the ``collective`` run flag.
 COLLECTIVE_MODES = ("none", "auto", "ring", "tree")
+#: The transports the (``internode``, ``collective``) run flags select.
+TRANSPORTS = ("naive", "staged", "ring", "tree", "auto")
 
-#: ``note(transfer, src_gpu, dst_gpu)`` -- the comm manager's overlap
-#: bookkeeping hook (stream mirroring + event dependences).
+#: ``note(transfer, src_gpu, dst_gpu)`` -- the comm manager's
+#: bookkeeping hook, called once per issued transfer (transaction count
+#: + the overlap gate's event dependences).
 NoteFn = Callable[[Transfer, int | None, int | None], None]
-#: ``floor(*gpus)`` -- earliest issue time for a transfer touching the
-#: given GPUs (their queued kernels still own the buffers).
-FloorFn = Callable[..., float]
+#: ``(src_gpu, dst_gpu, nbytes)``.
+Pair = tuple[int, int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -149,45 +166,82 @@ def select_node_schedule(cluster: ClusterSpec, src_node: int,
 
 
 # ---------------------------------------------------------------------------
-# Engine
+# Transport
 # ---------------------------------------------------------------------------
 
-class CollectiveEngine:
-    """Schedules collective broadcasts and pipelined staged exchanges
-    on behalf of the comm manager.
+class Transport:
+    """Issues every coherence transfer of one run on the bus.
 
-    The engine owns *pricing only*: it issues the modeled transfers
-    (and their dependences) on the bus and records per-schedule
-    telemetry; the comm manager has already applied the array data with
-    NumPy before calling in, and keeps all byte accounting
-    (``bytes_replica`` / ``bytes_internode``) so ablation comparisons
-    stay apples-to-apples across transports.
+    Configured once from the run's ``internode`` / ``collective`` /
+    ``overlap`` values; :attr:`mode` is the resulting transport, one of
+    :data:`TRANSPORTS`.  The transport owns *pricing only*: the comm
+    manager has already applied the array data before calling
+    :meth:`pairs` / :meth:`broadcast`, and keeps the per-mechanism byte
+    ledger; the counters here are the NIC-side ones, so ablation
+    comparisons stay apples-to-apples across transports.
     """
 
-    def __init__(self, platform: Any, mode: str,
-                 tracer: Any | None = None) -> None:
-        if mode not in COLLECTIVE_MODES or mode == "none":
+    def __init__(self, platform: Any, internode: str = "staged",
+                 collective: str = "none", overlap: bool = False,
+                 tracer: Any | None = None,
+                 note: NoteFn | None = None) -> None:
+        if internode not in ("staged", "naive"):
             raise ValueError(
-                f"collective engine mode must be one of "
-                f"{COLLECTIVE_MODES[1:]}, got {mode!r}")
+                f"internode must be 'staged' or 'naive', got {internode!r}")
+        if collective not in COLLECTIVE_MODES:
+            raise ValueError(
+                f"collective must be one of {COLLECTIVE_MODES}, "
+                f"got {collective!r}")
+        if internode == "naive" and collective != "none":
+            # The naive transport is the undisturbed ablation baseline:
+            # collective schedules only upgrade the staged one.
+            raise ValueError(
+                f"internode='naive' takes no collective schedule, got "
+                f"collective={collective!r}: use internode='staged' or "
+                "collective='none'")
+        self.mode = ("naive" if internode == "naive"
+                     else "staged" if collective == "none" else collective)
         self.platform = platform
         self.bus: Bus = platform.bus
         self.machine = self.bus.machine
-        self.mode = mode
+        #: Issue transfers with ``not_before`` the endpoint GPUs' queued
+        #: kernels and allow host staging of node-local broadcasts.
+        self.overlap = overlap
+        #: Opt-in tracer: transfers issued inside a :meth:`_tag` block
+        #: carry the mechanism and array that produced them.
         self.tracer = tracer
+        self.note: NoteFn = note or (lambda tr, src, dst: None)
+        self._node = [platform.node_of(g) for g in range(platform.ngpus)]
+        self._multinode = len(set(self._node)) > 1
         nic = getattr(self.machine, "nic", None)
         #: NIC pipeline chunk (0 on single-node machines: no NIC).
         self.net_chunk = nic.collective_chunk_bytes if nic is not None else 0
+        #: Telemetry: bytes that crossed a node boundary (NIC bytes --
+        #: aggregated totals when staged, per-pair sums when direct),
+        #: node-pair exchanges performed (serialized or pipelined) and
+        #: host-staged node-local broadcasts.
+        self.bytes_internode = 0
+        self.staged_exchanges = 0
+        self.staged_broadcasts = 0
         #: Telemetry: collective broadcasts issued per schedule.
         self.broadcasts = {"ring": 0, "tree": 0}
-        #: Telemetry: pipelined staged exchanges (progress engine).
-        self.exchanges = 0
         #: Telemetry: total pipeline steps (one modeled transfer on the
         #: critical structure: a NET chunk hop or a p2p ring hop).
-        self.steps = 0
+        self.collective_steps = 0
         #: Telemetry: wire bytes scheduled per schedule (every hop
         #: counted -- a relayed chunk pays each leg it traverses).
         self.bytes_scheduled = {"ring": 0, "tree": 0, "pipeline": 0}
+
+    @property
+    def collective_broadcasts(self) -> int:
+        """Collective (ring/tree) broadcasts scheduled."""
+        return sum(self.broadcasts.values())
+
+    @property
+    def bytes_collective(self) -> int:
+        """Wire bytes moved under collective schedules (each hop a
+        relayed chunk traverses counts once)."""
+        return sum(self.bytes_scheduled.values())
 
     # -- helpers ---------------------------------------------------------------
 
@@ -196,20 +250,50 @@ class CollectiveEngine:
             return nullcontext()
         return self.tracer.tag(mechanism, array)
 
+    def _floor(self, *gpus: int) -> float:
+        """Issue dependency of a transfer: the endpoint GPUs' queued
+        kernels produce (source) or still read (destination) the
+        buffers, so the copy may not start before they finish."""
+        if not self.overlap:
+            return 0.0
+        devs = self.platform.devices
+        floor = 0.0
+        for g in gpus:
+            if devs[g].busy_until > floor:
+                floor = devs[g].busy_until
+        return floor
+
+    def _gather(self, g: int, nbytes: int, local: bool = True) -> float:
+        """D2H leg of a staged schedule (into the node host's memory
+        when ``local``); returns its completion time."""
+        d = self.bus.d2h(g, nbytes, not_before=self._floor(g),
+                         category=CATEGORY_GPU_GPU, local=local)
+        self.note(d, g, None)
+        return d.end
+
+    def _net(self, src_node: int, dst_node: int, nbytes: int,
+             ready: float) -> float:
+        """Host-to-host NIC leg; returns its completion time."""
+        tr = self.bus.net(src_node, dst_node, nbytes, not_before=ready)
+        self.note(tr, None, None)
+        return tr.end
+
+    def _scatter(self, t: int, nbytes: int, ready: float,
+                 local: bool = True) -> None:
+        """H2D leg of a staged schedule, chained on ``ready``."""
+        h = self.bus.h2d(t, nbytes, not_before=max(ready, self._floor(t)),
+                         category=CATEGORY_GPU_GPU, local=local)
+        self.note(h, None, t)
+
     def _record(self, schedule: str, scope: str, steps: int,
                 nbytes: int) -> None:
-        self.steps += steps
-        self.bytes_scheduled[schedule] = (
-            self.bytes_scheduled.get(schedule, 0) + nbytes)
+        self.collective_steps += steps
+        self.bytes_scheduled[schedule] += nbytes
         if self.tracer is not None:
             self.tracer.metrics.count("collective_steps", steps,
                                       schedule=schedule, scope=scope)
             self.tracer.metrics.count("collective_bytes", nbytes,
                                       schedule=schedule, scope=scope)
-
-    def _pcie_chunk(self, g: int) -> int:
-        return self.machine.node_bus(
-            self.machine.node_of(g)).collective_chunk_bytes
 
     def select(self, src_node: int, dst_nodes: list[int],
                nbytes: int) -> str:
@@ -218,118 +302,217 @@ class CollectiveEngine:
         return select_node_schedule(self.machine, src_node, dst_nodes,
                                     nbytes, self.net_chunk)
 
-    # -- inter-node broadcast ---------------------------------------------------
+    # -- pairs: pairwise-distinct payloads --------------------------------------
 
-    def node_broadcast(self, array: str | None, g: int,
-                       members_by_node: dict[int, list[int]], total: int,
-                       floor: FloorFn, note: NoteFn) -> str:
-        """Broadcast one source GPU's ``total`` shared dirty bytes to
-        replica members on other nodes: chunked D2H gather on the
-        source, ring or tree NIC schedule between the node hosts, then
-        a per-member H2D scatter chained on each chunk's arrival."""
-        bus = self.bus
-        src_node = self.machine.node_of(g)
-        dst_nodes = sorted(members_by_node)
-        schedule = self.select(src_node, dst_nodes, total)
-        mech = (MECH_COLLECTIVE_RING if schedule == "ring"
-                else MECH_COLLECTIVE_TREE)
-        path = ring_order(self.machine, src_node, [src_node] + dst_nodes)
+    def pairs(self, mech: str, array: str | None, pairs: list[Pair],
+              direct: bool = False) -> None:
+        """Ship ``(src_gpu, dst_gpu, nbytes)`` pairs under the
+        mechanism tag ``mech``.
+
+        Same-node pairs are peer copies in list order; the cross-node
+        ones follow them -- as peer copies too on the ``naive``
+        transport (the bus routes a cross-node peer copy over the NIC
+        itself), otherwise aggregated per node pair (:meth:`_exchange`).
+        ``direct`` ships every pair as a peer copy in list order,
+        whatever the transport: reduction hops (each depends on the
+        one before) and the direct replica fan-out.
+        """
+        far: list[Pair] = []
+        if self._multinode and not direct:
+            node = self._node
+            far = [p for p in pairs if node[p[0]] != node[p[1]]]
+            if far:
+                pairs = [p for p in pairs if node[p[0]] == node[p[1]]]
+                if self.mode == "naive":
+                    pairs, far = pairs + far, []
+        bus, floor, note = self.bus, self._floor, self.note
         with self._tag(mech, array):
+            for g, t, nbytes in pairs:
+                tr = bus.p2p(g, t, nbytes, not_before=floor(g, t))
+                note(tr, g, t)
+                if tr.kind == "net":
+                    self.bytes_internode += nbytes
+        if far:
+            self._exchange(array, far)
+
+    def _exchange(self, array: str | None, far: list[Pair]) -> None:
+        """Cross-node pairs, aggregated per (source node, destination
+        node): gather each source GPU's bytes to its node host (D2H),
+        NIC, scatter per destination GPU (H2D) -- one NIC message
+        stream per node pair instead of one per GPU pair, which is what
+        amortizes the NIC latency (the measured win of the multinode
+        ablation).  ``staged`` serializes the three legs; the collective
+        transports pipeline them in NIC-sized chunks."""
+        node = self._node
+        groups: dict[tuple[int, int], tuple[dict, dict]] = {}
+        for g, t, nbytes in far:
+            outbound, inbound = groups.setdefault((node[g], node[t]),
+                                                  ({}, {}))
+            outbound[g] = outbound.get(g, 0) + nbytes
+            inbound[t] = inbound.get(t, 0) + nbytes
+        staged = self.mode == "staged"
+        with self._tag(MECH_INTERNODE_STAGED if staged
+                       else MECH_COLLECTIVE_PIPELINE, array):
+            for sn, dn in sorted(groups):
+                outbound, inbound = groups[sn, dn]
+                total = sum(outbound.values())
+                if staged:
+                    ready = 0.0
+                    for g in sorted(outbound):
+                        ready = max(ready, self._gather(g, outbound[g]))
+                    ready = self._net(sn, dn, total, ready)
+                    for t in sorted(inbound):
+                        self._scatter(t, inbound[t], ready)
+                else:
+                    self._pipelined_exchange(sn, dn, outbound, inbound)
+                self.bytes_internode += total
+                self.staged_exchanges += 1
+
+    def _pipelined_exchange(self, src_node: int, dst_node: int,
+                            outbound: dict[int, int],
+                            inbound: dict[int, int]) -> None:
+        """Progress engine for one node pair: split each source GPU's
+        payload into NIC-sized chunks and chain D2H -> NET -> H2D per
+        chunk, so the NIC leg of chunk *k* overlaps the gather of chunk
+        *k+1* and the scatter of chunk *k-1* -- NIC time hides behind
+        intra-node PCIe time instead of serializing after it."""
+        stream: list[tuple[int, float]] = []
+        for g in sorted(outbound):
+            for c in Bus.split_chunks(outbound[g], self.net_chunk):
+                stream.append((c, self._net(src_node, dst_node, c,
+                                            self._gather(g, c))))
+        # Scatter consumes the chunk stream in order: destination
+        # bytes map onto whichever NET chunks delivered them, and
+        # each H2D piece waits only for *its* chunk, not the last.
+        i = 0
+        rem = stream[0][0] if stream else 0
+        for t in sorted(inbound):
+            need = inbound[t]
+            while need > 0:
+                take = min(need, rem)
+                self._scatter(t, take, stream[i][1])
+                need -= take
+                rem -= take
+                if rem == 0 and i + 1 < len(stream):
+                    i += 1
+                    rem = stream[i][0]
+        self._record("pipeline", "internode", len(stream),
+                     sum(outbound.values()))
+
+    # -- broadcast: one shared payload --------------------------------------------
+
+    def broadcast(self, array: str | None, g: int, targets: list[int],
+                  runs: list[tuple[int, int]]) -> None:
+        """Ship GPU ``g``'s dirty chunk ``runs`` (``(byte_offset,
+        nbytes)``, one DMA each when sent directly) to every replica in
+        ``targets``: the other nodes first, then the node-local ones
+        (on a single-node machine every target is node-local)."""
+        total = sum(n for _, n in runs)
+        node = self._node
+        far = [t for t in targets if node[t] != node[g]]
+        if far:
+            if self.mode == "naive":
+                self._fan_out(array, g, far, runs)
+            else:
+                self._node_broadcast(array, g, far, total)
+        near = [t for t in targets if node[t] == node[g]]
+        if not near:
+            return
+        if self.mode in ("ring", "tree", "auto") and self._gpu_broadcast(
+                array, g, near, runs, total):
+            return
+        if self._host_staging_pays(g, near, runs, total):
+            # Host-staged broadcast: one D2H of the dirty bytes, then
+            # one H2D per replica chained on its completion.  For a
+            # fan-out of two or more this loads each link once instead
+            # of occupying the source link per peer (and avoids
+            # repeated QPI crossings on dual-hub nodes).  Logically it
+            # is inter-GPU traffic: the legs carry a GPU-GPU category.
+            with self._tag(MECH_REPLICA_STAGED, array):
+                ready = self._gather(g, total, local=False)
+                self.staged_broadcasts += 1
+                for t in near:
+                    self._scatter(t, total, ready, local=False)
+        else:
+            self._fan_out(array, g, near, runs)
+
+    def _fan_out(self, array: str | None, g: int, targets: list[int],
+                 runs: list[tuple[int, int]]) -> None:
+        """Direct fan-out: one peer copy per target per dirty chunk run
+        (the sender scans only the second-level bits, so the transfer
+        unit is the chunk)."""
+        self.pairs(MECH_REPLICA, array,
+                   [(g, t, n) for t in targets for _, n in runs],
+                   direct=True)
+
+    def _fan_out_cost(self, g: int, targets: list[int],
+                      runs: list[tuple[int, int]]) -> float:
+        return sum(self.bus.duration("p2p", n, g, t)
+                   for t in targets for _, n in runs)
+
+    def _host_staging_pays(self, g: int, targets: list[int],
+                           runs: list[tuple[int, int]], total: int) -> bool:
+        """Price direct fan-out vs host staging for one source GPU.
+        Staging needs async transfers with dependencies, so it only
+        runs in overlap mode."""
+        if not self.overlap or len(targets) < 2 or total == 0:
+            return False
+        staged = (self.bus.duration("d2h", total, g, None)
+                  + self.bus.duration("h2d", total, None, g))
+        return staged < self._fan_out_cost(g, targets, runs)
+
+    def _node_broadcast(self, array: str | None, g: int, far: list[int],
+                        total: int) -> None:
+        """Replicas on other nodes: the payload is *shared*, so staging
+        dedups -- one D2H gather on the source node, ``total`` bytes
+        once per destination *node*, then a per-member H2D scatter.
+        ``staged`` sends one NIC transfer per destination node from the
+        source; ring/tree relay between the node hosts instead, so the
+        source NIC port is loaded once and the hops pipeline."""
+        src_node = self._node[g]
+        members: dict[int, list[int]] = {}
+        for t in sorted(far):
+            members.setdefault(self._node[t], []).append(t)
+        dst_nodes = sorted(members)
+        self.bytes_internode += total * len(dst_nodes)
+        if self.mode == "staged":
+            with self._tag(MECH_INTERNODE_STAGED, array):
+                ready = self._gather(g, total)
+                for dn in dst_nodes:
+                    arrived = self._net(src_node, dn, total, ready)
+                    self.staged_exchanges += 1
+                    for t in members[dn]:
+                        self._scatter(t, total, arrived)
+            return
+        schedule = self.select(src_node, dst_nodes, total)
+        path = ring_order(self.machine, src_node, [src_node] + dst_nodes)
+        with self._tag(MECH_COLLECTIVE_RING if schedule == "ring"
+                       else MECH_COLLECTIVE_TREE, array):
             if schedule == "ring":
                 chunks = Bus.split_chunks(total, self.net_chunk)
-                gather_floor = floor(g)
-                ready = []
-                for c in chunks:
-                    d = bus.d2h(g, c, not_before=gather_floor,
-                                category=CATEGORY_GPU_GPU, local=True)
-                    note(d, g, None)
-                    ready.append(d.end)
-                arrivals = bus.net_pipeline(path, chunks, chunk_ready=ready)
+                ready = [self._gather(g, c) for c in chunks]
+                arrivals = self.bus.net_pipeline(path, chunks,
+                                                 chunk_ready=ready)
                 for tr in (t for ts in arrivals.values() for t in ts):
-                    note(tr, None, None)
+                    self.note(tr, None, None)
                 for dn in dst_nodes:
-                    for t in sorted(members_by_node[dn]):
-                        t_floor = floor(t)
+                    for t in members[dn]:
                         for tr in arrivals[dn]:
-                            h = bus.h2d(t, tr.nbytes,
-                                        not_before=max(tr.end, t_floor),
-                                        category=CATEGORY_GPU_GPU,
-                                        local=True)
-                            note(h, None, t)
+                            self._scatter(t, tr.nbytes, tr.end)
                 steps = len(chunks) * (len(path) - 1)
-                wire = total * (len(path) - 1)
             else:
-                d = bus.d2h(g, total, not_before=floor(g),
-                            category=CATEGORY_GPU_GPU, local=True)
-                note(d, g, None)
-                done = {src_node: d.end}
+                done = {src_node: self._gather(g, total)}
                 steps = 0
                 for rnd in tree_rounds(len(path)):
                     for s, r in rnd:
-                        tr = bus.net(path[s], path[r], total,
-                                     not_before=done[path[s]])
-                        note(tr, None, None)
-                        done[path[r]] = tr.end
+                        done[path[r]] = self._net(path[s], path[r], total,
+                                                  done[path[s]])
                         steps += 1
                 for dn in dst_nodes:
-                    for t in sorted(members_by_node[dn]):
-                        h = bus.h2d(t, total,
-                                    not_before=max(done[dn], floor(t)),
-                                    category=CATEGORY_GPU_GPU, local=True)
-                        note(h, None, t)
-                wire = total * (len(path) - 1)
+                    for t in members[dn]:
+                        self._scatter(t, total, done[dn])
         self.broadcasts[schedule] += 1
-        self._record(schedule, "internode", steps, wire)
-        return schedule
-
-    # -- staged-exchange progress engine ---------------------------------------
-
-    def exchange(self, array: str | None, src_node: int, dst_node: int,
-                 outbound: dict[int, int], inbound: dict[int, int],
-                 floor: FloorFn, note: NoteFn) -> int:
-        """Pipelined staged exchange for one node pair: split each
-        source GPU's payload into NIC-sized chunks and chain D2H ->
-        NET -> H2D per chunk, so the NIC leg of chunk *k* overlaps the
-        gather of chunk *k+1* and the scatter of chunk *k-1* -- NIC
-        time hides behind intra-node PCIe time instead of serializing
-        after it.  Returns the number of pipeline steps (NET chunks)."""
-        bus = self.bus
-        stream: list[tuple[int, float]] = []
-        with self._tag(MECH_COLLECTIVE_PIPELINE, array):
-            for g in sorted(outbound):
-                g_floor = floor(g)
-                for c in Bus.split_chunks(outbound[g], self.net_chunk):
-                    d = bus.d2h(g, c, not_before=g_floor,
-                                category=CATEGORY_GPU_GPU, local=True)
-                    note(d, g, None)
-                    net = bus.net(src_node, dst_node, c, not_before=d.end)
-                    note(net, None, None)
-                    stream.append((c, net.end))
-            # Scatter consumes the chunk stream in order: destination
-            # bytes map onto whichever NET chunks delivered them, and
-            # each H2D piece waits only for *its* chunk, not the last.
-            i = 0
-            rem = stream[0][0] if stream else 0
-            for t in sorted(inbound):
-                need = inbound[t]
-                t_floor = floor(t)
-                while need > 0:
-                    take = min(need, rem)
-                    h = bus.h2d(t, take,
-                                not_before=max(stream[i][1], t_floor),
-                                category=CATEGORY_GPU_GPU, local=True)
-                    note(h, None, t)
-                    need -= take
-                    rem -= take
-                    if rem == 0 and i + 1 < len(stream):
-                        i += 1
-                        rem = stream[i][0]
-        self.exchanges += 1
-        total = sum(outbound.values())
-        self._record("pipeline", "internode", len(stream), total)
-        return len(stream)
-
-    # -- intra-node broadcast ---------------------------------------------------
+        self._record(schedule, "internode", steps, total * (len(path) - 1))
 
     def _gpu_order(self, g: int, targets: list[int]) -> list[int]:
         """PCIe-hub-local ring: same-hub peers first so the chain
@@ -340,20 +523,19 @@ class CollectiveEngine:
                                  self.machine.hub_of(t), t))
         return [g] + rest
 
-    def gpu_broadcast(self, array: str | None, g: int, targets: list[int],
-                      runs: list[tuple[int, int]], total: int,
-                      floor: FloorFn, note: NoteFn) -> str | None:
-        """Intra-node replica broadcast as a hub-local ring chain or a
+    def _gpu_broadcast(self, array: str | None, g: int, targets: list[int],
+                       runs: list[tuple[int, int]],
+                       total: int) -> str | None:
+        """Node-local replica broadcast as a hub-local ring chain or a
         binomial p2p tree.  Returns the schedule used, or ``None`` when
-        the engine declines (fewer than two targets, or ``auto`` prices
-        the existing direct fan-out cheaper) -- the caller then falls
-        back to the legacy path unchanged."""
+        it declines (fewer than two targets, or ``auto`` prices the
+        direct fan-out cheaper) and the caller falls through."""
         if total <= 0 or len(targets) < 2:
             return None
         bus = self.bus
         order = self._gpu_order(g, targets)
-        chunk = self._pcie_chunk(g)
-        chunks = Bus.split_chunks(total, chunk)
+        chunks = Bus.split_chunks(total, self.machine.node_bus(
+            self._node[g]).collective_chunk_bytes)
         edges = list(zip(order, order[1:]))
         hop = max(bus.duration("p2p", chunks[0], a, b) for a, b in edges)
         if len(edges) == 1:
@@ -366,16 +548,15 @@ class CollectiveEngine:
                 for s, r in rnd)
             for rnd in rounds)
         if self.mode == "auto":
-            direct = sum(bus.duration("p2p", n, g, t)
-                         for t in targets for _, n in runs)
-            if direct <= min(ring_cost, tree_cost):
+            if self._fan_out_cost(g, targets, runs) <= min(ring_cost,
+                                                           tree_cost):
                 return None
             schedule = "ring" if ring_cost < tree_cost else "tree"
         else:
             schedule = self.mode
-        mech = (MECH_COLLECTIVE_RING if schedule == "ring"
-                else MECH_COLLECTIVE_TREE)
-        with self._tag(mech, array):
+        floor, note = self._floor, self.note
+        with self._tag(MECH_COLLECTIVE_RING if schedule == "ring"
+                       else MECH_COLLECTIVE_TREE, array):
             if schedule == "ring":
                 # Chunk-major issue order, mirroring Bus.net_pipeline:
                 # GPU-link occupancy is a scalar free-at, so leg-major

@@ -14,51 +14,46 @@ with direct asynchronous GPU-to-GPU transfers:
    (tree reduction across GPUs) with the host's initial values and
    broadcast the result.
 
-Two execution modes:
+Each mechanism applies its *data* effect here, eagerly, with NumPy --
+which is why app results are bit-identical whatever the transport or
+pacing -- and then states *what moved*, as ``(src_gpu, dst_gpu,
+nbytes)`` pairs or as one broadcast of shared dirty chunks.  *How* that
+moves (direct, staged, ring, tree, pipelined; which tag, which floor)
+is the :class:`~repro.runtime.collectives.Transport`'s decision alone.
+
+Two pacing modes:
 
 * **synchronous** (default; the paper's behavior): all queued transfers
   are synchronized once per phase and the elapsed time lands in the
   ``GPU-GPU`` profiler bucket that Fig. 8 reports;
 * **pipelined** (``overlap=True``): transfers are issued with
   dependencies -- ``not_before`` the producing/consuming kernels'
-  completion -- and mirrored onto one comm stream per GPU, and the
-  *next* loop's kernels gate only on the arrays they actually touch
-  (:meth:`CommunicationManager.ready_time`).  Replica broadcasts to two
-  or more peers may be staged through host memory (one D2H chained to
-  per-replica H2Ds) when the model prices that below fanning the source
-  link out with peer copies.  Reduction merges always fall back to a
-  synchronous barrier because the host consumes the values immediately.
-  Exposed vs hidden time is split by
-  :meth:`~repro.vcuda.api.Platform.timeline_advance`.
-
-Either way the *data* effects stay eager NumPy copies, which is why app
-results are bit-identical with overlap on or off.
+  completion -- and the *next* loop's kernels gate only on the arrays
+  they actually touch (:meth:`CommunicationManager.ready_time`).
+  Reduction merges always fall back to a synchronous barrier because
+  the host consumes the values immediately.  Exposed vs hidden time is
+  split by :meth:`~repro.vcuda.api.Platform.timeline_advance`.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from ..trace.events import (
     MECH_HALO,
-    MECH_INTERNODE_STAGED,
     MECH_MISS_REPLAY,
     MECH_REDUCTION_BCAST,
     MECH_REDUCTION_MERGE,
-    MECH_REPLICA,
-    MECH_REPLICA_STAGED,
     MECH_WINDOWED,
 )
 from ..translator import kernel_support as ks
 from ..translator.array_config import ArrayConfig, Placement, WriteHandling
 from ..vcuda.api import Platform
 from ..vcuda.bus import Bus, CATEGORY_GPU_GPU, Transfer
-from ..vcuda.stream import Event, Stream
-from .collectives import COLLECTIVE_MODES, CollectiveEngine
+from .collectives import Pair, Transport
 from .data_loader import DataLoader, ManagedArray, _uniform_signature
 from .partition import owner_of
 from .writemiss import RECORD_BYTES
@@ -84,8 +79,17 @@ class PendingComm:
     #: Only halo slabs moved: interior iterations of a follow-up kernel
     #: never read them and may launch before they land.
     halo_only: bool = True
-    #: Per GPU: comm-stream event covering this array's transfers.
-    events: list[Event | None] = field(default_factory=list)
+
+
+def _ledger_view(kind: str, what: str) -> property:
+    return property(
+        lambda self: sum(n for (_, k), n in self.ledger.items() if k == kind),
+        doc=f"Telemetry: bytes shipped by {what}, all arrays.")
+
+
+def _transport_view(name: str) -> property:
+    return property(lambda self: getattr(self.transport, name),
+                    doc=f":attr:`Transport.{name}` (the transport counts).")
 
 
 class CommunicationManager:
@@ -98,36 +102,18 @@ class CommunicationManager:
                  tracer: Any | None = None,
                  internode: str = "staged",
                  collective: str = "none") -> None:
-        if internode not in ("staged", "naive"):
-            raise ValueError(
-                f"internode must be 'staged' or 'naive', got {internode!r}")
-        if collective not in COLLECTIVE_MODES:
-            raise ValueError(
-                f"collective must be one of {COLLECTIVE_MODES}, "
-                f"got {collective!r}")
         self.platform = platform
         self.loader = loader
-        #: Cross-node transport for halo/miss/windowed/replica traffic:
-        #: ``staged`` aggregates per node pair (gather the boundary
-        #: chunks to the source node's host, one NIC transfer, scatter
-        #: on arrival); ``naive`` ships one NIC transfer per GPU pair.
-        #: Irrelevant (and unused) on single-node machines.
-        self.internode = internode
-        #: Collective schedule for replica broadcasts and staged
-        #: exchanges: ``none`` keeps the legacy per-destination /
-        #: per-node-pair schedule exactly; ``ring``/``tree`` force one
-        #: structured schedule; ``auto`` selects per transfer from the
-        #: modeled topology (docs/COLLECTIVES.md).  Timing-only: array
-        #: results are bit-identical across modes.  Only applies on the
-        #: ``staged`` transport -- ``naive`` stays naive so the
-        #: ablation baseline is undisturbed.
-        self.collective = collective
-        self.collectives = (
-            CollectiveEngine(platform, collective, tracer=tracer)
-            if collective != "none" else None)
-        #: Opt-in tracer: transfers issued inside a :meth:`_tag` block
-        #: carry the coherence mechanism and array that produced them.
-        self.tracer = tracer
+        #: Routes everything the mechanisms below say has moved.
+        #: ``internode`` picks the cross-node route -- ``staged``
+        #: aggregates per node pair, ``naive`` ships one NIC transfer
+        #: per GPU pair -- and ``collective`` upgrades the staged
+        #: route's schedules (docs/COLLECTIVES.md "Who decides the
+        #: route").  Timing-only: array results are bit-identical
+        #: across transports.
+        self.transport = Transport(platform, internode, collective,
+                                   overlap=overlap, tracer=tracer,
+                                   note=self._note)
         #: Merge reduction partials with a binary tree (log G rounds of
         #: concurrent pairwise transfers) rather than a flat gather to
         #: GPU 0 -- the inter-GPU level of the paper's hierarchical
@@ -138,64 +124,36 @@ class CommunicationManager:
         self.overlap = overlap
         #: Merge adjacent dirty chunks into one transaction per run.
         self.coalesce = coalesce
-        #: One comm stream per GPU; every bus transfer is mirrored onto
-        #: its endpoint streams, so recorded events carry per-device
-        #: communication completion times.
-        self.streams = [Stream(g, platform.clock)
-                        for g in range(platform.ngpus)]
         #: In-flight traffic per array name (overlap mode only).
         self.pending: dict[str, PendingComm] = {}
         self._active: PendingComm | None = None
-        #: Telemetry: bytes shipped per mechanism (tests/benchmarks).
-        self.bytes_replica = 0
-        self.bytes_miss = 0
-        self.bytes_halo = 0
-        self.bytes_reduction = 0
-        #: Dirty-element propagation of runtime-demoted (distributed)
-        #: replica arrays: only copies whose block overlaps the writes
-        #: are updated.
-        self.bytes_windowed = 0
-        #: Per-array cumulative bytes by mechanism, and the same for the
-        #: most recent :meth:`after_kernels` call only.  The adaptive
-        #: placement advisor reads the per-call numbers.
-        self.per_array_bytes: dict[str, dict[str, int]] = {}
+        #: Telemetry: cumulative bytes shipped per ``(array, kind)``,
+        #: kind one of replica / windowed / miss / halo / reduction
+        #: (``windowed``: dirty elements of runtime-demoted replica
+        #: arrays, sent only to the copies whose block they fall in).
+        self.ledger: dict[tuple[str, str], int] = {}
+        #: The same per array, for the most recent :meth:`after_kernels`
+        #: call only.  The adaptive placement advisor reads it.
         self.last_call_bytes: dict[str, dict[str, int]] = {}
         #: Telemetry: bus transactions issued / saved by coalescing.
         self.transactions = 0
         self.transactions_coalesced_away = 0
-        self.staged_broadcasts = 0
-        #: Telemetry: bytes that crossed a node boundary (NIC bytes --
-        #: aggregated totals under ``staged``, per-pair sums under
-        #: ``naive``) and staged node-pair exchanges performed.
-        self.bytes_internode = 0
-        self.staged_exchanges = 0
 
-    # -- collective telemetry (0 when the engine is off) ---------------------------
-
-    @property
-    def collective_broadcasts(self) -> int:
-        """Collective (ring/tree) broadcasts scheduled by the engine."""
-        if self.collectives is None:
-            return 0
-        return sum(self.collectives.broadcasts.values())
-
-    @property
-    def collective_steps(self) -> int:
-        """Pipeline steps (chunk hops) scheduled by the engine."""
-        return 0 if self.collectives is None else self.collectives.steps
-
-    @property
-    def bytes_collective(self) -> int:
-        """Wire bytes moved under collective schedules (each hop a
-        relayed chunk traverses counts once)."""
-        if self.collectives is None:
-            return 0
-        return sum(self.collectives.bytes_scheduled.values())
+    bytes_replica = _ledger_view("replica", "replica broadcasts")
+    bytes_windowed = _ledger_view("windowed", "windowed propagation")
+    bytes_miss = _ledger_view("miss", "write-miss replay")
+    bytes_halo = _ledger_view("halo", "halo refreshes")
+    bytes_reduction = _ledger_view("reduction", "reduction merges")
+    bytes_internode = _transport_view("bytes_internode")
+    staged_exchanges = _transport_view("staged_exchanges")
+    staged_broadcasts = _transport_view("staged_broadcasts")
+    collective_broadcasts = _transport_view("collective_broadcasts")
+    collective_steps = _transport_view("collective_steps")
+    bytes_collective = _transport_view("bytes_collective")
 
     # -- top level -----------------------------------------------------------------
 
-    def after_kernels(self, configs: dict[str, ArrayConfig],
-                      host_env: dict[str, Any] | None = None) -> float:
+    def after_kernels(self, configs: dict[str, ArrayConfig]) -> float:
         """Run the full coherence step; returns GPU-GPU seconds elapsed.
 
         Synchronous mode returns the batch makespan.  Overlap mode
@@ -249,12 +207,6 @@ class CommunicationManager:
             return 0.0
         return clock.elapsed_in(CATEGORY_GPU_GPU) - gg0
 
-    def _tag(self, mechanism: str, array: str | None):
-        """Mechanism/array annotation for bus transfers issued inside."""
-        if self.tracer is None:
-            return nullcontext()
-        return self.tracer.tag(mechanism, array)
-
     # -- overlap bookkeeping -----------------------------------------------------
 
     def _begin(self, ma: ManagedArray) -> None:
@@ -264,8 +216,7 @@ class CommunicationManager:
         prev = self.pending.pop(ma.name, None)
         pc = PendingComm(name=ma.name,
                          inbound_ready=[0.0] * ngpus,
-                         involved_ready=[0.0] * ngpus,
-                         events=[None] * ngpus)
+                         involved_ready=[0.0] * ngpus)
         if prev is not None and prev.finish > self.platform.clock.now:
             # Unfinished older traffic on the same array still gates.
             pc.inbound_ready = list(prev.inbound_ready)
@@ -283,20 +234,14 @@ class CommunicationManager:
         if pc.finish <= self.platform.clock.now:
             return  # nothing (still) in flight
         pc.halo_only = pc.halo_only and halo_only
-        for g in range(self.platform.ngpus):
-            pc.events[g] = self.streams[g].record_event()
         self.pending[pc.name] = pc
 
     def _note(self, tr: Transfer, src: int | None, dst: int | None) -> None:
-        """Record one scheduled transfer: stream mirror + dependences."""
+        """The transport issued one transfer: count it and fold its
+        completion into the dependences of the array being propagated
+        (overlap mode; reduction merges run under no gate)."""
         self.transactions += 1
-        if not self.overlap:
-            return
         pc = self._active
-        label = f"{pc.name}:{tr.kind}" if pc is not None else tr.kind
-        for g in (src, dst):
-            if g is not None:
-                self.streams[g].enqueue_at(label, tr.start, tr.end)
         if pc is None:
             return
         pc.finish = max(pc.finish, tr.end)
@@ -305,19 +250,6 @@ class CommunicationManager:
                 pc.involved_ready[g] = max(pc.involved_ready[g], tr.end)
         if dst is not None:
             pc.inbound_ready[dst] = max(pc.inbound_ready[dst], tr.end)
-
-    def _floor(self, *gpus: int | None) -> float:
-        """Issue dependency of a transfer: the endpoint GPUs' queued
-        kernels produce (source) or still read (destination) the
-        buffers, so the copy may not start before they finish."""
-        if not self.overlap:
-            return 0.0
-        devs = self.platform.devices
-        floor = 0.0
-        for g in gpus:
-            if g is not None and devs[g].busy_until > floor:
-                floor = devs[g].busy_until
-        return floor
 
     def _kernel_barrier(self) -> None:
         target = max([d.busy_until for d in self.platform.devices]
@@ -362,143 +294,21 @@ class CommunicationManager:
         self.pending.clear()
         return advanced
 
-    def _account(self, name: str, kind: str, nbytes: int,
-                 transfers: int = 0) -> None:
-        """Per-array telemetry: cumulative and most-recent-call bytes."""
+    # -- what moved ------------------------------------------------------------------
+
+    def _account(self, name: str, kind: str, nbytes: int) -> None:
+        """Byte ledger: cumulative and most-recent-call."""
         d = self.last_call_bytes.setdefault(name, {})
         d[kind] = d.get(kind, 0) + nbytes
-        if transfers:
-            k = kind + "_transfers"
-            d[k] = d.get(k, 0) + transfers
-        t = self.per_array_bytes.setdefault(name, {})
-        t[kind] = t.get(kind, 0) + nbytes
+        self.ledger[name, kind] = self.ledger.get((name, kind), 0) + nbytes
 
-    # -- inter-node transport -----------------------------------------------------
-
-    def _node(self, g: int) -> int:
-        return self.platform.node_of(g)
-
-    def _flush_internode(self, ma: ManagedArray, mech: str,
-                         pairs: list[tuple[int, int, int]]) -> None:
-        """Ship cross-node ``(src_gpu, dst_gpu, nbytes)`` pairs whose
-        data copies already happened (pairwise-distinct payloads:
-        halo slabs, windowed dirty overlaps, miss records).
-
-        ``staged``: per (source node, destination node) pair, gather
-        each source GPU's bytes to the node host (D2H), one aggregated
-        NIC transfer, scatter per destination GPU (H2D) -- one NIC
-        message per node pair instead of one per GPU pair, which is
-        what amortizes the NIC latency and is the measured win of the
-        multinode ablation.  ``naive``: one NIC transfer per GPU pair
-        (the bus routes cross-node peer copies over the NIC itself).
-        """
-        if not pairs:
-            return
-        bus = self.platform.bus
-        if self.internode == "naive":
-            with self._tag(mech, ma.name):
-                for g, t, nbytes in pairs:
-                    tr = bus.p2p(g, t, nbytes, not_before=self._floor(g, t))
-                    self._note(tr, g, t)
-                    self.bytes_internode += nbytes
-            return
-        groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for g, t, nbytes in pairs:
-            groups.setdefault((self._node(g), self._node(t)), []) \
-                .append((g, t, nbytes))
-        if self.collectives is not None:
-            # Progress engine: same per-node-pair aggregation, but the
-            # gather/NIC/scatter legs pipeline in NIC-sized chunks so
-            # NET time hides behind the PCIe legs (docs/COLLECTIVES.md).
-            for sn, dn in sorted(groups):
-                outbound = {}
-                inbound = {}
-                for g, t, nbytes in groups[(sn, dn)]:
-                    outbound[g] = outbound.get(g, 0) + nbytes
-                    inbound[t] = inbound.get(t, 0) + nbytes
-                self.collectives.exchange(ma.name, sn, dn, outbound,
-                                          inbound, self._floor, self._note)
-                self.bytes_internode += sum(outbound.values())
-                self.staged_exchanges += 1
-            return
-        with self._tag(MECH_INTERNODE_STAGED, ma.name):
-            for sn, dn in sorted(groups):
-                outbound: dict[int, int] = {}
-                inbound: dict[int, int] = {}
-                for g, t, nbytes in groups[(sn, dn)]:
-                    outbound[g] = outbound.get(g, 0) + nbytes
-                    inbound[t] = inbound.get(t, 0) + nbytes
-                gather_end = 0.0
-                for g in sorted(outbound):
-                    d = bus.d2h(g, outbound[g], not_before=self._floor(g),
-                                category=CATEGORY_GPU_GPU, local=True)
-                    self._note(d, g, None)
-                    gather_end = max(gather_end, d.end)
-                total = sum(outbound.values())
-                net = bus.net(sn, dn, total, not_before=gather_end)
-                self._note(net, None, None)
-                self.bytes_internode += total
-                self.staged_exchanges += 1
-                for t in sorted(inbound):
-                    h = bus.h2d(t, inbound[t],
-                                not_before=max(net.end, self._floor(t)),
-                                category=CATEGORY_GPU_GPU, local=True)
-                    self._note(h, None, t)
-
-    def _replica_internode(self, ma: ManagedArray, g: int, far: list[int],
-                           runs: list[tuple[int, int]], total: int) -> None:
-        """Propagate one source GPU's dirty bytes to replicas on other
-        nodes.  Unlike :meth:`_flush_internode` the payload is *shared*
-        (every replica receives the same dirty elements), so staging
-        dedups: one D2H gather on the source node, one NIC transfer of
-        ``total`` per destination node -- not per member -- then a
-        per-member H2D scatter."""
-        bus = self.platform.bus
-        if self.internode == "naive":
-            with self._tag(MECH_REPLICA, ma.name):
-                for t in far:
-                    nb = self._floor(g, t)
-                    for _, nbytes in runs:
-                        tr = bus.p2p(g, t, nbytes, not_before=nb)
-                        self._note(tr, g, t)
-                        self.bytes_replica += nbytes
-                        self.bytes_internode += nbytes
-                        self._account(ma.name, "replica", nbytes, transfers=1)
-            return
-        by_node: dict[int, list[int]] = {}
-        for t in far:
-            by_node.setdefault(self._node(t), []).append(t)
-        if self.collectives is not None:
-            # Ring/tree broadcast between the destination node hosts
-            # instead of one NIC transfer per destination node from the
-            # source: same dedup (each node receives ``total`` once),
-            # but the source NIC port is loaded once and the hops
-            # pipeline (docs/COLLECTIVES.md).
-            self.collectives.node_broadcast(ma.name, g, by_node, total,
-                                            self._floor, self._note)
-            for dn in sorted(by_node):
-                self.bytes_internode += total
-                for t in by_node[dn]:
-                    self.bytes_replica += total
-                    self._account(ma.name, "replica", total, transfers=1)
-            return
-        with self._tag(MECH_INTERNODE_STAGED, ma.name):
-            d = bus.d2h(g, total, not_before=self._floor(g),
-                        category=CATEGORY_GPU_GPU, local=True)
-            self._note(d, g, None)
-            src_node = self._node(g)
-            for dn in sorted(by_node):
-                net = bus.net(src_node, dn, total, not_before=d.end)
-                self._note(net, None, None)
-                self.bytes_internode += total
-                self.staged_exchanges += 1
-                for t in by_node[dn]:
-                    h = bus.h2d(t, total,
-                                not_before=max(net.end, self._floor(t)),
-                                category=CATEGORY_GPU_GPU, local=True)
-                    self._note(h, None, t)
-                    self.bytes_replica += total
-                    self._account(ma.name, "replica", total, transfers=1)
+    def _ship(self, name: str, kind: str, mech: str, pairs: list[Pair],
+              direct: bool = False) -> None:
+        """Pairs shape: the data of ``pairs`` is already in place;
+        account their bytes and let the transport move them."""
+        if pairs:
+            self._account(name, kind, sum(n for _, _, n in pairs))
+            self.transport.pairs(mech, name, pairs, direct)
 
     # -- replicated arrays ------------------------------------------------------------
 
@@ -509,7 +319,6 @@ class CommunicationManager:
             if tracker is not None:
                 tracker.clear()
             return
-        bus = self.platform.bus
         updates = []
         for g in range(ngpus):
             tracker = ma.dirty[g]
@@ -545,78 +354,15 @@ class CommunicationManager:
                        if t != g and ma.buffers[t] is not None]
             for t in targets:
                 ma.buffers[t].data[idx] = vals
-            if not targets:
-                continue
-            total = sum(n for _, n in runs)
-            # Node-local replicas ride the PCIe paths below unchanged;
-            # replicas on other nodes go through the NIC transport (on
-            # a single-node machine ``far`` is always empty and this
-            # split is the identity).
-            near = [t for t in targets if self._node(t) == self._node(g)]
-            far = [t for t in targets if self._node(t) != self._node(g)]
-            if far:
-                self._replica_internode(ma, g, far, runs, total)
-            targets = near
-            if not targets:
-                continue
-            if (self.collectives is not None
-                    and self.collectives.gpu_broadcast(
-                        ma.name, g, targets, runs, total,
-                        self._floor, self._note) is not None):
-                # Hub-local ring chain or binomial p2p tree between the
-                # node's replicas; ``auto`` returns None when the
-                # direct fan-out prices cheaper and we fall through to
-                # the legacy paths unchanged.
-                for t in targets:
-                    self.bytes_replica += total
-                    self._account(ma.name, "replica", total, transfers=1)
-            elif self._stage_broadcast(g, targets, runs, total):
-                # Host-staged broadcast: one D2H of the dirty bytes,
-                # then one H2D per replica chained on its completion.
-                # For a fan-out of two or more this loads each link
-                # once instead of occupying the source link per peer
-                # (and avoids repeated QPI crossings on dual-hub
-                # nodes); it needs async transfers with dependencies,
-                # so it only runs in overlap mode.  Logically it is
-                # inter-GPU traffic: the pieces carry a GPU-GPU
-                # category override.
-                with self._tag(MECH_REPLICA_STAGED, ma.name):
-                    d = bus.d2h(g, total, not_before=self._floor(g),
-                                category=CATEGORY_GPU_GPU)
-                    self._note(d, g, None)
-                    self.staged_broadcasts += 1
-                    for t in targets:
-                        h = bus.h2d(t, total,
-                                    not_before=max(d.end, self._floor(t)),
-                                    category=CATEGORY_GPU_GPU)
-                        self._note(h, None, t)
-                        self.bytes_replica += total
-                        self._account(ma.name, "replica", total, transfers=1)
-            else:
-                with self._tag(MECH_REPLICA, ma.name):
-                    for t in targets:
-                        nb = self._floor(g, t)
-                        for _, nbytes in runs:
-                            tr = bus.p2p(g, t, nbytes, not_before=nb)
-                            self._note(tr, g, t)
-                            self.bytes_replica += nbytes
-                            self._account(ma.name, "replica", nbytes,
-                                          transfers=1)
+            if targets:
+                # Broadcast shape: every replica receives the same
+                # dirty chunks, however the transport gets them there.
+                self._account(ma.name, "replica",
+                              sum(n for _, n in runs) * len(targets))
+                self.transport.broadcast(ma.name, g, targets, runs)
         for g in range(ngpus):
             if ma.dirty[g] is not None:
                 ma.dirty[g].clear()
-
-    def _stage_broadcast(self, g: int, targets: list[int],
-                         runs: list[tuple[int, int]], total: int) -> bool:
-        """Price direct fan-out vs host staging for one source GPU."""
-        if not self.overlap or len(targets) < 2 or total == 0:
-            return False
-        bus = self.platform.bus
-        direct = sum(bus.duration("p2p", n, g, t)
-                     for t in targets for _, n in runs)
-        staged = (bus.duration("d2h", total, g, None)
-                  + bus.duration("h2d", total, None, g))
-        return staged < direct
 
     def _propagate_dirty_windowed(self, ma: ManagedArray) -> None:
         """Dirty propagation for a runtime-demoted replica array.
@@ -626,8 +372,8 @@ class CommunicationManager:
         inferred window.  Every write of GPU ``g`` lands inside its own
         block; other GPUs only need the dirty elements that fall inside
         *their* blocks -- the halo overlap -- instead of the full
-        replica broadcast.  One transfer per (source, target) pair of
-        just the overlapping bytes.
+        replica broadcast.  One pair per (source, target) of just the
+        overlapping bytes.
         """
         ngpus = self.platform.ngpus
         if ngpus == 1:
@@ -637,18 +383,16 @@ class CommunicationManager:
         plan = ma.windowed_plan
         if plan is None or plan[0] != ma.version:
             # Per source GPU: the resident copies a write of it may land
-            # in -- ``(target, block lo, block hi, target data,
-            # cross_node)``.  Which elements are dirty is per-launch
-            # data; who can receive them is the layout's.
+            # in -- ``(target, block lo, block hi, target data)``.
+            # Which elements are dirty is per-launch data; who can
+            # receive them is the layout's.
             plan = ma.windowed_plan = (ma.version, [
-                [(t, ma.blocks[t].lo, ma.blocks[t].hi, ma.buffers[t].data,
-                  self._node(t) != self._node(g))
+                [(t, ma.blocks[t].lo, ma.blocks[t].hi, ma.buffers[t].data)
                  for t in range(ngpus)
                  if t != g and ma.buffers[t] is not None]
                 for g in range(ngpus)])
         targets = plan[1]
-        bus = self.platform.bus
-        cross: list[tuple[int, int, int]] = []
+        pairs: list[Pair] = []
         for g in range(ngpus):
             tracker = ma.dirty[g]
             if tracker is None or not tracker.any_dirty:
@@ -663,7 +407,7 @@ class CommunicationManager:
             if sl is None:
                 idx = tracker.dirty_elements()
                 vals = buf.data[idx - g_lo].copy()
-            for t, tb_lo, tb_hi, t_data, cross_node in targets[g]:
+            for t, tb_lo, tb_hi, t_data in targets[g]:
                 if sl is not None:
                     ov_lo = max(sl[0], tb_lo)
                     ov_hi = min(sl[1], tb_hi)
@@ -679,17 +423,8 @@ class CommunicationManager:
                     if n == 0:
                         continue
                     t_data[idx[sel] - tb_lo] = vals[sel]
-                nbytes = n * ma.itemsize
-                if cross_node:
-                    cross.append((g, t, nbytes))
-                else:
-                    with self._tag(MECH_WINDOWED, ma.name):
-                        tr = bus.p2p(g, t, nbytes,
-                                     not_before=self._floor(g, t))
-                    self._note(tr, g, t)
-                self.bytes_windowed += nbytes
-                self._account(ma.name, "windowed", nbytes, transfers=1)
-        self._flush_internode(ma, MECH_WINDOWED, cross)
+                pairs.append((g, t, n * ma.itemsize))
+        self._ship(ma.name, "windowed", MECH_WINDOWED, pairs)
         for g in range(ngpus):
             if ma.dirty[g] is not None:
                 ma.dirty[g].clear()
@@ -698,7 +433,7 @@ class CommunicationManager:
 
     def _route_misses(self, ma: ManagedArray) -> None:
         ngpus = self.platform.ngpus
-        cross: list[tuple[int, int, int]] = []
+        pairs: list[Pair] = []
         for g in range(ngpus):
             buf = ma.miss[g]
             if buf is None or buf.count == 0:
@@ -725,52 +460,34 @@ class CommunicationManager:
                     v = vals[sel] if isinstance(vals, np.ndarray) and vals.shape else vals
                     ks.store(tgt.data, local, v, op)
                     per_target_bytes[t] += int(sel.sum()) * RECORD_BYTES
-            for t, nbytes in enumerate(per_target_bytes):
-                if nbytes:
-                    if self._node(t) != self._node(g):
-                        cross.append((g, t, nbytes))
-                    else:
-                        with self._tag(MECH_MISS_REPLAY, ma.name):
-                            tr = self.platform.bus.p2p(
-                                g, t, nbytes, not_before=self._floor(g, t))
-                        self._note(tr, g, t)
-                    self.bytes_miss += nbytes
-                    self._account(ma.name, "miss", nbytes, transfers=1)
+            pairs += [(g, t, nbytes)
+                      for t, nbytes in enumerate(per_target_bytes) if nbytes]
             # Release any overflow growth steps: the buffer returns to
             # its up-front capacity for the next loop (high_water keeps
             # the peak for the Fig. 9 accounting).
             buf.reset()
-        self._flush_internode(ma, MECH_MISS_REPLAY, cross)
+        self._ship(ma.name, "miss", MECH_MISS_REPLAY, pairs)
 
     def _refresh_halos(self, ma: ManagedArray) -> None:
         """Owner blocks changed: update overlapping copies on other GPUs."""
         plan = ma.halo_plan
         if plan is None or plan[0] != ma.version:
             plan = ma.halo_plan = (ma.version, self._derive_halo_plan(ma))
-        copies, cross = plan[1]
-        bus = self.platform.bus
-        name = ma.name
-        with self._tag(MECH_HALO, name):
-            for g, t, dst, src, nbytes, cross_node in copies:
-                np.copyto(dst, src)
-                if not cross_node:
-                    tr = bus.p2p(g, t, nbytes, not_before=self._floor(g, t))
-                    self._note(tr, g, t)
-                self.bytes_halo += nbytes
-                self._account(name, "halo", nbytes, transfers=1)
-        self._flush_internode(ma, MECH_HALO, cross)
+        copies, pairs = plan[1]
+        for dst, src in copies:
+            np.copyto(dst, src)
+        self._ship(ma.name, "halo", MECH_HALO, pairs)
 
-    def _derive_halo_plan(self, ma: ManagedArray) -> tuple[list, list]:
-        """Halo exchange schedule of the resident layout: every
-        ``(src_gpu, dst_gpu, dst_view, src_view, nbytes, cross_node)``
-        where a primary block overlaps another GPU's copy, in issue
-        order, plus the ``(src_gpu, dst_gpu, nbytes)`` pairs that cross
-        a node boundary.  The views alias the live device buffers, so
-        the plan is only valid for the ``ma.version`` it was built at.
+    def _derive_halo_plan(self, ma: ManagedArray) -> tuple[list, list[Pair]]:
+        """Halo exchange of the resident layout: every ``(dst_view,
+        src_view)`` where a primary block overlaps another GPU's copy,
+        and the matching ``(src_gpu, dst_gpu, nbytes)`` pairs, in issue
+        order.  The views alias the live device buffers, so the plan is
+        only valid for the ``ma.version`` it was built at.
         """
         ngpus = self.platform.ngpus
         copies: list[tuple] = []
-        cross: list[tuple[int, int, int]] = []
+        pairs: list[Pair] = []
         for g in range(ngpus):
             src = ma.buffers[g]
             if src is None:
@@ -786,24 +503,12 @@ class CommunicationManager:
                     continue
                 src_lo = ov.lo - ma.blocks[g].lo
                 dst_lo = ov.lo - ma.blocks[t].lo
-                nbytes = ov.size * ma.itemsize
-                cross_node = self._node(t) != self._node(g)
-                copies.append((g, t,
-                               ma.buffers[t].data[dst_lo:dst_lo + ov.size],
-                               src.data[src_lo:src_lo + ov.size],
-                               nbytes, cross_node))
-                if cross_node:
-                    cross.append((g, t, nbytes))
-        return copies, cross
+                copies.append((ma.buffers[t].data[dst_lo:dst_lo + ov.size],
+                               src.data[src_lo:src_lo + ov.size]))
+                pairs.append((g, t, ov.size * ma.itemsize))
+        return copies, pairs
 
     # -- reduction destinations ------------------------------------------------------------
-
-    def _note_reduction(self, tr: Transfer, src: int, dst: int,
-                        nbytes: int) -> None:
-        self._note(tr, src, dst)
-        self.bytes_reduction += nbytes
-        if tr.cross_node:
-            self.bytes_internode += nbytes
 
     def _merge_reduction(self, ma: ManagedArray, cfg: ArrayConfig) -> None:
         """Hierarchical reduction, final (inter-GPU) level (section IV-B4).
@@ -812,67 +517,42 @@ class CommunicationManager:
         ``tree_reduction`` (the default) they merge in ``log2(G)``
         rounds of *concurrent* pairwise transfers (disjoint GPU pairs
         use disjoint links); the flat variant gathers everything to
-        GPU 0 through its single link.  Either way the combined result
-        (including the host's initial values) is broadcast back.
+        GPU 0 through its single link, in one round.  Either way the
+        combined result (including the host's initial values) is
+        broadcast back over the same hops, last round first, direction
+        swapped.  Each hop depends on the one before, so hops go
+        ``direct`` whatever the transport.
         """
         op = cfg.reduction_op or "+"
         ngpus = self.platform.ngpus
         alive = [g for g in range(ngpus) if ma.buffers[g] is not None]
         nbytes = ma.length * ma.itemsize
-        if len(alive) > 1:
-            if self.tree_reduction:
-                stride = 1
-                while stride < len(alive):
-                    for k in range(0, len(alive) - stride, 2 * stride):
-                        src = alive[k + stride]
-                        dst = alive[k]
-                        with self._tag(MECH_REDUCTION_MERGE, ma.name):
-                            tr = self.platform.bus.p2p(src, dst, nbytes)
-                        self._note_reduction(tr, src, dst, nbytes)
-                        np.copyto(
-                            ma.buffers[dst].data,
-                            _combine(op, ma.buffers[dst].data,
-                                     ma.buffers[src].data))
-                    stride *= 2
-            else:
-                root = alive[0]
-                for g in alive[1:]:
-                    with self._tag(MECH_REDUCTION_MERGE, ma.name):
-                        tr = self.platform.bus.p2p(g, root, nbytes)
-                    self._note_reduction(tr, g, root, nbytes)
-                    np.copyto(
-                        ma.buffers[root].data,
-                        _combine(op, ma.buffers[root].data,
-                                 ma.buffers[g].data))
+        rounds: list[list[tuple[int, int]]] = []  # (src, dst) merge hops
+        if self.tree_reduction:
+            stride = 1
+            while stride < len(alive):
+                rounds.append([(alive[k + stride], alive[k]) for k in
+                               range(0, len(alive) - stride, 2 * stride)])
+                stride *= 2
+        elif len(alive) > 1:
+            rounds.append([(g, alive[0]) for g in alive[1:]])
+        for hops in rounds:
+            self._ship(ma.name, "reduction", MECH_REDUCTION_MERGE,
+                       [(src, dst, nbytes) for src, dst in hops], direct=True)
+            for src, dst in hops:
+                np.copyto(ma.buffers[dst].data,
+                          _combine(op, ma.buffers[dst].data,
+                                   ma.buffers[src].data))
         merged = _combine(op, np.asarray(ma.host).copy(),
                           ma.buffers[alive[0]].data) if alive else \
             np.asarray(ma.host).copy()
         ma.store_home(0, ma.length,
                       merged.astype(ma.host.dtype, copy=False))
-        # Broadcast the final values back (reverse tree / flat fan-out).
         for g in alive:
             np.copyto(ma.buffers[g].data, ma.host)
-        if len(alive) > 1:
-            if self.tree_reduction:
-                stride = 1
-                levels: list[list[tuple[int, int]]] = []
-                while stride < len(alive):
-                    level = []
-                    for k in range(0, len(alive) - stride, 2 * stride):
-                        level.append((alive[k], alive[k + stride]))
-                    levels.append(level)
-                    stride *= 2
-                for level in reversed(levels):
-                    for src, dst in level:
-                        with self._tag(MECH_REDUCTION_BCAST, ma.name):
-                            tr = self.platform.bus.p2p(src, dst, nbytes)
-                        self._note_reduction(tr, src, dst, nbytes)
-            else:
-                root = alive[0]
-                for g in alive[1:]:
-                    with self._tag(MECH_REDUCTION_BCAST, ma.name):
-                        tr = self.platform.bus.p2p(root, g, nbytes)
-                    self._note_reduction(tr, root, g, nbytes)
+        for hops in reversed(rounds):
+            self._ship(ma.name, "reduction", MECH_REDUCTION_BCAST,
+                       [(dst, src, nbytes) for src, dst in hops], direct=True)
         ma.device_ahead = False
         ma.materialized = True
         # The buffers now hold a coherent full replica of the merged data,

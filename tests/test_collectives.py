@@ -1,4 +1,4 @@
-"""Collective communication engine (runtime/collectives.py).
+"""The transport and its collective schedules (runtime/collectives.py).
 
 Covers the tentpole claims of docs/COLLECTIVES.md:
 
@@ -12,8 +12,10 @@ Covers the tentpole claims of docs/COLLECTIVES.md:
 * fault injection: a dead link raises the structured
   :class:`NetworkError` mid-schedule under ring and tree alike, and a
   degraded-but-live link only changes timing;
-* telemetry: engine counters, per-schedule tracer metrics and the
-  ``collective_*`` trace mechanisms all surface.
+* telemetry: transport counters, per-schedule tracer metrics and the
+  ``collective_*`` trace mechanisms all surface;
+* routing: the "Who decides the route" table of docs/COLLECTIVES.md,
+  executed -- 5 transports x {pairs, broadcast} on a 2x2 fleet.
 """
 
 import numpy as np
@@ -30,17 +32,23 @@ from repro.bench.multinode import (
 from repro.explain import main as explain_main, render_collectives
 from repro.runtime.collectives import (
     COLLECTIVE_MODES,
-    CollectiveEngine,
+    TRANSPORTS,
+    Transport,
     node_schedule_costs,
     ring_order,
     select_node_schedule,
     tree_rounds,
 )
+from repro.trace import Tracer
 from repro.trace.events import (
     MECH_COLLECTIVE_PIPELINE,
     MECH_COLLECTIVE_RING,
     MECH_COLLECTIVE_TREE,
+    MECH_HALO,
+    MECH_INTERNODE_STAGED,
+    MECH_REPLICA,
 )
+from repro.vcuda import Platform
 from repro.vcuda.bus import NetworkError
 from repro.vcuda.specs import CLUSTERS, cluster_of
 
@@ -141,9 +149,43 @@ class TestEngineContract:
         spec = APPS["md"]
         prog = repro.compile(spec.source)
         run = prog.run(spec.entry, spec.args_for("tiny"), ngpus=1)
-        for bad in ("none", "butterfly"):
-            with pytest.raises(ValueError):
-                CollectiveEngine(run.platform, bad)
+        # "none" is no collective schedule: the transport it selects
+        # is the staged one.  Unknown values are rejected.
+        assert Transport(run.platform, collective="none").mode == "staged"
+        for bad in ("butterfly", "staged"):
+            with pytest.raises(ValueError, match="collective"):
+                Transport(run.platform, collective=bad)
+        with pytest.raises(ValueError, match="internode"):
+            Transport(run.platform, internode="butterfly")
+
+    def test_naive_takes_no_collective_schedule(self):
+        # docs/COLLECTIVES.md: ``internode="naive"`` is the undisturbed
+        # ablation baseline.  It used to consult the collective engine
+        # for node-local replicas anyway (37 collective broadcasts on
+        # bfs 2x4 under naive + ring); the pair is a contradiction and
+        # is rejected where the transport is configured.
+        spec = APPS["bfs"]
+        prog = repro.compile(spec.source)
+        cluster = hypothetical_cluster(2, 4)
+        for mode in SCHEDULES:
+            with pytest.raises(ValueError) as exc_info:
+                prog.run(spec.entry, spec.args_for("tiny"), machine=cluster,
+                         ngpus=8, internode="naive", collective=mode)
+            assert "internode='naive'" in str(exc_info.value)
+            assert f"collective={mode!r}" in str(exc_info.value)
+        run = prog.run(spec.entry, spec.args_for("tiny"), machine=cluster,
+                       ngpus=8, internode="naive", collective="none")
+        assert run.executor.comm.transport.mode == "naive"
+        assert run.executor.comm.collective_broadcasts == 0
+
+    def test_flag_pairs_select_five_transports(self):
+        p = Platform(hypothetical_cluster(2, 2), 4)
+        modes = {Transport(p, internode, collective).mode
+                 for internode in ("staged", "naive")
+                 for collective in COLLECTIVE_MODES
+                 if (internode, collective) == ("naive", "none")
+                 or internode == "staged"}
+        assert modes == set(TRANSPORTS)
 
     def test_modes_tuple_is_the_contract(self):
         assert COLLECTIVE_MODES == ("none", "auto", "ring", "tree")
@@ -275,10 +317,11 @@ class TestTelemetry:
     def test_engine_counters_and_metrics(self, mode):
         run = self._traced_run(mode)
         comm = run.executor.comm
-        engine = comm.collectives
-        assert engine.broadcasts[mode] > 0
-        assert engine.broadcasts["tree" if mode == "ring" else "ring"] == 0
-        assert engine.exchanges > 0
+        transport = comm.transport
+        assert transport.mode == mode
+        assert transport.broadcasts[mode] > 0
+        assert transport.broadcasts["tree" if mode == "ring" else "ring"] == 0
+        assert transport.staged_exchanges > 0
         assert comm.collective_steps > 0
         assert comm.bytes_collective > 0
         metrics = run.tracer.metrics
@@ -303,8 +346,9 @@ class TestTelemetry:
     def test_legacy_mode_schedules_no_collectives(self):
         run = self._traced_run("none")
         comm = run.executor.comm
-        assert comm.collectives is None
+        assert comm.transport.mode == "staged"
         assert comm.collective_broadcasts == 0
+        assert comm.collective_steps == 0
         assert comm.bytes_collective == 0
         mechs = {e.mechanism for e in run.tracer.events
                  if getattr(e, "mechanism", None)}
@@ -322,6 +366,91 @@ class TestTelemetry:
                            ngpus=8, collective=mode)
             runs[mode] = run.platform.bus.cross_node_bytes()
         assert len(set(runs.values())) == 1
+
+
+# ---------------------------------------------------------------------------
+# The routing table (docs/COLLECTIVES.md "Who decides the route"), executed
+# ---------------------------------------------------------------------------
+
+#: A stub mechanism on a 2x2 fleet (GPUs 0,1 on node 0; 2,3 on node 1).
+#: Pairs: two same-node, two node 0 -> 1 (from two source GPUs), one
+#: node 1 -> 0.  Broadcast: GPU 0's two dirty runs to every other GPU.
+STUB_PAIRS = [(0, 1, 64), (1, 2, 64), (0, 3, 64), (2, 1, 64), (3, 2, 64)]
+STUB_RUNS = [(0, 256), (512, 256)]
+
+#: transport -> shape -> (mechanism tags, net transfers, NIC bytes counted)
+ROUTING_TABLE = {
+    "naive": {
+        # One NIC transfer per cross-node pair, under the caller's tag.
+        "pairs": ({MECH_HALO}, 3, 3 * 64),
+        # Per far target per run; the one near replica fans out too.
+        "broadcast": ({MECH_REPLICA}, 4, 4 * 256),
+    },
+    "staged": {
+        # One NIC transfer per node pair.
+        "pairs": ({MECH_HALO, MECH_INTERNODE_STAGED}, 2, 3 * 64),
+        # The shared payload crosses once per destination node.
+        "broadcast": ({MECH_INTERNODE_STAGED, MECH_REPLICA}, 1, 512),
+    },
+    "ring": {
+        # Pipelined: one NIC chunk per source GPU per node pair.
+        "pairs": ({MECH_HALO, MECH_COLLECTIVE_PIPELINE}, 3, 3 * 64),
+        "broadcast": ({MECH_COLLECTIVE_RING, MECH_REPLICA}, 1, 512),
+    },
+    "tree": {
+        "pairs": ({MECH_HALO, MECH_COLLECTIVE_PIPELINE}, 3, 3 * 64),
+        "broadcast": ({MECH_COLLECTIVE_TREE, MECH_REPLICA}, 1, 512),
+    },
+    "auto": {
+        "pairs": ({MECH_HALO, MECH_COLLECTIVE_PIPELINE}, 3, 3 * 64),
+        # One hop: ring and tree price the same, ties go to tree.
+        "broadcast": ({MECH_COLLECTIVE_TREE, MECH_REPLICA}, 1, 512),
+    },
+}
+
+
+class TestRoutingTable:
+    def test_table_covers_every_transport(self):
+        assert tuple(ROUTING_TABLE) == TRANSPORTS
+
+    @pytest.mark.parametrize("shape", ["pairs", "broadcast"])
+    @pytest.mark.parametrize("mode", TRANSPORTS)
+    def test_transport_routes_shape(self, mode, shape):
+        p = Platform(hypothetical_cluster(2, 2), 4)
+        tracer = Tracer(ngpus=4)
+        p.bus.observer = tracer.on_transfer
+        noted = []
+        transport = Transport(
+            p, internode="naive" if mode == "naive" else "staged",
+            collective=mode if mode in SCHEDULES else "none",
+            tracer=tracer, note=lambda tr, src, dst: noted.append(tr))
+        assert transport.mode == mode
+        if shape == "pairs":
+            transport.pairs(MECH_HALO, "a", STUB_PAIRS)
+        else:
+            transport.broadcast("a", 0, [1, 2, 3], STUB_RUNS)
+        tags, nets, nic_bytes = ROUTING_TABLE[mode][shape]
+        assert {e.mechanism for e in tracer.events} == tags
+        assert sum(t.kind == "net" for t in p.bus.pending) == nets
+        assert transport.bytes_internode == nic_bytes
+        # The comm manager's hook saw every transfer the bus did.
+        assert noted == list(p.bus.pending)
+        assert {e.array for e in tracer.events} == {"a"}
+
+    def test_direct_pairs_ignore_the_transport(self):
+        # Reduction hops: list order, peer copies, whatever the mode.
+        orders = set()
+        for mode in TRANSPORTS:
+            p = Platform(hypothetical_cluster(2, 2), 4)
+            Transport(
+                p, internode="naive" if mode == "naive" else "staged",
+                collective=mode if mode in SCHEDULES else "none",
+            ).pairs(MECH_HALO, "a", STUB_PAIRS, direct=True)
+            orders.add(tuple((t.kind, t.src_device, t.dst_device, t.start,
+                              t.end) for t in p.bus.pending))
+            assert [(t.src_device, t.dst_device, t.nbytes)
+                    for t in p.bus.pending] == STUB_PAIRS
+        assert len(orders) == 1
 
 
 # ---------------------------------------------------------------------------

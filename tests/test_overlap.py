@@ -247,12 +247,11 @@ class TestBitIdenticalResults:
 
     def test_sync_mode_untouched_by_default(self):
         # The default path must match the seed behavior exactly: no
-        # overlap accounting, no comm streams populated, no split
-        # launches.
+        # overlap accounting, no in-flight gate, no split launches.
         app = APPS["stencil"]
         off, _ = _run_app(app, "supercomputer", 3)
         assert off.platform.bus.advancer is None
-        assert all(not s.ops for s in off.executor.comm.streams)
+        assert not off.executor.comm.pending
         assert not any(l.kernel_name.endswith(("[int]", "[bnd]"))
                        for d in off.platform.devices for l in d.launches)
 
