@@ -209,9 +209,11 @@ class AccProgram:
         unmodified.  ``internode`` selects the cross-node transport on
         clusters: ``"staged"`` (default) aggregates coherence traffic
         per node pair -- gather to the node host, one NIC transfer,
-        scatter on arrival -- while ``"naive"`` ships one NIC transfer
-        per GPU pair.  Both are timing-only knobs; single-node runs
-        never touch the NIC and ignore the choice.
+        scatter on arrival -- while ``"naive"``, the ablation baseline,
+        ships one NIC transfer per GPU pair and takes no collective
+        schedule (``collective`` must stay ``"none"``; any other pair
+        is a ``ValueError``).  Both are timing-only knobs; single-node
+        runs never touch the NIC and ignore the choice.
 
         ``collective`` upgrades the staged transport's broadcast and
         exchange schedules (docs/COLLECTIVES.md): ``"ring"`` pipelines
@@ -222,18 +224,24 @@ class AccProgram:
         the default ``"none"`` also enables the staged-exchange
         progress engine, which overlaps the gather/NIC/scatter legs in
         NIC-sized chunks.  Timing-only like ``internode``: results are
-        bit-identical across all four modes, and one-GPU or
+        bit-identical across all five transports the two flags select
+        (``naive | staged | ring | tree | auto``), and one-GPU or
         ``"none"``-mode runs reproduce the legacy schedule exactly.
         """
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         if trace is None:
             trace = os.environ.get("REPRO_TRACE", "") not in ("", "0")
+        spec = machine
         if isinstance(machine, str):
-            spec = (CLUSTERS[machine] if machine in CLUSTERS
-                    else MACHINES[machine])
-        else:
-            spec = machine
+            spec = CLUSTERS.get(machine) or MACHINES.get(machine)
+            if spec is None:
+                raise KeyError(
+                    f"unknown machine {machine!r}: known machines are "
+                    f"{sorted(MACHINES)}, known clusters {sorted(CLUSTERS)}")
+        if chunk_bytes < 1:
+            raise ValueError(
+                f"chunk_bytes must be at least 1, got {chunk_bytes!r}")
         platform = Platform(spec, ngpus)
         loader = DataLoader(platform, chunk_bytes=chunk_bytes,
                             reload_skipping=reload_skipping,

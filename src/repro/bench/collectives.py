@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..runtime.collectives import TRANSPORTS
 from ..vcuda.specs import ClusterSpec, cluster_of
 from .machines import hypothetical_cluster, hypothetical_node
 from .multinode import ENTRY, STENCIL_PROBES_SOURCE, probe_args
 
-#: Sweep columns: ``collective`` mode per named variant ("naive" is the
-#: naive transport; everything else rides ``internode="staged"``).
-VARIANTS = ("naive", "staged", "ring", "tree", "auto")
+#: Sweep columns: one per transport ("naive" is ``internode="naive"``;
+#: everything else rides ``internode="staged"`` with the variant as its
+#: ``collective`` mode, ``"none"`` for "staged").
+VARIANTS = TRANSPORTS
 
 
 def grouped_cluster(nodes: int, gpus_per_node: int,

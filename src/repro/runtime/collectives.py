@@ -41,7 +41,7 @@ determinism matrix pins it).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Callable
+from typing import Any
 
 from ..vcuda.bus import CATEGORY_GPU_GPU, Bus, Transfer
 from ..vcuda.specs import ClusterSpec
@@ -69,10 +69,6 @@ COLLECTIVE_MODES = ("none", "auto", "ring", "tree")
 #: The transports the (``internode``, ``collective``) run flags select.
 TRANSPORTS = ("naive", "staged", "ring", "tree", "auto")
 
-#: ``note(transfer, src_gpu, dst_gpu)`` -- the comm manager's
-#: bookkeeping hook, called once per issued transfer (transaction count
-#: + the overlap gate's event dependences).
-NoteFn = Callable[[Transfer, int | None, int | None], None]
 #: ``(src_gpu, dst_gpu, nbytes)``.
 Pair = tuple[int, int, int]
 
@@ -183,8 +179,7 @@ class Transport:
 
     def __init__(self, platform: Any, internode: str = "staged",
                  collective: str = "none", overlap: bool = False,
-                 tracer: Any | None = None,
-                 note: NoteFn | None = None) -> None:
+                 tracer: Any | None = None) -> None:
         if internode not in ("staged", "naive"):
             raise ValueError(
                 f"internode must be 'staged' or 'naive', got {internode!r}")
@@ -210,12 +205,18 @@ class Transport:
         #: Opt-in tracer: transfers issued inside a :meth:`_tag` block
         #: carry the mechanism and array that produced them.
         self.tracer = tracer
-        self.note: NoteFn = note or (lambda tr, src, dst: None)
+        #: Overlap bookkeeping hook: while the comm manager propagates
+        #: one array in overlap mode this is its in-flight record, and
+        #: every issued transfer is reported to its ``note(transfer,
+        #: src_gpu, dst_gpu)`` (completions become event dependences).
+        self.gate: Any | None = None
         self._node = [platform.node_of(g) for g in range(platform.ngpus)]
         self._multinode = len(set(self._node)) > 1
         nic = getattr(self.machine, "nic", None)
         #: NIC pipeline chunk (0 on single-node machines: no NIC).
         self.net_chunk = nic.collective_chunk_bytes if nic is not None else 0
+        #: Telemetry: bus transactions issued.
+        self.transactions = 0
         #: Telemetry: bytes that crossed a node boundary (NIC bytes --
         #: aggregated totals when staged, per-pair sums when direct),
         #: node-pair exchanges performed (serialized or pipelined) and
@@ -250,6 +251,11 @@ class Transport:
             return nullcontext()
         return self.tracer.tag(mechanism, array)
 
+    def _note(self, tr: Transfer, src: int | None, dst: int | None) -> None:
+        self.transactions += 1
+        if self.gate is not None:
+            self.gate.note(tr, src, dst)
+
     def _floor(self, *gpus: int) -> float:
         """Issue dependency of a transfer: the endpoint GPUs' queued
         kernels produce (source) or still read (destination) the
@@ -268,14 +274,14 @@ class Transport:
         when ``local``); returns its completion time."""
         d = self.bus.d2h(g, nbytes, not_before=self._floor(g),
                          category=CATEGORY_GPU_GPU, local=local)
-        self.note(d, g, None)
+        self._note(d, g, None)
         return d.end
 
     def _net(self, src_node: int, dst_node: int, nbytes: int,
              ready: float) -> float:
         """Host-to-host NIC leg; returns its completion time."""
         tr = self.bus.net(src_node, dst_node, nbytes, not_before=ready)
-        self.note(tr, None, None)
+        self._note(tr, None, None)
         return tr.end
 
     def _scatter(self, t: int, nbytes: int, ready: float,
@@ -283,7 +289,7 @@ class Transport:
         """H2D leg of a staged schedule, chained on ``ready``."""
         h = self.bus.h2d(t, nbytes, not_before=max(ready, self._floor(t)),
                          category=CATEGORY_GPU_GPU, local=local)
-        self.note(h, None, t)
+        self._note(h, None, t)
 
     def _record(self, schedule: str, scope: str, steps: int,
                 nbytes: int) -> None:
@@ -295,16 +301,9 @@ class Transport:
             self.tracer.metrics.count("collective_bytes", nbytes,
                                       schedule=schedule, scope=scope)
 
-    def select(self, src_node: int, dst_nodes: list[int],
-               nbytes: int) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return select_node_schedule(self.machine, src_node, dst_nodes,
-                                    nbytes, self.net_chunk)
-
     # -- pairs: pairwise-distinct payloads --------------------------------------
 
-    def pairs(self, mech: str, array: str | None, pairs: list[Pair],
+    def pairs(self, array: str | None, mech: str, pairs: list[Pair],
               direct: bool = False) -> None:
         """Ship ``(src_gpu, dst_gpu, nbytes)`` pairs under the
         mechanism tag ``mech``.
@@ -325,7 +324,7 @@ class Transport:
                 pairs = [p for p in pairs if node[p[0]] == node[p[1]]]
                 if self.mode == "naive":
                     pairs, far = pairs + far, []
-        bus, floor, note = self.bus, self._floor, self.note
+        bus, floor, note = self.bus, self._floor, self._note
         with self._tag(mech, array):
             for g, t, nbytes in pairs:
                 tr = bus.p2p(g, t, nbytes, not_before=floor(g, t))
@@ -441,7 +440,7 @@ class Transport:
         """Direct fan-out: one peer copy per target per dirty chunk run
         (the sender scans only the second-level bits, so the transfer
         unit is the chunk)."""
-        self.pairs(MECH_REPLICA, array,
+        self.pairs(array, MECH_REPLICA,
                    [(g, t, n) for t in targets for _, n in runs],
                    direct=True)
 
@@ -484,7 +483,10 @@ class Transport:
                     for t in members[dn]:
                         self._scatter(t, total, arrived)
             return
-        schedule = self.select(src_node, dst_nodes, total)
+        schedule = self.mode
+        if schedule == "auto":
+            schedule = select_node_schedule(self.machine, src_node,
+                                            dst_nodes, total, self.net_chunk)
         path = ring_order(self.machine, src_node, [src_node] + dst_nodes)
         with self._tag(MECH_COLLECTIVE_RING if schedule == "ring"
                        else MECH_COLLECTIVE_TREE, array):
@@ -494,7 +496,7 @@ class Transport:
                 arrivals = self.bus.net_pipeline(path, chunks,
                                                  chunk_ready=ready)
                 for tr in (t for ts in arrivals.values() for t in ts):
-                    self.note(tr, None, None)
+                    self._note(tr, None, None)
                 for dn in dst_nodes:
                     for t in members[dn]:
                         for tr in arrivals[dn]:
@@ -554,7 +556,7 @@ class Transport:
             schedule = "ring" if ring_cost < tree_cost else "tree"
         else:
             schedule = self.mode
-        floor, note = self._floor, self.note
+        floor, note = self._floor, self._note
         with self._tag(MECH_COLLECTIVE_RING if schedule == "ring"
                        else MECH_COLLECTIVE_TREE, array):
             if schedule == "ring":

@@ -80,6 +80,16 @@ class PendingComm:
     #: never read them and may launch before they land.
     halo_only: bool = True
 
+    def note(self, tr: Transfer, src: int | None, dst: int | None) -> None:
+        """The transport issued one transfer of this array: fold its
+        completion into the dependences."""
+        self.finish = max(self.finish, tr.end)
+        for g in (src, dst):
+            if g is not None:
+                self.involved_ready[g] = max(self.involved_ready[g], tr.end)
+        if dst is not None:
+            self.inbound_ready[dst] = max(self.inbound_ready[dst], tr.end)
+
 
 def _ledger_view(kind: str, what: str) -> property:
     return property(
@@ -112,8 +122,7 @@ class CommunicationManager:
         #: route").  Timing-only: array results are bit-identical
         #: across transports.
         self.transport = Transport(platform, internode, collective,
-                                   overlap=overlap, tracer=tracer,
-                                   note=self._note)
+                                   overlap=overlap, tracer=tracer)
         #: Merge reduction partials with a binary tree (log G rounds of
         #: concurrent pairwise transfers) rather than a flat gather to
         #: GPU 0 -- the inter-GPU level of the paper's hierarchical
@@ -124,9 +133,9 @@ class CommunicationManager:
         self.overlap = overlap
         #: Merge adjacent dirty chunks into one transaction per run.
         self.coalesce = coalesce
-        #: In-flight traffic per array name (overlap mode only).
+        #: In-flight traffic per array name (overlap mode only).  The
+        #: array being propagated is the transport's ``gate`` meanwhile.
         self.pending: dict[str, PendingComm] = {}
-        self._active: PendingComm | None = None
         #: Telemetry: cumulative bytes shipped per ``(array, kind)``,
         #: kind one of replica / windowed / miss / halo / reduction
         #: (``windowed``: dirty elements of runtime-demoted replica
@@ -135,8 +144,7 @@ class CommunicationManager:
         #: The same per array, for the most recent :meth:`after_kernels`
         #: call only.  The adaptive placement advisor reads it.
         self.last_call_bytes: dict[str, dict[str, int]] = {}
-        #: Telemetry: bus transactions issued / saved by coalescing.
-        self.transactions = 0
+        #: Telemetry: bus transactions saved by coalescing.
         self.transactions_coalesced_away = 0
 
     bytes_replica = _ledger_view("replica", "replica broadcasts")
@@ -144,6 +152,7 @@ class CommunicationManager:
     bytes_miss = _ledger_view("miss", "write-miss replay")
     bytes_halo = _ledger_view("halo", "halo refreshes")
     bytes_reduction = _ledger_view("reduction", "reduction merges")
+    transactions = _transport_view("transactions")
     bytes_internode = _transport_view("bytes_internode")
     staged_exchanges = _transport_view("staged_exchanges")
     staged_broadcasts = _transport_view("staged_broadcasts")
@@ -223,33 +232,17 @@ class CommunicationManager:
             pc.involved_ready = list(prev.involved_ready)
             pc.finish = prev.finish
             pc.halo_only = prev.halo_only
-        self._active = pc
+        self.transport.gate = pc
 
     def _commit(self, halo_only: bool) -> None:
         if not self.overlap:
             return
-        pc = self._active
-        self._active = None
+        pc, self.transport.gate = self.transport.gate, None
         assert pc is not None
         if pc.finish <= self.platform.clock.now:
             return  # nothing (still) in flight
         pc.halo_only = pc.halo_only and halo_only
         self.pending[pc.name] = pc
-
-    def _note(self, tr: Transfer, src: int | None, dst: int | None) -> None:
-        """The transport issued one transfer: count it and fold its
-        completion into the dependences of the array being propagated
-        (overlap mode; reduction merges run under no gate)."""
-        self.transactions += 1
-        pc = self._active
-        if pc is None:
-            return
-        pc.finish = max(pc.finish, tr.end)
-        for g in (src, dst):
-            if g is not None:
-                pc.involved_ready[g] = max(pc.involved_ready[g], tr.end)
-        if dst is not None:
-            pc.inbound_ready[dst] = max(pc.inbound_ready[dst], tr.end)
 
     def _kernel_barrier(self) -> None:
         target = max([d.busy_until for d in self.platform.devices]
@@ -308,7 +301,7 @@ class CommunicationManager:
         account their bytes and let the transport move them."""
         if pairs:
             self._account(name, kind, sum(n for _, _, n in pairs))
-            self.transport.pairs(mech, name, pairs, direct)
+            self.transport.pairs(name, mech, pairs, direct)
 
     # -- replicated arrays ------------------------------------------------------------
 

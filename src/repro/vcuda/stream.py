@@ -58,9 +58,9 @@ class Stream:
         """Mirror an externally scheduled operation into the stream.
 
         The bus scheduler decides DMA start/end times from link
-        availability; the communication manager mirrors each transfer
-        onto the endpoint GPUs' comm streams so events recorded on a
-        stream cover the device's outstanding communication.
+        availability; a caller that wants events recorded on a stream
+        to cover a device's outstanding DMA mirrors each transfer onto
+        the endpoint GPUs' streams with this.
         """
         if end < start:
             raise ValueError("operation may not end before it starts")

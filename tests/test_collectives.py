@@ -419,22 +419,30 @@ class TestRoutingTable:
         p = Platform(hypothetical_cluster(2, 2), 4)
         tracer = Tracer(ngpus=4)
         p.bus.observer = tracer.on_transfer
-        noted = []
         transport = Transport(
             p, internode="naive" if mode == "naive" else "staged",
-            collective=mode if mode in SCHEDULES else "none",
-            tracer=tracer, note=lambda tr, src, dst: noted.append(tr))
+            collective=mode if mode in SCHEDULES else "none", tracer=tracer)
         assert transport.mode == mode
+
+        class RecordingGate:
+            def __init__(self):
+                self.noted = []
+
+            def note(self, tr, src, dst):
+                self.noted.append(tr)
+
+        transport.gate = RecordingGate()
         if shape == "pairs":
-            transport.pairs(MECH_HALO, "a", STUB_PAIRS)
+            transport.pairs("a", MECH_HALO, STUB_PAIRS)
         else:
             transport.broadcast("a", 0, [1, 2, 3], STUB_RUNS)
         tags, nets, nic_bytes = ROUTING_TABLE[mode][shape]
         assert {e.mechanism for e in tracer.events} == tags
         assert sum(t.kind == "net" for t in p.bus.pending) == nets
         assert transport.bytes_internode == nic_bytes
-        # The comm manager's hook saw every transfer the bus did.
-        assert noted == list(p.bus.pending)
+        # The overlap gate saw every transfer the bus did.
+        assert transport.gate.noted == list(p.bus.pending)
+        assert transport.transactions == len(p.bus.pending)
         assert {e.array for e in tracer.events} == {"a"}
 
     def test_direct_pairs_ignore_the_transport(self):
@@ -445,7 +453,7 @@ class TestRoutingTable:
             Transport(
                 p, internode="naive" if mode == "naive" else "staged",
                 collective=mode if mode in SCHEDULES else "none",
-            ).pairs(MECH_HALO, "a", STUB_PAIRS, direct=True)
+            ).pairs("a", MECH_HALO, STUB_PAIRS, direct=True)
             orders.add(tuple((t.kind, t.src_device, t.dst_device, t.start,
                               t.end) for t in p.bus.pending))
             assert [(t.src_device, t.dst_device, t.nbytes)

@@ -121,6 +121,36 @@ class TestPublicApi:
         with pytest.raises(KeyError):
             prog.run("k", {}, machine="laptop")
 
+    def test_invalid_machine_name_lists_known_names(self):
+        # Was a bare ``KeyError: 'nope'``.
+        prog = repro.compile(SAXPY)
+        with pytest.raises(KeyError) as exc_info:
+            prog.run("k", {}, machine="nope")
+        message = str(exc_info.value)
+        assert "'nope'" in message
+        for known in ("desktop", "supercomputer", "tsubame2"):
+            assert known in message
+
+    @pytest.mark.parametrize("app", ["md", "bfs"])
+    @pytest.mark.parametrize("chunk_bytes", [0, -5])
+    def test_invalid_chunk_bytes_rejected_up_front(self, app, chunk_bytes,
+                                                   monkeypatch):
+        # ``md`` has no dirty-bit array and used to accept any value
+        # silently; ``bfs`` failed mid-run, after the first loads, from
+        # ``TwoLevelDirty.__init__``.  Now neither gets as far as a
+        # platform, let alone a transfer.
+        from repro.apps import ALL_APPS
+
+        def no_platform(*args, **kwargs):
+            raise AssertionError("Platform built before the check")
+
+        monkeypatch.setattr("repro.api.Platform", no_platform)
+        spec = ALL_APPS[app]
+        prog = repro.compile(spec.source)
+        with pytest.raises(ValueError, match="chunk_bytes"):
+            prog.run(spec.entry, spec.args_for("tiny"), ngpus=2,
+                     chunk_bytes=chunk_bytes)
+
     def test_invalid_engine(self):
         prog = repro.compile(SAXPY)
         with pytest.raises(ValueError):
