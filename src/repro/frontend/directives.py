@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import cast as C
-from .lexer import EOF, ID, PUNCT, Token, tokenize
+from .lexer import EOF, ID, PUNCT, tokenize
 from .parser import Parser
 
 #: Reduction operators accepted by ``reduction`` / ``reductiontoarray``.
@@ -169,11 +169,11 @@ class AccReductionToArray(Directive):
 
 
 class _ClauseParser(Parser):
-    """Token cursor over one pragma line with section helpers."""
+    """Parser over one pragma line, scanned at its source line, with
+    section helpers."""
 
     def __init__(self, text: str, line: int) -> None:
-        toks = [Token(t.kind, t.value, line, t.col) for t in tokenize(text)]
-        super().__init__(toks)
+        super().__init__(tokenize(text, line))
         self.line = line
 
     def err(self, msg: str) -> DirectiveError:

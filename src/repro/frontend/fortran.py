@@ -37,7 +37,17 @@ from dataclasses import dataclass
 
 from . import cast as C
 from .directives import Directive, parse_pragma
-from .lexer import EOF, FLOAT_LIT, ID, INT_LIT, PUNCT, Token
+from .lexer import (
+    EOF,
+    FLOAT_LIT,
+    FORTRAN_TABLE,
+    ID,
+    INT_LIT,
+    PUNCT,
+    LexError,
+    tokenize,
+)
+from .parser import BINARY_PREC, Parser
 
 
 class FortranError(SyntaxError):
@@ -101,156 +111,71 @@ def _scan_lines(source: str) -> list[_Line]:
 # Expression parsing (Fortran surface -> C AST)
 # ---------------------------------------------------------------------------
 
-_DOT_OPS = {
-    ".and.": "&&", ".or.": "||",
-    ".eq.": "==", ".ne.": "!=", ".lt.": "<", ".le.": "<=",
-    ".gt.": ">", ".ge.": ">=",
-}
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<dotop>\.(?:and|or|not|eq|ne|lt|le|gt|ge|true|false)\.)"
-    r"|(?P<float>(?:\d+\.\d*|\.\d+|\d+)(?:[edED][+-]?\d+)(?:_\w+)?"
-    r"|\d+\.\d*(?:_\w+)?|\.\d+(?:_\w+)?)"
-    r"|(?P<int>\d+(?:_\w+)?)"
-    r"|(?P<id>[A-Za-z_]\w*)"
-    r"|(?P<op>\*\*|==|/=|<=|>=|<|>|[-+*/(),=:])"
-    r")", re.IGNORECASE)
-
-
-def _tokenize_expr(text: str, line: int) -> list[Token]:
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise FortranError(f"cannot tokenize {text[pos:]!r}", line)
-        pos = m.end()
-        if m.group("dotop"):
-            word = m.group("dotop").lower()
-            if word == ".true.":
-                tokens.append(Token(INT_LIT, "1", line, m.start() + 1))
-            elif word == ".false.":
-                tokens.append(Token(INT_LIT, "0", line, m.start() + 1))
-            elif word == ".not.":
-                tokens.append(Token(PUNCT, "!", line, m.start() + 1))
-            else:
-                tokens.append(Token(PUNCT, _DOT_OPS[word], line,
-                                    m.start() + 1))
-        elif m.group("float"):
-            text_f = m.group("float").split("_")[0]
-            text_f = text_f.replace("d", "e").replace("D", "e")
-            tokens.append(Token(FLOAT_LIT, text_f, line, m.start() + 1))
-        elif m.group("int"):
-            tokens.append(Token(INT_LIT, m.group("int").split("_")[0],
-                                line, m.start() + 1))
-        elif m.group("id"):
-            tokens.append(Token(ID, m.group("id"), line, m.start() + 1))
-        else:
-            op = m.group("op")
-            if op == "/=":
-                op = "!="
-            tokens.append(Token(PUNCT, op, line, m.start() + 1))
-    tokens.append(Token(EOF, "", line, len(text) + 1))
-    return tokens
-
-
 _INTRINSICS = {"sqrt", "abs", "exp", "log", "sin", "cos", "min", "max",
                "mod", "real", "int", "floor", "ceiling", "dble"}
 
+#: Binds tighter than every entry of the shared precedence table.
+_POWER = 1 + max(BINARY_PREC.values())
 
-class _ExprParser:
-    """Pratt parser over the Fortran expression tokens, emitting C AST.
 
-    ``array_names`` distinguishes ``a(i)`` subscripts (1-based, lowered
-    to ``a[i-1]``) from function/intrinsic calls.
+class _ExprParser(Parser):
+    """Fortran operands under the C parser's precedence climb.
+
+    The Fortran table has already respelled the operators as C's; what
+    is left of the surface is ``**`` (right-associative, a ``pow``
+    call) and ``name(args)``, where ``array_names`` distinguishes
+    ``a(i)`` subscripts (1-based, lowered to ``a[i-1]``) from
+    function/intrinsic calls.
     """
 
-    _PREC = {"||": 1, "&&": 2,
-             "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
-             "+": 5, "-": 5, "*": 6, "/": 6, "**": 8}
-
-    def __init__(self, tokens: list[Token], array_names: set[str],
-                 line: int) -> None:
-        self.toks = tokens
-        self.pos = 0
+    def __init__(self, text: str, array_names: set[str], line: int) -> None:
+        try:
+            super().__init__(tokenize(text, line, FORTRAN_TABLE))
+        except LexError as exc:
+            raise FortranError(f"cannot tokenize {text[exc.col - 1:]!r}",
+                               line) from None
         self.arrays = array_names
         self.line = line
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
-
-    def advance(self) -> Token:
-        t = self.cur
-        if t.kind != EOF:
-            self.pos += 1
-        return t
-
-    def accept(self, value: str) -> bool:
-        if self.cur.kind == PUNCT and self.cur.value == value:
-            self.advance()
-            return True
-        return False
-
-    def expect(self, value: str) -> None:
-        if not self.accept(value):
-            raise FortranError(f"expected {value!r} near {self.cur.value!r}",
-                               self.line)
+    def error(self, message: str) -> FortranError:
+        return FortranError(f"{message} near {self.tok.value!r}", self.line)
 
     def parse(self) -> C.Expr:
         e = self.parse_binary(1)
-        if self.cur.kind != EOF:
+        if not self.at(EOF):
             raise FortranError(
-                f"trailing input {self.cur.value!r} in expression", self.line)
+                f"trailing input {self.tok.value!r} in expression", self.line)
         return e
 
-    def parse_binary(self, min_prec: int) -> C.Expr:
-        left = self.parse_unary()
-        while True:
-            t = self.cur
-            prec = self._PREC.get(t.value) if t.kind == PUNCT else None
-            if prec is None or prec < min_prec:
-                return left
-            self.advance()
-            # '**' is right-associative.
-            right = self.parse_binary(prec if t.value == "**" else prec + 1)
-            if t.value == "**":
-                left = C.Call("pow", [left, right], line=self.line)
-            else:
-                left = C.BinOp(t.value, left, right, line=self.line)
-
     def parse_unary(self) -> C.Expr:
-        t = self.cur
-        if t.kind == PUNCT and t.value in ("-", "+", "!"):
-            self.advance()
-            return C.UnOp(t.value, self.parse_unary(), line=self.line)
-        return self.parse_primary()
+        left = self._parse_operand()
+        if self.accept(PUNCT, "**"):
+            return C.Call("pow", [left, self.parse_binary(_POWER)],
+                          line=self.line)
+        return left
 
-    def parse_primary(self) -> C.Expr:
+    def _parse_operand(self) -> C.Expr:
         t = self.advance()
+        if t.kind == PUNCT and t.value in ("-", "+", "!"):
+            return C.UnOp(t.value, self._parse_operand(), line=self.line)
         if t.kind == INT_LIT:
             return C.IntLit(int(t.value), self.line)
         if t.kind == FLOAT_LIT:
             return C.FloatLit(float(t.value), self.line)
         if t.kind == PUNCT and t.value == "(":
             e = self.parse_binary(1)
-            self.expect(")")
+            self.expect(PUNCT, ")")
             return e
         if t.kind == ID:
-            name = t.value
-            if self.cur.kind == PUNCT and self.cur.value == "(":
-                self.advance()
-                args = []
-                if not (self.cur.kind == PUNCT and self.cur.value == ")"):
+            if not self.accept(PUNCT, "("):
+                return C.Ident(t.value, self.line)
+            args = []
+            if not self.at(PUNCT, ")"):
+                args.append(self.parse_binary(1))
+                while self.accept(PUNCT, ","):
                     args.append(self.parse_binary(1))
-                    while self.accept(","):
-                        args.append(self.parse_binary(1))
-                self.expect(")")
-                return self._call_or_subscript(name, args)
-            return C.Ident(name, self.line)
+            self.expect(PUNCT, ")")
+            return self._call_or_subscript(t.value, args)
         raise FortranError(f"unexpected token {t.value!r}", self.line)
 
     def _call_or_subscript(self, name: str, args: list[C.Expr]) -> C.Expr:
@@ -339,8 +264,7 @@ class FortranParser:
         return line
 
     def expr(self, text: str, line: int) -> C.Expr:
-        return _ExprParser(_tokenize_expr(text, line), self.arrays,
-                           line).parse()
+        return _ExprParser(text, self.arrays, line).parse()
 
     # -- program ------------------------------------------------------------------
 

@@ -12,8 +12,11 @@ OpenACC's line-oriented association rules.
 
 from __future__ import annotations
 
+from sys import intern
+
 from . import cast as C
 from .lexer import (
+    CHAR_ESCAPES,
     CHAR_LIT,
     EOF,
     FLOAT_LIT,
@@ -23,6 +26,7 @@ from .lexer import (
     PRAGMA,
     PUNCT,
     STRING_LIT,
+    Cursor,
     Token,
     tokenize,
 )
@@ -33,8 +37,10 @@ _TYPE_KEYWORDS = {"void", "char", "short", "int", "long", "float", "double",
 _ASSIGN_OPS = {"=": "", "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
                "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>"}
 
+_PREFIX_OPS = frozenset({"-", "+", "!", "~", "*", "&"})
+
 # Binary precedence (higher binds tighter).
-_BINARY_PREC = {
+BINARY_PREC = {
     "||": 1, "&&": 2, "|": 3, "^": 4, "&": 5,
     "==": 6, "!=": 6,
     "<": 7, ">": 7, "<=": 7, ">=": 7,
@@ -49,76 +55,45 @@ class ParseError(SyntaxError):
         super().__init__(f"parse error at {token.line}:{token.col}: {message} "
                          f"(near {token.value!r})")
         self.token = token
+        self.line = token.line
+        self.col = token.col
 
 
-class Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    # -- token plumbing ------------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
-    def peek(self, offset: int = 1) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> Token:
-        t = self.cur
-        if t.kind != EOF:
-            self.pos += 1
-        return t
-
-    def at(self, kind: str, value: str | None = None) -> bool:
-        t = self.cur
-        return t.kind == kind and (value is None or t.value == value)
-
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        if self.at(kind, value):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        if not self.at(kind, value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}", self.cur)
-        return self.advance()
+class Parser(Cursor):
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.tok)
 
     # -- top level -------------------------------------------------------------
 
     def parse_program(self) -> C.Program:
         prog = C.Program()
         while not self.at(EOF):
-            if self.at(PRAGMA):
+            if self.accept(PRAGMA):
                 # Stray global pragma (e.g. once) -- not meaningful here.
-                self.advance()
                 continue
             if not self._at_type():
-                raise ParseError("expected declaration or function", self.cur)
+                raise self.error("expected declaration or function")
             mark = self.pos
-            ctype = self._parse_type_specifiers()
-            name_tok = self.expect(ID)
-            if self.at(PUNCT, "("):
-                self.pos = mark
+            self._parse_type_specifiers()
+            self.expect(ID)
+            is_function = self.at(PUNCT, "(")
+            self.seek(mark)
+            if is_function:
                 prog.functions.append(self._parse_function())
             else:
-                self.pos = mark
-                for d in self._parse_declaration():
-                    prog.globals.append(d)
+                prog.globals.extend(self._parse_declaration())
         return prog
 
     def _at_type(self) -> bool:
-        return self.cur.kind == KEYWORD and self.cur.value in _TYPE_KEYWORDS
+        tok = self.tok
+        return tok.kind == KEYWORD and tok.value in _TYPE_KEYWORDS
 
     def _parse_type_specifiers(self) -> C.CType:
         """Base type + qualifiers (no declarator part)."""
         const = False
         unsigned = False
         parts: list[str] = []
-        line = self.cur.line
-        while self.cur.kind == KEYWORD and self.cur.value in _TYPE_KEYWORDS:
+        while self._at_type():
             w = self.advance().value
             if w == "const":
                 const = True
@@ -129,7 +104,7 @@ class Parser:
             else:
                 parts.append(w)
         if not parts and not unsigned:
-            raise ParseError("expected type name", self.cur)
+            raise self.error("expected type name")
         if not parts:
             base = "int"
         elif parts == ["long", "long"]:
@@ -142,6 +117,12 @@ class Parser:
             base = {"int": "unsigned int", "long": "unsigned long",
                     "char": "char"}.get(base, base)
         return C.CType(base, const=const)
+
+    def _parse_pointers(self) -> int:
+        pointers = 0
+        while self.accept(PUNCT, "*"):
+            pointers += 1
+        return pointers
 
     def _parse_declarator(self, base: C.CType) -> tuple[str, C.CType, int]:
         """Pointer stars + name + array dims; returns (name, type, line)."""
@@ -178,11 +159,7 @@ class Parser:
 
     def _parse_function(self) -> C.FunctionDef:
         rtype = self._parse_type_specifiers()
-        # Return-type pointers.
-        pointers = 0
-        while self.accept(PUNCT, "*"):
-            pointers += 1
-        rtype = C.CType(rtype.base, pointers, (), rtype.const)
+        rtype = C.CType(rtype.base, self._parse_pointers(), (), rtype.const)
         name_tok = self.expect(ID)
         self.expect(PUNCT, "(")
         params: list[C.Param] = []
@@ -205,52 +182,53 @@ class Parser:
 
     # -- statements ----------------------------------------------------------------
 
-    def _collect_pragmas(self) -> list:
-        """Consume consecutive pragma tokens, parsing ``acc`` ones."""
+    def parse_statement(self) -> C.Stmt:
+        """One statement, with the ``acc`` pragmas before it attached."""
+        if self.tok.kind != PRAGMA:
+            return self._parse_statement_inner()
         from .directives import parse_pragma  # late import: avoids cycle
 
         directives = []
-        while self.at(PRAGMA):
+        while self.tok.kind == PRAGMA:
             tok = self.advance()
             d = parse_pragma(tok.value, tok.line)
             if d is not None:
                 directives.append(d)
-        return directives
-
-    def parse_statement(self) -> C.Stmt:
-        directives = self._collect_pragmas()
         stmt = self._parse_statement_inner()
         if directives:
             stmt.directives = directives + stmt.directives
         return stmt
 
     def _parse_statement_inner(self) -> C.Stmt:
-        t = self.cur
-        if self.at(PUNCT, "{"):
-            return self.parse_compound()
-        if self._at_type():
-            decls = self._parse_declaration()
-            if len(decls) == 1:
-                return decls[0]
-            return C.Compound(body=list(decls), line=t.line)
-        if self.at(KEYWORD, "if"):
-            return self._parse_if()
-        if self.at(KEYWORD, "for"):
-            return self._parse_for()
-        if self.at(KEYWORD, "while"):
-            return self._parse_while()
-        if self.accept(KEYWORD, "return"):
-            value = None if self.at(PUNCT, ";") else self.parse_expression()
-            self.expect(PUNCT, ";")
-            return C.Return(value=value, line=t.line)
-        if self.accept(KEYWORD, "break"):
-            self.expect(PUNCT, ";")
-            return C.Break(line=t.line)
-        if self.accept(KEYWORD, "continue"):
-            self.expect(PUNCT, ";")
-            return C.Continue(line=t.line)
-        if self.accept(PUNCT, ";"):
-            return C.ExprStmt(expr=None, line=t.line)
+        t = self.tok
+        if t.kind == KEYWORD:
+            word = t.value
+            if word in _TYPE_KEYWORDS:
+                decls = self._parse_declaration()
+                if len(decls) == 1:
+                    return decls[0]
+                return C.Compound(body=list(decls), line=t.line)
+            if word == "if":
+                return self._parse_if()
+            if word == "for":
+                return self._parse_for()
+            if word == "while":
+                return self._parse_while()
+            if word == "return":
+                self.advance()
+                value = None if self.at(PUNCT, ";") else self.parse_expression()
+                self.expect(PUNCT, ";")
+                return C.Return(value=value, line=t.line)
+            if word == "break" or word == "continue":
+                self.advance()
+                self.expect(PUNCT, ";")
+                return (C.Break if word == "break" else C.Continue)(line=t.line)
+        elif t.kind == PUNCT:
+            if t.value == "{":
+                return self.parse_compound()
+            if t.value == ";":
+                self.advance()
+                return C.ExprStmt(expr=None, line=t.line)
         expr = self.parse_expression()
         self.expect(PUNCT, ";")
         return C.ExprStmt(expr=expr, line=t.line)
@@ -260,9 +238,9 @@ class Parser:
         body: list[C.Stmt] = []
         while not self.at(PUNCT, "}"):
             if self.at(EOF):
-                raise ParseError("unterminated block", self.cur)
+                raise self.error("unterminated block")
             body.append(self.parse_statement())
-        self.expect(PUNCT, "}")
+        self.advance()
         return C.Compound(body=body, line=open_tok.line)
 
     def _parse_if(self) -> C.If:
@@ -280,16 +258,15 @@ class Parser:
         tok = self.expect(KEYWORD, "for")
         self.expect(PUNCT, "(")
         init: C.Stmt | None = None
-        if not self.at(PUNCT, ";"):
-            if self._at_type():
-                decls = self._parse_declaration()  # consumes ';'
-                init = decls[0] if len(decls) == 1 else C.Compound(body=list(decls))
-            else:
-                e = self.parse_expression()
-                self.expect(PUNCT, ";")
-                init = C.ExprStmt(expr=e, line=tok.line)
+        if self.accept(PUNCT, ";"):
+            pass
+        elif self._at_type():
+            decls = self._parse_declaration()  # consumes ';'
+            init = decls[0] if len(decls) == 1 else C.Compound(body=list(decls))
         else:
+            e = self.parse_expression()
             self.expect(PUNCT, ";")
+            init = C.ExprStmt(expr=e, line=tok.line)
         cond = None if self.at(PUNCT, ";") else self.parse_expression()
         self.expect(PUNCT, ";")
         step = None if self.at(PUNCT, ")") else self.parse_expression()
@@ -306,88 +283,111 @@ class Parser:
         return C.While(cond=cond, body=body, line=tok.line)
 
     # -- expressions ------------------------------------------------------------------
-
-    def parse_expression(self) -> C.Expr:
-        """Full expression including comma? Subset: no comma operator."""
-        return self.parse_assignment()
+    #
+    # Three calls per operand -- assignment, the precedence climb, the
+    # operand itself with its prefix and postfix forms -- whatever the
+    # depth of the precedence ladder.
 
     def parse_assignment(self) -> C.Expr:
-        left = self.parse_ternary()
-        if self.cur.kind == PUNCT and self.cur.value in _ASSIGN_OPS:
-            op_tok = self.advance()
+        left = self.parse_binary(1)
+        if self.tok.value == "?":
+            left = self._parse_ternary_tail(left)
+        t = self.tok
+        if t.kind == PUNCT and t.value in _ASSIGN_OPS:
+            self.advance()
             value = self.parse_assignment()
             return C.Assign(target=left, value=value,
-                            op=_ASSIGN_OPS[op_tok.value], line=op_tok.line)
+                            op=_ASSIGN_OPS[t.value], line=t.line)
         return left
 
-    def parse_ternary(self) -> C.Expr:
-        cond = self.parse_binary(1)
-        if self.accept(PUNCT, "?"):
-            then = self.parse_assignment()
-            self.expect(PUNCT, ":")
-            other = self.parse_ternary()
-            return C.Ternary(cond=cond, then=then, other=other)
-        return cond
+    #: A full expression.  The subset has no comma operator.
+    parse_expression = parse_assignment
+
+    def _parse_ternary_tail(self, cond: C.Expr) -> C.Ternary:
+        self.expect(PUNCT, "?")
+        then = self.parse_assignment()
+        self.expect(PUNCT, ":")
+        other = self.parse_binary(1)  # right-associative, below assignment
+        if self.tok.value == "?":
+            other = self._parse_ternary_tail(other)
+        return C.Ternary(cond=cond, then=then, other=other)
 
     def parse_binary(self, min_prec: int) -> C.Expr:
+        """Precedence climb over :data:`BINARY_PREC` (both languages)."""
         left = self.parse_unary()
         while True:
-            t = self.cur
-            prec = _BINARY_PREC.get(t.value) if t.kind == PUNCT else None
+            t = self.tok
+            prec = BINARY_PREC.get(t.value) if t.kind == PUNCT else None
             if prec is None or prec < min_prec:
                 return left
             self.advance()
             right = self.parse_binary(prec + 1)
-            left = C.BinOp(op=t.value, left=left, right=right, line=t.line)
+            # Interned: every use of an operator in a tree is one object,
+            # which is what the registry's pickle of it costs.
+            left = C.BinOp(op=intern(t.value), left=left, right=right,
+                           line=t.line)
 
     def parse_unary(self) -> C.Expr:
-        t = self.cur
-        if t.kind == PUNCT and t.value in ("-", "+", "!", "~", "*", "&"):
+        """One operand: prefix operators, a primary, its postfix forms."""
+        t = self.tok
+        kind = t.kind
+        if kind == ID:
             self.advance()
-            return C.UnOp(op=t.value, operand=self.parse_unary(), line=t.line)
-        if t.kind == PUNCT and t.value in ("++", "--"):
-            # Pre-inc/dec desugars to compound assignment.
+            expr: C.Expr = C.Ident(t.value, t.line)
+        elif kind == PUNCT:
+            op = t.value
+            if op in _PREFIX_OPS:
+                self.advance()
+                return C.UnOp(op=op, operand=self.parse_unary(), line=t.line)
+            if op == "++" or op == "--":
+                # Pre-inc/dec desugars to compound assignment.
+                self.advance()
+                operand = self.parse_unary()
+                return C.Assign(target=operand, value=C.IntLit(1, t.line),
+                                op=op[0], line=t.line)
+            if op != "(":
+                raise self.error("expected expression")
             self.advance()
-            operand = self.parse_unary()
-            return C.Assign(target=operand, value=C.IntLit(1, t.line),
-                            op=t.value[0], line=t.line)
-        if t.kind == KEYWORD and t.value == "sizeof":
-            self.advance()
-            self.expect(PUNCT, "(")
-            if self._at_type():
+            if self._at_type():  # cast: '(' type ')' unary
                 ctype = self._parse_type_specifiers()
-                while self.accept(PUNCT, "*"):
-                    ctype = C.CType(ctype.base, ctype.pointers + 1)
+                ctype = C.CType(ctype.base, self._parse_pointers())
                 self.expect(PUNCT, ")")
-                size = 8 if ctype.pointers else ctype.itemsize()
-                return C.IntLit(size, t.line)
-            e = self.parse_expression()
+                return C.CastExpr(to=ctype, operand=self.parse_unary(),
+                                  line=t.line)
+            expr = self.parse_expression()
             self.expect(PUNCT, ")")
-            return C.Call(func="sizeof", args=[e], line=t.line)
-        # Cast: '(' type ')' unary
-        if t.kind == PUNCT and t.value == "(" and self.peek().kind == KEYWORD \
-                and self.peek().value in _TYPE_KEYWORDS:
+        elif kind == INT_LIT:
             self.advance()
-            ctype = self._parse_type_specifiers()
-            pointers = 0
-            while self.accept(PUNCT, "*"):
-                pointers += 1
-            ctype = C.CType(ctype.base, pointers)
-            self.expect(PUNCT, ")")
-            return C.CastExpr(to=ctype, operand=self.parse_unary(), line=t.line)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> C.Expr:
-        expr = self.parse_primary()
+            text = t.value.rstrip("uUlL")
+            expr = C.IntLit(int(text, 16) if text[:2] in ("0x", "0X")
+                            else int(text), t.line)
+        elif kind == FLOAT_LIT:
+            self.advance()
+            expr = C.FloatLit(float(t.value.rstrip("fFlL")), t.line)
+        elif kind == CHAR_LIT:
+            self.advance()
+            body = t.value[1:-1]
+            expr = C.IntLit(ord(CHAR_ESCAPES.get(body, body)), t.line)
+        elif kind == STRING_LIT:
+            # Strings only appear as printf-style arguments; keep the text.
+            self.advance()
+            expr = C.Ident(t.value, t.line)
+        elif kind == KEYWORD and t.value == "sizeof":
+            return self._parse_sizeof()
+        else:
+            raise self.error("expected expression")
         while True:
-            t = self.cur
-            if self.at(PUNCT, "["):
+            t = self.tok
+            if t.kind != PUNCT:
+                return expr
+            op = t.value
+            if op == "[":
                 indices: list[C.Expr] = []
                 while self.accept(PUNCT, "["):
                     indices.append(self.parse_expression())
                     self.expect(PUNCT, "]")
                 expr = C.Index(array=expr, indices=indices, line=t.line)
-            elif self.at(PUNCT, "(") and isinstance(expr, C.Ident):
+            elif op == "(" and isinstance(expr, C.Ident):
                 self.advance()
                 args: list[C.Expr] = []
                 if not self.at(PUNCT, ")"):
@@ -397,42 +397,26 @@ class Parser:
                             break
                 self.expect(PUNCT, ")")
                 expr = C.Call(func=expr.name, args=args, line=t.line)
-            elif t.kind == PUNCT and t.value in ("++", "--"):
+            elif op == "++" or op == "--":
                 self.advance()
                 # Post-inc in expression statements behaves like pre-inc in
                 # the subset (value unused); desugar identically.
                 expr = C.Assign(target=expr, value=C.IntLit(1, t.line),
-                                op=t.value[0], line=t.line)
+                                op=op[0], line=t.line)
             else:
                 return expr
 
-    def parse_primary(self) -> C.Expr:
-        t = self.cur
-        if t.kind == INT_LIT:
-            self.advance()
-            text = t.value.rstrip("uUlL")
-            value = int(text, 16) if text.lower().startswith("0x") else int(text)
-            return C.IntLit(value, t.line)
-        if t.kind == FLOAT_LIT:
-            self.advance()
-            return C.FloatLit(float(t.value.rstrip("fFlL")), t.line)
-        if t.kind == ID:
-            self.advance()
-            return C.Ident(t.value, t.line)
-        if t.kind in (STRING_LIT, CHAR_LIT):
-            self.advance()
-            if t.kind == CHAR_LIT:
-                body = t.value[1:-1]
-                ch = {"\\n": "\n", "\\t": "\t", "\\0": "\0",
-                      "\\\\": "\\"}.get(body, body)
-                return C.IntLit(ord(ch), t.line)
-            # Strings only appear as printf-style arguments; keep the text.
-            return C.Ident(t.value, t.line)
-        if self.accept(PUNCT, "("):
-            e = self.parse_expression()
+    def _parse_sizeof(self) -> C.Expr:
+        t = self.expect(KEYWORD, "sizeof")
+        self.expect(PUNCT, "(")
+        if self._at_type():
+            ctype = self._parse_type_specifiers()
+            pointers = self._parse_pointers()
             self.expect(PUNCT, ")")
-            return e
-        raise ParseError("expected expression", t)
+            return C.IntLit(8 if pointers else ctype.itemsize(), t.line)
+        e = self.parse_expression()
+        self.expect(PUNCT, ")")
+        return C.Call(func="sizeof", args=[e], line=t.line)
 
 
 def parse(source: str) -> C.Program:
@@ -445,5 +429,5 @@ def parse_expr(text: str) -> C.Expr:
     p = Parser(tokenize(text))
     e = p.parse_expression()
     if not p.at(EOF):
-        raise ParseError("trailing input after expression", p.cur)
+        raise p.error("trailing input after expression")
     return e

@@ -325,6 +325,52 @@ class TestErrors:
             parse_fortran(src)
 
 
+class TestSharedExpressionParser:
+    """The Fortran expression grammar runs on the C parser's cursor and
+    precedence climb; these pin what the private copy used to decide."""
+
+    def value_of(self, text):
+        prog = parse_fortran(f"""
+        subroutine t(a, b, c)
+          real :: a, b, c
+          a = {text}
+        end subroutine t
+        """)
+        return C.render_expr(prog.functions[0].body.body[0].expr.value)
+
+    def test_power_is_right_associative_and_binds_tightest(self):
+        assert self.value_of("a ** b ** c * 2") == \
+            self.value_of("(a ** (b ** c)) * 2")
+
+    def test_unary_minus_binds_before_power(self):
+        # Not Fortran's -(a**2): the grouping this front end always had.
+        assert self.value_of("-a ** 2") == self.value_of("(-a) ** 2")
+
+    def test_dot_operators_share_the_c_ladder(self):
+        assert self.value_of("a + b * c .lt. b .and. .not. a /= c") == \
+            self.value_of("(((a + (b * c)) < b) .and. ((.not. a) /= c))")
+
+    def test_unreadable_character_is_a_fortran_error(self):
+        src = """
+        subroutine t(a)
+          real :: a
+          a = a + $ 1
+        end subroutine t
+        """
+        with pytest.raises(FortranError, match=r"line 4: cannot tokenize '\$ 1'"):
+            parse_fortran(src)
+
+    def test_missing_parenthesis_names_the_token(self):
+        src = """
+        subroutine t(a)
+          real :: a
+          a = (a + 1
+        end subroutine t
+        """
+        with pytest.raises(FortranError, match=r"expected '\)' near ''"):
+            parse_fortran(src)
+
+
 class TestFortranExpressions:
     def run_expr(self, expr, env):
         decls = "\n          ".join(

@@ -152,3 +152,63 @@ class TestPragmas:
     def test_non_acc_pragma_still_tokenized(self):
         toks = tokenize("#pragma omp parallel for\nx")
         assert toks[0].kind == PRAGMA and toks[0].value.startswith("omp")
+
+
+class TestMalformedLiterals:
+    """Literals the parser's ``int()`` / ``float()`` / ``ord()`` could not
+    read used to escape as bare ValueError / TypeError with no location."""
+
+    def error_at(self, src):
+        with pytest.raises(LexError) as caught:
+            tokenize(src)
+        return caught.value.line, caught.value.col
+
+    def test_hex_prefix_without_digits(self):
+        assert self.error_at("x =\n  0x;") == (2, 3)
+        assert self.error_at("0xg") == (1, 1)
+
+    def test_integer_suffix_on_float(self):
+        assert self.error_at("a = 1.0u;") == (1, 5)
+        for src in ("1.5fu", "1e5U", "1uf", "0x1uf"):
+            assert self.error_at(src) == (1, 1)
+
+    def test_float_suffix_runs_still_lex(self):
+        assert [t.kind for t in tokenize("1.0fl 1lf 1.5L")[:-1]] == [FLOAT_LIT] * 3
+
+    def test_char_literal_not_one_character(self):
+        for src in ("'ab'", "''", "'\\x41'", "'\\''"):
+            assert self.error_at("c = " + src) == (1, 5)
+
+    def test_char_literal_known_escapes(self):
+        for src in ("'\\n'", "'\\t'", "'\\0'", "'\\\\'", "'\"'"):
+            assert tokenize(src)[0].kind == CHAR_LIT
+
+
+class TestNewlineInLiteral:
+    """A raw newline in a literal used to be swallowed without advancing
+    ``line``: every later token reported one line early."""
+
+    def test_raw_newline_in_string_is_unterminated(self):
+        with pytest.raises(LexError, match="unterminated literal") as caught:
+            tokenize('x = "s\ns" d')
+        assert (caught.value.line, caught.value.col) == (1, 5)
+
+    def test_escaped_newline_in_string_is_unterminated(self):
+        with pytest.raises(LexError, match="unterminated literal"):
+            tokenize('"s\\\ns" d')
+
+    def test_newline_in_char_literal_is_unterminated(self):
+        with pytest.raises(LexError, match="unterminated literal"):
+            tokenize("'\n' d")
+
+
+class TestPragmaLine:
+    def test_continued_pragma_carries_the_line_of_its_hash(self):
+        toks = tokenize("y\n#pragma acc parallel \\\n loop \\\n gang\nx")
+        assert (toks[1].kind, toks[1].line, toks[1].col) == (PRAGMA, 2, 1)
+        assert (toks[2].value, toks[2].line) == ("x", 5)
+
+    def test_pragma_text_scans_at_its_source_line(self):
+        toks = tokenize("loop  gang", line=7)
+        assert [(t.value, t.line, t.col) for t in toks] == [
+            ("loop", 7, 1), ("gang", 7, 7), ("", 7, 11)]

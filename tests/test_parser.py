@@ -3,7 +3,8 @@
 import pytest
 
 from repro.frontend import cast as C
-from repro.frontend.directives import AccLoop, AccParallel
+from repro.frontend.directives import AccLoop, AccParallel, DirectiveError
+from repro.frontend.lexer import LexError
 from repro.frontend.parser import ParseError, parse, parse_expr
 
 
@@ -238,7 +239,39 @@ class TestExpressions:
         assert e.op == "|"
 
 
+class TestMalformedLiterals:
+    """Each of these escaped ``parse_expr`` as a bare ValueError /
+    TypeError without a location."""
+
+    @pytest.mark.parametrize("text, col", [
+        ("0x", 1), ("a + 1.0u", 5), ("1.5fu", 1),
+        ("'ab'", 1), ("''", 1), ("f('\\x41')", 3),
+    ])
+    def test_malformed_literal_is_a_lex_error_with_location(self, text, col):
+        with pytest.raises(LexError) as caught:
+            parse_expr(text)
+        assert (caught.value.line, caught.value.col) == (1, col)
+
+    def test_newline_in_string_does_not_shift_later_lines(self):
+        with pytest.raises(LexError, match="1:19: unterminated literal"):
+            parse('void f() { printf("s\ns"); }\nint x;')
+
+
 class TestPragmaAttachment:
+    def test_continued_pragma_directive_carries_the_line_of_its_hash(self):
+        prog = parse("void f(int n, float *a) {\n"
+                     "#pragma acc parallel \\\n loop \\\n gang\n"
+                     "for (int i = 0; i < n; i++) a[i] = 0; }")
+        loop = prog.functions[0].body.body[0]
+        assert loop.line == 5
+        assert loop.directives[0].line == 2
+        assert loop.directives[0].fused_loop.line == 2
+
+    def test_continued_pragma_error_names_the_line_of_its_hash(self):
+        with pytest.raises(DirectiveError) as caught:
+            parse("void f() {\n#pragma acc loop \\\n bogus\n;}")
+        assert caught.value.line == 2
+
     SRC = """
     void f(int n, float *x) {
       #pragma acc parallel
