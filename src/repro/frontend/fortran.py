@@ -130,10 +130,11 @@ class _ExprParser(Parser):
 
     def __init__(self, text: str, array_names: set[str], line: int) -> None:
         try:
-            super().__init__(tokenize(text, line, FORTRAN_TABLE))
+            tokens = tokenize(text, line, FORTRAN_TABLE)
         except LexError as exc:
             raise FortranError(f"cannot tokenize {text[exc.col - 1:]!r}",
                                line) from None
+        super().__init__(tokens)
         self.arrays = array_names
         self.line = line
 

@@ -5,13 +5,11 @@ compiled master regex per language over the text and dispatches on
 ``Match.lastgroup``; what a group means is the :class:`Table`'s:
 
 * :data:`C_TABLE` -- the C subset.  Line-aware only where C requires it:
-  a ``#pragma`` line is captured whole as one :data:`PRAGMA` token (the
-  text after the word ``pragma``, continuations joined, at the line of
-  its ``#``) and scanned a second time by the directive parser with
-  ``tokenize(text, line)``; other preprocessor lines, ``//`` and
-  ``/* */`` comments are dropped.  A literal ``int()`` / ``float()`` /
-  ``ord()`` could not read is a :class:`LexError` here, not a bare
-  ``ValueError`` downstream.
+  a ``#pragma`` line becomes one :data:`PRAGMA` token (the text after the
+  word ``pragma``, continuations joined, at the line of its ``#``) for
+  the directive parser to scan with ``tokenize(text, line)``; other
+  preprocessor lines and comments are dropped.  A literal that ``int()``
+  / ``float()`` / ``ord()`` could not read is a :class:`LexError` here.
 * :data:`FORTRAN_TABLE` -- Fortran expression text, respelled as C
   tokens (``.and.`` is ``&&``, ``/=`` is ``!=``, ``1.0d0`` is ``1.0e0``),
   so one expression parser serves both languages.
@@ -99,77 +97,6 @@ class Table:
         self.errors = errors or {}
 
 
-def tokenize(source: str, line: int = 1,
-             table: "Table | None" = None) -> list[Token]:
-    """Tokenize ``source`` (the C table unless told otherwise), counting
-    lines from ``line``; returns tokens ending with an EOF token."""
-    table = table or C_TABLE
-    match, kinds, keywords = table.match, table.kinds, table.keywords
-    tokens: list[Token] = []
-    append = tokens.append
-    n = len(source)
-    pos = bol = 0  # scan position; offset of the current line's first char
-    eof = n        # where the EOF token's column is taken
-    while True:
-        m = match(source, pos)
-        if m is None:
-            break
-        group = m.lastgroup
-        pos = m.end()
-        kind = kinds.get(group)
-        if kind is not None:
-            text = m[group]
-            if kind == ID and text in keywords:
-                kind = KEYWORD
-            append(Token(kind, text, line, pos - len(text) - bol + 1))
-            continue
-        if group == "newline":
-            line += 1
-            bol = pos
-            continue
-        start = m.start(group)
-        if group in table.respell:
-            kind, text = table.respell[group](m[group])
-            append(Token(kind, text, line, start - bol + 1))
-        elif group == "comment":
-            newlines = source.count("\n", start, pos)
-            if newlines:
-                line += newlines
-                bol = source.rfind("\n", start, pos) + 1
-        elif group == "linecomment":
-            if pos == n:  # its column is never passed: EOF reports it
-                eof = start
-        elif group == "directive":
-            # Preprocessor line: only #pragma is meaningful; #include /
-            # #define of the subset's headers are dropped (host headers).
-            col = start - bol + 1
-            first = line
-            pos = source.find("\n", start)
-            if pos < 0:
-                pos = n
-            text = source[start:pos]
-            while text.rstrip().endswith("\\") and pos < n:  # continuation
-                end = source.find("\n", pos + 1)
-                if end < 0:
-                    end = n
-                text = text.rstrip().rstrip("\\") + " " + source[pos + 1:end]
-                line += 1
-                pos = end
-            text = text[1:].strip()
-            if text.startswith("pragma"):
-                append(Token(PRAGMA, text[len("pragma"):].strip(), first, col))
-            if pos == n:
-                eof = start
-        else:
-            raise LexError(table.errors[group], line, start - bol + 1)
-    rest = source[pos:].lstrip(table.blanks)
-    if rest:
-        raise LexError(f"unexpected character {rest[0]!r}", line,
-                       n - len(rest) - bol + 1)
-    tokens.append(Token(EOF, "", line, eof - bol + 1))
-    return tokens
-
-
 # -- the C table -------------------------------------------------------------
 
 # Numeric literals end where the suffix run [uUlLfF]* ends.  A run the
@@ -247,6 +174,79 @@ FORTRAN_TABLE = Table(
         "ne": lambda text: (PUNCT, "!="),
     },
 )
+
+
+# -- the scanner ---------------------------------------------------------------
+
+
+def tokenize(source: str, line: int = 1,
+             table: Table = C_TABLE) -> list[Token]:
+    """Tokenize ``source``, counting lines from ``line``; returns tokens
+    ending with an EOF token."""
+    match, kinds, keywords = table.match, table.kinds, table.keywords
+    tokens: list[Token] = []
+    append = tokens.append
+    n = len(source)
+    pos = bol = 0  # scan position; offset of the current line's first char
+    eof = n        # where the EOF token's column is taken
+    while True:
+        m = match(source, pos)
+        if m is None:
+            break
+        group = m.lastgroup
+        pos = m.end()
+        kind = kinds.get(group)
+        if kind is not None:
+            text = m[group]
+            if kind == ID and text in keywords:
+                kind = KEYWORD
+            append(Token(kind, text, line, pos - len(text) - bol + 1))
+            continue
+        if group == "newline":
+            line += 1
+            bol = pos
+            continue
+        start = m.start(group)
+        if group in table.respell:
+            kind, text = table.respell[group](m[group])
+            append(Token(kind, text, line, start - bol + 1))
+        elif group == "comment":
+            newlines = source.count("\n", start, pos)
+            if newlines:
+                line += newlines
+                bol = source.rfind("\n", start, pos) + 1
+        elif group == "linecomment":
+            if pos == n:  # its column is never passed: EOF reports it
+                eof = start
+        elif group == "directive":
+            # Preprocessor line: only #pragma is meaningful; #include /
+            # #define of the subset's headers are dropped (host headers).
+            first = line
+            pos = source.find("\n", start)
+            if pos < 0:
+                pos = n
+            text = source[start:pos]
+            while text.rstrip().endswith("\\") and pos < n:  # continuation
+                end = source.find("\n", pos + 1)
+                if end < 0:
+                    end = n
+                text = text.rstrip().rstrip("\\") + " " + source[pos + 1:end]
+                line += 1
+                pos = end
+            text = text[1:].strip()
+            if text.startswith("pragma"):
+                append(Token(PRAGMA, text[len("pragma"):].strip(), first,
+                             start - bol + 1))
+            if pos == n:
+                eof = start
+        else:
+            raise LexError(table.errors[group], line, start - bol + 1)
+    rest = source[pos:].lstrip(table.blanks)
+    if rest:
+        raise LexError(f"unexpected character {rest[0]!r}", line,
+                       n - len(rest) - bol + 1)
+    tokens.append(Token(EOF, "", line, eof - bol + 1))
+    return tokens
 
 
 # -- the cursor ----------------------------------------------------------------

@@ -45,6 +45,7 @@ from tests.lexer_oracle import (
     oracle_tokenize,
     oracle_tokenize_fortran,
 )
+from tests.test_frontend_golden import token_rows as rows
 from tests.test_fuzz_programs import _SETTINGS, _case_seed
 
 _LEX_SETTINGS = dict(_SETTINGS, max_examples=1500)
@@ -81,10 +82,6 @@ def c_text(draw):
 
 
 RAW_C = st.text(alphabet="019xXuUlLfFeE.+-\"'\\\n /*#ab_;<=>&|", max_size=24)
-
-
-def rows(tokens):
-    return [(t.kind, t.value, t.line, t.col) for t in tokens]
 
 
 def outcome(scan, text):
