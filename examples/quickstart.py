@@ -41,7 +41,7 @@ def main() -> None:
         x = np.arange(n, dtype=np.float32)
         y = np.ones(n, dtype=np.float32)
         run = prog.run("saxpy", {"n": n, "a": 2.0, "x": x, "y": y},
-                       machine="desktop", ngpus=ngpus)
+                       machine="desktop", ngpus=ngpus, trace=True)
         ok = np.allclose(y, 2.0 * np.arange(n) + 1.0)
         bd = run.breakdown
         print(f"\n--- {ngpus} GPU(s) ---")
@@ -55,7 +55,7 @@ def main() -> None:
         assert ok
         if ngpus == 2:
             print("\ntimeline (virtual time):")
-            print(repro.format_timeline(run.timeline()))
+            print(repro.trace.gantt(run.tracer))
 
 
 if __name__ == "__main__":

@@ -25,8 +25,7 @@ The package implements the paper's full stack:
   ``python -m repro.explain``).
 """
 
-from .api import (AccProgram, ProgramRun, TimelineEvent, compile,
-                  compile_fortran, format_timeline)
+from .api import AccProgram, ProgramRun, compile, compile_fortran
 from .sanitizer import CoherenceViolation
 from .translator.compiler import CompileError, CompileOptions
 from .vcuda.specs import (CLUSTERS, DESKTOP_MACHINE, MACHINES,
@@ -39,8 +38,6 @@ __all__ = [
     "compile_fortran",
     "AccProgram",
     "ProgramRun",
-    "TimelineEvent",
-    "format_timeline",
     "CompileOptions",
     "CompileError",
     "CoherenceViolation",

@@ -42,21 +42,6 @@ from .vcuda.profiler import TimeBreakdown
 from .vcuda.specs import CLUSTERS, MACHINES, ClusterSpec, MachineSpec
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One scheduled operation in virtual time."""
-
-    kind: str  # 'kernel' | 'h2d' | 'd2h' | 'p2p' | 'net'
-    label: str
-    resource: str
-    start: float
-    end: float
-
-    @property
-    def seconds(self) -> float:
-        return self.end - self.start
-
-
 @dataclass
 class ProgramRun:
     """Everything observable about one program execution."""
@@ -69,8 +54,8 @@ class ProgramRun:
     #: The coherence sanitizer, when the run was sanitized (else None).
     sanitizer: Any | None = None
     #: The structured tracer, when the run was traced (else None).
-    #: Export with :func:`repro.trace.chrome_trace` /
-    #: :func:`repro.trace.jsonl`.
+    #: Export with :func:`repro.trace.chrome_trace`,
+    #: :func:`repro.trace.jsonl` or :func:`repro.trace.gantt`.
     tracer: Any | None = None
 
     @property
@@ -92,34 +77,6 @@ class ProgramRun:
     @property
     def kernel_launches(self) -> int:
         return sum(len(d.launches) for d in self.platform.devices)
-
-    def timeline(self) -> list["TimelineEvent"]:
-        """Chronological event list: kernel launches and DMA transfers.
-
-        Events from different devices/links overlap in virtual time;
-        sorting by start shows exactly how the scheduler interleaved
-        them -- useful to see why multi-GPU scaling plateaus.
-        """
-        events: list[TimelineEvent] = []
-        for d in self.platform.devices:
-            for l in d.launches:
-                events.append(TimelineEvent(
-                    kind="kernel", label=l.kernel_name,
-                    resource=f"gpu{d.index}", start=l.start, end=l.end))
-        for t in self.platform.bus.completed:
-            if t.kind == "h2d":
-                resource = f"pcie->gpu{t.dst_device}"
-            elif t.kind == "d2h":
-                resource = f"pcie<-gpu{t.src_device}"
-            elif t.kind == "net":
-                resource = f"nic node{t.src_node}->node{t.dst_node}"
-            else:
-                resource = f"p2p gpu{t.src_device}->gpu{t.dst_device}"
-            events.append(TimelineEvent(
-                kind=t.kind, label=f"{t.nbytes}B", resource=resource,
-                start=t.start, end=t.end))
-        events.sort(key=lambda e: (e.start, e.end))
-        return events
 
 
 class AccProgram:
@@ -307,34 +264,3 @@ def compile_fortran(source: str,
     and the runtime are identical to the C path.
     """
     return AccProgram(compile_program(parse_fortran(source), options))
-
-
-def format_timeline(events: list[TimelineEvent], width: int = 60) -> str:
-    """ASCII Gantt chart of a run's timeline, one row per resource.
-
-    Each row shows when its device or link was busy; overlap between
-    rows is the concurrency the virtual scheduler found.
-    """
-    if not events:
-        return "(empty timeline)"
-    t1 = max(e.end for e in events)
-    if t1 <= 0:
-        return "(zero-length timeline)"
-    by_resource: dict[str, list[TimelineEvent]] = {}
-    for e in events:
-        by_resource.setdefault(e.resource, []).append(e)
-    label_w = max(len(r) for r in by_resource)
-    lines = [f"{'':{label_w}}  0{'.' * (width - 8)}{t1 * 1e3:.3f}ms"]
-    for resource in sorted(by_resource):
-        row = [" "] * width
-        for e in by_resource[resource]:
-            a = int(e.start / t1 * (width - 1))
-            b = max(a + 1, int(e.end / t1 * (width - 1)) + 1)
-            ch = {"kernel": "#", "h2d": ">", "d2h": "<", "p2p": "=",
-                  "net": "~"}[e.kind]
-            for c in range(a, min(b, width)):
-                row[c] = ch
-        lines.append(f"{resource:{label_w}}  {''.join(row)}")
-    lines.append(
-        f"{'':{label_w}}  # kernel   > h2d   < d2h   = p2p   ~ net")
-    return "\n".join(lines)

@@ -11,7 +11,8 @@ start/duration, GPU, loop, array and byte count; a metrics registry
 aggregates counters and histograms per loop and per GPU.
 
 Exporters: Chrome-trace/Perfetto JSON (one lane per GPU plus loader and
-comm lanes), flat JSONL, and a per-loop summary table whose category
+comm lanes), flat JSONL, an ASCII Gantt chart (one row per device or
+link), and a per-loop summary table whose category
 sums reconcile *exactly* with the profiler's Fig. 8 breakdown.
 
 Like the sanitizer, the tracer is a pure observer: it never touches the
@@ -58,6 +59,7 @@ from .events import (
 )
 from .export import (
     chrome_trace,
+    gantt,
     jsonl,
     lane_names,
     loop_summary_table,
@@ -108,6 +110,7 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "chrome_trace",
+    "gantt",
     "jsonl",
     "lane_names",
     "loop_summary_table",

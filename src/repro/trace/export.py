@@ -1,4 +1,5 @@
-"""Trace exporters: Chrome-trace JSON, flat JSONL, summary table.
+"""Trace exporters: Chrome-trace JSON, flat JSONL, ASCII Gantt chart,
+summary table.
 
 * :func:`chrome_trace` renders the event log in the Chrome Trace Event
   format (the JSON object form with ``traceEvents``), loadable in
@@ -9,6 +10,9 @@
 
 * :func:`jsonl` emits one JSON object per event -- the flat log for
   ad-hoc ``jq``/pandas analysis and the golden-trace normalizer.
+
+* :func:`gantt` draws the scheduled operations as an ASCII chart, one
+  row per device or link -- the quickest way to *see* overlap.
 
 * :func:`loop_summary_table` renders the tracer's per-loop category
   seconds next to a :class:`~repro.vcuda.profiler.TimeBreakdown` and
@@ -29,7 +33,15 @@ from ..vcuda.bus import (
     CATEGORY_NET_OVERLAPPED,
 )
 from ..vcuda.profiler import TimeBreakdown
-from .events import EVENT_KERNEL, EVENT_NET, SPAN_KINDS, TraceEvent
+from .events import (
+    EVENT_D2H,
+    EVENT_H2D,
+    EVENT_KERNEL,
+    EVENT_NET,
+    EVENT_P2P,
+    SPAN_KINDS,
+    TraceEvent,
+)
 from .tracer import Tracer
 
 _US = 1e6  # chrome-trace timestamps are microseconds
@@ -138,6 +150,49 @@ def jsonl(tracer: Tracer) -> str:
 def write_jsonl(tracer: Tracer, path: str) -> None:
     with open(path, "w") as f:
         f.write(jsonl(tracer))
+
+
+# -- ASCII Gantt chart ------------------------------------------------------
+
+_GANTT_MARKS = {EVENT_KERNEL: "#", EVENT_H2D: ">", EVENT_D2H: "<",
+                EVENT_P2P: "=", EVENT_NET: "~"}
+
+
+def _resource_of(ev: TraceEvent) -> str:
+    """The device or link a scheduled operation occupied."""
+    if ev.kind == EVENT_KERNEL:
+        return f"gpu{ev.gpu}"
+    if ev.kind == EVENT_H2D:
+        return f"pcie->gpu{ev.dst_gpu}"
+    if ev.kind == EVENT_D2H:
+        return f"pcie<-gpu{ev.src_gpu}"
+    if ev.kind == EVENT_NET:
+        return f"nic node{ev.attrs['src_node']}->node{ev.attrs['dst_node']}"
+    return f"p2p gpu{ev.src_gpu}->gpu{ev.dst_gpu}"
+
+
+def gantt(tracer: Tracer, width: int = 60) -> str:
+    """ASCII Gantt chart of the traced run, one row per resource.
+
+    Each row shows when its device or link was busy; overlap between
+    rows is the concurrency the virtual scheduler found.
+    """
+    spans = [ev for ev in tracer.events if ev.kind in SPAN_KINDS]
+    t1 = max((ev.end for ev in spans), default=0.0)
+    if t1 <= 0:
+        return "(empty timeline)"
+    rows: dict[str, list[str]] = {}
+    for ev in spans:
+        row = rows.setdefault(_resource_of(ev), [" "] * width)
+        a = int(ev.start / t1 * (width - 1))
+        b = max(a + 1, int(ev.end / t1 * (width - 1)) + 1)
+        row[a:b] = _GANTT_MARKS[ev.kind] * (b - a)  # end <= t1: b <= width
+    label_w = max(len(r) for r in rows)
+    lines = [f"{'':{label_w}}  0{'.' * (width - 8)}{t1 * 1e3:.3f}ms"]
+    lines += [f"{r:{label_w}}  {''.join(rows[r])}" for r in sorted(rows)]
+    lines.append(
+        f"{'':{label_w}}  # kernel   > h2d   < d2h   = p2p   ~ net")
+    return "\n".join(lines)
 
 
 # -- per-loop summary / Fig. 8 reconciliation -------------------------------

@@ -51,7 +51,7 @@ from .array_config import (
 )
 from .infer import harmonize_windows, infer_array_window
 from ..vcuda.device import KernelWork
-from .cost import KernelCostInfo
+from .cost import CostCollector, KernelCostInfo, PriceError, price_body
 from .interpreter import KernelInterpreter
 from .spanlower import vectorize_loop
 from .vectorizer import (
@@ -464,13 +464,18 @@ def _compile_loop(name: str, loop_stmt: C.For, loop_dir: AccLoop,
                 raise CompileError(
                     "num_gangs must be a positive constant", par_dir.line)
             plan.max_gangs = ng
+    # Priced first, from the C statements alone: a loop the emitter
+    # then rejects keeps its real cost on the interpreter.
+    cost = CostCollector()
     try:
+        labels = price_body(analysis, config, scalar_types, local_types,
+                            cost)
+        plan.cost = KernelCostInfo(buckets=cost.buckets)
         info = vectorize_loop(name, analysis, config, scalar_types,
-                              local_types)
+                              local_types, labels)
         plan.source_info = info
         plan.fn = compile_kernel_source(info)
-        plan.cost = info.cost
-    except VectorizeError as exc:
+    except (PriceError, VectorizeError) as exc:
         if options.require_vectorized:
             raise CompileError(str(exc), loop_stmt.line) from exc
         plan.vectorize_error = str(exc)

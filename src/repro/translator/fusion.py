@@ -55,10 +55,12 @@ Enabled with ``CompileOptions(fuse=True)``.  The pass is structured as:
 4. **Fused codegen** -- one kernel whose body is the members' vectorized
    bodies concatenated under a shared header (the union of array/scalar
    bindings, scratch allocation for demoted arrays).  Each member is
-   lowered again by :func:`repro.translator.spanlower.lower_body` with
-   a *shared* cost collector and offset temp/label counters, so the
-   fused static cost is charged once per launch and the span lowering
-   is reused verbatim.  The interpreter path runs the member
+   priced again by :func:`repro.translator.cost.price_body` into a
+   *shared* cost collector (under its fused-codegen config, labels
+   numbered on from the previous member's), so the fused static cost is
+   charged once per launch, and lowered again by
+   :func:`repro.translator.spanlower.lower_body` with offset temporary
+   counters.  The interpreter path runs the member
    interpreters back to back, which is exactly the fused vectorized
    statement order.
 
@@ -82,7 +84,7 @@ from ..frontend.analysis import AffineForm, affine_in, const_value
 from ..frontend.cast import render_expr
 from ..frontend.directives import AccData, AccParallel, AccUpdate
 from .array_config import ArrayConfig, LoopConfig, Placement, WriteHandling
-from .cost import CostCollector, KernelCostInfo
+from .cost import CostCollector, KernelCostInfo, price_body
 from .infer import window_from_span
 from .interpreter import KernelInterpreter
 from .spanlower import binding_lines, kernel_source, lower_body
@@ -677,20 +679,19 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
 
     shared_cost = CostCollector()
     bodies = []
-    inner_labels: list[str] = []
     tmp_base = 0
-    label_base = 0
     interps: list[KernelInterpreter] = []
     for m in members:
         local_types = _local_types(m, scope)
         codegen_cfg = _member_codegen_config(m, demoted, group_written)
-        body = lower_body(m.name, m.analysis, codegen_cfg, scalar_types,
-                          local_types, shared_cost, tmp_base=tmp_base,
-                          label_base=label_base, slot_base=len(demoted))
+        # Labels number on from the previous member's: one bucket each.
+        labels = price_body(m.analysis, codegen_cfg, scalar_types,
+                            local_types, shared_cost,
+                            label_base=len(shared_cost.buckets) - 1)
+        body = lower_body(m.analysis, codegen_cfg, scalar_types, local_types,
+                          labels, tmp_base=tmp_base, slot_base=len(demoted))
         bodies.append(body)
-        inner_labels.extend(body.inner_labels)
         tmp_base = body.tmp_end
-        label_base = body.label_end
         interps.append(KernelInterpreter(
             body=m.analysis.nest.body,
             loop_var=m.loop_var,
@@ -700,16 +701,7 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
             local_types=dict(local_types),
         ))
 
-    source = kernel_source(bindings, bodies, prelude)
-    info = KernelSourceInfo(
-        name=name,
-        source=source,
-        cost=KernelCostInfo(buckets=shared_cost.buckets),
-        array_names=sorted(merged.arrays),
-        scalar_names=scalar_names,
-        inner_labels=inner_labels,
-        scalar_reductions=[],
-    )
+    info = KernelSourceInfo(name, kernel_source(bindings, bodies, prelude))
     plan = KernelPlan(
         name=name,
         config=merged,
@@ -717,7 +709,7 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
         lower=first.lower,
         upper=first.upper,
         scalar_names=scalar_names,
-        cost=info.cost,
+        cost=KernelCostInfo(buckets=shared_cost.buckets),
         analysis=first.analysis,
         source_info=info,
         fn=compile_kernel_source(info),

@@ -1,6 +1,6 @@
 """Span-native kernel lowering and kernel assembly.
 
-The reference lowering (:mod:`repro.translator.vectorizer`) treats every
+The mask lowering (:mod:`repro.translator.vectorizer`) treats every
 access as a gather or scatter over a lane-index vector and every ``if``
 as a boolean lane mask.  On the plain outer axis most of that is
 allocation and copying, not arithmetic: the iteration slice of one GPU
@@ -24,12 +24,13 @@ per operation from the C types (array and local dtypes are exact; a
 Python ``float`` is weak against a float array under value-based casting
 and under NEP 50 alike; a host scalar a proof leans on is bound through
 its C type at kernel entry); whatever cannot be proven is evaluated
-unbuffered, as the reference does.
+unbuffered, as the mask lowering does.
 
-:func:`lower_body` runs both lowerings over one loop body, statement by
-statement: the reference pass only charges the cost model, the span
-pass writes the kernel -- one body, which :func:`kernel_source`
-assembles.  A body with no unit-stride access is the reference's.
+:func:`lower_body` lowers one priced loop body once, with the one
+emitter that fits it: this one where the body has a unit-stride access,
+the mask lowering where it has none.  :func:`kernel_source` assembles
+the kernel around it.  Neither emitter can reach the cost model
+(:func:`repro.translator.cost.price_body` ran before them).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from ..frontend import cast as C
 from ..frontend.analysis import LoopAnalysis, affine_in, const_value
 from .array_config import LoopConfig, WriteHandling
-from .cost import ACCESS_COALESCED, CostCollector, KernelCostInfo
+from .cost import reduction_directive
 from .vectorizer import _DTYPES, _MATH_CALLS, KernelSourceInfo, Vectorizer
 
 _FLOAT_DTYPES = ("np.float32", "np.float64")
@@ -121,7 +122,6 @@ class SpanVectorizer(Vectorizer):
 
     def __init__(self, *args, slot_base: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.cost = CostCollector()  # the reference pass prices the kernel
         #: span_start / interval_of per AST node.  Sound across the
         #: pre-pass and the emission: a local can only make an offset
         #: lane-varying, and it is declared before any use.
@@ -192,13 +192,10 @@ class SpanVectorizer(Vectorizer):
             self._spans[id(idx)] = self.tx(aff.offset) if unit else None
         return self._spans[id(idx)]
 
-    def classify_access(self, name: str, idx: C.Expr) -> str:
-        return ACCESS_COALESCED  # pricing is the reference pass's business
-
     def touches_span(self, node: C.Expr | C.Stmt) -> bool:
         """Does ``node`` make a unit-stride access or use a slot local?
         Only such statements are lowered span-natively; the rest keep
-        the reference's text."""
+        the mask lowering's text."""
         exprs = C.walk_expr(node) if isinstance(node, C.Expr) \
             else C.all_exprs(node)
         for x in exprs:
@@ -259,7 +256,7 @@ class SpanVectorizer(Vectorizer):
         return f"{off} + {lo}"
 
     def _span_load(self, e: C.Index, copy: bool) -> tuple[str, str] | None:
-        off = self.span_start(self.linear_index(e))
+        off = self.span_start(e.indices[0])
         if off is None:
             return None
         name = e.base_name()
@@ -272,15 +269,11 @@ class SpanVectorizer(Vectorizer):
                      f"{', True' if copy else ''})")
 
     def tx_load(self, e: C.Index) -> str:
-        cfg = self.config.arrays.get(e.base_name())
-        if cfg is not None:
-            # A value kept in an expression string may be bound to a
-            # local of the mask path: copy when the kernel also stores
-            # to the array.
-            hit = self._span_load(e, cfg.written)
-            if hit is not None:
-                return hit[1]
-        return super().tx_load(e)
+        # A value kept in an expression string may be bound to a local
+        # of the mask path: copy when the kernel also stores to the
+        # array.
+        hit = self._span_load(e, self.config.arrays[e.base_name()].written)
+        return hit[1] if hit is not None else super().tx_load(e)
 
     # -- scratch slots -------------------------------------------------------------
 
@@ -350,9 +343,8 @@ class SpanVectorizer(Vectorizer):
             return self._op("np.negative", f"(-{v.src})", [v], out)
         if isinstance(e, C.BinOp) and e.op in _UFUNCS:
             return self._bx_binop(e, out)
-        if isinstance(e, C.Call) and e.func in _MATH_CALLS \
-                and _MATH_CALLS[e.func][0].startswith("np."):
-            fn = _MATH_CALLS[e.func][0]
+        if isinstance(e, C.Call) and _MATH_CALLS[e.func].startswith("np."):
+            fn = _MATH_CALLS[e.func]
             vals = [self.bx(a) for a in e.args]
             plain = f"{fn}({', '.join(v.src for v in vals)})"
             if not any(v.vec for v in vals):
@@ -377,7 +369,7 @@ class SpanVectorizer(Vectorizer):
         if n in self.locals and n not in self.reduction_vars:
             return _Val(self.local_src(n), True,
                         dtype=_DTYPES.get(self.local_types.get(n, "")))
-        src = self.tx_ident(e)  # host scalar, or the reference's error
+        src = self.tx_ident(e)  # host scalar, or the mask lowering's error
         ctype = self.scalar_types.get(n)
         if ctype in ("float", "double"):
             return _Val(src, False, kind="f", deps=frozenset({(n, "float")}))
@@ -387,17 +379,14 @@ class SpanVectorizer(Vectorizer):
 
     def _bx_load(self, e: C.Index) -> _Val:
         name = e.base_name()
-        cfg = self.config.arrays.get(name)
-        if cfg is None:
-            return _Val(self.tx_load(e), True)  # raises like the reference
-        dt = _DTYPES.get(cfg.ctype)
+        dt = _DTYPES.get(self.config.arrays[name].ctype)
         # Consumed at once (into a slot, a store or a copy), so a view is
         # safe even when the kernel writes the array.
         hit = self._span_load(e, False)
         if hit is not None:
             return _Val(hit[1], True, dtype=dt, view=(name, hit[0]))
         src = Vectorizer.tx_load(self, e)
-        if self.lane_varying(self.linear_index(e)):
+        if self.lane_varying(e.indices[0]):
             return _Val(src, True, dtype=dt)
         return _Val(src, False, kind=dt)
 
@@ -550,18 +539,15 @@ class SpanVectorizer(Vectorizer):
     # -- stores ------------------------------------------------------------------------
 
     def emit_store(self, a: C.Assign) -> None:
-        target: C.Index = a.target  # type: ignore[assignment]
-        name = target.base_name()
-        cfg = self.config.arrays.get(name)
-        off = self.span_start(self.linear_index(target)) \
-            if cfg is not None else None
-        handling = cfg.write_handling if cfg is not None else None
+        name, cfg, idx = self.store_target(a)
+        off = self.span_start(idx)
+        handling = cfg.write_handling
         mask = self.mask
         if off is None or (mask is not None and (
                 a.op or handling == WriteHandling.MISS_CHECK)):
-            # Not a span store: the reference's scatter (its loads are
-            # still slices).
-            super().emit_store(a)
+            # Not a span store: the mask lowering's scatter (its loads
+            # are still slices).
+            self.emit_scatter(a, name, cfg, idx)
             return
         lanes = self.region.n
         at = self._at(off)
@@ -682,7 +668,7 @@ class SpanVectorizer(Vectorizer):
         the lane axis, or rebinds a local that does not own a slot."""
         bound_names = set(self.local_types) | {self.an.nest.var}
         for st in C.walk(s):
-            if self._reduction_directive(st) is not None:
+            if reduction_directive(st) is not None:
                 return False
             if isinstance(st, C.For):
                 il = self._inner_by_id.get(id(st))
@@ -763,10 +749,8 @@ class LoweredBody:
 
     #: Statement lines, at function indent.
     lines: list[str]
-    inner_labels: list[str]
-    #: Counter positions after this body (fusion chains members).
+    #: Temporary counter after this body (fusion chains members).
     tmp_end: int
-    label_end: int
     #: The body reads the full-span lane-index vector ``_i``.
     iota: bool
     #: Host scalars the body reads.
@@ -781,38 +765,30 @@ class LoweredBody:
     weak: dict[str, str] = field(default_factory=dict)
 
 
-def lower_body(name: str, analysis: LoopAnalysis, config: LoopConfig,
+def lower_body(analysis: LoopAnalysis, config: LoopConfig,
                scalar_types: dict[str, str], local_types: dict[str, str],
-               cost: CostCollector, tmp_base: int = 0, label_base: int = 0,
+               labels: dict[int, str], tmp_base: int = 0,
                slot_base: int = 0) -> LoweredBody:
-    """Lower one loop body twice, piece by piece: the reference pass
-    charges ``cost`` (modeled seconds depend on nothing else), the span
-    pass writes the statements."""
-    ref = Vectorizer(name, analysis, config, scalar_types, dict(local_types))
-    ref.cost = cost
-    ref._tmp = tmp_base
-    ref._label = label_base
+    """Lower one loop body, once.  ``labels`` is what
+    :func:`~repro.translator.cost.price_body` returned for it: a body is
+    priced before it is lowered, never by its lowering."""
+    args = (analysis, config, scalar_types, dict(local_types), labels)
     # Without a unit-stride access the span lowering has nothing to
-    # add: the reference's statements are the body.
-    out = ref
+    # add: the mask lowering's statements are the body.
     if any(acc.affine is not None and acc.affine.coeff == 1
            for usage in analysis.arrays.values()
            for acc in usage.accesses):
-        out = SpanVectorizer(name, analysis, config, scalar_types,
-                             dict(local_types), slot_base=slot_base)
-        out._label = label_base
+        out = SpanVectorizer(*args, slot_base=slot_base)
+    else:
+        out = Vectorizer(*args)
+    out._tmp = tmp_base
     lines: list[str] = []
-    for piece in ref.body_pieces():
-        if out is not ref:
-            # Both passes number a piece's temporaries from one base.
-            ref._tmp = out._tmp = max(ref._tmp, out._tmp)
-            ref.emit_piece(piece)
+    for piece in out.body_pieces():
         lines += out.emit_piece(piece)
     body = LoweredBody(
-        lines=lines, inner_labels=ref.inner_labels,
-        tmp_end=max(ref._tmp, out._tmp), label_end=ref._label,
-        iota=out.uses_iota, scalars=out.used_scalars, locals=set(out.locals))
-    if out is not ref:
+        lines=lines, tmp_end=out._tmp, iota=out.uses_iota,
+        scalars=out.used_scalars, locals=set(out.locals))
+    if isinstance(out, SpanVectorizer):
         body.slots, body.loads, body.weak = out.slots_used, out.loads, out.weak
     return body
 
@@ -880,24 +856,15 @@ def binding_lines(arrays: list[str], scalars: list[str]
 
 
 def vectorize_loop(name: str, analysis: LoopAnalysis, config: LoopConfig,
-                   scalar_types: dict[str, str],
-                   local_types: dict[str, str]) -> KernelSourceInfo:
-    """Translate one parallel loop into kernel source + pricing model."""
-    cost = CostCollector()
-    body = lower_body(name, analysis, config, scalar_types, local_types, cost)
-    arrays = sorted(config.arrays)
-    scalars = sorted(set(analysis.host_scalars))
-    bindings = binding_lines(arrays, scalars)
+                   scalar_types: dict[str, str], local_types: dict[str, str],
+                   labels: dict[int, str]) -> KernelSourceInfo:
+    """Translate one priced parallel loop into kernel source."""
+    body = lower_body(analysis, config, scalar_types, local_types, labels)
+    bindings = binding_lines(sorted(config.arrays),
+                             sorted(set(analysis.host_scalars)))
     footer = []
     for op, var in analysis.scalar_reductions:
         bindings.append((f"    _racc_{var} = ks.red_identity({op!r})", None))
         footer.append(f"    ctx.reduce_scalar({op!r}, {var!r}, _racc_{var})")
     return KernelSourceInfo(
-        name=name,
-        source=kernel_source(bindings, [body], footer=footer),
-        cost=KernelCostInfo(buckets=cost.buckets),
-        array_names=arrays,
-        scalar_names=scalars,
-        inner_labels=body.inner_labels,
-        scalar_reductions=list(analysis.scalar_reductions),
-    )
+        name, kernel_source(bindings, [body], footer=footer))

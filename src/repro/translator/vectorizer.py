@@ -24,17 +24,16 @@ Array accesses are rewritten from global to buffer-local indices by
 subtracting the per-array base offset (section IV-B3); stores are
 instrumented per the array's :class:`~repro.translator.array_config.ArrayConfig`
 (dirty-bit marking, write-miss checks, reduction-to-array routing, or
-nothing when writes are statically proven local).  While emitting, the
-generator charges every operation into a :class:`CostCollector`, which
-becomes the kernel's pricing model.
+nothing when writes are statically proven local).
 
-This module is the *reference* lowering: every access is a guarded
-gather or an indexed scatter (``ks.ld`` / ``ks.store``) and every
-predicate a boolean lane mask.  :mod:`repro.translator.spanlower`
-subclasses it with the span-native lowering, which writes the kernel
-wherever a body has a unit-stride access; only the reference pass
-charges the cost model, so a kernel's modeled cost cannot depend on how
-its statements were lowered.
+This module is the *mask* lowering: every access is a guarded gather or
+an indexed scatter (``ks.ld`` / ``ks.store``) and every predicate a
+boolean lane mask.  :mod:`repro.translator.spanlower` subclasses it with
+the span-native lowering, which writes the kernel wherever a body has a
+unit-stride access.  Both only emit: the kernel's pricing model comes
+from :func:`repro.translator.cost.price_body`, which walks the body
+before either runs, rejects what is outside the supported statement
+set, and names the inner loops whose trip counts the kernel reports.
 
 The emitted source is kept on the compiled kernel object
 (``CompiledKernel.source``) so tests and users can inspect it, just as
@@ -43,31 +42,23 @@ one would inspect the CUDA the paper's translator writes out.
 
 from __future__ import annotations
 
-import textwrap
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..frontend import cast as C
-from ..frontend.analysis import (
-    InnerLoop,
-    LoopAnalysis,
-    affine_in,
-    expr_mentions,
-)
+from ..frontend.analysis import InnerLoop, LoopAnalysis
 from ..frontend.directives import AccReductionToArray
 from .array_config import ArrayConfig, LoopConfig, Placement, WriteHandling
 from .cost import (
-    ACCESS_BROADCAST,
-    ACCESS_COALESCED,
     ACCESS_RANDOM,
-    ACCESS_STRIDED,
-    CostCollector,
-    KernelCostInfo,
+    classify_access,
+    expr_type,
+    reduction_contrib,
+    reduction_directive,
 )
 
 
 class VectorizeError(NotImplementedError):
-    """Raised when a body uses a construct outside the vectorizable set."""
+    """Raised when a body the pricing walk accepted has no lowering."""
 
     def __init__(self, message: str, line: int = 0) -> None:
         where = f" (line {line})" if line else ""
@@ -75,20 +66,17 @@ class VectorizeError(NotImplementedError):
         self.line = line
 
 
+#: Python function of every math call (``cost.CALL_KIND`` prices them).
 _MATH_CALLS = {
-    "sqrt": ("np.sqrt", "sqrt"), "sqrtf": ("np.sqrt", "sqrt"),
-    "rsqrt": ("_rsqrt", "rsqrt"), "rsqrtf": ("_rsqrt", "rsqrt"),
-    "fabs": ("np.abs", "abs"), "fabsf": ("np.abs", "abs"), "abs": ("np.abs", "abs"),
-    "exp": ("np.exp", "exp"), "expf": ("np.exp", "exp"),
-    "log": ("np.log", "log"), "logf": ("np.log", "log"),
-    "pow": ("np.power", "pow"), "powf": ("np.power", "pow"),
-    "sin": ("np.sin", "sin"), "cos": ("np.cos", "cos"),
-    "floor": ("np.floor", "floor"), "floorf": ("np.floor", "floor"),
-    "ceil": ("np.ceil", "ceil"), "ceilf": ("np.ceil", "ceil"),
-    "min": ("np.minimum", "minmax"), "fmin": ("np.minimum", "minmax"),
-    "fminf": ("np.minimum", "minmax"),
-    "max": ("np.maximum", "minmax"), "fmax": ("np.maximum", "minmax"),
-    "fmaxf": ("np.maximum", "minmax"),
+    "sqrt": "np.sqrt", "sqrtf": "np.sqrt",
+    "rsqrt": "_rsqrt", "rsqrtf": "_rsqrt",
+    "fabs": "np.abs", "fabsf": "np.abs", "abs": "np.abs",
+    "exp": "np.exp", "expf": "np.exp", "log": "np.log", "logf": "np.log",
+    "pow": "np.power", "powf": "np.power", "sin": "np.sin", "cos": "np.cos",
+    "floor": "np.floor", "floorf": "np.floor",
+    "ceil": "np.ceil", "ceilf": "np.ceil",
+    "min": "np.minimum", "fmin": "np.minimum", "fminf": "np.minimum",
+    "max": "np.maximum", "fmax": "np.maximum", "fmaxf": "np.maximum",
 }
 
 _DTYPES = {"float": "np.float32", "double": "np.float64", "char": "np.int8",
@@ -98,16 +86,10 @@ _DTYPES = {"float": "np.float32", "double": "np.float64", "char": "np.int8",
 
 @dataclass
 class KernelSourceInfo:
-    """Result of vectorization: source text + metadata the runtime needs."""
+    """Result of vectorization: the kernel's name and source text."""
 
     name: str
     source: str
-    cost: KernelCostInfo
-    array_names: list[str]
-    scalar_names: list[str]
-    inner_labels: list[str]
-    #: (op, var) scalar reductions the kernel reports via ctx.
-    scalar_reductions: list[tuple[str, str]]
 
 
 @dataclass
@@ -122,27 +104,26 @@ class _Axis:
 
 
 class Vectorizer:
-    """One-shot translator for a single parallel loop."""
+    """One-shot emitter for a single parallel loop that
+    :func:`~repro.translator.cost.price_body` has priced: ``labels`` is
+    its result, the name each inner loop reports its trips under."""
 
     def __init__(
         self,
-        kernel_name: str,
         analysis: LoopAnalysis,
         config: LoopConfig,
         scalar_types: dict[str, str],
         local_types: dict[str, str],
+        labels: dict[int, str],
     ) -> None:
-        self.kernel_name = kernel_name
         self.an = analysis
         self.config = config
         self.scalar_types = scalar_types
         self.local_types = local_types
-        self.cost = CostCollector()
+        self.labels = labels
         self.lines: list[str] = []
         self.indent = 1
         self._tmp = 0
-        self._label = 0
-        self.inner_labels: list[str] = []
         self.mask: str | None = None
         self.axis_stack: list[_Axis] = [
             _Axis(kind="outer", lanes="_n", axis_var=analysis.nest.var)
@@ -183,52 +164,12 @@ class Vectorizer:
         vec = f"ks.bcv({src}, {self.axis.lanes}, {dtype})"
         return vec if self.mask is None else f"ks.msel({vec}, {self.mask})"
 
-    def new_label(self) -> str:
-        label = f"L{self._label}"
-        self._label += 1
-        self.inner_labels.append(label)
-        return label
-
     # -- type inference --------------------------------------------------------
 
     def expr_type(self, e: C.Expr) -> str:
         """'float' or 'int' (bools count as int)."""
-        if isinstance(e, C.FloatLit):
-            return "float"
-        if isinstance(e, C.IntLit):
-            return "int"
-        if isinstance(e, C.Ident):
-            n = e.name
-            if n in self.local_types:
-                return "float" if self.local_types[n] in ("float", "double") else "int"
-            if n in self.scalar_types:
-                return "float" if self.scalar_types[n] in ("float", "double") else "int"
-            return "int"  # loop vars and unknowns
-        if isinstance(e, C.Index):
-            name = e.base_name() if isinstance(e.array, C.Ident) else ""
-            cfg = self.config.arrays.get(name)
-            if cfg is not None:
-                return "float" if cfg.ctype in ("float", "double") else "int"
-            return "int"
-        if isinstance(e, C.BinOp):
-            if e.op in ("<", ">", "<=", ">=", "==", "!=", "&&", "||"):
-                return "int"
-            lt, rt = self.expr_type(e.left), self.expr_type(e.right)
-            return "float" if "float" in (lt, rt) else "int"
-        if isinstance(e, C.UnOp):
-            return self.expr_type(e.operand) if e.op in ("-", "+") else "int"
-        if isinstance(e, C.Ternary):
-            lt, rt = self.expr_type(e.then), self.expr_type(e.other)
-            return "float" if "float" in (lt, rt) else "int"
-        if isinstance(e, C.Call):
-            if e.func in ("min", "max", "abs"):
-                return self.expr_type(e.args[0]) if e.args else "float"
-            return "float"
-        if isinstance(e, C.CastExpr):
-            return "float" if e.to.is_float else "int"
-        if isinstance(e, C.Assign):
-            return self.expr_type(e.value)
-        raise VectorizeError(f"untyped expression {type(e).__name__}")
+        return expr_type(e, self.local_types, self.scalar_types,
+                         self.config.arrays)
 
     def lane_varying(self, e: C.Expr) -> bool:
         """Does ``e`` differ across lanes of the current axis?"""
@@ -238,43 +179,6 @@ class Vectorizer:
                 if n == self.an.nest.var or n in self.locals or n in self.csr_vars:
                     return True
         return False
-
-    # -- access classification ----------------------------------------------------
-
-    def classify_access(self, name: str, idx: C.Expr) -> str:
-        """Coalescing class of an access wrt the current lane axis.
-
-        Kernel locals are data-dependent values (forward substitution is
-        not attempted), so an index through one is priced as random --
-        the paper's "irregular" accesses.  Affine indices in the axis
-        variable are coalesced at |coeff| == 1, lane-invariant at
-        coeff == 0, and strided otherwise unless the layout
-        transformation (section IV-B4) was applied to this array.
-        """
-        axis_var = self.axis.axis_var
-        if expr_mentions(idx, set(self.locals)):
-            return ACCESS_RANDOM
-        if self.axis.kind == "csr" and expr_mentions(idx, {self.an.nest.var}):
-            # Outer-loop-var index inside the flattened axis: a gather
-            # through the position vector.
-            return ACCESS_RANDOM
-        cfg = self.config.arrays.get(name)
-        aff = affine_in(idx, axis_var)
-        if aff is None:
-            # Symbolic stride (e.g. ``i*nfeatures + f``): not affine with an
-            # integer coefficient, but a localaccess window bounds it to a
-            # per-iteration strip -- price as strided, not random.
-            if cfg is not None and cfg.has_localaccess:
-                return (ACCESS_COALESCED if cfg.coalesced_hint
-                        else ACCESS_STRIDED)
-            return ACCESS_RANDOM
-        if aff.coeff == 0:
-            return ACCESS_BROADCAST
-        if abs(aff.coeff) == 1:
-            return ACCESS_COALESCED
-        if cfg is not None and cfg.coalesced_hint:
-            return ACCESS_COALESCED
-        return ACCESS_STRIDED
 
     # -- expression translation ------------------------------------------------------
 
@@ -293,7 +197,6 @@ class Vectorizer:
             c = self.as_bool(e.cond)
             a = self.tx(e.then)
             b = self.tx(e.other)
-            self.cost.flop("cmp")
             return f"np.where({c}, {a}, {b})"
         if isinstance(e, C.Call):
             return self.tx_call(e)
@@ -302,8 +205,6 @@ class Vectorizer:
         if isinstance(e, C.CastExpr):
             dt = _DTYPES.get(e.to.base if not e.to.pointers else "long", "np.float64")
             return f"ks.cast_to({self.tx(e.operand)}, {dt})"
-        if isinstance(e, C.Assign):
-            raise VectorizeError("assignment used as a value", e.line)
         raise VectorizeError(f"unsupported expression {type(e).__name__}")
 
     def tx_ident(self, e: C.Ident) -> str:
@@ -364,54 +265,23 @@ class Vectorizer:
 
     def tx_binop(self, e: C.BinOp) -> str:
         op = e.op
-        lt = self.expr_type(e.left)
-        rt = self.expr_type(e.right)
-        is_float = "float" in (lt, rt)
         l = self.tx(e.left)
         r = self.tx(e.right)
-        if op == "&&":
-            self.cost.intop()
-            return f"({self._boolify(l)} & {self._boolify(r)})"
-        if op == "||":
-            self.cost.intop()
-            return f"({self._boolify(l)} | {self._boolify(r)})"
-        if op in ("<", ">", "<=", ">=", "==", "!="):
-            self.cost.flop("cmp") if is_float else self.cost.intop()
-            return f"({l} {op} {r})"
-        if op == "/":
-            if is_float:
-                self.cost.flop("/")
-                return f"({l} / {r})"
-            self.cost.intop(4)
-            return f"({l} // {r})"
-        if op == "%":
-            self.cost.flop("%") if is_float else self.cost.intop(4)
-            return f"({l} % {r})"
-        if op in ("+", "-", "*"):
-            self.cost.flop(op) if is_float else self.cost.intop()
-            return f"({l} {op} {r})"
-        if op in ("<<", ">>", "&", "|", "^"):
-            self.cost.intop()
-            return f"({l} {op} {r})"
-        raise VectorizeError(f"unsupported binary operator {op!r}", e.line)
+        if op in ("&&", "||"):
+            return f"({self._boolify(l)} {op[0]} {self._boolify(r)})"
+        if op == "/" and "float" not in (self.expr_type(e.left),
+                                         self.expr_type(e.right)):
+            op = "//"
+        return f"({l} {op} {r})"
 
     def _boolify(self, src: str) -> str:
         return f"(np.asarray({src}) != 0)"
 
     def tx_unop(self, e: C.UnOp) -> str:
         v = self.tx(e.operand)
-        if e.op == "-":
-            self.cost.flop("-") if self.expr_type(e.operand) == "float" else self.cost.intop()
-            return f"(-{v})"
-        if e.op == "+":
-            return v
         if e.op == "!":
-            self.cost.intop()
             return f"(~{self._boolify(v)})"
-        if e.op == "~":
-            self.cost.intop()
-            return f"(~{v})"
-        raise VectorizeError(f"unsupported unary operator {e.op!r}", e.line)
+        return v if e.op == "+" else f"({e.op}{v})"
 
     def as_bool(self, e: C.Expr) -> str:
         src = self.tx(e)
@@ -423,39 +293,21 @@ class Vectorizer:
         return self._boolify(src)
 
     def tx_call(self, e: C.Call) -> str:
-        if e.func in _MATH_CALLS:
-            pyfn, costkind = _MATH_CALLS[e.func]
-            args = ", ".join(self.tx(a) for a in e.args)
-            self.cost.flop(costkind)
-            return f"{pyfn}({args})"
-        raise VectorizeError(f"unsupported function call {e.func!r}", e.line)
+        args = ", ".join(self.tx(a) for a in e.args)
+        return f"{_MATH_CALLS[e.func]}({args})"
 
     def tx_load(self, e: C.Index) -> str:
         name = e.base_name()
-        cfg = self.config.arrays.get(name)
-        if cfg is None:
-            raise VectorizeError(f"access to unmanaged array {name!r}", e.line)
-        idx = self.linear_index(e)
-        idx_src = self.tx(idx)
-        self.cost.intop(1)
-        self.cost.access(_itemsize(cfg.ctype), self.classify_access(name, idx))
-        return f"ks.ld(v_{name}, {idx_src} - _b_{name})"
-
-    def linear_index(self, e: C.Index) -> C.Expr:
-        if len(e.indices) != 1:
-            raise VectorizeError(
-                "multi-dimensional subscripts must be linearized (the paper's "
-                "prototype shares this 1-D limitation, section VI)", e.line)
-        return e.indices[0]
+        # One subscript: the walk rejects any other.
+        return f"ks.ld(v_{name}, {self.tx(e.indices[0])} - _b_{name})"
 
     # -- statements -----------------------------------------------------------------
 
     def emit_stmt(self, s: C.Stmt) -> None:
-        red = self._reduction_directive(s)
+        red = reduction_directive(s)
         if red is not None:
             self.emit_reduction_to_array(s, red)
-            return
-        if isinstance(s, C.Compound):
+        elif isinstance(s, C.Compound):
             for st in s.body:
                 self.emit_stmt(st)
         elif isinstance(s, C.Decl):
@@ -476,27 +328,10 @@ class Vectorizer:
             self.emit_if(s)
         elif isinstance(s, C.For):
             self.emit_inner_loop(s)
-        elif isinstance(s, (C.Break, C.Continue)):
-            raise VectorizeError("break/continue not allowed in parallel bodies",
-                                 s.line)
-        elif isinstance(s, C.Return):
-            raise VectorizeError("return not allowed in parallel bodies", s.line)
-        elif isinstance(s, C.While):
-            raise VectorizeError("while loops not allowed in parallel bodies",
-                                 s.line)
         else:
             raise VectorizeError(f"unsupported statement {type(s).__name__}", s.line)
 
-    def _reduction_directive(self, s: C.Stmt) -> AccReductionToArray | None:
-        for d in s.directives:
-            if isinstance(d, AccReductionToArray):
-                return d
-        return None
-
     def emit_decl(self, s: C.Decl) -> None:
-        if s.ctype.is_arraylike:
-            raise VectorizeError("local arrays are not supported in kernels",
-                                 s.line)
         pyname = f"v_{s.name}"
         dt = _DTYPES.get(s.ctype.base, "np.float64")
         if s.init is not None:
@@ -511,14 +346,8 @@ class Vectorizer:
     def emit_assign(self, a: C.Assign) -> None:
         if isinstance(a.target, C.Ident):
             self.emit_scalar_assign(a)
-        elif isinstance(a.target, C.Index):
-            self.emit_store(a)
-        elif isinstance(a.target, C.UnOp) and a.target.op == "*":
-            raise VectorizeError(
-                "pointer-dereference stores are not supported; use a scalar "
-                "reduction clause or reductiontoarray", a.line)
         else:
-            raise VectorizeError("unsupported assignment target", a.line)
+            self.emit_store(a)
 
     def emit_scalar_assign(self, a: C.Assign) -> None:
         name = a.target.name  # type: ignore[union-attr]
@@ -546,8 +375,6 @@ class Vectorizer:
             else:
                 self.emit(f"np.add.at({pyname}, {pos}[{self.mask}], "
                           f"ks.msel(ks.bcv({val}, {self.axis.lanes}, None), {self.mask}))")
-            self.cost.intop(2)
-            self.cost.serialize(2.0)
             # Invalidate gather cache for this variable.
             self.axis.gathered.pop(pyname, None)
             return
@@ -565,110 +392,61 @@ class Vectorizer:
         dt = _DTYPES.get(self.local_types.get(name, ""), "None")
         self.emit(f"{pyname} = ks.merge({pyname}, ks.bcv({newv}, "
                   f"{self._axis_lanes_for(declared_at)}, {dt}), "
-                  f"{self.mask_for(declared_at)})")
+                  f"{self.mask or 'None'})")
 
     def _axis_lanes_for(self, declared_at: int) -> str:
         return self.axis_stack[declared_at].lanes
 
-    def mask_for(self, declared_at: int) -> str:
-        """Mask applicable to a variable declared at the given axis depth."""
-        if declared_at == len(self.axis_stack) - 1:
-            return self.mask if self.mask is not None else "None"
-        # Variable lives on an outer axis while we're deeper: assignment to
-        # it from a nested *same-axis* construct (constant inner loop) uses
-        # the current mask directly since lanes coincide.
-        if self.axis.kind != "csr":
-            return self.mask if self.mask is not None else "None"
-        raise VectorizeError("direct assignment to an outer variable from a "
-                             "flattened inner loop")
-
-    def _apply_op(self, cur: str, op: str, val: str, is_float: bool) -> str:
+    @staticmethod
+    def _apply_op(cur: str, op: str, val: str, is_float: bool) -> str:
         if op == "/" and not is_float:
-            self.cost.intop(4)
-            return f"({cur} // {val})"
-        kind = op if op in ("+", "-", "*", "/", "%") else None
-        if kind and is_float:
-            self.cost.flop(kind)
-        else:
-            self.cost.intop()
-        if op in ("+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>"):
-            return f"({cur} {op} {val})"
-        raise VectorizeError(f"unsupported compound op {op!r}")
+            op = "//"
+        return f"({cur} {op} {val})"
 
     def emit_scalar_reduction(self, name: str, a: C.Assign) -> None:
         op = self.reduction_vars[name]
-        if a.op:
-            if not _op_matches(a.op, op):
-                raise VectorizeError(
-                    f"reduction variable {name!r} declared with {op!r} but "
-                    f"updated with {a.op!r}=", a.line)
-            contrib = self.value_src(a.value)
-        else:
-            # Pattern: var = var op expr  /  var = max(var, expr) etc.
-            contrib = self._extract_reduction_contrib(name, op, a.value)
+        if a.op and a.op != op:
+            raise VectorizeError(
+                f"reduction variable {name!r} declared with {op!r} but "
+                f"updated with {a.op!r}=", a.line)
+        # Pattern: var op= expr  /  var = var op expr  /  var = max(var, expr)
+        contrib = self.value_src(
+            a.value if a.op else reduction_contrib(name, op, a.value))
         acc = f"_racc_{name}"
         self.emit(f"{acc} = ks.red_fold({op!r}, {acc}, {contrib}, "
                   f"{self.mask or 'None'}, {self.axis.lanes})")
-        self.cost.flop("minmax" if op in ("max", "min") else "cmp")
-
-    def _extract_reduction_contrib(self, name: str, op: str, value: C.Expr) -> str:
-        if isinstance(value, C.BinOp) and _op_matches(value.op, op):
-            if isinstance(value.left, C.Ident) and value.left.name == name:
-                return self.value_src(value.right)
-            if isinstance(value.right, C.Ident) and value.right.name == name:
-                return self.value_src(value.left)
-        if isinstance(value, C.Call) and value.func in ("min", "max", "fmin",
-                                                        "fmax", "fminf", "fmaxf") \
-                and _op_matches(value.func.lstrip("f").rstrip("f") , op):
-            args = value.args
-            if isinstance(args[0], C.Ident) and args[0].name == name:
-                return self.value_src(args[1])
-            if isinstance(args[1], C.Ident) and args[1].name == name:
-                return self.value_src(args[0])
-        raise VectorizeError(
-            f"statement does not match the declared {op!r} reduction on "
-            f"{name!r}")
 
     # -- array stores -------------------------------------------------------------------
 
-    def emit_store(self, a: C.Assign) -> None:
+    def store_target(self, a: C.Assign) -> tuple[str, ArrayConfig, C.Expr]:
+        """Array, config and index of a plain store that is legal."""
         target: C.Index = a.target  # type: ignore[assignment]
         name = target.base_name()
-        cfg = self.config.arrays.get(name)
-        if cfg is None:
-            raise VectorizeError(f"store to unmanaged array {name!r}", a.line)
+        cfg = self.config.arrays[name]
         if cfg.write_handling == WriteHandling.REDUCTION:
             raise VectorizeError(
                 f"store to reduction destination {name!r} without a "
                 "reductiontoarray annotation", a.line)
-        idx = self.linear_index(target)
-        idx_src = self.tx(idx)
-        access = self.classify_access(name, idx)
-        if a.op and access == ACCESS_RANDOM and cfg.placement == Placement.REPLICA:
+        idx = target.indices[0]
+        ax = self.axis
+        if a.op and cfg.placement == Placement.REPLICA and classify_access(
+                cfg, idx, ax.axis_var, self.locals,
+                self.an.nest.var if ax.kind == "csr" else None) \
+                == ACCESS_RANDOM:
             raise VectorizeError(
                 f"irregular compound update of {name!r} is a complicated "
                 "reduction; annotate it with '#pragma acc reductiontoarray' "
                 "(paper section III-B)", a.line)
+        return name, cfg, idx
+
+    def emit_store(self, a: C.Assign) -> None:
+        self.emit_scatter(a, *self.store_target(a))
+
+    def emit_scatter(self, a: C.Assign, name: str, cfg: ArrayConfig,
+                     idx: C.Expr) -> None:
+        idx_src = self.tx(idx)
         val_src = self.tx(a.value)
-        self.cost.intop(1)
-        self.cost.access(_itemsize(cfg.ctype), access)
-        if a.op:
-            # Compound store: read-modify-write -- one extra access plus
-            # the combining operation itself.
-            self.cost.access(_itemsize(cfg.ctype), access)
-            if cfg.ctype in ("float", "double"):
-                self.cost.flop(a.op if a.op in ("+", "-", "*", "/") else "cmp")
-            else:
-                self.cost.intop()
-        if a.op:
-            self.cost.serialize(2.0)
         handling = cfg.write_handling
-        if handling == WriteHandling.DIRTY_BITS:
-            # Dirty-bit instrumentation cost (one byte flag + chunk bit).
-            self.cost.access(1, ACCESS_RANDOM)
-            self.cost.intop(2)
-        elif handling == WriteHandling.MISS_CHECK:
-            self.cost.intop(4)
         gi = self.lanes_vec(idx_src, "np.int64")
         gv = self.lanes_vec(val_src, "None")
         if handling != WriteHandling.LOCAL_PROVEN:
@@ -682,32 +460,19 @@ class Vectorizer:
             self.emit(f"ctx.mark_dirty({name!r}, {gi})")
 
     def emit_reduction_to_array(self, s: C.Stmt, d: AccReductionToArray) -> None:
-        if not (isinstance(s, C.ExprStmt) and isinstance(s.expr, C.Assign)
-                and isinstance(s.expr.target, C.Index)):
-            raise VectorizeError(
-                "reductiontoarray must annotate a single 'dest[idx] op= value' "
-                "statement", s.line)
-        a = s.expr
+        a: C.Assign = s.expr  # type: ignore[union-attr]
         target: C.Index = a.target  # type: ignore[assignment]
         name = target.base_name()
         if name != d.array:
             raise VectorizeError(
                 f"reductiontoarray names {d.array!r} but the statement updates "
                 f"{name!r}", s.line)
-        if not a.op or not _op_matches(a.op, d.op):
+        if a.op != d.op:
             raise VectorizeError(
                 f"reductiontoarray({d.op}) must annotate a compound "
                 f"'{d.op}=' update", s.line)
-        idx_src = self.tx(self.linear_index(target))
+        idx_src = self.tx(target.indices[0])
         val_src = self.value_src(a.value)
-        self.cost.intop(2)
-        # Priced as coalesced read-modify-write: the translator emits the
-        # hierarchical reduction (shared memory within a block, then per
-        # GPU, section IV-B4), so the accumulations never hit DRAM at
-        # scatter cost; the serialization factor covers the merge steps.
-        self.cost.access(_itemsize(self.config.arrays[name].ctype) * 2,
-                         ACCESS_COALESCED)
-        self.cost.serialize(2.0)
         gi = self.tmp("_gi")
         gv = self.tmp("_gv")
         self.emit(f"{gi} = {self.lanes_vec(idx_src, 'np.int64')}")
@@ -739,9 +504,7 @@ class Vectorizer:
         self.mask = outer_mask
 
     def emit_inner_loop(self, s: C.For) -> None:
-        il = self._inner_by_id.get(id(s))
-        if il is None:
-            raise VectorizeError("unanalyzed inner loop", s.line)
+        il = self._inner_by_id[id(s)]
         if il.kind == "opaque":
             raise VectorizeError(
                 "inner loop bounds are neither lane-invariant nor CSR-shaped",
@@ -753,7 +516,7 @@ class Vectorizer:
 
     def emit_constant_loop(self, s: C.For, il: InnerLoop) -> None:
         assert il.lower is not None and il.upper is not None
-        label = self.new_label()
+        label = self.labels[id(s)]
         lo_varying = self.lane_varying(il.lower)
         hi_varying = self.lane_varying(il.upper)
         jname = f"_j_{il.var}"
@@ -767,9 +530,7 @@ class Vectorizer:
             self.emit(f"for {jname} in range(int({lo}), int({hi})):")
             self.scalar_vars[il.var] = jname
             self.indent += 1
-            self.cost.push(label)
             self.emit_stmt(s.body)
-            self.cost.pop()
             self.indent -= 1
             del self.scalar_vars[il.var]
         else:
@@ -794,9 +555,7 @@ class Vectorizer:
             else:
                 self.emit(f"{bm} = {outer_mask} & {cond}")
             self.mask = bm
-            self.cost.push(label)
             self.emit_stmt(s.body)
-            self.cost.pop()
             self.mask = outer_mask
             self.indent -= 1
             del self.scalar_vars[il.var]
@@ -806,7 +565,7 @@ class Vectorizer:
             raise VectorizeError("nested data-dependent inner loops are not "
                                  "supported", s.line)
         assert il.lower is not None and il.upper is not None
-        label = self.new_label()
+        label = self.labels[id(s)]
         lo = self.tmp("_lo")
         hi = self.tmp("_hi")
         self.emit(f"{lo} = ks.bcv({self.tx(il.lower)}, {self.axis.lanes}, np.int64)")
@@ -830,9 +589,7 @@ class Vectorizer:
             _Axis(kind="csr", lanes=f"{evar}.size", axis_var=il.var, pos=pos)
         )
         self.csr_vars[il.var] = evar
-        self.cost.push(label)
         self.emit_stmt(s.body)
-        self.cost.pop()
         del self.csr_vars[il.var]
         self.axis_stack.pop()
         self.mask = outer_mask
@@ -851,7 +608,7 @@ class Vectorizer:
         then the statements of the body."""
         body = self.an.nest.body
         top = body.body if isinstance(body, C.Compound) \
-            and self._reduction_directive(body) is None else [body]
+            and reduction_directive(body) is None else [body]
         return [*self.private_names, *top]
 
     def emit_piece(self, piece: C.Stmt | str) -> list[str]:
@@ -864,17 +621,6 @@ class Vectorizer:
         else:
             self.emit_stmt(piece)
         return self.lines
-
-
-def _itemsize(ctype: str) -> int:
-    return {"char": 1, "int": 4, "unsigned int": 4, "float": 4,
-            "long": 8, "unsigned long": 8, "double": 8}.get(ctype, 4)
-
-
-def _op_matches(stmt_op: str, red_op: str) -> bool:
-    if stmt_op == red_op:
-        return True
-    return {"max": "max", "min": "min"}.get(stmt_op) == red_op
 
 
 #: Source-text-keyed namespaces of exec'd generated code: kernels and
@@ -903,9 +649,3 @@ def exec_source(source: str, filename: str, seed: dict | None = None) -> dict:
 def compile_kernel_source(info: KernelSourceInfo):
     """Exec the generated source and return the kernel callable."""
     return exec_source(info.source, f"<kernel {info.name}>")["kernel"]
-
-
-def format_source(info: KernelSourceInfo) -> str:
-    """Generated source with a provenance banner (for dumps/tests)."""
-    banner = f"# kernel {info.name}: generated by repro.translator.vectorizer\n"
-    return banner + textwrap.dedent(info.source)

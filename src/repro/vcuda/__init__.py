@@ -1,4 +1,4 @@
-"""Virtual CUDA platform: devices, memory, PCIe bus, streams, profiler.
+"""Virtual CUDA platform: devices, memory, PCIe bus, profiler.
 
 This package stands in for the CUDA 4.0 platform the paper's prototype
 was built on.  Kernels really execute (on NumPy-backed device buffers);
@@ -38,7 +38,6 @@ from .specs import (
     TESLA_C2075,
     TESLA_M2050,
 )
-from .stream import Event, Stream
 
 __all__ = [
     "Platform",
@@ -70,6 +69,4 @@ __all__ = [
     "SUPERCOMPUTER_NODE",
     "TESLA_C2075",
     "TESLA_M2050",
-    "Event",
-    "Stream",
 ]

@@ -5,9 +5,10 @@ from: every plan's ``cost.buckets`` (member plans and fused plans, the
 buckets in the order ``KernelCostInfo.total`` adds them, every field as
 ``float.hex``) under ``CompileOptions()`` and ``CompileOptions(fuse=True)``.
 The digests were generated at ``f582925``, when the charges sat inside
-the reference ``Vectorizer``'s emit methods and every body with a
-unit-stride access was lowered a second time to collect them.  A digest
-that moves means modeled kernel seconds moved.
+the ``Vectorizer``'s emit methods and every body with a unit-stride
+access was lowered a second time to collect them; they are now what
+:func:`repro.translator.cost.price_body` charges from the C statements.
+A digest that moves means modeled kernel seconds moved.
 
 The count gate bounds the translator's work for the ``compile_cold``
 sources in counts, never seconds (docs/PERFORMANCE.md, "The perf gate").
@@ -91,9 +92,19 @@ def test_cost_digest_matches_golden(name):
     assert cost_digest(name) == GOLDEN[name]
 
 
+def test_no_bundled_kernel_is_interpreter_only():
+    """Every bundled plan is priced and vectorized, so none of the
+    artifacts built from these sources can hold a zero-work kernel."""
+    plans = [plan for name in sorted(SOURCES) for options in OPTION_SETS
+             for plan in all_plans(compile_bundled(name, options))]
+    assert len(plans) == 50
+    assert all(plan.source_info is not None and plan.vectorize_error is None
+               for plan in plans)
+
+
 def test_lowering_passes_for_the_compile_cold_sources(monkeypatch):
-    """The count gate: how many emitters the translator constructs
-    against how many loop bodies it lowers."""
+    """The count gate: one emitter per lowered body (at ``f582925``, 90
+    emitters for these 48 bodies: 42 were lowered twice)."""
     emitters, bodies = [], []
     init, lower = vectorizer.Vectorizer.__init__, spanlower.lower_body
 
@@ -101,9 +112,9 @@ def test_lowering_passes_for_the_compile_cold_sources(monkeypatch):
         emitters.append(type(self).__name__)
         init(self, *args, **kwargs)
 
-    def counted_lower(name, *args, **kwargs):
-        bodies.append(name)
-        return lower(name, *args, **kwargs)
+    def counted_lower(*args, **kwargs):
+        bodies.append(args[0].nest.stmt.line)
+        return lower(*args, **kwargs)
 
     monkeypatch.setattr(vectorizer.Vectorizer, "__init__", counted_init)
     monkeypatch.setattr(spanlower, "lower_body", counted_lower)
@@ -113,5 +124,4 @@ def test_lowering_passes_for_the_compile_cold_sources(monkeypatch):
             compile_bundled(name, options)
 
     assert len(bodies) == 48
-    # 42 of the 48 have a unit-stride access and are lowered twice.
-    assert len(emitters) == 90
+    assert len(emitters) == len(bodies)

@@ -6,6 +6,7 @@ import pytest
 import repro
 from repro.cpu import CpuPlatform, run_openmp
 from repro.translator.compiler import compile_source
+from repro.trace import SPAN_KINDS
 from repro.vcuda import DESKTOP_MACHINE, SUPERCOMPUTER_NODE
 from repro.vcuda.device import KernelWork
 
@@ -183,22 +184,27 @@ class TestTimeline:
         prog = repro.compile(SAXPY)
         run = prog.run("k", {"n": 1 << 14, "a": 1.0,
                              "x": np.ones(1 << 14, np.float32),
-                             "y": np.zeros(1 << 14, np.float32)}, ngpus=2)
-        events = run.timeline()
+                             "y": np.zeros(1 << 14, np.float32)}, ngpus=2,
+                       trace=True)
+        events = [e for e in run.tracer.events if e.kind in SPAN_KINDS]
         kinds = {e.kind for e in events}
         assert {"kernel", "h2d", "d2h"} <= kinds
         assert all(e.end >= e.start for e in events)
         assert max(e.end for e in events) <= run.elapsed + 1e-12
-        # Sorted chronologically.
-        starts = [e.start for e in events]
-        assert starts == sorted(starts)
+        # One chart row per busy device or link, then the legend.
+        rows = repro.trace.gantt(run.tracer).split("\n")[1:-1]
+        assert [r.split("  ")[0].strip() for r in rows] == [
+            "gpu0", "gpu1", "pcie->gpu0", "pcie->gpu1",
+            "pcie<-gpu0", "pcie<-gpu1"]
+        assert all(set(r.split("  ", 1)[1]) <= set(" #<>") for r in rows)
 
     def test_kernels_on_distinct_gpus_overlap(self):
         prog = repro.compile(SAXPY)
         run = prog.run("k", {"n": 1 << 16, "a": 1.0,
                              "x": np.ones(1 << 16, np.float32),
-                             "y": np.zeros(1 << 16, np.float32)}, ngpus=2)
-        kernels = [e for e in run.timeline() if e.kind == "kernel"]
+                             "y": np.zeros(1 << 16, np.float32)}, ngpus=2,
+                       trace=True)
+        kernels = [e for e in run.tracer.events if e.kind == "kernel"]
         assert len(kernels) == 2
         a, b = kernels
         assert a.start < b.end and b.start < a.end  # intervals intersect

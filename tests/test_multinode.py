@@ -122,12 +122,12 @@ class TestPlatformTopology:
 
     def test_timeline_has_nic_lane(self):
         cluster = hypothetical_cluster(2, 2)
-        run, _ = _run("jacobi", cluster, 4)
-        nets = [e for e in run.timeline() if e.kind == "net"]
+        run, _ = _run("jacobi", cluster, 4, trace=True)
+        nets = [e for e in run.tracer.events if e.kind == "net"]
         assert nets, "cross-node run scheduled nothing on the NIC"
-        assert all(e.resource.startswith("nic node") for e in nets)
-        chart = repro.format_timeline(run.timeline())
-        assert "~" in chart and "nic node" in chart
+        chart = repro.trace.gantt(run.tracer)
+        lanes = [ln for ln in chart.split("\n") if "~" in ln][:-1]
+        assert lanes and all(ln.startswith("nic node") for ln in lanes)
 
 
 class TestInternodeTransports:

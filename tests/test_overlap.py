@@ -29,52 +29,12 @@ from repro.vcuda import (
     KernelWork,
     LaunchConfig,
     Platform,
-    Stream,
     SUPERCOMPUTER_NODE,
     DESKTOP_MACHINE,
     VirtualClock,
 )
 
 APPS = ALL_APPS | EXTRA_APPS
-
-
-# ---------------------------------------------------------------------------
-# Stream / event semantics
-# ---------------------------------------------------------------------------
-
-
-class TestStreamSemantics:
-    def test_enqueue_at_mirrors_external_schedule(self):
-        s = Stream(0, VirtualClock())
-        assert s.enqueue_at("dma", 2.0, 5.0) == 5.0
-        assert s.tail == 5.0
-        # An earlier-finishing op does not move the tail backwards.
-        s.enqueue_at("dma2", 1.0, 3.0)
-        assert s.tail == 5.0
-        assert [op[0] for op in s.ops] == ["dma", "dma2"]
-
-    def test_enqueue_at_rejects_negative_duration(self):
-        s = Stream(0, VirtualClock())
-        with pytest.raises(ValueError):
-            s.enqueue_at("bad", 5.0, 4.0)
-
-    def test_cross_stream_event_dependency(self):
-        clock = VirtualClock()
-        a, b = Stream(0, clock), Stream(1, clock)
-        a.enqueue("produce", 3.0)
-        ev = a.record_event()
-        b.wait_event(ev)
-        end = b.enqueue("consume", 1.0)
-        assert end == 4.0  # gated on the producer, not on clock.now
-
-    def test_event_query_tracks_clock(self):
-        clock = VirtualClock()
-        s = Stream(0, clock)
-        s.enqueue("op", 2.0)
-        ev = s.record_event()
-        assert not ev.query(clock)
-        clock.advance_to(2.0)
-        assert ev.query(clock)
 
 
 # ---------------------------------------------------------------------------

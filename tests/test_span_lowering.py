@@ -118,9 +118,9 @@ def lowering_of(src):
     has been emitted (locals registered)."""
     compiled = repro.compile(src).compiled
     plan = compiled.plans[0]
-    vec = SpanVectorizer(plan.name, plan.analysis, plan.config,
+    vec = SpanVectorizer(plan.analysis, plan.config,
                          {"n": "int", "p": "int", "w": "float"},
-                         {"t": "int", "f": "float"})
+                         {"t": "int", "f": "float"}, labels={})
     for piece in vec.body_pieces():
         vec.emit_piece(piece)
     return vec, plan.analysis.nest.body

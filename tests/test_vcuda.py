@@ -1,4 +1,4 @@
-"""Virtual CUDA platform tests: clock, memory, device, bus, streams."""
+"""Virtual CUDA platform tests: clock, memory, device, bus."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.vcuda import (
     CATEGORY_KERNELS,
     DESKTOP_MACHINE,
     Device,
-    Event,
     KernelWork,
     LaunchConfig,
     OutOfDeviceMemory,
@@ -18,7 +17,6 @@ from repro.vcuda import (
     Profiler,
     PURPOSE_SYSTEM,
     PURPOSE_USER,
-    Stream,
     SUPERCOMPUTER_NODE,
     TESLA_C2075,
     VirtualClock,
@@ -284,47 +282,6 @@ class TestBus:
     def test_sync_empty_is_zero(self):
         bus, _ = self.make()
         assert bus.sync() == 0.0
-
-
-class TestStream:
-    def test_in_order_execution(self):
-        clock = VirtualClock()
-        s = Stream(0, clock)
-        s.enqueue("a", 1.0)
-        end = s.enqueue("b", 2.0)
-        assert end == 3.0
-
-    def test_event_ordering(self):
-        clock = VirtualClock()
-        s1 = Stream(0, clock)
-        s2 = Stream(1, clock)
-        s1.enqueue("produce", 2.0)
-        ev = s1.record_event()
-        s2.wait_event(ev)
-        end = s2.enqueue("consume", 1.0)
-        assert end == 3.0
-
-    def test_unrecorded_event_rejected(self):
-        clock = VirtualClock()
-        s = Stream(0, clock)
-        with pytest.raises(RuntimeError):
-            s.wait_event(Event())
-
-    def test_synchronize_advances_clock(self):
-        clock = VirtualClock()
-        s = Stream(0, clock)
-        s.enqueue("op", 1.5)
-        s.synchronize()
-        assert clock.now == 1.5
-
-    def test_event_query(self):
-        clock = VirtualClock()
-        s = Stream(0, clock)
-        s.enqueue("op", 1.0)
-        ev = s.record_event()
-        assert not ev.query(clock)
-        s.synchronize()
-        assert ev.query(clock)
 
 
 class TestPlatform:

@@ -556,6 +556,17 @@ class TestRejections:
         }
         """, "reductiontoarray")
 
+    def test_irregular_compound_update_beside_a_unit_stride_access(self):
+        # The span lowering writes this body; it classifies the update
+        # like the pricing walk does and rejects it all the same.
+        self.expect_reject("""
+        void k(int n, int *idx, float *x, float *y) {
+          #pragma acc parallel loop
+          for (int i = 0; i < n; i++) { y[i] = 2.0f; x[idx[i]] += y[i]; }
+        }
+        """, "irregular compound update of 'x' is a complicated reduction; "
+             "annotate it with '#pragma acc reductiontoarray'")
+
     def test_break_rejected(self):
         self.expect_reject("""
         void k(int n, float *x) {
