@@ -188,6 +188,51 @@ def affine_in(e: C.Expr, var: str, opaque: set[str] | None = None) -> AffineForm
     return rec(e)
 
 
+def strided_in(e: C.Expr, var: str) -> tuple[C.Expr, C.Expr] | None:
+    """Decompose ``e`` as ``stride*var + offset``, or return None.
+
+    Where :func:`affine_in` wants an integer coefficient, the stride here
+    may be any ``var``-free expression: ``i*nfeatures + f`` is
+    ``(nfeatures, f)`` and ``(i-1)*w + j`` is ``(w, -1*w + j)`` -- the
+    "symbolic stride" of a ``localaccess stride(S)`` strip.  Whether the
+    parts are lane-invariant, and the stride positive, is the caller's
+    to check.
+    """
+    aff = affine_in(e, var)
+    if aff is not None:
+        return C.IntLit(aff.coeff), aff.offset
+
+    def scale(a: C.Expr, k: C.Expr) -> C.Expr:
+        av, kv = const_value(a), const_value(k)
+        if kv is not None:
+            return _mul(a, kv)
+        return k if av == 1 else C.IntLit(0) if av == 0 \
+            else C.BinOp("*", a, k)
+
+    def rec(x: C.Expr) -> tuple[C.Expr, C.Expr] | None:
+        if not expr_mentions(x, {var}):
+            return C.IntLit(0), x
+        if isinstance(x, C.Ident):
+            return C.IntLit(1), C.IntLit(0)
+        if isinstance(x, C.UnOp) and x.op == "+":
+            return rec(x.operand)
+        if not (isinstance(x, C.BinOp) and x.op in ("+", "-", "*")):
+            return None
+        lf, rf = rec(x.left), rec(x.right)
+        if lf is None or rf is None:
+            return None
+        if x.op == "*":
+            # One side is the var-free factor.
+            for (s, o), (ks, k) in ((lf, rf), (rf, lf)):
+                if const_value(ks) == 0:
+                    return scale(s, k), scale(o, k)
+            return None
+        join = _add if x.op == "+" else _sub
+        return join(lf[0], rf[0]), join(lf[1], rf[1])
+
+    return rec(e)
+
+
 # ---------------------------------------------------------------------------
 # Access records
 # ---------------------------------------------------------------------------

@@ -19,37 +19,41 @@ def ld(arr: np.ndarray, idx):
 
     Under predication every lane evaluates the index expression, so
     inactive lanes may hold out-of-range indices; their values are
-    discarded by the enclosing mask.  Clipping keeps the gather safe
-    without branching, like a GPU's guarded load.
+    discarded by the enclosing mask.  ``take``'s clip mode clamps every
+    index to ``[0, size - 1]`` (negative ones too) without branching,
+    like a GPU's guarded load; the plain-axis lowering emits the same
+    ``np.take(..., mode="clip", out=slot)`` inline.
     """
     if isinstance(idx, np.ndarray):
-        if idx.size == 0:
-            return arr[idx]
-        return arr[np.clip(idx, 0, arr.shape[0] - 1)]
+        return arr.take(idx, mode="clip")
     return arr[min(max(int(idx), 0), arr.shape[0] - 1)]
 
 
-def ld_span(arr: np.ndarray, lo: int, n: int, copy: bool = False):
-    """Contiguous gather ``arr[lo:lo+n]`` -- the :func:`ld` fast path.
+def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1,
+            copy: bool = False):
+    """Strided gather ``arr[lo], arr[lo+step], ...`` (``n`` lanes) -- the
+    :func:`ld` fast path.
 
-    Value-identical to ``ld(arr, arange(lo, lo+n))``: when the span is
-    fully in bounds it is one slice (a view; ``copy`` when the value may
-    outlive a later store to the array); otherwise it falls back to the
-    exact clipped gather that
-    :func:`ld` performs, preserving guarded-load semantics for
-    predicated lanes.
+    Value-identical to ``ld(arr, lo + step*arange(n))``: when ``step >=
+    1`` and the span lies in the buffer it is one slice (a view;
+    ``copy`` when the value may outlive a later store to the array);
+    otherwise it falls back to the exact clipped gather, preserving
+    guarded-load semantics for predicated lanes.
     """
+    if n <= 0:
+        return arr[:0]
     size = arr.shape[0]
-    if 0 <= lo and lo + n <= size:
-        sl = arr[lo:lo + n]
+    last = lo + (n - 1) * step
+    if step >= 1 and 0 <= lo and last < size:
+        sl = arr[lo:last + 1:step]
         return sl.copy() if copy else sl
-    if size == 0 or n <= 0:
-        return arr[np.clip(np.arange(lo, lo + n, dtype=np.int64), 0,
+    if step != 1 or size == 0:
+        return arr[np.clip(lo + step * np.arange(n, dtype=np.int64), 0,
                            size - 1)]
-    # Partially out of bounds (halo loads at block edges): clipping maps
-    # every underflowing index to 0 and every overflowing one to the
-    # last element, so the gather is edge-padding -- two fills and one
-    # slice, no index vector.
+    # Unit stride, partially out of bounds (halo loads at block edges):
+    # clipping maps every underflowing index to 0 and every overflowing
+    # one to the last element, so the gather is edge-padding -- two
+    # fills and one slice, no index vector.
     head = min(max(-lo, 0), n)
     tail = min(max(lo + n - size, 0), n - head)
     core_lo = min(max(lo, 0), size)
@@ -61,32 +65,41 @@ def ld_span(arr: np.ndarray, lo: int, n: int, copy: bool = False):
     return out
 
 
-def span_out(arr: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """Writable view ``arr[lo:lo+n]`` -- the destination of a span store.
+def span_out(arr: np.ndarray, lo: int, n: int, step: int = 1) -> np.ndarray:
+    """Writable view ``arr[lo : lo+(n-1)*step+1 : step]`` -- the
+    destination of a span store (``step >= 1``).
 
     A slice silently truncates where a scatter would fail, so the bounds
-    are checked here: an unpredicated store outside the device buffer is
-    a window the compiler or the program got wrong, and raises like the
-    indexed store it replaces.
+    are checked here: an unpredicated store outside the device buffer --
+    first or last element -- is a window the compiler or the program got
+    wrong, and raises like the indexed store it replaces.
     """
     if n <= 0:
         return arr[0:0]
-    if lo < 0 or lo + n > arr.shape[0]:
+    last = lo + (n - 1) * step
+    if lo < 0 or last >= arr.shape[0]:
         raise IndexError(
-            f"span store [{lo}, {lo + n}) outside a buffer of "
+            f"span store [{lo}, {last}] (step {step}) outside a buffer of "
             f"{arr.shape[0]} elements")
-    return arr[lo:lo + n]
+    return arr[lo:last + 1:step]
 
 
-def store_span(arr: np.ndarray, lo: int, n: int, values, op: str = "") -> None:
-    """Contiguous store ``arr[lo:lo+n] op= values`` -- the :func:`store`
-    fast path.
+def store_span(arr: np.ndarray, lo: int, n: int, values, op: str = "",
+               step: int = 1) -> None:
+    """Strided store ``arr[lo + k*step] op= values[k]`` -- the
+    :func:`store` fast path.
 
-    The indices of a span are unique, so slice assignment equals fancy
-    assignment and in-place ufuncs equal unbuffered ``ufunc.at``:
-    results are bit-identical to ``store(arr, arange(lo, lo+n), ...)``.
+    The indices of a span with ``step >= 1`` are unique, so slice
+    assignment equals fancy assignment and in-place ufuncs equal
+    unbuffered ``ufunc.at``: results are bit-identical to ``store(arr,
+    lo + step*arange(n), ...)``.  A symbolic stride that turns out below
+    1 at run time has no such slice (stride 0 repeats one element) and
+    takes the scatter.
     """
-    dst = span_out(arr, lo, n)
+    if step < 1:
+        store(arr, lo + step * np.arange(n, dtype=np.int64), values, op)
+        return
+    dst = span_out(arr, lo, n, step)
     if op == "":
         dst[...] = values
     elif op == "+":

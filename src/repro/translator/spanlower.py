@@ -1,45 +1,64 @@
-"""Span-native kernel lowering and kernel assembly.
+"""Plain-axis kernel lowering and kernel assembly.
 
 The mask lowering (:mod:`repro.translator.vectorizer`) treats every
-access as a gather or scatter over a lane-index vector and every ``if``
-as a boolean lane mask.  On the plain outer axis most of that is
-allocation and copying, not arithmetic: the iteration slice of one GPU
-is a contiguous span ``[i0, i1)``, so
+access as a gather or scatter over a lane-index vector, every ``if`` as
+a boolean lane mask and every local as a freshly materialised vector.
+On the plain outer axis most of that is allocation and copying, not
+arithmetic: the iteration slice of one GPU is a contiguous span ``[i0,
+i1)``, so
 
-* a unit-stride access is a slice of the device buffer (a view, never a
-  gather);
+* an access ``S*i + off`` with a lane-invariant stride ``S`` -- ``1``,
+  an integer coefficient, or the symbolic factor of a ``localaccess
+  stride(S)`` strip (``i*nfeatures + f``) -- is a strided slice of the
+  device buffer (a view, never a gather); a store through one checks its
+  first and last element, and marks exactly the elements it wrote;
+* any other lane-varying load is the guarded gather ``np.take(a, idx,
+  mode='clip', out=slot)``: the clamp ``ks.ld`` performs, into a slot of
+  the array's dtype, with no clipped index vector in between;
 * an ``if`` whose condition only compares the loop variable with
   lane-invariant integers selects a contiguous *sub-span*: the branch
   body is lowered again, unmasked, over ``[a, b)`` (the complement is at
   most two more sub-spans), so no index vector, no compare vectors and
-  no ``np.where`` merge are ever built;
-* float arithmetic is emitted as three-address ``np.<ufunc>(x, y,
-  out=slot)`` over scratch slots taken from the launch's arena
-  (:class:`repro.runtime.kernelctx.ScratchArena`), with the last
-  operation of a store writing straight into the destination slice.
+  no merge are ever built; any other condition over lane vectors *is*
+  the mask, and an assignment under it is ``np.copyto(dst, v,
+  where=mask)``;
+* every local -- ``int`` and ``float`` alike -- owns one arena slot
+  (:class:`repro.runtime.kernelctx.ScratchArena`) of its C type, float
+  arithmetic is three-address ``np.<ufunc>(x, y, out=slot)``, and the
+  last operation of an assignment or store writes straight into its
+  destination; slots taken inside a constant-trip loop are bound once,
+  ahead of it;
+* within a straight-line run, an index subexpression or a load that was
+  already evaluated is not evaluated again (textual value numbers, ended
+  by a store to the array or an assignment to a local they read).
 
 ``out=`` changes where a result lands, never what it is -- but only if
 the slot's dtype is the dtype NumPy would have chosen.  That is proven
 per operation from the C types (array and local dtypes are exact; a
 Python ``float`` is weak against a float array under value-based casting
 and under NEP 50 alike; a host scalar a proof leans on is bound through
-its C type at kernel entry); whatever cannot be proven is evaluated
-unbuffered, as the mask lowering does.
+its C type at kernel entry; a comparison with a lane vector is ``bool``);
+whatever cannot be proven -- every integer operation -- is evaluated
+unbuffered, same ufunc, same operands.
 
-:func:`lower_body` lowers one priced loop body once, with the one
-emitter that fits it: this one where the body has a unit-stride access,
-the mask lowering where it has none.  :func:`kernel_source` assembles
-the kernel around it.  Neither emitter can reach the cost model
-(:func:`repro.translator.cost.price_body` ran before them).
+:func:`lower_body` lowers one priced loop body once, with
+:class:`SpanVectorizer`; :func:`kernel_source` assembles the kernel
+around it.  The emitter cannot reach the cost model
+(:func:`repro.translator.cost.price_body` ran before it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..frontend import cast as C
-from ..frontend.analysis import LoopAnalysis, affine_in, const_value
-from .array_config import LoopConfig, WriteHandling
+from ..frontend.analysis import (
+    LoopAnalysis,
+    affine_in,
+    const_value,
+    strided_in,
+)
+from .array_config import ArrayConfig, LoopConfig, WriteHandling
 from .cost import reduction_directive
 from .vectorizer import _DTYPES, _MATH_CALLS, KernelSourceInfo, Vectorizer
 
@@ -47,11 +66,13 @@ _FLOAT_DTYPES = ("np.float32", "np.float64")
 _UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply",
            "/": "np.divide"}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+_COMPARE = {"<": "np.less", "<=": "np.less_equal", ">": "np.greater",
+            ">=": "np.greater_equal", "==": "np.equal", "!=": "np.not_equal"}
 
 
 @dataclass
 class _Val:
-    """A translated operand of the span lowering."""
+    """A translated operand of the plain-axis lowering."""
 
     src: str
     #: Lane vector (True) or lane-invariant scalar.
@@ -66,9 +87,9 @@ class _Val:
     slot: int | None = None
     #: ``(host scalar, Python type name)`` pairs ``kind`` relies on.
     deps: frozenset = frozenset()
-    #: ``(array, offset source)`` when the value is a span view of a
-    #: device buffer.
-    view: tuple[str, str] | None = None
+    #: ``(array, offset source, step source)`` when the value is a span
+    #: view of a device buffer.
+    view: tuple[str, str, str] | None = None
 
 
 @dataclass
@@ -113,33 +134,38 @@ class Interval:
 
 
 class SpanVectorizer(Vectorizer):
-    """The span-native lowering of one parallel loop (see module doc).
-
-    Everything off the plain outer axis (CSR-flattened inner loops) and
-    every construct it has no span form for is inherited: same masks,
-    same helpers, with unit-stride loads as slices.
-    """
+    """The lowering of one parallel loop (see module doc): everything on
+    the plain outer axis is lowered here; the CSR-flattened axis is
+    inherited -- same masks, same helpers."""
 
     def __init__(self, *args, slot_base: int = 0, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: span_start / interval_of per AST node.  Sound across the
-        #: pre-pass and the emission: a local can only make an offset
-        #: lane-varying, and it is declared before any use.
-        self._spans: dict[int, str | None] = {}
+        #: span_start / interval_of per AST node.  Sound for the whole
+        #: emission: a local can only make an offset lane-varying, and it
+        #: is declared before any use.
+        self._spans: dict[int, tuple[str, str] | None] = {}
         self._intervals: dict[int, Interval | None] = {}
         self.top = _Region(lo="ctx.i0", hi="ctx.i1", n="_n")
         self.region = self.top
-        #: Region a local was declared in (slices are taken against it).
+        #: Region each plain-axis local was declared in: it owns an arena
+        #: slot of that region's length, and is sliced against it.
         self.local_home: dict[str, _Region] = {}
-        #: Float locals that live in an arena slot for the whole kernel
-        #: (chosen up front by :meth:`_slot_locals`), and those of them
-        #: declared so far.
-        self.slot_locals = self._slot_locals()
-        self.slotted: set[str] = set()
         self.slot_base = slot_base
         self.slots_used = 0
         self._free: list[int] = []
+        #: Inside a constant-trip loop: the region it was entered in and
+        #: the slot bindings to put ahead of it.
+        self._hoist: tuple[_Region, list[str]] | None = None
+        #: Names the body declares more than once (sibling scopes): each
+        #: declaration rebinds the name where it stands.
+        decls = [st.name for st in C.walk(self.an.nest.body)
+                 if isinstance(st, C.Decl)]
+        self._redeclared = {n for n in decls if decls.count(n) > 1}
         self._pending: list[_Val] = []
+        #: Value numbers of the current straight-line run: source text of
+        #: a lane-vector computation -> (the name it is bound to, what it
+        #: reads: ``v_<local>`` names and ``@<array>``).
+        self._numbered: dict[str, tuple[_Val, frozenset]] = {}
         #: Host scalars whose Python type the ``out=`` proofs rely on.
         self.weak: dict[str, str] = {}
         #: The body loads a span (``_ld`` must be bound).
@@ -175,105 +201,82 @@ class SpanVectorizer(Vectorizer):
                           f"[{r.lo} - {home.lo}:{r.hi} - {home.lo}]")
         return alias
 
-    def span_start(self, idx: C.Expr) -> str | None:
-        """Offset source of a unit-stride outer-lane access, or None.
+    def span_start(self, idx: C.Expr) -> tuple[str, str] | None:
+        """``(offset, step)`` sources of a strided outer-lane access, or
+        None.
 
-        An access spans ``[off + lo, off + hi)`` contiguously when the
-        kernel is on the plain outer axis (CSR flattening reshuffles
-        lanes), the index is affine in the loop variable with
-        coefficient 1, and the offset is lane-invariant.
+        Lane ``i`` of an access touches element ``step*i + offset`` when
+        the kernel is on the plain outer axis (CSR flattening reshuffles
+        lanes) and the index is the loop variable times a lane-invariant
+        stride plus a lane-invariant offset: an integer coefficient >= 1
+        (``"1"`` is the contiguous span), or a symbolic factor
+        (``i*nfeatures + f``) whose sign the ``ks`` helpers check at run
+        time.
         """
         if not self.plain:
             return None
         if id(idx) not in self._spans:
-            aff = affine_in(idx, self.an.nest.var)
-            unit = aff is not None and aff.coeff == 1 \
-                and not self.lane_varying(aff.offset)
-            self._spans[id(idx)] = self.tx(aff.offset) if unit else None
+            parts = strided_in(idx, self.an.nest.var)
+            span = None
+            if parts is not None and not self.lane_varying(parts[0]) \
+                    and not self.lane_varying(parts[1]):
+                coeff = const_value(parts[0])
+                if coeff is None or coeff >= 1:
+                    span = self.tx(parts[1]), self.tx(parts[0])
+            self._spans[id(idx)] = span
         return self._spans[id(idx)]
 
-    def touches_span(self, node: C.Expr | C.Stmt) -> bool:
-        """Does ``node`` make a unit-stride access or use a slot local?
-        Only such statements are lowered span-natively; the rest keep
-        the mask lowering's text."""
-        exprs = C.walk_expr(node) if isinstance(node, C.Expr) \
-            else C.all_exprs(node)
-        for x in exprs:
-            if isinstance(x, C.Index) and len(x.indices) == 1 \
-                    and self.span_start(x.indices[0]) is not None:
-                return True
-            if isinstance(x, C.Ident) and x.name in self.slot_locals:
-                return True
-        return False
-
-    def _slot_locals(self) -> set[str]:
-        """Float locals worth an arena slot: assigned from a unit-stride
-        load or under a lane-interval condition (where the update must
-        be in place), or computed from such a local."""
-        floats = {n for n, t in self.local_types.items()
-                  if t in ("float", "double")}
-        if not floats:
-            return set()
-        assigns: list[tuple[str, C.Expr]] = []
-        chosen: set[str] = set()
-        # Every local counts as lane-varying here, declared yet or not.
-        self.locals = {n: f"v_{n}" for n in self.local_types}
-
-        def visit(s: C.Stmt, in_interval: bool) -> None:
-            if isinstance(s, C.Decl) and s.init is not None:
-                assigns.append((s.name, s.init))
-            elif isinstance(s, C.ExprStmt) and isinstance(s.expr, C.Assign) \
-                    and isinstance(s.expr.target, C.Ident):
-                assigns.append((s.expr.target.name, s.expr.value))
-                if in_interval:
-                    chosen.add(s.expr.target.name)
-            elif isinstance(s, C.If):
-                in_interval = in_interval or \
-                    self.interval_of(s.cond) is not None
-            for child in C.child_stmts(s):
-                visit(child, in_interval)
-
-        visit(self.an.nest.body, False)
-        chosen &= floats
-        grew = True
-        while grew:
-            grew = False
-            self.slot_locals = chosen
-            for name, value in assigns:
-                if name in floats and name not in chosen \
-                        and self.touches_span(value):
-                    chosen.add(name)
-                    grew = True
-        self.locals = {}
-        return chosen
-
-    def _at(self, off: str) -> str:
-        """Global index of the region's first lane shifted by ``off``."""
-        lo = self.region.lo
+    def _at(self, off: str, step: str = "1") -> str:
+        """Global index of the region's first lane under ``(off, step)``."""
+        lo = self.region.lo if step == "1" else f"{step} * {self.region.lo}"
         if off.lstrip("-").isdigit():
             return lo if off == "0" else \
                 f"{lo} - {off[1:]}" if off[0] == "-" else f"{lo} + {off}"
         return f"{off} + {lo}"
 
-    def _span_load(self, e: C.Index, copy: bool) -> tuple[str, str] | None:
-        off = self.span_start(e.indices[0])
-        if off is None:
-            return None
-        name = e.base_name()
-        r = self.region
-        self.loads = True
-        # Out-of-range spans (halo loads at block edges under a data-
-        # dependent predicate) fall back to the clipped gather inside
-        # ld_span, so values match ks.ld exactly.
-        return off, (f"_ld(v_{name}, {self._at(off)} - _b_{name}, {r.n}"
-                     f"{', True' if copy else ''})")
+    # -- value numbers -----------------------------------------------------------------
 
-    def tx_load(self, e: C.Index) -> str:
-        # A value kept in an expression string may be bound to a local
-        # of the mask path: copy when the kernel also stores to the
-        # array.
-        hit = self._span_load(e, self.config.arrays[e.base_name()].written)
-        return hit[1] if hit is not None else super().tx_load(e)
+    def _reads(self, e: C.Expr) -> frozenset:
+        """What the value of ``e`` depends on that the body can change."""
+        return frozenset(
+            f"v_{x.name}" if isinstance(x, C.Ident) else f"@{x.base_name()}"
+            for x in C.walk_expr(e)
+            if isinstance(x, C.Index)
+            or isinstance(x, C.Ident) and x.name in self.locals)
+
+    def _number(self, key: str, e: C.Expr, make) -> _Val:
+        """The value numbered ``key`` in this straight-line run, made (and
+        bound to a name) by ``make()`` the first time: identical index
+        subexpressions and identical loads are emitted once.  Greedy and
+        textual -- the key is the computation's source over names that
+        are themselves numbered, locals or lane-invariant."""
+        hit = self._numbered.get(key)
+        if hit is None:
+            hit = self._numbered[key] = (make(), self._reads(e))
+        # A slot stays the table's until the number ends.
+        return replace(hit[0], slot=None)
+
+    def _forget(self, dep: str | None = None) -> None:
+        """End the value numbers that read ``dep`` -- a local being
+        assigned, ``@array`` being stored to -- or all of them, where the
+        straight-line run ends."""
+        for key in [k for k, (_, reads) in self._numbered.items()
+                    if dep is None or dep in reads]:
+            self._release(self._numbered.pop(key)[0])
+
+    def emit_inner_loop(self, s: C.For) -> None:
+        self._forget()
+        if self._hoist is None and self._inner_by_id[id(s)].kind != "csr":
+            # Outermost Python loop: slots of the region it sits in are
+            # bound once, ahead of it (``_take_slot``).
+            lines, mark, pad = self.lines, len(self.lines), "    " * self.indent
+            self._hoist = (self.region, [])
+            super().emit_inner_loop(s)
+            lines[mark:mark] = [pad + line for line in self._hoist[1]]
+            self._hoist = None
+        else:
+            super().emit_inner_loop(s)
+        self._forget()
 
     # -- scratch slots -------------------------------------------------------------
 
@@ -295,19 +298,26 @@ class SpanVectorizer(Vectorizer):
         return f"_slot({k}, {n})" if dtype == "np.float32" \
             else f"_slot({k}, {n}, {dtype})"
 
-    def _temp(self, dtype: str) -> _Val:
+    def _take_slot(self, name: str, dtype: str, hoist: bool = True) -> int:
+        """Bind ``name`` to a free slot as a ``dtype`` vector of the
+        region's length -- ahead of the enclosing loops when the region
+        was entered before them: which slot a name gets is decided here,
+        not per trip."""
         k = self._alloc()
+        line = f"{name} = {self._slot_call(k, self.region.n, dtype)}"
+        if hoist and self._hoist is not None \
+                and self._hoist[0] is self.region:
+            self._hoist[1].append(line)
+        else:
+            self.emit(line)
+        return k
+
+    def _temp(self, dtype: str) -> _Val:
         name = self.tmp("_q")
-        self.emit(f"{name} = {self._slot_call(k, self.region.n, dtype)}")
-        return _Val(name, True, dtype=dtype, slot=k)
+        return _Val(name, True, dtype=dtype, slot=self._take_slot(name, dtype))
 
     def value_src(self, e: C.Expr) -> str:
-        # A bare load may end up bound to a local of the mask path: it
-        # keeps tx_load's copy rule.
-        while isinstance(e, C.UnOp) and e.op == "+":
-            e = e.operand
-        if not self.plain or isinstance(e, C.Index) \
-                or not self.touches_span(e):
+        if not self.plain:
             return self.tx(e)
         v = self.bx(e)
         self._pending.append(v)
@@ -318,11 +328,58 @@ class SpanVectorizer(Vectorizer):
         self._release(*self._pending)
         self._pending.clear()
 
+    # -- loads ---------------------------------------------------------------------------
+
+    def tx_load(self, e: C.Index) -> str:
+        if not self.plain:
+            return super().tx_load(e)
+        # A value kept in an expression string may outlive a later store
+        # of the statement: copy a view when the kernel stores to the
+        # array.
+        return self._bx_load(
+            e, copy=self.config.arrays[e.base_name()].written).src
+
+    def _bx_load(self, e: C.Index, copy: bool = False) -> _Val:
+        """A plain-axis load: a span view, a lane-invariant element, or
+        the guarded gather ``np.take(..., mode='clip')`` into a slot."""
+        name = e.base_name()
+        idx = e.indices[0]
+        dt = _DTYPES.get(self.config.arrays[name].ctype)
+        span = self.span_start(idx)
+        if span is not None:
+            off, step = span
+            self.loads = True
+            # Out-of-buffer spans (halo loads at block edges under a
+            # data-dependent predicate) fall back to the clipped gather
+            # inside ld_span, so values match ks.ld exactly.
+            src = (f"_ld(v_{name}, {self._at(off, step)} - _b_{name}, "
+                   f"{self.region.n}{'' if step == '1' else ', ' + step}"
+                   f"{', copy=True' if copy else ''})")
+            view = _Val(src, True, dtype=dt, view=(name, off, step))
+            if step == "1":
+                return view
+            return self._number(src, e, lambda: self._bind(view))
+        if not self.lane_varying(idx):
+            return _Val(Vectorizer.tx_load(self, e), False, kind=dt)
+        iv = self.bx(idx)
+        at = self._eager(f"({iv.src} - _b_{name})", [iv], idx)
+        if dt is None:
+            # No C type to take the slot's dtype from.
+            return self._eager(f"ks.ld(v_{name}, {at.src})", [], e)
+
+        def gather() -> _Val:
+            q = self._temp(dt)
+            self.emit(f"np.take(v_{name}, {at.src}, mode='clip', "
+                      f"out={q.src})")
+            return q
+
+        return self._number(f"v_{name}[{at.src}]", e, gather)
+
     # -- buffered expressions ------------------------------------------------------
 
     def bx(self, e: C.Expr, out: tuple | None = None) -> _Val:
         """Evaluate ``e`` eagerly as three-address code where the result
-        dtype is proven; ``out = (dst, dtype, array, offset)`` lets the
+        dtype is proven; ``out = (dst, dtype, array, span)`` lets the
         root operation write straight into ``dst``."""
         if isinstance(e, C.FloatLit):
             return _Val(repr(e.value), False, kind="f")
@@ -340,16 +397,24 @@ class SpanVectorizer(Vectorizer):
             if not v.vec:
                 kind = "i" if v.kind == "il" else v.kind
                 return _Val(f"(-{v.src})", False, kind=kind, deps=v.deps)
-            return self._op("np.negative", f"(-{v.src})", [v], out)
+            return self._op("np.negative", f"(-{v.src})", [v], out, e)
         if isinstance(e, C.BinOp) and e.op in _UFUNCS:
             return self._bx_binop(e, out)
+        if isinstance(e, C.BinOp) and e.op in _COMPARE:
+            vals = [self.bx(e.left), self.bx(e.right)]
+            plain = f"({vals[0].src} {e.op} {vals[1].src})"
+            if not any(v.vec for v in vals):
+                return _Val(plain, False)
+            # A comparison with a lane vector is a bool lane vector,
+            # whatever it compares.
+            return self._op(_COMPARE[e.op], plain, vals, None, e, "np.bool_")
         if isinstance(e, C.Call) and _MATH_CALLS[e.func].startswith("np."):
             fn = _MATH_CALLS[e.func]
             vals = [self.bx(a) for a in e.args]
             plain = f"{fn}({', '.join(v.src for v in vals)})"
             if not any(v.vec for v in vals):
                 return _Val(plain, False)
-            return self._op(fn, plain, vals, out)
+            return self._op(fn, plain, vals, out, e)
         if isinstance(e, C.CastExpr):
             v = self.bx(e.operand)
             dt = _DTYPES.get(e.to.base if not e.to.pointers else "long",
@@ -357,7 +422,7 @@ class SpanVectorizer(Vectorizer):
             src = f"ks.cast_to({v.src}, {dt})"
             if not v.vec:
                 return _Val(src, False, kind=dt)
-            return self._eager(src, [v], dtype=dt)
+            return self._eager(src, [v], e, dtype=dt)
         return _Val(self.tx(e), self.lane_varying(e))
 
     def _bx_ident(self, e: C.Ident) -> _Val:
@@ -377,19 +442,6 @@ class SpanVectorizer(Vectorizer):
             return _Val(src, False, kind="i", deps=frozenset({(n, "int")}))
         return _Val(src, False)
 
-    def _bx_load(self, e: C.Index) -> _Val:
-        name = e.base_name()
-        dt = _DTYPES.get(self.config.arrays[name].ctype)
-        # Consumed at once (into a slot, a store or a copy), so a view is
-        # safe even when the kernel writes the array.
-        hit = self._span_load(e, False)
-        if hit is not None:
-            return _Val(hit[1], True, dtype=dt, view=(name, hit[0]))
-        src = Vectorizer.tx_load(self, e)
-        if self.lane_varying(e.indices[0]):
-            return _Val(src, True, dtype=dt)
-        return _Val(src, False, kind=dt)
-
     def _bx_binop(self, e: C.BinOp, out: tuple | None) -> _Val:
         is_float = "float" in (self.expr_type(e.left),
                                self.expr_type(e.right))
@@ -399,8 +451,8 @@ class SpanVectorizer(Vectorizer):
         plain = f"({left.src} {pyop} {right.src})"
         if left.vec or right.vec:
             if pyop == "//":
-                return self._eager(plain, [left, right])
-            return self._op(_UFUNCS[e.op], plain, [left, right], out)
+                return self._eager(plain, [left, right], e)
+            return self._op(_UFUNCS[e.op], plain, [left, right], out, e)
         pyscalars = ("f", "i", "il")
         kind = None
         if left.kind in pyscalars and right.kind in pyscalars:
@@ -423,34 +475,48 @@ class SpanVectorizer(Vectorizer):
                 return None
         return dtype
 
-    def _eager(self, plain: str, vals: list[_Val],
+    def _bind(self, v: _Val) -> _Val:
+        """``v`` bound to a name of its own."""
+        name = self.tmp("_u")
+        self.emit(f"{name} = {v.src}")
+        return replace(v, src=name)
+
+    def _eager(self, plain: str, vals: list[_Val], e: C.Expr,
                dtype: str | None = None) -> _Val:
-        """Unbuffered evaluation.  Bound to a name at once when an
-        operand sits in a slot, which is free for reuse afterwards."""
-        if any(v.slot is not None for v in vals):
-            name = self.tmp("_u")
-            self.emit(f"{name} = {plain}")
-            self._release(*vals)
-            plain = name
-        return _Val(plain, True, dtype=dtype)
+        """Unbuffered evaluation of the lane vector ``plain`` (the text
+        of ``e`` over ``vals``), bound to a name at once: an operand's
+        slot is free for reuse afterwards, and the name is the value's
+        number unless an operand sat in a slot a later operation may
+        overwrite in place."""
+        def make() -> _Val:
+            return self._bind(_Val(plain, True, dtype=dtype))
+
+        res = make() if any(v.slot is not None for v in vals) \
+            else self._number(plain, e, make)
+        self._release(*vals)
+        return res
 
     def _op(self, ufunc: str, plain: str, vals: list[_Val],
-            out: tuple | None) -> _Val:
-        dtype = self._proven(vals)
+            out: tuple | None, e: C.Expr, dtype: str | None = None) -> _Val:
+        """``ufunc`` over ``vals`` into a slot of its result ``dtype`` --
+        given, or proven from the operands; unbuffered when neither."""
         if dtype is None:
-            return self._eager(plain, vals)
-        for v in vals:
-            if not v.vec:
-                self.weak.update(v.deps)
+            dtype = self._proven(vals)
+            if dtype is None:
+                return self._eager(plain, vals, e)
+            for v in vals:
+                if not v.vec:
+                    self.weak.update(v.deps)
         args = ", ".join(v.src for v in vals)
         if out is not None and out[1] == dtype and not any(
                 v.view is not None and v.view[0] == out[2]
-                and v.view[1] != out[3] for v in vals):
+                and v.view[1:] != out[3] for v in vals):
             # No operand aliases the destination at another offset.
             self.emit(f"{ufunc}({args}, out={out[0]})")
             self._release(*vals)
             return _Val(out[0], True, dtype=dtype)
-        held = next((v for v in vals if v.slot is not None), None)
+        held = next((v for v in vals
+                     if v.slot is not None and v.dtype == dtype), None)
         if held is not None:
             res = _Val(held.src, True, dtype=dtype, slot=held.slot)
             held.slot = None
@@ -476,81 +542,65 @@ class SpanVectorizer(Vectorizer):
 
     # -- locals ------------------------------------------------------------------------
 
-    def _declare_slotted(self, name: str, ctype: str) -> tuple[str, str]:
-        dtype = _DTYPES[ctype]
+    def _declare(self, name: str, ctype: str) -> tuple[str, str]:
+        """A local of the plain axis owns one arena slot of its C type
+        for the whole kernel, so every assignment to it -- predicated or
+        not -- is in place."""
+        dtype = _DTYPES.get(ctype, "np.float64")
         pyname = f"v_{name}"
-        self.emit(f"{pyname} = "
-                  f"{self._slot_call(self._alloc(), self.region.n, dtype)}")
+        self._take_slot(pyname, dtype, hoist=name not in self._redeclared)
         self.locals[name] = pyname
         self.local_axis[name] = 0
         self.local_types[name] = ctype
         self.local_home[name] = self.region
-        self.slotted.add(name)
+        self._forget(pyname)
         return pyname, dtype
 
     def emit_private(self, name: str) -> None:
-        ctype = self.local_types.get(name, "float")
-        if name in self.slot_locals:
-            pyname, _ = self._declare_slotted(name, ctype)
-            self.emit(f"{pyname}.fill(0)")
-        else:
-            super().emit_private(name)
-            self.local_home[name] = self.region
+        pyname, _ = self._declare(name, self.local_types.get(name, "float"))
+        self.emit(f"{pyname}.fill(0)")
 
     def emit_decl(self, s: C.Decl) -> None:
-        if self.plain and s.name in self.slot_locals \
-                and s.ctype.base in ("float", "double"):
-            # The local owns one arena slot for the whole kernel, so
-            # every later assignment -- predicated or not -- is in place.
-            pyname, dtype = self._declare_slotted(s.name, s.ctype.base)
-            if s.init is None:
-                self.emit(f"{pyname}.fill(0)")
-            else:
-                self._assign_into(pyname, dtype, s.init, None)
+        if not self.plain:
+            super().emit_decl(s)
+            self.local_home.pop(s.name, None)
             return
-        super().emit_decl(s)
-        self.slotted.discard(s.name)
-        self.local_home[s.name] = self.region
+        pyname, dtype = self._declare(s.name, s.ctype.base)
+        if s.init is None:
+            self.emit(f"{pyname}.fill(0)")
+        else:
+            self._assign_into(pyname, dtype, s.init, None)
 
     def emit_scalar_assign(self, a: C.Assign) -> None:
         name = a.target.name  # type: ignore[union-attr]
-        if not self.plain or name not in self.slotted \
+        if not self.plain or name not in self.local_home \
                 or name in self.reduction_vars:
             super().emit_scalar_assign(a)
             return
-        dtype = _DTYPES[self.local_types[name]]
-        dst = self.local_src(name)
-        if not a.op:
-            self._assign_into(dst, dtype, a.value, self.mask)
-        elif a.op in _UFUNCS:
-            self._assign_into(
-                dst, dtype, C.BinOp(a.op, a.target, a.value, a.line),
-                self.mask)
-        else:
-            v = self.bx(a.value)
-            newv = self._apply_op(dst, a.op, v.src, True)
-            if self.mask is None:
-                self.emit(f"{dst}[...] = {newv}")
-            else:
-                self.emit(f"np.copyto({dst}, {newv}, casting='unsafe', "
-                          f"where={self.mask})")
-            self._release(v)
+        value = C.BinOp(a.op, a.target, a.value, a.line) if a.op else a.value
+        self._assign_into(
+            self.local_src(name),
+            _DTYPES.get(self.local_types[name], "np.float64"), value,
+            self.mask)
+        self._forget(f"v_{name}")
 
     # -- stores ------------------------------------------------------------------------
 
     def emit_store(self, a: C.Assign) -> None:
         name, cfg, idx = self.store_target(a)
-        off = self.span_start(idx)
+        span = self.span_start(idx)
         handling = cfg.write_handling
         mask = self.mask
-        if off is None or (mask is not None and (
-                a.op or handling == WriteHandling.MISS_CHECK)):
-            # Not a span store: the mask lowering's scatter (its loads
-            # are still slices).
+        strided = span is not None and span[1] != "1"
+        checked = handling == WriteHandling.MISS_CHECK
+        if span is None or strided and checked \
+                or mask is not None and (a.op or strided or checked):
+            # Not a span store: a scatter (its loads are still spans).
             self.emit_scatter(a, name, cfg, idx)
             return
+        off, step = span
         lanes = self.region.n
-        at = self._at(off)
+        at = self._at(off, step)
         lo = f"{at} - _b_{name}"
         if mask is not None:
             # Masked copyto over the slice writes exactly the active
@@ -563,35 +613,97 @@ class SpanVectorizer(Vectorizer):
             if handling == WriteHandling.DIRTY_BITS:
                 self.emit(f"ctx.mark_dirty({name!r}, "
                           f"np.flatnonzero({mask}) + {at})")
-        elif handling == WriteHandling.MISS_CHECK:
+        elif checked:
             # The span form performs the window check itself (misses
             # become one ascending record).
             v = self.bx(a.value)
             self.emit(f"ctx.write_checked_span({name!r}, {at}, "
                       f"{at} + {lanes}, {v.src}, {a.op!r})")
         else:
+            stride = f", {step}" if strided else ""
+            dirty = handling == WriteHandling.DIRTY_BITS
+            # Strided: exactly the elements written, never the span they
+            # sit in.
+            gi = self.bx(idx).src if dirty and strided else None
             direct = False
-            if a.op:
+            if a.op or not step.isdigit():
+                # A symbolic stride below 1 has no slice: store_span
+                # takes the scatter then.
                 v = self.bx(a.value)
             else:
                 # The root operation writes straight into the slice when
                 # its dtype is proven; the slice is then bound first.
                 dst = self.tmp("_d")
                 mark = len(self.lines)
-                v = self.bx(a.value,
-                            out=(dst, _DTYPES.get(cfg.ctype), name, off))
+                v = self.bx(a.value, out=(dst, _DTYPES.get(cfg.ctype), name,
+                                          (off, step)))
                 direct = v.src == dst
                 if direct:
                     self.lines.insert(mark, "    " * self.indent + (
-                        f"{dst} = ks.span_out(v_{name}, {lo}, {lanes})"))
+                        f"{dst} = ks.span_out(v_{name}, {lo}, {lanes}"
+                        f"{stride})"))
             if not direct:
                 self.emit(f"ks.store_span(v_{name}, {lo}, {lanes}, "
-                          f"{v.src}, {a.op!r})")
-            if handling == WriteHandling.DIRTY_BITS:
+                          f"{v.src}, {a.op!r}{stride})")
+            if gi is not None:
+                self.emit(f"ctx.mark_dirty({name!r}, {gi})")
+            elif dirty:
                 self.emit(f"ctx.mark_dirty_span({name!r}, {at}, {lanes})")
         self._release(v)
+        self._forget(f"@{name}")
 
-    # -- interval predicates -----------------------------------------------------------
+    def _lanes(self, v: _Val, name: str) -> str:
+        """``v`` as a scatter or reduction operand: the active lanes of a
+        vector; detached from the destination array it may be a view
+        of."""
+        src = f"{v.src}.copy()" if v.view is not None and v.view[0] == name \
+            else v.src
+        return src if self.mask is None or not v.vec \
+            else f"{src}[{self.mask}]"
+
+    def emit_scatter(self, a: C.Assign, name: str, cfg: ArrayConfig,
+                     idx: C.Expr) -> None:
+        if not self.plain or not self.lane_varying(idx):
+            super().emit_scatter(a, name, cfg, idx)
+        else:
+            handling = cfg.write_handling
+            iv = self.bx(idx)
+            gi = self._lanes(iv, name)
+            v = self.bx(a.value)
+            gv = self._lanes(v, name)
+            if handling != WriteHandling.LOCAL_PROVEN \
+                    and not gi.isidentifier():
+                gi_vec, gi = gi, self.tmp("_gi")
+                self.emit(f"{gi} = {gi_vec}")
+            if handling == WriteHandling.MISS_CHECK:
+                self.emit(f"ctx.write_checked({name!r}, {gi}, {gv}, "
+                          f"{a.op!r})")
+            else:
+                # Unmasked, the buffer-local index is the number a load
+                # of the same element already has.
+                at = f"{gi} - _b_{name}" \
+                    if self.mask is not None or iv.slot is not None else \
+                    self._eager(f"({iv.src} - _b_{name})", [], idx).src
+                self.emit(f"ks.store(v_{name}, {at}, {gv}, {a.op!r})")
+                if handling == WriteHandling.DIRTY_BITS:
+                    self.emit(f"ctx.mark_dirty({name!r}, {gi})")
+            self._release(iv, v)
+        self._forget(f"@{name}")
+
+    def emit_reduce(self, name: str, idx: C.Expr, value: C.Expr,
+                    op: str) -> None:
+        if not self.plain or not self.lane_varying(idx):
+            super().emit_reduce(name, idx, value, op)
+        else:
+            # A lane-invariant contribution stays a scalar.
+            iv, v = self.bx(idx), self.bx(value)
+            self.emit(f"ctx.reduce_to_array({name!r}, "
+                      f"{self._lanes(iv, name)}, {self._lanes(v, name)}, "
+                      f"{op!r})")
+            self._release(iv, v)
+        self._forget(f"@{name}")
+
+    # -- predicates --------------------------------------------------------------------
 
     def interval_of(self, cond: C.Expr) -> Interval | None:
         if id(cond) not in self._intervals:
@@ -664,8 +776,8 @@ class SpanVectorizer(Vectorizer):
 
     def _span_lowerable(self, s: C.Stmt) -> bool:
         """Can ``s`` run unmasked over a sub-span?  Not when it folds a
-        reduction (two sub-spans would fold in another order), changes
-        the lane axis, or rebinds a local that does not own a slot."""
+        reduction (two sub-spans would fold in another order) or changes
+        the lane axis."""
         bound_names = set(self.local_types) | {self.an.nest.var}
         for st in C.walk(s):
             if reduction_directive(st) is not None:
@@ -680,21 +792,29 @@ class SpanVectorizer(Vectorizer):
                            for x in C.walk_expr(bound)):
                         return False
             if isinstance(st, C.ExprStmt) and isinstance(st.expr, C.Assign) \
-                    and isinstance(st.expr.target, C.Ident):
-                name = st.expr.target.name
-                if name in self.reduction_vars \
-                        or name not in self.slot_locals:
-                    return False
+                    and isinstance(st.expr.target, C.Ident) \
+                    and st.expr.target.name in self.reduction_vars:
+                return False
         return True
 
     def emit_if(self, s: C.If) -> None:
         iv = self.interval_of(s.cond) \
             if self.plain and self.mask is None else None
-        if iv is None or not self.touches_span(s) \
-                or not self._span_lowerable(s.then) \
-                or not (s.orelse is None or self._span_lowerable(s.orelse)):
+        if iv is not None and self._span_lowerable(s.then) \
+                and (s.orelse is None or self._span_lowerable(s.orelse)):
+            self._emit_interval(s, iv)
+        elif not self.plain or not self.lane_varying(s.cond):
             super().emit_if(s)
-            return
+        else:
+            # A condition over lane vectors is the mask as it stands.
+            if isinstance(s.cond, C.BinOp) and s.cond.op in _COMPARE:
+                c = self.bx(s.cond)
+            else:
+                c = self._eager(self.as_bool(s.cond), [], s.cond)
+            self.emit_masked(s, c.src)
+            self._release(c)
+
+    def _emit_interval(self, s: C.If, iv: Interval) -> None:
         r = self.region
         p = self.tmp("_p")
         q = self.tmp("_q")
@@ -716,6 +836,7 @@ class SpanVectorizer(Vectorizer):
 
     def _emit_region(self, pieces: list[tuple[str, str]], body: C.Stmt) -> None:
         """Lower ``body`` unmasked over each sub-span of ``pieces``."""
+        self._forget()
         n = self.tmp("_n")
         if len(pieces) == 1:
             lo, hi = pieces[0]
@@ -741,6 +862,7 @@ class SpanVectorizer(Vectorizer):
         self.region = outer
         self.axis.lanes = outer.n
         self.indent -= guarded + (len(pieces) > 1)
+        self._forget()
 
 
 @dataclass
@@ -772,25 +894,16 @@ def lower_body(analysis: LoopAnalysis, config: LoopConfig,
     """Lower one loop body, once.  ``labels`` is what
     :func:`~repro.translator.cost.price_body` returned for it: a body is
     priced before it is lowered, never by its lowering."""
-    args = (analysis, config, scalar_types, dict(local_types), labels)
-    # Without a unit-stride access the span lowering has nothing to
-    # add: the mask lowering's statements are the body.
-    if any(acc.affine is not None and acc.affine.coeff == 1
-           for usage in analysis.arrays.values()
-           for acc in usage.accesses):
-        out = SpanVectorizer(*args, slot_base=slot_base)
-    else:
-        out = Vectorizer(*args)
+    out = SpanVectorizer(analysis, config, scalar_types, dict(local_types),
+                         labels, slot_base=slot_base)
     out._tmp = tmp_base
     lines: list[str] = []
     for piece in out.body_pieces():
         lines += out.emit_piece(piece)
-    body = LoweredBody(
+    return LoweredBody(
         lines=lines, tmp_end=out._tmp, iota=out.uses_iota,
-        scalars=out.used_scalars, locals=set(out.locals))
-    if isinstance(out, SpanVectorizer):
-        body.slots, body.loads, body.weak = out.slots_used, out.loads, out.weak
-    return body
+        scalars=out.used_scalars, locals=set(out.locals),
+        slots=out.slots_used, loads=out.loads, weak=out.weak)
 
 
 def scalar_binding(name: str, pytype: str | None = None) -> str:

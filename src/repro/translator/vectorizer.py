@@ -27,12 +27,14 @@ instrumented per the array's :class:`~repro.translator.array_config.ArrayConfig`
 nothing when writes are statically proven local).
 
 This module is the *mask* lowering: every access is a guarded gather or
-an indexed scatter (``ks.ld`` / ``ks.store``) and every predicate a
-boolean lane mask.  :mod:`repro.translator.spanlower` subclasses it with
-the span-native lowering, which writes the kernel wherever a body has a
-unit-stride access.  Both only emit: the kernel's pricing model comes
-from :func:`repro.translator.cost.price_body`, which walks the body
-before either runs, rejects what is outside the supported statement
+an indexed scatter (``ks.ld`` / ``ks.store``), every predicate a boolean
+lane mask, every local a ``ks.bcv`` vector merged with ``ks.merge``.  It
+is what the CSR-flattened axis runs on, and the base class of
+:class:`repro.translator.spanlower.SpanVectorizer`, which lowers
+everything on the plain outer axis and is the one emitter
+``lower_body`` constructs.  Both only emit: the kernel's pricing model
+comes from :func:`repro.translator.cost.price_body`, which walks the
+body before either runs, rejects what is outside the supported statement
 set, and names the inner loops whose trip counts the kernel reports.
 
 The emitted source is kept on the compiled kernel object
@@ -106,7 +108,12 @@ class _Axis:
 class Vectorizer:
     """One-shot emitter for a single parallel loop that
     :func:`~repro.translator.cost.price_body` has priced: ``labels`` is
-    its result, the name each inner loop reports its trips under."""
+    its result, the name each inner loop reports its trips under.
+
+    The statement walk, the expression-string translation and the CSR
+    axis live here; what depends on how the outer axis keeps its lanes --
+    ``lane_index``, ``local_src``, ``value_src``, ``emit_store``,
+    ``emit_private`` -- is the subclass's."""
 
     def __init__(
         self,
@@ -229,19 +236,6 @@ class Vectorizer:
             self.used_scalars.add(n)
             return f"v_{n}"
         raise VectorizeError(f"unknown identifier {n!r}", e.line)
-
-    def lane_index(self) -> str:
-        """Name of the vector of global lane indices of the outer axis."""
-        self.uses_iota = True
-        return "_i"
-
-    def local_src(self, name: str) -> str:
-        """Python expression for the lane vector of kernel local ``name``."""
-        return self.locals[name]
-
-    def value_src(self, e: C.Expr) -> str:
-        """Translate the value operand of a statement."""
-        return self.tx(e)
 
     def outer_lane_expr(self, pyname: str, declared_at: int = 0) -> str:
         """Value of a lane vector, gathered into a csr axis if needed.
@@ -439,9 +433,6 @@ class Vectorizer:
                 "(paper section III-B)", a.line)
         return name, cfg, idx
 
-    def emit_store(self, a: C.Assign) -> None:
-        self.emit_scatter(a, *self.store_target(a))
-
     def emit_scatter(self, a: C.Assign, name: str, cfg: ArrayConfig,
                      idx: C.Expr) -> None:
         idx_src = self.tx(idx)
@@ -471,13 +462,18 @@ class Vectorizer:
             raise VectorizeError(
                 f"reductiontoarray({d.op}) must annotate a compound "
                 f"'{d.op}=' update", s.line)
-        idx_src = self.tx(target.indices[0])
-        val_src = self.value_src(a.value)
+        self.emit_reduce(name, target.indices[0], a.value, d.op)
+
+    def emit_reduce(self, name: str, idx: C.Expr, value: C.Expr,
+                    op: str) -> None:
+        """One contribution per active lane to the private copy."""
+        idx_src = self.tx(idx)
+        val_src = self.value_src(value)
         gi = self.tmp("_gi")
         gv = self.tmp("_gv")
         self.emit(f"{gi} = {self.lanes_vec(idx_src, 'np.int64')}")
         self.emit(f"{gv} = {self.lanes_vec(val_src, 'None')}")
-        self.emit(f"ctx.reduce_to_array({name!r}, {gi}, {gv}, {d.op!r})")
+        self.emit(f"ctx.reduce_to_array({name!r}, {gi}, {gv}, {op!r})")
 
     # -- control flow ----------------------------------------------------------------------
 
@@ -485,6 +481,10 @@ class Vectorizer:
         cond_src = self.as_bool(s.cond)
         c = self.tmp("_c")
         self.emit(f"{c} = ks.bcv({cond_src}, {self.axis.lanes}, bool)")
+        self.emit_masked(s, c)
+
+    def emit_masked(self, s: C.If, c: str) -> None:
+        """Both branches of ``s`` under the bool lane vector ``c``."""
         outer_mask = self.mask
         if outer_mask is None:
             m_then = c
@@ -595,13 +595,6 @@ class Vectorizer:
         self.mask = outer_mask
 
     # -- driver ------------------------------------------------------------------------------
-
-    def emit_private(self, name: str) -> None:
-        """A ``private`` clause variable: a zeroed local of the outer axis."""
-        dt = _DTYPES.get(self.local_types.get(name, "float"), "np.float64")
-        self.emit(f"v_{name} = ks.bcv(0, {self.axis.lanes}, {dt})")
-        self.locals[name] = f"v_{name}"
-        self.local_axis[name] = 0
 
     def body_pieces(self) -> list[C.Stmt | str]:
         """The loop body cut at its top level: ``private`` clause names,

@@ -11,6 +11,7 @@ from repro.frontend.analysis import (
     const_value,
     expr_mentions,
     normalize_loop,
+    strided_in,
 )
 from repro.frontend.parser import parse, parse_expr
 
@@ -93,6 +94,52 @@ class TestAffine:
 
     def test_subscript_of_var_not_affine(self):
         assert affine_in(parse_expr("a[i]"), "i") is None
+
+
+def render(e):
+    """Python source of a ``+ - *`` expression tree."""
+    if isinstance(e, C.BinOp):
+        return f"({render(e.left)} {e.op} {render(e.right)})"
+    if isinstance(e, C.UnOp):
+        return f"({e.op}{render(e.operand)})"
+    return str(e.value) if isinstance(e, C.IntLit) else e.name
+
+
+class TestStrided:
+    """``strided_in``: ``stride*i + offset`` with a symbolic stride."""
+
+    ENV = {"n": 7, "w": 5, "j": 3, "f": 2}
+
+    @pytest.mark.parametrize("text,stride", [
+        ("i", "1"), ("3 * i + 2", "3"), ("2 * (i + 3)", "2"), ("-i", "-1"),
+        ("7", "0"), ("n * w + j", "0"),
+        ("i * n + f", "n"), ("n * i", "n"), ("(i - 1) * w + j", "w"),
+        ("(i + 1) * w + j - 1", "w"), ("j + w * (2 * i + 1)", "(2 * w)"),
+        ("i * n + i", "(n + 1)"), ("j - i * w", "(0 - w)"),
+        ("i * (n * w)", "(n * w)"), ("+i * n", "n"),
+    ])
+    def test_parts_recompose_to_the_index(self, text, stride):
+        stride_e, offset_e = strided_in(parse_expr(text), "i")
+        assert not expr_mentions(stride_e, {"i"})
+        assert not expr_mentions(offset_e, {"i"})
+        assert render(stride_e) == stride
+        for i in (0, 1, 4, 11):
+            env = {**self.ENV, "i": i}
+            assert eval(render(stride_e), {}, env) * i \
+                + eval(render(offset_e), {}, env) == eval(text, {}, env)
+
+    def test_integer_coefficient_is_affine_ins(self):
+        e = parse_expr("3 * i + n")
+        stride, offset = strided_in(e, "i")
+        aff = affine_in(e, "i")
+        assert const_value(stride) == aff.coeff
+        assert render(offset) == render(aff.offset)
+
+    @pytest.mark.parametrize("text", [
+        "i * i", "i * n * i", "i / 2", "i % n", "a[i]", "a[i] * n",
+        "(i * n) / w", "-(i * n)"])
+    def test_not_strided(self, text):
+        assert strided_in(parse_expr(text), "i") is None
 
 
 class TestNormalizeLoop:

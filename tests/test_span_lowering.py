@@ -12,17 +12,22 @@ semantic reference there is, the scalar interpreter
     and dynamic trip counts where the interpreter reports trips --
     between the generated kernels and ``engine="interp"``;
 (c) every ``out=`` operation produces the dtype and the bits NumPy's
-    own (unbuffered) evaluation produces;
+    own (unbuffered) evaluation produces, every ``np.take(..., out=)``
+    the clip-gather's and every ``np.copyto(..., where=)`` the
+    ``ks.merge`` of a ``ks.bcv`` local's -- ``int`` slots included;
 (d) the sanitizer stays clean -- its shadow runs never share scratch
     with the run they shadow;
 
 a textual pin that a kernel holds one body and ``run`` no switch
 between two, and a count-based steady-state gate in the style of
 ``test_launch_replay.py``: after the first sweep a launch allocates no
-lane-length array and builds no index vector, and a finished run keeps
-no scratch.
+lane-length array and builds no index vector, clipped index vector,
+``bcv`` local or ``merge`` (``kmeans_L0`` included; ``md_L0`` within a
+constant number of lane vectors whatever its trip count), and a finished
+run keeps no scratch.
 """
 
+import collections
 import gc
 import tracemalloc
 
@@ -35,8 +40,10 @@ from repro.apps import ALL_APPS, EXTRA_APPS, AppSpec
 from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
 from repro.runtime.kernelctx import KernelContext, ScratchArena
+from repro.translator import kernel_support as ks
 from repro.translator.compiler import CompileOptions, KernelPlan
 from repro.translator.spanlower import SpanVectorizer
+from tests import kernel_support_oracle
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
 APPS["stencil_probes"] = AppSpec(
@@ -279,10 +286,34 @@ def test_bodies_and_engines_agree(app, ngpus, config):
 
 class AuditedNumpy:
     """Stands in for ``ctx.np``: every ufunc call with ``out=`` is
-    repeated unbuffered and must agree in dtype and in bits."""
+    repeated unbuffered and must agree in dtype and in bits; every
+    ``np.take(..., out=)`` is held to the clip-gather it replaced
+    (``tests/kernel_support_oracle.py``) and every ``np.copyto(...,
+    where=)`` to the ``ks.merge(old, ks.bcv(new, n, dtype), mask)`` it
+    replaced, int slots included."""
 
     def __init__(self):
         self.buffered = 0
+        #: dtype name -> audited gathers into / merges over such a slot.
+        self.gathers = collections.Counter()
+        self.merges = collections.Counter()
+
+    def take(self, arr, idx, out=None, mode="raise"):
+        if out is None:
+            return np.take(arr, idx, mode=mode)
+        own = kernel_support_oracle.ld(arr, idx)
+        assert mode == "clip" and own.dtype == out.dtype, (own.dtype,
+                                                           out.dtype)
+        res = np.take(arr, idx, mode=mode, out=out)
+        assert res.tobytes() == own.tobytes()
+        self.gathers[out.dtype.name] += 1
+        return res
+
+    def copyto(self, dst, src, casting="same_kind", where=True):
+        own = ks.merge(dst, ks.bcv(src, dst.shape[0], dst.dtype.type), where)
+        np.copyto(dst, src, casting=casting, where=where)
+        assert own.dtype == dst.dtype and own.tobytes() == dst.tobytes()
+        self.merges[dst.dtype.name] += 1
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -327,6 +358,53 @@ DTYPE_KERNELS = {
       for (int i = 0; i < n; i++) { y[i] = a * x[i] + (1.0f - a) * y[i]; }
     }
     """,
+    # An int local as a gather index (twice through one number), loads
+    # with an integer and with a host-scalar stride, float accumulators
+    # and an int local assigned under a data-dependent mask, an int
+    # array gathered into an int slot.
+    "gather": """
+    void k(int n, int m, float a, int *nb, float *p, float *w, float *y,
+           int *best) {
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {
+        float acc = 0.0f;
+        int arg = -1;
+        for (int k = 0; k < m; k++) {
+          int j = nb[i * m + k];
+          float d = p[i * 2] - p[j * 2 + 1];
+          float e = d * d + w[j];
+          if (e < a) {
+            acc = acc + e * w[i * m + k];
+            arg = nb[j];
+          }
+        }
+        y[i] = acc;
+        best[i] = arg;
+      }
+    }
+    """,
+    # Sibling scopes declare one name inside a loop: each declaration
+    # binds its slot where it stands (bound once ahead of the loop, the
+    # second would win both scopes and alias the first scope's scratch).
+    "redeclared": """
+    void k(int n, int m, float *x, float *y) {
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {
+        float s = 0.0f;
+        for (int k = 0; k < m; k++) {
+          if (x[i] > 0.25f) {
+            float t = x[i] * 2.0f;
+            float u = t * t + (t + 1.0f) * (t - 1.0f);
+            s = s + u * t;
+          } else {
+            float t = x[i] - 1.0f;
+            s = s - t;
+          }
+        }
+        y[i] = s;
+      }
+    }
+    """,
 }
 
 
@@ -361,6 +439,41 @@ class TestDtypeAudit:
         launch(prog, "k_L0", dict(scalars), interp, engine="interp")
         for name in span:
             assert_interp_agrees(interp[name], span[name])
+
+    def gather_arrays(self, n=33, m=5):
+        rng = np.random.default_rng(7)
+        return {"nb": rng.integers(0, n, n * m).astype(np.int32),
+                "p": rng.uniform(-1, 1, 2 * n).astype(np.float32),
+                "w": rng.uniform(0, 1, n * m).astype(np.float32),
+                "y": np.zeros(n, np.float32),
+                "best": np.zeros(n, np.int32)}
+
+    def test_gathers_merges_and_int_slots_match_what_they_replaced(self):
+        prog = repro.compile(DTYPE_KERNELS["gather"])
+        text = prog.kernel_source("k_L0")
+        for helper in ("ks.bcv", "ks.merge", "ks.ld(", "np.where", "np.clip"):
+            assert helper not in text
+        audit = AuditedNumpy()
+        scalars = {"_i0": 2, "n": 33, "m": 5, "a": 0.9}
+        span = self.gather_arrays()
+        launch(prog, "k_L0", dict(scalars), span, audit=audit)
+        assert audit.buffered >= 6
+        assert audit.gathers["float32"] and audit.gathers["int32"]
+        assert audit.merges["float32"] and audit.merges["int32"]
+        interp = self.gather_arrays()
+        launch(prog, "k_L0", dict(scalars), interp, engine="interp")
+        assert span["best"].max() >= 0      # the mask did fire
+        for name in span:
+            assert_interp_agrees(interp[name], span[name])
+
+    def test_redeclared_local_rebinds_where_it_stands(self):
+        prog = repro.compile(DTYPE_KERNELS["redeclared"])
+        out = []
+        for engine in ("vector", "interp"):
+            arrays = {"x": self.arrays()["x"] / 2, "y": self.arrays()["y"]}
+            launch(prog, "k_L0", {"n": 33, "m": 3}, arrays, engine=engine)
+            out.append(arrays["y"])
+        assert_interp_agrees(out[1], out[0])
 
     @pytest.mark.parametrize(
         "a", [0.3, np.float32(0.3), np.float64(0.3), 1],
@@ -460,23 +573,36 @@ STEADY = [("jacobi", {"n": 1 << 14, "tol": 1e-30}, "maxiter", None),
           ("gradpipe", {"n": 1 << 14}, "steps", CompileOptions(fuse=True))]
 
 
+#: What the mask lowering builds per operation and a steady plain-axis
+#: launch must not: clipped index vectors, materialised and merged
+#: locals, iota vectors.
+PER_OPERATION = [(np, "clip"), (np, "where"), (np, "arange"), (ks, "bcv"),
+                 (ks, "merge")]
+
+
 @pytest.fixture
 def launches(monkeypatch):
     """Record, per kernel launch, the peak of fresh NumPy memory and the
-    number of ``np.arange`` calls made inside the kernel body."""
+    number of calls to each ``PER_OPERATION`` helper made inside the
+    kernel body."""
     seen = []
     execute = KernelPlan.execute
-    arange = np.arange
     inside = [False]
 
-    def counting_arange(*args, **kwargs):
-        if inside[0]:
-            seen[-1]["arange"] += 1
-        return arange(*args, **kwargs)
+    def counting(module, name):
+        helper = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            if inside[0]:
+                seen[-1][name] += 1
+            return helper(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
 
     def measured_execute(self, ctx, engine="vector"):
-        seen.append({"lanes": ctx.n_tasks, "arange": 0,
-                     "misses": ctx.arena.misses})
+        seen.append({"kernel": self.name, "lanes": ctx.n_tasks,
+                     "misses": ctx.arena.misses,
+                     **{name: 0 for _, name in PER_OPERATION}})
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         inside[0] = True
@@ -488,7 +614,8 @@ def launches(monkeypatch):
         seen[-1]["misses"] = ctx.arena.misses - seen[-1]["misses"]
 
     monkeypatch.setattr(KernelPlan, "execute", measured_execute)
-    monkeypatch.setattr(np, "arange", counting_arange)
+    for module, name in PER_OPERATION:
+        counting(module, name)
     tracemalloc.start()
     yield seen
     tracemalloc.stop()
@@ -512,9 +639,59 @@ def test_steady_state_launch_allocates_nothing(app, params, sweeps, options,
         for rec in launches[per_sweep:]:
             lane_bytes = 4 * rec["lanes"]
             assert rec["fresh"] < lane_bytes // 2, rec
-            assert rec["arange"] == 0 and rec["misses"] == 0, rec
+            assert not per_operation_calls(rec) and rec["misses"] == 0, rec
         # The first sweep is where the arena grows, if anywhere.
         assert sum(r["misses"] for r in launches[:per_sweep]) <= 4 * ngpus
+
+
+def per_operation_calls(rec):
+    return {name: rec[name] for _, name in PER_OPERATION if rec[name]}
+
+
+@pytest.mark.parametrize("ngpus", [1, 4])
+def test_kmeans_assignment_launch_allocates_nothing(ngpus, launches):
+    """``kmeans_L0`` -- strided feature loads, float accumulators and an
+    ``int`` local under a data-dependent mask -- after the first sweep:
+    no clipped index vector, no ``bcv``/``merge``/``where``, no iota, no
+    fresh lane vector, no arena growth; for 3 sweeps as for 9."""
+    spec = APPS["kmeans"]
+    prog = repro.compile(spec.source)
+    for niters in (3, 9):
+        launches.clear()
+        args = spec.make_args(npoints=1 << 12, nclusters=4, nfeatures=6,
+                              niters=niters, seed=5)
+        prog.run(spec.entry, args, machine=NODE4, ngpus=ngpus)
+        assert len(launches) == 2 * ngpus * niters
+        for rec in launches[2 * ngpus:]:
+            assert rec["misses"] == 0, rec
+            if rec["kernel"] == "kmeans_L0":
+                assert not per_operation_calls(rec), rec
+                assert rec["fresh"] < 4 * rec["lanes"] // 2, rec
+        # The arena grows in the first sweep only: one miss per slot.
+        assert 0 < sum(r["misses"] for r in launches[:2 * ngpus]) \
+            <= 8 * ngpus
+
+
+@pytest.mark.parametrize("ngpus", [1, 4])
+def test_md_launch_allocates_a_constant_number_of_lane_vectors(ngpus,
+                                                               launches):
+    """``md_L0`` gathers through an ``int`` local, so its integer index
+    arithmetic is unbuffered (rule 6) -- but what a launch allocates is
+    the arena's slots plus a constant handful of index vectors, whatever
+    the trip count of the neighbour loop, and none of it per
+    operation."""
+    spec = APPS["md"]
+    prog = repro.compile(spec.source)
+    peak = {}
+    for maxneigh in (4, 16):
+        launches.clear()
+        args = spec.make_args(natoms=1 << 12, maxneigh=maxneigh, seed=5)
+        prog.run(spec.entry, args, machine=NODE4, ngpus=ngpus)
+        assert [r["kernel"] for r in launches] == ["md_L0"] * ngpus
+        for rec in launches:
+            assert not per_operation_calls(rec), rec
+        peak[maxneigh] = max(r["fresh"] / (4 * r["lanes"]) for r in launches)
+    assert peak[16] < 40 and abs(peak[16] - peak[4]) < 0.5, peak
 
 
 def test_finished_run_keeps_no_scratch():
