@@ -223,9 +223,9 @@ def strided_in(e: C.Expr, var: str) -> tuple[C.Expr, C.Expr] | None:
             return None
         if x.op == "*":
             # One side is the var-free factor.
-            for (s, o), (ks, k) in ((lf, rf), (rf, lf)):
-                if const_value(ks) == 0:
-                    return scale(s, k), scale(o, k)
+            for (stride, off), (other, k) in ((lf, rf), (rf, lf)):
+                if const_value(other) == 0:
+                    return scale(stride, k), scale(off, k)
             return None
         join = _add if x.op == "+" else _sub
         return join(lf[0], rf[0]), join(lf[1], rf[1])

@@ -164,8 +164,9 @@ class SpanVectorizer(Vectorizer):
         self._pending: list[_Val] = []
         #: Value numbers of the current straight-line run: source text of
         #: a lane-vector computation -> (the name it is bound to, what it
-        #: reads: ``v_<local>`` names and ``@<array>``).
-        self._numbered: dict[str, tuple[_Val, frozenset]] = {}
+        #: reads: ``v_<local>`` names and ``@<array>``, the slot it keeps
+        #: until the number ends).
+        self._numbered: dict[str, tuple[_Val, frozenset, int | None]] = {}
         #: Host scalars whose Python type the ``out=`` proofs rely on.
         self.weak: dict[str, str] = {}
         #: The body loads a span (``_ld`` must be bound).
@@ -252,17 +253,21 @@ class SpanVectorizer(Vectorizer):
         are themselves numbered, locals or lane-invariant."""
         hit = self._numbered.get(key)
         if hit is None:
-            hit = self._numbered[key] = (make(), self._reads(e))
-        # A slot stays the table's until the number ends.
-        return replace(hit[0], slot=None)
+            v = make()
+            # Its slot is the table's until the number ends.
+            slot, v.slot = v.slot, None
+            hit = self._numbered[key] = (v, self._reads(e), slot)
+        return hit[0]
 
     def _forget(self, dep: str | None = None) -> None:
         """End the value numbers that read ``dep`` -- a local being
         assigned, ``@array`` being stored to -- or all of them, where the
         straight-line run ends."""
-        for key in [k for k, (_, reads) in self._numbered.items()
+        for key in [k for k, (_, reads, _) in self._numbered.items()
                     if dep is None or dep in reads]:
-            self._release(self._numbered.pop(key)[0])
+            slot = self._numbered.pop(key)[2]
+            if slot is not None:
+                self._free.append(slot)
 
     def emit_inner_loop(self, s: C.For) -> None:
         self._forget()
@@ -880,11 +885,11 @@ class LoweredBody:
     #: Kernel-local names (they may shadow scalar bindings).
     locals: set[str]
     #: Arena slots the body uses, and whether it loads a span.
-    slots: int = 0
-    loads: bool = False
+    slots: int
+    loads: bool
     #: Host scalars the ``out=`` proofs need as exactly a Python
     #: ``float`` / ``int`` (name -> type name).
-    weak: dict[str, str] = field(default_factory=dict)
+    weak: dict[str, str]
 
 
 def lower_body(analysis: LoopAnalysis, config: LoopConfig,
