@@ -448,11 +448,10 @@ class SpanVectorizer(Vectorizer):
         return _Val(src, False)
 
     def _bx_binop(self, e: C.BinOp, out: tuple | None) -> _Val:
-        is_float = "float" in (self.expr_type(e.left),
-                               self.expr_type(e.right))
         left = self.bx(e.left)
         right = self.bx(e.right)
-        pyop = "//" if e.op == "/" and not is_float else e.op
+        pyop = "//" if e.op == "/" and "float" not in (
+            self.expr_type(e.left), self.expr_type(e.right)) else e.op
         plain = f"({left.src} {pyop} {right.src})"
         if left.vec or right.vec:
             if pyop == "//":
