@@ -21,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from ..translator import kernel_support as ks
+from ..vcuda import memory as vmem
 from .dirty import TwoLevelDirty
 from .partition import Block
 from .writemiss import WriteMissBuffer
@@ -38,9 +39,11 @@ class ScratchArena:
     so it never goes through the device's ``MemoryAccountant``.
 
     The executor owns one arena per device for the length of a run and
-    releases it when the run finishes; a context built without one (the
-    sanitizer's shadow runs, the OpenMP baseline) gets a private arena,
-    so a shadow run can never share scratch with the run it shadows.
+    releases it when the run finishes: large slots go back to
+    ``vcuda.memory.RECYCLER``, where the next run's arenas find them
+    already paged in.  A context built without an arena (the sanitizer's
+    shadow runs, the OpenMP baseline) gets a private one, so a shadow
+    run can never share scratch with the run it shadows.
     """
 
     __slots__ = ("_raw", "_views", "misses")
@@ -63,7 +66,11 @@ class ScratchArena:
             self._views.append((-1, None, None))
         nbytes = max(0, n) * np.dtype(dtype).itemsize
         if self._raw[k].shape[0] < nbytes:
-            self._raw[k] = np.empty(nbytes, dtype=np.uint8)
+            vmem.RECYCLER.give(self._raw[k])
+            if nbytes < vmem.RECYCLE_FLOOR:
+                self._raw[k] = np.empty(nbytes, dtype=np.uint8)
+            else:
+                self._raw[k] = vmem.RECYCLER.take(nbytes)
             self.misses += 1
         view = self._raw[k][:nbytes].view(dtype)
         self._views[k] = (n, dtype, view)
@@ -74,6 +81,8 @@ class ScratchArena:
         return sum(raw.shape[0] for raw in self._raw)
 
     def release(self) -> None:
+        for raw in self._raw:
+            vmem.RECYCLER.give(raw)
         self._raw.clear()
         self._views.clear()
 

@@ -9,12 +9,21 @@ a purpose and keeps running and high-water totals per purpose.
 Buffers are plain NumPy arrays underneath -- the hpc-parallel guides'
 advice to keep data in contiguous vectorizable storage applies to the
 simulated device memory exactly as it would to real pinned host memory.
+
+The accountant is the *model*; the NumPy storage behind a buffer is the
+host's business.  Large blocks are views over raw byte blocks that
+:data:`RECYCLER` keeps across runs, so a program's second run does not
+page-fault its device memory and kernel scratch again.  Recycled
+storage holds whatever its last owner left there: every hand-out must be
+written in full before it is read.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -26,6 +35,71 @@ _PURPOSES = (PURPOSE_USER, PURPOSE_SYSTEM)
 
 class OutOfDeviceMemory(MemoryError):
     """Raised when an allocation exceeds the device's capacity."""
+
+
+#: Requests below this many bytes keep calling ``np.empty``: the C
+#: allocator already reuses blocks under its mmap threshold without a
+#: page fault, and a lock plus a dict lookup per small block costs more
+#: than it saves.
+RECYCLE_FLOOR = 64 << 10
+#: Most bytes the free list may hold: one benchmark-size run's device
+#: blocks and kernel scratch (42 MB) fit, and an idle process keeps no
+#: more than this beyond its live data.
+RECYCLE_CAP = 64 << 20
+
+
+class StorageRecycler:
+    """Free list of raw ``uint8`` blocks keyed by exact byte size.
+
+    A block is here only between :meth:`give` and the next :meth:`take`
+    of its size; the recycler never references a block somebody owns, so
+    an owner that dies without giving its blocks back just lets them be
+    garbage-collected.  When the held bytes pass ``cap`` the oldest
+    blocks go first, so sizes that stop recurring age out.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._lock = threading.Lock()
+        #: Per size, ``(age stamp, block)`` oldest first.
+        self._free: dict[int, deque[tuple[int, np.ndarray]]] = {}
+        self._stamp = 0
+        #: Blocks handed out, and how many of them came off the free list.
+        self.takes = 0
+        self.hits = 0
+        self.bytes_held = 0
+
+    def take(self, nbytes: int) -> np.ndarray:
+        """A block of exactly ``nbytes`` bytes, contents unspecified."""
+        with self._lock:
+            self.takes += 1
+            blocks = self._free.get(nbytes)
+            if blocks:
+                self.hits += 1
+                self.bytes_held -= nbytes
+                # Newest first: the block most likely still in cache.
+                return blocks.pop()[1]
+        return np.empty(nbytes, dtype=np.uint8)
+
+    def give(self, raw: np.ndarray) -> None:
+        """Return a block nobody references any more."""
+        nbytes = raw.shape[0]
+        if nbytes < max(RECYCLE_FLOOR, 1) or nbytes > self.cap:
+            return
+        with self._lock:
+            while self.bytes_held + nbytes > self.cap:
+                size = min((s for s, q in self._free.items() if q),
+                           key=lambda s: self._free[s][0][0])
+                self._free[size].popleft()
+                self.bytes_held -= size
+            self._stamp += 1
+            self._free.setdefault(nbytes, deque()).append((self._stamp, raw))
+            self.bytes_held += nbytes
+
+
+#: The process's recycler: simulator storage outlives the run that
+#: first touched it.
+RECYCLER = StorageRecycler(RECYCLE_CAP)
 
 
 @dataclass
@@ -45,6 +119,8 @@ class DeviceBuffer:
     base: int = 0
     #: True once freed; guards use-after-free in tests.
     freed: bool = False
+    #: The recycler block ``data`` is a view of (None below the floor).
+    storage: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def nbytes(self) -> int:
@@ -131,32 +207,34 @@ class DeviceMemory:
         base: int = 0,
         fill: float | int | None = None,
     ) -> DeviceBuffer:
-        """Allocate a buffer; optionally fill it with a constant."""
-        arr = np.empty(shape, dtype=dtype)
+        """Allocate a buffer; optionally fill it with a constant.
+
+        Without ``fill`` the contents are unspecified (not zero): the
+        caller writes the whole buffer before anything reads it.
+        """
+        dtype = np.dtype(dtype)
+        dims = shape if isinstance(shape, tuple) else (shape,)
+        nbytes = int(math.prod(dims)) * dtype.itemsize
+        # The model decides first: a request beyond the device must fail
+        # as OutOfDeviceMemory before any host storage is taken.
+        self.accountant.allocate(nbytes, purpose)
+        if nbytes < RECYCLE_FLOOR:
+            storage = None
+            arr = np.empty(shape, dtype=dtype)
+        else:
+            storage = RECYCLER.take(nbytes)
+            arr = storage.view(dtype).reshape(shape)
         if fill is not None:
             arr.fill(fill)
-        self.accountant.allocate(int(arr.nbytes), purpose)
         buf = DeviceBuffer(
             name=name,
             data=arr,
             device_index=self.device_index,
             purpose=purpose,
             base=base,
+            storage=storage,
         )
         self._buffers.append(buf)
-        return buf
-
-    def alloc_like(
-        self, name: str, host_array: np.ndarray, purpose: str = PURPOSE_USER
-    ) -> DeviceBuffer:
-        """Allocate a buffer shaped like ``host_array`` and copy it in.
-
-        This is a pure allocation primitive -- transfer *time* is the
-        bus's job, so callers that care about timing must route the copy
-        through :class:`repro.vcuda.bus.Bus`.
-        """
-        buf = self.alloc(name, host_array.shape, host_array.dtype, purpose=purpose)
-        np.copyto(buf.data, host_array)
         return buf
 
     def free(self, buf: DeviceBuffer) -> None:
@@ -165,20 +243,23 @@ class DeviceMemory:
         buf.check_alive()
         self.accountant.free(buf.nbytes, buf.purpose)
         buf.freed = True
-        if self.poison_on_free and buf.data.size:
-            if np.issubdtype(buf.data.dtype, np.floating):
-                buf.data.fill(np.nan)
-            elif np.issubdtype(buf.data.dtype, np.integer):
-                buf.data.fill(np.iinfo(buf.data.dtype).max)
+        if self.poison_on_free:
+            # Poisoned storage is not recycled: a stale reference must
+            # keep reading poison, never another array's live data.
+            if buf.data.size:
+                if np.issubdtype(buf.data.dtype, np.floating):
+                    buf.data.fill(np.nan)
+                elif np.issubdtype(buf.data.dtype, np.integer):
+                    buf.data.fill(np.iinfo(buf.data.dtype).max)
+        elif buf.storage is not None:
+            RECYCLER.give(buf.storage)
+        buf.storage = None
         self._buffers.remove(buf)
 
     def free_all(self) -> None:
         """Release every live buffer (device reset)."""
         for buf in list(self._buffers):
             self.free(buf)
-
-    def live_buffers(self) -> Iterator[DeviceBuffer]:
-        return iter(self._buffers)
 
     @property
     def live_bytes(self) -> int:

@@ -102,7 +102,10 @@ NGPUS = [1, 2, 4]
 
 
 def run_digest(name: str, ngpus: int) -> str:
-    prog, entry, args = case(name)
+    return digest_of(*case(name), ngpus)
+
+
+def digest_of(prog, entry: str, args: dict, ngpus: int) -> str:
     run = prog.run(entry, args, machine=NODE4, ngpus=ngpus)
     h = hashlib.sha256()
     for key in sorted(args):

@@ -23,8 +23,10 @@ between two, and a count-based steady-state gate in the style of
 ``test_launch_replay.py``: after the first sweep a launch allocates no
 lane-length array and builds no index vector, clipped index vector,
 ``bcv`` local or ``merge`` (``kmeans_L0`` included; ``md_L0`` within a
-constant number of lane vectors whatever its trip count), and a finished
-run keeps no scratch.
+constant number of lane vectors whatever its trip count), a finished
+run keeps no scratch, and its storage is recycled on the large side of
+``vcuda.memory.RECYCLE_FLOOR`` only: a second ``stream``-shaped run
+takes no fresh block, a ``launch_small``-sized run takes none at all.
 """
 
 import collections
@@ -43,6 +45,7 @@ from repro.runtime.kernelctx import KernelContext, ScratchArena
 from repro.translator import kernel_support as ks
 from repro.translator.compiler import CompileOptions, KernelPlan
 from repro.translator.spanlower import SpanVectorizer
+from repro.vcuda import memory as vmem
 from tests import kernel_support_oracle
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
@@ -710,3 +713,74 @@ def test_finished_run_keeps_no_scratch():
     finally:
         tracemalloc.stop()
     assert held[-1] - held[4] < (1 << 14)  # no growth with the run count
+
+
+# -- storage recycling: counts on both sides of the size floor -----------------
+
+
+@pytest.fixture
+def recycler(monkeypatch):
+    rec = vmem.StorageRecycler(vmem.RECYCLE_CAP)
+    monkeypatch.setattr(vmem, "RECYCLER", rec)
+    return rec
+
+
+#: The three ``stream`` cases (perf/workloads.py) at a quarter of their
+#: length: every device block and lane vector is still 128 KiB or more.
+STREAM = [("jacobi", {"n": 1 << 17, "tol": 1e-30}, "maxiter", None, 4),
+          ("stencil", {"n": 1 << 17}, "steps", None, 1),
+          ("gradpipe", {"n": 1 << 17}, "steps", CompileOptions(fuse=True), 2)]
+
+#: The three ``launch_small`` cases at their benchmark sizes.
+OVERLAPPED = {"overlap": True, "coalesce": True}
+LAUNCH_SMALL = [
+    ("jacobi", {"n": 1 << 14, "maxiter": 20, "tol": 1e-30}, {}),
+    ("stencil", {"n": 1 << 14, "steps": 16}, {}),
+    ("phasepipe", {"n": 1 << 12, "off": 5, "steps": 8}, OVERLAPPED)]
+
+
+@pytest.mark.parametrize("app,params,sweeps,options,ngpus", STREAM)
+def test_second_run_recycles_every_block(app, params, sweeps, options, ngpus,
+                                         recycler):
+    """Above the floor the second run in a process takes no fresh block
+    -- for 3 sweeps as for 9."""
+    spec = APPS[app]
+    prog = repro.compile(spec.source, options)
+    machine = hypothetical_node(ngpus)
+    for count in (3, 9):
+        per_run = []
+        for _ in range(2):
+            before = recycler.takes, recycler.hits
+            args = spec.make_args(**params, **{sweeps: count}, seed=5)
+            prog.run(spec.entry, args, machine=machine, ngpus=ngpus)
+            per_run.append((recycler.takes - before[0],
+                            recycler.hits - before[1]))
+        (first_takes, _), (takes, hits) = per_run
+        assert hits == takes == first_takes > 0, per_run
+        assert 0 < recycler.bytes_held <= recycler.cap
+
+
+@pytest.mark.parametrize("app,params,flags", LAUNCH_SMALL)
+def test_small_launch_runs_never_reach_the_recycler(app, params, flags,
+                                                    recycler):
+    spec = APPS[app]
+    prog = repro.compile(spec.source)
+    args = spec.make_args(**params, seed=5)
+    prog.run(spec.entry, args, machine=hypothetical_node(8), ngpus=8, **flags)
+    assert (recycler.takes, recycler.bytes_held) == (0, 0)
+
+
+def test_recycler_cap_holds_over_a_mixed_sequence_of_runs(monkeypatch):
+    """Sizes that stop recurring age out: the held bytes never pass the
+    cap, here one small enough that every run evicts."""
+    rec = vmem.StorageRecycler(1 << 20)
+    monkeypatch.setattr(vmem, "RECYCLER", rec)
+    for app, params, sweeps, options, ngpus in STREAM * 2:
+        spec = APPS[app]
+        args = spec.make_args(**params, **{sweeps: 2}, seed=5)
+        repro.compile(spec.source, options).run(
+            spec.entry, args, machine=hypothetical_node(ngpus), ngpus=ngpus)
+        spec.check(args, inputs=spec.make_args(**params, **{sweeps: 2},
+                                               seed=5))
+        assert 0 < rec.bytes_held <= rec.cap
+    assert rec.takes > rec.hits > 0

@@ -120,12 +120,6 @@ class TestDeviceMemory:
         with pytest.raises(ValueError):
             self.make().alloc("x", 4, np.float32, purpose="wat")
 
-    def test_alloc_like_copies(self):
-        m = self.make()
-        host = np.arange(8, dtype=np.float32)
-        b = m.alloc_like("x", host)
-        assert (b.data == host).all()
-
     def test_free_all(self):
         m = self.make()
         m.alloc("a", 10, np.float32)
