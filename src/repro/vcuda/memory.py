@@ -37,14 +37,12 @@ class OutOfDeviceMemory(MemoryError):
     """Raised when an allocation exceeds the device's capacity."""
 
 
-#: Requests below this many bytes keep calling ``np.empty``: the C
-#: allocator already reuses blocks under its mmap threshold without a
-#: page fault, and a lock plus a dict lookup per small block costs more
-#: than it saves.
+#: Requests below this many bytes keep calling ``np.empty``: under its
+#: 128 KiB mmap threshold the C allocator reuses blocks without a page
+#: fault, and a lock plus a dict lookup per block costs more than that.
 RECYCLE_FLOOR = 64 << 10
-#: Most bytes the free list may hold: one benchmark-size run's device
-#: blocks and kernel scratch (42 MB) fit, and an idle process keeps no
-#: more than this beyond its live data.
+#: Most bytes the free list may hold (oldest evicted first): room for
+#: one benchmark-size run's device blocks and kernel scratch, 42 MB.
 RECYCLE_CAP = 64 << 20
 
 

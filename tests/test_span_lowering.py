@@ -718,13 +718,6 @@ def test_finished_run_keeps_no_scratch():
 # -- storage recycling: counts on both sides of the size floor -----------------
 
 
-@pytest.fixture
-def recycler(monkeypatch):
-    rec = vmem.StorageRecycler(vmem.RECYCLE_CAP)
-    monkeypatch.setattr(vmem, "RECYCLER", rec)
-    return rec
-
-
 #: The three ``stream`` cases (perf/workloads.py) at a quarter of their
 #: length: every device block and lane vector is still 128 KiB or more.
 STREAM = [("jacobi", {"n": 1 << 17, "tol": 1e-30}, "maxiter", None, 4),

@@ -69,14 +69,6 @@ class PoisoningRecycler(StorageRecycler):
         return raw
 
 
-@pytest.fixture
-def recycler(monkeypatch):
-    """A fresh, empty recycler in place of the process's."""
-    rec = StorageRecycler(vmem.RECYCLE_CAP)
-    monkeypatch.setattr(vmem, "RECYCLER", rec)
-    return rec
-
-
 def poison_everything(monkeypatch) -> PoisoningRecycler:
     """From here on every device block and arena slot, whatever its
     size, comes poisoned out of a fresh recycler."""
@@ -202,10 +194,9 @@ class TestOutOfDeviceMemory:
         assert recycler.takes == 0 and m.live_bytes == 0
 
     def test_overflow_on_gpu_k_unwinds_and_returns_the_blocks_before_it(
-            self, monkeypatch):
+            self, monkeypatch, recycler):
         monkeypatch.setattr(vmem, "RECYCLE_FLOOR", 0)
-        rec = StorageRecycler(vmem.RECYCLE_CAP)
-        monkeypatch.setattr(vmem, "RECYCLER", rec)
+        rec = recycler
         platforms = []
 
         class Recorded(Platform):
@@ -354,7 +345,7 @@ def recycled_blocks_everywhere(monkeypatch):
 
 @pytest.mark.usefixtures("recycled_blocks_everywhere")
 class TestFaultInjectionOnRecycledStorage(sanitizer_tests.TestFaultInjection):
-    """The seeded bugs of ``sanitizer_tests.py``: same diagnoses."""
+    """The seeded bugs of ``tests/test_sanitizer.py``: same diagnoses."""
 
 
 @pytest.mark.usefixtures("recycled_blocks_everywhere")
