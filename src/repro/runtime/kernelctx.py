@@ -137,7 +137,7 @@ class KernelContext:
         """The launch's global lane indices ``arange(i0, i1)``, memoized
         across launches with the same geometry (the dominant case, as
         contexts are cached) and returned read-only so a stale launch
-        can never corrupt it; ``ks.bcv`` copies non-writeable inputs."""
+        can never corrupt it."""
         key = (self.i0, self.i1)
         if self._iota is None or self._iota_key != key:
             v = np.arange(self.i0, self.i1, dtype=np.int64)
@@ -272,13 +272,9 @@ class KernelContext:
             else:
                 raise RuntimeError(
                     f"reduce_to_array on {name!r} without a private copy")
-        gi = np.asarray(global_indices, dtype=np.int64)
-        if gi.size == 0:
-            return
-        if gi.min() < 0 or gi.max() >= dest.shape[0]:
-            raise IndexError(
-                f"reductiontoarray index out of range for {name!r}")
-        ks.store(dest, gi, values, op if op else "+")
+        # ks.store refuses an index outside the copy before any write.
+        ks.store(dest, np.asarray(global_indices, dtype=np.int64), values,
+                 op if op else "+")
 
     def reduce_scalar(self, op: str, name: str, value: Any) -> None:
         """Report a scalar-reduction partial (folded if called twice)."""

@@ -2,7 +2,7 @@
 
 The vectorizer emits NumPy source that calls these small utilities for
 the operations that are awkward to inline: guarded gathers (predicated
-lanes may carry garbage indices), lane selection, segmented range
+lanes may carry garbage indices), bounds-checked stores, segmented range
 flattening for CSR inner loops, and reduction folding.
 
 Everything here is vectorized per the hpc-parallel guides: no
@@ -123,43 +123,19 @@ def store_span(arr: np.ndarray, lo: int, n: int, values, op: str = "",
 def store_span_masked(arr: np.ndarray, lo: int, n: int, values, mask) -> None:
     """Predicated contiguous store: lanes of ``[lo, lo+n)`` where ``mask``.
 
-    Equals ``store(arr, arange(lo, lo+n)[mask], bcv(values)[mask])`` for
-    plain assignment -- span indices are unique, so masked copyto and
-    gather/scatter write the same lanes with the same values -- but
-    skips building the index and value gather vectors.  Inactive lanes
-    may legitimately fall outside the buffer (a data-dependent predicate
-    guarding the edge); only then is the index vector built.
+    Equals ``store(arr, arange(lo, lo+n)[mask], values[mask])`` for plain
+    assignment -- span indices are unique, so masked copyto and scatter
+    write the same lanes with the same values -- but skips building the
+    index and value vectors.  Inactive lanes may legitimately fall
+    outside the buffer (a data-dependent predicate guarding the edge);
+    only then is the index vector built, and :func:`store` refuses an
+    active lane outside it.
     """
     if 0 <= lo and lo + n <= arr.shape[0]:
         np.copyto(arr[lo:lo + n], values, where=mask)
     else:
-        store(arr, np.flatnonzero(mask) + lo, msel(bcv(values, n), mask))
-
-
-def msel(v, mask):
-    """Select active lanes of ``v`` (scalar values pass through)."""
-    if mask is None:
-        return v
-    if isinstance(v, np.ndarray) and v.shape:
-        return v[mask]
-    return v
-
-
-def bcv(v, n: int, dtype=None):
-    """Materialize ``v`` as a length-``n`` lane vector (writable)."""
-    arr = np.asarray(v)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    if arr.ndim == 0:
-        return np.full(n, arr)
-    if arr.shape[0] != n:
-        raise ValueError(f"lane vector of length {arr.shape[0]} != {n}")
-    return np.array(arr) if not arr.flags.writeable else arr
-
-
-def lanes_of(mask, n: int) -> int:
-    """Number of active lanes under ``mask`` (or all ``n``)."""
-    return int(mask.sum()) if mask is not None else n
+        store(arr, np.flatnonzero(mask) + lo,
+              values[mask] if np.ndim(values) else values)
 
 
 def flat_ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
@@ -179,19 +155,6 @@ def flat_ranges(lo: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return starts + offsets
 
 
-def merge(old, new, mask):
-    """Masked merge for local-variable assignment under predication."""
-    if mask is None:
-        if isinstance(old, np.ndarray) and old.shape and not (
-            isinstance(new, np.ndarray) and new.shape
-        ):
-            out = old.copy()
-            out[...] = new
-            return out
-        return np.asarray(new) if isinstance(new, np.ndarray) else new
-    return np.where(mask, new, old)
-
-
 def store(arr: np.ndarray, idx, values, op: str = "") -> None:
     """Elementwise store ``arr[idx] op= values``.
 
@@ -199,7 +162,19 @@ def store(arr: np.ndarray, idx, values, op: str = "") -> None:
     (NumPy fancy assignment), matching the benign-race semantics of a
     GPU global-memory store.  Compound ops use unbuffered ``ufunc.at``
     so duplicates accumulate, matching an atomic RMW.
+
+    Every index must lie in the buffer, checked before anything is
+    written: a negative one would silently write from the buffer's end,
+    so an index outside it is a window the compiler or the program got
+    wrong, and raises like :func:`span_out`.
     """
+    idx = np.asarray(idx)
+    if idx.size:
+        low, high = int(idx.min()), int(idx.max())
+        if low < 0 or high >= arr.shape[0]:
+            raise IndexError(
+                f"store index {low if low < 0 else high} outside a buffer "
+                f"of {arr.shape[0]} elements")
     if op == "":
         arr[idx] = values
     elif op == "+":
@@ -238,12 +213,18 @@ def red_identity(op: str):
 
 
 def red_fold(op: str, acc, values, mask, n_lanes: int):
-    """Fold ``values`` (vector or scalar) over active lanes into ``acc``."""
-    lanes = lanes_of(mask, n_lanes)
+    """Fold ``values`` (vector or scalar) over the lanes of ``mask`` (all
+    ``n_lanes`` when None) into ``acc``."""
+    v = values
+    is_vec = isinstance(v, np.ndarray) and v.shape
+    if mask is None:
+        lanes = n_lanes
+    else:
+        lanes = int(np.count_nonzero(mask))
+        if is_vec:
+            v = v[mask]
     if lanes == 0:
         return acc
-    v = msel(values, mask)
-    is_vec = isinstance(v, np.ndarray) and v.shape
     if op == "+":
         return acc + (v.sum() if is_vec else v * lanes)
     if op == "*":

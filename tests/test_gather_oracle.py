@@ -12,7 +12,9 @@ stride that is not positive (no slice: the fallback).
 A slice silently truncates where a scatter would fail, so the store side
 is an injection suite: a strided destination that leaves the buffer at
 its first or its last element raises ``IndexError`` from ``ks.span_out``
-and from a generated kernel run on a hand-built ``KernelContext``.
+and from a generated kernel run on a hand-built ``KernelContext``, and a
+scatter index below the buffer raises from ``ks.store`` before anything
+is written, where NumPy would have wrapped it to the buffer's end.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro.bench.machines import hypothetical_node
 from repro.runtime.kernelctx import KernelContext
 from repro.translator import kernel_support as ks
 from tests import kernel_support_oracle as oracle
@@ -201,3 +204,45 @@ class TestStridedStoreInjection:
         ref = self.launch(y_len=3 * self.N, m=0, engine="interp")
         np.testing.assert_array_equal(out["z"], ref["z"])
         assert out["z"][1] == self.N and out["z"].sum() == self.N
+
+
+NEGATIVE_STORES = """
+void shift(int n, float *x, float *y) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { if (x[i] > 0.5f) { y[i - 2] = x[i]; } }
+}
+void scatter(int n, int *idx, float *x, float *y) {
+  #pragma acc parallel loop
+  for (int i = 0; i < n; i++) { y[idx[i]] = x[i]; }
+}
+"""
+
+
+class TestNegativeStoreIndexInjection:
+    """A store below the device buffer once wrapped to its end: the
+    predicated span store ``y[i - 2]`` (its fallback scatter) and the
+    scatter ``y[idx[i]]`` with ``idx[0] == -1`` raise before any write,
+    naming the index and the buffer length, and the host array is left
+    as it was -- as on the interpreter."""
+
+    def args(self, entry):
+        x = np.zeros(8, np.float32)
+        x[0] = 1.0
+        args = {"n": 8, "x": x, "y": np.arange(8, dtype=np.float32)}
+        if entry == "scatter":
+            args["idx"] = np.array([-1, 1, 2, 3, 4, 5, 6, 7], np.int32)
+        return args
+
+    @pytest.mark.parametrize("ngpus", [1, 2, 4])
+    @pytest.mark.parametrize("entry,index", [("shift", -2), ("scatter", -1)])
+    def test_raises_and_leaves_the_host_array(self, entry, index, ngpus):
+        prog = repro.compile(NEGATIVE_STORES)
+        args = self.args(entry)
+        with pytest.raises(IndexError, match=(
+                f"store index {index} outside a buffer of \\d+ elements")):
+            prog.run(entry, args, machine=hypothetical_node(4), ngpus=ngpus)
+        np.testing.assert_array_equal(args["y"], np.arange(8))
+        with pytest.raises(repro.translator.InterpError,
+                           match="outside the loaded window"):
+            prog.run(entry, self.args(entry), machine=hypothetical_node(4),
+                     ngpus=ngpus, engine="interp")

@@ -1,10 +1,13 @@
-"""Property-based tests on the generated-code helper primitives."""
+"""Property-based tests on the generated-code helper primitives, and on
+the retired mask-lowering helpers kept as oracles
+(``tests/kernel_support_oracle.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.translator import kernel_support as ks
+from tests import kernel_support_oracle as oracle
 
 
 class TestFlatRanges:
@@ -33,34 +36,32 @@ class TestFlatRanges:
 
 
 class TestSelectionHelpers:
+    """``msel`` / ``bcv`` / ``merge`` are the oracle's; ``ld`` is live."""
+
     def test_msel_none_passthrough(self):
         v = np.arange(4)
-        assert ks.msel(v, None) is v
-        assert ks.msel(3.5, None) == 3.5
+        assert oracle.msel(v, None) is v
+        assert oracle.msel(3.5, None) == 3.5
 
     def test_msel_scalar_passthrough_under_mask(self):
-        assert ks.msel(3.5, np.array([True, False])) == 3.5
+        assert oracle.msel(3.5, np.array([True, False])) == 3.5
 
     def test_msel_vector(self):
         v = np.arange(4)
         np.testing.assert_array_equal(
-            ks.msel(v, np.array([True, False, True, False])), [0, 2])
+            oracle.msel(v, np.array([True, False, True, False])), [0, 2])
 
     def test_bcv_scalar(self):
-        out = ks.bcv(2.0, 4, np.float32)
+        out = oracle.bcv(2.0, 4, np.float32)
         assert out.shape == (4,) and out.dtype == np.float32
 
     def test_bcv_vector_passthrough(self):
         v = np.arange(4, dtype=np.float32)
-        assert ks.bcv(v, 4, None) is v
+        assert oracle.bcv(v, 4, None) is v
 
     def test_bcv_wrong_length_rejected(self):
         with pytest.raises(ValueError):
-            ks.bcv(np.arange(3), 4, None)
-
-    def test_lanes_of(self):
-        assert ks.lanes_of(None, 7) == 7
-        assert ks.lanes_of(np.array([True, False, True]), 3) == 2
+            oracle.bcv(np.arange(3), 4, None)
 
     def test_ld_clips(self):
         arr = np.arange(4.0)
@@ -70,17 +71,21 @@ class TestSelectionHelpers:
 
     def test_merge_none_mask(self):
         old = np.zeros(3)
-        out = ks.merge(old, np.ones(3), None)
+        out = oracle.merge(old, np.ones(3), None)
         np.testing.assert_array_equal(out, 1)
 
     def test_merge_masked(self):
-        out = ks.merge(np.zeros(3), np.ones(3),
-                       np.array([True, False, True]))
+        out = oracle.merge(np.zeros(3), np.ones(3),
+                           np.array([True, False, True]))
         np.testing.assert_array_equal(out, [1, 0, 1])
 
     def test_merge_scalar_new_value(self):
-        out = ks.merge(np.zeros(3), 5.0, None)
+        out = oracle.merge(np.zeros(3), 5.0, None)
         np.testing.assert_array_equal(out, [5, 5, 5])
+
+    def test_retired_helpers_left_kernel_support(self):
+        for name in ("msel", "bcv", "merge", "lanes_of"):
+            assert not hasattr(ks, name), name
 
 
 class TestStore:
@@ -103,6 +108,25 @@ class TestStore:
         with pytest.raises(ValueError):
             ks.store(np.zeros(2), np.array([0]), np.array([1.0]), "?")
 
+    @pytest.mark.parametrize("idx,bad", [([1, -1], -1), ([3, 0], 3),
+                                         ([-2, 9], -2)])
+    @pytest.mark.parametrize("op", ["", "+", "max"])
+    def test_index_outside_the_buffer_raises_before_any_write(self, idx,
+                                                              bad, op):
+        """A negative index would write from the buffer's end: it is
+        refused, with the index and the buffer length, before the
+        in-range lanes are written."""
+        a = np.zeros(3)
+        with pytest.raises(IndexError,
+                           match=f"store index {bad} outside a buffer of 3"):
+            ks.store(a, np.array(idx), np.array([7.0, 8.0]), op)
+        assert not a.any()
+
+    def test_empty_index_writes_nothing(self):
+        a = np.zeros(2)
+        ks.store(a, np.array([], dtype=np.int64), 1.0, "+")
+        assert not a.any()
+
 
 class TestRedFold:
     def test_sum_vector(self):
@@ -116,6 +140,17 @@ class TestRedFold:
     def test_sum_scalar_under_mask(self):
         mask = np.array([True, False, True])
         assert ks.red_fold("+", 0.0, 1.0, mask, 3) == 2.0
+
+    def test_selects_its_own_lanes(self):
+        """``red_fold`` counts and selects the lanes of its mask itself,
+        as ``msel`` / ``lanes_of`` did, a broadcast mask included."""
+        v = np.array([1.0, 2.0, 4.0])
+        for mask in (np.array([True, False, True]),
+                     np.broadcast_to(True, (3,))):
+            assert ks.red_fold("+", 0.5, v, mask, 3) == \
+                0.5 + oracle.msel(v, mask).sum()
+        assert ks.red_fold("*", 1.0, 3.0, np.broadcast_to(True, (3,)),
+                           3) == 27.0
 
     def test_empty_mask_identity(self):
         mask = np.zeros(3, dtype=bool)

@@ -1,4 +1,4 @@
-"""Span-native kernel lowering (:mod:`repro.translator.spanlower`).
+"""The kernel lowering (:class:`repro.translator.vectorizer.Vectorizer`).
 
 The span statements are the kernel, so they are checked against the one
 semantic reference there is, the scalar interpreter
@@ -13,18 +13,21 @@ semantic reference there is, the scalar interpreter
     between the generated kernels and ``engine="interp"``;
 (c) every ``out=`` operation produces the dtype and the bits NumPy's
     own (unbuffered) evaluation produces, every ``np.take(..., out=)``
-    the clip-gather's and every ``np.copyto(..., where=)`` the
-    ``ks.merge`` of a ``ks.bcv`` local's -- ``int`` slots included;
+    the clip-gather's and every ``np.copyto(..., where=)`` the ``merge``
+    of a ``bcv`` local's (``tests/kernel_support_oracle.py``) -- ``int``
+    slots included;
 (d) the sanitizer stays clean -- its shadow runs never share scratch
     with the run they shadow;
 
 a textual pin that a kernel holds one body and ``run`` no switch
 between two, and a count-based steady-state gate in the style of
 ``test_launch_replay.py``: after the first sweep a launch allocates no
-lane-length array and builds no index vector, clipped index vector,
-``bcv`` local or ``merge`` (``kmeans_L0`` included; ``md_L0`` within a
-constant number of lane vectors whatever its trip count), a finished
-run keeps no scratch, and its storage is recycled on the large side of
+lane-length array and builds no index vector or clipped index vector
+(``kmeans_L0`` included; ``md_L0`` within a constant number of lane
+vectors whatever its trip count), a CSR launch (``bfs_L0``,
+``spmv_L0``) calls ``np.arange`` only in its flattening and allocates
+nothing more outside the arena for two more statements in its body, a
+finished run keeps no scratch, and its storage is recycled on the large side of
 ``vcuda.memory.RECYCLE_FLOOR`` only: a second ``stream``-shaped run
 takes no fresh block, a ``launch_small``-sized run takes none at all.
 """
@@ -42,9 +45,8 @@ from repro.apps import ALL_APPS, EXTRA_APPS, AppSpec
 from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
 from repro.runtime.kernelctx import KernelContext, ScratchArena
-from repro.translator import kernel_support as ks
 from repro.translator.compiler import CompileOptions, KernelPlan
-from repro.translator.spanlower import SpanVectorizer
+from repro.translator.vectorizer import Vectorizer
 from repro.vcuda import memory as vmem
 from tests import kernel_support_oracle
 
@@ -124,13 +126,13 @@ def test_interval_matches_boolean_mask(outer, inner, n):
 
 
 def lowering_of(src):
-    """The span lowering of the first loop of ``src``, after its body
-    has been emitted (locals registered)."""
+    """The lowering of the first loop of ``src``, after its body has
+    been emitted (locals registered)."""
     compiled = repro.compile(src).compiled
     plan = compiled.plans[0]
-    vec = SpanVectorizer(plan.analysis, plan.config,
-                         {"n": "int", "p": "int", "w": "float"},
-                         {"t": "int", "f": "float"}, labels={})
+    vec = Vectorizer(plan.analysis, plan.config,
+                     {"n": "int", "p": "int", "w": "float"},
+                     {"t": "int", "f": "float"}, labels={})
     for piece in vec.body_pieces():
         vec.emit_piece(piece)
     return vec, plan.analysis.nest.body
@@ -290,10 +292,10 @@ def test_bodies_and_engines_agree(app, ngpus, config):
 class AuditedNumpy:
     """Stands in for ``ctx.np``: every ufunc call with ``out=`` is
     repeated unbuffered and must agree in dtype and in bits; every
-    ``np.take(..., out=)`` is held to the clip-gather it replaced
-    (``tests/kernel_support_oracle.py``) and every ``np.copyto(...,
-    where=)`` to the ``ks.merge(old, ks.bcv(new, n, dtype), mask)`` it
-    replaced, int slots included."""
+    ``np.take(..., out=)`` is held to the clip-gather it replaced and
+    every ``np.copyto(..., where=)`` to the ``merge(old, bcv(new, n,
+    dtype), mask)`` it replaced (``tests/kernel_support_oracle.py``),
+    int slots included."""
 
     def __init__(self):
         self.buffered = 0
@@ -313,7 +315,9 @@ class AuditedNumpy:
         return res
 
     def copyto(self, dst, src, casting="same_kind", where=True):
-        own = ks.merge(dst, ks.bcv(src, dst.shape[0], dst.dtype.type), where)
+        own = kernel_support_oracle.merge(
+            dst, kernel_support_oracle.bcv(src, dst.shape[0],
+                                           dst.dtype.type), where)
         np.copyto(dst, src, casting=casting, where=where)
         assert own.dtype == dst.dtype and own.tobytes() == dst.tobytes()
         self.merges[dst.dtype.name] += 1
@@ -576,11 +580,9 @@ STEADY = [("jacobi", {"n": 1 << 14, "tol": 1e-30}, "maxiter", None),
           ("gradpipe", {"n": 1 << 14}, "steps", CompileOptions(fuse=True))]
 
 
-#: What the mask lowering builds per operation and a steady plain-axis
-#: launch must not: clipped index vectors, materialised and merged
-#: locals, iota vectors.
-PER_OPERATION = [(np, "clip"), (np, "where"), (np, "arange"), (ks, "bcv"),
-                 (ks, "merge")]
+#: What the retired mask lowering built per operation and a steady
+#: launch must not: clipped index vectors, merged locals, iota vectors.
+PER_OPERATION = [(np, "clip"), (np, "where"), (np, "arange")]
 
 
 @pytest.fixture
@@ -655,8 +657,8 @@ def per_operation_calls(rec):
 def test_kmeans_assignment_launch_allocates_nothing(ngpus, launches):
     """``kmeans_L0`` -- strided feature loads, float accumulators and an
     ``int`` local under a data-dependent mask -- after the first sweep:
-    no clipped index vector, no ``bcv``/``merge``/``where``, no iota, no
-    fresh lane vector, no arena growth; for 3 sweeps as for 9."""
+    no clipped index vector, no ``where``, no iota, no fresh lane
+    vector, no arena growth; for 3 sweeps as for 9."""
     spec = APPS["kmeans"]
     prog = repro.compile(spec.source)
     for niters in (3, 9):
@@ -695,6 +697,71 @@ def test_md_launch_allocates_a_constant_number_of_lane_vectors(ngpus,
             assert not per_operation_calls(rec), rec
         peak[maxneigh] = max(r["fresh"] / (4 * r["lanes"]) for r in launches)
     assert peak[16] < 40 and abs(peak[16] - peak[4]) < 0.5, peak
+
+
+#: The flattening of a CSR loop is the one place a launch builds index
+#: vectors: the active-lane vector (``np.arange`` when no mask selects
+#: it) and ``ks.flat_ranges``' offsets.
+FLATTENING_ARANGES = {"bfs_L0": 1, "spmv_L0": 2}
+
+
+@pytest.mark.parametrize("ngpus", [1, 4])
+@pytest.mark.parametrize("app", ["bfs", "spmv"])
+def test_csr_launch_calls_no_per_operation_helper(app, ngpus, launches):
+    """Every ``bfs_L0`` level and every ``spmv_L0`` launch: no clipped
+    index vector, no ``where``, and ``np.arange`` only in its
+    flattening."""
+    spec = APPS[app]
+    repro.compile(spec.source).run(spec.entry, spec.args_for("test"),
+                                   machine=NODE4, ngpus=ngpus)
+    recs = [r for r in launches if r["kernel"] == f"{app}_L0"]
+    assert len(recs) >= ngpus
+    for rec in recs:
+        calls = per_operation_calls(rec)
+        assert set(calls) <= {"arange"}, rec
+        assert calls.get("arange", 0) <= FLATTENING_ARANGES[rec["kernel"]], rec
+
+
+#: ``spmv``'s loop with two more statements in its CSR body: a local
+#: declared on the flattened axis and a second update of ``sum``.
+SPMV_PLUS = APPS["spmv"].source.replace(
+    "sum += val[e] * x[col[e]];",
+    "float a = val[e] * x[col[e]];\n"
+    "          sum += a;\n"
+    "          sum += a * 0.5f;")
+
+
+def test_csr_body_statements_allocate_nothing_outside_the_arena(launches):
+    """A second launch on one context takes every slot from the arena;
+    what it allocates beyond that is the flattening's index vectors and
+    the gathers' index arithmetic (unbuffered, rule 6), so two more
+    statements over the same operands add no allocation and no
+    per-operation call."""
+    args = APPS["spmv"].args_for("test")
+    assert SPMV_PLUS != APPS["spmv"].source
+    second = {}
+    for source in (APPS["spmv"].source, SPMV_PLUS):
+        prog = repro.compile(source, CompileOptions(require_vectorized=True))
+        ctx = KernelContext(device_index=0, i0=0, i1=args["n"],
+                            scalars={"n": args["n"], "nnz": args["nnz"]},
+                            permissive=True)
+        for name in ("row", "col", "val", "x", "y"):
+            ctx.arrays[name] = np.array(args[name])
+            ctx.base[name] = 0
+        launches.clear()
+        for _ in range(2):
+            prog.kernel("spmv_L0").execute(ctx)
+        first, second[source] = launches
+        assert first["misses"] > 0 and second[source]["misses"] == 0
+    base, plus = second[APPS["spmv"].source], second[SPMV_PLUS]
+    assert per_operation_calls(plus) == per_operation_calls(base) \
+        == {"arange": FLATTENING_ARANGES["spmv_L0"]}
+    nnz = args["nnz"]
+    assert abs(plus["fresh"] - base["fresh"]) < 1024, (base, plus)
+    # The position vector, the flat indices and the buffer-local index
+    # vectors of spmv's three gathers: under six int64 vectors of the
+    # flattened length.
+    assert base["fresh"] < 6 * 8 * nnz, (base["fresh"], nnz)
 
 
 def test_finished_run_keeps_no_scratch():
