@@ -513,9 +513,12 @@ class Vectorizer:
 
     # -- loads ---------------------------------------------------------------------------
 
-    def _bx_load(self, e: C.Index, copy: bool = False) -> _Val:
+    def _bx_load(self, e: C.Index, copy: bool = False,
+                 out: tuple | None = None) -> _Val:
         """A load: a span view, a lane-invariant element, or the guarded
-        gather ``np.take(..., mode='clip')`` into a slot."""
+        gather ``np.take(..., mode='clip')`` into a slot -- or, as the
+        root of an assignment (``out``, see :meth:`bx`) with the
+        destination's dtype, straight into the destination."""
         name = e.base_name()
         # One subscript: the pricing walk rejects any other.
         idx = e.indices[0]
@@ -542,6 +545,13 @@ class Vectorizer:
         if dt is None:
             # No C type to take the slot's dtype from.
             return self._eager(f"ks.ld(v_{name}, {at.src})", [], e)
+        key = f"v_{name}[{at.src}]"
+        # Not into a view of the array it gathers from.
+        if out is not None and out[1] == dt and out[2] != name \
+                and key not in self._numbered:
+            self.emit(f"np.take(v_{name}, {at.src}, mode='clip', "
+                      f"out={out[0]})")
+            return _Val(out[0], True, dtype=dt)
 
         def gather() -> _Val:
             q = self._temp(dt)
@@ -549,7 +559,7 @@ class Vectorizer:
                       f"out={q.src})")
             return q
 
-        return self._number(f"v_{name}[{at.src}]", e, gather)
+        return self._number(key, e, gather)
 
     def _outer(self, src: str, dtype: str, e: C.Expr) -> _Val:
         """An outer-lane value ``src`` read on the CSR axis: gathered
@@ -578,7 +588,7 @@ class Vectorizer:
         if isinstance(e, C.Ident):
             return self._bx_ident(e)
         if isinstance(e, C.Index):
-            return self._bx_load(e)
+            return self._bx_load(e, out=out)
         if isinstance(e, C.UnOp) and e.op == "+":
             return self.bx(e.operand, out)
         if isinstance(e, C.UnOp) and e.op == "-":
@@ -1240,8 +1250,9 @@ class Vectorizer:
         self.indent -= 1
 
     def _bound(self, e: C.Expr, prefix: str) -> str:
-        """A loop bound as an ``int64`` lane vector of its own: the body
-        may overwrite whatever it was computed from."""
+        """A loop bound as an ``int64`` lane vector of its own: the CSR
+        flattening counts in ``int64``, and a constant-trip loop's body
+        may overwrite whatever the bound was computed from."""
         v = self.bx(e)
         name = self.tmp(prefix)
         if v.vec:
@@ -1259,11 +1270,8 @@ class Vectorizer:
                                  "supported", s.line)
         assert il.lower is not None and il.upper is not None
         label = self.labels[id(s)]
-        bounds = [self.bx(il.lower), self.bx(il.upper)]
-        lo, hi, act, cnt, pos = (self.tmp(p) for p in
-                                 ("_lo", "_hi", "_act", "_cnt", "_pos"))
-        self.emit(f"{lo} = {self._shared(bounds[0])}")
-        self.emit(f"{hi} = {self._shared(bounds[1])}")
+        lo, hi = self._bound(il.lower, "_lo"), self._bound(il.upper, "_hi")
+        act, cnt, pos = (self.tmp(p) for p in ("_act", "_cnt", "_pos"))
         self.emit(f"{act} = np.arange({self.region.n})" if self.mask is None
                   else f"{act} = np.nonzero({self.mask})[0]")
         self.emit(f"{cnt} = np.maximum({hi}[{act}] - {lo}[{act}], 0)")
@@ -1271,7 +1279,6 @@ class Vectorizer:
         evar = f"_e_{il.var}"
         self.emit(f"{pos} = np.repeat({act}, {cnt})")
         self.emit(f"{evar} = ks.flat_ranges({lo}[{act}], {cnt})")
-        self._release(*bounds)
         self._forget()
         # The flattened lanes are a region of their own, unmasked, whose
         # slots are never ones the outer lanes bind ahead of a loop.

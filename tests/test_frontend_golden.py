@@ -56,7 +56,7 @@ FORTRAN_SOURCES = {"md_fortran": MD_FORTRAN, "daxpy_fortran": FORTRAN_DAXPY,
 
 GOLDEN = {
     "bfs":
-        "2b606a8d932e0587043f041eed351ce8ea65fa52bfc399a338875349185763c1",
+        "566745f1a96345ce5b53c4584f0be4d4109fb547f5e3a7e138377b64b0cc67a9",
     "daxpy_fortran":
         "d18e3928ff60bad55f21132f7acdbc56528f500c9365defdcb77cfdccc66265d",
     "gradpipe":
@@ -78,7 +78,7 @@ GOLDEN = {
     "shift_scale":
         "35f854003e3f9722970f3f1b3e82ad64ca6a5fd094f9943e5e80fafb52dd60b7",
     "spmv":
-        "cb32a0b39fb534eea9b73705a98054a7b83c93004e5d351a1b64f19804614785",
+        "2fce346723d94b30ff3f0efbe3bfbeeeb637061c9657eed0da26c59160056599",
     "stencil":
         "8bed7767bfba8fe9f338cae7ca12de1a5e4cc28eb0954a6ab5defcb67aaf0f92",
     "stencil_probes":

@@ -759,9 +759,9 @@ def test_csr_body_statements_allocate_nothing_outside_the_arena(launches):
     nnz = args["nnz"]
     assert abs(plus["fresh"] - base["fresh"]) < 1024, (base, plus)
     # The position vector, the flat indices and the buffer-local index
-    # vectors of spmv's three gathers: under six int64 vectors of the
-    # flattened length.
-    assert base["fresh"] < 6 * 8 * nnz, (base["fresh"], nnz)
+    # vectors of spmv's three gathers -- under six int64 vectors of the
+    # flattened length -- and the row bounds, active rows and counts.
+    assert base["fresh"] < 8 * (6 * nnz + 5 * args["n"]), (base, nnz)
 
 
 def test_finished_run_keeps_no_scratch():
