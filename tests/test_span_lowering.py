@@ -27,9 +27,10 @@ lane-length array and builds no index vector or clipped index vector
 vectors whatever its trip count), a CSR launch (``bfs_L0``,
 ``spmv_L0``) calls ``np.arange`` only in its flattening and allocates
 nothing more outside the arena for two more statements in its body, a
-finished run keeps no scratch, and its storage is recycled on the large side of
-``vcuda.memory.RECYCLE_FLOOR`` only: a second ``stream``-shaped run
-takes no fresh block, a ``launch_small``-sized run takes none at all.
+finished run keeps no scratch, and its storage is recycled on the large
+side of ``vcuda.memory.RECYCLE_FLOOR`` only: a second ``stream``-shaped
+run takes no fresh block, a ``launch_small``-sized run takes none at
+all.
 """
 
 import collections
