@@ -117,7 +117,6 @@ class AccProgram:
         args: dict[str, Any],
         machine: str | MachineSpec | ClusterSpec = "desktop",
         ngpus: int = 1,
-        engine: str = "vector",
         chunk_bytes: int = DEFAULT_CHUNK_BYTES,
         reload_skipping: bool = True,
         tree_reduction: bool = True,
@@ -132,8 +131,6 @@ class AccProgram:
         """Execute ``entry`` with ``args`` on a virtual machine.
 
         Arrays in ``args`` are modified in place (C pointer semantics).
-        ``engine='interp'`` forces the scalar reference interpreter for
-        every kernel (slow; used by differential tests).
         ``overlap=True`` pipelines inter-GPU communication with later
         kernels; ``coalesce=True`` merges adjacent dirty chunks into one
         bus transaction.  ``adaptive=True`` enables profile-guided task
@@ -146,8 +143,9 @@ class AccProgram:
         invariants are asserted, and ``localaccess`` declarations are
         audited (:mod:`repro.sanitizer`).  Checks work purely in data
         space and never touch the virtual clock, so modeled time is
-        unchanged; wall-clock cost is roughly one interpreter pass per
-        loop.  Violations raise
+        unchanged; wall-clock cost is roughly one extra launch of each
+        kernel per task slice, plus one single-iteration launch per
+        iteration of a loop with an audited window.  Violations raise
         :class:`~repro.sanitizer.CoherenceViolation`.
 
         ``trace=True`` (or ``REPRO_TRACE=1``) enables the structured
@@ -215,7 +213,7 @@ class AccProgram:
             from .trace import Tracer
 
             tracer = Tracer(ngpus=ngpus, machine=spec.name)
-        executor = AccExecutor(platform, loader, engine=engine,
+        executor = AccExecutor(platform, loader,
                                tree_reduction=tree_reduction,
                                overlap=overlap, coalesce=coalesce,
                                adaptive=adaptive, sanitizer=sanitizer,

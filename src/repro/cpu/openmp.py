@@ -80,9 +80,8 @@ class CpuPlatform:
 class OpenMPExecutor:
     """Executor with the AccExecutor run_loop interface, CPU-backed."""
 
-    def __init__(self, platform: CpuPlatform, engine: str = "vector") -> None:
+    def __init__(self, platform: CpuPlatform) -> None:
         self.platform = platform
-        self.engine = engine
         self.history: list[CpuLoopStats] = []
         self.loader = _NullLoader()
 
@@ -99,7 +98,7 @@ class OpenMPExecutor:
                     "the host environment")
             ctx.arrays[name] = arr
             ctx.base[name] = 0
-        plan.execute(ctx, self.engine)
+        plan.execute(ctx)
         n = max(0, upper - lower)
         work = plan.cost.total(n, ctx.dyn_counts)
         seconds = self.platform.loop_time(work) if n else 0.0
@@ -169,12 +168,11 @@ def run_openmp(
     entry: str,
     args: dict[str, Any],
     machine: MachineSpec,
-    engine: str = "vector",
     threads: int | None = None,
 ) -> OpenMPRun:
     """Run the program as its OpenMP version on ``machine``'s CPUs."""
     platform = CpuPlatform(machine, threads)
-    executor = OpenMPExecutor(platform, engine=engine)
+    executor = OpenMPExecutor(platform)
     host = HostExecutor(compiled, executor)  # type: ignore[arg-type]
     result = host.call(entry, args)
     return OpenMPRun(result=result, platform=platform,

@@ -299,8 +299,8 @@ class InnerLoop:
     #: 'constant' -- trip bounds free of memory values (vectorize by
     #: sequential outer iteration over the inner index);
     #: 'csr' -- bounds of the form start[i] .. end-expr (flattened with
-    #: the repeat/cumsum transform); 'opaque' -- anything else
-    #: (interpreter fallback).
+    #: the repeat/cumsum transform); 'opaque' -- anything else (no
+    #: lowering: the parallel loop is a compile error).
     kind: str
     lower: C.Expr | None = None
     upper: C.Expr | None = None

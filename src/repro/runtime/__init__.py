@@ -8,10 +8,10 @@ from .kernelctx import KernelContext
 from .partition import (
     Block,
     PartitionError,
-    make_window_evaluator,
     owner_of,
     primary_blocks,
     split_tasks,
+    window_bounds,
     window_for_tasks,
 )
 from .reduction_rt import finalize_scalar_reductions
@@ -32,7 +32,7 @@ __all__ = [
     "PartitionError",
     "split_tasks",
     "window_for_tasks",
-    "make_window_evaluator",
+    "window_bounds",
     "primary_blocks",
     "owner_of",
     "finalize_scalar_reductions",

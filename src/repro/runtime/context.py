@@ -47,7 +47,7 @@ class KernelPlanLike(Protocol):
     block_dim: int | None
     max_gangs: int | None
 
-    def execute(self, ctx: KernelContext, engine: str) -> None: ...
+    def execute(self, ctx: KernelContext) -> None: ...
 
 
 @dataclass
@@ -69,7 +69,6 @@ class AccExecutor:
         self,
         platform: Platform,
         loader: DataLoader | None = None,
-        engine: str = "vector",
         tree_reduction: bool = True,
         overlap: bool = False,
         coalesce: bool = False,
@@ -80,8 +79,6 @@ class AccExecutor:
         internode: str = "staged",
         collective: str = "none",
     ) -> None:
-        if engine not in ("vector", "interp"):
-            raise ValueError("engine must be 'vector' or 'interp'")
         self.platform = platform
         self.loader = loader or DataLoader(platform)
         #: Opt-in coherence sanitizer (:mod:`repro.sanitizer`).  None by
@@ -89,7 +86,6 @@ class AccExecutor:
         self.sanitizer = sanitizer
         if sanitizer is not None:
             self.loader.sanitizer = sanitizer
-            sanitizer.engine = engine
         #: Opt-in structured tracer (:mod:`repro.trace`), a pure
         #: observer like the sanitizer.
         self.tracer = tracer
@@ -116,7 +112,6 @@ class AccExecutor:
         #: loop gate on per-array comm completion instead of a global
         #: barrier, and waits are attributed by the platform timeline.
         self.overlap = overlap
-        self.engine = engine
         #: Profile-guided adaptive mapping + placement switching.
         self.adaptive = adaptive
         self.balancer = balancer
@@ -188,7 +183,7 @@ class AccExecutor:
         for g, (t0, t1) in enumerate(tasks):
             ctx = self._make_context(g, t0, t1, plan, scalars, configs)
             contexts.append(ctx)
-            plan.execute(ctx, self.engine)
+            plan.execute(ctx)
             n = max(0, t1 - t0)
             if n == 0:
                 continue

@@ -48,7 +48,6 @@ from ..vcuda.memory import DeviceBuffer, PURPOSE_USER
 from .dirty import DEFAULT_CHUNK_BYTES, TwoLevelDirty
 from .partition import (
     Block,
-    make_window_evaluator,
     primary_blocks,
     window_for_tasks,
     window_free_names,
@@ -434,7 +433,7 @@ class DataLoader:
         read, so they are derived once per such combination and
         replayed on every later launch that repeats it: deciding that a
         reload can be skipped then costs one tuple comparison, not four
-        tree-walking evaluations per GPU.  A changed scalar, a resplit
+        bound evaluations per GPU.  A changed scalar, a resplit
         or a different length misses and re-derives.  A bound that
         subscripts a host array (``col[bounds(row[i], row[i+1]-1)]``)
         is never replayed: the array's contents are not part of the
@@ -464,16 +463,19 @@ class DataLoader:
                 if key == ent[2]:
                     return ent[3], ent[4]
         # Only a miss reads host scalars and arrays at all.
-        evaluate = make_window_evaluator(
-            loop_var, host_scalars,
-            {n: m.host for n, m in self.arrays.items()})
-        blocks = [window_for_tasks(window, t, length, evaluate)
+        env = self.bound_env(host_scalars)
+        blocks = [window_for_tasks(window, t, length, loop_var, env)
                   for t in tasks]
         signature = (Placement.DISTRIBUTED,
                      tuple((b.lo, b.hi) for b in blocks), False)
         if key is not None:
             ent[2:] = key, blocks, signature
         return blocks, signature
+
+    def bound_env(self, host_env: dict[str, Any]) -> dict[str, Any]:
+        """What a window bound reads: the host scalars, and the host
+        arrays of the data environment (the loader runs on the host)."""
+        return {**host_env, **{n: m.host for n, m in self.arrays.items()}}
 
     def _load(self, ma: ManagedArray, placement: Placement,
               blocks: list[Block], signature: tuple, identity: Any) -> None:

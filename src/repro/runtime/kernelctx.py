@@ -8,9 +8,11 @@ calls: dirty-bit marking, checked distributed writes with miss
 buffering, reduction-to-array accumulation, scalar-reduction partials,
 and dynamic trip-count reporting for the cost model.
 
-Both engines -- the vectorized generated kernels and the scalar
-reference interpreter -- run against this same interface, which is what
-makes differential testing of the translator possible.
+The generated kernels reach NumPy and the kernel-support helpers only
+through ``ctx.np`` / ``ctx.ks``, so a context can substitute recording
+versions of both (the sanitizer's window audit does), and the scalar
+interpreter the tests keep as the translator's oracle runs against this
+same interface.
 """
 
 from __future__ import annotations
@@ -115,10 +117,6 @@ class KernelContext:
     #: baseline): missing dirty trackers / windows / reduction copies are
     #: not errors -- writes go straight to the full arrays.
     permissive: bool = False
-    #: Sanitizer instrumentation: called by the scalar interpreter as
-    #: ``access_hook(name, iteration, index, kind)`` for every array
-    #: access (kind 'r' or 'w').  None (the default) costs one branch.
-    access_hook: Any = None
     #: Tracing instrumentation (:class:`repro.trace.Tracer`): write-miss
     #: and dirty-mark volumes are counted per (loop, GPU, array).  None
     #: (the default) costs one branch per instrumentation call.
@@ -129,7 +127,7 @@ class KernelContext:
     _iota: np.ndarray | None = None
     _iota_key: tuple[int, int] | None = None
 
-    #: Modules exposed to generated code.
+    #: Modules exposed to generated code (an instance may override them).
     np = np
     ks = ks
 

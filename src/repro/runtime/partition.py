@@ -4,7 +4,8 @@ Section IV-B2: "the tasks in the parallel loop are equally divided
 among the GPUs".  :func:`split_tasks` produces the per-GPU iteration
 slices; :func:`window_for_tasks` evaluates a ``localaccess`` read
 window over a task slice, giving the array block (plus halo) the data
-loader must place on that GPU.
+loader must place on that GPU.  Window bounds run as compiled code
+(:func:`window_bounds`), not as a walk of their expressions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from ..frontend import cast as C
 from ..translator.array_config import ReadWindow
-from ..translator.interpreter import ExprEvaluator
+from ..translator.hostgen import bound_functions
 
 
 class PartitionError(ValueError):
@@ -188,40 +189,45 @@ class Block:
         return other.size == 0 or (self.lo <= other.lo and other.hi <= self.hi)
 
 
-def make_window_evaluator(
-    loop_var: str,
-    host_scalars: dict[str, Any],
-    host_arrays: dict[str, np.ndarray],
-) -> Callable[[C.Expr, int], int]:
-    """Evaluator for window-bound expressions at a given iteration.
+def _bound_var(E: dict[str, Any], name: str) -> Any:
+    if name in E:
+        return E[name]
+    raise PartitionError(f"unknown name {name!r} in localaccess bounds")
+
+
+def _bound_elem(E: dict[str, Any], name: str, idx: int) -> Any:
+    arr = E.get(name)
+    if not isinstance(arr, np.ndarray):
+        raise PartitionError(
+            f"localaccess bounds read array {name!r} which is not "
+            "host-resident")
+    if not (0 <= idx < arr.shape[0]):
+        raise PartitionError(
+            f"localaccess bounds read {name}[{idx}] out of range")
+    return arr[idx]
+
+
+_LOOKUPS = {"_var": _bound_var, "_elem": _bound_elem}
+
+
+def window_bounds(window: ReadWindow, loop_var: str
+                  ) -> tuple[Callable[[int, dict], int],
+                             Callable[[int, dict], int]]:
+    """The bounds of ``window`` as compiled ``(i, E) -> int`` callables:
+    ``i`` the iteration, ``E`` the names they read
+    (:meth:`~repro.runtime.data_loader.DataLoader.bound_env`).
 
     Bounds may read *host-resident* arrays (the BFS
     ``col[bounds(row[i], row[i+1]-1)]`` case): the data loader runs on
     the host where those arrays are available, exactly as in the paper.
+    Emitted once per window and kept on it; a pickled window drops them
+    and emits them again at its first use.
     """
-
-    def evaluate(expr: C.Expr, i: int) -> int:
-        def load_var(name: str) -> Any:
-            if name == loop_var:
-                return i
-            if name in host_scalars:
-                return host_scalars[name]
-            raise PartitionError(f"unknown name {name!r} in localaccess bounds")
-
-        def load_elem(name: str, idx: int) -> Any:
-            arr = host_arrays.get(name)
-            if arr is None:
-                raise PartitionError(
-                    f"localaccess bounds read array {name!r} which is not "
-                    "host-resident")
-            if not (0 <= idx < arr.shape[0]):
-                raise PartitionError(
-                    f"localaccess bounds read {name}[{idx}] out of range")
-            return arr[idx]
-
-        return int(ExprEvaluator(load_var, load_elem).eval(expr))
-
-    return evaluate
+    fns = window.compiled
+    if fns is None or fns[0] != loop_var:
+        fns = window.compiled = (loop_var, *bound_functions(
+            window.lower, window.upper, loop_var, _LOOKUPS))
+    return fns[1], fns[2]
 
 
 def window_free_names(window: ReadWindow) -> tuple[str, ...] | None:
@@ -248,7 +254,8 @@ def window_for_tasks(
     window: ReadWindow,
     tasks: tuple[int, int],
     array_length: int,
-    evaluate: Callable[[C.Expr, int], int],
+    loop_var: str,
+    host_env: dict[str, Any],
 ) -> Block:
     """Array block a GPU with task slice ``tasks`` may read.
 
@@ -259,10 +266,11 @@ def window_for_tasks(
     t0, t1 = tasks
     if t1 <= t0:
         return Block(0, 0)
-    lo_first = evaluate(window.lower, t0)
-    lo_last = evaluate(window.lower, t1 - 1)
-    up_first = evaluate(window.upper, t0)
-    up_last = evaluate(window.upper, t1 - 1)
+    lower, upper = window_bounds(window, loop_var)
+    lo_first = lower(t0, host_env)
+    lo_last = lower(t1 - 1, host_env)
+    up_first = upper(t0, host_env)
+    up_last = upper(t1 - 1, host_env)
     if lo_last < lo_first or up_last < up_first:
         raise PartitionError(
             "localaccess window bounds must be monotone non-decreasing in "

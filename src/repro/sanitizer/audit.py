@@ -7,9 +7,12 @@ per-iteration read window (plus halo) of a distributed array.  An
 -- iteration ``i`` reads an element its GPU never loaded, and on real
 hardware gets stale or unmapped memory.
 
-The auditor rides on the shadow oracle's interpreter pass: a hook on
-every scalar array access records the actual per-iteration index span,
-and :meth:`LocalAccessAuditor.verify` re-evaluates the declared bounds
+The auditor rides on the shadow oracle's audit pass, which launches the
+loop's generated kernel one iteration at a time with recording ``np`` /
+``ks`` modules (:class:`AuditedModules`): every buffer access is mapped
+back to its array and reported to a hook that keeps the actual
+per-iteration index span, and :meth:`LocalAccessAuditor.verify`
+evaluates the declared bounds
 (``stride(s, l, r)`` -> ``s*i - l .. s*(i+1) - 1 + r``, plus the
 range/bounds forms) for each recorded iteration.  Any access outside
 the declared window raises :class:`CoherenceViolation` naming the
@@ -18,10 +21,14 @@ loop, array, and offending index range.
 
 from __future__ import annotations
 
+import types
 from typing import Any, Callable
 
+import numpy as np
+
 from ..runtime.data_loader import DataLoader
-from ..runtime.partition import make_window_evaluator
+from ..runtime.partition import window_bounds
+from ..translator import kernel_support
 from ..translator.array_config import ArrayConfig, Placement, WriteHandling
 from .violations import CoherenceViolation
 
@@ -108,19 +115,18 @@ class LocalAccessAuditor:
         """Check every recorded span against the declared window."""
         if not any(spans.values()):
             return
-        host_arrays = {n: m.host for n, m in self.loader.arrays.items()}
-        evaluate = make_window_evaluator(plan.loop_var, dict(host_env),
-                                         host_arrays)
+        env = self.loader.bound_env(host_env)
         for name, per_iter in spans.items():
             if not per_iter:
                 continue
             window = configs[name].window
             assert window is not None
+            lower, upper = window_bounds(window, plan.loop_var)
             self.audited += 1
             for it in sorted(per_iter):
                 mn, mx = per_iter[it]
-                lo = evaluate(window.lower, it)
-                hi = evaluate(window.upper, it)
+                lo = lower(it, env)
+                hi = upper(it, env)
                 if mn < lo or mx > hi:
                     if window.origin == "inferred":
                         raise CoherenceViolation(
@@ -139,3 +145,86 @@ class LocalAccessAuditor:
                                 f"[{lo}, {hi}]; under-declared windows are "
                                 "a race under distribution-based "
                                 "placement"))
+
+
+class AuditedModules:
+    """Recording ``np`` / ``ks`` modules, set on one kernel context.
+
+    Generated kernels touch device buffers only through
+    ``ks.ld`` / ``ks.ld_span`` (loads), ``np.take`` on an array binding
+    (gathers), ``ks.span_out`` / ``ks.store`` / ``ks.store_span`` /
+    ``ks.store_span_masked`` (stores) and the ``ctx`` endpoints.  The
+    recording versions map each buffer back to its array name and report
+    the lowest and highest global index of every access to
+    ``hook(name, iteration, index, kind)`` -- ``kind`` ``"r"`` or
+    ``"w"`` -- before doing what the originals do.  Stores through the
+    ``ctx`` endpoints are write-miss checks and reduction contributions,
+    which the auditor exempts.  :attr:`iteration` is what the caller
+    launched.
+    """
+
+    def __init__(self, ctx: Any, hook: Callable[..., None]) -> None:
+        self.iteration = 0
+        self.hook = hook
+        self.base = ctx.base
+        self.names = {id(arr): name for name, arr in ctx.arrays.items()}
+        ks = kernel_support
+        ctx.np = types.SimpleNamespace(**vars(np))
+        ctx.ks = types.SimpleNamespace(**vars(ks))
+
+        def take(arr, idx, *args, **kwargs):
+            self.report(arr, idx, "r")
+            return np.take(arr, idx, *args, **kwargs)
+
+        def ld(arr, idx):
+            self.report(arr, idx, "r")
+            return ks.ld(arr, idx)
+
+        def ld_span(arr, lo, n, step=1, copy=False):
+            self.report_span(arr, lo, n, step, "r")
+            return ks.ld_span(arr, lo, n, step, copy)
+
+        def span_out(arr, lo, n, step=1):
+            self.report_span(arr, lo, n, step, "w")
+            return ks.span_out(arr, lo, n, step)
+
+        def store(arr, idx, values, op=""):
+            self.report(arr, idx, "w")
+            ks.store(arr, idx, values, op)
+
+        def store_span(arr, lo, n, values, op="", step=1):
+            self.report_span(arr, lo, n, step, "w")
+            ks.store_span(arr, lo, n, values, op, step)
+
+        def store_span_masked(arr, lo, n, values, mask):
+            self.report(arr, np.flatnonzero(mask) + lo, "w")
+            ks.store_span_masked(arr, lo, n, values, mask)
+
+        ctx.np.take = take
+        for fn in (ld, ld_span, span_out, store, store_span,
+                   store_span_masked):
+            setattr(ctx.ks, fn.__name__, fn)
+
+    def report(self, arr: np.ndarray, idx: Any, kind: str) -> None:
+        """Buffer-local indices ``idx`` of ``arr`` were accessed."""
+        if isinstance(idx, np.ndarray):
+            if idx.size:
+                self.report_range(arr, int(idx.min()), int(idx.max()), kind)
+        else:
+            self.report_range(arr, int(idx), int(idx), kind)
+
+    def report_span(self, arr: np.ndarray, lo: int, n: int, step: int,
+                    kind: str) -> None:
+        """``arr[lo], arr[lo + step], ...`` (``n`` of them) were accessed."""
+        if n > 0:
+            last = lo + (n - 1) * step
+            self.report_range(arr, min(lo, last), max(lo, last), kind)
+
+    def report_range(self, arr: np.ndarray, lo: int, hi: int,
+                     kind: str) -> None:
+        """The lowest and highest buffer-local index accessed."""
+        name = self.names.get(id(arr))
+        if name is not None:
+            base = self.base[name]
+            self.hook(name, self.iteration, lo + base, kind)
+            self.hook(name, self.iteration, hi + base, kind)

@@ -43,10 +43,6 @@ class Sanitizer:
         self.oracle = ShadowOracle(loader, rtol=rtol, atol=atol)
         self.invariants = InvariantChecker(loader)
         self.auditor = LocalAccessAuditor(loader)
-        #: Engine of the real run; the executor sets it on attach so the
-        #: shadow pass matches the run's intra-slice visibility
-        #: semantics.
-        self.engine = "vector"
         #: Loops fully checked (all three phases ran).
         self.loops_checked = 0
         self._expect: OracleExpectation | None = None
@@ -63,8 +59,7 @@ class Sanitizer:
         self._snapshots = self.invariants.snapshot_dirty_arrays(configs)
         hook, self._spans = self.auditor.recorder(configs)
         self._expect = self.oracle.prepare(plan, configs, tasks,
-                                           host_env, access_hook=hook,
-                                           engine=self.engine)
+                                           host_env, access_hook=hook)
         self._configs = configs
 
     def after_kernels(self, plan: Any) -> None:

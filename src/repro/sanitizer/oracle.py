@@ -1,15 +1,14 @@
 """Single-GPU shadow oracle.
 
 Before the real (multi-GPU) kernels of a parallel loop run, the oracle
-re-executes the loop against private full-length copies of every array
-in one address space, using the scalar reference interpreter in
-permissive mode -- i.e. the semantics the partitioned execution must
-reproduce without any of the partitioning, dirty-bit tracking or
-write-miss machinery.  After the runtime's communication phase
-the oracle diffs every written array against its expectation and
-localizes the first divergent element to the GPU holding it, the dirty
-chunk containing it, and the transfer mechanism that should have
-carried it.
+re-executes the loop's generated kernel against private full-length
+copies of every array in one address space, in permissive mode -- i.e.
+the semantics the partitioned execution must reproduce without any of
+the partitioning, dirty-bit tracking or write-miss machinery.  After
+the runtime's communication phase the oracle diffs every written array
+against its expectation and localizes the first divergent element to
+the GPU holding it, the dirty chunk containing it, and the transfer
+mechanism that should have carried it.
 
 The oracle re-seeds from the *actual* device state before every loop
 (:func:`global_view`), so divergence never accumulates across loops:
@@ -35,10 +34,10 @@ import numpy as np
 from ..runtime.comm import _combine
 from ..runtime.data_loader import DataLoader, ManagedArray
 from ..runtime.kernelctx import KernelContext
-from ..runtime.partition import owner_of
+from ..runtime.partition import PartitionError, owner_of
 from ..translator.array_config import ArrayConfig, Placement, WriteHandling
-from ..translator.interpreter import InterpError
 from ..translator.kernel_support import red_fold, red_identity
+from .audit import AuditedModules
 from .violations import CoherenceViolation
 
 
@@ -193,30 +192,25 @@ class ShadowOracle:
 
     def prepare(self, plan: Any, configs: dict[str, ArrayConfig],
                 tasks: list[tuple[int, int]], host_env: dict[str, Any],
-                access_hook: Any = None,
-                engine: str = "vector") -> OracleExpectation:
+                access_hook: Any = None) -> OracleExpectation:
         """Shadow-execute the loop, one pass per task slice.
 
         Each slice runs against its own copy of the loop-entry coherent
         state (BSP semantics: other slices' writes become visible only
         at the communication phase); the per-slice effects then merge in
         ascending GPU order, exactly as the runtime applies them.  The
-        shadow uses the *same engine* as the real run, so the
-        expectation carries the engine's intra-slice visibility
-        semantics -- programs with benign races (BFS's ``changed``
-        counter) would otherwise diverge spuriously.  Engine-vs-
-        interpreter equivalence is the differential tests' job, not the
-        sanitizer's.
+        shadow launches the *same kernel* as the real run, so the
+        expectation carries its intra-slice visibility semantics --
+        programs with benign races (BFS's ``changed`` counter) would
+        otherwise diverge spuriously.
 
         ``access_hook`` (the localaccess auditor's recorder) sees every
-        scalar array access of a dedicated interpreter pass; under
-        ``engine='interp'`` the expectation pass doubles as it.
+        array access of a second pass over the slice, on throwaway
+        copies: the same kernel launched one iteration at a time, with
+        recording ``np`` / ``ks`` modules on that context
+        (:class:`~repro.sanitizer.audit.AuditedModules`), so every
+        access a launch makes belongs to its iteration.
         """
-        interp = getattr(plan, "interp", None)
-        if interp is None:
-            raise CoherenceViolation(
-                "oracle-unavailable", loop=plan.name,
-                detail="kernel plan carries no reference interpreter")
         # Loop-entry coherent image of every array, and -- for reduction
         # destinations -- the host values the merge combines with
         # (OpenACC reduction semantics), not the staging image.
@@ -231,20 +225,16 @@ class ShadowOracle:
         for g, (t0, t1) in enumerate(tasks):
             ctx = self._shadow_context(plan, configs, pre, host_env, t0, t1)
             try:
-                if engine == "interp":
-                    ctx.access_hook = access_hook
-                    interp.run(ctx)
-                else:
-                    plan.execute(ctx, engine)
-                    if access_hook is not None:
-                        # Audit spans come from the scalar interpreter
-                        # (the only engine with per-access attribution);
-                        # its writes land in throwaway copies.
-                        audit_ctx = self._shadow_context(
-                            plan, configs, pre, host_env, t0, t1)
-                        audit_ctx.access_hook = access_hook
-                        interp.run(audit_ctx)
-            except InterpError as e:
+                plan.execute(ctx)
+                if access_hook is not None:
+                    audit_ctx = self._shadow_context(
+                        plan, configs, pre, host_env, t0, t1)
+                    modules = AuditedModules(audit_ctx, access_hook)
+                    for it in range(t0, t1):
+                        modules.iteration = it
+                        audit_ctx.i0, audit_ctx.i1 = it, it + 1
+                        plan.fn(audit_ctx)
+            except (IndexError, PartitionError) as e:
                 raise CoherenceViolation(
                     "oracle-failure", loop=plan.name, gpu=g,
                     detail=f"shadow execution of slice [{t0}, {t1}) "

@@ -74,7 +74,7 @@ class RunRequest:
     #: (:func:`~repro.serve.scheduler.estimate_request_bytes`).
     bytes_per_gpu: int | None = None
     #: Extra keyword arguments for :meth:`repro.AccProgram.run`
-    #: (``engine``, ``overlap``, ``adaptive``, ...).
+    #: (``overlap``, ``adaptive``, ...).
     run_kwargs: dict[str, Any] = field(default_factory=dict)
     #: Optional caller-chosen label (defaults to an assigned id).
     label: str | None = None

@@ -17,8 +17,8 @@ from .compiler import (
     compile_source,
 )
 from .cost import CostCollector, KernelCostInfo
+from .cscalar import ScalarError
 from .host import HostError, HostExecutor, RunResult, run_program
-from .interpreter import ExprEvaluator, InterpError, KernelInterpreter
 from .vectorizer import (
     KernelSourceInfo,
     VectorizeError,
@@ -45,9 +45,7 @@ __all__ = [
     "HostError",
     "RunResult",
     "run_program",
-    "ExprEvaluator",
-    "InterpError",
-    "KernelInterpreter",
+    "ScalarError",
     "KernelSourceInfo",
     "VectorizeError",
     "Vectorizer",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Any
 
 from ..frontend import cast as C
 from ..frontend.directives import LocalAccessSpec
@@ -64,6 +65,14 @@ class ReadWindow:
     #: :mod:`repro.translator.infer`).  The sanitizer's auditor uses
     #: this to tell a user under-declaration from a compiler bug.
     origin: str = "declared"
+    #: ``(loop variable, lower, upper)``: the bounds as compiled
+    #: callables (:func:`repro.runtime.partition.window_bounds`).  Like
+    #: ``KernelPlan.fn``, dropped on pickling and emitted again.
+    compiled: Any = field(default=None, init=False, repr=False,
+                          compare=False)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "compiled"}
 
 
 @dataclass

@@ -2,10 +2,11 @@
 
 Mirrors the paper's translator (section IV-B): every parallel loop in a
 ``parallel``/``kernels`` region becomes a kernel (vectorized NumPy
-source plus a scalar interpreter fallback), the host program around it
-becomes Python source too (:mod:`repro.translator.hostgen`), and the
-per-loop array configuration information is derived from the access
-analysis and the ``localaccess``/``reductiontoarray`` extensions:
+source) or a located :class:`CompileError` -- there is no host-side
+fallback -- the host program around it becomes Python source too
+(:mod:`repro.translator.hostgen`), and the per-loop array configuration
+information is derived from the access analysis and the
+``localaccess``/``reductiontoarray`` extensions:
 
 * arrays *without* ``localaccess`` -> replica placement; if written,
   two-level dirty-bit instrumentation;
@@ -50,9 +51,7 @@ from .array_config import (
     window_from_spec,
 )
 from .infer import harmonize_windows, infer_array_window
-from ..vcuda.device import KernelWork
 from .cost import CostCollector, KernelCostInfo, PriceError, price_body
-from .interpreter import KernelInterpreter
 from .spanlower import vectorize_loop
 from .vectorizer import (
     KernelSourceInfo,
@@ -82,9 +81,6 @@ class CompileOptions:
     #: paper's manual-annotation-only behavior (unannotated arrays are
     #: then always replicated).
     infer: bool = True
-    #: Fail compilation when a loop cannot be vectorized instead of
-    #: silently keeping only the interpreter fallback.
-    require_vectorized: bool = False
     #: Fuse adjacent parallel loops with compatible iteration spaces
     #: into one launched kernel and elide the inter-loop communication
     #: round (:mod:`repro.translator.fusion`).  Off by default: fusion
@@ -110,10 +106,9 @@ class KernelPlan:
     scalar_names: list[str]
     cost: KernelCostInfo
     analysis: LoopAnalysis
-    source_info: KernelSourceInfo | None = None
-    fn: Any = None
-    interp: KernelInterpreter | None = None
-    vectorize_error: str | None = None
+    source_info: KernelSourceInfo
+    #: The kernel callable, exec'd from ``source_info``.
+    fn: Any
     loop_directive: AccLoop | None = None
     #: Launch geometry from the construct clauses: ``vector_length``
     #: chooses the CUDA block size, ``num_gangs`` caps the grid.
@@ -123,12 +118,8 @@ class KernelPlan:
     #: order (:mod:`repro.translator.fusion`).  Trace events carry it.
     fusion_members: tuple[str, ...] | None = None
 
-    def execute(self, ctx, engine: str = "vector") -> None:
-        if engine == "vector" and self.fn is not None:
-            self.fn(ctx)
-            return
-        assert self.interp is not None
-        self.interp.run(ctx)
+    def execute(self, ctx) -> None:
+        self.fn(ctx)
 
     # -- pickling (the serve registry persists compiled programs) ----------
     #
@@ -143,15 +134,11 @@ class KernelPlan:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        if self.source_info is not None:
-            self.fn = compile_kernel_source(self.source_info)
+        self.fn = compile_kernel_source(self.source_info)
 
     @property
     def source(self) -> str:
         """Generated vectorized kernel source (inspection/tests)."""
-        if self.source_info is None:
-            return f"# kernel {self.name}: interpreter-only " \
-                   f"({self.vectorize_error})\n"
         return self.source_info.source
 
 
@@ -437,57 +424,46 @@ def _compile_loop(name: str, loop_stmt: C.For, loop_dir: AccLoop,
                 loop_dir.line)
         local_types[pname] = sym.ctype.base
 
-    plan = KernelPlan(
+    block_dim = max_gangs = None
+    par_dir = next((d for d in region_stmt.directives
+                    if isinstance(d, AccParallel)), None)
+    if par_dir is not None:
+        if par_dir.vector_length is not None:
+            block_dim = const_value(par_dir.vector_length)
+            if block_dim is None or not (1 <= block_dim <= 1024):
+                raise CompileError(
+                    "vector_length must be a constant in [1, 1024]",
+                    par_dir.line)
+        if par_dir.num_gangs is not None:
+            max_gangs = const_value(par_dir.num_gangs)
+            if max_gangs is None or max_gangs < 1:
+                raise CompileError(
+                    "num_gangs must be a positive constant", par_dir.line)
+    # Priced first, from the C statements alone, then lowered: a loop
+    # either becomes a kernel or is rejected here, at its line.
+    cost = CostCollector()
+    try:
+        labels = price_body(analysis, config, scalar_types, local_types,
+                            cost)
+        info = vectorize_loop(name, analysis, config, scalar_types,
+                              local_types, labels)
+    except (PriceError, VectorizeError) as exc:
+        raise CompileError(str(exc), loop_stmt.line) from exc
+    return KernelPlan(
         name=name,
         config=config,
         loop_var=nest.var,
         lower=nest.lower,
         upper=nest.upper,
         scalar_names=list(analysis.host_scalars),
-        cost=KernelCostInfo(buckets={"base": KernelWork()}),
+        cost=KernelCostInfo(buckets=cost.buckets),
         analysis=analysis,
+        source_info=info,
+        fn=compile_kernel_source(info),
         loop_directive=loop_dir,
+        block_dim=block_dim,
+        max_gangs=max_gangs,
     )
-    par_dir = next((d for d in region_stmt.directives
-                    if isinstance(d, AccParallel)), None)
-    if par_dir is not None:
-        if par_dir.vector_length is not None:
-            vl = const_value(par_dir.vector_length)
-            if vl is None or not (1 <= vl <= 1024):
-                raise CompileError(
-                    "vector_length must be a constant in [1, 1024]",
-                    par_dir.line)
-            plan.block_dim = vl
-        if par_dir.num_gangs is not None:
-            ng = const_value(par_dir.num_gangs)
-            if ng is None or ng < 1:
-                raise CompileError(
-                    "num_gangs must be a positive constant", par_dir.line)
-            plan.max_gangs = ng
-    # Priced first, from the C statements alone: a loop the emitter
-    # then rejects keeps its real cost on the interpreter.
-    cost = CostCollector()
-    try:
-        labels = price_body(analysis, config, scalar_types, local_types,
-                            cost)
-        plan.cost = KernelCostInfo(buckets=cost.buckets)
-        info = vectorize_loop(name, analysis, config, scalar_types,
-                              local_types, labels)
-        plan.source_info = info
-        plan.fn = compile_kernel_source(info)
-    except (PriceError, VectorizeError) as exc:
-        if options.require_vectorized:
-            raise CompileError(str(exc), loop_stmt.line) from exc
-        plan.vectorize_error = str(exc)
-    plan.interp = KernelInterpreter(
-        body=nest.body,
-        loop_var=nest.var,
-        config=config,
-        scalar_reductions=analysis.scalar_reductions,
-        private_names=tuple(loop_dir.private),
-        local_types=dict(local_types),
-    )
-    return plan
 
 
 def _all_symbols(scope: Scope):

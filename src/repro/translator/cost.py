@@ -9,7 +9,8 @@ statement sits in.  No emitter holds a collector, so a kernel's modeled
 cost cannot depend on how its statements were lowered.  The walk is
 also the gate on the supported statement set: a construct with no
 charge (``while``, ``break``, an unknown call, ...) is a
-:class:`PriceError`, and the loop runs on the interpreter.
+:class:`PriceError`, which the compiler reports as a ``CompileError`` at
+the loop's line.
 
 The result is a :class:`KernelCostInfo`: a per-outer-iteration
 ``base`` :class:`~repro.vcuda.device.KernelWork` plus one bucket per
@@ -246,13 +247,11 @@ def reduction_contrib(name: str, op: str, value: C.Expr) -> C.Expr | None:
 
 class PriceError(NotImplementedError):
     """The body holds a construct outside the supported statement set:
-    it has no charge and no lowering, so the loop runs on the
-    interpreter and is modeled with zero work."""
+    it has no charge and no lowering."""
 
     def __init__(self, message: str, line: int = 0) -> None:
         where = f" (line {line})" if line else ""
-        super().__init__(f"cannot price{where}: {message} "
-                         "-- modeled with zero work")
+        super().__init__(f"cannot price{where}: {message}")
         self.line = line
 
 

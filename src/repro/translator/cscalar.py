@@ -1,0 +1,95 @@
+"""C scalar semantics of the generated host program.
+
+The host program (:mod:`repro.translator.hostgen`) computes on Python
+``int``/``float`` values and NumPy scalars.  Where C's rule differs from
+Python's -- ``/`` and ``%`` truncate toward zero, compound assignment,
+the math library, the dtype of a declared C type -- the emitted text
+calls one of these helpers.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Any, Callable
+
+import numpy as np
+
+_NP_DTYPES = {"float": np.float32, "double": np.float64, "char": np.int8,
+              "int": np.int32, "unsigned int": np.uint32,
+              "long": np.int64, "unsigned long": np.uint64}
+
+
+class ScalarError(RuntimeError):
+    """A C operation failed at run time: an integer division by zero, an
+    unsupported operator, a name or a host-array element that is not
+    there."""
+
+    def __init__(self, message: str, line: int = 0) -> None:
+        where = f" (line {line})" if line else ""
+        super().__init__(f"run-time error{where}: {message}")
+
+
+_MATH_FUNCS: dict[str, Callable[..., Any]] = {
+    "sqrt": math.sqrt, "sqrtf": math.sqrt,
+    "rsqrt": lambda x: 1.0 / math.sqrt(x), "rsqrtf": lambda x: 1.0 / math.sqrt(x),
+    "fabs": abs, "fabsf": abs, "abs": abs,
+    "exp": math.exp, "expf": math.exp,
+    "log": math.log, "logf": math.log,
+    "pow": math.pow, "powf": math.pow,
+    "sin": math.sin, "cos": math.cos,
+    "floor": math.floor, "floorf": math.floor,
+    "ceil": math.ceil, "ceilf": math.ceil,
+    "min": min, "fmin": min, "fminf": min,
+    "max": max, "fmax": max, "fmaxf": max,
+}
+
+
+def _is_int(v: Any) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def c_div(l: Any, r: Any, line: int = 0) -> Any:
+    """``l / r`` of two scalars: the quotient truncated toward zero when
+    both are integers (C99), true division otherwise."""
+    if _is_int(l) and _is_int(r):
+        l, r = int(l), int(r)
+        if r == 0:
+            raise ScalarError("integer division by zero", line)
+        q = abs(l) // abs(r)
+        return q if (l < 0) == (r < 0) else -q
+    return l / r
+
+
+def c_mod(l: Any, r: Any, line: int = 0) -> Any:
+    """``l % r``: the remainder of :func:`c_div` (the sign of ``l``)
+    when both are integers, else ``fmod``."""
+    if _is_int(l) and _is_int(r):
+        if r == 0:
+            raise ScalarError("integer modulo by zero", line)
+        return int(l) - int(r) * c_div(l, r)
+    return math.fmod(l, r)
+
+
+def _apply_scalar_op(cur, op, value, line=0):
+    """``cur op= value``."""
+    if op == "+":
+        return cur + value
+    if op == "-":
+        return cur - value
+    if op == "*":
+        return cur * value
+    if op == "/":
+        return c_div(cur, value, line)
+    if op == "%":
+        return c_mod(cur, value, line)
+    if op == "&":
+        return int(cur) & int(value)
+    if op == "|":
+        return int(cur) | int(value)
+    if op == "^":
+        return int(cur) ^ int(value)
+    if op == "<<":
+        return int(cur) << int(value)
+    if op == ">>":
+        return int(cur) >> int(value)
+    raise ScalarError(f"unsupported compound op {op!r}", line)

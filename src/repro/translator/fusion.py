@@ -60,9 +60,7 @@ Enabled with ``CompileOptions(fuse=True)``.  The pass is structured as:
    numbered on from the previous member's), so the fused static cost is
    charged once per launch, and lowered again by
    :func:`repro.translator.spanlower.lower_body` with offset temporary
-   counters.  The interpreter path runs the member
-   interpreters back to back, which is exactly the fused vectorized
-   statement order.
+   counters.
 
 The fused :class:`~repro.translator.compiler.KernelPlan` satisfies the
 runtime's ``KernelPlanLike`` protocol, so ``AccExecutor.run_loop`` is
@@ -77,8 +75,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from ..frontend import cast as C
 from ..frontend.analysis import AffineForm, affine_in, const_value
 from ..frontend.cast import render_expr
@@ -86,7 +82,6 @@ from ..frontend.directives import AccData, AccParallel, AccUpdate
 from .array_config import ArrayConfig, LoopConfig, Placement, WriteHandling
 from .cost import CostCollector, KernelCostInfo, price_body
 from .infer import window_from_span
-from .interpreter import KernelInterpreter
 from .spanlower import binding_lines, kernel_source, lower_body
 from .vectorizer import (
     _DTYPES,
@@ -98,13 +93,6 @@ from .vectorizer import (
 if TYPE_CHECKING:
     from ..frontend.symbols import Scope
     from .compiler import CompiledProgram, CompileOptions, KernelPlan
-
-#: Runtime dtypes for demoted scratch buffers (mirrors the codegen's
-#: ``_DTYPES`` source-text table).
-_NP_DTYPES = {"float": np.float32, "double": np.float64, "char": np.int8,
-              "int": np.int32, "unsigned int": np.uint32,
-              "long": np.int64, "unsigned long": np.uint64}
-
 
 # ---------------------------------------------------------------------------
 # Pass results (surfaced through CompiledProgram / repro.explain)
@@ -135,14 +123,6 @@ class DemotedArray:
     coeff: int
     lo: int
     hi: int
-
-    def scratch_size(self, n_tasks: int) -> int:
-        if n_tasks <= 0:
-            return 0
-        return self.coeff * (n_tasks - 1) + (self.hi - self.lo) + 1
-
-    def scratch_base(self, i0: int) -> int:
-        return self.coeff * i0 + self.lo
 
 
 @dataclass
@@ -256,8 +236,6 @@ def solo_bail(plan: "KernelPlan") -> str | None:
     """
     if getattr(plan, "fusion_members", None) is not None:
         return "already fused"
-    if plan.source_info is None:
-        return "member not vectorizable"
     if plan.analysis.scalar_reductions:
         return "scalar reduction"
     for cfg in plan.config.arrays.values():
@@ -397,7 +375,7 @@ def find_demotions(members: list["KernelPlan"], func: C.FunctionDef,
             continue
         ctype = next(m.config.arrays[name].ctype for m in members
                      if name in m.config.arrays)
-        if ctype not in _NP_DTYPES:
+        if ctype not in _DTYPES:
             continue
         coeff, lo, hi = shape
         out.append(DemotedArray(name=name, ctype=ctype,
@@ -588,34 +566,6 @@ def _member_codegen_config(m: "KernelPlan", demoted: list[DemotedArray],
     return cfg
 
 
-class FusedInterpreter:
-    """Scalar-engine twin of the fused kernel: the member interpreters
-    run back to back, with demoted scratch injected into the context."""
-
-    def __init__(self, interps: list[KernelInterpreter],
-                 demoted: tuple[DemotedArray, ...]) -> None:
-        self.interps = interps
-        self.demoted = demoted
-
-    def run(self, ctx: Any) -> None:
-        injected: list[str] = []
-        n = max(0, ctx.i1 - ctx.i0)
-        for d in self.demoted:
-            if d.name in ctx.arrays:
-                continue
-            ctx.arrays[d.name] = np.zeros(d.scratch_size(n),
-                                          dtype=_NP_DTYPES[d.ctype])
-            ctx.base[d.name] = d.scratch_base(ctx.i0)
-            injected.append(d.name)
-        try:
-            for it in self.interps:
-                it.run(ctx)
-        finally:
-            for nm in injected:
-                ctx.arrays.pop(nm, None)
-                ctx.base.pop(nm, None)
-
-
 def _scalar_types(scope: "Scope") -> dict[str, str]:
     from .compiler import _all_symbols
     return {s.name: s.ctype.base for s in _all_symbols(scope)
@@ -643,7 +593,7 @@ def _private_names(m: "KernelPlan") -> list[str]:
 def build_fused_plan(name: str, members: list["KernelPlan"],
                      demoted: list[DemotedArray],
                      scope: "Scope") -> "KernelPlan":
-    """Assemble the fused KernelPlan (vector source + interpreter)."""
+    """Assemble the fused KernelPlan."""
     from .compiler import KernelPlan
 
     first = members[0]
@@ -680,7 +630,6 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
     shared_cost = CostCollector()
     bodies = []
     tmp_base = 0
-    interps: list[KernelInterpreter] = []
     for m in members:
         local_types = _local_types(m, scope)
         codegen_cfg = _member_codegen_config(m, demoted, group_written)
@@ -692,17 +641,9 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
                           labels, tmp_base=tmp_base, slot_base=len(demoted))
         bodies.append(body)
         tmp_base = body.tmp_end
-        interps.append(KernelInterpreter(
-            body=m.analysis.nest.body,
-            loop_var=m.loop_var,
-            config=codegen_cfg,
-            scalar_reductions=[],
-            private_names=tuple(_private_names(m)),
-            local_types=dict(local_types),
-        ))
 
     info = KernelSourceInfo(name, kernel_source(bindings, bodies, prelude))
-    plan = KernelPlan(
+    return KernelPlan(
         name=name,
         config=merged,
         loop_var=first.loop_var,
@@ -718,8 +659,6 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
         max_gangs=first.max_gangs,
         fusion_members=tuple(m.name for m in members),
     )
-    plan.interp = FusedInterpreter(interps, tuple(demoted))
-    return plan
 
 
 def _elision_notes(members: list["KernelPlan"],

@@ -31,8 +31,8 @@ import numpy as np
 
 from ..frontend import cast as C
 from .compiler import CompiledProgram
+from .cscalar import _NP_DTYPES
 from .hostgen import HOST_FILENAME, HostError, host_functions
-from .interpreter import _NP_DTYPES
 
 if TYPE_CHECKING:  # avoid a runtime translator<->runtime package cycle
     from ..runtime.context import AccExecutor

@@ -38,10 +38,10 @@ import numpy as np
 from ..frontend import cast as C
 from ..frontend.directives import AccData, AccParallel, AccUpdate
 from .compiler import CompiledProgram, CompileError
-from .interpreter import (
+from .cscalar import (
     _MATH_FUNCS,
     _NP_DTYPES,
-    InterpError,
+    ScalarError,
     _apply_scalar_op,
     c_div,
     c_mod,
@@ -74,15 +74,15 @@ def _fail(exc: Exception, *_evaluated: Any) -> Any:
 def _var(E: dict, name: str) -> Any:
     if name in E:
         return E[name]
-    raise InterpError(f"undefined host variable {name!r}")
+    raise ScalarError(f"undefined host variable {name!r}")
 
 
 def _elem(E: dict, name: str, idx: int) -> Any:
     arr = E.get(name)
     if not isinstance(arr, np.ndarray):
-        raise InterpError(f"{name!r} is not a host array")
+        raise ScalarError(f"{name!r} is not a host array")
     if not 0 <= idx < arr.shape[0]:
-        raise InterpError(f"host read {name}[{idx}] out of range")
+        raise ScalarError(f"host read {name}[{idx}] out of range")
     return arr[idx]
 
 
@@ -133,7 +133,7 @@ def _present(rt: Any, name: str) -> tuple:
 
 
 _NAMESPACE: dict[str, Any] = {
-    "np": np, "math": math, "InterpError": InterpError,
+    "np": np, "math": math, "ScalarError": ScalarError,
     "HostError": HostError, "c_div": c_div, "c_mod": c_mod,
     "_aop": _apply_scalar_op, "_fail": _fail, "_var": _var, "_elem": _elem,
     "_ndarray": _ndarray, "_oob": _oob, "_store": _store, "_assign": _assign,
@@ -329,7 +329,7 @@ class _FunctionEmitter:
                 return v, t
             if e.op == "~":
                 return f"(~{_coerce(v, t, 'i')})", "i"
-            return self.fail(InterpError, f"unsupported unary op {e.op!r}",
+            return self.fail(ScalarError, f"unsupported unary op {e.op!r}",
                              e.line, after=(v,)), None
         if isinstance(e, C.Ternary):
             a, at = self.expr(e.then)
@@ -339,7 +339,7 @@ class _FunctionEmitter:
             return self.call(e)
         if isinstance(e, C.Index):
             if len(e.indices) != 1:
-                return self.fail(InterpError, "multi-dimensional subscript",
+                return self.fail(ScalarError, "multi-dimensional subscript",
                                  e.line), None
             idx = self.index(e.indices[0])
             if not isinstance(e.array, C.Ident):
@@ -351,7 +351,7 @@ class _FunctionEmitter:
         if isinstance(e, C.CastExpr):
             v, t = self.expr(e.operand)
             if e.to.pointers:
-                return self.fail(InterpError, "pointer casts unsupported",
+                return self.fail(ScalarError, "pointer casts unsupported",
                                  e.line, after=(v,)), None
             dt = _NP_DTYPES.get(e.to.base, np.float64)
             if np.issubdtype(dt, np.integer):
@@ -360,7 +360,7 @@ class _FunctionEmitter:
         if isinstance(e, C.Assign):
             return self.assign_value(e)
         return self.fail(
-            InterpError, f"unsupported expression {type(e).__name__}"), None
+            ScalarError, f"unsupported expression {type(e).__name__}"), None
 
     def fail(self, cls: type, *args: Any, after: tuple[str, ...] = ()) -> str:
         """Text that raises ``cls(*args)`` once ``after`` is evaluated."""
@@ -393,15 +393,12 @@ class _FunctionEmitter:
                 if op == "/":
                     return f"({l} / {r})", t
                 return f"math.fmod({l}, {r})", "f"
-            if t and isinstance(e.right, C.IntLit) and e.right.value > 0:
-                pyop = "//" if op == "/" else "%"
-                return f"({_coerce(l, lt, 'i')} {pyop} {r})", "i"
             helper = "c_div" if op == "/" else "c_mod"
             return f"{helper}({l}, {r}, {e.line})", "i" if t else None
         if op in ("<<", ">>", "&", "|", "^"):
             return (f"({_coerce(l, lt, 'i')} {op} {_coerce(r, rt, 'i')})",
                     "i")
-        return self.fail(InterpError, f"unsupported binary op {op!r}", e.line,
+        return self.fail(ScalarError, f"unsupported binary op {op!r}", e.line,
                          after=(l, r)), None
 
     def call(self, e: C.Call) -> tuple[str, str | None]:
@@ -762,3 +759,51 @@ def emit_host_program(compiled: CompiledProgram) -> str:
     ordinals = {key: k for k, key in enumerate(compiled.regions_by_stmt)}
     return "\n\n".join(_emit_function(func, compiled, ordinals)
                        for func in compiled.program.functions)
+
+
+# ---------------------------------------------------------------------------
+# localaccess window bounds
+# ---------------------------------------------------------------------------
+
+
+class _BoundEmitter(_FunctionEmitter):
+    """A ``localaccess`` bound, lowered like a host expression of no
+    function: the loop variable is the argument ``i``; every other name
+    and every element the bound reads is looked up in ``E`` at run time,
+    with no static type (the dynamic helpers apply C's rules)."""
+
+    def __init__(self, loop_var: str) -> None:
+        self.loop_var = loop_var
+        self.symbols: dict = {}
+        self.kinds: dict[str, str | None] = {}
+        self.defined: set[str] = set()
+
+    def load(self, name: str) -> tuple[str, str | None]:
+        if name == self.loop_var:
+            return "i", "i"
+        return f"_var(E, {name!r})", None
+
+    def call(self, e: C.Call) -> tuple[str, str | None]:
+        if e.func in _MATH_FUNCS:
+            return super().call(e)
+        return self.fail(ScalarError, f"unsupported call {e.func!r}",
+                         e.line), None
+
+    def assign_value(self, a: C.Assign, value=None) -> tuple[str, None]:
+        return self.fail(ScalarError, "assignment in value position",
+                         a.line), None
+
+
+def bound_functions(lower: C.Expr, upper: C.Expr, loop_var: str,
+                    lookups: dict[str, Any]) -> tuple[Any, Any]:
+    """The bounds of a ``localaccess`` window as ``(i, E) -> int``
+    callables; ``lookups`` binds ``_var(E, name)`` and ``_elem(E, name,
+    idx)``, which find what the bounds read.  Exec'd once per process
+    and text."""
+    lines = []
+    for fname, bound in (("lower", lower), ("upper", upper)):
+        lines += [f"def {fname}(i, E):",
+                  f"    return {_BoundEmitter(loop_var).index(bound)}"]
+    ns = exec_source("\n".join(lines) + "\n", "<localaccess bounds>",
+                     {**_NAMESPACE, **lookups})
+    return ns["lower"], ns["upper"]

@@ -248,6 +248,20 @@ def red_fold(op: str, acc, values, mask, n_lanes: int):
     raise ValueError(f"unsupported reduction op {op!r}")
 
 
+def tdiv(a, b):
+    """C's integer ``a / b``, truncated toward zero: the floor quotient
+    NumPy and Python compute, plus one where it is negative and inexact.
+    A scalar keeps its Python or NumPy type."""
+    q = a // b
+    return q + ((q < 0) & (q * b != a))
+
+
+def tmod(a, b):
+    """C's integer ``a % b`` of two scalars: the remainder of
+    :func:`tdiv`, with the sign of ``a`` (lanes use ``np.fmod``)."""
+    return a - b * tdiv(a, b)
+
+
 def cast_to(v, dtype):
     """C-style cast to a NumPy dtype, scalar- and vector-aware."""
     if isinstance(v, np.ndarray):

@@ -344,9 +344,13 @@ class Vectorizer:
         r = self.tx(e.right)
         if op in ("&&", "||"):
             return f"({self._boolify(l)} {op[0]} {self._boolify(r)})"
-        if op == "/" and "float" not in (self.expr_type(e.left),
-                                         self.expr_type(e.right)):
-            op = "//"
+        if op in ("/", "%") and "float" not in (self.expr_type(e.left),
+                                                self.expr_type(e.right)):
+            # C truncates an integer quotient toward zero, NumPy floors.
+            if op == "/":
+                return f"ks.tdiv({l}, {r})"
+            return f"np.fmod({l}, {r})" if self.lane_varying(e) \
+                else f"ks.tmod({l}, {r})"
         return f"({l} {op} {r})"
 
     def _boolify(self, src: str) -> str:
@@ -663,11 +667,12 @@ class Vectorizer:
     def _bx_binop(self, e: C.BinOp, out: tuple | None) -> _Val:
         left = self.bx(e.left)
         right = self.bx(e.right)
-        pyop = "//" if e.op == "/" and "float" not in (
-            self.expr_type(e.left), self.expr_type(e.right)) else e.op
-        plain = f"({left.src} {pyop} {right.src})"
+        tdiv = e.op == "/" and "float" not in (
+            self.expr_type(e.left), self.expr_type(e.right))
+        plain = f"ks.tdiv({left.src}, {right.src})" if tdiv \
+            else f"({left.src} {e.op} {right.src})"
         if left.vec or right.vec:
-            if pyop == "//":
+            if tdiv:
                 return self._eager(plain, [left, right], e)
             return self._op(_UFUNCS[e.op], plain, [left, right], out, e)
         pyscalars = ("f", "i", "il")

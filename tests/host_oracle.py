@@ -24,12 +24,8 @@ from repro.frontend.directives import (
 )
 from repro.translator.compiler import CompiledProgram, KernelPlan
 from repro.translator.host import HostError, RunResult
-from repro.translator.interpreter import (
-    _NP_DTYPES,
-    ExprEvaluator,
-    InterpError,
-    _apply_scalar_op,
-)
+from repro.translator.cscalar import _NP_DTYPES, _apply_scalar_op
+from tests.interp_oracle import ExprEvaluator, InterpError
 
 
 class _Return(Exception):

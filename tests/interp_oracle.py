@@ -1,56 +1,48 @@
-"""Scalar reference interpreter for parallel-loop bodies.
+"""The scalar reference interpreter, kept as the differential oracle of
+the generated kernels.
 
-Runs a kernel body one iteration at a time with real control flow --
-no predication, no flattening -- against the same
-:class:`~repro.runtime.kernelctx.KernelContext` API the generated
-vectorized kernels use.  It is the semantic oracle: property-based
-tests execute random programs through both engines and require
-identical effects (array contents, dirty sets, miss records, reduction
-partials).
+Moved from ``repro/translator/interpreter.py`` (``ExprEvaluator``,
+``KernelInterpreter``) and ``repro/translator/fusion.py``
+(``FusedInterpreter``) when every parallel loop became a kernel or a
+located ``CompileError``.  It runs a loop body one iteration at a time
+with real control flow -- no predication, no flattening -- against the
+same :class:`~repro.runtime.kernelctx.KernelContext` the kernels use,
+and reports every array access to ``ctx.access_hook(name, iteration,
+index, kind)`` when a test sets one.  The C scalar rules (``/`` and
+``%``, compound assignment, the math library, declared dtypes) are the
+host program's, from :mod:`repro.translator.cscalar`.
 
-The expression evaluator also prices ``localaccess`` window bounds
-(:func:`repro.runtime.partition.make_window_evaluator`); the host
-program is compiled (:mod:`repro.translator.hostgen`) and shares the
-division, modulo and compound-assignment rules defined here.
+:func:`oracle` gives a program whose every kernel is run by the
+interpreter: copied plans whose ``fn`` is the interpreter's ``run``, so
+``src/`` needs no seam for it.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from ..frontend import cast as C
-from ..frontend.directives import AccReductionToArray
-from .array_config import LoopConfig, WriteHandling
-from .kernel_support import red_fold, red_identity
+from repro.api import AccProgram
+from repro.frontend import cast as C
+from repro.frontend.directives import AccReductionToArray
+from repro.translator import fusion
+from repro.translator.array_config import LoopConfig, WriteHandling
+from repro.translator.compiler import CompiledProgram, KernelPlan
+from repro.translator.cscalar import (
+    _MATH_FUNCS,
+    _NP_DTYPES,
+    ScalarError,
+    _apply_scalar_op,
+    c_div,
+    c_mod,
+)
+from repro.translator.kernel_support import red_fold, red_identity
 
-_NP_DTYPES = {"float": np.float32, "double": np.float64, "char": np.int8,
-              "int": np.int32, "unsigned int": np.uint32,
-              "long": np.int64, "unsigned long": np.uint64}
-
-
-class InterpError(RuntimeError):
-    def __init__(self, message: str, line: int = 0) -> None:
-        where = f" (line {line})" if line else ""
-        super().__init__(f"interpreter error{where}: {message}")
-
-
-_MATH_FUNCS: dict[str, Callable[..., Any]] = {
-    "sqrt": math.sqrt, "sqrtf": math.sqrt,
-    "rsqrt": lambda x: 1.0 / math.sqrt(x), "rsqrtf": lambda x: 1.0 / math.sqrt(x),
-    "fabs": abs, "fabsf": abs, "abs": abs,
-    "exp": math.exp, "expf": math.exp,
-    "log": math.log, "logf": math.log,
-    "pow": math.pow, "powf": math.pow,
-    "sin": math.sin, "cos": math.cos,
-    "floor": math.floor, "floorf": math.floor,
-    "ceil": math.ceil, "ceilf": math.ceil,
-    "min": min, "fmin": min, "fminf": min,
-    "max": max, "fmax": max, "fmaxf": max,
-}
+#: The interpreter's errors are the C scalar errors of the host program.
+InterpError = ScalarError
 
 
 class ExprEvaluator:
@@ -162,29 +154,6 @@ class ExprEvaluator:
         raise InterpError(f"unsupported binary op {op!r}", e.line)
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def c_div(l: Any, r: Any, line: int = 0) -> Any:
-    """``l / r`` of two host or kernel scalars: integer division when
-    both are integers, true division otherwise."""
-    if _is_int(l) and _is_int(r):
-        if r == 0:
-            raise InterpError("integer division by zero", line)
-        return int(l) // int(r)
-    return l / r
-
-
-def c_mod(l: Any, r: Any, line: int = 0) -> Any:
-    """``l % r``: integer modulo when both are integers, else ``fmod``."""
-    if _is_int(l) and _is_int(r):
-        if r == 0:
-            raise InterpError("integer modulo by zero", line)
-        return int(l) % int(r)
-    return math.fmod(l, r)
-
-
 class _LoopBreak(Exception):
     pass
 
@@ -233,8 +202,9 @@ class KernelInterpreter:
         def load_elem(name: str, idx: int) -> Any:
             if name not in ctx.arrays:
                 raise InterpError(f"unmanaged array {name!r}")
-            if ctx.access_hook is not None:
-                ctx.access_hook(name, env.get(self.loop_var), idx, "r")
+            hook = getattr(ctx, "access_hook", None)
+            if hook is not None:
+                hook(name, env.get(self.loop_var), idx, "r")
             local = idx - ctx.base[name]
             arr = ctx.arrays[name]
             if not (0 <= local < arr.shape[0]):
@@ -339,8 +309,9 @@ class KernelInterpreter:
                 raise InterpError(f"store to unmanaged array {name!r}", a.line)
             idx = int(ev.eval(a.target.indices[0]))
             value = ev.eval(a.value)
-            if ctx.access_hook is not None:
-                ctx.access_hook(name, env.get(self.loop_var), idx, "w")
+            hook = getattr(ctx, "access_hook", None)
+            if hook is not None:
+                hook(name, env.get(self.loop_var), idx, "w")
             gi = np.array([idx], dtype=np.int64)
             gv = np.array([value])
             handling = cfg.write_handling
@@ -411,27 +382,88 @@ def _as_assign(e: C.Expr) -> C.Assign:
     raise InterpError("loop step must be an assignment")
 
 
-def _apply_scalar_op(cur, op, value, line=0):
-    if op == "+":
-        return cur + value
-    if op == "-":
-        return cur - value
-    if op == "*":
-        return cur * value
-    if op == "/":
-        if _is_int(cur) and _is_int(value):
-            return int(cur) // int(value)
-        return cur / value
-    if op == "%":
-        return int(cur) % int(value)
-    if op == "&":
-        return int(cur) & int(value)
-    if op == "|":
-        return int(cur) | int(value)
-    if op == "^":
-        return int(cur) ^ int(value)
-    if op == "<<":
-        return int(cur) << int(value)
-    if op == ">>":
-        return int(cur) >> int(value)
-    raise InterpError(f"unsupported compound op {op!r}", line)
+class FusedInterpreter:
+    """Scalar-engine twin of the fused kernel: the member interpreters
+    run back to back, with demoted scratch injected into the context."""
+
+    def __init__(self, interps: list[KernelInterpreter],
+                 demoted: tuple[fusion.DemotedArray, ...]) -> None:
+        self.interps = interps
+        self.demoted = demoted
+
+    def run(self, ctx: Any) -> None:
+        injected: list[str] = []
+        n = max(0, ctx.i1 - ctx.i0)
+        for d in self.demoted:
+            if d.name in ctx.arrays:
+                continue
+            # Every access of iteration i lands in [coeff*i + lo,
+            # coeff*i + hi].
+            size = d.coeff * (n - 1) + d.hi - d.lo + 1 if n else 0
+            ctx.arrays[d.name] = np.zeros(size, dtype=_NP_DTYPES[d.ctype])
+            ctx.base[d.name] = d.coeff * ctx.i0 + d.lo
+            injected.append(d.name)
+        try:
+            for it in self.interps:
+                it.run(ctx)
+        finally:
+            for nm in injected:
+                ctx.arrays.pop(nm, None)
+                ctx.base.pop(nm, None)
+
+
+# ---------------------------------------------------------------------------
+# The runner
+# ---------------------------------------------------------------------------
+
+
+def _interpreter(plan: KernelPlan, config: LoopConfig,
+                 scalar_reductions: list, scope: Any) -> KernelInterpreter:
+    return KernelInterpreter(
+        body=plan.analysis.nest.body,
+        loop_var=plan.loop_var,
+        config=config,
+        scalar_reductions=scalar_reductions,
+        private_names=tuple(fusion._private_names(plan)),
+        local_types=fusion._local_types(plan, scope),
+    )
+
+
+def interpreter_for(compiled: CompiledProgram, plan: KernelPlan):
+    """The interpreter of one plan of ``compiled``: the loop's own, or
+    -- for a fused plan -- its members' under their fused-codegen
+    configs (:func:`repro.translator.fusion._member_codegen_config`)."""
+    scope = compiled.scopes[plan.name.rsplit("_L", 1)[0]]
+    group = next((g for g in compiled.fusion_groups if g.fused is plan),
+                 None)
+    if group is None:
+        return _interpreter(plan, plan.config,
+                            plan.analysis.scalar_reductions, scope)
+    members = [compiled.plan(name) for name in group.members]
+    written = {a for m in members
+               for a, cfg in m.config.arrays.items() if cfg.written}
+    return FusedInterpreter(
+        [_interpreter(m, fusion._member_codegen_config(
+            m, list(group.demoted), written), [], scope) for m in members],
+        group.demoted)
+
+
+def oracle_program(compiled: CompiledProgram) -> CompiledProgram:
+    """``compiled`` with every kernel run by the interpreter."""
+    copies: dict[int, KernelPlan] = {}
+
+    def swap(plan: KernelPlan) -> KernelPlan:
+        if id(plan) not in copies:
+            copies[id(plan)] = dataclasses.replace(
+                plan, fn=interpreter_for(compiled, plan).run)
+        return copies[id(plan)]
+
+    regions = {key: dataclasses.replace(r, plans=[swap(p) for p in r.plans])
+               for key, r in compiled.regions_by_stmt.items()}
+    return dataclasses.replace(compiled, regions_by_stmt=regions,
+                               plans=[swap(p) for p in compiled.plans])
+
+
+def oracle(prog: AccProgram) -> AccProgram:
+    """``prog`` with every kernel run by the interpreter."""
+    return AccProgram(oracle_program(prog.compiled))

@@ -536,8 +536,8 @@ class TestAdaptiveOracle:
     @settings(max_examples=12, deadline=None)
     def test_relax_matches_interp_oracle(self, n, iters, ngpus, seed):
         oracle, _ = run_source(RELAX_SRC, relax_args(n, iters, seed),
-                               ngpus=1, engine="interp")
+                               ngpus=1, interp=True)
         got, _ = run_source(RELAX_SRC, relax_args(n, iters, seed),
                             ngpus=ngpus, machine=mixed_node(),
-                            engine="vector", adaptive=True)
+                            adaptive=True)
         np.testing.assert_array_equal(got["a"], oracle["a"])

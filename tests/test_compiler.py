@@ -269,15 +269,15 @@ class TestDiagnostics:
         with pytest.raises(CompileError):
             compile_source(src)
 
-    def test_require_vectorized_surfaces_error(self):
+    def test_unvectorizable_loop_is_a_located_compile_error(self):
         src = """
         void k(int n, float *x) {
           #pragma acc parallel loop
           for (int i = 0; i < n; i++) { return; }
         }
         """
-        with pytest.raises(CompileError):
-            compile_source(src, CompileOptions(require_vectorized=True))
+        with pytest.raises(CompileError, match="line 4"):
+            compile_source(src)
 
     def test_plan_lookup(self):
         compiled = compile_source(SAXPY)

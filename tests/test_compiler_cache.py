@@ -26,8 +26,7 @@ from repro.translator.compiler import (
 )
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
-#: Every source here vectorizes fully, so flipping require_vectorized
-#: never turns the compile into an error.
+#: A bundled source: flipping any option compiles it.
 SRC = APPS["stencil"].source
 OPTION_FIELDS = [f.name for f in dataclasses.fields(CompileOptions)]
 

@@ -1,11 +1,15 @@
 """Cost model tests: collector buckets, access pricing, launch totals,
-and what a loop costs when it has no vectorized kernel."""
+and the loops the pricing walk or the emitter reject."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.translator.compiler import CompileOptions, compile_source
+from repro.translator.compiler import (
+    CompileError,
+    CompileOptions,
+    compile_source,
+)
 from repro.translator.cost import (
     ACCESS_BROADCAST,
     ACCESS_COALESCED,
@@ -15,7 +19,7 @@ from repro.translator.cost import (
     CostCollector,
     KernelCostInfo,
 )
-from repro.translator.interpreter import _MATH_FUNCS
+from repro.translator.cscalar import _MATH_FUNCS
 from repro.translator.vectorizer import _MATH_CALLS
 from repro.vcuda.device import KernelWork
 
@@ -166,8 +170,9 @@ class TestCompiledCosts:
 
 
 class TestInterpreterOnlyLoops:
-    """The pricing walk runs before any lowering, so a loop the emitter
-    rejects is still modeled with the work its statements do."""
+    """Loops that used to run on the interpreter: the pricing walk or the
+    emitter rejects them, and the rejection is a compile error at the
+    loop's line."""
 
     #: The emitter rejects the irregular compound update of a replica.
     REJECTED = """
@@ -189,50 +194,35 @@ class TestInterpreterOnlyLoops:
                 "x": np.zeros(n, np.float32)}
         return prog.run("k", args, ngpus=2), args
 
-    def test_rejected_loop_keeps_its_real_cost(self):
-        prog = repro.compile(self.REJECTED)
-        plan = prog.kernels[0]
-        assert plan.fn is None and "reductiontoarray" in plan.vectorize_error
-        assert "zero work" not in plan.source
-        assert plan.cost.inner_labels() == ["L0"]
-        for work in plan.cost.buckets.values():
-            assert work.flops > 0 and work.random_bytes > 0
-            assert work.serialization == 2.0
-        run, args = self.run(prog)
+    def test_rejected_loop_is_a_located_compile_error(self):
+        with pytest.raises(CompileError, match="reductiontoarray") as exc:
+            repro.compile(self.REJECTED)
+        assert exc.value.line == 4
+        # The same statements as declared reductions compile and run.
+        twin, args = self.run(repro.compile(self.ANNOTATED))
         np.testing.assert_array_equal(args["x"], 4.0)
-        # The vectorized twin reports its trips under the same label;
-        # the interpreter reports none, so only per-iteration work is
-        # charged to this run.
-        twin, _ = self.run(repro.compile(self.ANNOTATED))
-        for stats, labels in ((twin.loop_stats[0], {"L0"}),
-                              (run.loop_stats[0], set())):
-            assert [set(c) for c in stats.dyn_counts] == [labels, labels]
-        unpriced = compile_source(self.REJECTED, cache=False)
-        unpriced.plans[0].cost = KernelCostInfo(buckets={"base": KernelWork()})
-        overhead_only, _ = self.run(repro.AccProgram(unpriced))
-        assert run.breakdown.kernels > overhead_only.breakdown.kernels
+        assert [set(c) for c in twin.loop_stats[0].dyn_counts] == \
+            [{"L0"}, {"L0"}]
 
     @pytest.mark.parametrize("stmt, reason", [
         ("break;", "break not allowed"),
         ("return;", "return not allowed"),
         ("x[i] = erf(x[i]);", "unsupported function call 'erf'"),
     ])
-    def test_unpriceable_construct_is_zero_work_and_says_so(self, stmt,
-                                                            reason):
-        plan = compile_source("""
-        void k(int n, float *x) {
-          #pragma acc parallel loop
-          for (int i = 0; i < n; i++) {
-            x[i] = x[i] * 2.0f;
-            for (int j = 0; j < 4; j++) { %s }
-          }
-        }
-        """ % stmt).plans[0]
-        assert plan.fn is None
-        assert plan.cost.buckets == {"base": KernelWork()}
-        assert plan.source.startswith("# kernel k_L0: interpreter-only (")
-        assert reason in plan.source
-        assert "modeled with zero work" in plan.source
+    def test_unpriceable_construct_is_a_located_compile_error(self, stmt,
+                                                              reason):
+        with pytest.raises(CompileError, match="cannot price") as exc:
+            compile_source("""
+            void k(int n, float *x) {
+              #pragma acc parallel loop
+              for (int i = 0; i < n; i++) {
+                x[i] = x[i] * 2.0f;
+                for (int j = 0; j < 4; j++) { %s }
+              }
+            }
+            """ % stmt)
+        assert exc.value.line == 4
+        assert reason in str(exc.value)
 
     def test_every_priced_call_has_an_emitter_and_an_interpreter(self):
         assert set(CALL_KIND) == set(_MATH_CALLS) == set(_MATH_FUNCS)

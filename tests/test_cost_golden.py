@@ -93,12 +93,14 @@ def test_cost_digest_matches_golden(name):
 
 
 def test_no_bundled_kernel_is_interpreter_only():
-    """Every bundled plan is priced and vectorized, so none of the
-    artifacts built from these sources can hold a zero-work kernel."""
+    """Every bundled plan is priced and vectorized -- a loop that is not
+    fails to compile -- so none of the artifacts built from these sources
+    can hold a zero-work kernel."""
     plans = [plan for name in sorted(SOURCES) for options in OPTION_SETS
              for plan in all_plans(compile_bundled(name, options))]
     assert len(plans) == 50
-    assert all(plan.source_info is not None and plan.vectorize_error is None
+    assert all(plan.fn is not None
+               and plan.cost.buckets != {"base": KernelWork()}
                for plan in plans)
 
 

@@ -9,6 +9,7 @@ from repro.translator.compiler import compile_source
 from repro.trace import SPAN_KINDS
 from repro.vcuda import DESKTOP_MACHINE, SUPERCOMPUTER_NODE
 from repro.vcuda.device import KernelWork
+from tests.interp_oracle import oracle_program
 
 SAXPY = """
 void k(int n, float a, float *x, float *y) {
@@ -84,11 +85,11 @@ class TestOpenMPExecution:
         np.testing.assert_allclose(h, [3, 1])
 
     def test_interp_engine_on_cpu(self):
-        c = compile_source(SAXPY)
+        c = oracle_program(compile_source(SAXPY))
         y = np.zeros(4, dtype=np.float32)
         run_openmp(c, "k", {"n": 4, "a": 1.0,
                             "x": np.ones(4, np.float32), "y": y},
-                   DESKTOP_MACHINE, engine="interp")
+                   DESKTOP_MACHINE)
         assert (y == 1.0).all()
 
 
@@ -153,8 +154,9 @@ class TestPublicApi:
                      chunk_bytes=chunk_bytes)
 
     def test_invalid_engine(self):
+        """Every loop is a kernel: ``run`` takes no engine."""
         prog = repro.compile(SAXPY)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="engine"):
             prog.run("k", {"n": 1, "a": 1.0,
                            "x": np.zeros(1, np.float32),
                            "y": np.zeros(1, np.float32)}, engine="magic")

@@ -109,6 +109,11 @@ class TestChoosingFlags:
         assert not missing, (
             f"README 'Choosing flags' misses CompileOptions: {missing}")
 
+    def test_retired_flags_are_not_advertised(self):
+        section = self._section()
+        for retired in ("engine", "require_vectorized", "fastpath"):
+            assert f"`{retired}`" not in section, retired
+
     def test_documented_collective_modes_exist(self):
         sys.path.insert(0, str(REPO / "src"))
         try:

@@ -152,7 +152,8 @@ class TestDiagnostics:
             prog.run("missing", {})
 
     def test_localaccess_window_violation_caught_by_interp(self):
-        # Declared stride(1) but reads i+2: the scalar engine flags it.
+        # Declared stride(1) but reads i+2: the interpreter oracle flags
+        # it.
         src = """
         void k(int n, float *x, float *y) {
           #pragma acc localaccess x[stride(1)] y[stride(1)]
@@ -163,7 +164,7 @@ class TestDiagnostics:
         with pytest.raises(Exception, match="window"):
             run_source(src, {"n": 12, "x": np.ones(12, np.float32),
                              "y": np.zeros(12, np.float32)},
-                       ngpus=2, engine="interp")
+                       ngpus=2, interp=True)
 
     def test_reduction_var_mismatched_op(self):
         src = """
@@ -197,3 +198,53 @@ class TestDeviceCapacity:
                            "x": np.ones(4096, np.float32),
                            "y": np.zeros(4096, np.float32)},
                      machine=machine, ngpus=1)
+
+
+class TestCIntegerDivision:
+    """``/`` and ``%`` of integers truncate toward zero (C99, Fortran),
+    in the host program and in the kernels alike; Python and NumPy
+    floor."""
+
+    SRC = """
+    void k(int n, int a, int b, int *x, int *d, int *q, int *r, int *t,
+           int *out) {
+      out[0] = a / b;
+      out[1] = a % b;
+      int h = a;
+      h /= b;
+      out[2] = h;
+      h = a;
+      h %= b;
+      out[3] = h;
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {
+        q[i] = x[i] / d[i];
+        r[i] = x[i] % d[i];
+        int s = x[i];
+        s /= d[i];
+        t[i] = s + a / b + a % b;
+      }
+    }
+    """
+    X = [-7, 7, -7, 7, -8, 0, 5, -1]
+    D = [2, -2, -2, 2, 3, 3, -3, 4]
+    #: By hand, C's rules.
+    Q = [-3, -3, 3, 3, -2, 0, -1, 0]
+    R = [-1, 1, -1, 1, -2, 0, 2, -1]
+
+    def args(self):
+        return {"n": 8, "a": -7, "b": 2,
+                "x": np.array(self.X, np.int32),
+                "d": np.array(self.D, np.int32),
+                **{k: np.zeros(8, np.int32) for k in ("q", "r", "t")},
+                "out": np.zeros(4, np.int32)}
+
+    @pytest.mark.parametrize("interp", [False, True])
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_quotient_and_remainder_truncate(self, ngpus, interp):
+        args, _ = run_source(self.SRC, self.args(), ngpus=ngpus,
+                             interp=interp)
+        assert args["out"].tolist() == [-3, -1, -3, -1]
+        assert args["q"].tolist() == self.Q
+        assert args["r"].tolist() == self.R
+        assert args["t"].tolist() == [q - 3 - 1 for q in self.Q]

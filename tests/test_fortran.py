@@ -8,15 +8,16 @@ import repro
 from repro.frontend import cast as C
 from repro.frontend.fortran import FortranError, parse_fortran
 from repro.translator.array_config import Placement, WriteHandling
+from tests.interp_oracle import oracle
 
 
-def run_f(src, args, ngpus=1, engine="vector", entry=None):
+def run_f(src, args, ngpus=1, interp=False, entry=None):
     prog = repro.compile_fortran(src)
     if entry is None:
         entry = prog.compiled.program.functions[0].name
     args = dict(args)
-    run = prog.run(entry, args, machine="desktop", ngpus=ngpus,
-                   engine=engine)
+    run = (oracle(prog) if interp else prog).run(
+        entry, args, machine="desktop", ngpus=ngpus)
     return args, run, prog
 
 
@@ -157,7 +158,7 @@ class TestEndToEnd:
             x = np.linspace(-3, 3, n).astype(np.float32)
             y = np.ones(n, dtype=np.float32)
             args, _, _ = run_f(SAXPY_F, {"n": n, "a": 1.5, "x": x, "y": y},
-                               ngpus=2, engine=engine)
+                               ngpus=2, interp=engine == "interp")
             if base is None:
                 base = args["y"].copy()
             else:

@@ -88,4 +88,4 @@ class TestFortranMd:
     def test_fortran_kernel_vectorized(self):
         f_prog = repro.compile_fortran(MD_FORTRAN)
         plan = f_prog.kernel("md_L0")
-        assert plan.fn is not None, plan.vectorize_error
+        assert plan.fn is not None

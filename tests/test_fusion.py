@@ -27,6 +27,7 @@ from repro.apps import ALL_APPS, EXTRA_APPS
 from repro.bench.machines import hypothetical_node
 from repro.translator.compiler import CompileOptions
 from repro.vcuda.specs import MACHINES
+from tests.interp_oracle import oracle
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
 
@@ -36,11 +37,12 @@ def machine_for(ngpus):
     return spec if ngpus <= spec.gpu_count else hypothetical_node(ngpus)
 
 
-def run_source(src, args, ngpus, options=None, entry="f", **flags):
+def run_source(src, args, ngpus, options=None, entry="f", interp=False,
+               **flags):
     prog = repro.compile(src, options)
     args = {k: (v.copy() if isinstance(v, np.ndarray) else v)
             for k, v in args.items()}
-    prog.run(entry, args, machine=machine_for(ngpus), ngpus=ngpus, **flags)
+    (oracle(prog) if interp else prog).run(entry, args, machine=machine_for(ngpus), ngpus=ngpus, **flags)
     arrays = {k: v for k, v in args.items() if isinstance(v, np.ndarray)}
     return arrays, prog.compiled
 
@@ -320,7 +322,7 @@ def test_interpreter_engine_matches_vector_engine_fused():
     args = pipe_args()
     vec, _ = run_source(PIPE, args, 2, CompileOptions(fuse=True))
     interp, _ = run_source(PIPE, args, 2, CompileOptions(fuse=True),
-                           engine="interp")
+                           interp=True)
     np.testing.assert_array_equal(vec["out"], interp["out"])
 
 

@@ -135,7 +135,8 @@ def run_all_engines(src, make):
     outs = []
     for engine in ("vector", "interp"):
         for ngpus in (1, 2):
-            args, _ = run_source(src, clone(), ngpus=ngpus, engine=engine)
+            args, _ = run_source(src, clone(), ngpus=ngpus,
+                                 interp=engine == "interp")
             outs.append((engine, ngpus, args))
     _, _, base = outs[0]
     for engine, ngpus, args in outs[1:]:
@@ -255,7 +256,7 @@ def run_fused_vs_unfused(src, make):
         fused, _ = run_source(src, clone(), ngpus=ngpus, machine=machine,
                               options=fuse)
         fint, _ = run_source(src, clone(), ngpus=ngpus, machine=machine,
-                             options=fuse, engine="interp")
+                             options=fuse, interp=True)
         fsan, run = run_source(src, clone(), ngpus=ngpus, machine=machine,
                                options=fuse, sanitize=True)
         assert run.sanitizer.loops_checked > 0

@@ -36,7 +36,6 @@ import repro
 from repro.apps import ALL_APPS, EXTRA_APPS
 from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
-from repro.translator.compiler import CompileOptions
 from tests.test_fortran_apps import MD_FORTRAN
 
 NODE4 = hypothetical_node(4)
@@ -231,7 +230,7 @@ def case(name):
     if name in KERNELS:
         source, params = KERNELS[name]
         args = csr_arguments(name)
-        return (repro.compile(source, CompileOptions(require_vectorized=True)),
+        return (repro.compile(source),
                 "k", {p: args[p] for p in params})
     if name == "stencil_probes":
         return (repro.compile(multinode.STENCIL_PROBES_SOURCE),

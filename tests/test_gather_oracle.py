@@ -25,6 +25,7 @@ import repro
 from repro.bench.machines import hypothetical_node
 from repro.runtime.kernelctx import KernelContext
 from repro.translator import kernel_support as ks
+from tests import interp_oracle
 from tests import kernel_support_oracle as oracle
 
 SIZES = st.integers(0, 24)
@@ -165,7 +166,7 @@ class TestStridedStoreInjection:
 
     N = 6
 
-    def launch(self, y_len, y_base=0, m=2, engine="vector"):
+    def launch(self, y_len, y_base=0, m=2, interp=False):
         prog = repro.compile(STRIDED_STORE)
         x = np.arange(1, self.N + 1, dtype=np.float32)
         ctx = KernelContext(device_index=0, i0=0, i1=self.N,
@@ -173,7 +174,9 @@ class TestStridedStoreInjection:
         ctx.arrays = {"x": x, "y": np.zeros(y_len, np.float32),
                       "z": np.zeros(self.N * 2 + 2, np.float32)}
         ctx.base = {"x": 0, "y": y_base, "z": 0}
-        prog.kernel("k_L0").execute(ctx, engine)
+        if interp:
+            prog = interp_oracle.oracle(prog)
+        prog.kernel("k_L0").execute(ctx)
         return ctx.arrays
 
     def test_the_stores_are_span_stores(self):
@@ -201,7 +204,7 @@ class TestStridedStoreInjection:
         """Every lane writes ``z[1]``: no slice repeats an element, the
         last lane's value stands -- as on the interpreter."""
         out = self.launch(y_len=3 * self.N, m=0)
-        ref = self.launch(y_len=3 * self.N, m=0, engine="interp")
+        ref = self.launch(y_len=3 * self.N, m=0, interp=True)
         np.testing.assert_array_equal(out["z"], ref["z"])
         assert out["z"][1] == self.N and out["z"].sum() == self.N
 
@@ -242,7 +245,8 @@ class TestNegativeStoreIndexInjection:
                 f"store index {index} outside a buffer of \\d+ elements")):
             prog.run(entry, args, machine=hypothetical_node(4), ngpus=ngpus)
         np.testing.assert_array_equal(args["y"], np.arange(8))
-        with pytest.raises(repro.translator.InterpError,
+        with pytest.raises(interp_oracle.InterpError,
                            match="outside the loaded window"):
-            prog.run(entry, self.args(entry), machine=hypothetical_node(4),
-                     ngpus=ngpus, engine="interp")
+            interp_oracle.oracle(prog).run(
+                entry, self.args(entry), machine=hypothetical_node(4),
+                ngpus=ngpus)

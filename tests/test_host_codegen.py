@@ -13,12 +13,19 @@ the tree-walker it replaced (``tests/host_oracle.py``).
 (d) two threads sharing one thawed program get the single-thread
     results;
 
-and the count-based gate: the host part of a run evaluates no AST --
-``ExprEvaluator.eval`` calls do not grow with the host trip count -- and
+and the count-based gate: a run evaluates no AST -- calls of the
+compiled ``localaccess`` bounds do not grow with the host trip count,
+no expression evaluator runs, and a sanitized run of every bundled app
+completes in a process that cannot import the interpreter oracle -- and
 a program's host text is exec'd once per process.
 """
 
 import builtins
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -31,9 +38,10 @@ from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
 from repro.serve.registry import freeze_program, thaw_program
 from repro.translator.compiler import CompileOptions, clear_compile_cache
-from repro.translator.interpreter import ExprEvaluator
 from tests.host_oracle import run_with_walker
+from tests.interp_oracle import ExprEvaluator
 from tests.test_fortran_apps import MD_FORTRAN
+from tests.test_launch_replay import count_bound_calls
 from tests.test_runtime import TestCopyOnWriteStaging as Snapshots
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
@@ -597,12 +605,14 @@ def test_two_threads_share_one_thawed_program():
 
 @pytest.fixture
 def evals(monkeypatch):
-    """Count every AST evaluation in the process, whoever asks."""
-    seen = {"eval": 0}
+    """Count every call of a compiled ``localaccess`` bound and every
+    AST evaluation in the process, whoever asks."""
+    seen = {"eval": 0, "ast": 0}
+    count_bound_calls(monkeypatch, seen)
     plain = ExprEvaluator.eval
 
     def counting(self, e):
-        seen["eval"] += 1
+        seen["ast"] += 1
         return plain(self, e)
 
     monkeypatch.setattr(ExprEvaluator, "eval", counting)
@@ -636,9 +646,9 @@ class TestNoAstAtRunTime:
     @pytest.mark.parametrize("ngpus", [1, 4])
     def test_bfs_evaluations_do_not_grow_with_the_graph(self, evals, ngpus):
         """Only the un-memoised ``col[bounds(row[u], ...)]`` window
-        bounds are evaluated from the AST: per level and GPU, not per
-        vertex (the 2,000-trip ``levels[v] = -1`` loop used to cost
-        ~20,000 evaluations)."""
+        bounds are evaluated: per level and GPU, not per vertex (the
+        2,000-trip ``levels[v] = -1`` loop used to cost ~20,000 AST
+        evaluations)."""
         small, run_s, args_s = self.bfs_evals(evals, 512, ngpus)
         large, run_l, args_l = self.bfs_evals(evals, 4096, ngpus)
         assert run_s.kernel_launches == run_l.kernel_launches
@@ -670,6 +680,41 @@ class TestNoAstAtRunTime:
         warm = max(names.index(name) for name in set(names))
         assert len(marks) > 2 * (warm + 1)
         assert marks[warm][1] == marks[-1][1] == evals["eval"]
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_a_run_evaluates_no_ast(self, evals, sanitize):
+        """Kernels, host statements, window bounds and the sanitizer's
+        audit are all compiled code: no expression evaluator runs."""
+        for name, spec in APPS.items():
+            args = spec.args_for("tiny") if spec.workloads \
+                else spec.make_args()
+            repro.compile(spec.source).run(spec.entry, args, machine=NODE4,
+                                           ngpus=2, sanitize=sanitize)
+        assert evals["eval"] > 0 and evals["ast"] == 0
+
+    def test_sanitized_runs_need_no_interpreter(self, tmp_path):
+        """In a process that cannot import ``tests`` -- the interpreter
+        oracle lives there -- a sanitized run of every bundled app,
+        fused and not, completes: no interpreter pass is possible."""
+        code = textwrap.dedent("""
+            import sys
+            import repro
+            from repro.apps import ALL_APPS, EXTRA_APPS
+            from repro.bench.machines import hypothetical_node
+            for spec in {**ALL_APPS, **EXTRA_APPS}.values():
+                for options in (None, repro.CompileOptions(fuse=True)):
+                    run = repro.compile(spec.source, options).run(
+                        spec.entry, spec.args_for("tiny"),
+                        machine=hypothetical_node(2), ngpus=2,
+                        sanitize=True)
+                    assert run.sanitizer.loops_checked > 0, spec.name
+            assert not any(m.split(".")[0] == "tests" for m in sys.modules)
+        """)
+        src = pathlib.Path(repro.__file__).parents[1]
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
 
     def test_host_text_is_execd_once_per_process(self, monkeypatch):
         spec = APPS["kmeans"]

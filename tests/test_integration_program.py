@@ -103,7 +103,7 @@ def test_pipeline_engines_agree():
         args = {"n": n, "nb": nb, "bin": bin_.copy(), "v": v.copy(),
                 "hist": np.zeros(nb, np.float32),
                 "smooth": np.zeros(n, np.float32)}
-        out, _ = run_source(PROGRAM, args, ngpus=2, engine=engine,
+        out, _ = run_source(PROGRAM, args, ngpus=2, interp=engine == "interp",
                             entry="pipeline")
         outs.append(out)
     for key in ("v", "hist", "smooth"):

@@ -1,15 +1,13 @@
-"""Scalar-interpreter specifics: expression evaluation and kernel
-execution details that the differential tests do not isolate."""
+"""Interpreter-oracle specifics (``tests/interp_oracle.py``): expression
+evaluation and kernel execution details that the differential tests do
+not isolate."""
 
 import numpy as np
 import pytest
 
 from repro.frontend.parser import parse_expr
-from repro.translator.interpreter import (
-    ExprEvaluator,
-    InterpError,
-    _apply_scalar_op,
-)
+from repro.translator.cscalar import _apply_scalar_op
+from tests.interp_oracle import ExprEvaluator, InterpError
 from tests.util import run_source
 
 
@@ -123,7 +121,7 @@ class TestInterpreterEngine:
         x = np.array([1.0, -1.0], dtype=np.float32)
         args, _ = run_source(src, {"n": 2, "x": x,
                                    "y": np.zeros(2, np.float32)},
-                             engine="interp")
+                             interp=True)
         np.testing.assert_allclose(args["y"], [1, 2])
 
     def test_out_of_window_read_is_reported(self):
@@ -141,7 +139,7 @@ class TestInterpreterEngine:
         with pytest.raises(Exception, match="window"):
             run_source(src, {"n": 4, "x": x,
                              "y": np.zeros(4, np.float32)},
-                       ngpus=2, engine="interp")
+                       ngpus=2, interp=True)
 
     def test_sequential_inner_while_equivalent_semantics(self):
         src = """
@@ -159,5 +157,5 @@ class TestInterpreterEngine:
         x = np.array([1.0, 2.0], dtype=np.float32)
         args, _ = run_source(src, {"n": 2, "x": x,
                                    "y": np.zeros(2, np.float32)},
-                             engine="interp")
+                             interp=True)
         np.testing.assert_allclose(args["y"], [7.0, 14.0])

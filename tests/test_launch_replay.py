@@ -31,28 +31,33 @@ from repro.vcuda import Platform
 APPS = {**ALL_APPS, **EXTRA_APPS}
 
 
+def count_bound_calls(monkeypatch, seen):
+    """Count, in ``seen["eval"]``, every call of a compiled window bound
+    (:func:`repro.runtime.partition.window_bounds` hands them out)."""
+    bounds = partition.window_bounds
+
+    def counting_bounds(window, loop_var):
+        def counted(fn):
+            def bound(i, E):
+                seen["eval"] += 1
+                return fn(i, E)
+            return bound
+        return tuple(map(counted, bounds(window, loop_var)))
+
+    monkeypatch.setattr(partition, "window_bounds", counting_bounds)
+
+
 @pytest.fixture
 def counts(monkeypatch):
-    """Count window-bound evaluations and halo-plan derivations.
-
-    ``partition.ExprEvaluator`` is the name the window evaluator looks
-    up, so the subclass sees exactly the evaluations made on behalf of
-    ``localaccess`` bounds (the host interpreter keeps its own import).
-    """
+    """Count window-bound evaluations and halo-plan derivations."""
     seen = {"eval": 0, "halo": 0}
-
-    class CountingEvaluator(partition.ExprEvaluator):
-        def eval(self, e):
-            seen["eval"] += 1
-            return super().eval(e)
-
+    count_bound_calls(monkeypatch, seen)
     derive = CommunicationManager._derive_halo_plan
 
     def counting_derive(self, ma):
         seen["halo"] += 1
         return derive(self, ma)
 
-    monkeypatch.setattr(partition, "ExprEvaluator", CountingEvaluator)
     monkeypatch.setattr(CommunicationManager, "_derive_halo_plan",
                         counting_derive)
     return seen
@@ -194,7 +199,8 @@ class TestScalarInBound:
 
     def test_value_type_is_part_of_the_key(self):
         # 1 == 1.0 in Python, but ``i / k`` is C integer division for an
-        # int ``k`` and real division for a float one.
+        # int ``k`` (truncated toward zero) and real division for a float
+        # one.
         p = Platform(hypothetical_node(2), 2)
         dl = DataLoader(p)
         dl.enter_region([("a", np.zeros(64, dtype=np.float32), "copyin")])
@@ -204,7 +210,7 @@ class TestScalarInBound:
                           placement=Placement.DISTRIBUTED, window=w)
         tasks = [(1, 2), (2, 2)]
         dl.ensure_for_loop({"a": cfg}, tasks, "i", {"k": 2})
-        assert dl.arrays["a"].blocks[0] == Block(0, 21)   # -1 // 2 == -1
+        assert dl.arrays["a"].blocks[0] == Block(0, 1)    # -1 / 2 == 0
         dl.ensure_for_loop({"a": cfg}, tasks, "i", {"k": 2.0})
         assert dl.arrays["a"].blocks[0] == Block(0, 11)   # -1 / 2.0 == -0.5
 

@@ -8,11 +8,11 @@ from repro.frontend.parser import parse_expr
 from repro.runtime.partition import (
     Block,
     PartitionError,
-    make_window_evaluator,
     owner_of,
     primary_blocks,
     split_tasks,
     split_tasks_weighted,
+    window_bounds,
     window_for_tasks,
 )
 from repro.translator.array_config import ReadWindow
@@ -159,7 +159,8 @@ class TestBlocks:
 
 class TestWindowEvaluation:
     def make_eval(self, scalars=None, arrays=None):
-        return make_window_evaluator("i", scalars or {}, arrays or {})
+        """The host environment the compiled bounds read."""
+        return {**(scalars or {}), **(arrays or {})}
 
     def window(self, lo_src, hi_src):
         return ReadWindow(lower=parse_expr(lo_src), upper=parse_expr(hi_src))
@@ -168,50 +169,65 @@ class TestWindowEvaluation:
         # stride(3): [3i, 3i+2]
         w = self.window("3*i", "3*(i+1) - 1")
         ev = self.make_eval()
-        blk = window_for_tasks(w, (2, 5), 100, ev)
+        blk = window_for_tasks(w, (2, 5), 100, "i", ev)
         assert blk == Block(6, 15)
 
     def test_halo_window(self):
         w = self.window("i - 1", "i + 1")
-        blk = window_for_tasks(w, (4, 8), 100, self.make_eval())
+        blk = window_for_tasks(w, (4, 8), 100, "i", self.make_eval())
         assert blk == Block(3, 9)
 
     def test_clamped_to_array(self):
         w = self.window("i - 1", "i + 1")
-        blk = window_for_tasks(w, (0, 10), 10, self.make_eval())
+        blk = window_for_tasks(w, (0, 10), 10, "i", self.make_eval())
         assert blk == Block(0, 10)
 
     def test_empty_tasks_empty_window(self):
         w = self.window("i", "i")
-        assert window_for_tasks(w, (5, 5), 10, self.make_eval()).size == 0
+        assert window_for_tasks(w, (5, 5), 10, "i", self.make_eval()).size == 0
 
     def test_host_scalar_in_bounds(self):
         w = self.window("i * m", "i * m + m - 1")
         ev = self.make_eval(scalars={"m": 4})
-        assert window_for_tasks(w, (0, 3), 100, ev) == Block(0, 12)
+        assert window_for_tasks(w, (0, 3), 100, "i", ev) == Block(0, 12)
 
     def test_indirect_bounds_via_host_array(self):
         # The BFS col window: bounds(row[i], row[i+1]-1).
         row = np.array([0, 2, 7, 9], dtype=np.int64)
         w = self.window("row[i]", "row[i+1] - 1")
         ev = self.make_eval(arrays={"row": row})
-        assert window_for_tasks(w, (0, 2), 100, ev) == Block(0, 7)
-        assert window_for_tasks(w, (2, 3), 100, ev) == Block(7, 9)
+        assert window_for_tasks(w, (0, 2), 100, "i", ev) == Block(0, 7)
+        assert window_for_tasks(w, (2, 3), 100, "i", ev) == Block(7, 9)
 
     def test_non_monotone_rejected(self):
         w = self.window("10 - i", "20 - i")
         with pytest.raises(PartitionError):
-            window_for_tasks(w, (0, 5), 100, self.make_eval())
+            window_for_tasks(w, (0, 5), 100, "i", self.make_eval())
 
     def test_unknown_name_rejected(self):
         w = self.window("q * i", "q * i")
-        with pytest.raises(PartitionError):
-            window_for_tasks(w, (0, 2), 10, self.make_eval())
+        with pytest.raises(PartitionError, match="unknown name 'q'"):
+            window_for_tasks(w, (0, 2), 10, "i", self.make_eval())
 
     def test_missing_host_array_rejected(self):
         w = self.window("row[i]", "row[i]")
         with pytest.raises(PartitionError):
-            window_for_tasks(w, (0, 2), 10, self.make_eval())
+            window_for_tasks(w, (0, 2), 10, "i", self.make_eval())
+
+    def test_out_of_range_host_read_rejected(self):
+        w = self.window("row[i]", "row[i + 1] - 1")
+        ev = self.make_eval(arrays={"row": np.array([0, 2, 7], np.int64)})
+        with pytest.raises(PartitionError, match=r"row\[3\] out of range"):
+            window_for_tasks(w, (0, 3), 10, "i", ev)
+
+    def test_bounds_are_compiled_once_per_window(self):
+        w = self.window("2*i - 1", "2*i + 1")
+        lower, upper = window_bounds(w, "i")
+        assert window_bounds(w, "i") == (lower, upper)
+        assert (lower(5, {}), upper(5, {})) == (9, 11)
+        # Integer division truncates toward zero, as in C.
+        lower, _ = window_bounds(self.window("(i - 7) / 2", "i"), "i")
+        assert lower(0, {}) == -3
 
 
 class TestOwnership:

@@ -17,8 +17,11 @@ from repro.runtime import comm as comm_mod
 from repro.runtime.data_loader import DataLoader
 from repro.runtime.dirty import TwoLevelDirty
 from repro.sanitizer import CoherenceViolation, Sanitizer
+from repro.sanitizer.audit import LocalAccessAuditor
+from repro.sanitizer.oracle import ShadowOracle, global_view
 from repro.translator.array_config import ArrayConfig
 from repro.vcuda import DESKTOP_MACHINE, Platform
+from tests.interp_oracle import interpreter_for
 from tests.util import run_source
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
@@ -325,3 +328,129 @@ class TestZeroLengthPrograms:
         np.testing.assert_array_equal(
             args["y"], np.arange(n, dtype=np.float32) * 2)
         assert run.sanitizer.loops_checked == 1
+
+
+class TestShadowFault:
+    """A kernel-support fault in the shadow run is an ``oracle-failure``
+    naming the loop, the GPU and the slice, chained to the fault -- not
+    a bare ``IndexError`` about the shadow's full-length copy."""
+
+    SHIFT = r"""
+    void shift(int n, float *x, float *y) {
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) { if (x[i] > 0.5f) { y[i - 2] = x[i]; } }
+    }
+    """
+
+    @pytest.mark.parametrize("ngpus", [1, 2, 4])
+    def test_negative_store_is_an_oracle_failure(self, ngpus):
+        x = np.zeros(8, np.float32)
+        x[0] = 1.0
+        with pytest.raises(CoherenceViolation) as exc:
+            run_source(self.SHIFT, {"n": 8, "x": x,
+                                    "y": np.arange(8, dtype=np.float32)},
+                       ngpus=ngpus, machine=hypothetical_node(4),
+                       sanitize=True)
+        e = exc.value
+        assert (e.kind, e.loop, e.gpu) == ("oracle-failure", "shift_L0", 0)
+        assert f"slice [0, {8 // ngpus})" in e.detail
+        assert isinstance(e.__cause__, IndexError)
+        assert "store index -2" in str(e.__cause__)
+
+
+def record_spans(monkeypatch, prog):
+    """Run-time hook: per audited loop, ``(loop, audit, oracle)`` -- the
+    spans the sanitizer's audit records, and the spans the interpreter
+    oracle records through ``access_hook`` over the same shadow slices."""
+    prepare = ShadowOracle.prepare
+    rows = []
+
+    def both(self, plan, configs, tasks, host_env, access_hook=None):
+        if access_hook is None:
+            return prepare(self, plan, configs, tasks, host_env)
+        audit_hook, audit = LocalAccessAuditor(self.loader).recorder(configs)
+        oracle_hook, oracle = LocalAccessAuditor(self.loader).recorder(
+            configs)
+        pre = {name: global_view(self.loader._get(name)) for name in configs}
+        interp = interpreter_for(prog.compiled, plan)
+        for t0, t1 in tasks:
+            ctx = self._shadow_context(plan, configs, pre, host_env, t0, t1)
+            ctx.access_hook = oracle_hook
+            interp.run(ctx)
+
+        def hook(*access):
+            access_hook(*access)
+            audit_hook(*access)
+
+        rows.append((plan.name, audit, oracle))
+        return prepare(self, plan, configs, tasks, host_env, hook)
+
+    monkeypatch.setattr(ShadowOracle, "prepare", both)
+    return rows
+
+
+#: Loads the kernel text performs under a data-dependent predicate:
+#: ``bfs_L0`` loads ``row[i]`` and ``row[i + 1]`` on every lane, and its
+#: ``levels[i] == level`` guard only selects the rows whose edges it
+#: flattens.  The interpreter reads them where the guard holds.
+GUARDED_LOADS = {("bfs_L0", "row"): lambda it: [it, it + 1]}
+
+
+class TestAuditParity:
+    """The audit launches the generated kernel one iteration at a time;
+    it records what the interpreter recorded, except for loads under a
+    data-dependent predicate that is false for the iteration."""
+
+    @pytest.mark.parametrize("ngpus", [1, 2, 4])
+    @pytest.mark.parametrize("app,fuse", [
+        *((app, False) for app in sorted(APPS)),
+        ("gradpipe", True), ("phasepipe", True)])
+    def test_audit_records_the_interpreters_spans(self, monkeypatch, app,
+                                                  fuse, ngpus):
+        spec = APPS[app]
+        prog = repro.compile(spec.source, repro.CompileOptions(fuse=fuse))
+        rows = record_spans(monkeypatch, prog)
+        prog.run(spec.entry, spec.args_for("tiny"),
+                 machine=hypothetical_node(4), ngpus=ngpus, sanitize=True)
+        assert any(any(audit.values()) for _, audit, _ in rows)
+        fused = [g.fused.name for g in prog.compiled.fusion_groups]
+        assert bool(fused) == fuse
+        assert set(fused) <= {loop for loop, _, _ in rows}
+        for loop, audit, oracle in rows:
+            for name, spans in audit.items():
+                guarded = GUARDED_LOADS.get((loop, name))
+                if guarded is None:
+                    assert spans == oracle[name], (loop, name)
+                    continue
+                assert {it: spans[it] for it in oracle[name]} == oracle[name]
+                for it in spans.keys() - oracle[name].keys():
+                    assert spans[it] == guarded(it), (loop, name, it)
+
+    GUARDED = r"""
+    void k(int n, float *x, float *y, float *z) {
+      #pragma acc localaccess z[stride(1)]
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {
+        if (x[i] > 0.0f) { y[i] = z[i + 2]; }
+      }
+    }
+    """
+
+    def test_declared_window_sees_a_load_under_a_false_predicate(
+            self, monkeypatch):
+        """``z[i + 2]`` is outside ``z``'s declared window, and the
+        predicate is false everywhere: the interpreter never reads it,
+        the kernel loads it on every lane.  The audit reports the load
+        an under-declaration; an inferred window cannot, as inference
+        widens over every read, guarded or not."""
+        prog = repro.compile(self.GUARDED)
+        rows = record_spans(monkeypatch, prog)
+        args = {"n": 6, "x": np.zeros(6, np.float32),
+                "y": np.zeros(6, np.float32), "z": np.ones(8, np.float32)}
+        with pytest.raises(CoherenceViolation) as exc:
+            prog.run("k", args, machine="desktop", ngpus=2, sanitize=True)
+        e = exc.value
+        assert (e.kind, e.array, e.lo, e.hi) == (
+            "localaccess-underdeclared", "z", 2, 2)
+        (_, audit, oracle), = rows
+        assert audit["z"][0] == [2, 2] and oracle["z"] == {}

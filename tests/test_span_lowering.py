@@ -2,7 +2,7 @@
 
 The span statements are the kernel, so they are checked against the one
 semantic reference there is, the scalar interpreter
-(``engine="interp"``).  Four angles:
+(``tests/interp_oracle.py``).  Four angles:
 
 (a) the lane interval derived from an ``if`` condition selects exactly
     the lanes the interpreter's per-iteration test does (Hypothesis
@@ -10,7 +10,7 @@ semantic reference there is, the scalar interpreter
 (b) every bundled program agrees on arrays, bus bytes per kind,
     dirty-chunk bytes and write-miss bytes -- and on modeled seconds
     and dynamic trip counts where the interpreter reports trips --
-    between the generated kernels and ``engine="interp"``;
+    between the generated kernels and the interpreter;
 (c) every ``out=`` operation produces the dtype and the bits NumPy's
     own (unbuffered) evaluation produces, every ``np.take(..., out=)``
     the clip-gather's and every ``np.copyto(..., where=)`` the ``merge``
@@ -50,6 +50,7 @@ from repro.translator.compiler import CompileOptions, KernelPlan
 from repro.translator.vectorizer import Vectorizer
 from repro.vcuda import memory as vmem
 from tests import kernel_support_oracle
+from tests.interp_oracle import oracle
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
 APPS["stencil_probes"] = AppSpec(
@@ -116,10 +117,10 @@ def test_interval_matches_boolean_mask(outer, inner, n):
     n=1, 2 -- empty and single-lane slices."""
     prog = repro.compile(INTERVAL_KERNEL % {"outer": outer, "inner": inner})
     results = []
-    for flags in ({}, {"engine": "interp"}):
+    for runner in (prog, oracle(prog)):
         for ngpus in (1, 3):
             args = interval_args(n)
-            prog.run("k", args, machine=NODE4, ngpus=ngpus, **flags)
+            runner.run("k", args, machine=NODE4, ngpus=ngpus)
             results.append(args)
     for other in results[1:]:
         for name in ("y", "z"):
@@ -238,10 +239,11 @@ CONFIGS = {
 }
 
 
-def observe(app, ngpus, options, flags):
+def observe(app, ngpus, options, flags, interp=False):
     spec = APPS[app]
     args = spec.args_for("tiny") if spec.workloads else spec.make_args()
-    run = repro.compile(spec.source, options).run(
+    prog = repro.compile(spec.source, options)
+    run = (oracle(prog) if interp else prog).run(
         spec.entry, args, machine=NODE4, ngpus=ngpus, **flags)
     comm = run.executor.comm
     return {
@@ -273,7 +275,7 @@ def assert_interp_agrees(interp, arr):
 def test_bodies_and_engines_agree(app, ngpus, config):
     options, flags = CONFIGS[config]
     span = observe(app, ngpus, options, flags)
-    interp = observe(app, ngpus, options, {**flags, "engine": "interp"})
+    interp = observe(app, ngpus, options, flags, interp=True)
     for name, arr in span["arrays"].items():
         assert_interp_agrees(interp["arrays"][name], arr)
     keys = ["bus", "dirty_bytes", "miss_bytes"]
@@ -416,7 +418,7 @@ DTYPE_KERNELS = {
 }
 
 
-def launch(prog, name, scalars, arrays, engine="vector", audit=None):
+def launch(prog, name, scalars, arrays, interp=False, audit=None):
     ctx = KernelContext(device_index=0, i0=scalars.pop("_i0", 0),
                         i1=scalars["n"], scalars=scalars, permissive=True)
     if audit is not None:
@@ -424,7 +426,7 @@ def launch(prog, name, scalars, arrays, engine="vector", audit=None):
     for k, v in arrays.items():
         ctx.arrays[k] = v
         ctx.base[k] = 0
-    prog.kernel(name).execute(ctx, engine)
+    (oracle(prog) if interp else prog).kernel(name).execute(ctx)
     return ctx
 
 
@@ -444,7 +446,7 @@ class TestDtypeAudit:
         launch(prog, "k_L0", dict(scalars), span, audit=audit)
         assert audit.buffered >= 8  # the lowering did buffer
         interp = self.arrays()
-        launch(prog, "k_L0", dict(scalars), interp, engine="interp")
+        launch(prog, "k_L0", dict(scalars), interp, interp=True)
         for name in span:
             assert_interp_agrees(interp[name], span[name])
 
@@ -469,7 +471,7 @@ class TestDtypeAudit:
         assert audit.gathers["float32"] and audit.gathers["int32"]
         assert audit.merges["float32"] and audit.merges["int32"]
         interp = self.gather_arrays()
-        launch(prog, "k_L0", dict(scalars), interp, engine="interp")
+        launch(prog, "k_L0", dict(scalars), interp, interp=True)
         assert span["best"].max() >= 0      # the mask did fire
         for name in span:
             assert_interp_agrees(interp[name], span[name])
@@ -479,7 +481,8 @@ class TestDtypeAudit:
         out = []
         for engine in ("vector", "interp"):
             arrays = {"x": self.arrays()["x"] / 2, "y": self.arrays()["y"]}
-            launch(prog, "k_L0", {"n": 33, "m": 3}, arrays, engine=engine)
+            launch(prog, "k_L0", {"n": 33, "m": 3}, arrays,
+                   interp=engine == "interp")
             out.append(arrays["y"])
         assert_interp_agrees(out[1], out[0])
 
@@ -605,7 +608,7 @@ def launches(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    def measured_execute(self, ctx, engine="vector"):
+    def measured_execute(self, ctx):
         seen.append({"kernel": self.name, "lanes": ctx.n_tasks,
                      "misses": ctx.arena.misses,
                      **{name: 0 for _, name in PER_OPERATION}})
@@ -613,7 +616,7 @@ def launches(monkeypatch):
         before = tracemalloc.get_traced_memory()[0]
         inside[0] = True
         try:
-            execute(self, ctx, engine)
+            execute(self, ctx)
         finally:
             inside[0] = False
         seen[-1]["fresh"] = tracemalloc.get_traced_memory()[1] - before
@@ -742,7 +745,7 @@ def test_csr_body_statements_allocate_nothing_outside_the_arena(launches):
     assert SPMV_PLUS != APPS["spmv"].source
     second = {}
     for source in (APPS["spmv"].source, SPMV_PLUS):
-        prog = repro.compile(source, CompileOptions(require_vectorized=True))
+        prog = repro.compile(source)
         ctx = KernelContext(device_index=0, i0=0, i1=args["n"],
                             scalars={"n": args["n"], "nnz": args["nnz"]},
                             permissive=True)
