@@ -257,7 +257,9 @@ def explain(target: Any,
     with ``options``; for Fortran source compile first via
     ``repro.compile_fortran`` and pass the program).  ``options`` is
     only consulted for source text -- already-compiled programs carry
-    their own.
+    their own.  A program thawed from the serve registry is
+    re-translated once for its fusion report
+    (:meth:`CompiledProgram.full`).
     """
     if isinstance(target, CompiledProgram):
         compiled = target
@@ -269,6 +271,7 @@ def explain(target: Any,
         raise TypeError(
             f"explain() wants an AccProgram, CompiledProgram, or source "
             f"string, not {type(target).__name__}")
+    compiled = compiled.full()
     fusion = None
     if compiled.options.fuse:
         fusion = FusionReport(

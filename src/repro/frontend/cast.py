@@ -263,6 +263,11 @@ class Program:
 
     functions: list[FunctionDef] = field(default_factory=list)
     globals: list[Decl] = field(default_factory=list)
+    #: The text this tree was parsed from and the front end that parsed
+    #: it (``"c"`` / ``"fortran"``); empty for a tree built by hand.  A
+    #: frozen compiled program keeps them to re-translate on demand.
+    source: str = field(default="", init=False, repr=False, compare=False)
+    frontend: str = field(default="", init=False, repr=False, compare=False)
 
     def function(self, name: str) -> FunctionDef:
         for f in self.functions:

@@ -686,4 +686,5 @@ def parse_fortran(source: str) -> C.Program:
     prog = FortranParser(source).parse_program()
     _rebase_directives(prog)
     _bind_loopvar_placeholders(prog)
+    prog.source, prog.frontend = source, "fortran"
     return prog

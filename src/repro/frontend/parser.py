@@ -421,7 +421,9 @@ class Parser(Cursor):
 
 def parse(source: str) -> C.Program:
     """Parse a full translation unit."""
-    return Parser(tokenize(source)).parse_program()
+    tree = Parser(tokenize(source)).parse_program()
+    tree.source, tree.frontend = source, "c"
+    return tree
 
 
 def parse_expr(text: str) -> C.Expr:

@@ -12,31 +12,32 @@ share an entry.
 
 Entry format (``<key>.prog``)::
 
-    8 bytes   magic  b"RPROG1\\n\\0"
+    8 bytes   magic  b"RPROG2\\n\\0"
+    32 bytes  translator fingerprint (:func:`translator_fingerprint`)
     8 bytes   payload length, big-endian
     32 bytes  SHA-256 of the payload
     N bytes   payload: pickled frozen program state
 
-A truncated or corrupt entry (bad magic, short file, checksum or
-unpickle failure) is *never* an error: :meth:`ProgramRegistry.get`
-logs a warning, evicts the file, and returns ``None`` so the caller
-falls back to recompilation -- the store is a cache, not a database.
+A truncated or corrupt entry (short file, checksum or unpickle failure)
+is *never* an error: :meth:`ProgramRegistry.get` logs a warning, evicts
+the file, and returns ``None`` so the caller falls back to
+recompilation -- the store is a cache, not a database.  A *foreign*
+entry -- another entry format, or one written by another translator --
+takes the same path: the key hashes the source and the options, not the
+code that translated them.
 
-Freezing: kernel callables are exec'd functions and cannot be pickled;
-:class:`~repro.translator.compiler.KernelPlan` drops them on pickle and
-re-execs the generated source on unpickle.  The host program travels as
-its generated text, which names regions by their position in
-``regions_by_stmt`` (order survives the round trip) and is exec'd by the
-first run through the same source-keyed cache.  The ``regions_by_stmt`` /
-``plans_by_loop`` / ``fused_stmts`` maps are keyed by ``id()`` of AST
-statements, which is not stable across processes, so freezing converts
-them to (statement object, value) pairs -- pickle preserves object
-sharing with the AST inside ``program`` -- and thawing re-keys them
-with the revived objects' ids.
+An entry holds what a run reads, as the paper's translator hands the
+runtime kernel code, host code and array-configuration records (section
+IV-B): options, source text and front end, host text, parameter table,
+every plan's runtime record (kernel callables are re-exec'd from their
+text) and the regions' plan lists in the ordinal order the host text
+uses.  The tree, scopes, analyses and fusion report are re-derived from
+the source on demand (:meth:`CompiledProgram.full`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -46,53 +47,59 @@ import tempfile
 import threading
 from pathlib import Path
 
-from ..frontend import cast as C
+from .. import frontend, translator
 from ..translator.compiler import (
     CompiledProgram,
     CompileOptions,
+    ParallelRegion,
     canonical_options_key,
     compile_source_with_info,
 )
 
 log = logging.getLogger(__name__)
 
-MAGIC = b"RPROG1\n\0"
-_HEADER = struct.Struct(">8sQ32s")
+MAGIC = b"RPROG2\n\0"
+_HEADER = struct.Struct(">8s32sQ32s")
 
 #: Registry stat counter names (all start at zero).
 STAT_NAMES = ("memory_hits", "disk_hits", "compiles", "stores",
-              "corrupt_evictions")
+              "corrupt_evictions", "foreign_evictions")
 
 
 class RegistryError(RuntimeError):
     """Unrecoverable registry problem (unwritable directory, ...)."""
 
 
-def _stmt_index(program: C.Program) -> dict[int, C.Stmt]:
-    idx: dict[int, C.Stmt] = {}
-    for fn in program.functions:
-        for s in C.walk(fn.body):
-            idx[id(s)] = s
-    return idx
+@functools.cache
+def translator_fingerprint() -> bytes:
+    """SHA-256 of the code that turns source into an entry: every module
+    of :mod:`repro.frontend` and :mod:`repro.translator`, read once per
+    process."""
+    h = hashlib.sha256()
+    for package in (frontend, translator):
+        root = Path(package.__file__).parent
+        for path in sorted(root.glob("*.py")):
+            h.update(f"{package.__name__}.{path.stem}\0".encode())
+            h.update(path.read_bytes())
+    return h.digest()
 
 
 def freeze_program(compiled: CompiledProgram) -> bytes:
-    """Pickle a compiled program into a process-independent payload."""
-    idx = _stmt_index(compiled.program)
+    """Pickle what a run of ``compiled`` reads into a payload."""
+    if not compiled.source:
+        raise RegistryError(
+            "cannot freeze a program without its source text: a thawed "
+            "entry re-translates the source on demand, so build the tree "
+            "with repro.frontend.parse or repro.frontend.fortran."
+            "parse_fortran")
     state = {
-        "program": compiled.program,
         "options": compiled.options,
-        "plans": compiled.plans,
-        "regions": [(idx[k], v)
-                    for k, v in compiled.regions_by_stmt.items()],
-        "plan_loops": [(idx[k], v)
-                       for k, v in compiled.plans_by_loop.items()],
-        "scopes": compiled.scopes,
-        "global_scope": compiled.global_scope,
-        "fusion_groups": compiled.fusion_groups,
-        "fusion_bails": compiled.fusion_bails,
-        "fused_stmts": [idx[k] for k in compiled.fused_stmts],
+        "source": compiled.source,
+        "frontend": compiled.frontend,
         "host_source": compiled.host_source,
+        "params": compiled.params,
+        "plans": compiled.plans,
+        "regions": [region.plans for region in compiled.regions],
     }
     return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -100,17 +107,14 @@ def freeze_program(compiled: CompiledProgram) -> bytes:
 def thaw_program(payload: bytes) -> CompiledProgram:
     """Revive a frozen program; kernel callables are re-exec'd."""
     state = pickle.loads(payload)
-    compiled = CompiledProgram(program=state["program"],
-                               options=state["options"])
-    compiled.plans = state["plans"]
-    compiled.regions_by_stmt = {id(s): r for s, r in state["regions"]}
-    compiled.plans_by_loop = {id(s): p for s, p in state["plan_loops"]}
-    compiled.scopes = state["scopes"]
-    compiled.global_scope = state["global_scope"]
-    compiled.fusion_groups = state["fusion_groups"]
-    compiled.fusion_bails = state["fusion_bails"]
-    compiled.fused_stmts = {id(s) for s in state["fused_stmts"]}
+    compiled = CompiledProgram(program=None, options=state["options"])
+    compiled.source = state["source"]
+    compiled.frontend = state["frontend"]
     compiled.host_source = state["host_source"]
+    compiled.params = state["params"]
+    compiled.plans = state["plans"]
+    compiled.regions = [ParallelRegion(stmt=None, directive=None, plans=plans)
+                        for plans in state["regions"]]
     return compiled
 
 
@@ -164,7 +168,8 @@ class ProgramRegistry:
         """Persist one compiled program (atomic replace)."""
         payload = freeze_program(compiled)
         digest = hashlib.sha256(payload).digest()
-        blob = _HEADER.pack(MAGIC, len(payload), digest) + payload
+        blob = _HEADER.pack(MAGIC, translator_fingerprint(), len(payload),
+                            digest) + payload
         path = self.path_for(source, options)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -184,10 +189,12 @@ class ProgramRegistry:
 
     def get(self, source: str,
             options: CompileOptions | None = None) -> CompiledProgram | None:
-        """Load one entry from disk, or ``None`` (missing *or* corrupt).
+        """Load one entry from disk, or ``None`` (missing, corrupt or
+        foreign).
 
-        Corrupt entries -- truncated files, bad magic, checksum
-        mismatches, unpicklable payloads -- are logged, evicted and
+        Corrupt entries -- truncated files, checksum mismatches,
+        unpicklable payloads -- and foreign ones -- another magic, or
+        another translator's fingerprint -- are logged, evicted and
         reported as a miss; the caller recompiles.
         """
         path = self.path_for(source, options)
@@ -196,34 +203,37 @@ class ProgramRegistry:
         except FileNotFoundError:
             return None
         except OSError as exc:
-            self._evict_corrupt(path, f"unreadable ({exc})")
+            self._evict(path, f"unreadable ({exc})")
             return None
         if len(blob) < _HEADER.size:
-            self._evict_corrupt(path, f"truncated header ({len(blob)} bytes)")
+            self._evict(path, f"truncated header ({len(blob)} bytes)")
             return None
-        magic, length, digest = _HEADER.unpack_from(blob)
+        magic, fingerprint, length, digest = _HEADER.unpack_from(blob)
         if magic != MAGIC:
-            self._evict_corrupt(path, f"bad magic {magic!r}")
+            self._evict(path, f"entry format {magic!r}", "foreign")
+            return None
+        if fingerprint != translator_fingerprint():
+            self._evict(path, "written by another translator", "foreign")
             return None
         payload = blob[_HEADER.size:]
         if len(payload) != length:
-            self._evict_corrupt(
+            self._evict(
                 path, f"truncated payload ({len(payload)} of {length} bytes)")
             return None
         if hashlib.sha256(payload).digest() != digest:
-            self._evict_corrupt(path, "checksum mismatch")
+            self._evict(path, "checksum mismatch")
             return None
         try:
             compiled = thaw_program(payload)
         except Exception as exc:  # noqa: BLE001 -- any unpickle failure
-            self._evict_corrupt(path, f"unpicklable payload ({exc!r})")
+            self._evict(path, f"unpicklable payload ({exc!r})")
             return None
         return compiled
 
-    def _evict_corrupt(self, path: Path, why: str) -> None:
-        log.warning("evicting corrupt registry entry %s: %s", path.name, why)
+    def _evict(self, path: Path, why: str, kind: str = "corrupt") -> None:
+        log.warning("evicting %s registry entry %s: %s", kind, path.name, why)
         with self._lock:
-            self.stats["corrupt_evictions"] += 1
+            self.stats[f"{kind}_evictions"] += 1
         try:
             path.unlink()
         except OSError:
@@ -288,4 +298,4 @@ def default_registry_root() -> Path:
 
 __all__ = ["MAGIC", "ProgramRegistry", "RegistryError", "STAT_NAMES",
            "default_registry_root", "freeze_program", "registry_key",
-           "thaw_program"]
+           "thaw_program", "translator_fingerprint"]

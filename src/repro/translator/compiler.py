@@ -40,6 +40,7 @@ from ..frontend.directives import (
     AccParallel,
     LocalAccessSpec,
 )
+from ..frontend.fortran import parse_fortran
 from ..frontend.parser import parse
 from ..frontend.symbols import Scope, build_function_scope, build_global_scope
 from .array_config import (
@@ -94,22 +95,29 @@ class CompileOptions:
     fuse_force: bool = False
 
 
+#: What a pickled :class:`KernelPlan` keeps: everything a run reads.
+_PLAN_RECORD = ("name", "config", "loop_var", "scalar_names", "cost",
+                "source_info", "block_dim", "max_gangs", "fusion_members")
+
+
 @dataclass
 class KernelPlan:
-    """One compiled parallel loop."""
+    """One compiled parallel loop.
+
+    ``lower`` / ``upper`` / ``analysis`` / ``loop_directive`` are
+    front-end state (the fusion pass, the host emitter, the test
+    oracles); no run reads them, and a thawed plan has None there
+    (:meth:`CompiledProgram.full` re-derives them).
+    """
 
     name: str
     config: LoopConfig
     loop_var: str
-    lower: C.Expr
-    upper: C.Expr
     scalar_names: list[str]
     cost: KernelCostInfo
-    analysis: LoopAnalysis
     source_info: KernelSourceInfo
     #: The kernel callable, exec'd from ``source_info``.
     fn: Any
-    loop_directive: AccLoop | None = None
     #: Launch geometry from the construct clauses: ``vector_length``
     #: chooses the CUDA block size, ``num_gangs`` caps the grid.
     block_dim: int | None = None
@@ -117,24 +125,25 @@ class KernelPlan:
     #: Set on fused plans only: the member kernel names, in program
     #: order (:mod:`repro.translator.fusion`).  Trace events carry it.
     fusion_members: tuple[str, ...] | None = None
+    lower: C.Expr | None = None
+    upper: C.Expr | None = None
+    analysis: LoopAnalysis | None = None
+    loop_directive: AccLoop | None = None
 
     def execute(self, ctx) -> None:
         self.fn(ctx)
 
     # -- pickling (the serve registry persists compiled programs) ----------
     #
-    # ``fn`` is an exec'd callable and cannot be pickled; it is a pure
-    # function of the generated source, so it is dropped on the way out
-    # and re-exec'd from ``source_info`` on the way back in.
+    # A plan pickles as its runtime record.  ``fn`` is an exec'd
+    # callable, a pure function of the generated source: it is re-exec'd
+    # from ``source_info`` on the way back in.
 
     def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["fn"] = None
-        return state
+        return {k: getattr(self, k) for k in _PLAN_RECORD}
 
     def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.fn = compile_kernel_source(self.source_info)
+        self.__init__(**state, fn=compile_kernel_source(state["source_info"]))
 
     @property
     def source(self) -> str:
@@ -144,18 +153,31 @@ class KernelPlan:
 
 @dataclass
 class ParallelRegion:
-    """One ``parallel``/``kernels`` construct in a function body."""
+    """One ``parallel``/``kernels`` construct in a function body (a
+    thawed program's regions have no statement or directive)."""
 
-    stmt: C.Stmt
-    directive: AccParallel
+    stmt: C.Stmt | None
+    directive: AccParallel | None
     plans: list[KernelPlan] = field(default_factory=list)
+
+
+#: Serialises :meth:`CompiledProgram.full` re-translations: serve
+#: threads share thawed programs.
+_FULL_LOCK = threading.Lock()
 
 
 @dataclass
 class CompiledProgram:
-    """Everything the host executor needs to run the program."""
+    """Everything the host executor needs to run the program.
 
-    program: C.Program
+    What a run reads: ``options``, ``plans``, ``regions``, ``params``
+    and ``host_source``.  The rest -- the tree, the scopes, the
+    statement-keyed maps and the fusion report -- is front-end state; a
+    program thawed from the serve registry has ``program=None`` and
+    empty maps there, and :meth:`full` re-derives them from ``source``.
+    """
+
+    program: C.Program | None
     options: CompileOptions
     plans: list[KernelPlan] = field(default_factory=list)
     regions_by_stmt: dict[int, ParallelRegion] = field(default_factory=dict)
@@ -172,6 +194,19 @@ class CompiledProgram:
     #: Generated Python module of the host program, one ``host_<name>``
     #: function per C function (:mod:`repro.translator.hostgen`).
     host_source: str = ""
+    #: The parallel regions in ordinal order: the generated host code
+    #: launches ``rt.regions[k].plans[j]``.
+    regions: list[ParallelRegion] = field(default_factory=list, init=False)
+    #: Each function's parameters as ``(name, C base type, arraylike)``,
+    #: which the host executor binds.
+    params: dict[str, tuple[tuple[str, str, bool], ...]] = field(
+        default_factory=dict, init=False)
+    #: The program's source text and front end (``"c"`` / ``"fortran"``),
+    #: from the tree (:attr:`repro.frontend.cast.Program.source`).
+    source: str = field(default="", init=False)
+    frontend: str = field(default="", init=False)
+    _full: "CompiledProgram | None" = field(default=None, init=False,
+                                            repr=False, compare=False)
 
     def plan(self, name: str) -> KernelPlan:
         for p in self.plans:
@@ -181,6 +216,44 @@ class CompiledProgram:
 
     def kernel_names(self) -> list[str]:
         return [p.name for p in self.plans]
+
+    def signature(self, func: str) -> tuple[tuple[str, str, bool], ...]:
+        """The parameters of C function ``func``."""
+        try:
+            return self.params[func]
+        except KeyError:
+            raise KeyError(f"no function named {func!r}") from None
+
+    def full(self) -> "CompiledProgram":
+        """This program with its front-end state.
+
+        A fresh translation is returned as is.  A thawed one re-parses
+        and re-translates its stored source once (later calls, from any
+        thread, share the result) and refuses a translation whose kernel
+        or host text differs from the stored text.  ``explain`` and the
+        test oracles call this; no run does.
+        """
+        if self.program is not None:
+            return self
+        with _FULL_LOCK:
+            if self._full is None:
+                self._full = self._retranslate()
+        return self._full
+
+    def _retranslate(self) -> "CompiledProgram":
+        parse_tree = parse_fortran if self.frontend == "fortran" else parse
+        fresh = compile_program(parse_tree(self.source), self.options)
+
+        def texts(c: CompiledProgram):
+            return ([p.source for p in c.plans],
+                    [[p.source for p in r.plans] for r in c.regions],
+                    c.host_source)
+
+        if texts(fresh) != texts(self):
+            raise CompileError(
+                "re-translating the stored source does not reproduce the "
+                "stored kernel and host text")
+        return fresh
 
 
 def canonical_options_key(
@@ -290,14 +363,18 @@ def compile_program(program: C.Program,
     """Translate an already-parsed program (any frontend: C or Fortran)."""
     options = options or CompileOptions()
     compiled = CompiledProgram(program=program, options=options)
+    compiled.source, compiled.frontend = program.source, program.frontend
     compiled.global_scope = build_global_scope(program)
     for func in program.functions:
         scope = build_function_scope(func, compiled.global_scope)
         compiled.scopes[func.name] = scope
+        compiled.params[func.name] = tuple(
+            (p.name, p.ctype.base, p.ctype.is_arraylike) for p in func.params)
         _compile_function(func, scope, compiled, options)
     # The host program is emitted last: fusion has settled which region
     # each statement launches and which member statements disappear.
     from .hostgen import emit_host_program
+    compiled.regions = list(compiled.regions_by_stmt.values())
     compiled.host_source = emit_host_program(compiled)
     return compiled
 

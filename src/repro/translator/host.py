@@ -54,16 +54,16 @@ class HostExecutor:
         self.executor = executor
         self.loader = executor.loader
         #: Generated code names a parallel region by its ordinal here.
-        self.regions = list(compiled.regions_by_stmt.values())
+        self.regions = compiled.regions
 
     def call(self, func_name: str, args: dict[str, Any]) -> RunResult:
-        func = self.compiled.program.function(func_name)
+        params = self.compiled.signature(func_name)
         env: dict[str, Any] = {}
-        for p in func.params:
-            if p.name not in args:
-                raise HostError(f"missing argument {p.name!r} for {func_name}")
-            env[p.name] = self._coerce_arg(p, args[p.name])
-        unknown = set(args) - {p.name for p in func.params}
+        for name, base, arraylike in params:
+            if name not in args:
+                raise HostError(f"missing argument {name!r} for {func_name}")
+            env[name] = _coerce_arg(name, base, arraylike, args[name])
+        unknown = set(args) - {name for name, _, _ in params}
         if unknown:
             raise HostError(f"unknown arguments {sorted(unknown)}")
         host_fn = host_functions(self.compiled)[f"host_{func_name}"]
@@ -80,22 +80,23 @@ class HostExecutor:
             finish()
         return RunResult(value=value, env=env)
 
-    def _coerce_arg(self, p: C.Param, value: Any) -> Any:
-        if p.ctype.is_arraylike:
-            arr = np.asarray(value)
-            if arr.ndim != 1:
-                raise HostError(
-                    f"argument {p.name!r} must be a 1-D array (linearize "
-                    "multi-dimensional data)")
-            want = _NP_DTYPES.get(p.ctype.base)
-            if want is not None and arr.dtype != want:
-                raise HostError(
-                    f"argument {p.name!r} must have dtype {np.dtype(want)}, "
-                    f"got {arr.dtype}")
-            return arr
-        if p.ctype.is_float:
-            return float(value)
-        return int(value)
+
+def _coerce_arg(name: str, base: str, arraylike: bool, value: Any) -> Any:
+    if arraylike:
+        arr = np.asarray(value)
+        if arr.ndim != 1:
+            raise HostError(
+                f"argument {name!r} must be a 1-D array (linearize "
+                "multi-dimensional data)")
+        want = _NP_DTYPES.get(base)
+        if want is not None and arr.dtype != want:
+            raise HostError(
+                f"argument {name!r} must have dtype {np.dtype(want)}, "
+                f"got {arr.dtype}")
+        return arr
+    if C.CType(base).is_float:
+        return float(value)
+    return int(value)
 
 
 def _innermost_host_function(exc: BaseException, default: str) -> str:

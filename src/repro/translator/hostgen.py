@@ -150,7 +150,7 @@ def host_functions(compiled: CompiledProgram) -> dict[str, Any]:
 
 def format_host_source(compiled: CompiledProgram, func: str) -> str:
     """One function's generated text with a provenance banner."""
-    compiled.program.function(func)
+    compiled.signature(func)
     source = compiled.host_source
     start = source.index(f"def host_{func}(E, rt):")
     end = source.find("\n\ndef host_", start)

@@ -46,7 +46,7 @@ class WalkerHostExecutor:
     program was compiled."""
 
     def __init__(self, compiled: CompiledProgram, executor) -> None:
-        self.compiled = compiled
+        self.compiled = compiled.full()
         self.executor = executor
         self.loader = executor.loader
 

@@ -19,6 +19,7 @@ interpreter: copied plans whose ``fn`` is the interpreter's ``run``, so
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -449,7 +450,9 @@ def interpreter_for(compiled: CompiledProgram, plan: KernelPlan):
 
 
 def oracle_program(compiled: CompiledProgram) -> CompiledProgram:
-    """``compiled`` with every kernel run by the interpreter."""
+    """``compiled`` with every kernel run by the interpreter (a thawed
+    program is re-translated first: the interpreter walks the tree)."""
+    compiled = compiled.full()
     copies: dict[int, KernelPlan] = {}
 
     def swap(plan: KernelPlan) -> KernelPlan:
@@ -458,10 +461,13 @@ def oracle_program(compiled: CompiledProgram) -> CompiledProgram:
                 plan, fn=interpreter_for(compiled, plan).run)
         return copies[id(plan)]
 
-    regions = {key: dataclasses.replace(r, plans=[swap(p) for p in r.plans])
-               for key, r in compiled.regions_by_stmt.items()}
-    return dataclasses.replace(compiled, regions_by_stmt=regions,
-                               plans=[swap(p) for p in compiled.plans])
+    out = copy.copy(compiled)
+    out.regions_by_stmt = {
+        key: dataclasses.replace(r, plans=[swap(p) for p in r.plans])
+        for key, r in compiled.regions_by_stmt.items()}
+    out.regions = list(out.regions_by_stmt.values())
+    out.plans = [swap(p) for p in compiled.plans]
+    return out
 
 
 def oracle(prog: AccProgram) -> AccProgram:
