@@ -32,7 +32,6 @@ from .translator.compiler import (
     CompiledProgram,
     CompileOptions,
     compile_program,
-    compile_source,
 )
 from .translator.host import HostExecutor, RunResult
 from .translator.hostgen import format_host_source
@@ -236,20 +235,23 @@ def compile(source: str, options: CompileOptions | None = None,
             registry: Any | None = None) -> AccProgram:  # noqa: A001
     """Compile OpenACC C source (with the multi-GPU extensions).
 
-    ``registry`` may name a :class:`repro.serve.ProgramRegistry` (or a
-    directory path for one): compilation then consults the persistent
-    on-disk compiled-program store first and persists fresh
-    translations, so a second process compiling the same source with
-    the same options loads it from disk instead of re-translating.
+    Every call with one (source, options) pair returns the same
+    translation: the process's memory-only
+    :data:`repro.serve.registry.PROGRAMS` keeps it.  ``registry`` may
+    name a :class:`repro.serve.ProgramRegistry` (or a directory path
+    for one) to use instead: compilation then consults its on-disk
+    store first and persists fresh translations, so a second process
+    compiling the same source with the same options loads it from disk
+    instead of re-translating.
     """
-    if registry is not None:
-        from .serve.registry import ProgramRegistry
+    from .serve import registry as store
 
-        if not isinstance(registry, ProgramRegistry):
-            registry = ProgramRegistry(registry)
-        compiled, _ = registry.load_or_compile(source, options)
-        return AccProgram(compiled)
-    return AccProgram(compile_source(source, options))
+    if registry is None:
+        registry = store.PROGRAMS
+    elif not isinstance(registry, store.ProgramRegistry):
+        registry = store.ProgramRegistry(registry)
+    compiled, _ = registry.load_or_compile(source, options)
+    return AccProgram(compiled)
 
 
 def compile_fortran(source: str,

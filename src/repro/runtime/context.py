@@ -194,13 +194,10 @@ class AccExecutor:
                 seconds, launches = self._launch_async(
                     plan, g, t0, t1, work, dev, configs)
             else:
-                cfg = self._launch_cfg(plan, n)
-                seconds = dev.kernel_time(work, cfg)
+                seconds = dev.queue_launch(plan.name, work,
+                                           self._launch_cfg(plan, n),
+                                           self.platform.clock.now)
                 launches = 1
-                start = max(dev.busy_until, self.platform.clock.now)
-                rec = dev.record_launch(plan.name, work, cfg, seconds)
-                rec.start = start
-                dev.busy_until = start + seconds
             per_gpu_seconds[g] = seconds
             profiler.record_kernel(plan.name, g, seconds,
                                    launches=launches, iterations=n)
@@ -280,29 +277,15 @@ class AccExecutor:
                     # waits for the halos.  Two launches pay extra
                     # launch overhead and reduced occupancy -- the
                     # honest cost of the overlap.
-                    w_int = work.scaled(n_int / n)
-                    w_bnd = work.scaled(n_bnd / n)
-                    cfg_i = self._launch_cfg(plan, n_int)
-                    s_i = dev.kernel_time(w_int, cfg_i)
-                    start = max(dev.busy_until, clock.now, ready_int)
-                    rec = dev.record_launch(plan.name + "[int]", w_int,
-                                            cfg_i, s_i)
-                    rec.start = start
-                    dev.busy_until = start + s_i
-                    cfg_b = self._launch_cfg(plan, n_bnd)
-                    s_b = dev.kernel_time(w_bnd, cfg_b)
-                    start = max(dev.busy_until, clock.now, ready_full)
-                    rec = dev.record_launch(plan.name + "[bnd]", w_bnd,
-                                            cfg_b, s_b)
-                    rec.start = start
-                    dev.busy_until = start + s_b
+                    s_i = dev.queue_launch(
+                        plan.name + "[int]", work.scaled(n_int / n),
+                        self._launch_cfg(plan, n_int), clock.now, ready_int)
+                    s_b = dev.queue_launch(
+                        plan.name + "[bnd]", work.scaled(n_bnd / n),
+                        self._launch_cfg(plan, n_bnd), clock.now, ready_full)
                     return s_i + s_b, 2
-        cfg = self._launch_cfg(plan, n)
-        seconds = dev.kernel_time(work, cfg)
-        start = max(dev.busy_until, clock.now, ready_full)
-        rec = dev.record_launch(plan.name, work, cfg, seconds)
-        rec.start = start
-        dev.busy_until = start + seconds
+        seconds = dev.queue_launch(plan.name, work, self._launch_cfg(plan, n),
+                                   clock.now, ready_full)
         return seconds, 1
 
     def _split_geometry(self, plan: KernelPlanLike, g: int,

@@ -2,8 +2,9 @@
 
 The paper models one OpenACC program owning the whole multi-GPU
 machine.  This package supplies the "many users" story on top of the
-existing pieces: a persistent compiled-program registry (content-
-addressed on-disk store over the in-memory compile cache), an
+existing pieces: the compiled-program registry (one in-process map
+behind ``repro.compile``, optionally over a content-addressed on-disk
+store), an
 admission/placement scheduler that packs independent programs onto
 disjoint GPU-slot subsets of one large modeled fleet (memory-aware
 bin-packing over the byte-accounted allocators), and queue/fairness
@@ -13,8 +14,9 @@ Entry points:
 
 * :class:`ProgramService` -- submit :class:`RunRequest` objects from
   any number of threads, collect :class:`RequestRecord` tickets;
-* :class:`ProgramRegistry` -- the persistent store, also usable on its
-  own via ``repro.compile(source, registry=...)``;
+* :class:`ProgramRegistry` -- the program store, persistent with a
+  directory, also usable on its own via
+  ``repro.compile(source, registry=...)``;
 * ``python -m repro.serve workload.json`` -- replay a request workload
   file and print the queueing summary (see ``docs/SERVING.md``).
 """

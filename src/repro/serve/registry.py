@@ -1,14 +1,17 @@
-"""Persistent compiled-program registry (content-addressed, on disk).
+"""The compiled-program store: in memory, optionally on disk.
 
-The in-memory compile cache (:mod:`repro.translator.compiler`) only
-helps within one process; a compile-and-serve deployment restarts, and
-IPMACC-style persistent translation artifacts are what make the second
-process cheap.  This module stores frozen :class:`CompiledProgram`
-objects in a directory, keyed by ``(sha256(source), canonicalized
-CompileOptions)`` -- the same canonical key the in-memory cache uses,
-so every :class:`~repro.translator.compiler.CompileOptions` field
-participates and two compiles differing in any single option never
-share an entry.
+One :class:`ProgramRegistry` maps ``(sha256(source), canonicalized
+CompileOptions)`` to one :class:`CompiledProgram` shared by every
+caller of the process.  Every
+:class:`~repro.translator.compiler.CompileOptions` field participates
+in the key, so two compiles differing in any single option never share
+an entry.  :data:`PROGRAMS`, the memory-only registry, is what
+``repro.compile`` and a :class:`~repro.serve.ProgramService` without a
+registry of its own go through.
+
+A registry with a ``root`` directory also stores frozen programs there:
+a compile-and-serve deployment restarts, and IPMACC-style persistent
+translation artifacts are what make the second process cheap.
 
 Entry format (``<key>.prog``)::
 
@@ -53,7 +56,7 @@ from ..translator.compiler import (
     CompileOptions,
     ParallelRegion,
     canonical_options_key,
-    compile_source_with_info,
+    compile_source,
 )
 
 log = logging.getLogger(__name__)
@@ -127,23 +130,25 @@ def registry_key(source: str, options: CompileOptions | None = None) -> str:
 
 
 class ProgramRegistry:
-    """Disk-backed compiled-program store with an in-process front.
+    """Compiled-program store: an in-process map, over a directory when
+    ``root`` is given.
 
-    Lookup order: per-process thawed-program map, then the on-disk
-    store, then a fresh translation (which is persisted).  All methods
-    are thread-safe; disk writes are atomic (temp file + rename), so a
-    crashed writer can at worst leave a temp file, never a half entry
-    under a live name.
+    Lookup order: the in-process map, then the on-disk store (with a
+    ``root``), then a fresh translation (persisted with a ``root``).
+    All methods are thread-safe; disk writes are atomic (temp file +
+    rename), so a crashed writer can at worst leave a temp file, never a
+    half entry under a live name.
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise RegistryError(
-                f"cannot create registry directory {self.root}: {exc}"
-            ) from exc
+    def __init__(self, root: str | Path | None = None) -> None:
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise RegistryError(
+                    f"cannot create registry directory {self.root}: {exc}"
+                ) from exc
         self._lock = threading.Lock()
         self._memory: dict[str, CompiledProgram] = {}
         #: Single-flight guards: key -> event set when its loader is
@@ -249,9 +254,10 @@ class ProgramRegistry:
         Returns ``(program, outcome)`` with outcome one of
         ``"hit_memory"`` / ``"hit_disk"`` / ``"compiled"``.  The
         per-process map guarantees repeated requests for one program
-        share a single object (and its exec'd kernels); the disk store
-        makes process restarts cheap; a miss translates, persists, and
-        primes both.
+        share a single object (and its exec'd kernels) and that
+        concurrent requests translate it once; the disk store makes
+        process restarts cheap; a miss translates, persists, and primes
+        both.
         """
         key = registry_key(source, options)
         while True:
@@ -270,12 +276,14 @@ class ProgramRegistry:
             # thread becomes the loader, surfacing the same error.
             guard.wait()
         try:
-            compiled = self.get(source, options)
+            disk = self.root is not None
+            compiled = self.get(source, options) if disk else None
             outcome = "hit_disk"
             if compiled is None:
-                compiled, _ = compile_source_with_info(source, options)
+                compiled = compile_source(source, options)
                 outcome = "compiled"
-                self.put(source, options, compiled)
+                if disk:
+                    self.put(source, options, compiled)
             with self._lock:
                 self.stats["disk_hits" if outcome == "hit_disk"
                            else "compiles"] += 1
@@ -290,12 +298,17 @@ class ProgramRegistry:
             return dict(self.stats)
 
 
+#: The process's memory-only store behind ``repro.compile`` and a
+#: :class:`~repro.serve.ProgramService` without a registry.
+PROGRAMS = ProgramRegistry()
+
+
 def default_registry_root() -> Path:
     """``REPRO_REGISTRY_DIR`` or ``.repro-registry`` in the CWD."""
     env = os.environ.get("REPRO_REGISTRY_DIR", "")
     return Path(env) if env else Path(".repro-registry")
 
 
-__all__ = ["MAGIC", "ProgramRegistry", "RegistryError", "STAT_NAMES",
-           "default_registry_root", "freeze_program", "registry_key",
-           "thaw_program", "translator_fingerprint"]
+__all__ = ["MAGIC", "PROGRAMS", "ProgramRegistry", "RegistryError",
+           "STAT_NAMES", "default_registry_root", "freeze_program",
+           "registry_key", "thaw_program", "translator_fingerprint"]

@@ -1,10 +1,10 @@
 """The concurrent program service: compile-and-serve over one fleet.
 
 :class:`ProgramService` accepts many concurrent
-:class:`RunRequest` submissions, compiles each through the persistent
-:class:`~repro.serve.registry.ProgramRegistry` (or the in-memory
-compile cache), and runs admitted requests on disjoint GPU-slot
-subsets carved from one shared modeled fleet
+:class:`RunRequest` submissions, compiles each through its
+:class:`~repro.serve.registry.ProgramRegistry` (the process's
+memory-only store when it is given none), and runs admitted requests
+on disjoint GPU-slot subsets carved from one shared modeled fleet
 (:meth:`~repro.vcuda.specs.MachineSpec.subset`).  Placement and
 ordering live in :mod:`repro.serve.scheduler`; this module owns the
 threads, the queue, and the observability.
@@ -20,9 +20,10 @@ counters.  ``repro.trace.jsonl(service.tracer)`` and
 
 Isolation argument, in one place: a :class:`CompiledProgram` is
 immutable at run time (the runtime copies per-loop state into its own
-structures -- the same property that makes the in-memory compile cache
-safe), every run builds its own ``Platform``/loader/executor, and the
-fleet hands each admitted request a disjoint slot subset, so N service
+structures -- the same property that lets the program store share one
+program across callers), every run builds its own
+``Platform``/loader/executor, and the fleet hands each admitted
+request a disjoint slot subset, so N service
 threads produce bit-identical results to the same programs run
 serially; ``tests/test_serve_service.py`` pins this with the
 determinism-matrix comparison harness.
@@ -46,8 +47,9 @@ from ..trace.events import (
     EVENT_REQ_PLACED,
     EVENT_REQ_REJECTED,
 )
-from ..translator.compiler import CompileOptions, compile_source_with_info
+from ..translator.compiler import CompileOptions
 from ..vcuda.specs import ClusterSpec, MachineSpec
+from . import registry as store
 from .registry import ProgramRegistry
 from .scheduler import (
     AdmissionError,
@@ -92,8 +94,7 @@ class RequestRecord:
     admitted_at: float | None = None
     completed_at: float | None = None
     slots: list[int] = field(default_factory=list)
-    #: How compilation was satisfied: hit_memory / hit_disk / compiled
-    #: (registry) or cache_hit / cache_miss (in-memory only).
+    #: How compilation was satisfied: hit_memory / hit_disk / compiled.
     compile_outcome: str | None = None
     run: ProgramRun | None = None
     error: BaseException | None = None
@@ -150,7 +151,7 @@ class ServiceReport:
     peak_concurrency: int
     per_tenant_completed: dict[str, int]
     compile_outcomes: dict[str, int]
-    registry_stats: dict[str, int] | None = None
+    registry_stats: dict[str, int]
 
     def summary(self) -> str:
         lines = [
@@ -170,10 +171,9 @@ class ServiceReport:
             "compile outcomes: " + (", ".join(
                 f"{k}={n}" for k, n in sorted(self.compile_outcomes.items()))
                 or "(none)"),
+            "registry: " + ", ".join(
+                f"{k}={v}" for k, v in sorted(self.registry_stats.items())),
         ]
-        if self.registry_stats is not None:
-            lines.append("registry: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.registry_stats.items())))
         return "\n".join(lines)
 
 
@@ -195,7 +195,8 @@ class ProgramService:
                  max_queue: int | None = None,
                  span_nodes: bool = False) -> None:
         self.fleet = fleet
-        self.registry = registry
+        self.registry = registry if registry is not None \
+            else store.PROGRAMS
         self.policy = make_policy(policy)
         self.max_queue = max_queue
         self.state = FleetState(fleet, span_nodes=span_nodes)
@@ -311,14 +312,9 @@ class ProgramService:
             t.start()
 
     def _compile(self, request: RunRequest) -> tuple[AccProgram, str]:
-        if self.registry is not None:
-            compiled, outcome = self.registry.load_or_compile(
-                request.source, request.options)
-            return AccProgram(compiled), outcome
-        compiled, info = compile_source_with_info(request.source,
-                                                  request.options)
-        return AccProgram(compiled), \
-            ("cache_hit" if info.hit else "cache_miss")
+        compiled, outcome = self.registry.load_or_compile(
+            request.source, request.options)
+        return AccProgram(compiled), outcome
 
     def _execute(self, record: RequestRecord) -> None:
         request = record.request
@@ -425,8 +421,7 @@ class ProgramService:
             peak_concurrency=peak,
             per_tenant_completed=per_tenant,
             compile_outcomes=outcomes,
-            registry_stats=(self.registry.stats_snapshot()
-                            if self.registry is not None else None),
+            registry_stats=self.registry.stats_snapshot(),
         )
 
 

@@ -88,11 +88,6 @@ class CompileOptions:
     #: changes the launch schedule (never the results -- fused runs are
     #: bit-identical, the determinism matrix pins it).
     fuse: bool = False
-    #: Testing hook: skip the *dependence* legality rules (mechanical
-    #: requirements still apply) so the differential suite can show that
-    #: dependence-bailed pairs really diverge when force-fused.  Never
-    #: set outside tests.
-    fuse_force: bool = False
 
 
 #: What a pickled :class:`KernelPlan` keeps: everything a run reads.
@@ -258,14 +253,14 @@ class CompiledProgram:
 
 def canonical_options_key(
         options: CompileOptions | None) -> tuple[tuple[str, Any], ...]:
-    """Canonical, name-keyed cache key of a :class:`CompileOptions`.
+    """Canonical, name-keyed key of a :class:`CompileOptions`.
 
     ``None`` and ``CompileOptions()`` mean the same compilation and map
     to the same key.  Every dataclass field participates by
-    construction -- a newly added option can never silently share cached
+    construction -- a newly added option can never silently share stored
     programs across its settings -- and keys are (field name, value)
     pairs sorted by name, so they are stable across field reordering
-    (the serve registry derives on-disk entry names from them).
+    (the serve registry derives its entry names from them).
     """
     opts = options if options is not None else CompileOptions()
     return tuple(sorted(
@@ -273,89 +268,11 @@ def canonical_options_key(
         for f in dataclasses.fields(CompileOptions)))
 
 
-#: Compilation cache keyed on (source text, canonical options).
-#: Benchmark sweeps recompile the same few application sources dozens
-#: of times with identical options; the compiled program is immutable
-#: at run time (the runtime copies per-loop state into its own
-#: structures), so sharing one :class:`CompiledProgram` across runs --
-#: and across the serve threads -- is safe.  All access goes through
-#: ``_CACHE_LOCK``: lookups, inserts, stats updates and clears are
-#: atomic with respect to each other (concurrent compiles used to race
-#: on the dict insert and miscount hits).
-_COMPILE_CACHE: dict[tuple[str, tuple], CompiledProgram] = {}
-_CACHE_LOCK = threading.Lock()
-#: Aggregate counters, mutated in place under ``_CACHE_LOCK`` (the
-#: object identity is stable so tests may hold a reference).  ``misses``
-#: counts translations actually performed: when two threads race to
-#: compile the same key, both count as misses even though only the
-#: first insert is kept.  Prefer the per-call :class:`CompileCacheInfo`
-#: over these globals in new code.
-compile_cache_stats = {"hits": 0, "misses": 0}
-
-
-@dataclass(frozen=True)
-class CompileCacheInfo:
-    """Per-call cache outcome of :func:`compile_source_with_info`."""
-
-    #: True when the returned program came out of the in-memory cache.
-    hit: bool
-    #: The canonical cache key (source text, canonical options tuple).
-    key: tuple[str, tuple]
-    #: True when ``cache=False`` bypassed the cache entirely.
-    bypassed: bool = False
-
-
-def clear_compile_cache() -> None:
-    """Drop every cached program and zero the counters, atomically."""
-    with _CACHE_LOCK:
-        _COMPILE_CACHE.clear()
-        compile_cache_stats["hits"] = 0
-        compile_cache_stats["misses"] = 0
-
-
-def compile_cache_stats_snapshot() -> dict[str, int]:
-    """A consistent copy of the aggregate hit/miss counters."""
-    with _CACHE_LOCK:
-        return dict(compile_cache_stats)
-
-
-def compile_source_with_info(
-        source: str,
-        options: CompileOptions | None = None,
-        cache: bool = True) -> tuple[CompiledProgram, CompileCacheInfo]:
-    """:func:`compile_source` plus this call's cache outcome.
-
-    Thread-safe: concurrent callers with the same (source, options) all
-    receive the *same* :class:`CompiledProgram` object.  Translation
-    runs outside the lock so distinct programs compile concurrently; on
-    an insert race the first finisher's program wins and later
-    finishers discard theirs (each performed translation still counts
-    as a miss in the aggregate stats).
-    """
-    key = (source, canonical_options_key(options))
-    if not cache:
-        return (compile_program(parse(source), options),
-                CompileCacheInfo(hit=False, key=key, bypassed=True))
-    with _CACHE_LOCK:
-        hit = _COMPILE_CACHE.get(key)
-        if hit is not None:
-            compile_cache_stats["hits"] += 1
-            return hit, CompileCacheInfo(hit=True, key=key)
-    compiled = compile_program(parse(source), options)
-    with _CACHE_LOCK:
-        compile_cache_stats["misses"] += 1
-        winner = _COMPILE_CACHE.setdefault(key, compiled)
-    return winner, CompileCacheInfo(hit=False, key=key)
-
-
 def compile_source(source: str,
-                   options: CompileOptions | None = None,
-                   cache: bool = True) -> CompiledProgram:
-    """Parse and translate an OpenACC C program (memoized, thread-safe).
-
-    Pass ``cache=False`` to force a fresh translation (tests that mutate
-    the returned structures should)."""
-    return compile_source_with_info(source, options, cache)[0]
+                   options: CompileOptions | None = None) -> CompiledProgram:
+    """Parse and translate an OpenACC C program, every call afresh
+    (``repro.compile`` shares programs through the serve registry)."""
+    return compile_program(parse(source), options)
 
 
 def compile_program(program: C.Program,
@@ -422,7 +339,7 @@ def _compile_function(func: C.FunctionDef, scope: Scope,
     # plans, so per-loop reports and lookups are unchanged.
     if options.fuse and len(func_plans) > 1:
         from .fusion import fuse_function
-        fuse_function(func, func_plans, scope, compiled, options)
+        fuse_function(func, func_plans, scope, compiled)
 
 
 def _walk_outside_regions(body: C.Stmt, compiled: CompiledProgram):

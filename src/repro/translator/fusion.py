@@ -92,7 +92,7 @@ from .vectorizer import (
 
 if TYPE_CHECKING:
     from ..frontend.symbols import Scope
-    from .compiler import CompiledProgram, CompileOptions, KernelPlan
+    from .compiler import CompiledProgram, KernelPlan
 
 # ---------------------------------------------------------------------------
 # Pass results (surfaced through CompiledProgram / repro.explain)
@@ -246,15 +246,9 @@ def solo_bail(plan: "KernelPlan") -> str | None:
     return None
 
 
-def check_member(members: list["KernelPlan"], cand: "KernelPlan",
-                 force: bool = False) -> str | None:
-    """Why ``cand`` cannot join the group, or None when it can.
-
-    ``force`` (a testing hook: ``CompileOptions(fuse_force=True)``)
-    skips the *dependence* legality rules while keeping the mechanical
-    requirements -- the brute-force differential suite uses it to show
-    that dependence-bailed pairs really do diverge when force-fused.
-    """
+def check_member(members: list["KernelPlan"],
+                 cand: "KernelPlan") -> str | None:
+    """Why ``cand`` cannot join the group, or None when it can."""
     first = members[0]
     reason = solo_bail(cand)
     if reason is not None:
@@ -267,14 +261,13 @@ def check_member(members: list["KernelPlan"], cand: "KernelPlan",
     if cand.block_dim != first.block_dim or cand.max_gangs != first.max_gangs:
         return "launch geometry clauses differ"
     for m in members:
-        reason = _check_pair(m, cand, force)
+        reason = _check_pair(m, cand)
         if reason is not None:
             return reason
     return None
 
 
-def _check_pair(m: "KernelPlan", cand: "KernelPlan",
-                force: bool) -> str | None:
+def _check_pair(m: "KernelPlan", cand: "KernelPlan") -> str | None:
     shared = set(m.config.arrays) & set(cand.config.arrays)
     for name in sorted(shared):
         a, b = m.config.arrays[name], cand.config.arrays[name]
@@ -284,27 +277,36 @@ def _check_pair(m: "KernelPlan", cand: "KernelPlan",
             return f"window mismatch on {name!r}"
         if a.written and b.written and a.write_handling != b.write_handling:
             return f"write handling mismatch on {name!r}"
-        if force:
-            continue
-        if not (a.written and (b.read or b.written)):
-            continue  # no flow/output dependence; anti deps always safe
-        sm = _access_shape(m, name)
-        sc = _access_shape(cand, name)
-        if sm.irregular or sc.irregular:
-            return f"irregular access to {name!r} across members"
-        if sm.coeff is None or sc.coeff is None or sm.coeff != sc.coeff:
-            return f"mixed strides on {name!r} across members"
-        w = sm.coeff
-        if w <= 0:
-            return f"non-positive stride on {name!r}"
-        for bw in sorted(sm.writes):
-            for rd in sorted(sc.reads):
-                if _offsets_disjoint(bw, rd, w) is None:
-                    return f"cross-iteration flow on {name!r}"
-            if a.placement == Placement.REPLICA:
-                for cw in sorted(sc.writes):
-                    if _offsets_disjoint(bw, cw, w) is None:
-                        return f"replica write-write conflict on {name!r}"
+        reason = dependence_bail(m, cand, name)
+        if reason is not None:
+            return reason
+    return None
+
+
+def dependence_bail(m: "KernelPlan", cand: "KernelPlan",
+                    name: str) -> str | None:
+    """Why a flow or output dependence on the shared array ``name``
+    keeps ``cand`` from running fused after ``m``, or None."""
+    a, b = m.config.arrays[name], cand.config.arrays[name]
+    if not (a.written and (b.read or b.written)):
+        return None  # no flow/output dependence; anti deps always safe
+    sm = _access_shape(m, name)
+    sc = _access_shape(cand, name)
+    if sm.irregular or sc.irregular:
+        return f"irregular access to {name!r} across members"
+    if sm.coeff is None or sc.coeff is None or sm.coeff != sc.coeff:
+        return f"mixed strides on {name!r} across members"
+    w = sm.coeff
+    if w <= 0:
+        return f"non-positive stride on {name!r}"
+    for bw in sorted(sm.writes):
+        for rd in sorted(sc.reads):
+            if _offsets_disjoint(bw, rd, w) is None:
+                return f"cross-iteration flow on {name!r}"
+        if a.placement == Placement.REPLICA:
+            for cw in sorted(sc.writes):
+                if _offsets_disjoint(bw, cw, w) is None:
+                    return f"replica write-write conflict on {name!r}"
     return None
 
 
@@ -705,8 +707,7 @@ def _has_update(stmt: C.Stmt) -> bool:
 
 
 def fuse_function(func: C.FunctionDef, func_plans: list["KernelPlan"],
-                  scope: "Scope", compiled: "CompiledProgram",
-                  options: "CompileOptions") -> None:
+                  scope: "Scope", compiled: "CompiledProgram") -> None:
     """Run the fusion pass over one function (mutates ``compiled``)."""
     counter = len(compiled.fusion_groups)
 
@@ -714,12 +715,12 @@ def fuse_function(func: C.FunctionDef, func_plans: list["KernelPlan"],
     for region in _regions_in_order(func, compiled):
         if len(region.plans) > 1:
             counter = _fuse_within_region(region, func, func_plans, scope,
-                                          compiled, options, counter)
+                                          compiled, counter)
 
     # Cross-region runs: adjacent single-loop region statements.
     for run in _adjacent_region_runs(func, compiled):
         counter = _fuse_run(run, func, func_plans, scope, compiled,
-                            options, counter)
+                            counter)
 
 
 def _regions_in_order(func: C.FunctionDef, compiled: "CompiledProgram"):
@@ -761,7 +762,7 @@ def _adjacent_region_runs(func: C.FunctionDef, compiled: "CompiledProgram"):
     return runs
 
 
-def _fuse_within_region(region, func, func_plans, scope, compiled, options,
+def _fuse_within_region(region, func, func_plans, scope, compiled,
                         counter: int) -> int:
     i = 0
     while i < len(region.plans) - 1:
@@ -777,7 +778,7 @@ def _fuse_within_region(region, func, func_plans, scope, compiled, options,
         j = i + 1
         while j < len(region.plans):
             cand = region.plans[j]
-            reason = check_member(members, cand, force=options.fuse_force)
+            reason = check_member(members, cand)
             if reason is not None:
                 compiled.fusion_bails.append(FusionBail(
                     first=members[-1].name, second=cand.name, reason=reason))
@@ -797,7 +798,7 @@ def _fuse_within_region(region, func, func_plans, scope, compiled, options,
     return counter
 
 
-def _fuse_run(run, func, func_plans, scope, compiled, options,
+def _fuse_run(run, func, func_plans, scope, compiled,
               counter: int) -> int:
     i = 0
     while i < len(run) - 1:
@@ -821,8 +822,7 @@ def _fuse_run(run, func, func_plans, scope, compiled, options,
             if reason is None and _has_update(stmt):
                 reason = "update directive between members"
             if reason is None:
-                reason = check_member(members, cand,
-                                      force=options.fuse_force)
+                reason = check_member(members, cand)
             if reason is not None:
                 compiled.fusion_bails.append(FusionBail(
                     first=members[-1].name, second=cand.name, reason=reason))

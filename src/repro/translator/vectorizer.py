@@ -1322,7 +1322,7 @@ class Vectorizer:
 #: host programs are pure functions of their arguments (no free
 #: variables beyond the helpers seeded at exec, no module state), so one
 #: exec serves every program that generates identical source --
-#: recompiles with ``cache=False``, registry thaws and repeated runs
+#: fresh translations of one source, registry thaws and repeated runs
 #: skip the compile+exec entirely.
 _EXEC_CACHE: dict[str, dict] = {}
 _EXEC_CACHE_MAX = 512

@@ -167,14 +167,9 @@ class Platform:
         devices before :meth:`sync_devices` overlap.  Returns the
         modeled duration in seconds.
         """
-        dev = self.devices[device]
         fn(*args)
-        seconds = dev.kernel_time(work, config)
-        start = max(dev.busy_until, self.clock.now)
-        rec = dev.record_launch(kernel_name, work, config, seconds)
-        rec.start = start
-        dev.busy_until = start + seconds
-        return seconds
+        return self.devices[device].queue_launch(kernel_name, work, config,
+                                                 self.clock.now)
 
     def sync_devices(self, category: str = CATEGORY_KERNELS) -> float:
         """Host-side ``cudaDeviceSynchronize`` over all devices.

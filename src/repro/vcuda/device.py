@@ -146,17 +146,27 @@ class Device:
         return max(config.grid_dim / needed, 1.0 / needed)
 
     def record_launch(
-        self, kernel_name: str, work: KernelWork, config: LaunchConfig, seconds: float
+        self, kernel_name: str, work: KernelWork, config: LaunchConfig,
+        seconds: float, start: float = 0.0,
     ) -> KernelLaunchRecord:
-        rec = KernelLaunchRecord(
-            kernel_name=kernel_name,
-            device_index=self.index,
-            config=config,
-            work=work,
-            seconds=seconds,
-        )
+        rec = KernelLaunchRecord(kernel_name, self.index, config, work,
+                                 seconds, start)
         self.launches.append(rec)
         return rec
+
+    def queue_launch(self, kernel_name: str, work: KernelWork,
+                     config: LaunchConfig, *floors: float) -> float:
+        """Price a launch and put it on this device's timeline.
+
+        It starts when the device's queued work ends or at the latest of
+        ``floors`` (the host clock, input readiness), whichever is
+        later.  Returns the modeled seconds.
+        """
+        seconds = self.kernel_time(work, config)
+        start = max(self.busy_until, *floors)
+        self.record_launch(kernel_name, work, config, seconds, start)
+        self.busy_until = start + seconds
+        return seconds
 
     def busy_intervals(self, since: float) -> list[tuple[float, float]]:
         """``(start, end)`` of recorded launches still running at ``since``.

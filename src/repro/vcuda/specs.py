@@ -226,6 +226,41 @@ GIGABIT_ETHERNET = NicSpec(
 )
 
 
+def _gpu_mix(machine) -> dict[str, int]:
+    """GPU model name -> slot count, in slot order."""
+    counts: dict[str, int] = {}
+    for g in machine.gpu_specs:
+        counts[g.name] = counts.get(g.name, 0) + 1
+    return counts
+
+
+def _is_heterogeneous(machine) -> bool:
+    return len(_gpu_mix(machine)) > 1
+
+
+def _gpu_mix_label(machine) -> str:
+    """Human-readable GPU model mix, e.g. ``2x A + 1x B``."""
+    counts = _gpu_mix(machine)
+    if len(counts) == 1:
+        return next(iter(counts))
+    return " + ".join(f"{n}x {name}" for name, n in counts.items())
+
+
+def _subset_slots(machine, slots) -> tuple[int, ...]:
+    """``slots`` as a tuple, checked against ``machine``'s GPU slots."""
+    slots = tuple(slots)
+    if not slots:
+        raise ValueError("subset needs at least one GPU slot")
+    if len(set(slots)) != len(slots):
+        raise ValueError(f"duplicate GPU slots in subset: {slots}")
+    for s in slots:
+        if not (0 <= s < machine.gpu_count):
+            raise ValueError(
+                f"slot {s} out of range for {machine.name} "
+                f"({machine.gpu_count} GPUs)")
+    return slots
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """One evaluation platform of Table I.
@@ -272,19 +307,8 @@ class MachineSpec:
             return self.gpus
         return (self.gpu,) * self.gpu_count
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        return len({g.name for g in self.gpu_specs}) > 1
-
-    @property
-    def gpu_mix_label(self) -> str:
-        """Human-readable GPU model mix, e.g. ``2x A + 1x B``."""
-        counts: dict[str, int] = {}
-        for g in self.gpu_specs:
-            counts[g.name] = counts.get(g.name, 0) + 1
-        if len(counts) == 1:
-            return next(iter(counts))
-        return " + ".join(f"{n}x {name}" for name, n in counts.items())
+    is_heterogeneous = property(_is_heterogeneous)
+    gpu_mix_label = property(_gpu_mix_label)
 
     @property
     def total_cpu_threads(self) -> int:
@@ -319,16 +343,7 @@ class MachineSpec:
         peer-transfer penalty it would on the real node.  CPU and bus
         are shared-machine resources and carry over unchanged.
         """
-        slots = tuple(slots)
-        if not slots:
-            raise ValueError("subset needs at least one GPU slot")
-        if len(set(slots)) != len(slots):
-            raise ValueError(f"duplicate GPU slots in subset: {slots}")
-        for s in slots:
-            if not (0 <= s < self.gpu_count):
-                raise ValueError(
-                    f"slot {s} out of range for {self.name} "
-                    f"({self.gpu_count} GPUs)")
+        slots = _subset_slots(self, slots)
         specs = self.gpu_specs
         return MachineSpec(
             name=f"{self.name} [slots {','.join(map(str, slots))}]",
@@ -485,18 +500,8 @@ class ClusterSpec:
     def gpu_hub(self) -> tuple[int, ...]:
         return tuple(self.hub_of(g) for g in range(self.gpu_count))
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        return len({g.name for g in self.gpu_specs}) > 1
-
-    @property
-    def gpu_mix_label(self) -> str:
-        counts: dict[str, int] = {}
-        for g in self.gpu_specs:
-            counts[g.name] = counts.get(g.name, 0) + 1
-        if len(counts) == 1:
-            return next(iter(counts))
-        return " + ".join(f"{n}x {name}" for name, n in counts.items())
+    is_heterogeneous = property(_is_heterogeneous)
+    gpu_mix_label = property(_gpu_mix_label)
 
     # -- fleet carving -------------------------------------------------------
 
@@ -512,16 +517,7 @@ class ClusterSpec:
         link overrides between them -- a spanning placement keeps
         paying cross-node prices, it never collapses onto one PCIe bus.
         """
-        slots = tuple(slots)
-        if not slots:
-            raise ValueError("subset needs at least one GPU slot")
-        if len(set(slots)) != len(slots):
-            raise ValueError(f"duplicate GPU slots in subset: {slots}")
-        for s in slots:
-            if not (0 <= s < self.gpu_count):
-                raise ValueError(
-                    f"slot {s} out of range for {self.name} "
-                    f"({self.gpu_count} GPUs)")
+        slots = _subset_slots(self, slots)
         by_node: dict[int, list[int]] = {}
         for s in slots:
             by_node.setdefault(self.node_of(s), []).append(self.local_gpu(s))

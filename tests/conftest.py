@@ -18,3 +18,14 @@ def recycler(monkeypatch):
     rec = memory.StorageRecycler(memory.RECYCLE_CAP)
     monkeypatch.setattr(memory, "RECYCLER", rec)
     return rec
+
+
+@pytest.fixture
+def programs(monkeypatch):
+    """A fresh, empty program store in place of the process's (the one
+    behind ``repro.compile`` and a registry-less ``ProgramService``)."""
+    from repro.serve import registry
+
+    store = registry.ProgramRegistry()
+    monkeypatch.setattr(registry, "PROGRAMS", store)
+    return store

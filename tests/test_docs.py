@@ -111,7 +111,8 @@ class TestChoosingFlags:
 
     def test_retired_flags_are_not_advertised(self):
         section = self._section()
-        for retired in ("engine", "require_vectorized", "fastpath"):
+        for retired in ("engine", "require_vectorized", "fastpath",
+                        "fuse_force"):
             assert f"`{retired}`" not in section, retired
 
     def test_documented_collective_modes_exist(self):

@@ -8,9 +8,9 @@ Three layers:
   ``b`` and read offset ``c`` in [-2, 2]) and check the analysis
   against ground truth *in both directions*: pairs it calls legal must
   fuse and stay bit-identical to the unfused run at 1/2/4 GPUs, and
-  pairs it bails on must -- when force-fused via the ``fuse_force``
-  testing hook -- actually diverge on multi-GPU runs (proving the bail
-  was load-bearing, not conservative paranoia).
+  pairs it bails on must -- when force-fused by stubbing out
+  ``fusion.dependence_bail`` -- actually diverge on multi-GPU runs
+  (proving the bail was load-bearing, not conservative paranoia).
 
 * **Structural unit tests** -- group formation, demotion, recorded
   bail reasons, trace tagging, explain reporting.
@@ -25,6 +25,7 @@ import pytest
 import repro
 from repro.apps import ALL_APPS, EXTRA_APPS
 from repro.bench.machines import hypothetical_node
+from repro.translator import fusion
 from repro.translator.compiler import CompileOptions
 from repro.vcuda.specs import MACHINES
 from tests.interp_oracle import oracle
@@ -109,7 +110,6 @@ def fusion_legal(w, b, c):
 #: the enumeration isolates the *dependence* rules (no distribution
 #: window mismatches muddying which check fired).
 REPLICA = CompileOptions(infer=False, fuse=True)
-REPLICA_FORCE = CompileOptions(infer=False, fuse=True, fuse_force=True)
 REPLICA_OFF = CompileOptions(infer=False)
 
 CASES = [(w, b, c) for w in COEFFS for b in OFFSETS for c in OFFSETS]
@@ -145,22 +145,28 @@ ILLEGAL_IDS = [f"w{w}_b{b}_c{c}" for w, b, c in ILLEGAL_CASES]
 
 
 @pytest.mark.parametrize("w,b,c", ILLEGAL_CASES, ids=ILLEGAL_IDS)
-def test_bailed_pairs_really_diverge_when_forced(w, b, c):
+def test_bailed_pairs_really_diverge_when_forced(w, b, c, monkeypatch,
+                                                programs):
     """Every dependence bail is load-bearing: force-fusing the pair
     diverges on multi-GPU runs (while single-GPU stays identical --
-    the hazard is exactly the cross-GPU flow the pass protects)."""
+    the hazard is exactly the cross-GPU flow the pass protects).
+
+    Forcing skips the dependence rules only; the mechanical
+    requirements still apply.  The fresh ``programs`` store matters:
+    the oracle test already compiled this pair unforced."""
+    monkeypatch.setattr(fusion, "dependence_bail", lambda *args: None)
     src = flow_program(w, b, c)
     args = flow_args(w)
-    _, compiled = run_source(src, args, 1, REPLICA_FORCE)
-    assert compiled.fusion_groups, "fuse_force must override the bail"
+    _, compiled = run_source(src, args, 1, REPLICA)
+    assert compiled.fusion_groups, "forcing must override the bail"
 
-    one_fused, _ = run_source(src, args, 1, REPLICA_FORCE)
+    one_fused, _ = run_source(src, args, 1, REPLICA)
     one_plain, _ = run_source(src, args, 1, REPLICA_OFF)
     np.testing.assert_array_equal(one_fused["out"], one_plain["out"])
 
     diverged = False
     for ngpus in (2, 4):
-        fused, _ = run_source(src, args, ngpus, REPLICA_FORCE)
+        fused, _ = run_source(src, args, ngpus, REPLICA)
         unfused, _ = run_source(src, args, ngpus, REPLICA_OFF)
         if not np.array_equal(fused["out"], unfused["out"]):
             diverged = True

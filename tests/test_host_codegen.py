@@ -37,7 +37,7 @@ from repro.apps import ALL_APPS, EXTRA_APPS, AppSpec
 from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
 from repro.serve.registry import freeze_program, thaw_program
-from repro.translator.compiler import CompileOptions, clear_compile_cache
+from repro.translator.compiler import CompileOptions
 from tests.host_oracle import run_with_walker
 from tests.interp_oracle import ExprEvaluator
 from tests.test_fortran_apps import MD_FORTRAN
@@ -716,9 +716,9 @@ class TestNoAstAtRunTime:
                               capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
 
-    def test_host_text_is_execd_once_per_process(self, monkeypatch):
+    def test_host_text_is_execd_once_per_process(self, monkeypatch,
+                                                 programs):
         spec = APPS["kmeans"]
-        clear_compile_cache()
         # A source no other test compiled, so the first run must exec.
         prog = repro.compile(spec.source + "\n/* exec-count probe */\n"
                              "int probe_only_here(int v) { return v + 1; }\n")

@@ -162,7 +162,7 @@ class TestWindowSynthesis:
               for (int i = 0; i < n; i++) {{ y[i] = a[i]; }}
             }}
             """
-            cp = compile_source(src, cache=False)
+            cp = compile_source(src)
             cfg = cp.plans[0].config.arrays["a"]
             assert static_window_span(cfg.window, "i") == span, span
 
@@ -210,7 +210,7 @@ class TestWriteRules:
           for (int i = 1; i < n - 1; i++) { b[i] = a[i - 1] + a[i + 1]; }
         }
         """
-        cp = compile_source(src, cache=False)
+        cp = compile_source(src)
         cfg = cp.plans[0].config.arrays["b"]
         assert cfg.placement == Placement.DISTRIBUTED
         assert cfg.window_origin == "inferred"
@@ -283,7 +283,7 @@ class TestPrecedenceAndDisable:
         # Declare a *wider* window than inference would pick: the
         # declared one must survive untouched.
         src = TWO_SWEEP % ("#pragma acc localaccess a[stride(1, 2, 2)]", "")
-        cp = compile_source(src, cache=False)
+        cp = compile_source(src)
         cfg = cp.plans[0].config.arrays["a"]
         assert cfg.window_origin == "declared"
         assert cfg.window.spec is not None
@@ -293,7 +293,7 @@ class TestPrecedenceAndDisable:
 
     def test_infer_false_reproduces_paper_behavior(self):
         src = TWO_SWEEP % ("", "")
-        cp = compile_source(src, CompileOptions(infer=False), cache=False)
+        cp = compile_source(src, CompileOptions(infer=False))
         for plan in cp.plans:
             for name, cfg in plan.config.arrays.items():
                 assert cfg.placement == Placement.REPLICA, name
@@ -327,7 +327,7 @@ class TestHarmonization:
         # write window must widen to the read envelope so both loops
         # request identical blocks.  `b` is [i, i] in both loops and
         # needs no widening.
-        cp = compile_source(TWO_SWEEP % ("", ""), cache=False)
+        cp = compile_source(TWO_SWEEP % ("", ""))
         for plan in cp.plans:
             for name, span in [("a", (1, -1, 1)), ("b", (1, 0, 0))]:
                 cfg = plan.config.arrays[name]
@@ -346,13 +346,13 @@ class TestHarmonization:
           for (int i = 0; i < n - 3; i++) { a[i] = y[i]; }
         }
         """
-        cp = compile_source(src, cache=False)
+        cp = compile_source(src)
         assert cp.plans[0].config.arrays["a"].inferred_span == (1, 3, 3)
         assert cp.plans[1].config.arrays["a"].inferred_span == (1, 0, 0)
 
     def test_inferred_aligns_to_declared_window(self):
         src = TWO_SWEEP % ("#pragma acc localaccess a[stride(1, 1, 1)]", "")
-        cp = compile_source(src, cache=False)
+        cp = compile_source(src)
         # Loop 1's inferred window for `a` must widen to the declared
         # stride(1,1,1) of loop 0 so the loader block signatures match.
         cfg0 = cp.plans[0].config.arrays["a"]
@@ -388,9 +388,8 @@ class TestDifferential:
         assert run_i.executor.comm.bytes_replica == 0
 
     def test_inferred_matches_annotated_configs(self):
-        annotated = compile_source(stencil.SOURCE, cache=False)
-        inferred = compile_source(strip_localaccess(stencil.SOURCE),
-                                  cache=False)
+        annotated = compile_source(stencil.SOURCE)
+        inferred = compile_source(strip_localaccess(stencil.SOURCE))
         for pa, pi in zip(annotated.plans, inferred.plans):
             for name, cfg_a in pa.config.arrays.items():
                 cfg_i = pi.config.arrays[name]
@@ -413,7 +412,7 @@ class TestDifferential:
         # Narrow an adopted window by hand: sanitized runs must flag it
         # as an inference bug, not a user error.
         bare = strip_localaccess(stencil.SOURCE)
-        cp = compile_source(bare, cache=False)
+        cp = compile_source(bare)
         for plan in cp.plans:
             cfg = plan.config.arrays["a"]
             cfg.window = window_from_span((1, 0, 0), plan.config.loop_var)
@@ -473,7 +472,7 @@ class TestSanitizedFuzz:
                 np.testing.assert_array_equal(args["y"], base["y"])
         # Inference must adopt windows for x and w (pure affine
         # reads), whatever it decided for the written array.
-        cp = compile_source(src, cache=False)
+        cp = compile_source(src)
         for name in ("x", "w"):
             assert cp.plans[0].config.arrays[name].window_origin \
                 == "inferred"

@@ -7,19 +7,11 @@ both halves: scheduling semantics on the vcuda primitives, and
 end-to-end equality of application outputs with overlap on vs off.
 """
 
-import time
-
 import numpy as np
 import pytest
 
 import repro
 from repro.apps import ALL_APPS, EXTRA_APPS
-from repro.translator.compiler import (
-    CompileOptions,
-    clear_compile_cache,
-    compile_cache_stats,
-    compile_source,
-)
 from repro.vcuda import (
     CATEGORY_CPU_GPU,
     CATEGORY_GPU_GPU,
@@ -242,72 +234,3 @@ class TestCoalescing:
             assert np.array_equal(base[name], outs[name]), name
         # Fewer per-DMA latencies -> no slower end to end.
         assert on.elapsed <= off.elapsed * (1 + 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# Compilation cache
-# ---------------------------------------------------------------------------
-
-
-class TestCompileCache:
-    def setup_method(self):
-        clear_compile_cache()
-
-    def teardown_method(self):
-        clear_compile_cache()
-
-    def test_hit_returns_identical_program(self):
-        src = APPS["bfs"].source
-        a = compile_source(src)
-        b = compile_source(src)
-        assert a is b
-        assert compile_cache_stats["hits"] == 1
-        assert compile_cache_stats["misses"] == 1
-
-    def test_options_participate_in_key(self):
-        src = APPS["kmeans"].source
-        a = compile_source(src)
-        b = compile_source(src, CompileOptions(layout_transform=False))
-        c = compile_source(src, CompileOptions(layout_transform=False))
-        assert a is not b
-        assert b is c
-
-    def test_cache_false_bypasses(self):
-        src = APPS["md"].source
-        a = compile_source(src)
-        b = compile_source(src, cache=False)
-        assert a is not b
-        assert compile_cache_stats["hits"] == 0
-
-    def test_clear_forgets(self):
-        src = APPS["md"].source
-        a = compile_source(src)
-        clear_compile_cache()
-        b = compile_source(src)
-        assert a is not b
-
-    def test_hit_is_measurably_faster(self):
-        src = APPS["bfs"].source
-        clear_compile_cache()
-        t0 = time.perf_counter()
-        compile_source(src)
-        miss = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        compile_source(src)
-        hit = time.perf_counter() - t0
-        # A hit is a dict lookup; a miss parses + vectorizes.  Even on a
-        # noisy machine an order of magnitude separates them; assert a
-        # conservative 2x.
-        assert hit < miss / 2
-
-    def test_cached_program_runs_are_independent(self):
-        # Two runs off one cached program must not share runtime state.
-        app = APPS["kmeans"]
-        prog = repro.compile(app.source)
-        args1 = app.args_for("test")
-        args2 = app.args_for("test")
-        r1 = prog.run(app.entry, args1, machine="desktop", ngpus=2)
-        r2 = prog.run(app.entry, args2, machine="desktop", ngpus=2)
-        assert r1.elapsed == pytest.approx(r2.elapsed)
-        for name in app.outputs:
-            assert np.array_equal(args1[name], args2[name])

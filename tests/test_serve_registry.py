@@ -46,7 +46,6 @@ from repro.serve.registry import (
 from repro.translator import compiler
 from repro.translator.compiler import (
     CompileOptions,
-    clear_compile_cache,
     compile_program,
     compile_source,
 )
@@ -91,7 +90,7 @@ def _case(name):
                 "md", lambda: MD_C.args_for("tiny"))
     spec = APPS[name]
     return (spec.source,
-            lambda options: compile_source(spec.source, options, cache=False),
+            lambda options: compile_source(spec.source, options),
             spec.entry, lambda: spec.args_for("tiny"))
 
 
@@ -124,9 +123,9 @@ class TestFreezeThaw:
         runs, and every thread gets the same report."""
         spec = APPS["gradpipe"]
         revived = thaw_program(freeze_program(
-            compile_source(spec.source, FUSE, cache=False)))
+            compile_source(spec.source, FUSE)))
         expected = repro.AccProgram(
-            compile_source(spec.source, FUSE, cache=False)).explain().render()
+            compile_source(spec.source, FUSE)).explain().render()
         translations = []
         plain = compiler.compile_program
 
@@ -163,13 +162,13 @@ class TestFreezeThaw:
         assert reports == [expected] * n
 
     def test_full_is_the_program_itself_when_it_has_its_tree(self):
-        fresh = compile_source(APPS["md"].source, cache=False)
+        fresh = compile_source(APPS["md"].source)
         assert fresh.full() is fresh
 
     def test_full_refuses_a_translation_that_differs(self):
         spec = APPS["stencil"]
         revived = thaw_program(freeze_program(
-            compile_source(spec.source, cache=False)))
+            compile_source(spec.source)))
         revived.host_source += "\n# not what this source translates to\n"
         with pytest.raises(compiler.CompileError, match="does not reproduce"):
             revived.full()
@@ -183,7 +182,7 @@ class TestFreezeThaw:
     def test_freeze_leaves_the_original_runnable(self):
         """Freezing must not strip the live program's kernel callables."""
         spec = APPS["stencil"]
-        original = compile_source(spec.source, cache=False)
+        original = compile_source(spec.source)
         freeze_program(original)
         assert all(p.fn is not None for p in original.plans
                    if p.source_info is not None)
@@ -213,7 +212,7 @@ class TestKeys:
 class TestCorruptEntries:
     def _store(self, registry, app_name="stencil"):
         spec = APPS[app_name]
-        compiled = compile_source(spec.source, cache=False)
+        compiled = compile_source(spec.source)
         path = registry.put(spec.source, None, compiled)
         # Evict the in-process front so get() really reads the disk.
         registry._memory.clear()
@@ -296,7 +295,7 @@ class TestTranslatorFingerprint:
         kernels differ from what this one emits -- is evicted and
         recompiled, never run as is."""
         spec = APPS["shift_scale"]
-        stale = compile_source(spec.source, cache=False)
+        stale = compile_source(spec.source)
         for plan in stale.plans:
             plan.source_info.source += "# emitted by an older translator\n"
         monkeypatch.setattr(registry_mod, "translator_fingerprint",
@@ -309,7 +308,7 @@ class TestTranslatorFingerprint:
         assert outcome == "compiled"
         assert fresh_registry.stats_snapshot()["foreign_evictions"] == 1
         assert "another translator" in caplog.text
-        fresh = compile_source(spec.source, cache=False)
+        fresh = compile_source(spec.source)
         assert [p.source for p in program.plans] == \
             [p.source for p in fresh.plans]
         # The recompiled entry is this translator's: the next process hits.
@@ -372,8 +371,16 @@ class TestLoadOrCompile:
         _, fourth = fresh.load_or_compile(src)
         assert (third, fourth) == ("hit_disk", "hit_memory")
 
+    def test_memory_only_store_touches_no_disk(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = ProgramRegistry()
+        src = APPS["jacobi"].source
+        outcomes = [store.load_or_compile(src)[1] for _ in range(2)]
+        assert outcomes == ["compiled", "hit_memory"]
+        assert store.stats_snapshot()["stores"] == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_flight_under_contention(self, registry):
-        clear_compile_cache()
         src = APPS["heat2d"].source
         n = 12
         barrier = threading.Barrier(n)

@@ -2,7 +2,7 @@
 
 Two layers of concurrency guarantees are pinned here.  The *substrate*
 layer (no service involved): N threads compiling through the shared
-caches and running programs on disjoint carved sub-fleets produce
+program store and running programs on disjoint carved sub-fleets produce
 bit-identical arrays to the same programs run serially.  The *service*
 layer: the acceptance-criteria smoke -- 64+ queued requests submitted
 concurrently against a modeled 16-GPU fleet, every one completing with
@@ -33,7 +33,7 @@ from repro.trace.events import (
     EVENT_REQ_PLACED,
     REQUEST_KINDS,
 )
-from repro.translator.compiler import CompileOptions, compile_source
+from repro.translator.compiler import CompileOptions
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
 FLEET16 = hypothetical_node(16, gpus_per_hub=4)
@@ -56,9 +56,8 @@ def serial_baseline(app_name, ngpus, options=None):
     """Output arrays of one app run serially (fresh args, no service)."""
     spec = APPS[app_name]
     args = spec.args_for("tiny")
-    program = compile_source(spec.source, options)
-    repro.AccProgram(program).run(spec.entry, args, machine=FLEET16,
-                                  ngpus=ngpus)
+    repro.compile(spec.source, options).run(spec.entry, args,
+                                            machine=FLEET16, ngpus=ngpus)
     return {k: v.copy() for k, v in args.items()
             if isinstance(v, np.ndarray)}
 
@@ -100,8 +99,7 @@ class TestSubstrateConcurrency:
             args = spec.args_for("tiny")
             barrier.wait()
             try:
-                program = compile_source(spec.source, options)
-                repro.AccProgram(program).run(
+                repro.compile(spec.source, options).run(
                     spec.entry, args, machine=FLEET16.subset(slots),
                     ngpus=ngpus)
                 results[i] = args
@@ -219,8 +217,7 @@ class TestLifecycleObservability:
             assert ev.attrs["service_seconds"] > 0
             assert ev.attrs["modeled_seconds"] > 0
             assert ev.attrs["compile_outcome"] in (
-                "cache_hit", "cache_miss", "hit_memory", "hit_disk",
-                "compiled")
+                "hit_memory", "hit_disk", "compiled")
 
         metrics = service.tracer.metrics
         assert metrics.counter_total("requests_enqueued") == 2
@@ -245,7 +242,7 @@ class TestLifecycleObservability:
         rec.result(timeout=120)
         assert rec.wait_seconds is not None and rec.wait_seconds >= 0
         assert rec.service_seconds > 0
-        assert rec.compile_outcome in ("cache_hit", "cache_miss")
+        assert rec.compile_outcome in ("compiled", "hit_memory")
 
 
 def hold_workers(service):
@@ -354,6 +351,16 @@ class TestServiceWithRegistry:
         service2.submit(make_request("stencil", 2, label="warm"))
         [rec] = service2.drain(timeout=120)
         assert rec.compile_outcome == "hit_disk"
+
+    def test_without_a_registry_the_process_store_serves(self, programs):
+        service = ProgramService(FLEET16)
+        for i in range(3):
+            service.submit(make_request("stencil", 2, label=f"p{i}"))
+        records = service.drain(timeout=120)
+        assert sorted(r.compile_outcome for r in records) == \
+            ["compiled", "hit_memory", "hit_memory"]
+        assert service.report().registry_stats == programs.stats_snapshot()
+        assert programs.stats_snapshot()["compiles"] == 1
 
 
 class TestFairnessUnderLoad:
