@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.apps import ALL_APPS, EXTRA_APPS
+from repro.translator.compiler import CompileOptions, compile_source
 from repro.vcuda import (
     CATEGORY_CPU_GPU,
     CATEGORY_GPU_GPU,
@@ -234,3 +235,40 @@ class TestCoalescing:
             assert np.array_equal(base[name], outs[name]), name
         # Fewer per-DMA latencies -> no slower end to end.
         assert on.elapsed <= off.elapsed * (1 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Compilation cache: repro.compile shares programs through the process's
+# program store; compile_source translates afresh (see
+# test_compiler_cache.py for the store's full suite)
+# ---------------------------------------------------------------------------
+
+
+class TestCompileCache:
+    @pytest.fixture(autouse=True)
+    def _store(self, programs):
+        self.store = programs
+
+    def test_hit_returns_identical_program(self):
+        src = APPS["bfs"].source
+        a = repro.compile(src).compiled
+        b = repro.compile(src).compiled
+        assert a is b
+        stats = self.store.stats_snapshot()
+        assert stats["memory_hits"] == 1
+        assert stats["compiles"] == 1
+
+    def test_options_participate_in_key(self):
+        src = APPS["kmeans"].source
+        a = repro.compile(src).compiled
+        b = repro.compile(src, CompileOptions(layout_transform=False)).compiled
+        c = repro.compile(src, CompileOptions(layout_transform=False)).compiled
+        assert a is not b
+        assert b is c
+
+    def test_cache_false_bypasses(self):
+        src = APPS["md"].source
+        a = repro.compile(src).compiled
+        b = compile_source(src)
+        assert a is not b
+        assert self.store.stats_snapshot()["memory_hits"] == 0
