@@ -211,6 +211,9 @@ class Transport:
         #: src_gpu, dst_gpu)`` (completions become event dependences).
         self.gate: Any | None = None
         self._node = [platform.node_of(g) for g in range(platform.ngpus)]
+        #: I/O hub per GPU, resolved once (a cluster's ``hub_of`` walks
+        #: its node list on every call).
+        self._hub = [self.machine.hub_of(g) for g in range(platform.ngpus)]
         self._multinode = len(set(self._node)) > 1
         nic = getattr(self.machine, "nic", None)
         #: NIC pipeline chunk (0 on single-node machines: no NIC).
@@ -333,6 +336,21 @@ class Transport:
                     self.bytes_internode += nbytes
         if far:
             self._exchange(array, far)
+
+    def priced_pairs(self, pairs: list[Pair]) -> list[tuple]:
+        """``(src, dst, nbytes, price)``: ``pairs`` as :meth:`pairs`
+        issues them on one node without overlap -- peer copies in list
+        order, no issue floor -- each with its bus price, for
+        :meth:`replay_pairs`."""
+        price = self.bus.price_transfer
+        return [(g, t, n, price("p2p", n, g, t)) for g, t, n in pairs]
+
+    def replay_pairs(self, priced: list[tuple]) -> None:
+        """Issue pairs :meth:`priced_pairs` priced, at those prices."""
+        place = self.bus.place_transfer
+        for g, t, n, price in priced:
+            place("p2p", n, g, t, price)
+        self.transactions += len(priced)
 
     def _exchange(self, array: str | None, far: list[Pair]) -> None:
         """Cross-node pairs, aggregated per (source node, destination
@@ -519,10 +537,10 @@ class Transport:
     def _gpu_order(self, g: int, targets: list[int]) -> list[int]:
         """PCIe-hub-local ring: same-hub peers first so the chain
         crosses the QPI/IOH boundary once per extra hub, not per hop."""
-        src_hub = self.machine.hub_of(g)
+        hub = self._hub
+        src_hub = hub[g]
         rest = sorted(targets)
-        rest.sort(key=lambda t: (self.machine.hub_of(t) != src_hub,
-                                 self.machine.hub_of(t), t))
+        rest.sort(key=lambda t: (hub[t] != src_hub, hub[t], t))
         return [g] + rest
 
     def _gpu_broadcast(self, array: str | None, g: int, targets: list[int],

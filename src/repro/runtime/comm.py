@@ -63,6 +63,14 @@ class CommError(RuntimeError):
     pass
 
 
+#: A synchronous coherence step recorded for replay
+#: (:meth:`CommunicationManager.record_halos`): per array, its name,
+#: halo copies, halo bytes and pairs as :meth:`Transport.priced_pairs`
+#: gives them; then the arrays the step leaves device-ahead.
+HaloRecord = tuple[list[tuple[str, list, int, list[tuple]]],
+                   list[ManagedArray]]
+
+
 @dataclass
 class PendingComm:
     """In-flight coherence traffic of one array (overlap mode)."""
@@ -215,6 +223,39 @@ class CommunicationManager:
                 return self.platform.bus.sync_split()
             return 0.0
         return clock.elapsed_in(CATEGORY_GPU_GPU) - gg0
+
+    def record_halos(self, configs: dict[str, ArrayConfig]) -> HaloRecord:
+        """The coherence step :meth:`after_kernels` just ran for a loop
+        whose arrays are read-only or ``LOCAL_PROVEN``, synchronous and
+        on one node: the halo exchange of each array's layout, every
+        pair priced by the transport."""
+        steps = []
+        for name, cfg in configs.items():
+            if cfg.write_handling == WriteHandling.LOCAL_PROVEN:
+                copies, pairs = self.loader._get(name).halo_plan[1]
+                steps.append((name, copies, sum(n for _, _, n in pairs),
+                              self.transport.priced_pairs(pairs)))
+        return steps, [self.loader._get(name)
+                       for name, cfg in configs.items() if cfg.written]
+
+    def replay_halos(self, record: HaloRecord) -> float:
+        """:meth:`after_kernels` from a :meth:`record_halos` record: the
+        same copies, ledger entries, transactions and transfers, placed
+        at their recorded prices; returns the GPU-GPU seconds."""
+        steps, written = record
+        bus = self.platform.bus
+        self.last_call_bytes = {}
+        for name, copies, nbytes, priced in steps:
+            for dst, src in copies:
+                np.copyto(dst, src)
+            if priced:
+                self._account(name, "halo", nbytes)
+                self.transport.replay_pairs(priced)
+        for ma in written:
+            ma.device_ahead = True
+        if bus.pending_count():
+            return bus.sync_split()
+        return 0.0
 
     # -- overlap bookkeeping -----------------------------------------------------
 

@@ -14,6 +14,10 @@ parallel loop:
    replica writes, routes write misses, refreshes halos and merges
    reductions (``GPU-GPU`` time); scalar reductions finalize into the
    host environment.
+
+A synchronous loop that repeats a launch whose every array skipped its
+reload is not walked through these steps again: the executor replays
+the :class:`LaunchGraph` it recorded (see :meth:`AccExecutor.run_loop`).
 """
 
 from __future__ import annotations
@@ -28,12 +32,17 @@ from ..translator.array_config import LoopConfig, Placement, WriteHandling
 from ..translator.cost import KernelCostInfo
 from ..vcuda.api import Platform
 from ..vcuda.bus import CATEGORY_CPU_GPU, CATEGORY_KERNELS
-from ..vcuda.device import LaunchConfig
+from ..vcuda.device import KernelWork, LaunchConfig
 from .balancer import AdaptiveBalancer
-from .comm import CommunicationManager
-from .data_loader import DataLoader
+from .comm import CommunicationManager, HaloRecord
+from .data_loader import DataLoader, ManagedArray
 from .kernelctx import KernelContext, ScratchArena
+from .partition import split_tasks, window_free_names
 from .reduction_rt import finalize_scalar_reductions
+
+#: Write handlings whose post-kernel traffic is a function of the
+#: layout alone (halo refreshes at most), so a launch graph can hold it.
+_REPLAYABLE = (WriteHandling.NONE, WriteHandling.LOCAL_PROVEN)
 
 
 class KernelPlanLike(Protocol):
@@ -60,6 +69,39 @@ class LoopRunStats:
     load_seconds: float = 0.0
     comm_seconds: float = 0.0
     dyn_counts: list[dict[str, int]] = field(default_factory=list)
+
+
+@dataclass(slots=True)
+class GpuLaunch:
+    """One GPU's share of a recorded launch: its cached context, slice
+    length (0: the kernel runs, nothing launches) and the launch as
+    priced for the trip counts ``dyn_counts``."""
+
+    ctx: KernelContext
+    n: int
+    dyn_counts: dict[str, int] | None = None
+    work: KernelWork | None = None
+    config: LaunchConfig | None = None
+    seconds: float = 0.0
+
+
+@dataclass
+class LaunchGraph:
+    """One synchronous launch of a plan, recorded to be replayed.
+
+    Recorded at a launch whose every array skipped its reload; replayed
+    while :meth:`AccExecutor._graph_key` returns the key it was recorded
+    under, which pins everything the enacted launch read besides the
+    kernel's own data and the live timelines.
+    """
+
+    plan: Any
+    key: tuple
+    tasks: list[tuple[int, int]]
+    kernels: list[GpuLaunch]
+    #: The loop's arrays, in configuration order.
+    arrays: list[ManagedArray]
+    halos: HaloRecord
 
 
 class AccExecutor:
@@ -120,6 +162,14 @@ class AccExecutor:
         if self.tracer is not None and self.balancer is not None:
             self.balancer.tracer = self.tracer
         self.history: list[LoopRunStats] = []
+        #: Latest launch graph per plan (keyed by ``id``; the graph pins
+        #: the plan), and per plan the host scalars its ``localaccess``
+        #: bounds read -- ``None`` when no launch of it can be replayed.
+        self._graphs: dict[int, LaunchGraph] = {}
+        self._plan_bounds: dict[int, tuple[Any, tuple[str, ...] | None]] = {}
+        self._multinode = platform.machine.node_count > 1
+        #: Telemetry: launches replayed from a graph.
+        self.graph_replays = 0
         if overlap:
             platform.enable_overlap_accounting()
             self.loader.pre_access_hook = self._host_access_barrier
@@ -133,8 +183,15 @@ class AccExecutor:
         upper: int,
         host_env: dict[str, Any],
     ) -> LoopRunStats:
-        from ..runtime.partition import split_tasks
-
+        """Run ``plan`` over ``[lower, upper)``: load, compute,
+        communicate.  A launch whose key (:meth:`_graph_key`) is that of
+        the plan's recorded :class:`LaunchGraph` replays it instead; an
+        enacted launch that skipped every reload records one."""
+        key = self._graph_key(plan, lower, upper, host_env)
+        if key is not None:
+            graph = self._graphs.get(id(plan))
+            if graph is not None and graph.plan is plan and graph.key == key:
+                return self._replay(graph, plan, host_env)
         stats = LoopRunStats(kernel_name=plan.name)
         if self.tracer is not None:
             # Before planning, so balancer decisions (resplits,
@@ -150,18 +207,16 @@ class AccExecutor:
         if self.tracer is not None:
             self.tracer.loop_started(self.platform.clock.now, tasks)
 
-        scalars = {}
-        for n in plan.scalar_names:
-            if n not in host_env:
-                raise KeyError(
-                    f"kernel {plan.name!r} needs host scalar {n!r} which is "
-                    "not defined")
-            scalars[n] = host_env[n]
+        scalars = self._scalars(plan, host_env)
 
         # Step 1: mapping + loading.  (The window evaluator only reads
         # host_env, so no defensive copy per launch.)
+        skipped = self.loader.reloads_skipped
         self.loader.ensure_for_loop(configs, tasks,
                                     plan.loop_var, host_env)
+        if self.loader.reloads_skipped - skipped < len(configs):
+            key = None  # this launch loaded: nothing to record
+        kernels: list[GpuLaunch] = []
         if self.platform.bus.pending_count():
             if self.overlap:
                 # GPU-GPU traffic from earlier loops may still be in
@@ -186,6 +241,8 @@ class AccExecutor:
             plan.execute(ctx)
             n = max(0, t1 - t0)
             if n == 0:
+                if key is not None:
+                    kernels.append(GpuLaunch(ctx, 0))
                 continue
             work = plan.cost.total(n, ctx.dyn_counts)
             dev = self.platform.devices[g]
@@ -194,10 +251,13 @@ class AccExecutor:
                 seconds, launches = self._launch_async(
                     plan, g, t0, t1, work, dev, configs)
             else:
-                seconds = dev.queue_launch(plan.name, work,
-                                           self._launch_cfg(plan, n),
+                cfg = self._launch_cfg(plan, n)
+                seconds = dev.queue_launch(plan.name, work, cfg,
                                            self.platform.clock.now)
                 launches = 1
+                if key is not None:
+                    kernels.append(GpuLaunch(ctx, n, dict(ctx.dyn_counts),
+                                             work, cfg, seconds))
             per_gpu_seconds[g] = seconds
             profiler.record_kernel(plan.name, g, seconds,
                                    launches=launches, iterations=n)
@@ -215,6 +275,11 @@ class AccExecutor:
 
         # Step 3: communicate.
         stats.comm_seconds = self.comm.after_kernels(configs)
+        if key is not None:
+            self._graphs[id(plan)] = LaunchGraph(
+                plan, key, tasks, kernels,
+                [self.loader.arrays[name] for name in configs],
+                self.comm.record_halos(configs))
         if self.overlap:
             if any(c.scalar_ops for c in contexts):
                 # The host consumes the reduction values right after this
@@ -240,6 +305,109 @@ class AccExecutor:
             self.tracer.end_loop(self.platform.clock.now)
         self.history.append(stats)
         return stats
+
+    # -- launch graphs ------------------------------------------------------------
+
+    def _graph_key(self, plan: KernelPlanLike, lower: int, upper: int,
+                   host_env: dict[str, Any]) -> tuple | None:
+        """What a synchronous launch of ``plan`` reads besides its
+        kernel's data and the live timelines, or ``None`` when the launch
+        can be neither recorded nor replayed.
+
+        The key holds the bounds, and per array its ``ManagedArray``
+        (by identity: a graph pins the objects), ``version``, ``valid``,
+        ``signature`` and ``skip_invalidated``, and the type and value of
+        every host scalar the ``localaccess`` bounds read -- what
+        :meth:`DataLoader.ensure_for_loop` decides a reload skip from.
+        Overlap and adaptive mode, a tracer or sanitizer, a multi-node
+        machine, a queued transfer, and a plan with an array whose
+        coherence traffic depends on the launch's data (dirty bits, miss
+        checks, reductions) or whose window bound reads a host array
+        all give ``None``.
+        """
+        loader = self.loader
+        if (self.overlap or self.adaptive or self.tracer is not None
+                or self.sanitizer is not None or loader.tracer is not None
+                or loader.sanitizer is not None or self._multinode
+                or self.platform.bus.pending_count()):
+            return None
+        ent = self._plan_bounds.get(id(plan))
+        if ent is None or ent[0] is not plan:
+            ent = self._plan_bounds[id(plan)] = (plan, _bound_names(plan))
+        names = ent[1]
+        if names is None:
+            return None
+        key: list = [lower.__class__, lower, upper.__class__, upper]
+        arrays = loader.arrays
+        for name in plan.config.arrays:
+            ma = arrays.get(name)
+            if ma is None:
+                return None
+            key += (id(ma), ma.version, ma.valid, ma.signature,
+                    ma.skip_invalidated)
+        for n in names:
+            v = host_env.get(n)
+            if not isinstance(v, (int, float, np.generic)):
+                return None
+            # 1 == 1.0 == True, but C division differs by type.
+            key += (v.__class__, v)
+        return tuple(key)
+
+    def _replay(self, graph: LaunchGraph, plan: KernelPlanLike,
+                host_env: dict[str, Any]) -> LoopRunStats:
+        """Run a launch from its graph: every array skips its reload, each
+        GPU runs its kernel on the cached context, the launches and halo
+        transfers go on the timelines at the seconds already priced, and
+        scalar reductions finalize as on the enacted path."""
+        scalars = self._scalars(plan, host_env)
+        stats = LoopRunStats(kernel_name=plan.name, tasks=list(graph.tasks))
+        self.loader.reloads_skipped += len(graph.arrays)
+        for ma in graph.arrays:
+            ma.reduction_identity = None
+        platform = self.platform
+        devices = platform.devices
+        profiler = platform.profiler
+        profiler.note_loop_call(plan.name)
+        for g, (k, (t0, t1)) in enumerate(zip(graph.kernels, graph.tasks)):
+            ctx = k.ctx
+            self._refresh(ctx, t0, t1, scalars)
+            plan.execute(ctx)
+            if k.n == 0:
+                continue
+            if ctx.dyn_counts != k.dyn_counts:
+                # Other trip counts, same slice: re-price the launch.
+                k.dyn_counts = dict(ctx.dyn_counts)
+                k.work = plan.cost.total(k.n, ctx.dyn_counts)
+                k.seconds = devices[g].kernel_time(k.work, k.config)
+            devices[g].place_launch(plan.name, k.work, k.config, k.seconds,
+                                    platform.clock.now)
+            profiler.record_kernel(plan.name, g, k.seconds, launches=1,
+                                   iterations=k.n)
+        stats.kernel_seconds = platform.sync_devices()
+        contexts = [k.ctx for k in graph.kernels]
+        stats.dyn_counts = [dict(c.dyn_counts) for c in contexts]
+        stats.comm_seconds = self.comm.replay_halos(graph.halos)
+        finalize_scalar_reductions(
+            platform,
+            [c.scalar_results for c in contexts],
+            [c.scalar_ops for c in contexts],
+            host_env,
+        )
+        self.graph_replays += 1
+        self.history.append(stats)
+        return stats
+
+    @staticmethod
+    def _scalars(plan: KernelPlanLike,
+                 host_env: dict[str, Any]) -> dict[str, Any]:
+        scalars = {}
+        for n in plan.scalar_names:
+            if n not in host_env:
+                raise KeyError(
+                    f"kernel {plan.name!r} needs host scalar {n!r} which is "
+                    "not defined")
+            scalars[n] = host_env[n]
+        return scalars
 
     # -- launch helpers -----------------------------------------------------------
 
@@ -380,13 +548,7 @@ class AccExecutor:
                 # base offsets, trackers, miss buffers, windows) is
                 # unchanged -- refresh only the per-launch slice,
                 # scalars and result slots.
-                ctx.i0 = t0
-                ctx.i1 = t1
-                ctx.scalars = dict(scalars)
-                ctx.trace = self.tracer
-                ctx.dyn_counts = {}
-                ctx.scalar_results = {}
-                ctx.scalar_ops = {}
+                self._refresh(ctx, t0, t1, scalars)
                 return ctx
         ctx = KernelContext(device_index=g, i0=t0, i1=t1,
                             scalars=dict(scalars), trace=self.tracer,
@@ -415,3 +577,30 @@ class AccExecutor:
                 ctx.reduction_arrays[name] = ctx.arrays[name]
         self._ctx_cache[key] = (ctx, plan, arrays, deps)
         return ctx
+
+    def _refresh(self, ctx: KernelContext, t0: int, t1: int,
+                 scalars: dict[str, Any]) -> None:
+        ctx.i0 = t0
+        ctx.i1 = t1
+        ctx.scalars = dict(scalars)
+        ctx.trace = self.tracer
+        ctx.dyn_counts = {}
+        ctx.scalar_results = {}
+        ctx.scalar_ops = {}
+
+
+def _bound_names(plan: KernelPlanLike) -> tuple[str, ...] | None:
+    """The host scalars the ``localaccess`` bounds of ``plan`` read, or
+    ``None`` when no launch of it can be replayed: an array's coherence
+    traffic depends on the launch's data, or a bound reads a host array."""
+    names: list[str] = []
+    for cfg in plan.config.arrays.values():
+        if cfg.write_handling not in _REPLAYABLE:
+            return None
+        if cfg.placement == Placement.DISTRIBUTED and cfg.window is not None:
+            free = window_free_names(cfg.window)
+            if free is None:
+                return None
+            names += [n for n in free
+                      if n != plan.loop_var and n not in names]
+    return tuple(names)

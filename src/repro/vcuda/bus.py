@@ -49,6 +49,9 @@ CATEGORY_NET = "NET"
 #: advances the clock; the NET analogue of ``GPU-GPU (hidden)``).
 CATEGORY_NET_OVERLAPPED = "NET (hidden)"
 
+#: Distinct transfer shapes a bus keeps prices for before starting over.
+_PRICE_MEMO_LIMIT = 4096
+
 
 class NetworkError(RuntimeError):
     """A modeled NIC link cannot carry a transfer (dead or degraded to
@@ -65,7 +68,7 @@ class NetworkError(RuntimeError):
         self.bandwidth = bandwidth
 
 
-@dataclass
+@dataclass(slots=True)
 class Transfer:
     """One scheduled DMA or NIC transfer."""
 
@@ -114,15 +117,18 @@ class Bus:
         #: which any NIC path is ever taken (one-node machines -- plain
         #: or ClusterSpec -- schedule bit-identically).
         self._multinode = machine.node_count > 1
+        #: GPU count, fixed at construction (a cluster sums its nodes'
+        #: counts on every ``gpu_count`` read).
+        self._gpu_count = machine.gpu_count
         #: Per GPU, resolved once (the topology is fixed for the bus's
         #: life): its I/O hub, its node and that node's PCIe spec.
-        gpus = range(machine.gpu_count)
+        gpus = range(self._gpu_count)
         self._dev_hub = [machine.hub_of(g) for g in gpus]
         self._dev_node = [machine.node_of(g) for g in gpus]
         self._dev_spec = [machine.node_bus(n) if self._multinode
                           else self.spec for n in self._dev_node]
         #: Virtual time at which each GPU's PCIe link becomes free.
-        self._link_free_at: list[float] = [0.0] * machine.gpu_count
+        self._link_free_at: list[float] = [0.0] * self._gpu_count
         #: Virtual time at which each I/O hub's host uplink frees up.
         self._hub_free_at: list[float] = \
             [0.0] * (1 + max(self._dev_hub, default=0))
@@ -140,6 +146,10 @@ class Bus:
         #: Called right after a transfer is queued; must not touch the
         #: schedule.
         self.observer: Callable[[Transfer], None] | None = None
+        #: Prices already computed, keyed by transfer shape (see
+        #: :meth:`price_transfer`); cleared when it reaches
+        #: :data:`_PRICE_MEMO_LIMIT` entries.
+        self._prices: dict[tuple, tuple] = {}
 
     # -- pricing ------------------------------------------------------------
 
@@ -184,21 +194,20 @@ class Bus:
             return 0.0
         return machine.link_latency(src_node, dst_node) + nbytes / bw
 
-    def _schedule(
-        self, kind: TransferKind, nbytes: int, src: int | None, dst: int | None,
-        not_before: float = 0.0, category: str | None = None,
-    ) -> Transfer:
+    def price_transfer(self, kind: TransferKind, nbytes: int,
+                       src: int | None, dst: int | None) -> tuple:
+        """What placing a PCIe transfer of this shape costs, as
+        ``(duration, hub, hub_occupancy, node)``: its link seconds, the
+        I/O hub whose host uplink it also occupies (``None`` for a peer
+        copy) and for how long, and the node it runs on.  A pure
+        function of the shape on a fixed topology, so it is computed
+        once per shape and looked up afterwards; :meth:`place_transfer`
+        puts a priced transfer on the links."""
+        key = (kind, nbytes, nbytes.__class__, src, dst)
+        price = self._prices.get(key)
+        if price is not None:
+            return price
         duration = self._duration(kind, nbytes, src, dst)
-        free = self._link_free_at
-        # The latest of: now, the issue dependency, both endpoint links
-        # (and the hub uplink below).
-        start = self.clock.now
-        if not_before > start:
-            start = not_before
-        if src is not None and free[src] > start:
-            start = free[src]
-        if dst is not None and free[dst] > start:
-            start = free[dst]
         dev = src if src is not None else dst
         hub = None
         hub_occupancy = 0.0
@@ -212,8 +221,34 @@ class Bus:
                        else spec.d2h_bandwidth)
             hub_occupancy = duration * min(
                 1.0, link_bw / spec.hub_uplink_bandwidth)
-            if self._hub_free_at[hub] > start:
-                start = self._hub_free_at[hub]
+        node = 0 if dev is None else self._dev_node[dev]
+        return self._keep_price(key, (duration, hub, hub_occupancy, node))
+
+    def _keep_price(self, key: tuple, price: tuple) -> tuple:
+        if len(self._prices) >= _PRICE_MEMO_LIMIT:
+            self._prices.clear()
+        self._prices[key] = price
+        return price
+
+    def place_transfer(
+        self, kind: TransferKind, nbytes: int, src: int | None,
+        dst: int | None, price: tuple, not_before: float = 0.0,
+        category: str | None = None,
+    ) -> Transfer:
+        """Queue a transfer priced by :meth:`price_transfer`: it starts
+        at the latest of now, the issue dependency, both endpoint links
+        and the hub uplink, and occupies them for the priced seconds."""
+        duration, hub, hub_occupancy, node = price
+        free = self._link_free_at
+        start = self.clock.now
+        if not_before > start:
+            start = not_before
+        if src is not None and free[src] > start:
+            start = free[src]
+        if dst is not None and free[dst] > start:
+            start = free[dst]
+        if hub is not None and self._hub_free_at[hub] > start:
+            start = self._hub_free_at[hub]
         end = start + duration
         if src is not None:
             free[src] = end
@@ -221,14 +256,19 @@ class Bus:
             free[dst] = end
         if hub is not None:
             self._hub_free_at[hub] = start + hub_occupancy
-        node = 0 if dev is None else self._dev_node[dev]
-        t = Transfer(kind=kind, nbytes=nbytes, src_device=src, dst_device=dst,
-                     start=start, end=end, category_override=category,
-                     src_node=node, dst_node=node)
+        t = Transfer(kind, nbytes, src, dst, start, end, category, node, node)
         self._pending.append(t)
         if self.observer is not None:
             self.observer(t)
         return t
+
+    def _schedule(
+        self, kind: TransferKind, nbytes: int, src: int | None, dst: int | None,
+        not_before: float = 0.0, category: str | None = None,
+    ) -> Transfer:
+        return self.place_transfer(kind, nbytes, src, dst,
+                                   self.price_transfer(kind, nbytes, src, dst),
+                                   not_before, category)
 
     def _schedule_net(
         self, src_node: int, dst_node: int, nbytes: int,
@@ -237,7 +277,12 @@ class Bus:
     ) -> Transfer:
         """Reserve both endpoint nodes' NIC ports (and, for a direct
         cross-node peer copy, the endpoint GPUs' PCIe links)."""
-        duration = self._net_duration(src_node, dst_node, nbytes)
+        key = ("net", nbytes, nbytes.__class__, src_node, dst_node)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._keep_price(
+                key, (self._net_duration(src_node, dst_node, nbytes),))
+        duration, = price
         nic = self._nic_free_at
         free = self._link_free_at
         start = self.clock.now
@@ -258,10 +303,8 @@ class Bus:
             free[src] = end
         if dst is not None:
             free[dst] = end
-        t = Transfer(kind="net", nbytes=nbytes, src_device=src,
-                     dst_device=dst, start=start, end=end,
-                     category_override=category,
-                     src_node=src_node, dst_node=dst_node)
+        t = Transfer("net", nbytes, src, dst, start, end, category,
+                     src_node, dst_node)
         self._pending.append(t)
         if self.observer is not None:
             self.observer(t)
@@ -532,10 +575,10 @@ class Bus:
         return sum(t.nbytes for t in self.completed if t.cross_node)
 
     def _check_device(self, device: int) -> None:
-        if not (0 <= device < self.machine.gpu_count):
+        if not (0 <= device < self._gpu_count):
             raise ValueError(
                 f"device {device} out of range for {self.machine.name} "
-                f"({self.machine.gpu_count} GPUs)"
+                f"({self._gpu_count} GPUs)"
             )
 
     def _check_node(self, node: int) -> None:

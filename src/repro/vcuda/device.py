@@ -87,7 +87,7 @@ class LaunchConfig:
         return cls(grid_dim=grid, block_dim=block_dim)
 
 
-@dataclass
+@dataclass(slots=True)
 class KernelLaunchRecord:
     """One priced kernel launch (kept for profiling/tests)."""
 
@@ -156,17 +156,25 @@ class Device:
 
     def queue_launch(self, kernel_name: str, work: KernelWork,
                      config: LaunchConfig, *floors: float) -> float:
-        """Price a launch and put it on this device's timeline.
+        """Price a launch (:meth:`kernel_time`) and put it on this
+        device's timeline (:meth:`place_launch`).  Returns the modeled
+        seconds."""
+        seconds = self.kernel_time(work, config)
+        self.place_launch(kernel_name, work, config, seconds, *floors)
+        return seconds
+
+    def place_launch(self, kernel_name: str, work: KernelWork,
+                     config: LaunchConfig, seconds: float,
+                     *floors: float) -> None:
+        """Put a launch priced at ``seconds`` on this device's timeline.
 
         It starts when the device's queued work ends or at the latest of
         ``floors`` (the host clock, input readiness), whichever is
-        later.  Returns the modeled seconds.
+        later.
         """
-        seconds = self.kernel_time(work, config)
         start = max(self.busy_until, *floors)
         self.record_launch(kernel_name, work, config, seconds, start)
         self.busy_until = start + seconds
-        return seconds
 
     def busy_intervals(self, since: float) -> list[tuple[float, float]]:
         """``(start, end)`` of recorded launches still running at ``since``.

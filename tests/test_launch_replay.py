@@ -18,6 +18,7 @@ from repro.bench.machines import hypothetical_node
 from repro.frontend.parser import parse_expr
 from repro.runtime import partition
 from repro.runtime.comm import CommunicationManager
+from repro.runtime.context import AccExecutor
 from repro.runtime.data_loader import DataLoader
 from repro.runtime.partition import Block
 from repro.translator.array_config import (
@@ -64,7 +65,9 @@ def counts(monkeypatch):
 
 
 def forget_every_launch(monkeypatch):
-    """Disable both replays: every launch derives from scratch."""
+    """Disable both replays: every launch derives from scratch (and so
+    takes the enacted path, not a launch graph)."""
+    monkeypatch.setattr(AccExecutor, "_graph_key", lambda self, *args: None)
     window_blocks = DataLoader._window_blocks
     refresh_halos = CommunicationManager._refresh_halos
     propagate = CommunicationManager._propagate_dirty_windowed
