@@ -17,6 +17,7 @@ platforms) or any :class:`~repro.vcuda.specs.MachineSpec`.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -193,6 +194,11 @@ class AccProgram:
                 raise KeyError(
                     f"unknown machine {machine!r}: known machines are "
                     f"{sorted(MACHINES)}, known clusters {sorted(CLUSTERS)}")
+        for name, value in (("ngpus", ngpus), ("chunk_bytes", chunk_bytes)):
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        ngpus, chunk_bytes = int(ngpus), int(chunk_bytes)
         if chunk_bytes < 1:
             raise ValueError(
                 f"chunk_bytes must be at least 1, got {chunk_bytes!r}")

@@ -52,10 +52,6 @@ class AffineForm:
     coeff: int
     offset: C.Expr
 
-    @property
-    def is_constant(self) -> bool:
-        return self.coeff == 0
-
 
 def expr_mentions(e: C.Expr, names: set[str]) -> bool:
     """True if expression ``e`` references any identifier in ``names``."""
@@ -277,10 +273,6 @@ class ArrayUsage:
     @property
     def write_only(self) -> bool:
         return self.is_written and not self.is_read
-
-    @property
-    def all_affine(self) -> bool:
-        return all(a.affine is not None for a in self.accesses)
 
     @property
     def writes_affine(self) -> bool:

@@ -16,8 +16,8 @@ parallel loop:
    host environment.
 
 A synchronous loop that repeats a launch whose every array skipped its
-reload is not walked through these steps again: the executor replays
-the :class:`LaunchGraph` it recorded (see :meth:`AccExecutor.run_loop`).
+reload skips the map step's build: the executor places the
+:class:`LaunchGraph` it recorded (see :meth:`AccExecutor.run_loop`).
 """
 
 from __future__ import annotations
@@ -73,15 +73,13 @@ class LoopRunStats:
 
 @dataclass(slots=True)
 class GpuLaunch:
-    """One GPU's share of a recorded launch: its cached context, slice
-    length (0: the kernel runs, nothing launches) and the launch as
-    priced for the trip counts ``dyn_counts``."""
+    """One GPU's launch node: its slice length and the launch as priced
+    for the trip counts ``dyn_counts``."""
 
-    ctx: KernelContext
     n: int
+    config: LaunchConfig
     dyn_counts: dict[str, int] | None = None
     work: KernelWork | None = None
-    config: LaunchConfig | None = None
     seconds: float = 0.0
 
 
@@ -91,17 +89,35 @@ class LaunchGraph:
 
     Recorded at a launch whose every array skipped its reload; replayed
     while :meth:`AccExecutor._graph_key` returns the key it was recorded
-    under, which pins everything the enacted launch read besides the
-    kernel's own data and the live timelines.
+    under, which pins everything the build read besides the kernel's own
+    data and the live timelines.
     """
 
-    plan: Any
     key: tuple
     tasks: list[tuple[int, int]]
-    kernels: list[GpuLaunch]
+    #: Per GPU, ``None`` where the slice is empty.
+    kernels: list[GpuLaunch | None]
     #: The loop's arrays, in configuration order.
     arrays: list[ManagedArray]
     halos: HaloRecord
+
+
+@dataclass
+class PlanMemo:
+    """What the executor keeps of one plan between its launches."""
+
+    #: Pinned: the memo is found by ``id(plan)``.
+    plan: Any
+    #: The host scalars the ``localaccess`` bounds read, or ``None`` when
+    #: no launch of the plan can be replayed (:func:`_bound_names`).
+    bounds: tuple[str, ...] | None
+    #: The configs object and the ``(array, version)`` pairs the
+    #: contexts were built for.
+    configs: Any = None
+    versions: list[tuple[ManagedArray, int]] = field(default_factory=list)
+    #: Per-GPU kernel contexts with their argument bindings.
+    contexts: list[KernelContext] = field(default_factory=list)
+    graph: LaunchGraph | None = None
 
 
 class AccExecutor:
@@ -140,11 +156,8 @@ class AccExecutor:
                                          overlap=overlap, coalesce=coalesce,
                                          tracer=tracer, internode=internode,
                                          collective=collective)
-        #: Per-(plan, GPU) kernel contexts with their argument bindings,
-        #: revalidated against each array's version counter.  Values
-        #: pin the plan/config objects they were built from so identity
-        #: comparisons stay sound.
-        self._ctx_cache: dict[tuple[int, int], tuple] = {}
+        #: One :class:`PlanMemo` per plan, keyed by ``id``.
+        self._plans: dict[int, PlanMemo] = {}
         #: Kernel scratch, one arena per device, alive for this run.
         self._arenas = [ScratchArena() for _ in range(platform.ngpus)]
         #: Halo-split stride qualification per array config (overlap
@@ -162,11 +175,6 @@ class AccExecutor:
         if self.tracer is not None and self.balancer is not None:
             self.balancer.tracer = self.tracer
         self.history: list[LoopRunStats] = []
-        #: Latest launch graph per plan (keyed by ``id``; the graph pins
-        #: the plan), and per plan the host scalars its ``localaccess``
-        #: bounds read -- ``None`` when no launch of it can be replayed.
-        self._graphs: dict[int, LaunchGraph] = {}
-        self._plan_bounds: dict[int, tuple[Any, tuple[str, ...] | None]] = {}
         self._multinode = platform.machine.node_count > 1
         #: Telemetry: launches replayed from a graph.
         self.graph_replays = 0
@@ -183,87 +191,60 @@ class AccExecutor:
         upper: int,
         host_env: dict[str, Any],
     ) -> LoopRunStats:
-        """Run ``plan`` over ``[lower, upper)``: load, compute,
+        """Run ``plan`` over ``[lower, upper)``: build, compute and place,
         communicate.  A launch whose key (:meth:`_graph_key`) is that of
-        the plan's recorded :class:`LaunchGraph` replays it instead; an
-        enacted launch that skipped every reload records one."""
+        the plan's recorded :class:`LaunchGraph` skips the build and
+        places the graph's priced launches and halo transfers; a built
+        launch that skipped every reload records one."""
+        memo = self._memo(plan)
         key = self._graph_key(plan, lower, upper, host_env)
-        if key is not None:
-            graph = self._graphs.get(id(plan))
-            if graph is not None and graph.plan is plan and graph.key == key:
-                return self._replay(graph, plan, host_env)
-        stats = LoopRunStats(kernel_name=plan.name)
-        if self.tracer is not None:
-            # Before planning, so balancer decisions (resplits,
-            # placement switches) attribute to this loop.
-            self.tracer.enter_loop(plan.name)
-        if self.adaptive and self.balancer is not None:
-            tasks = self.balancer.plan_tasks(plan, lower, upper)
-            configs = self.balancer.effective_configs(plan)
-        else:
-            tasks = split_tasks(lower, upper, self.platform.ngpus)
-            configs = plan.config.arrays
-        stats.tasks = tasks
-        if self.tracer is not None:
-            self.tracer.loop_started(self.platform.clock.now, tasks)
-
+        graph = memo.graph
+        hit = key is not None and graph is not None and graph.key == key
         scalars = self._scalars(plan, host_env)
+        stats = LoopRunStats(kernel_name=plan.name)
+        if hit:
+            tasks = stats.tasks = list(graph.tasks)
+            configs = memo.configs
+            self.loader.reloads_skipped += len(graph.arrays)
+            for ma in graph.arrays:
+                ma.reduction_identity = None
+            nodes = graph.kernels
+        else:
+            tasks, configs, loaded = self._build(memo, plan, lower, upper,
+                                                 host_env, stats)
+            if loaded:
+                key = None  # this launch loaded: nothing to record
+            nodes = [None] * len(tasks)
 
-        # Step 1: mapping + loading.  (The window evaluator only reads
-        # host_env, so no defensive copy per launch.)
-        skipped = self.loader.reloads_skipped
-        self.loader.ensure_for_loop(configs, tasks,
-                                    plan.loop_var, host_env)
-        if self.loader.reloads_skipped - skipped < len(configs):
-            key = None  # this launch loaded: nothing to record
-        kernels: list[GpuLaunch] = []
-        if self.platform.bus.pending_count():
-            if self.overlap:
-                # GPU-GPU traffic from earlier loops may still be in
-                # flight; wait only for this loop's host transfers.
-                stats.load_seconds = self.platform.bus.sync_category(
-                    CATEGORY_CPU_GPU)
-            else:
-                stats.load_seconds = self.platform.bus.sync()
-        if self.sanitizer is not None:
-            # Pre-launch invariants + shadow run (oracle).
-            self.sanitizer.before_kernels(plan, configs, tasks, host_env)
-
-        # Step 2: compute.
+        # Step 2: compute, price and place.
         kern0 = self.platform.clock.elapsed_in(CATEGORY_KERNELS)
         profiler = self.platform.profiler
         profiler.note_loop_call(plan.name)
         per_gpu_seconds = [0.0] * self.platform.ngpus
-        contexts: list[KernelContext] = []
+        contexts = memo.contexts
         for g, (t0, t1) in enumerate(tasks):
-            ctx = self._make_context(g, t0, t1, plan, scalars, configs)
-            contexts.append(ctx)
+            ctx = contexts[g]
+            ctx.i0, ctx.i1, ctx.scalars = t0, t1, dict(scalars)
+            ctx.dyn_counts, ctx.scalar_results, ctx.scalar_ops = {}, {}, {}
             plan.execute(ctx)
-            n = max(0, t1 - t0)
-            if n == 0:
-                if key is not None:
-                    kernels.append(GpuLaunch(ctx, 0))
+            n = t1 - t0
+            if n <= 0:
                 continue
-            work = plan.cost.total(n, ctx.dyn_counts)
-            dev = self.platform.devices[g]
-            n_recs = len(dev.launches)
-            if self.overlap:
-                seconds, launches = self._launch_async(
-                    plan, g, t0, t1, work, dev, configs)
-            else:
-                cfg = self._launch_cfg(plan, n)
-                seconds = dev.queue_launch(plan.name, work, cfg,
-                                           self.platform.clock.now)
-                launches = 1
-                if key is not None:
-                    kernels.append(GpuLaunch(ctx, n, dict(ctx.dyn_counts),
-                                             work, cfg, seconds))
-            per_gpu_seconds[g] = seconds
-            profiler.record_kernel(plan.name, g, seconds,
-                                   launches=launches, iterations=n)
+            node = nodes[g]
+            if node is None:
+                node = nodes[g] = GpuLaunch(n, self._launch_cfg(plan, n))
+            if node.dyn_counts != ctx.dyn_counts:
+                # A fresh node, or other trip counts on the same slice.
+                node.dyn_counts = dict(ctx.dyn_counts)
+                node.work = plan.cost.total(n, ctx.dyn_counts)
+                node.seconds = self.platform.devices[g].kernel_time(
+                    node.work, node.config)
+            per_gpu_seconds[g], count = self._place(plan, g, node, configs)
+            profiler.record_kernel(plan.name, g, per_gpu_seconds[g],
+                                   launches=count, iterations=n)
             if self.tracer is not None:
                 fusion = getattr(plan, "fusion_members", None)
-                for rec in dev.launches[n_recs:]:
+                for rec in self.platform.devices[g].launches[-count:]:
                     self.tracer.kernel_event(rec, iterations=n,
                                              fusion=fusion)
         if not self.overlap:
@@ -274,12 +255,16 @@ class AccExecutor:
             self.sanitizer.after_kernels(plan)
 
         # Step 3: communicate.
-        stats.comm_seconds = self.comm.after_kernels(configs)
-        if key is not None:
-            self._graphs[id(plan)] = LaunchGraph(
-                plan, key, tasks, kernels,
-                [self.loader.arrays[name] for name in configs],
-                self.comm.record_halos(configs))
+        if hit:
+            stats.comm_seconds = self.comm.replay_halos(graph.halos)
+            self.graph_replays += 1
+        else:
+            stats.comm_seconds = self.comm.after_kernels(configs)
+            if key is not None:
+                memo.graph = LaunchGraph(
+                    key, tasks, nodes,
+                    [self.loader.arrays[name] for name in configs],
+                    self.comm.record_halos(configs))
         if self.overlap:
             if any(c.scalar_ops for c in contexts):
                 # The host consumes the reduction values right after this
@@ -306,12 +291,88 @@ class AccExecutor:
         self.history.append(stats)
         return stats
 
-    # -- launch graphs ------------------------------------------------------------
+    # -- build and launch graphs -----------------------------------------------
+
+    def _memo(self, plan: KernelPlanLike) -> PlanMemo:
+        memo = self._plans.get(id(plan))
+        if memo is None or memo.plan is not plan:
+            memo = self._plans[id(plan)] = PlanMemo(plan, _bound_names(plan))
+        return memo
+
+    def _build(self, memo: PlanMemo, plan: KernelPlanLike, lower: int,
+               upper: int, host_env: dict[str, Any], stats: LoopRunStats,
+               ) -> tuple[list[tuple[int, int]], dict, bool]:
+        """Map: split the iteration space, make every array resident, and
+        revalidate or rebuild the plan's contexts.  Returns the tasks, the
+        array configs and whether any array reloaded."""
+        if self.tracer is not None:
+            # Before planning, so balancer decisions (resplits,
+            # placement switches) attribute to this loop.
+            self.tracer.enter_loop(plan.name)
+        if self.adaptive and self.balancer is not None:
+            tasks = self.balancer.plan_tasks(plan, lower, upper)
+            configs = self.balancer.effective_configs(plan)
+        else:
+            tasks = split_tasks(lower, upper, self.platform.ngpus)
+            configs = plan.config.arrays
+        stats.tasks = tasks
+        if self.tracer is not None:
+            self.tracer.loop_started(self.platform.clock.now, tasks)
+        # (The window evaluator only reads host_env, so no defensive
+        # copy per launch.)
+        skipped = self.loader.reloads_skipped
+        self.loader.ensure_for_loop(configs, tasks, plan.loop_var, host_env)
+        loaded = self.loader.reloads_skipped - skipped < len(configs)
+        bus = self.platform.bus
+        if bus.pending_count():
+            if self.overlap:
+                # GPU-GPU traffic from earlier loops may still be in
+                # flight; wait only for this loop's host transfers.
+                stats.load_seconds = bus.sync_category(CATEGORY_CPU_GPU)
+            else:
+                stats.load_seconds = bus.sync()
+        if self.sanitizer is not None:
+            # Pre-launch invariants + shadow run (oracle).
+            self.sanitizer.before_kernels(plan, configs, tasks, host_env)
+        if memo.configs is not configs or any(
+                ma.version != v for ma, v in memo.versions):
+            self._bind(memo, configs)
+        return tasks, configs, loaded
+
+    def _bind(self, memo: PlanMemo, configs: dict) -> None:
+        """Build one context per GPU with every argument binding (buffer
+        views, base offsets, trackers, miss buffers, windows) of
+        ``configs``; a launch refreshes only its slice, scalars and
+        result slots.  A graph recorded over the old contexts goes."""
+        arrays = [self.loader._get(name) for name in configs]
+        memo.configs = configs
+        memo.versions = [(ma, ma.version) for ma in arrays]
+        memo.contexts = []
+        memo.graph = None
+        for g, arena in enumerate(self._arenas):
+            ctx = KernelContext(device_index=g, i0=0, i1=0,
+                                trace=self.tracer, arena=arena)
+            for ma, (name, cfg) in zip(arrays, configs.items()):
+                buf = ma.buffers[g]
+                if buf is None:
+                    ctx.arrays[name] = np.empty(0, dtype=ma.host.dtype)
+                    ctx.base[name] = 0
+                else:
+                    ctx.arrays[name] = buf.data
+                    ctx.base[name] = ma.blocks[g].lo
+                if cfg.write_handling == WriteHandling.DIRTY_BITS:
+                    ctx.dirty[name] = ma.dirty[g]
+                elif cfg.write_handling == WriteHandling.MISS_CHECK:
+                    ctx.windows[name] = ma.blocks[g]
+                    ctx.miss[name] = ma.miss[g]
+                elif cfg.write_handling == WriteHandling.REDUCTION:
+                    ctx.reduction_arrays[name] = ctx.arrays[name]
+            memo.contexts.append(ctx)
 
     def _graph_key(self, plan: KernelPlanLike, lower: int, upper: int,
                    host_env: dict[str, Any]) -> tuple | None:
-        """What a synchronous launch of ``plan`` reads besides its
-        kernel's data and the live timelines, or ``None`` when the launch
+        """What the build of a synchronous launch of ``plan`` reads
+        besides the live timelines, or ``None`` when the launch
         can be neither recorded nor replayed.
 
         The key holds the bounds, and per array its ``ManagedArray``
@@ -331,10 +392,7 @@ class AccExecutor:
                 or loader.sanitizer is not None or self._multinode
                 or self.platform.bus.pending_count()):
             return None
-        ent = self._plan_bounds.get(id(plan))
-        if ent is None or ent[0] is not plan:
-            ent = self._plan_bounds[id(plan)] = (plan, _bound_names(plan))
-        names = ent[1]
+        names = self._memo(plan).bounds
         if names is None:
             return None
         key: list = [lower.__class__, lower, upper.__class__, upper]
@@ -353,61 +411,14 @@ class AccExecutor:
             key += (v.__class__, v)
         return tuple(key)
 
-    def _replay(self, graph: LaunchGraph, plan: KernelPlanLike,
-                host_env: dict[str, Any]) -> LoopRunStats:
-        """Run a launch from its graph: every array skips its reload, each
-        GPU runs its kernel on the cached context, the launches and halo
-        transfers go on the timelines at the seconds already priced, and
-        scalar reductions finalize as on the enacted path."""
-        scalars = self._scalars(plan, host_env)
-        stats = LoopRunStats(kernel_name=plan.name, tasks=list(graph.tasks))
-        self.loader.reloads_skipped += len(graph.arrays)
-        for ma in graph.arrays:
-            ma.reduction_identity = None
-        platform = self.platform
-        devices = platform.devices
-        profiler = platform.profiler
-        profiler.note_loop_call(plan.name)
-        for g, (k, (t0, t1)) in enumerate(zip(graph.kernels, graph.tasks)):
-            ctx = k.ctx
-            self._refresh(ctx, t0, t1, scalars)
-            plan.execute(ctx)
-            if k.n == 0:
-                continue
-            if ctx.dyn_counts != k.dyn_counts:
-                # Other trip counts, same slice: re-price the launch.
-                k.dyn_counts = dict(ctx.dyn_counts)
-                k.work = plan.cost.total(k.n, ctx.dyn_counts)
-                k.seconds = devices[g].kernel_time(k.work, k.config)
-            devices[g].place_launch(plan.name, k.work, k.config, k.seconds,
-                                    platform.clock.now)
-            profiler.record_kernel(plan.name, g, k.seconds, launches=1,
-                                   iterations=k.n)
-        stats.kernel_seconds = platform.sync_devices()
-        contexts = [k.ctx for k in graph.kernels]
-        stats.dyn_counts = [dict(c.dyn_counts) for c in contexts]
-        stats.comm_seconds = self.comm.replay_halos(graph.halos)
-        finalize_scalar_reductions(
-            platform,
-            [c.scalar_results for c in contexts],
-            [c.scalar_ops for c in contexts],
-            host_env,
-        )
-        self.graph_replays += 1
-        self.history.append(stats)
-        return stats
-
     @staticmethod
     def _scalars(plan: KernelPlanLike,
                  host_env: dict[str, Any]) -> dict[str, Any]:
-        scalars = {}
-        for n in plan.scalar_names:
-            if n not in host_env:
-                raise KeyError(
-                    f"kernel {plan.name!r} needs host scalar {n!r} which is "
-                    "not defined")
-            scalars[n] = host_env[n]
-        return scalars
+        try:
+            return {n: host_env[n] for n in plan.scalar_names}
+        except KeyError as exc:
+            raise KeyError(f"kernel {plan.name!r} needs host scalar "
+                           f"{exc.args[0]!r} which is not defined") from None
 
     # -- launch helpers -----------------------------------------------------------
 
@@ -420,44 +431,46 @@ class AccExecutor:
                                block_dim=cfg.block_dim)
         return cfg
 
-    def _launch_async(self, plan: KernelPlanLike, g: int, t0: int, t1: int,
-                      work, dev, configs: dict | None = None,
-                      ) -> tuple[float, int]:
-        """Event-gated launch: wait only for the arrays this kernel
-        touches; split off the halo boundary when that lets the interior
-        start before inbound halos land (overlap mode).  Returns the
-        launched kernel seconds and launch count (profiler feedback)."""
-        clock = self.platform.clock
-        n = t1 - t0
-        arrays = configs if configs is not None else plan.config.arrays
-        ready_full = self.comm.ready_time(g, arrays)
-        ready_int = self.comm.ready_time(g, arrays, interior=True)
-        if ready_full > ready_int + 1e-15:
-            split = self._split_geometry(plan, g, arrays)
-            if split is not None:
-                before, after = split
-                n_bnd = min(n, before + after)
-                n_int = n - n_bnd
-                if n_int > 0 and n_bnd > 0:
-                    # Interior/boundary split: the interior sub-launch
-                    # reads no in-flight halo element and starts as soon
-                    # as the device is free; the boundary sub-launch
-                    # waits for the halos.  Two launches pay extra
-                    # launch overhead and reduced occupancy -- the
-                    # honest cost of the overlap.
-                    s_i = dev.queue_launch(
-                        plan.name + "[int]", work.scaled(n_int / n),
-                        self._launch_cfg(plan, n_int), clock.now, ready_int)
-                    s_b = dev.queue_launch(
-                        plan.name + "[bnd]", work.scaled(n_bnd / n),
-                        self._launch_cfg(plan, n_bnd), clock.now, ready_full)
-                    return s_i + s_b, 2
-        seconds = dev.queue_launch(plan.name, work, self._launch_cfg(plan, n),
-                                   clock.now, ready_full)
-        return seconds, 1
+    def _place(self, plan: KernelPlanLike, g: int, node: GpuLaunch,
+               configs: dict) -> tuple[float, int]:
+        """Put GPU ``g``'s priced launch on its timeline; returns the
+        launched seconds and launch count (profiler feedback).
 
-    def _split_geometry(self, plan: KernelPlanLike, g: int,
-                        configs: dict | None = None) -> tuple[int, int] | None:
+        Synchronous mode places it at the host clock.  Overlap mode
+        waits only for the arrays this kernel touches, and splits off
+        the halo boundary when that lets the interior start before
+        inbound halos land.
+        """
+        dev = self.platform.devices[g]
+        now = ready = self.platform.clock.now
+        if self.overlap:
+            ready = self.comm.ready_time(g, configs)
+            ready_int = self.comm.ready_time(g, configs, interior=True)
+            split = (self._split_geometry(g, configs)
+                     if ready > ready_int + 1e-15 else None)
+            n = node.n
+            n_bnd = min(n, split[0] + split[1]) if split else 0
+            if 0 < n_bnd < n:
+                # Interior/boundary split: the interior sub-launch reads
+                # no in-flight halo element and starts as soon as the
+                # device is free; the boundary sub-launch waits for the
+                # halos.  Two launches pay extra launch overhead and
+                # reduced occupancy -- the honest cost of the overlap.
+                seconds = []
+                for part, m, floor in (("[int]", n - n_bnd, ready_int),
+                                       ("[bnd]", n_bnd, ready)):
+                    work = node.work.scaled(m / n)
+                    cfg = self._launch_cfg(plan, m)
+                    seconds.append(dev.kernel_time(work, cfg))
+                    dev.place_launch(plan.name + part, work, cfg,
+                                     seconds[-1], now, floor)
+                return seconds[0] + seconds[1], 2
+        dev.place_launch(plan.name, node.work, node.config, node.seconds,
+                         now, ready)
+        return node.seconds, 1
+
+    def _split_geometry(self, g: int,
+                        configs: dict) -> tuple[int, int] | None:
         """Boundary iteration counts ``(before, after)`` of a halo split.
 
         Only valid when every pending read of this kernel is a
@@ -469,8 +482,7 @@ class AccExecutor:
         now = self.platform.clock.now
         before = after = 0
         found = False
-        arrays = configs if configs is not None else plan.config.arrays
-        for name, cfg in arrays.items():
+        for name, cfg in configs.items():
             pc = self.comm.pending.get(name)
             if pc is None or pc.finish <= now:
                 continue
@@ -531,62 +543,6 @@ class AccExecutor:
         for arena in self._arenas:
             arena.release()
         return self.comm.drain()
-
-    # -- context construction ------------------------------------------------------
-
-    def _make_context(self, g: int, t0: int, t1: int,
-                      plan: KernelPlanLike, scalars: dict[str, Any],
-                      configs: dict | None = None) -> KernelContext:
-        arrays = configs if configs is not None else plan.config.arrays
-        key = (id(plan), g)
-        hit = self._ctx_cache.get(key)
-        if hit is not None:
-            ctx, c_plan, c_arrays, deps = hit
-            if c_plan is plan and c_arrays is arrays and all(
-                    ma.version == v for ma, v in deps):
-                # Steady-state launch: every binding (buffer views,
-                # base offsets, trackers, miss buffers, windows) is
-                # unchanged -- refresh only the per-launch slice,
-                # scalars and result slots.
-                self._refresh(ctx, t0, t1, scalars)
-                return ctx
-        ctx = KernelContext(device_index=g, i0=t0, i1=t1,
-                            scalars=dict(scalars), trace=self.tracer,
-                            arena=self._arenas[g])
-        deps = []
-        for name, cfg in arrays.items():
-            ma = self.loader._get(name)
-            deps.append((ma, ma.version))
-            buf = ma.buffers[g]
-            if buf is None:
-                ctx.arrays[name] = np.empty(0, dtype=ma.host.dtype)
-                ctx.base[name] = 0
-            else:
-                ctx.arrays[name] = buf.data
-                ctx.base[name] = ma.blocks[g].lo
-            if cfg.write_handling == WriteHandling.DIRTY_BITS:
-                tracker = ma.dirty[g]
-                assert tracker is not None
-                ctx.dirty[name] = tracker
-            elif cfg.write_handling == WriteHandling.MISS_CHECK:
-                ctx.windows[name] = ma.blocks[g]
-                buf_m = ma.miss[g]
-                assert buf_m is not None
-                ctx.miss[name] = buf_m
-            if cfg.write_handling == WriteHandling.REDUCTION:
-                ctx.reduction_arrays[name] = ctx.arrays[name]
-        self._ctx_cache[key] = (ctx, plan, arrays, deps)
-        return ctx
-
-    def _refresh(self, ctx: KernelContext, t0: int, t1: int,
-                 scalars: dict[str, Any]) -> None:
-        ctx.i0 = t0
-        ctx.i1 = t1
-        ctx.scalars = dict(scalars)
-        ctx.trace = self.tracer
-        ctx.dyn_counts = {}
-        ctx.scalar_results = {}
-        ctx.scalar_ops = {}
 
 
 def _bound_names(plan: KernelPlanLike) -> tuple[str, ...] | None:

@@ -142,10 +142,6 @@ class LoopConfig:
     #: Scalar reductions: list of (op, variable).
     scalar_reductions: list[tuple[str, str]] = field(default_factory=list)
 
-    def localaccess_count(self) -> int:
-        """Numerator of Table II column D for this loop."""
-        return sum(1 for a in self.arrays.values() if a.has_localaccess)
-
 
 def window_from_spec(spec: LocalAccessSpec, loop_var: str) -> ReadWindow:
     """Lower the directive spec to inclusive lower/upper expressions.

@@ -168,8 +168,10 @@ class Platform:
         modeled duration in seconds.
         """
         fn(*args)
-        return self.devices[device].queue_launch(kernel_name, work, config,
-                                                 self.clock.now)
+        dev = self.devices[device]
+        seconds = dev.kernel_time(work, config)
+        dev.place_launch(kernel_name, work, config, seconds, self.clock.now)
+        return seconds
 
     def sync_devices(self, category: str = CATEGORY_KERNELS) -> float:
         """Host-side ``cudaDeviceSynchronize`` over all devices.

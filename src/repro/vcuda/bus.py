@@ -532,13 +532,6 @@ class Bus:
         with this without issuing transfers."""
         return self._duration(kind, nbytes, src, dst)
 
-    def net_duration(self, src_node: int, dst_node: int,
-                     nbytes: int) -> float:
-        """Unloaded duration of a NIC transfer between two nodes.  Like
-        :meth:`duration` but for the NET lane; raises
-        :class:`NetworkError` on a dead link."""
-        return self._net_duration(src_node, dst_node, nbytes)
-
     @staticmethod
     def split_chunks(nbytes: int, chunk_bytes: int) -> list[int]:
         """Split a payload into pipeline chunks of at most

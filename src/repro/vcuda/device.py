@@ -75,10 +75,6 @@ class LaunchConfig:
     grid_dim: int
     block_dim: int = 256
 
-    @property
-    def total_threads(self) -> int:
-        return self.grid_dim * self.block_dim
-
     @classmethod
     def for_tasks(cls, n_tasks: int, block_dim: int = 256) -> "LaunchConfig":
         if n_tasks < 0:
@@ -153,15 +149,6 @@ class Device:
                                  seconds, start)
         self.launches.append(rec)
         return rec
-
-    def queue_launch(self, kernel_name: str, work: KernelWork,
-                     config: LaunchConfig, *floors: float) -> float:
-        """Price a launch (:meth:`kernel_time`) and put it on this
-        device's timeline (:meth:`place_launch`).  Returns the modeled
-        seconds."""
-        seconds = self.kernel_time(work, config)
-        self.place_launch(kernel_name, work, config, seconds, *floors)
-        return seconds
 
     def place_launch(self, kernel_name: str, work: KernelWork,
                      config: LaunchConfig, seconds: float,

@@ -146,13 +146,6 @@ class MemoryAccountant:
     def live_total(self) -> int:
         return sum(self.live.values())
 
-    @property
-    def high_water_total(self) -> int:
-        """Peak of the *sum*, tracked at allocation time."""
-        return self._peak_total
-
-    _peak_total: int = 0
-
     def allocate(self, nbytes: int, purpose: str) -> None:
         if purpose not in _PURPOSES:
             raise ValueError(f"unknown allocation purpose {purpose!r}")
@@ -165,7 +158,6 @@ class MemoryAccountant:
             )
         self.live[purpose] += nbytes
         self.high_water[purpose] = max(self.high_water[purpose], self.live[purpose])
-        self._peak_total = max(self._peak_total, self.live_total)
 
     def free(self, nbytes: int, purpose: str) -> None:
         if purpose not in _PURPOSES:

@@ -1,12 +1,13 @@
 """Documentation health tests (the CI docs job).
 
-Three guarantees keep the reference pages from rotting:
+Four guarantees keep the reference pages from rotting:
 
 * every intra-repo markdown link (and same-page/cross-page anchor)
   resolves,
 * the ``python -m repro.explain`` CLI runs against a bundled app,
 * doc-referenced runnable snippets execute: the README quickstart
-  code block and the example script the inference docs point at.
+  code block and the example script the inference docs point at,
+* EXPERIMENTS.md's Fig. 9 table is what the benchmark harness prints.
 """
 
 import os
@@ -125,6 +126,40 @@ class TestChoosingFlags:
         for mode in COLLECTIVE_MODES:
             assert f'"{mode}"' in section, (
                 f"README 'Choosing flags' misses collective mode {mode!r}")
+
+
+class TestExperimentsFig9:
+    """EXPERIMENTS.md's Fig. 9 block, and the prose numbers that quote
+    it, are what ``python -m repro.bench`` prints."""
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        from repro.bench.harness import fig9
+
+        return {m: fig9(m) for m in ("desktop", "supercomputer")}
+
+    @staticmethod
+    def _section() -> str:
+        text = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        start = text.index("## Fig. 9")
+        return text[start:text.index("\n## ", start + 1)]
+
+    def test_block_is_the_printed_table(self, rows):
+        from repro.bench.report import render_fig9
+
+        printed = "\n\n".join(render_fig9(r, f"Fig. 9 ({m})")
+                               for m, r in rows.items())
+        block = re.search(r"```\n(.*?)```", self._section(), re.DOTALL)
+        assert block is not None
+        assert block.group(1).strip() == printed
+
+    def test_prose_quotes_the_bfs_peak(self, rows):
+        peak = max((r for rs in rows.values() for r in rs if r.app == "bfs"),
+                   key=lambda r: r.system)
+        prose = " ".join(self._section().split())
+        assert (f"peaks at {100 * peak.system:.1f}% of the 1-GPU total"
+                in prose)
+        assert f"System {peak.system:.3f} on {peak.ngpus} GPUs" in prose
 
 
 def _run(cmd, **kw):

@@ -178,6 +178,29 @@ class TestDiagnostics:
         with pytest.raises(Exception, match="reduction"):
             run_source(src, {"n": 4, "x": np.ones(4, np.float32)})
 
+    @pytest.mark.parametrize("arg", ["ngpus", "chunk_bytes"])
+    @pytest.mark.parametrize("value", [2.0, 1.5, True, np.float64(2), "2"])
+    def test_non_integer_run_argument(self, arg, value):
+        prog = repro.compile(SAXPY)
+        with pytest.raises(TypeError, match=arg):
+            prog.run("k", {"n": 64, "a": 1.0, "x": np.ones(64, np.float32),
+                           "y": np.zeros(64, np.float32)},
+                     ngpus=2, **{arg: value})
+
+    @pytest.mark.parametrize("arg", ["ngpus", "chunk_bytes"])
+    def test_numpy_integer_run_argument(self, arg):
+        prog = repro.compile(SAXPY)
+
+        def run(value):
+            y = np.zeros(64, np.float32)
+            r = prog.run("k", {"n": 64, "a": 2.0,
+                               "x": np.ones(64, np.float32), "y": y},
+                         **{"ngpus": 2, "chunk_bytes": 4096, arg: value})
+            return y.tobytes(), r.elapsed
+
+        plain = 2 if arg == "ngpus" else 4096
+        assert run(np.int64(plain)) == run(plain)
+
 
 class TestDeviceCapacity:
     def test_out_of_memory_reported(self):

@@ -6,7 +6,9 @@ configurations, and the SHA-256 of the ``repr`` of
 record and ``Transfer`` with floats as hex, the breakdown, loop stats,
 the ledger -- must equal the digest pinned here, which was taken before
 the synchronous, overlap and replayed launches became one body in
-``AccExecutor.run_loop``.  ``PYTHONPATH=src:. python
+``AccExecutor.run_loop``.  The same digests must come out with the
+executor's per-plan memo stubbed off, so that every launch rebuilds its
+contexts and finds no launch graph.  ``PYTHONPATH=src:. python
 tests/test_launch_identity.py`` prints the table.
 """
 
@@ -17,6 +19,7 @@ import pytest
 import repro
 from repro.apps import ALL_APPS, EXTRA_APPS
 from repro.bench.machines import hypothetical_cluster, hypothetical_node
+from repro.runtime.context import AccExecutor, PlanMemo, _bound_names
 
 from tests.test_launch_graph import observables
 
@@ -116,16 +119,36 @@ DIGESTS = {
 }
 
 
-def digest(name, config):
+def observe(name, config):
+    """(run, digest of its observables)."""
     spec = APPS[name]
     flags, machine = CONFIGS[config]
     args = spec.args_for("test")
     run = repro.compile(spec.source).run(spec.entry, args, machine=machine(),
                                          ngpus=4, **flags)
-    return hashlib.sha256(repr(observables(run, args)).encode()).hexdigest()
+    seen = repr(observables(run, args)).encode()
+    return run, hashlib.sha256(seen).hexdigest()
+
+
+def digest(name, config):
+    return observe(name, config)[1]
 
 
 CASES = [(c, n) for c in CONFIGS for n in sorted(APPS)]
+
+
+@pytest.fixture
+def binds(monkeypatch):
+    """Count context builds (``AccExecutor._bind`` calls)."""
+    seen = [0]
+    bind = AccExecutor._bind
+
+    def counted(self, memo, configs):
+        seen[0] += 1
+        return bind(self, memo, configs)
+
+    monkeypatch.setattr(AccExecutor, "_bind", counted)
+    return seen
 
 
 @pytest.mark.parametrize("config,name", CASES)
@@ -133,6 +156,25 @@ def test_digest(config, name):
     assert digest(name, config) == DIGESTS[config, name]
 
 
+@pytest.mark.parametrize("config,name", CASES)
+def test_digest_without_the_memo(monkeypatch, binds, config, name):
+    # A fresh memo per launch: every launch binds its contexts anew.
+    monkeypatch.setattr(AccExecutor, "_memo",
+                        lambda self, plan: PlanMemo(plan, _bound_names(plan)))
+    run, seen = observe(name, config)
+    assert binds[0] == len(run.loop_stats)
+    assert run.executor.graph_replays == 0
+    assert seen == DIGESTS[config, name]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_contexts_are_reused(binds, config):
+    # jacobi's two loops bind once per layout, not once per launch.
+    run, _ = observe("jacobi", config)
+    assert 0 < binds[0] < len(run.loop_stats) // 2
+
+
 if __name__ == "__main__":
     for config, name in CASES:
-        print(f"    ({config!r}, {name!r}):\n        {digest(name, config)!r},")
+        print(f"    ({config!r}, {name!r}):")
+        print(f"        {digest(name, config)!r},")
