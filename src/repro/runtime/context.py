@@ -73,10 +73,9 @@ class LoopRunStats:
 
 @dataclass(slots=True)
 class GpuLaunch:
-    """One GPU's launch node: its slice length and the launch as priced
-    for the trip counts ``dyn_counts``."""
+    """One GPU's launch node: the launch as priced for the trip counts
+    ``dyn_counts``."""
 
-    n: int
     config: LaunchConfig
     dyn_counts: dict[str, int] | None = None
     work: KernelWork | None = None
@@ -97,8 +96,6 @@ class LaunchGraph:
     tasks: list[tuple[int, int]]
     #: Per GPU, ``None`` where the slice is empty.
     kernels: list[GpuLaunch | None]
-    #: The loop's arrays, in configuration order.
-    arrays: list[ManagedArray]
     halos: HaloRecord
 
 
@@ -112,7 +109,8 @@ class PlanMemo:
     #: no launch of the plan can be replayed (:func:`_bound_names`).
     bounds: tuple[str, ...] | None
     #: The configs object and the ``(array, version)`` pairs the
-    #: contexts were built for.
+    #: contexts were built for; the pairs also pin the arrays a graph's
+    #: key names by ``id``.
     configs: Any = None
     versions: list[tuple[ManagedArray, int]] = field(default_factory=list)
     #: Per-GPU kernel contexts with their argument bindings.
@@ -203,18 +201,15 @@ class AccExecutor:
         scalars = self._scalars(plan, host_env)
         stats = LoopRunStats(kernel_name=plan.name)
         if hit:
-            tasks = stats.tasks = list(graph.tasks)
-            configs = memo.configs
-            self.loader.reloads_skipped += len(graph.arrays)
-            for ma in graph.arrays:
+            stats.tasks = list(graph.tasks)
+            # What ensure_for_loop does for an array that skips.
+            self.loader.reloads_skipped += len(memo.versions)
+            for ma, _ in memo.versions:
                 ma.reduction_identity = None
-            nodes = graph.kernels
-        else:
-            tasks, configs, loaded = self._build(memo, plan, lower, upper,
-                                                 host_env, stats)
-            if loaded:
-                key = None  # this launch loaded: nothing to record
-            nodes = [None] * len(tasks)
+        elif self._build(memo, plan, lower, upper, host_env, stats):
+            key = None  # this launch loaded: nothing to record
+        tasks, configs = stats.tasks, memo.configs
+        nodes = graph.kernels if hit else [None] * len(tasks)
 
         # Step 2: compute, price and place.
         kern0 = self.platform.clock.elapsed_in(CATEGORY_KERNELS)
@@ -232,14 +227,15 @@ class AccExecutor:
                 continue
             node = nodes[g]
             if node is None:
-                node = nodes[g] = GpuLaunch(n, self._launch_cfg(plan, n))
+                node = nodes[g] = GpuLaunch(self._launch_cfg(plan, n))
             if node.dyn_counts != ctx.dyn_counts:
                 # A fresh node, or other trip counts on the same slice.
                 node.dyn_counts = dict(ctx.dyn_counts)
                 node.work = plan.cost.total(n, ctx.dyn_counts)
                 node.seconds = self.platform.devices[g].kernel_time(
                     node.work, node.config)
-            per_gpu_seconds[g], count = self._place(plan, g, node, configs)
+            per_gpu_seconds[g], count = self._place(plan, g, n, node,
+                                                    configs)
             profiler.record_kernel(plan.name, g, per_gpu_seconds[g],
                                    launches=count, iterations=n)
             if self.tracer is not None:
@@ -261,10 +257,8 @@ class AccExecutor:
         else:
             stats.comm_seconds = self.comm.after_kernels(configs)
             if key is not None:
-                memo.graph = LaunchGraph(
-                    key, tasks, nodes,
-                    [self.loader.arrays[name] for name in configs],
-                    self.comm.record_halos(configs))
+                memo.graph = LaunchGraph(key, tasks, nodes,
+                                         self.comm.record_halos(configs))
         if self.overlap:
             if any(c.scalar_ops for c in contexts):
                 # The host consumes the reduction values right after this
@@ -300,11 +294,11 @@ class AccExecutor:
         return memo
 
     def _build(self, memo: PlanMemo, plan: KernelPlanLike, lower: int,
-               upper: int, host_env: dict[str, Any], stats: LoopRunStats,
-               ) -> tuple[list[tuple[int, int]], dict, bool]:
-        """Map: split the iteration space, make every array resident, and
-        revalidate or rebuild the plan's contexts.  Returns the tasks, the
-        array configs and whether any array reloaded."""
+               upper: int, host_env: dict[str, Any],
+               stats: LoopRunStats) -> bool:
+        """Map: split the iteration space into ``stats.tasks``, make every
+        array resident, and revalidate or rebuild the plan's contexts for
+        ``memo.configs``.  Returns whether any array reloaded."""
         if self.tracer is not None:
             # Before planning, so balancer decisions (resplits,
             # placement switches) attribute to this loop.
@@ -337,7 +331,7 @@ class AccExecutor:
         if memo.configs is not configs or any(
                 ma.version != v for ma, v in memo.versions):
             self._bind(memo, configs)
-        return tasks, configs, loaded
+        return loaded
 
     def _bind(self, memo: PlanMemo, configs: dict) -> None:
         """Build one context per GPU with every argument binding (buffer
@@ -361,11 +355,15 @@ class AccExecutor:
                     ctx.arrays[name] = buf.data
                     ctx.base[name] = ma.blocks[g].lo
                 if cfg.write_handling == WriteHandling.DIRTY_BITS:
-                    ctx.dirty[name] = ma.dirty[g]
+                    tracker = ma.dirty[g]
+                    assert tracker is not None
+                    ctx.dirty[name] = tracker
                 elif cfg.write_handling == WriteHandling.MISS_CHECK:
                     ctx.windows[name] = ma.blocks[g]
-                    ctx.miss[name] = ma.miss[g]
-                elif cfg.write_handling == WriteHandling.REDUCTION:
+                    buf_m = ma.miss[g]
+                    assert buf_m is not None
+                    ctx.miss[name] = buf_m
+                if cfg.write_handling == WriteHandling.REDUCTION:
                     ctx.reduction_arrays[name] = ctx.arrays[name]
             memo.contexts.append(ctx)
 
@@ -414,11 +412,14 @@ class AccExecutor:
     @staticmethod
     def _scalars(plan: KernelPlanLike,
                  host_env: dict[str, Any]) -> dict[str, Any]:
-        try:
-            return {n: host_env[n] for n in plan.scalar_names}
-        except KeyError as exc:
-            raise KeyError(f"kernel {plan.name!r} needs host scalar "
-                           f"{exc.args[0]!r} which is not defined") from None
+        scalars = {}
+        for n in plan.scalar_names:
+            if n not in host_env:
+                raise KeyError(
+                    f"kernel {plan.name!r} needs host scalar {n!r} which is "
+                    "not defined")
+            scalars[n] = host_env[n]
+        return scalars
 
     # -- launch helpers -----------------------------------------------------------
 
@@ -431,10 +432,11 @@ class AccExecutor:
                                block_dim=cfg.block_dim)
         return cfg
 
-    def _place(self, plan: KernelPlanLike, g: int, node: GpuLaunch,
+    def _place(self, plan: KernelPlanLike, g: int, n: int, node: GpuLaunch,
                configs: dict) -> tuple[float, int]:
-        """Put GPU ``g``'s priced launch on its timeline; returns the
-        launched seconds and launch count (profiler feedback).
+        """Put GPU ``g``'s priced launch of ``n`` iterations on its
+        timeline; returns the launched seconds and launch count
+        (profiler feedback).
 
         Synchronous mode places it at the host clock.  Overlap mode
         waits only for the arrays this kernel touches, and splits off
@@ -448,7 +450,6 @@ class AccExecutor:
             ready_int = self.comm.ready_time(g, configs, interior=True)
             split = (self._split_geometry(g, configs)
                      if ready > ready_int + 1e-15 else None)
-            n = node.n
             n_bnd = min(n, split[0] + split[1]) if split else 0
             if 0 < n_bnd < n:
                 # Interior/boundary split: the interior sub-launch reads
