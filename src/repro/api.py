@@ -195,8 +195,8 @@ class AccProgram:
                     f"unknown machine {machine!r}: known machines are "
                     f"{sorted(MACHINES)}, known clusters {sorted(CLUSTERS)}")
         for name, value in (("ngpus", ngpus), ("chunk_bytes", chunk_bytes)):
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         ngpus, chunk_bytes = int(ngpus), int(chunk_bytes)
         if chunk_bytes < 1:

@@ -200,6 +200,7 @@ class AccExecutor:
         hit = key is not None and graph is not None and graph.key == key
         scalars = self._scalars(plan, host_env)
         stats = LoopRunStats(kernel_name=plan.name)
+        # Step 1: map (the build), skipped on a graph hit.
         if hit:
             stats.tasks = list(graph.tasks)
             # What ensure_for_loop does for an array that skips.

@@ -179,13 +179,15 @@ class TestDiagnostics:
             run_source(src, {"n": 4, "x": np.ones(4, np.float32)})
 
     @pytest.mark.parametrize("arg", ["ngpus", "chunk_bytes"])
-    @pytest.mark.parametrize("value", [2.0, 1.5, True, np.float64(2), "2"])
+    @pytest.mark.parametrize("value", [2.0, 1.5, True, np.float64(2), "2"],
+                             ids=["float", "fraction", "bool", "np.float64",
+                                  "str"])
     def test_non_integer_run_argument(self, arg, value):
         prog = repro.compile(SAXPY)
         with pytest.raises(TypeError, match=arg):
             prog.run("k", {"n": 64, "a": 1.0, "x": np.ones(64, np.float32),
                            "y": np.zeros(64, np.float32)},
-                     ngpus=2, **{arg: value})
+                     **{"ngpus": 2, arg: value})
 
     @pytest.mark.parametrize("arg", ["ngpus", "chunk_bytes"])
     def test_numpy_integer_run_argument(self, arg):
