@@ -7,7 +7,14 @@ runtime's system memory is largest for BFS but stays below the paper's
 30% worst-case bound.
 """
 
-from repro.bench import fig9, render_fig9
+import dataclasses
+
+from repro.bench import fig9, machine, render_fig9, write_bench_json
+
+
+def _json(rows):
+    """Fig. 9 rows as plain dicts, with the derived total included."""
+    return [dict(dataclasses.asdict(r), total=r.total) for r in rows]
 
 
 def _get(rows, app, g):
@@ -19,6 +26,8 @@ def test_fig9_desktop(bench_once, benchmark):
     text = render_fig9(rows, "Fig. 9 (desktop)")
     print("\n" + text)
     benchmark.extra_info["table"] = text
+    write_bench_json("BENCH_fig9.json", "desktop", _json(rows),
+                     machine=machine("desktop"))
 
     for app in ("md", "kmeans", "bfs"):
         two = _get(rows, app, 2)
@@ -36,6 +45,8 @@ def test_fig9_supercomputer(bench_once, benchmark):
     text = render_fig9(rows, "Fig. 9 (supercomputer node)")
     print("\n" + text)
     benchmark.extra_info["table"] = text
+    write_bench_json("BENCH_fig9.json", "supercomputer", _json(rows),
+                     machine=machine("supercomputer"))
 
     for app in ("md", "kmeans", "bfs"):
         three = _get(rows, app, 3)

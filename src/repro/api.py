@@ -18,16 +18,14 @@ platforms) or any :class:`~repro.vcuda.specs.MachineSpec`.
 from __future__ import annotations
 
 import numbers
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from .explain import ExplainReport
 
+from .runtime.config import RunConfig
 from .runtime.context import AccExecutor, LoopRunStats
-from .runtime.data_loader import DataLoader
-from .runtime.dirty import DEFAULT_CHUNK_BYTES
 from .frontend.fortran import parse_fortran
 from .translator.compiler import (
     CompiledProgram,
@@ -50,6 +48,8 @@ class ProgramRun:
     platform: Platform
     executor: AccExecutor
     breakdown: TimeBreakdown
+    #: The run's validated flags.
+    config: RunConfig
     loop_stats: list[LoopRunStats] = field(default_factory=list)
     #: The coherence sanitizer, when the run was sanitized (else None).
     sanitizer: Any | None = None
@@ -117,76 +117,26 @@ class AccProgram:
         args: dict[str, Any],
         machine: str | MachineSpec | ClusterSpec = "desktop",
         ngpus: int = 1,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        reload_skipping: bool = True,
-        tree_reduction: bool = True,
-        overlap: bool = False,
-        coalesce: bool = False,
-        adaptive: bool = False,
-        sanitize: bool | None = None,
-        trace: bool | None = None,
-        internode: str = "staged",
-        collective: str = "none",
+        config: RunConfig | None = None,
+        **flags: Any,
     ) -> ProgramRun:
         """Execute ``entry`` with ``args`` on a virtual machine.
 
         Arrays in ``args`` are modified in place (C pointer semantics).
-        ``overlap=True`` pipelines inter-GPU communication with later
-        kernels; ``coalesce=True`` merges adjacent dirty chunks into one
-        bus transaction.  ``adaptive=True`` enables profile-guided task
-        mapping and placement switching (delta migration between
-        splits).  All three change only *timing*, never results.
-
-        ``sanitize=True`` (or ``REPRO_SANITIZE=1`` in the environment)
-        enables the multi-GPU coherence sanitizer: every parallel loop
-        is shadow-executed single-GPU and diffed, runtime coherence
-        invariants are asserted, and ``localaccess`` declarations are
-        audited (:mod:`repro.sanitizer`).  Checks work purely in data
-        space and never touch the virtual clock, so modeled time is
-        unchanged; wall-clock cost is roughly one extra launch of each
-        kernel per task slice, plus one single-iteration launch per
-        iteration of a loop with an audited window.  Violations raise
-        :class:`~repro.sanitizer.CoherenceViolation`.
-
-        ``trace=True`` (or ``REPRO_TRACE=1``) enables the structured
-        tracing subsystem (:mod:`repro.trace`): every kernel launch,
-        DMA transfer (tagged with its coherence mechanism), reload-skip
-        hit, balancer resplit and placement switch is recorded with its
-        modeled start/duration, and a metrics registry aggregates
-        per-loop/per-GPU counters.  The tracer is a pure observer:
-        modeled times and result arrays are bit-identical with tracing
-        on or off.  The recorded :class:`repro.trace.Tracer` is on
-        :attr:`ProgramRun.tracer`.
-
         ``machine`` may also be a :class:`~repro.vcuda.specs.ClusterSpec`
         (or a name from :data:`repro.vcuda.specs.CLUSTERS`): GPUs across
-        all nodes flatten into one index space and every flag above runs
-        unmodified.  ``internode`` selects the cross-node transport on
-        clusters: ``"staged"`` (default) aggregates coherence traffic
-        per node pair -- gather to the node host, one NIC transfer,
-        scatter on arrival -- while ``"naive"``, the ablation baseline,
-        ships one NIC transfer per GPU pair and takes no collective
-        schedule (``collective`` must stay ``"none"``; any other pair
-        is a ``ValueError``).  Both are timing-only knobs; single-node
-        runs never touch the NIC and ignore the choice.
+        all nodes flatten into one index space.
 
-        ``collective`` upgrades the staged transport's broadcast and
-        exchange schedules (docs/COLLECTIVES.md): ``"ring"`` pipelines
-        chunked broadcasts around a group-contiguous node ring (and a
-        hub-local GPU ring inside a node), ``"tree"`` uses a binomial
-        tree, and ``"auto"`` prices both per transfer against the
-        modeled topology and takes the cheaper.  Any value other than
-        the default ``"none"`` also enables the staged-exchange
-        progress engine, which overlaps the gather/NIC/scatter legs in
-        NIC-sized chunks.  Timing-only like ``internode``: results are
-        bit-identical across all five transports the two flags select
-        (``naive | staged | ring | tree | auto``), and one-GPU or
-        ``"none"``-mode runs reproduce the legacy schedule exactly.
+        The run's behaviour is one :class:`~repro.runtime.config.
+        RunConfig`: ``config``, with the keyword ``flags`` (its field
+        names: ``overlap=True``, ``collective="ring"``, ...) replacing
+        its fields.  Each flag is documented on its field there.  The
+        value is on :attr:`ProgramRun.config`.
         """
-        if sanitize is None:
-            sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-        if trace is None:
-            trace = os.environ.get("REPRO_TRACE", "") not in ("", "0")
+        if config is None:
+            config = RunConfig(**flags)
+        elif flags:
+            config = replace(config, **flags)
         spec = machine
         if isinstance(machine, str):
             spec = CLUSTERS.get(machine) or MACHINES.get(machine)
@@ -194,46 +144,21 @@ class AccProgram:
                 raise KeyError(
                     f"unknown machine {machine!r}: known machines are "
                     f"{sorted(MACHINES)}, known clusters {sorted(CLUSTERS)}")
-        for name, value in (("ngpus", ngpus), ("chunk_bytes", chunk_bytes)):
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        ngpus, chunk_bytes = int(ngpus), int(chunk_bytes)
-        if chunk_bytes < 1:
-            raise ValueError(
-                f"chunk_bytes must be at least 1, got {chunk_bytes!r}")
+        if isinstance(ngpus, bool) or not isinstance(ngpus, numbers.Integral):
+            raise TypeError(f"ngpus must be an integer, got {ngpus!r}")
+        ngpus = int(ngpus)
         platform = Platform(spec, ngpus)
-        loader = DataLoader(platform, chunk_bytes=chunk_bytes,
-                            reload_skipping=reload_skipping,
-                            migrate_deltas=adaptive)
-        sanitizer = None
-        if sanitize:
-            from .sanitizer import Sanitizer
-
-            sanitizer = Sanitizer(loader)
-            for dev in platform.devices:
-                dev.memory.poison_on_free = True
-        tracer = None
-        if trace:
-            from .trace import Tracer
-
-            tracer = Tracer(ngpus=ngpus, machine=spec.name)
-        executor = AccExecutor(platform, loader,
-                               tree_reduction=tree_reduction,
-                               overlap=overlap, coalesce=coalesce,
-                               adaptive=adaptive, sanitizer=sanitizer,
-                               tracer=tracer, internode=internode,
-                               collective=collective)
-        host = HostExecutor(self.compiled, executor)
-        result = host.call(entry, args)
+        executor = AccExecutor(platform, config)
+        result = HostExecutor(self.compiled, executor).call(entry, args)
         return ProgramRun(
             result=result,
             platform=platform,
             executor=executor,
             breakdown=platform.profiler.snapshot(),
+            config=config,
             loop_stats=list(executor.history),
-            sanitizer=sanitizer,
-            tracer=tracer,
+            sanitizer=executor.sanitizer,
+            tracer=executor.tracer,
         )
 
 

@@ -7,11 +7,12 @@ tables the benchmark suite prints and EXPERIMENTS.md records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..api import compile as compile_acc
 from ..apps import ALL_APPS
 from ..apps.base import AppSpec
+from ..runtime.config import RunConfig
 from ..vcuda.profiler import TimeBreakdown
 from ..vcuda.specs import MACHINES
 from .versions import VersionResult, run_version
@@ -81,11 +82,11 @@ class Fig8Row:
 
 
 def fig8(machine: str = "desktop", apps: dict[str, AppSpec] | None = None,
-         workload: str = "bench", overlap: bool = False,
-         coalesce: bool = False) -> list[Fig8Row]:
+         workload: str = "bench",
+         config: RunConfig | None = None) -> list[Fig8Row]:
     """Breakdown of proposal time into the paper's three buckets.
 
-    With ``overlap=True`` the GPU-GPU column reports only *exposed*
+    Under ``config.overlap`` the GPU-GPU column reports only *exposed*
     communication; the hidden remainder lands in
     :attr:`Fig8Row.gpu_gpu_overlapped`.
     """
@@ -96,8 +97,7 @@ def fig8(machine: str = "desktop", apps: dict[str, AppSpec] | None = None,
         results: list[VersionResult] = []
         for g in range(1, spec.gpu_count + 1):
             results.append(run_version(app, "proposal", machine, ngpus=g,
-                                       workload=workload, overlap=overlap,
-                                       coalesce=coalesce))
+                                       workload=workload, config=config))
         denom = results[0].breakdown.total if results[0].breakdown else 1.0
         for r in results:
             bd: TimeBreakdown = r.breakdown  # type: ignore[assignment]
@@ -127,8 +127,7 @@ class Fig8Reconciliation:
 
 def fig8_reconciliation(
     machine: str = "desktop", apps: dict[str, AppSpec] | None = None,
-    workload: str = "bench", overlap: bool = False,
-    coalesce: bool = False,
+    workload: str = "bench", config: RunConfig | None = None,
 ) -> list[Fig8Reconciliation]:
     """Fig. 8 accounting identity: traced per-category seconds vs the
     profiler's reported breakdown, per app and GPU count.
@@ -143,12 +142,12 @@ def fig8_reconciliation(
 
     apps = apps or ALL_APPS
     spec = MACHINES[machine]
+    traced = replace(config or RunConfig(), trace=True)
     rows: list[Fig8Reconciliation] = []
     for name, app in apps.items():
         for g in range(1, spec.gpu_count + 1):
             r = run_version(app, "proposal", machine, ngpus=g,
-                            workload=workload, overlap=overlap,
-                            coalesce=coalesce, trace=True)
+                            workload=workload, config=traced)
             assert r.tracer is not None and r.breakdown is not None
             rows.append(Fig8Reconciliation(
                 app=name, machine=machine, ngpus=g,

@@ -19,6 +19,7 @@ from ..api import compile as compile_acc
 from ..apps.base import AppSpec
 from ..apps.cuda_baselines import bfs_cuda, kmeans_cuda, md_cuda
 from ..cpu.openmp import run_openmp
+from ..runtime.config import RunConfig
 from ..translator.compiler import CompileOptions
 from ..vcuda.memory import PURPOSE_SYSTEM, PURPOSE_USER
 from ..vcuda.profiler import TimeBreakdown
@@ -70,11 +71,10 @@ def run_version(
     ngpus: int = 1,
     workload: str = "bench",
     check: bool = False,
-    overlap: bool = False,
-    coalesce: bool = False,
-    trace: bool = False,
+    config: RunConfig | None = None,
 ) -> VersionResult:
-    """Run one version of one app and collect its measurements."""
+    """Run one version of one app and collect its measurements;
+    ``config`` configures the proposal's runs."""
     mname, spec = _resolve_machine(machine)
     args = app.args_for(workload)
     snap = app.snapshot(args) if check else None
@@ -100,8 +100,7 @@ def run_version(
             options = CompileOptions()
         prog = compile_acc(app.source, options)
         run = prog.run(app.entry, args, machine=spec, ngpus=ngpus,
-                       overlap=overlap, coalesce=coalesce,
-                       trace=trace or None)
+                       config=config)
         result = VersionResult(
             app=app.name, version=version, machine=mname, ngpus=ngpus,
             elapsed=run.elapsed, breakdown=run.breakdown,

@@ -34,7 +34,7 @@ traffic keeps paying the full all-to-all price.
   purely a data-loader decision.
 
 Everything here is advisory: the executor consults the balancer only
-when constructed with ``adaptive=True``, and the static path is
+when its run's config sets ``adaptive``, and the static path is
 untouched.
 """
 

@@ -53,6 +53,7 @@ from ..trace.events import (
     MECH_REPLICA,
     MECH_REPLICA_STAGED,
 )
+from .config import COLLECTIVE_MODES, TRANSPORTS, RunConfig
 
 __all__ = [
     "COLLECTIVE_MODES",
@@ -63,11 +64,6 @@ __all__ = [
     "select_node_schedule",
     "tree_rounds",
 ]
-
-#: Valid values of the ``collective`` run flag.
-COLLECTIVE_MODES = ("none", "auto", "ring", "tree")
-#: The transports the (``internode``, ``collective``) run flags select.
-TRANSPORTS = ("naive", "staged", "ring", "tree", "auto")
 
 #: ``(src_gpu, dst_gpu, nbytes)``.
 Pair = tuple[int, int, int]
@@ -168,40 +164,23 @@ def select_node_schedule(cluster: ClusterSpec, src_node: int,
 class Transport:
     """Issues every coherence transfer of one run on the bus.
 
-    Configured once from the run's ``internode`` / ``collective`` /
-    ``overlap`` values; :attr:`mode` is the resulting transport, one of
-    :data:`TRANSPORTS`.  The transport owns *pricing only*: the comm
-    manager has already applied the array data before calling
-    :meth:`pairs` / :meth:`broadcast`, and keeps the per-mechanism byte
-    ledger; the counters here are the NIC-side ones, so ablation
-    comparisons stay apples-to-apples across transports.
+    Configured once from the run's :class:`RunConfig`; :attr:`mode` is
+    its :attr:`~RunConfig.transport`, one of :data:`TRANSPORTS`.  The
+    transport owns *pricing only*: the comm manager has already applied
+    the array data before calling :meth:`pairs` / :meth:`broadcast`, and
+    keeps the per-mechanism byte ledger; the counters here are the
+    NIC-side ones, so ablation comparisons stay apples-to-apples across
+    transports.
     """
 
-    def __init__(self, platform: Any, internode: str = "staged",
-                 collective: str = "none", overlap: bool = False,
+    def __init__(self, platform: Any, config: RunConfig | None = None,
                  tracer: Any | None = None) -> None:
-        if internode not in ("staged", "naive"):
-            raise ValueError(
-                f"internode must be 'staged' or 'naive', got {internode!r}")
-        if collective not in COLLECTIVE_MODES:
-            raise ValueError(
-                f"collective must be one of {COLLECTIVE_MODES}, "
-                f"got {collective!r}")
-        if internode == "naive" and collective != "none":
-            # The naive transport is the undisturbed ablation baseline:
-            # collective schedules only upgrade the staged one.
-            raise ValueError(
-                f"internode='naive' takes no collective schedule, got "
-                f"collective={collective!r}: use internode='staged' or "
-                "collective='none'")
-        self.mode = ("naive" if internode == "naive"
-                     else "staged" if collective == "none" else collective)
+        #: The run's flags (:class:`RunConfig`).
+        self.config = config = config or RunConfig()
+        self.mode = config.transport
         self.platform = platform
         self.bus: Bus = platform.bus
         self.machine = self.bus.machine
-        #: Issue transfers with ``not_before`` the endpoint GPUs' queued
-        #: kernels and allow host staging of node-local broadcasts.
-        self.overlap = overlap
         #: Opt-in tracer: transfers issued inside a :meth:`_tag` block
         #: carry the mechanism and array that produced them.
         self.tracer = tracer
@@ -263,7 +242,7 @@ class Transport:
         """Issue dependency of a transfer: the endpoint GPUs' queued
         kernels produce (source) or still read (destination) the
         buffers, so the copy may not start before they finish."""
-        if not self.overlap:
+        if not self.config.overlap:
             return 0.0
         devs = self.platform.devices
         floor = 0.0
@@ -472,7 +451,7 @@ class Transport:
         """Price direct fan-out vs host staging for one source GPU.
         Staging needs async transfers with dependencies, so it only
         runs in overlap mode."""
-        if not self.overlap or len(targets) < 2 or total == 0:
+        if not self.config.overlap or len(targets) < 2 or total == 0:
             return False
         staged = (self.bus.duration("d2h", total, g, None)
                   + self.bus.duration("h2d", total, None, g))

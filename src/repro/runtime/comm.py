@@ -54,6 +54,7 @@ from ..translator.array_config import ArrayConfig, Placement, WriteHandling
 from ..vcuda.api import Platform
 from ..vcuda.bus import Bus, CATEGORY_GPU_GPU, Transfer
 from .collectives import Pair, Transport
+from .config import RunConfig
 from .data_loader import DataLoader, ManagedArray, _uniform_signature
 from .partition import owner_of
 from .writemiss import RECORD_BYTES
@@ -114,33 +115,15 @@ class CommunicationManager:
     """Executes the post-kernel coherence step for one loop."""
 
     def __init__(self, platform: Platform, loader: DataLoader,
-                 tree_reduction: bool = True,
-                 overlap: bool = False,
-                 coalesce: bool = False,
-                 tracer: Any | None = None,
-                 internode: str = "staged",
-                 collective: str = "none") -> None:
+                 config: RunConfig | None = None,
+                 tracer: Any | None = None) -> None:
         self.platform = platform
         self.loader = loader
-        #: Routes everything the mechanisms below say has moved.
-        #: ``internode`` picks the cross-node route -- ``staged``
-        #: aggregates per node pair, ``naive`` ships one NIC transfer
-        #: per GPU pair -- and ``collective`` upgrades the staged
-        #: route's schedules (docs/COLLECTIVES.md "Who decides the
-        #: route").  Timing-only: array results are bit-identical
-        #: across transports.
-        self.transport = Transport(platform, internode, collective,
-                                   overlap=overlap, tracer=tracer)
-        #: Merge reduction partials with a binary tree (log G rounds of
-        #: concurrent pairwise transfers) rather than a flat gather to
-        #: GPU 0 -- the inter-GPU level of the paper's hierarchical
-        #: reduction.  The flat variant is kept for the ablation.
-        self.tree_reduction = tree_reduction
-        #: Issue coherence traffic asynchronously and let later kernels
-        #: overlap with it (event-gated launches).
-        self.overlap = overlap
-        #: Merge adjacent dirty chunks into one transaction per run.
-        self.coalesce = coalesce
+        #: The run's flags (:class:`RunConfig`).
+        self.config = config = config or RunConfig()
+        #: Routes everything the mechanisms below say has moved
+        #: (docs/COLLECTIVES.md "Who decides the route").
+        self.transport = Transport(platform, config, tracer=tracer)
         #: In-flight traffic per array name (overlap mode only).  The
         #: array being propagated is the transport's ``gate`` meanwhile.
         self.pending: dict[str, PendingComm] = {}
@@ -204,18 +187,18 @@ class CommunicationManager:
                 self._refresh_halos(ma)
                 self._commit(halo_only=halo_only)
             elif cfg.write_handling == WriteHandling.REDUCTION:
-                if self.overlap:
+                if self.config.overlap:
                     # Conservative synchronous fallback: the merged
                     # values are consumed right away (host readback,
                     # placement flip), so barrier on the producing
                     # kernels and expose the merge traffic.
                     self._kernel_barrier()
                 self._merge_reduction(ma, cfg)
-                if self.overlap and self.platform.bus.pending_count():
+                if self.config.overlap and self.platform.bus.pending_count():
                     self.platform.bus.sync_split()
             if cfg.written:
                 ma.device_ahead = cfg.write_handling != WriteHandling.REDUCTION
-        if not self.overlap:
+        if not self.config.overlap:
             if self.platform.bus.pending_count():
                 # sync_split == sync(CATEGORY_GPU_GPU) when nothing NET
                 # is pending; on a cluster the NIC tail past the last
@@ -260,7 +243,7 @@ class CommunicationManager:
     # -- overlap bookkeeping -----------------------------------------------------
 
     def _begin(self, ma: ManagedArray) -> None:
-        if not self.overlap:
+        if not self.config.overlap:
             return
         ngpus = self.platform.ngpus
         prev = self.pending.pop(ma.name, None)
@@ -276,7 +259,7 @@ class CommunicationManager:
         self.transport.gate = pc
 
     def _commit(self, halo_only: bool) -> None:
-        if not self.overlap:
+        if not self.config.overlap:
             return
         pc, self.transport.gate = self.transport.gate, None
         assert pc is not None
@@ -378,7 +361,7 @@ class CommunicationManager:
             # With coalescing, adjacent dirty chunks merge into one
             # transaction per contiguous run.
             runs = tracker.dirty_chunk_runs()
-            if self.coalesce:
+            if self.config.coalesce:
                 merged = Bus.coalesce_runs(runs)
                 self.transactions_coalesced_away += len(runs) - len(merged)
                 runs = merged
@@ -562,7 +545,7 @@ class CommunicationManager:
         alive = [g for g in range(ngpus) if ma.buffers[g] is not None]
         nbytes = ma.length * ma.itemsize
         rounds: list[list[tuple[int, int]]] = []  # (src, dst) merge hops
-        if self.tree_reduction:
+        if self.config.tree_reduction:
             stride = 1
             while stride < len(alive):
                 rounds.append([(alive[k + stride], alive[k]) for k in

@@ -35,6 +35,7 @@ from ..vcuda.bus import CATEGORY_CPU_GPU, CATEGORY_KERNELS
 from ..vcuda.device import KernelWork, LaunchConfig
 from .balancer import AdaptiveBalancer
 from .comm import CommunicationManager, HaloRecord
+from .config import RunConfig
 from .data_loader import DataLoader, ManagedArray
 from .kernelctx import KernelContext, ScratchArena
 from .partition import split_tasks, window_free_names
@@ -121,39 +122,32 @@ class PlanMemo:
 class AccExecutor:
     """Multi-GPU executor bound to one platform."""
 
-    def __init__(
-        self,
-        platform: Platform,
-        loader: DataLoader | None = None,
-        tree_reduction: bool = True,
-        overlap: bool = False,
-        coalesce: bool = False,
-        adaptive: bool = False,
-        balancer: AdaptiveBalancer | None = None,
-        sanitizer: Any | None = None,
-        tracer: Any | None = None,
-        internode: str = "staged",
-        collective: str = "none",
-    ) -> None:
+    def __init__(self, platform: Platform,
+                 config: RunConfig | None = None) -> None:
         self.platform = platform
-        self.loader = loader or DataLoader(platform)
+        #: The run's flags (:class:`RunConfig`).
+        self.config = config = config or RunConfig()
+        self.loader = loader = DataLoader(platform, config)
         #: Opt-in coherence sanitizer (:mod:`repro.sanitizer`).  None by
         #: default: the hot path pays a single ``is None`` test per loop.
-        self.sanitizer = sanitizer
-        if sanitizer is not None:
-            self.loader.sanitizer = sanitizer
+        self.sanitizer = None
+        if config.sanitize:
+            from ..sanitizer import Sanitizer
+
+            self.sanitizer = loader.sanitizer = Sanitizer(loader)
+            for dev in platform.devices:
+                dev.memory.poison_on_free = True
         #: Opt-in structured tracer (:mod:`repro.trace`), a pure
         #: observer like the sanitizer.
-        self.tracer = tracer
-        if tracer is not None:
-            self.loader.tracer = tracer
+        self.tracer = tracer = None
+        if config.trace:
+            from ..trace import Tracer
+
+            self.tracer = loader.tracer = tracer = Tracer(
+                ngpus=platform.ngpus, machine=platform.machine.name)
             platform.clock.observer = tracer.on_clock
             platform.bus.observer = tracer.on_transfer
-        self.comm = CommunicationManager(platform, self.loader,
-                                         tree_reduction=tree_reduction,
-                                         overlap=overlap, coalesce=coalesce,
-                                         tracer=tracer, internode=internode,
-                                         collective=collective)
+        self.comm = CommunicationManager(platform, loader, config, tracer)
         #: One :class:`PlanMemo` per plan, keyed by ``id``.
         self._plans: dict[int, PlanMemo] = {}
         #: Kernel scratch, one arena per device, alive for this run.
@@ -161,24 +155,17 @@ class AccExecutor:
         #: Halo-split stride qualification per array config (overlap
         #: mode re-derives it every launch otherwise).
         self._stride_qual: dict[int, tuple[Any, Any]] = {}
-        #: Asynchronous communication pipelining: kernels of the next
-        #: loop gate on per-array comm completion instead of a global
-        #: barrier, and waits are attributed by the platform timeline.
-        self.overlap = overlap
-        #: Profile-guided adaptive mapping + placement switching.
-        self.adaptive = adaptive
-        self.balancer = balancer
-        if adaptive and self.balancer is None:
-            self.balancer = AdaptiveBalancer(platform, self.loader)
-        if self.tracer is not None and self.balancer is not None:
-            self.balancer.tracer = self.tracer
+        self.balancer = None
+        if config.adaptive:
+            self.balancer = AdaptiveBalancer(platform, loader)
+            self.balancer.tracer = tracer
         self.history: list[LoopRunStats] = []
         self._multinode = platform.machine.node_count > 1
         #: Telemetry: launches replayed from a graph.
         self.graph_replays = 0
-        if overlap:
+        if config.overlap:
             platform.enable_overlap_accounting()
-            self.loader.pre_access_hook = self._host_access_barrier
+            loader.pre_access_hook = self._host_access_barrier
 
     # -- main entry ------------------------------------------------------------
 
@@ -244,7 +231,7 @@ class AccExecutor:
                 for rec in self.platform.devices[g].launches[-count:]:
                     self.tracer.kernel_event(rec, iterations=n,
                                              fusion=fusion)
-        if not self.overlap:
+        if not self.config.overlap:
             stats.kernel_seconds = self.platform.sync_devices()
         stats.dyn_counts = [dict(c.dyn_counts) for c in contexts]
         if self.sanitizer is not None:
@@ -260,7 +247,7 @@ class AccExecutor:
             if key is not None:
                 memo.graph = LaunchGraph(key, tasks, nodes,
                                          self.comm.record_halos(configs))
-        if self.overlap:
+        if self.config.overlap:
             if any(c.scalar_ops for c in contexts):
                 # The host consumes the reduction values right after this
                 # loop: conservative synchronous fallback (barrier on
@@ -278,7 +265,7 @@ class AccExecutor:
             # Replay completeness, replica agreement, localaccess spans,
             # and the oracle diff of every written array and scalar.
             self.sanitizer.after_comm(plan, host_env)
-        if self.adaptive and self.balancer is not None:
+        if self.config.adaptive and self.balancer is not None:
             self.balancer.observe(plan, tasks, per_gpu_seconds,
                                   self.comm.last_call_bytes)
         if self.tracer is not None:
@@ -304,7 +291,7 @@ class AccExecutor:
             # Before planning, so balancer decisions (resplits,
             # placement switches) attribute to this loop.
             self.tracer.enter_loop(plan.name)
-        if self.adaptive and self.balancer is not None:
+        if self.config.adaptive and self.balancer is not None:
             tasks = self.balancer.plan_tasks(plan, lower, upper)
             configs = self.balancer.effective_configs(plan)
         else:
@@ -320,7 +307,7 @@ class AccExecutor:
         loaded = self.loader.reloads_skipped - skipped < len(configs)
         bus = self.platform.bus
         if bus.pending_count():
-            if self.overlap:
+            if self.config.overlap:
                 # GPU-GPU traffic from earlier loops may still be in
                 # flight; wait only for this loop's host transfers.
                 stats.load_seconds = bus.sync_category(CATEGORY_CPU_GPU)
@@ -386,10 +373,10 @@ class AccExecutor:
         all give ``None``.
         """
         loader = self.loader
-        if (self.overlap or self.adaptive or self.tracer is not None
-                or self.sanitizer is not None or loader.tracer is not None
-                or loader.sanitizer is not None or self._multinode
-                or self.platform.bus.pending_count()):
+        if (self.config.overlap or self.config.adaptive
+                or self.tracer is not None or self.sanitizer is not None
+                or loader.tracer is not None or loader.sanitizer is not None
+                or self._multinode or self.platform.bus.pending_count()):
             return None
         names = self._memo(plan).bounds
         if names is None:
@@ -446,7 +433,7 @@ class AccExecutor:
         """
         dev = self.platform.devices[g]
         now = ready = self.platform.clock.now
-        if self.overlap:
+        if self.config.overlap:
             ready = self.comm.ready_time(g, configs)
             ready_int = self.comm.ready_time(g, configs, interior=True)
             split = (self._split_geometry(g, configs)

@@ -45,7 +45,8 @@ from ..translator.kernel_support import red_identity
 from ..vcuda.api import Platform
 from ..vcuda.bus import CATEGORY_CPU_GPU
 from ..vcuda.memory import DeviceBuffer, PURPOSE_USER
-from .dirty import DEFAULT_CHUNK_BYTES, TwoLevelDirty
+from .config import RunConfig
+from .dirty import TwoLevelDirty
 from .partition import (
     Block,
     primary_blocks,
@@ -184,17 +185,10 @@ class DataLoader:
     """Owns all :class:`ManagedArray` state for one execution context."""
 
     def __init__(self, platform: Platform,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                 reload_skipping: bool = True,
-                 migrate_deltas: bool = False) -> None:
+                 config: RunConfig | None = None) -> None:
         self.platform = platform
-        self.chunk_bytes = chunk_bytes
-        self.reload_skipping = reload_skipping
-        #: Adaptive mode: when the required blocks differ from what is
-        #: resident, move only the deltas between old and new blocks
-        #: (device-local keeps, peer fetches from old owners, host
-        #: fills) instead of writing everything back and reloading.
-        self.migrate_deltas = migrate_deltas
+        #: The run's flags (:class:`RunConfig`).
+        self.config = config or RunConfig()
         self.arrays: dict[str, ManagedArray] = {}
         self._region_stack: list[list[str]] = []
         #: Latest derivation per ``localaccess`` window, keyed by the
@@ -365,8 +359,8 @@ class DataLoader:
         # Adaptive mode: GPUs the balancer starved (empty task slice)
         # hold no replica blocks either -- they read nothing, and every
         # resident replica is one more target of each dirty broadcast.
-        idle = ([t1 <= t0 for t0, t1 in tasks]
-                if self.migrate_deltas else None)
+        config = self.config
+        idle = [t1 <= t0 for t0, t1 in tasks] if config.adaptive else None
         for name, cfg in configs.items():
             ma = self._get(name)
             ngpus = self.platform.ngpus
@@ -394,7 +388,8 @@ class DataLoader:
             if signature is None:
                 signature = (placement, tuple((b.lo, b.hi) for b in blocks),
                              identity is not None)
-            if (self.reload_skipping and ma.valid and ma.signature == signature
+            if (config.reload_skipping and ma.valid
+                    and ma.signature == signature
                     and identity is None and not ma.skip_invalidated):
                 self.reloads_skipped += 1
                 if self.sanitizer is not None:
@@ -406,7 +401,7 @@ class DataLoader:
                     self.tracer.metrics.count(
                         "reload_skip_hits", 1, array=name,
                         loop=self.tracer.current_loop)
-            elif (self.migrate_deltas and ma.valid and identity is None
+            elif (config.adaptive and ma.valid and identity is None
                     and ma.signature is not None and not ma.signature[2]
                     and self._migrate(ma, placement, blocks, signature)):
                 if self.tracer is not None:
@@ -641,7 +636,7 @@ class DataLoader:
                     ma.dirty[g] = TwoLevelDirty(
                         ma.name, ma.length, ma.itemsize,
                         memory=self.platform.devices[g].memory,
-                        chunk_bytes=self.chunk_bytes)
+                        chunk_bytes=self.config.chunk_bytes)
                     ma.version += 1
         elif cfg.write_handling == WriteHandling.MISS_CHECK:
             capacity = max(1024, ma.length // 10)

@@ -331,7 +331,8 @@ class ShadowOracle:
     def _raise_divergence(self, plan: Any, cfg: ArrayConfig,
                           ma: ManagedArray, gpu: int | None, element: int,
                           expected: Any, actual: Any) -> None:
-        elems_per_chunk = max(1, self.loader.chunk_bytes // ma.itemsize)
+        elems_per_chunk = max(
+            1, self.loader.config.chunk_bytes // ma.itemsize)
         owner = int(owner_of(np.array([element], dtype=np.int64),
                              ma.primary)[0]) if ma.primary else gpu
         transfer = (transfer_for(cfg, ma, gpu, element)

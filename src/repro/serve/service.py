@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..api import AccProgram, ProgramRun
+from ..runtime.config import RunConfig
 from ..trace import Tracer
 from ..trace.events import (
     EVENT_REQ_ADMITTED,
@@ -75,9 +76,9 @@ class RunRequest:
     #: replica worst case from the argument arrays
     #: (:func:`~repro.serve.scheduler.estimate_request_bytes`).
     bytes_per_gpu: int | None = None
-    #: Extra keyword arguments for :meth:`repro.AccProgram.run`
-    #: (``overlap``, ``adaptive``, ...).
-    run_kwargs: dict[str, Any] = field(default_factory=dict)
+    #: The run's flags (:class:`~repro.runtime.config.RunConfig`);
+    #: ``None`` runs with the defaults.
+    config: RunConfig | None = None
     #: Optional caller-chosen label (defaults to an assigned id).
     label: str | None = None
 
@@ -324,7 +325,7 @@ class ProgramService:
             sub = self.fleet.subset(record.slots)
             record.run = program.run(
                 request.entry, request.args, machine=sub,
-                ngpus=len(record.slots), **request.run_kwargs)
+                ngpus=len(record.slots), config=request.config)
         except BaseException as exc:  # noqa: BLE001 -- ticket carries it
             record.error = exc
         finally:

@@ -17,8 +17,9 @@ apps (:mod:`repro.apps`) instead of embedding source text::
 
 ``count`` clones a request line N times (each clone gets fresh input
 arrays -- app input generators are deterministic, so replays are too).
-Unknown keys are rejected: a workload file is an interface, typos
-should fail loudly.
+``run`` holds :class:`~repro.runtime.config.RunConfig` fields, checked
+when the workload loads.  Unknown keys and bad values are rejected: a
+workload file is an interface, typos should fail loudly.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Any
 
 from ..apps import ALL_APPS, EXTRA_APPS
 from ..bench.machines import hypothetical_node
+from ..runtime.config import RunConfig
 from ..translator.compiler import CompileOptions
 from ..vcuda.specs import MACHINES, MachineSpec
 from .registry import ProgramRegistry
@@ -92,6 +94,11 @@ def requests_from_spec(spec: list[dict[str, Any]]) -> list[RunRequest]:
             except TypeError as exc:
                 raise WorkloadError(
                     f"requests[{i}]: bad options: {exc}") from None
+        try:
+            config = RunConfig(**line.get("run", {}))
+        except (TypeError, ValueError) as exc:
+            raise WorkloadError(
+                f"requests[{i}]: bad run flags: {exc}") from None
         for clone in range(int(line.get("count", 1))):
             label = line.get("label")
             if label is not None and int(line.get("count", 1)) > 1:
@@ -104,7 +111,7 @@ def requests_from_spec(spec: list[dict[str, Any]]) -> list[RunRequest]:
                 ngpus=int(line.get("ngpus", 1)),
                 tenant=str(line.get("tenant", "default")),
                 bytes_per_gpu=line.get("bytes_per_gpu"),
-                run_kwargs=dict(line.get("run", {})),
+                config=config,
                 label=label,
             ))
     return requests

@@ -18,6 +18,7 @@ from repro.apps import ALL_APPS
 from repro.bench.machines import hypothetical_node, mixed_node
 from repro.frontend.parser import parse_expr
 from repro.runtime.balancer import AdaptiveBalancer
+from repro.runtime.config import RunConfig
 from repro.runtime.data_loader import DataLoader
 from repro.runtime.partition import Block, split_tasks
 from repro.translator.array_config import (
@@ -337,7 +338,7 @@ class TestDeltaMigration:
 
     def test_distributed_resplit_migrates_not_reloads(self):
         p = Platform(DESKTOP_MACHINE, 2)
-        dl = DataLoader(p, migrate_deltas=True)
+        dl = DataLoader(p, RunConfig(adaptive=True))
         host = np.arange(100, dtype=np.float32)
         dl.enter_region([("a", host, "copyin")])
         c = dist_cfg("a")
@@ -354,7 +355,7 @@ class TestDeltaMigration:
 
     def test_same_split_still_skips(self):
         p = Platform(DESKTOP_MACHINE, 2)
-        dl = DataLoader(p, migrate_deltas=True)
+        dl = DataLoader(p, RunConfig(adaptive=True))
         host = np.arange(100, dtype=np.float32)
         dl.enter_region([("a", host, "copyin")])
         c = dist_cfg("a")
@@ -367,7 +368,7 @@ class TestDeltaMigration:
 
     def test_idle_gpu_holds_no_replica(self):
         p = Platform(DESKTOP_MACHINE, 2)
-        dl = DataLoader(p, migrate_deltas=True)
+        dl = DataLoader(p, RunConfig(adaptive=True))
         host = np.arange(10, dtype=np.float32)
         dl.enter_region([("a", host, "copyin")])
         c = ArrayConfig(name="a", ctype="float", read=True)
@@ -379,7 +380,7 @@ class TestDeltaMigration:
 
     def test_static_loader_keeps_full_replicas_on_idle_gpus(self):
         p = Platform(DESKTOP_MACHINE, 2)
-        dl = DataLoader(p)  # migrate_deltas off: paper behavior
+        dl = DataLoader(p)  # adaptive off: paper behavior
         host = np.arange(10, dtype=np.float32)
         dl.enter_region([("a", host, "copyin")])
         c = ArrayConfig(name="a", ctype="float", read=True)
@@ -392,7 +393,7 @@ class TestDeltaMigration:
         # the stale signature -- the buffers it would skip re-checking
         # were materialized under the old placement.
         p = Platform(DESKTOP_MACHINE, 2)
-        dl = DataLoader(p, migrate_deltas=True)
+        dl = DataLoader(p, RunConfig(adaptive=True))
         host = np.arange(100, dtype=np.float32)
         dl.enter_region([("a", host, "copyin")])
         c = dist_cfg("a")

@@ -39,6 +39,7 @@ from repro.runtime.collectives import (
     select_node_schedule,
     tree_rounds,
 )
+from repro.runtime.config import RunConfig
 from repro.trace import Tracer
 from repro.trace.events import (
     MECH_COLLECTIVE_PIPELINE,
@@ -151,12 +152,13 @@ class TestEngineContract:
         run = prog.run(spec.entry, spec.args_for("tiny"), ngpus=1)
         # "none" is no collective schedule: the transport it selects
         # is the staged one.  Unknown values are rejected.
-        assert Transport(run.platform, collective="none").mode == "staged"
+        assert Transport(run.platform,
+                         RunConfig(collective="none")).mode == "staged"
         for bad in ("butterfly", "staged"):
             with pytest.raises(ValueError, match="collective"):
-                Transport(run.platform, collective=bad)
+                Transport(run.platform, RunConfig(collective=bad))
         with pytest.raises(ValueError, match="internode"):
-            Transport(run.platform, internode="butterfly")
+            Transport(run.platform, RunConfig(internode="butterfly"))
 
     def test_naive_takes_no_collective_schedule(self):
         # docs/COLLECTIVES.md: ``internode="naive"`` is the undisturbed
@@ -180,7 +182,8 @@ class TestEngineContract:
 
     def test_flag_pairs_select_five_transports(self):
         p = Platform(hypothetical_cluster(2, 2), 4)
-        modes = {Transport(p, internode, collective).mode
+        modes = {Transport(p, RunConfig(internode=internode,
+                                        collective=collective)).mode
                  for internode in ("staged", "naive")
                  for collective in COLLECTIVE_MODES
                  if (internode, collective) == ("naive", "none")
@@ -419,9 +422,9 @@ class TestRoutingTable:
         p = Platform(hypothetical_cluster(2, 2), 4)
         tracer = Tracer(ngpus=4)
         p.bus.observer = tracer.on_transfer
-        transport = Transport(
-            p, internode="naive" if mode == "naive" else "staged",
-            collective=mode if mode in SCHEDULES else "none", tracer=tracer)
+        transport = Transport(p, RunConfig(
+            internode="naive" if mode == "naive" else "staged",
+            collective=mode if mode in SCHEDULES else "none"), tracer=tracer)
         assert transport.mode == mode
 
         class RecordingGate:
@@ -450,10 +453,10 @@ class TestRoutingTable:
         orders = set()
         for mode in TRANSPORTS:
             p = Platform(hypothetical_cluster(2, 2), 4)
-            Transport(
-                p, internode="naive" if mode == "naive" else "staged",
+            Transport(p, RunConfig(
+                internode="naive" if mode == "naive" else "staged",
                 collective=mode if mode in SCHEDULES else "none",
-            ).pairs("a", MECH_HALO, STUB_PAIRS, direct=True)
+            )).pairs("a", MECH_HALO, STUB_PAIRS, direct=True)
             orders.add(tuple((t.kind, t.src_device, t.dst_device, t.start,
                               t.end) for t in p.bus.pending))
             assert [(t.src_device, t.dst_device, t.nbytes)

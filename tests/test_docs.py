@@ -82,13 +82,16 @@ class TestChoosingFlags:
         return m.group(1)
 
     def test_every_run_parameter_is_documented(self):
+        import dataclasses
         import inspect
 
         sys.path.insert(0, str(REPO / "src"))
         try:
             from repro.api import AccProgram
+            from repro.runtime.config import RunConfig
             params = [p for p in inspect.signature(
                 AccProgram.run).parameters if p != "self"]
+            params += [f.name for f in dataclasses.fields(RunConfig)]
         finally:
             sys.path.remove(str(REPO / "src"))
         section = self._section()

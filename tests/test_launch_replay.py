@@ -18,6 +18,7 @@ from repro.bench.machines import hypothetical_node
 from repro.frontend.parser import parse_expr
 from repro.runtime import partition
 from repro.runtime.comm import CommunicationManager
+from repro.runtime.config import RunConfig
 from repro.runtime.context import AccExecutor
 from repro.runtime.data_loader import DataLoader
 from repro.runtime.partition import Block
@@ -299,7 +300,7 @@ class TestLayoutChange:
     def test_resplit_and_placement_switch_rebuild(self, counts):
         self.stamp = 0
         p = Platform(hypothetical_node(4), 4)
-        dl = DataLoader(p, migrate_deltas=True)
+        dl = DataLoader(p, RunConfig(adaptive=True))
         comm = CommunicationManager(p, dl)
         dl.enter_region([("a", np.zeros(400, dtype=np.float32), "copy")])
         cfg = halo_cfg("a")

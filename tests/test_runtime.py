@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.runtime.comm import CommunicationManager
+from repro.runtime.config import RunConfig
 from repro.runtime.data_loader import DataEnvironmentError, DataLoader
 from repro.runtime.dirty import TwoLevelDirty
 from repro.runtime.kernelctx import KernelContext
@@ -335,7 +336,7 @@ class TestDataLoaderPlacement:
 
     def test_reload_skipping_disabled(self):
         p = Platform(DESKTOP_MACHINE, 2)
-        dl = DataLoader(p, reload_skipping=False)
+        dl = DataLoader(p, RunConfig(reload_skipping=False))
         host = np.arange(10, dtype=np.float32)
         dl.enter_region([("a", host, "copyin")])
         c = cfg("a", placement=Placement.DISTRIBUTED, window=stride_window())
@@ -419,7 +420,7 @@ class TestDataLoaderPlacement:
 class TestCommManager:
     def setup_replica(self, ngpus=2, n=32):
         p = Platform(DESKTOP_MACHINE, ngpus)
-        dl = DataLoader(p, chunk_bytes=16)
+        dl = DataLoader(p, RunConfig(chunk_bytes=16))
         host = np.zeros(n, dtype=np.float32)
         dl.enter_region([("a", host, "copy")])
         c = cfg("a", written=True, handling=WriteHandling.DIRTY_BITS)
@@ -556,7 +557,7 @@ class TestTreeReduction:
         c = cfg("h", written=True, handling=WriteHandling.REDUCTION,
                 reduction_op="+")
         dl.ensure_for_loop({"h": c}, split_tasks(0, 8, ngpus), "i", {})
-        comm = CommunicationManager(p, dl, tree_reduction=tree)
+        comm = CommunicationManager(p, dl, RunConfig(tree_reduction=tree))
         ma = dl.arrays["h"]
         for g in range(ngpus):
             ma.buffers[g].data[:] = float(g + 1)
@@ -583,7 +584,7 @@ class TestTreeReduction:
             c = cfg("h", written=True, handling=WriteHandling.REDUCTION,
                     reduction_op="+")
             dl.ensure_for_loop({"h": c}, split_tasks(0, 1 << 16, 8), "i", {})
-            comm = CommunicationManager(p, dl, tree_reduction=tree)
+            comm = CommunicationManager(p, dl, RunConfig(tree_reduction=tree))
             comm.after_kernels({"h": c})
             return p.profiler.snapshot().gpu_gpu
 
