@@ -157,6 +157,44 @@ class TestLocalAccessAudit:
         assert (e.lo, e.hi) == (0, 1)
         assert "declared localaccess window" in e.detail
 
+    TRIPS = r"""
+    void trips(int n, int m, float *x, float *y) {
+      #pragma acc data copyin(x[0:n*m+1]) copy(y[0:n])
+      {
+        #pragma acc parallel
+        {
+          #pragma acc localaccess x[stride(m)] y[stride(1)]
+          #pragma acc loop gang
+          for (int i = 0; i < n; i++) {
+            float s = 0.0f;
+            for (int q = 0; q < m; q++) {
+              s += x[i * m + q + 1];
+            }
+            y[i] = s;
+          }
+        }
+      }
+    }
+    """
+
+    @pytest.mark.parametrize("ngpus", [1, 2, 4])
+    def test_constant_trip_loop_reading_past_its_window(self, ngpus):
+        """Every trip of the inner loop reads one element further than
+        ``stride(m)`` declares: iteration 0 reads ``x[1..3]`` against
+        the window ``[0, 2]``, whatever the trip loop's lowering."""
+        args = {"n": 12, "m": 3, "x": np.arange(37, dtype=np.float32),
+                "y": np.zeros(12, np.float32)}
+        machine = "desktop" if ngpus <= 2 else hypothetical_node(4)
+        with pytest.raises(CoherenceViolation) as exc:
+            run_source(self.TRIPS, args, ngpus=ngpus, machine=machine,
+                       sanitize=True)
+        e = exc.value
+        assert (e.kind, e.loop, e.array, e.lo, e.hi) == (
+            "localaccess-underdeclared", "trips_L0", "x", 1, 3)
+        assert e.detail.startswith(
+            "iteration 0 accessed [1, 3] but the declared localaccess "
+            "window is [0, 2];")
+
     def test_correct_window_passes(self):
         ok = self.UNDER.replace("x[stride(1, 0, 0)]", "x[stride(1, 0, 1)]")
         args, run = run_source(ok, step_args(), ngpus=2, sanitize=True)
