@@ -17,6 +17,7 @@ same interface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -56,8 +57,10 @@ class ScratchArena:
         self._views: list[tuple] = []
         self.misses = 0
 
-    def slot(self, k: int, n: int, dtype: type = np.float32) -> np.ndarray:
-        """Slot ``k`` as a length-``n`` vector of ``dtype`` (contents
+    def slot(self, k: int, n: int | tuple, dtype: type = np.float32
+             ) -> np.ndarray:
+        """Slot ``k`` as a length-``n`` vector of ``dtype`` -- or, for a
+        shape tuple ``n``, a C-ordered block of that shape (contents
         unspecified)."""
         if k < len(self._views):
             ent = self._views[k]
@@ -66,7 +69,8 @@ class ScratchArena:
         while len(self._raw) <= k:
             self._raw.append(np.empty(0, dtype=np.uint8))
             self._views.append((-1, None, None))
-        nbytes = max(0, n) * np.dtype(dtype).itemsize
+        size = math.prod(n) if isinstance(n, tuple) else n
+        nbytes = max(0, size) * np.dtype(dtype).itemsize
         if self._raw[k].shape[0] < nbytes:
             vmem.RECYCLER.give(self._raw[k])
             if nbytes < vmem.RECYCLE_FLOOR:
@@ -75,6 +79,8 @@ class ScratchArena:
                 self._raw[k] = vmem.RECYCLER.take(nbytes)
             self.misses += 1
         view = self._raw[k][:nbytes].view(dtype)
+        if isinstance(n, tuple):
+            view = view.reshape(n)
         self._views[k] = (n, dtype, view)
         return view
 

@@ -151,8 +151,9 @@ class AuditedModules:
     """Recording ``np`` / ``ks`` modules, set on one kernel context.
 
     Generated kernels touch device buffers only through
-    ``ks.ld`` / ``ks.ld_span`` (loads), ``np.take`` on an array binding
-    (gathers), ``ks.span_out`` / ``ks.store`` / ``ks.store_span`` /
+    ``ks.ld`` / ``ks.ld_span`` / ``ks.ld_block`` (loads), ``np.take`` on
+    an array binding and ``ks.take`` (gathers), ``ks.span_out`` /
+    ``ks.store`` / ``ks.store_span`` /
     ``ks.store_span_masked`` (stores) and the ``ctx`` endpoints.  The
     recording versions map each buffer back to its array name and report
     the lowest and highest global index of every access to
@@ -184,6 +185,14 @@ class AuditedModules:
             self.report_span(arr, lo, n, step, "r")
             return ks.ld_span(arr, lo, n, step, copy)
 
+        def ld_block(arr, lo, shape, steps, copy=False, out=None):
+            self.report_block(arr, lo, shape, steps, "r")
+            return ks.ld_block(arr, lo, shape, steps, copy, out)
+
+        def block_take(arr, idx, base, out):
+            self.report(arr, idx - base, "r")
+            return ks.take(arr, idx, base, out)
+
         def span_out(arr, lo, n, step=1):
             self.report_span(arr, lo, n, step, "w")
             return ks.span_out(arr, lo, n, step)
@@ -201,7 +210,8 @@ class AuditedModules:
             ks.store_span_masked(arr, lo, n, values, mask)
 
         ctx.np.take = take
-        for fn in (ld, ld_span, span_out, store, store_span,
+        ctx.ks.take = block_take
+        for fn in (ld, ld_span, ld_block, span_out, store, store_span,
                    store_span_masked):
             setattr(ctx.ks, fn.__name__, fn)
 
@@ -219,6 +229,15 @@ class AuditedModules:
         if n > 0:
             last = lo + (n - 1) * step
             self.report_range(arr, min(lo, last), max(lo, last), kind)
+
+    def report_block(self, arr: np.ndarray, lo: int, shape: tuple,
+                     steps: tuple, kind: str) -> None:
+        """The index grid ``lo + sum(steps[a] * k_a)`` over ``shape``
+        was accessed."""
+        if 0 not in shape:
+            reach = [int(s) * (d - 1) for s, d in zip(steps, shape)]
+            self.report_range(arr, int(lo) + sum(r for r in reach if r < 0),
+                              int(lo) + sum(r for r in reach if r > 0), kind)
 
     def report_range(self, arr: np.ndarray, lo: int, hi: int,
                      kind: str) -> None:

@@ -11,6 +11,8 @@ per-element Python loops.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -62,6 +64,89 @@ def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1,
     out[:head] = arr[0]
     out[head:head + core.shape[0]] = core
     out[head + core.shape[0]:] = arr[-1]
+    return out
+
+
+#: Elements the slots of one trip-axis block hold together: 64 KiB of
+#: ``float32``, so a block's operands stay in a core's L2 cache and the
+#: scratch a launch grows is at most 64 bytes per lane from 1024 lanes
+#: on -- where one trip's calls already cover enough lanes that blocks
+#: of several trips gain little.
+BLOCK_ELEMS = 16384
+
+
+def tiles(lo, hi, shape: tuple, slots: int):
+    """The blocks of a constant-trip loop over ``[lo, hi)`` entered on
+    lanes of ``shape``: ``(first trip, trips, block shape)`` each, the
+    trip axis leading (a row of the block is then contiguous, and a
+    value of the lanes it was entered on broadcasts against it).  A
+    block takes every trip when its ``slots`` scratch slots fit
+    :data:`BLOCK_ELEMS`, one at least."""
+    lo, hi = int(lo), int(hi)
+    row = math.prod(shape) * max(slots, 1)
+    step = max(1, min(hi - lo, BLOCK_ELEMS // max(row, 1)))
+    for t in range(lo, hi, step):
+        k = min(step, hi - t)
+        yield t, k, (k,) + shape
+
+
+def trips(first: int, k: int) -> np.ndarray:
+    """The trip indices of a block as an ``int64`` column."""
+    return np.arange(first, first + k, dtype=np.int64).reshape(k, 1)
+
+
+def ld_block(arr: np.ndarray, lo: int, shape: tuple, steps: tuple,
+             copy: bool = False, out: np.ndarray | None = None
+             ) -> np.ndarray:
+    """Block gather ``arr[lo + sum(steps[a] * k_a)]`` over the index
+    grid of ``shape`` -- the :func:`ld_span` of a trip-axis block.
+
+    When every element lies in the buffer it is a strided view (a step
+    of 0 repeats along its axis; ``copy`` when the value may outlive a
+    later store to the array); otherwise it is the exact clipped gather
+    :func:`ld` performs on the same index grid.  With ``out`` the block
+    is written there, and ``out`` returned.
+    """
+    if out is not None:
+        out[...] = ld_block(arr, lo, shape, steps)
+        return out
+    lo = int(lo)
+    steps = [int(s) for s in steps]
+    if 0 in shape:
+        return np.empty(shape, dtype=arr.dtype)
+    reach = [s * (d - 1) for s, d in zip(steps, shape)]
+    first = lo + sum(r for r in reach if r < 0)
+    last = lo + sum(r for r in reach if r > 0)
+    if 0 <= first and last < arr.shape[0]:
+        item = arr.strides[0]
+        # Lists, not tuples: NumPy 2's constructor keeps a reference to
+        # tuple arguments of a buffer-backed array.
+        strides = [s * item for s in steps]
+        view = np.ndarray(list(shape), arr.dtype, arr, lo * item, strides) \
+            if arr.flags.c_contiguous else \
+            np.lib.stride_tricks.as_strided(arr[lo:], shape, strides)
+        return view.copy() if copy else view
+    idx = np.full(shape, lo, dtype=np.int64)
+    for axis, (s, d) in enumerate(zip(steps, shape)):
+        if s:
+            grid = [1] * len(shape)
+            grid[axis] = d
+            idx += s * np.arange(d, dtype=np.int64).reshape(grid)
+    return arr.take(idx, mode="clip")
+
+
+def take(arr: np.ndarray, idx: np.ndarray, base: int,
+         out: np.ndarray) -> np.ndarray:
+    """The clip-gather ``np.take(arr, idx - base, mode='clip', out=out)``
+    of a block.
+
+    Flat, through the array method: NumPy 2's ``np.take`` keeps about a
+    hundred bytes per call it makes with a multi-dimensional index, and
+    the method allocates a buffer for one.
+    """
+    if not out.flags.c_contiguous:
+        return arr.take(idx - base, mode="clip", out=out)
+    arr.take((idx - base).reshape(-1), mode="clip", out=out.reshape(-1))
     return out
 
 

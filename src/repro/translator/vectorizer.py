@@ -33,13 +33,25 @@ On every region
   region's length, float arithmetic is three-address ``np.<ufunc>(x, y,
   out=slot)``, and the last operation of an assignment or store writes
   straight into its destination; slots taken inside a constant-trip loop
-  are bound once, ahead of it;
+  are bound once, ahead of it (a block's, once per block);
 * within a straight-line run, an index subexpression or a load that was
   already evaluated is not evaluated again (textual value numbers, ended
   by a store to the array or an assignment to a local they read);
-* constant-trip inner loops (MD's neighbour loop, KMEANS' cluster loop)
-  run as short Python loops of vectorized operations; lane-varying
-  bounds (``for (j = i; ...)``) add a per-trip bounds mask;
+* a constant-trip inner loop (MD's neighbour loop, KMEANS' feature
+  loop) runs on the *trip axis*: its body splits into *trip-parallel*
+  statements, which read nothing the body carries from one trip to the
+  next, and *carried* ones (:class:`TripSplit`).  The trip-parallel
+  statements run once per block of ``(trips, lanes)`` -- an affine load
+  is a strided block view (``ks.ld_block``), a gather ``ks.take``, the
+  rest the same three-address code over block-shaped slots, and stores
+  and ``ctx`` endpoints take the block in C order, trip-major, so every
+  write keeps its order.  Only the carried statements replay per trip,
+  over row views of the block; their trip-parallel subexpressions are
+  computed in the block.  The slots of a block hold at most
+  :data:`~repro.translator.kernel_support.BLOCK_ELEMS` elements
+  together, so a loop over many lanes runs as several blocks
+  (``ks.tiles``).  Lane-varying bounds (``for (j = i; ...)``) add a
+  block bounds mask;
 * an index every lane shares is broadcast (``np.broadcast_to``) over the
   lanes, so a store keeps its last writer and ``ufunc.at`` its order.
 
@@ -57,9 +69,11 @@ the slot's dtype is the dtype NumPy would have chosen.  That is proven
 per operation from the C types (array and local dtypes are exact; a
 Python ``float`` is weak against a float array under value-based casting
 and under NEP 50 alike; a host scalar a proof leans on is bound through
-its C type at kernel entry; a comparison with a lane vector is ``bool``);
-whatever cannot be proven -- every integer operation -- is evaluated
-unbuffered, same ufunc, same operands.
+its C type at kernel entry; a comparison with a lane vector is ``bool``;
+in a block, an integer vector against an integer literal below 2**31, or
+against a host scalar of C type ``int`` bound as a Python ``int``, keeps
+the vector's integer dtype under both rules); whatever cannot be proven
+is evaluated unbuffered, same ufunc, same operands.
 
 Array accesses are rewritten from global to buffer-local indices by
 subtracting the per-array base offset (section IV-B3); stores are
@@ -78,6 +92,7 @@ one would inspect the CUDA the paper's translator writes out.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 
 from ..frontend import cast as C
@@ -86,6 +101,7 @@ from ..frontend.analysis import (
     LoopAnalysis,
     affine_in,
     const_value,
+    expr_mentions,
     strided_in,
 )
 from ..frontend.directives import AccReductionToArray
@@ -127,6 +143,13 @@ _DTYPES = {"float": "np.float32", "double": "np.float64", "char": "np.int8",
            "long": "np.int64", "unsigned long": "np.uint64"}
 
 _FLOAT_DTYPES = ("np.float32", "np.float64")
+_INT_DTYPES = ("np.int32", "np.int64")
+#: Math calls whose NumPy SIMD and scalar loops need not agree bit for
+#: bit: a statement calling one replays per trip, at today's positions.
+_IMPRECISE = frozenset({"exp", "expf", "log", "logf", "pow", "powf",
+                        "sin", "cos"})
+#: The value a carried ``x = x op e`` leaves ``x`` unchanged with.
+_IDENTITY = {"+": -0.0, "-": 0.0, "*": 1.0}
 _UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply",
            "/": "np.divide"}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
@@ -162,6 +185,9 @@ class _Val:
     #: ``(array, offset source, step source)`` when the value is a span
     #: view of a device buffer.
     view: tuple[str, str, str] | None = None
+    #: The axes a block's lane vector varies along, as bits -- 1 the
+    #: lanes, 2 the trips -- or None for every axis of its region.
+    axes: int | None = None
 
 
 @dataclass
@@ -179,6 +205,26 @@ class _Region:
     aliases: dict[str, str] = field(default_factory=dict)
     head: list[str] = field(default_factory=list)
     iota: str | None = None
+    #: A trip-axis block: the region it was entered from, the name of
+    #: its shape tuple, and ``(C loop variable, first trip, trips)``
+    #: names.
+    parent: "_Region | None" = None
+    shape: str | None = None
+    trip: tuple[str, str, str] | None = None
+    #: The block's trip indices as a column (built on first use).
+    col: str | None = None
+    #: A CSR region's position vector was read.
+    pos_used: bool = False
+
+    @property
+    def size(self) -> str:
+        """What an arena slot of this region is sized by."""
+        return self.shape or self.n
+
+    @property
+    def span(self) -> "_Region":
+        """The lane region: the one a block was entered on."""
+        return self.parent if self.shape is not None else self
 
 
 @dataclass
@@ -207,6 +253,187 @@ class Interval:
             return None
         return Interval(self.lows + other.lows, self.highs + other.highs,
                         self.guards + other.guards)
+
+
+def _value_names(e: C.Expr):
+    """Identifiers ``e`` reads as values: not inside an array subscript."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, C.Ident):
+            yield x.name
+        elif not isinstance(x, C.Index):
+            stack.extend(C.child_exprs(x))
+
+
+class TripSplit:
+    """Which statements of a constant-trip loop body are *carried*.
+
+    The body is cut into units -- a declaration, an assignment, a store,
+    a reduction, a nested loop -- under the ``if`` statements that hold
+    them.  A unit or ``if`` condition is carried when it
+
+    * reads or writes a local the body carries: one declared outside the
+      body and assigned in it, or assigned by a carried unit, or one a
+      carried unit reads before a trip-parallel unit writes it again;
+    * touches an array the body both stores and loads, or stores from
+      two units (a block would reorder those accesses);
+    * calls ``exp`` / ``log`` / ``pow`` / ``sin`` / ``cos``, reads the
+      trip variable as a value (a block has it as an ``int64`` column,
+      a trip as a Python ``int``), folds a scalar reduction, or is or
+      holds a loop (a nested constant-trip loop replays per trip, and
+      runs as blocks of its own there);
+    * is, or reads a local read by, an ``if`` the entering lanes lower
+      as sub-spans (``intervals``): sub-spans are spans of one trip.
+
+    Everything else is trip-parallel.  An ``if`` that is not carried
+    but holds carried units is *mixed*: its condition is evaluated in
+    the block and its row views mask the replayed units.
+    """
+
+    def __init__(self, body: C.Stmt, var: str, reductions: set[str],
+                 redeclared: set[str], intervals: set[int]) -> None:
+        self.var = var
+        #: (unit, enclosing ``if`` statements) in program order.
+        self.units: list[tuple[C.Stmt, tuple[C.If, ...]]] = []
+        self.ifs: list[C.If] = []
+        self._collect(body, ())
+        facts = {id(u): self._facts(u, reductions) for u, _ in self.units}
+        conds = {id(f): self._expr_facts(f.cond, reductions)
+                 for f in self.ifs}
+        declared = {st.name for st in C.walk(body) if isinstance(st, C.Decl)}
+        written = set().union(*(f[1] for f in facts.values()))
+        carried = (written - declared) | (redeclared & declared)
+        stored: dict[str, int] = {}
+        for f in facts.values():
+            for a in f[3]:
+                stored[a] = stored.get(a, 0) + 1
+        loaded = set().union(*(f[2] for f in facts.values()),
+                             *(c[2] for c in conds.values()))
+        arrays = {a for a, k in stored.items() if k > 1 or a in loaded}
+        span_reads = set().union(
+            *(conds[i][0] for i in intervals if i in conds),
+            *(facts[id(u)][0] for u, path in self.units
+              if any(id(f) in intervals for f in path)))
+        carried |= span_reads & declared
+
+        def touches(f) -> bool:
+            return f[4] or bool((f[0] | f[1]) & carried) \
+                or bool((f[2] | f[3]) & arrays)
+
+        while True:
+            self.carried_ifs = {id(f) for f in self.ifs
+                                if id(f) in intervals or touches(conds[id(f)])}
+            self.carried = {
+                id(u) for u, path in self.units
+                if touches(facts[id(u)])
+                or any(id(f) in self.carried_ifs for f in path)}
+            grown = carried.union(*(facts[i][1] for i in self.carried))
+            # A trip-local a carried unit reads and a later trip-parallel
+            # unit writes again: the replay would read the last write.
+            first_read: dict[str, int] = {}
+            for k, (u, path) in enumerate(self.units):
+                reads = set()
+                if id(u) in self.carried:
+                    reads |= facts[id(u)][0]
+                for f in path:
+                    if id(f) in self.carried_ifs:
+                        reads |= conds[id(f)][0]
+                for name in reads:
+                    first_read.setdefault(name, k)
+            for k, (u, _) in enumerate(self.units):
+                if id(u) not in self.carried:
+                    grown |= {x for x in facts[id(u)][1]
+                              if first_read.get(x, k) < k}
+            if grown == carried:
+                break
+            carried = grown
+        #: Locals and arrays the body carries.
+        self.names, self.arrays = carried, arrays
+        self.mixed = {id(f) for f in self.ifs
+                      if id(f) not in self.carried_ifs
+                      and any(id(u) in self.carried
+                              for u, path in self.units if f in path)}
+
+    def _collect(self, s: C.Stmt, path: tuple) -> None:
+        if isinstance(s, C.Compound) and reduction_directive(s) is None:
+            for st in s.body:
+                self._collect(st, path)
+        elif isinstance(s, C.If) and reduction_directive(s) is None:
+            self.ifs.append(s)
+            self._collect(s.then, path + (s,))
+            if s.orelse is not None:
+                self._collect(s.orelse, path + (s,))
+        else:
+            self.units.append((s, path))
+
+    def _expr_facts(self, e: C.Expr | None, reductions: set[str],
+                    subscript: bool = False) -> tuple:
+        """(locals read, -, arrays loaded, -, tainted) of an expression
+        (``subscript``: an array subscript, which may use the trip
+        variable)."""
+        if e is None:
+            return set(), set(), set(), set(), False
+        names = {x.name for x in C.walk_expr(e) if isinstance(x, C.Ident)}
+        loads = {x.base_name() for x in C.walk_expr(e)
+                 if isinstance(x, C.Index)}
+        taint = any(isinstance(x, C.Call) and x.func in _IMPRECISE
+                    for x in C.walk_expr(e)) or bool(names & reductions) \
+            or not subscript and self.var in set(_value_names(e))
+        return names, set(), loads, set(), taint
+
+    def _facts(self, u: C.Stmt, reductions: set[str]) -> tuple:
+        """(locals read, locals written, arrays loaded, arrays stored,
+        tainted) of one unit."""
+        reads, writes, loads, stores = set(), set(), set(), set()
+        taint = False
+        for st in C.walk(u):
+            if isinstance(st, C.For):
+                # A nested loop replays per trip (its own trips may be a
+                # block); a block of blocks would make NumPy buffer.
+                taint = True
+            if isinstance(st, C.Decl):
+                writes.add(st.name)
+            exprs = [(e, False) for e in C.stmt_exprs(st)]
+            if isinstance(st, C.ExprStmt) and isinstance(st.expr, C.Assign):
+                a = st.expr
+                exprs = [(a.value, False)]
+                if isinstance(a.target, C.Ident):
+                    writes.add(a.target.name)
+                    taint |= a.target.name in reductions
+                    if a.op:
+                        reads.add(a.target.name)
+                else:
+                    stores.add(a.target.base_name())
+                    exprs += [(e, True) for e in a.target.indices]
+            for e, subscript in exprs:
+                r, _, ld, _, t = self._expr_facts(e, reductions, subscript)
+                reads |= r
+                loads |= ld
+                taint |= t
+        return reads, writes, loads, stores, taint
+
+    def kind(self, s: C.Stmt) -> str:
+        """``"carried"``, ``"mixed"`` or ``"parallel"``."""
+        if isinstance(s, C.If) and id(s) in self.mixed:
+            return "mixed"
+        if id(s) in self.carried or id(s) in self.carried_ifs:
+            return "carried"
+        return "parallel"
+
+    @property
+    def parallel(self) -> bool:
+        """Some unit is trip-parallel."""
+        return len(self.carried) < len(self.units)
+
+    def liftable(self, e: C.Expr, subscript: bool = False) -> bool:
+        """Can ``e``, part of a carried unit, be computed in the block?"""
+        names = {x.name for x in C.walk_expr(e) if isinstance(x, C.Ident)}
+        return not (names & self.names) and not any(
+            isinstance(x, C.Index) and x.base_name() in self.arrays
+            or isinstance(x, C.Call) and x.func in _IMPRECISE
+            for x in C.walk_expr(e)) \
+            and (subscript or self.var not in set(_value_names(e)))
 
 
 class Vectorizer:
@@ -278,6 +505,23 @@ class Vectorizer:
         self.weak: dict[str, str] = {}
         #: The body loads a span (``_ld`` must be bound).
         self.loads = False
+        #: Trip variables of the blocks being lowered -> their block.
+        self.block_vars: dict[str, _Region] = {}
+        #: The split of the loop body being lowered, and which part of
+        #: it (``"block"`` or ``"replay"``) is being emitted.
+        self._split: TripSplit | None = None
+        self._part = ""
+        #: Blocks being replayed: id -> the row index's name.
+        self._rows: dict[int, str] = {}
+        #: Trip-parallel subexpressions of carried units, by id: the
+        #: block value each replay reads a row of, and its block.
+        self._lifted: dict[int, tuple[_Val, _Region]] = {}
+        #: Mixed ``if`` statements: id -> (then mask, else mask, block).
+        self._conds: dict[int, tuple[str, str | None, _Region]] = {}
+        #: Carried units replayed unmasked (identity-filled addend).
+        self._unmasked: set[int] = set()
+        #: The dtype of each block slot.
+        self._dtypes: dict[int, str] = {}
 
     # -- small utilities -------------------------------------------------------
 
@@ -298,7 +542,8 @@ class Vectorizer:
         for x in C.walk_expr(e):
             if isinstance(x, C.Ident):
                 n = x.name
-                if n == self.an.nest.var or n in self.locals or n in self.csr_vars:
+                if n == self.an.nest.var or n in self.locals \
+                        or n in self.csr_vars or n in self.block_vars:
                     return True
         return False
 
@@ -376,7 +621,7 @@ class Vectorizer:
     @property
     def plain(self) -> bool:
         """The lanes are a contiguous span of the slice."""
-        return self.region.pos is None
+        return self.region.pos is None and self.region.shape is None
 
     def lane_index(self, r: _Region | None = None) -> str:
         """The global lane indices of span region ``r`` (the current one)."""
@@ -392,15 +637,38 @@ class Vectorizer:
         return r.iota
 
     def local_src(self, name: str) -> str:
-        """A local of this region, or of the span region enclosing it."""
+        """A local of this region, of the span region enclosing it, or --
+        replaying a block -- its row of the block."""
         home = self.local_home[name]
         r = self.region
         if home is r:
             return self.locals[name]
-        alias = r.aliases.get(name)
+        return self._view_in(self.locals[name], home, lambda: (
+            self.local_src(name)))
+
+    def _view_in(self, src: str, home: _Region, resolve) -> str:
+        """``src``, a value of region ``home``, as seen from the current
+        region (``resolve`` re-resolves it from the current region's
+        lanes when ``home`` is a span region enclosing them)."""
+        r = self.region
+        if home is r:
+            return src
+        row = self._rows.get(id(home))
+        if row is not None:
+            # A replayed trip reads its row of the block.
+            return f"{src}[{row}]"
+        if r.shape is not None:
+            # A value of the lanes the block was entered on broadcasts
+            # against the block as it is.
+            outer, self.region = r, r.parent
+            try:
+                return resolve()
+            finally:
+                self.region = outer
+        alias = r.aliases.get(src)
         if alias is None:
-            alias = r.aliases[name] = self.tmp(f"_r_{name}")
-            r.head.append(f"{alias} = {self.locals[name]}"
+            alias = r.aliases[src] = self.tmp(f"_r_{src[2:]}")
+            r.head.append(f"{alias} = {src}"
                           f"[{r.lo} - {home.lo}:{r.hi} - {home.lo}]")
         return alias
 
@@ -440,8 +708,8 @@ class Vectorizer:
     def _shared(self, v: _Val) -> str:
         """``v`` as a lane vector: a lane-invariant value broadcast (a
         read-only view) over the region's lanes."""
-        return v.src if v.vec else \
-            f"np.broadcast_to({v.src}, ({self.region.n},))"
+        shape = self.region.shape or f"({self.region.n},)"
+        return v.src if v.vec else f"np.broadcast_to({v.src}, {shape})"
 
     # -- value numbers -----------------------------------------------------------------
 
@@ -479,10 +747,23 @@ class Vectorizer:
 
     # -- scratch slots -------------------------------------------------------------
 
-    def _alloc(self) -> int:
+    def _alloc(self, dtype: str) -> int:
+        if self.region.shape is not None:
+            # A block slot keeps one dtype: every block then takes the
+            # very view the last one left (no per-block rebinding).
+            free = [k for k in self._free if self._dtypes.get(k) == dtype]
+            if free:
+                self._free.remove(min(free))
+                return min(free)
+            k = self._new_slot()
+            self._dtypes[k] = dtype
+            return k
         if self._free:
             self._free.sort()
             return self._free.pop(0)
+        return self._new_slot()
+
+    def _new_slot(self) -> int:
         self.slots_used += 1
         return self.slot_base + self.slots_used - 1
 
@@ -502,8 +783,8 @@ class Vectorizer:
         region's length -- ahead of the enclosing loops when the region
         was entered before them: which slot a name gets is decided here,
         not per trip."""
-        k = self._alloc()
-        line = f"{name} = {self._slot_call(k, self.region.n, dtype)}"
+        k = self._alloc(dtype)
+        line = f"{name} = {self._slot_call(k, self.region.size, dtype)}"
         if hoist and self._hoist is not None \
                 and self._hoist[0] is self.region:
             self._hoist[1].append(line)
@@ -514,6 +795,18 @@ class Vectorizer:
     def _temp(self, dtype: str) -> _Val:
         name = self.tmp("_q")
         return _Val(name, True, dtype=dtype, slot=self._take_slot(name, dtype))
+
+    def _into_temp(self, dtype: str, write) -> _Val:
+        """A temporary that ``write(dst)`` -- a call returning ``dst`` --
+        fills: in a block, named and bound in the one statement."""
+        if self.region.shape is None:
+            q = self._temp(dtype)
+            self.emit(write(q.src))
+            return q
+        k = self._alloc(dtype)
+        q = _Val(self.tmp("_q"), True, dtype=dtype, slot=k)
+        self.emit(f"{q.src} = {write(self._slot_call(k, self.region.size, dtype))}")
+        return q
 
     # -- loads ---------------------------------------------------------------------------
 
@@ -527,6 +820,14 @@ class Vectorizer:
         # One subscript: the pricing walk rejects any other.
         idx = e.indices[0]
         dt = _DTYPES.get(self.config.arrays[name].ctype)
+        block = self.block_view(idx)
+        if block is not None:
+            start, steps = block
+            src = (f"ks.ld_block(v_{name}, {start} - _b_{name}, "
+                   f"{self.region.shape}, ({steps})"
+                   f"{', copy=True' if copy else ''})")
+            # Used where it stands: a view costs a call, not a copy.
+            return _Val(src, True, dtype=dt, view=(name, "", ""))
         span = self.span_start(idx)
         if span is not None:
             off, step = span
@@ -544,32 +845,107 @@ class Vectorizer:
         if not self.lane_varying(idx):
             return _Val(f"ks.ld(v_{name}, {self.tx(idx)} - _b_{name})", False,
                         kind=dt)
+        if self.region.shape is not None and dt is not None:
+            return self._block_gather(e, name, idx, dt, out)
         iv = self.bx(idx)
         at = self._eager(f"({iv.src} - _b_{name})", [iv], idx)
         if dt is None:
             # No C type to take the slot's dtype from.
             return self._eager(f"ks.ld(v_{name}, {at.src})", [], e)
         key = f"v_{name}[{at.src}]"
+        if self._partial(at):
+            # An index that lacks some of the block's axes.
+            return self._eager(f"ks.ld(v_{name}, {at.src})", [at], e,
+                               dtype=dt)
         # Not into a view of the array it gathers from.
         if out is not None and out[1] == dt and out[2] != name \
                 and key not in self._numbered:
-            self.emit(f"np.take(v_{name}, {at.src}, mode='clip', "
-                      f"out={out[0]})")
+            self._take(name, at.src, out[0])
             return _Val(out[0], True, dtype=dt)
 
         def gather() -> _Val:
             q = self._temp(dt)
-            self.emit(f"np.take(v_{name}, {at.src}, mode='clip', "
-                      f"out={q.src})")
+            self._take(name, at.src, q.src)
             return q
 
         return self._number(key, e, gather)
+
+    def _take(self, name: str, idx: str, out: str) -> None:
+        """The clip-gather of ``v_<name>[idx]`` into ``out``."""
+        self.emit(f"np.take(v_{name}, {idx}, mode='clip', out={out})")
+
+    def _block_gather(self, e: C.Index, name: str, idx: C.Expr, dt: str,
+                      out: tuple | None) -> _Val:
+        """A gather of a block, through ``ks.take``: a constant offset of
+        the index folds into the buffer's base."""
+        off = const_value(idx.right) if isinstance(idx, C.BinOp) \
+            and idx.op in ("+", "-") else None
+        base = f"_b_{name}"
+        if off is not None:
+            off = off if idx.op == "-" else -off
+            base += f" + {off}" if off > 0 else f" - {-off}"
+            idx = idx.left
+        iv = self.bx(idx)
+        if self._partial(iv):
+            # An index that lacks some of the block's axes.
+            return self._eager(f"ks.ld(v_{name}, {iv.src} - ({base}))",
+                               [iv], e, dtype=dt)
+        key = f"v_{name}[{iv.src} - ({base})]"
+        # Not into a view of the array it gathers from.
+        if out is not None and out[1] == dt and out[2] != name \
+                and key not in self._numbered:
+            self.emit(f"ks.take(v_{name}, {iv.src}, {base}, {out[0]})")
+            self._release(iv)
+            return _Val(out[0], True, dtype=dt)
+
+        def gather() -> _Val:
+            return self._into_temp(
+                dt, lambda q: f"ks.take(v_{name}, {iv.src}, {base}, {q})")
+
+        res = self._number(key, e, gather)
+        self._release(iv)
+        return res
+
+    def block_view(self, idx: C.Expr) -> tuple[str, str] | None:
+        """``(first index, steps)`` sources of an access that is affine,
+        with lane-invariant coefficients, in the lane variable and the
+        block's trip variable -- a strided view of the block's shape --
+        or None."""
+        r = self.region
+        if r.shape is None or r.parent.pos is not None:
+            return None
+        var, first, _ = r.trip
+        lane = strided_in(idx, self.an.nest.var)
+        trip = lane and strided_in(lane[1], var)
+        if not trip or any(self.lane_varying(x)
+                           for x in (lane[0], trip[0], trip[1])):
+            return None
+        terms = [self.tx(trip[1])] if const_value(trip[1]) != 0 else []
+        steps = []
+        # The trip axis first, the lanes last.
+        for coeff, at in ((trip[0], first), (lane[0], r.parent.lo)):
+            c = const_value(coeff)
+            step = self.tx(coeff) if c is None else repr(c)
+            steps.append(step)
+            if c != 0:
+                terms.append(at if c == 1 else f"{step} * {at}")
+        return " + ".join(terms) or "0", ", ".join(steps)
+
+    def _trip_col(self, var: str) -> _Val:
+        """The trip indices of ``var``'s block as an ``int64`` column."""
+        b = self.block_vars[var]
+        if b.col is None:
+            b.col = self.tmp("_c")
+            _, first, trips = b.trip
+            b.head.append(f"{b.col} = ks.trips({first}, {trips})")
+        return _Val(b.col, True, dtype="np.int64", axes=2)
 
     def _outer(self, src: str, dtype: str, e: C.Expr) -> _Val:
         """An outer-lane value ``src`` read on the CSR axis: gathered
         through the position vector into a slot, once per straight-line
         run."""
         pos = self.region.pos
+        self.region.pos_used = True
 
         def gather() -> _Val:
             q = self._temp(dtype)
@@ -584,6 +960,10 @@ class Vectorizer:
         """Evaluate ``e`` eagerly as three-address code where the result
         dtype is proven; ``out = (dst, dtype, array, span)`` lets the
         root operation write straight into ``dst``."""
+        hit = self._lifted.get(id(e))
+        if hit is not None:
+            return replace(hit[0], src=self._view_in(hit[0].src, hit[1], None),
+                           slot=None)
         if isinstance(e, C.FloatLit):
             return _Val(repr(e.value), False, kind="f")
         if isinstance(e, C.IntLit):
@@ -631,10 +1011,16 @@ class Vectorizer:
     def _bx_ident(self, e: C.Ident) -> _Val:
         n = e.name
         pos = self.region.pos
+        block = self.region.shape is not None
         if n == self.an.nest.var:
+            if block:
+                return _Val(self.lane_index(self.region.span), True,
+                            dtype="np.int64", axes=1)
             if pos is None:
                 return _Val(self.lane_index(), True, dtype="np.int64")
             return self._outer(self.lane_index(self.top), "np.int64", e)
+        if n in self.block_vars:
+            return self._trip_col(n)
         if n in self.csr_vars:
             return _Val(self.csr_vars[n], True, dtype="np.int64")
         if n in self.scalar_vars:
@@ -646,8 +1032,11 @@ class Vectorizer:
             )
         if n in self.locals:
             if pos is None or self.local_home[n] is self.region:
+                home = self.local_home[n]
                 return _Val(self.local_src(n), True,
-                            dtype=_DTYPES.get(self.local_types.get(n, "")))
+                            dtype=_DTYPES.get(self.local_types.get(n, "")),
+                            axes=1 if block and home is not self.region
+                            else None)
             return self._outer(self.locals[n], _DTYPES.get(
                 self.local_types[n], "np.float64"), e)
         if n in self.config.arrays:
@@ -687,15 +1076,56 @@ class Vectorizer:
         dtype = None
         for v in vals:
             if v.vec:
-                if v.dtype not in _FLOAT_DTYPES or dtype not in (None, v.dtype):
+                if dtype in _INT_DTYPES and v.dtype in _INT_DTYPES:
+                    # Two integer vectors: the wider one's dtype.
+                    dtype = max(dtype, v.dtype, key=_INT_DTYPES.index)
+                    continue
+                if v.dtype not in _FLOAT_DTYPES + _INT_DTYPES \
+                        or dtype not in (None, v.dtype):
                     return None
                 dtype = v.dtype
         if dtype is None:
             return None
+        if dtype in _INT_DTYPES and self.region.shape is None:
+            # Outside a block an index vector is made once: unbuffered.
+            return None
+        weak = ("f", "il") if dtype in _FLOAT_DTYPES else ("il",)
         for v in vals:
-            if not v.vec and v.kind not in ("f", "il", dtype):
+            if not v.vec and v.kind not in weak + (dtype,) \
+                    and not (dtype in _INT_DTYPES and self._c_int(v)):
                 return None
         return dtype
+
+    def _c_int(self, v: _Val) -> bool:
+        """``v`` is a Python ``int`` over host scalars of C type ``int``:
+        weak against an integer vector under NEP 50, and in its range
+        -- so value-based casting keeps the vector's dtype too."""
+        return v.kind == "i" and bool(v.deps) and all(
+            self.scalar_types.get(n) == "int" for n, _ in v.deps)
+
+    def _dense(self, v: _Val) -> _Val:
+        """A block's strided view as a ufunc operand: copied into a slot
+        first.  NumPy buffers -- allocating per call -- every operand of
+        a multi-dimensional ufunc call that is not contiguous."""
+        if v.view is None or v.view[1] != "" or v.dtype is None:
+            return v
+        return self._into_temp(v.dtype, lambda q: f"{v.src[:-1]}, out={q})")
+
+    def _partial(self, v: _Val) -> bool:
+        """``v`` is a lane vector lacking some of the block's axes."""
+        return v.vec and v.axes is not None \
+            and v.axes != (3 if self.region.shape else 1)
+
+    @staticmethod
+    def _axes(vals: list[_Val]) -> int | None:
+        """The axes of a result over ``vals`` (None: every axis)."""
+        axes = 0
+        for v in vals:
+            if v.vec:
+                if v.axes is None:
+                    return None
+                axes |= v.axes
+        return axes
 
     def _bind(self, v: _Val) -> _Val:
         """``v`` bound to a name of its own."""
@@ -710,8 +1140,10 @@ class Vectorizer:
         slot is free for reuse afterwards, and the name is the value's
         number unless an operand sat in a slot a later operation may
         overwrite in place."""
+        axes = self._axes(vals) if vals else 1
+
         def make() -> _Val:
-            return self._bind(_Val(plain, True, dtype=dtype))
+            return self._bind(_Val(plain, True, dtype=dtype, axes=axes))
 
         res = make() if any(v.slot is not None for v in vals) \
             else self._number(plain, e, make)
@@ -722,6 +1154,9 @@ class Vectorizer:
             out: tuple | None, e: C.Expr, dtype: str | None = None) -> _Val:
         """``ufunc`` over ``vals`` into a slot of its result ``dtype`` --
         given, or proven from the operands; unbuffered when neither."""
+        if self._partial(_Val("", True, axes=self._axes(vals))):
+            # Lane- or trip-only operands: no block-sized slot for them.
+            return self._eager(plain, vals, e, dtype)
         if dtype is None:
             dtype = self._proven(vals)
             if dtype is None:
@@ -729,6 +1164,14 @@ class Vectorizer:
             for v in vals:
                 if not v.vec:
                     self.weak.update(v.deps)
+        if self.region.shape is not None:
+            if out is not None and out[1] == dtype and vals[0].vec \
+                    and vals[0].view is not None and not any(
+                        out[0] in v.src for v in vals[1:]):
+                # The destination takes the first operand's copy.
+                self.emit(f"{vals[0].src[:-1]}, out={out[0]})")
+                vals = [replace(vals[0], src=out[0], view=None), *vals[1:]]
+            vals = [self._dense(v) for v in vals]
         args = ", ".join(v.src for v in vals)
         if out is not None and out[1] == dtype and not any(
                 v.view is not None and v.view[0] == out[2]
@@ -737,14 +1180,21 @@ class Vectorizer:
             self.emit(f"{ufunc}({args}, out={out[0]})")
             self._release(*vals)
             return _Val(out[0], True, dtype=dtype)
+        if dtype in _INT_DTYPES and not any(v.slot is not None for v in vals):
+            # Index arithmetic: numbered, like the loads it feeds.
+            def make() -> _Val:
+                return self._into_temp(
+                    dtype, lambda q: f"{ufunc}({args}, out={q})")
+
+            return self._number(plain, e, make)
         held = next((v for v in vals
                      if v.slot is not None and v.dtype == dtype), None)
         if held is not None:
             res = _Val(held.src, True, dtype=dtype, slot=held.slot)
             held.slot = None
+            self.emit(f"{ufunc}({args}, out={res.src})")
         else:
-            res = self._temp(dtype)
-        self.emit(f"{ufunc}({args}, out={res.src})")
+            res = self._into_temp(dtype, lambda q: f"{ufunc}({args}, out={q})")
         self._release(*vals)
         return res
 
@@ -765,6 +1215,30 @@ class Vectorizer:
     # -- statements -----------------------------------------------------------------
 
     def emit_stmt(self, s: C.Stmt) -> None:
+        split = self._split
+        if split is None or isinstance(s, C.Compound) \
+                and reduction_directive(s) is None:
+            self._emit_stmt(s)
+            return
+        kind = split.kind(s)
+        if kind == "mixed":
+            self._emit_mixed_if(s)  # type: ignore[arg-type]
+        elif (kind == "carried") == (self._part == "replay"):
+            # A whole unit of the part being emitted.
+            self._split = None
+            try:
+                if id(s) in self._unmasked:
+                    outer, self.mask = self.mask, None
+                    self._emit_stmt(s)
+                    self.mask = outer
+                else:
+                    self._emit_stmt(s)
+            finally:
+                self._split = split
+        elif kind == "carried":
+            self._lift(s)
+
+    def _emit_stmt(self, s: C.Stmt) -> None:
         red = reduction_directive(s)
         if red is not None:
             self.emit_reduction_to_array(s, red)
@@ -841,6 +1315,7 @@ class Vectorizer:
                     "supported inside a data-dependent inner loop", a.line)
             v = self.bx(a.value)
             m = self.mask
+            self.region.pos_used = True
             self.emit(f"np.add.at({pyname}, {pos}, {v.src})" if m is None else
                       f"np.add.at({pyname}, {pos}[{m}], "
                       f"{self._shared(v)}[{m}])")
@@ -963,6 +1438,10 @@ class Vectorizer:
             return v.src
         src = f"{v.src}.copy()" if v.view is not None and v.view[0] == name \
             else self._shared(v)
+        if self._partial(v):
+            src = f"np.broadcast_to({src}, {self.region.shape})"
+        # A block's lanes in C order are trip-major: the order the trips
+        # would have written them in.
         return src if self.mask is None else f"{src}[{self.mask}]"
 
     def emit_scatter(self, a: C.Assign, name: str, cfg: ArrayConfig,
@@ -984,7 +1463,8 @@ class Vectorizer:
             # Unmasked, the buffer-local index is the number a load of
             # the same element already has.
             at = f"{gi} - _b_{name}" if self.mask is not None \
-                or iv.slot is not None or not iv.vec else \
+                or iv.slot is not None or not iv.vec \
+                or self.region.shape is not None else \
                 self._eager(f"({iv.src} - _b_{name})", [], idx).src
             self.emit(f"ks.store(v_{name}, {at}, {gv}, {a.op!r})")
             if handling == WriteHandling.DIRTY_BITS:
@@ -1223,26 +1703,37 @@ class Vectorizer:
         label = self.labels[id(s)]
         jname = f"_j_{il.var}"
         outer_mask = self.mask
-        if not self.lane_varying(il.lower) and not self.lane_varying(il.upper):
-            lo, hi = self.tmp("_lo"), self.tmp("_hi")
-            self.emit(f"{lo} = {self.tx(il.lower)}")
-            self.emit(f"{hi} = {self.tx(il.upper)}")
-            lanes = self.region.n if outer_mask is None \
-                else f"int(np.count_nonzero({outer_mask}))"
-            self.emit(f"ctx.dyn_count({label!r}, max(0, int({hi}) - "
-                      f"int({lo})) * {lanes})")
-            self.emit(f"for {jname} in range(int({lo}), int({hi})):")
-            self.indent += 1
+        varying = self.lane_varying(il.lower) or self.lane_varying(il.upper)
+        lanes = self.region.n if outer_mask is None \
+            else f"int(np.count_nonzero({outer_mask}))"
+        split = self._trip_split(s, il, jname)
+        if not varying:
+            lo, hi = self.tx(il.lower), self.tx(il.upper)
+            trips = f"max(0, int({hi}))" if const_value(il.lower) == 0 \
+                else f"max(0, int({hi}) - int({lo}))"
+            self.emit(f"ctx.dyn_count({label!r}, {trips} * {lanes})")
+            if split.parallel and self.region.span.pos is None:
+                self._emit_blocks(s, il, split, f"ks.tiles({lo}, {hi}, ")
+                return
+            first = lo if const_value(il.lower) is not None else f"int({lo})"
+            stop = f"int({hi})"
         else:
-            # Lane-varying bounds: iterate the union range with a
-            # per-lane bounds mask.
+            # Lane-varying bounds: the union range, with a per-lane
+            # bounds mask.
             lov, hiv = self._bound(il.lower, "_lov"), self._bound(il.upper, "_hiv")
             sel = "" if outer_mask is None else f"[{outer_mask}]"
             self.emit(f"ctx.dyn_count({label!r}, int(np.maximum("
                       f"{hiv}{sel} - {lov}{sel}, 0).sum()))")
-            self.emit(f"for {jname} in range(int({lov}.min()) if {lov}.size else 0, "
-                      f"int({hiv}.max()) if {hiv}.size else 0):")
-            self.indent += 1
+            first = f"int({lov}.min()) if {lov}.size else 0"
+            stop = f"int({hiv}.max()) if {hiv}.size else 0"
+            if split.parallel and self.region.span.pos is None:
+                self._emit_blocks(s, il, split, f"ks.tiles({first}, {stop}, ",
+                                  (lov, hiv))
+                return
+        # Every unit is carried: one trip at a time.
+        self.emit(f"for {jname} in range({first}, {stop}):")
+        self.indent += 1
+        if varying:
             bm = self.tmp("_m")
             cond = f"(({jname} >= {lov}) & ({jname} < {hiv}))"
             self.emit(f"{bm} = {cond}" if outer_mask is None
@@ -1253,6 +1744,204 @@ class Vectorizer:
         del self.scalar_vars[il.var]
         self.mask = outer_mask
         self.indent -= 1
+
+    def _trip_split(self, s: C.For, il: InnerLoop, jname: str) -> TripSplit:
+        intervals = set()
+        if self.plain and self.mask is None:
+            # Not before the body's locals are declared: a condition
+            # reading one is a mask.
+            declared = {st.name for st in C.walk(s.body)
+                        if isinstance(st, C.Decl)}
+            # As a replayed trip sees it: the trip variable a scalar.
+            self.scalar_vars[il.var] = jname
+            intervals = {id(st) for st in C.walk(s.body)
+                         if isinstance(st, C.If)
+                         and not expr_mentions(st.cond, declared)
+                         and self.interval_of(st.cond)
+                         is not None and self._span_lowerable(st.then)
+                         and (st.orelse is None
+                              or self._span_lowerable(st.orelse))}
+            del self.scalar_vars[il.var]
+        return TripSplit(s.body, il.var, set(self.reduction_vars),
+                         self._redeclared, intervals)
+
+    def _emit_blocks(self, s: C.For, il: InnerLoop, split: TripSplit,
+                     tiles: str, bounds: tuple | None = None) -> None:
+        """The loop as the blocks of ``tiles`` (the head of a
+        ``ks.tiles`` call): the trip-parallel units once per block, then
+        the carried ones once per trip of it, over row views."""
+        parent, outer_mask, base = self.region, self.mask, self.indent
+        t0, k, shape = (self.tmp(p) for p in ("_t", "_k", "_s"))
+        # Closed once the block's slots are counted.
+        at, used = len(self.lines), self.slots_used
+        self.emit(f"for {t0}, {k}, {shape} in {tiles}"
+                  f"{parent.shape or f'({parent.n},)'}, ")
+        self.indent += 1
+        block = _Region(n=f"{k} * {parent.n}", parent=parent,
+                        shape=shape,
+                        trip=(il.var, t0, k))
+        lines, free = self.lines, self._free
+        saved = (self._split, self._part, self._lifted)
+        self._lifted = dict(self._lifted)
+        # The block's slots are its own: bound per block, never ones
+        # the entering lanes bind ahead of a loop.
+        self.lines, self._free, self.region = [], [], block
+        self.block_vars[il.var] = block
+        self._split, self._part = split, "block"
+        mask = None
+        if outer_mask is not None:
+            mask = self._bind(_Val(
+                f"np.broadcast_to({outer_mask}, {shape})", True)).src
+        if bounds is not None:
+            col = self._trip_col(il.var).src
+            lov, hiv = bounds
+            bm = self.tmp("_m")
+            self.emit(f"{bm} = ({col} >= {lov}) & ({col} < {hiv})"
+                      + ("" if mask is None else f" & {mask}"))
+            mask = bm
+        self.mask = mask
+        self.emit_stmt(s.body)
+        self._forget()
+        del self.block_vars[il.var]
+        lines[at] += f"{max(self.slots_used - used, 1)}):"
+        pad = "    " * self.indent
+        lines += [pad + line for line in block.head] + self.lines
+        if split.carried:
+            row, jname = self.tmp("_r"), f"_j_{il.var}"
+            self.region, self._free, self.lines = parent, free, []
+            self._rows[id(block)] = row
+            self.mask = outer_mask if mask is None \
+                else self._view_in(mask, block, None)
+            self.scalar_vars[il.var] = jname
+            self._part = "replay"
+            self.indent += 1
+            self.emit_stmt(s.body)
+            self._forget()
+            # The trip's index only where a replayed unit reads it.
+            trip = re.compile(rf"\b{jname}\b")
+            lines.append(pad + (
+                f"for {row}, {jname} in enumerate(range({t0}, {t0} + {k})):"
+                if any(trip.search(line) for line in self.lines)
+                else f"for {row} in range({k}):"))
+            lines += self.lines
+            del self._rows[id(block)], self.scalar_vars[il.var]
+        self.lines, self._free, self.region = lines, free, parent
+        self._split, self._part, self._lifted = saved
+        self.mask, self.indent = outer_mask, base
+
+    def _emit_mixed_if(self, s: C.If) -> None:
+        """An ``if`` with a trip-parallel condition over carried units:
+        the block evaluates its masks, each replayed trip reads a row."""
+        outer = self.mask
+        if self._part == "block":
+            if isinstance(s.cond, C.BinOp) and s.cond.op in _COMPARE:
+                c = self.bx(s.cond)
+            elif self.lane_varying(s.cond):
+                c = self._eager(self.as_bool(s.cond), [], s.cond)
+            else:
+                c = _Val(self.as_bool(s.cond), False)
+            c = self._own(c)
+            m_then, m_else = c.src, None
+            if outer is not None:
+                m_then = self._bind(_Val(f"{outer} & {c.src}", True)).src
+            if s.orelse is not None:
+                m_else = self._bind(_Val(
+                    f"~{c.src}" if outer is None
+                    else f"{outer} & ~{c.src}", True)).src
+            self._conds[id(s)] = (m_then, m_else, self.region)
+        else:
+            m_then, m_else, home = self._conds[id(s)]
+            # A row of a mask no replayed unit reads is not taken.
+            split = self._split
+            read = any(id(u) in split.carried and id(u) not in self._unmasked
+                       for u, path in split.units if s in path)
+            m_then = self._view_in(m_then, home, None) if read else None
+            if m_else is not None and read:
+                m_else = self._view_in(m_else, home, None)
+        self.mask = m_then
+        self.emit_stmt(s.then)
+        if s.orelse is not None:
+            self.mask = m_else
+            self.emit_stmt(s.orelse)
+        self.mask = outer
+
+    def _own(self, v: _Val, temp: bool = False) -> _Val:
+        """``v`` as a block value that stays put until the block's
+        trips are replayed: a slot no later operation takes, a view or
+        a bound array; in a slot of its own when ``temp`` (it is about
+        to be written)."""
+        if v.slot is not None:
+            return v
+        for key, (nv, _, slot) in list(self._numbered.items()):
+            if nv.src == v.src and slot is not None:
+                del self._numbered[key]
+                return replace(v, slot=slot)
+        if temp and v.dtype is not None:
+            q = self._temp(v.dtype)
+            self.emit(f"np.copyto({q.src}, {v.src})")
+            return q
+        if self._partial(v) or not v.vec:
+            return self._bind(_Val(self._shared(replace(v, vec=False)), True,
+                                   dtype=v.dtype))
+        return v
+
+    def _lift(self, s: C.Stmt) -> None:
+        """In the block part, the trip-parallel subexpressions of the
+        carried unit ``s``: a replayed trip reads their rows.
+
+        A carried ``x = x op e`` under a block mask (MD's ``fx += dx *
+        fc``) replays unmasked: ``e`` is computed in the block and, on
+        the lanes the mask leaves out, set to the value that leaves
+        ``x`` as it is (``x + -0.0``, ``x - 0.0`` and ``x * 1.0`` are
+        ``x``, bit for bit).
+        """
+        if isinstance(s, (C.If, C.For)):
+            return
+        exprs: list[C.Expr] = []
+        if isinstance(s, C.Decl) and s.init is not None:
+            exprs = [s.init]
+        elif isinstance(s, C.ExprStmt) and isinstance(s.expr, C.Assign):
+            a = s.expr
+            exprs = [a.value]
+            if isinstance(a.target, C.Index):
+                for e in a.target.indices:
+                    self._lift_expr(e, True)
+            elif self.mask is not None and self._lift_update(s, a):
+                return
+        for e in exprs:
+            self._lift_expr(e)
+
+    def _lift_update(self, s: C.ExprStmt, a: C.Assign) -> bool:
+        name = a.target.name  # type: ignore[union-attr]
+        if name not in self.locals or name in self.reduction_vars:
+            return False
+        op, e = a.op, a.value
+        if not op and isinstance(e, C.BinOp) and isinstance(e.left, C.Ident) \
+                and e.left.name == name:
+            op, e = e.op, e.right
+        dtype = _DTYPES.get(self.local_types.get(name, ""))
+        if op not in _IDENTITY or dtype not in _FLOAT_DTYPES \
+                or not self._split.liftable(e) or not self.lane_varying(e):
+            return False
+        v = self.bx(e)
+        if self._proven([_Val("", True, dtype=dtype), v]) != dtype:
+            self._lifted[id(e)] = (self._own(v), self.region)
+            return False
+        v = self._own(v, temp=v.slot is None)
+        self.emit(f"np.copyto({v.src}, {_IDENTITY[op]!r}, where=~{self.mask})")
+        self._lifted[id(e)] = (v, self.region)
+        self._unmasked.add(id(s))
+        return True
+
+    def _lift_expr(self, e: C.Expr, subscript: bool = False) -> None:
+        if isinstance(e, (C.Ident, C.IntLit, C.FloatLit)):
+            return
+        if self._split.liftable(e, subscript) and self.lane_varying(e):
+            self._lifted[id(e)] = (self._own(self.bx(e)), self.region)
+            return
+        for x in C.child_exprs(e):
+            if not (isinstance(e, C.Index) and x is e.array):
+                self._lift_expr(x, subscript or isinstance(e, C.Index))
 
     def _bound(self, e: C.Expr, prefix: str) -> str:
         """A loop bound as an ``int64`` lane vector of its own: the CSR
@@ -1282,7 +1971,7 @@ class Vectorizer:
         self.emit(f"{cnt} = np.maximum({hi}[{act}] - {lo}[{act}], 0)")
         self.emit(f"ctx.dyn_count({label!r}, int({cnt}.sum()))")
         evar = f"_e_{il.var}"
-        self.emit(f"{pos} = np.repeat({act}, {cnt})")
+        mark = len(self.lines)
         self.emit(f"{evar} = ks.flat_ranges({lo}[{act}], {cnt})")
         self._forget()
         # The flattened lanes are a region of their own, unmasked, whose
@@ -1294,6 +1983,10 @@ class Vectorizer:
         self.emit_stmt(s.body)
         del self.csr_vars[il.var]
         self._forget()
+        if self.region.pos_used:
+            # Only a body reading an outer-lane operand needs it.
+            self.lines.insert(mark, "    " * self.indent
+                              + f"{pos} = np.repeat({act}, {cnt})")
         self.region, self._free, self.mask = outer
 
     # -- driver ------------------------------------------------------------------------------

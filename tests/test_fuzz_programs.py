@@ -17,6 +17,7 @@ same configuration (the sanitizer is a pure observer).
 import hashlib
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from repro import CompileOptions
@@ -216,6 +217,142 @@ class TestExpressionFuzz:
         """
         src = make_program(body)
         run_all_engines(src, lambda: fresh_args(data.draw, n))
+
+
+# -- trip-axis shapes ----------------------------------------------------------
+#
+# Constant-trip loop bodies the trip-axis lowering splits differently:
+# carried updates under a trip-parallel or a carried mask, a nested
+# block, a block store and a block reduction in trip-major order, an
+# imprecise math call, lane-varying bounds.  ``v`` and ``y`` hold five
+# elements per lane (``m`` is at most 5), ``h`` is a small histogram.
+
+TRIP_SHAPES = {
+    "carried_argmin": """
+        float best = 1.0e30f;
+        int kk = -1;
+        for (int q = 0; q < m; q++) {
+          float d = {e} + v[i * m + q];
+          if (d < best) { best = d; kk = q; }
+        }
+        y[i] = best;
+        z[i] = kk;
+    """,
+    "nested_reset": """
+        float s = 0.0f;
+        for (int q = 0; q < m; q++) {
+          float t = 0.0f;
+          for (int r = 0; r < m; r++) { t = t + v[i * m + r] * {e}; }
+          if (t > a) { s = s + t; }
+        }
+        y[i] = s;
+    """,
+    "block_store": """
+        for (int q = 0; q < m; q++) {
+          y[i * m + q] = {e} * v[i * m + q];
+        }
+    """,
+    "colliding_reduction": """
+        for (int q = 0; q < m; q++) {
+          #pragma acc reductiontoarray(+: h[0:8])
+          h[(k[i] + q) % 8] += {e} + v[i * m + q];
+        }
+    """,
+    "imprecise_call": """
+        float s = 0.0f;
+        for (int q = 0; q < m; q++) {
+          float t = expf(v[i * m + q] * 0.25f) * {e};
+          s = s + t;
+        }
+        y[i] = s;
+    """,
+    "triangular": """
+        float s = 0.0f;
+        for (int q = i % 3; q < m; q++) {
+          if (v[i * m + q] > a) { s = s + v[i * m + q] * {e}; }
+        }
+        y[i] = s;
+    """,
+}
+
+
+def make_trip_program(body: str) -> str:
+    return f"""
+    void trips(int n, int m, float a, float *x, float *w, int *k, float *v,
+               float *y, int *z, float *h) {{
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {{
+        {body}
+      }}
+    }}
+    """
+
+
+def trip_args(draw, n):
+    args = fresh_args(draw, n)
+    args["v"] = np.array(draw(st.lists(
+        st.floats(min_value=-4, max_value=4, allow_nan=False, width=32),
+        min_size=5 * n, max_size=5 * n)), dtype=np.float32)
+    args["y"] = np.zeros(5 * n, dtype=np.float32)
+    args["h"] = np.zeros(8, dtype=np.float32)
+    return args
+
+
+def run_trip_shape(src, make):
+    """The vector engine against the interpreter oracle on 1, 2 and 4
+    GPUs, and each sanitized run bit for bit against the plain one."""
+    template = make()
+
+    def clone():
+        return {k: (v.copy() if isinstance(v, np.ndarray) else v)
+                for k, v in template.items()}
+
+    for ngpus in (1, 2, 4):
+        machine = "desktop" if ngpus <= 2 else hypothetical_node(ngpus)
+        plain, _ = run_source(src, clone(), ngpus=ngpus, machine=machine)
+        interp, _ = run_source(src, clone(), ngpus=ngpus, machine=machine,
+                               interp=True)
+        san, run = run_source(src, clone(), ngpus=ngpus, machine=machine,
+                              sanitize=True)
+        assert run.sanitizer.loops_checked > 0
+        for name in ("y", "z", "h"):
+            np.testing.assert_allclose(
+                plain[name], interp[name], rtol=2e-5, atol=2e-5,
+                err_msg=f"{name} vector/interp mismatch at ngpus={ngpus}")
+            np.testing.assert_array_equal(
+                san[name], plain[name],
+                err_msg=f"{name} perturbed by sanitizer at ngpus={ngpus}")
+
+
+class TestTripAxisFuzz:
+    @seed(_case_seed("TestTripAxisFuzz::test_trip_loop_shapes"))
+    @given(st.data(), st.sampled_from(sorted(TRIP_SHAPES)),
+           st.integers(1, 9))
+    @settings(max_examples=12, deadline=None, database=None)
+    def test_trip_loop_shapes(self, data, shape, n):
+        body = TRIP_SHAPES[shape].replace("{e}", float_expr(data.draw))
+        run_trip_shape(make_trip_program(body),
+                       lambda: trip_args(data.draw, n))
+
+    @pytest.mark.parametrize("shape", sorted(TRIP_SHAPES))
+    def test_every_shape_runs(self, shape):
+        """Each shape once with fixed inputs, so none depends on the
+        draw."""
+        rng = np.random.default_rng(7)
+        n = 7
+
+        def make():
+            return {"n": n, "m": 4, "a": 0.5,
+                    "x": rng.uniform(-2, 2, n).astype(np.float32),
+                    "w": rng.uniform(-2, 2, n).astype(np.float32),
+                    "k": rng.integers(0, n, n).astype(np.int32),
+                    "v": rng.uniform(-2, 2, 5 * n).astype(np.float32),
+                    "y": np.zeros(5 * n, np.float32),
+                    "z": np.zeros(n, np.int32),
+                    "h": np.zeros(8, np.float32)}
+
+        body = TRIP_SHAPES[shape].replace("{e}", "(x[i] * 0.5f + w[i])")
+        run_trip_shape(make_trip_program(body), make)
 
 
 # -- fusion fuzz -------------------------------------------------------------

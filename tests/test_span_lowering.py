@@ -36,6 +36,7 @@ all.
 import collections
 import gc
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from repro.apps import ALL_APPS, EXTRA_APPS, AppSpec
 from repro.bench import multinode
 from repro.bench.machines import hypothetical_node
 from repro.runtime.kernelctx import KernelContext, ScratchArena
+from repro.translator import kernel_support
 from repro.translator.compiler import CompileOptions, KernelPlan
 from repro.translator.vectorizer import Vectorizer
 from repro.vcuda import memory as vmem
@@ -302,6 +304,8 @@ class AuditedNumpy:
 
     def __init__(self):
         self.buffered = 0
+        #: dtype name -> audited ufunc calls into such a slot.
+        self.outs = collections.Counter()
         #: dtype name -> audited gathers into / merges over such a slot.
         self.gathers = collections.Counter()
         self.merges = collections.Counter()
@@ -318,12 +322,27 @@ class AuditedNumpy:
         return res
 
     def copyto(self, dst, src, casting="same_kind", where=True):
+        # A trip-axis block is held to the merge of its lanes flattened
+        # in C order, a lane vector to the merge itself.
+        lanes = np.broadcast_to(src, dst.shape).reshape(-1) \
+            if np.ndim(src) else src
+        mask = np.broadcast_to(where, dst.shape).reshape(-1) \
+            if np.ndim(where) else where
         own = kernel_support_oracle.merge(
-            dst, kernel_support_oracle.bcv(src, dst.shape[0],
-                                           dst.dtype.type), where)
+            dst.reshape(-1), kernel_support_oracle.bcv(
+                lanes, dst.size, dst.dtype.type), mask)
         np.copyto(dst, src, casting=casting, where=where)
         assert own.dtype == dst.dtype and own.tobytes() == dst.tobytes()
         self.merges[dst.dtype.name] += 1
+
+    @property
+    def ks(self):
+        """Stands in for ``ctx.ks``: a block's gather (``ks.take``) is
+        held to the clip-gather like ``np.take``."""
+        ks = types.SimpleNamespace(**vars(kernel_support))
+        ks.take = lambda arr, idx, base, out: self.take(
+            arr, idx - base, out=out, mode="clip")
+        return ks
 
     def __getattr__(self, name):
         attr = getattr(np, name)
@@ -338,6 +357,7 @@ class AuditedNumpy:
             res = attr(*args, out=out, **kwargs)
             assert res.tobytes() == own.tobytes(), name
             self.buffered += 1
+            self.outs[out.dtype.name] += 1
             return res
 
         return audited
@@ -415,6 +435,24 @@ DTYPE_KERNELS = {
       }
     }
     """,
+    # Index arithmetic of a trip-axis block: an int32 vector times an
+    # integer literal and plus a host ``int``, an int64 block (the lane
+    # index plus an int32 block) times a literal.
+    "int_block": """
+    void k(int n, int m, int s, int *nb, float *p, float *y) {
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {
+        float acc = 0.0f;
+        for (int q = 0; q < m; q++) {
+          int j = nb[i * m + q];
+          int t = j * 3 + s;
+          int u = (i + j) * 2;
+          acc = acc + p[t] * p[u];
+        }
+        y[i] = acc;
+      }
+    }
+    """,
 }
 
 
@@ -422,7 +460,7 @@ def launch(prog, name, scalars, arrays, interp=False, audit=None):
     ctx = KernelContext(device_index=0, i0=scalars.pop("_i0", 0),
                         i1=scalars["n"], scalars=scalars, permissive=True)
     if audit is not None:
-        ctx.np = audit
+        ctx.np, ctx.ks = audit, audit.ks
     for k, v in arrays.items():
         ctx.arrays[k] = v
         ctx.base[k] = 0
@@ -473,6 +511,29 @@ class TestDtypeAudit:
         interp = self.gather_arrays()
         launch(prog, "k_L0", dict(scalars), interp, interp=True)
         assert span["best"].max() >= 0      # the mask did fire
+        for name in span:
+            assert_interp_agrees(interp[name], span[name])
+
+    def test_integer_block_slots_match_numpys_own_result(self):
+        """Rule 6's integer cases -- an int vector against an integer
+        literal below 2**31 or a host ``int`` -- land in arena slots of
+        the vector's dtype, bit for bit NumPy's unbuffered result."""
+        prog = repro.compile(DTYPE_KERNELS["int_block"])
+        assert "v_s = int(ctx.scalars['s'])" in prog.kernel_source("k_L0")
+        rng = np.random.default_rng(5)
+
+        def arrays():
+            return {"nb": rng.integers(0, 10, 33 * 4).astype(np.int32),
+                    "p": rng.uniform(-1, 1, 90).astype(np.float32),
+                    "y": np.zeros(33, np.float32)}
+
+        audit = AuditedNumpy()
+        scalars = {"n": 33, "m": 4, "s": 7}
+        span = arrays()
+        interp = {k: v.copy() for k, v in span.items()}
+        launch(prog, "k_L0", dict(scalars), span, audit=audit)
+        assert audit.outs["int32"] >= 2 and audit.outs["int64"] >= 1
+        launch(prog, "k_L0", dict(scalars), interp, interp=True)
         for name in span:
             assert_interp_agrees(interp[name], span[name])
 
