@@ -17,6 +17,7 @@ same interface.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -28,6 +29,15 @@ from ..vcuda import memory as vmem
 from .dirty import TwoLevelDirty
 from .partition import Block
 from .writemiss import WriteMissBuffer
+
+
+#: The storage of a slot not taken yet.
+_NO_STORAGE = np.empty(0, dtype=np.uint8)
+
+
+@functools.lru_cache(maxsize=None)
+def _itemsize(dtype: type) -> int:
+    return np.dtype(dtype).itemsize
 
 
 class ScratchArena:
@@ -66,19 +76,20 @@ class ScratchArena:
             ent = self._views[k]
             if ent[0] == n and ent[1] is dtype:
                 return ent[2]
-        while len(self._raw) <= k:
-            self._raw.append(np.empty(0, dtype=np.uint8))
-            self._views.append((-1, None, None))
+        if len(self._raw) <= k:
+            grow = k + 1 - len(self._raw)
+            self._raw += [_NO_STORAGE] * grow
+            self._views += [(-1, None, None)] * grow
         size = math.prod(n) if isinstance(n, tuple) else n
-        nbytes = max(0, size) * np.dtype(dtype).itemsize
-        if self._raw[k].shape[0] < nbytes:
-            vmem.RECYCLER.give(self._raw[k])
-            if nbytes < vmem.RECYCLE_FLOOR:
-                self._raw[k] = np.empty(nbytes, dtype=np.uint8)
-            else:
-                self._raw[k] = vmem.RECYCLER.take(nbytes)
+        nbytes = max(0, size) * _itemsize(dtype)
+        raw = self._raw[k]
+        if raw.shape[0] < nbytes:
+            if raw.shape[0] >= vmem.RECYCLE_FLOOR:
+                vmem.RECYCLER.give(raw)
+            raw = self._raw[k] = np.empty(nbytes, dtype=np.uint8) \
+                if nbytes < vmem.RECYCLE_FLOOR else vmem.RECYCLER.take(nbytes)
             self.misses += 1
-        view = self._raw[k][:nbytes].view(dtype)
+        view = raw[:nbytes].view(dtype)
         if isinstance(n, tuple):
             view = view.reshape(n)
         self._views[k] = (n, dtype, view)

@@ -119,8 +119,8 @@ def ld_block(arr: np.ndarray, lo: int, shape: tuple, steps: tuple,
     last = lo + sum(r for r in reach if r > 0)
     if 0 <= first and last < arr.shape[0]:
         item = arr.strides[0]
-        # Lists, not tuples: NumPy 2's constructor keeps a reference to
-        # tuple arguments of a buffer-backed array.
+        # Lists, not tuples: NumPy 2.4's constructor of a buffer-backed
+        # array keeps memory for tuple shape and strides on every call.
         strides = [s * item for s in steps]
         view = np.ndarray(list(shape), arr.dtype, arr, lo * item, strides) \
             if arr.flags.c_contiguous else \
