@@ -372,14 +372,16 @@ class TripSplit:
         """(locals read, -, arrays loaded, -, tainted) of an expression
         (``subscript``: an array subscript, which may use the trip
         variable)."""
-        if e is None:
-            return set(), set(), set(), set(), False
-        names = {x.name for x in C.walk_expr(e) if isinstance(x, C.Ident)}
-        loads = {x.base_name() for x in C.walk_expr(e)
-                 if isinstance(x, C.Index)}
-        taint = any(isinstance(x, C.Call) and x.func in _IMPRECISE
-                    for x in C.walk_expr(e)) or bool(names & reductions) \
-            or not subscript and self.var in set(_value_names(e))
+        names, loads, taint = set(), set(), False
+        for x in C.walk_expr(e) if e is not None else ():
+            if isinstance(x, C.Ident):
+                names.add(x.name)
+            elif isinstance(x, C.Index):
+                loads.add(x.base_name())
+            elif isinstance(x, C.Call):
+                taint |= x.func in _IMPRECISE
+        taint |= bool(names & reductions) or not subscript \
+            and self.var in names and self.var in set(_value_names(e))
         return names, set(), loads, set(), taint
 
     def _facts(self, u: C.Stmt, reductions: set[str]) -> tuple:
@@ -428,12 +430,8 @@ class TripSplit:
 
     def liftable(self, e: C.Expr, subscript: bool = False) -> bool:
         """Can ``e``, part of a carried unit, be computed in the block?"""
-        names = {x.name for x in C.walk_expr(e) if isinstance(x, C.Ident)}
-        return not (names & self.names) and not any(
-            isinstance(x, C.Index) and x.base_name() in self.arrays
-            or isinstance(x, C.Call) and x.func in _IMPRECISE
-            for x in C.walk_expr(e)) \
-            and (subscript or self.var not in set(_value_names(e)))
+        names, loads, taint = self._expr_facts(e, set(), subscript)[::2]
+        return not (names & self.names or loads & self.arrays or taint)
 
 
 class Vectorizer:
