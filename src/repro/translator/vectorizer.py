@@ -803,7 +803,8 @@ class Vectorizer:
             return q
         k = self._alloc(dtype)
         q = _Val(self.tmp("_q"), True, dtype=dtype, slot=k)
-        self.emit(f"{q.src} = {write(self._slot_call(k, self.region.size, dtype))}")
+        slot = self._slot_call(k, self.region.size, dtype)
+        self.emit(f"{q.src} = {write(slot)}")
         return q
 
     # -- loads ---------------------------------------------------------------------------

@@ -219,11 +219,14 @@ class TestExpressionFuzz:
         run_all_engines(src, lambda: fresh_args(data.draw, n))
 
 
-# -- trip-axis shapes ----------------------------------------------------------
+# -- trip-axis shapes --------------------------------------------------------
 #
 # Constant-trip loop bodies the trip-axis lowering splits differently:
-# carried updates under a trip-parallel or a carried mask, a nested
-# block, a block store and a block reduction in trip-major order, an
+# carried updates under a carried mask and under a trip-parallel one
+# (replayed unmasked, the block holding the update's identity where
+# the mask is off), a trip-local rewritten after a carried statement
+# read it, a nested loop, a block store and a block reduction in
+# trip-major order, an array stored and loaded in one trip, an
 # imprecise math call, lane-varying bounds.  ``v`` and ``y`` hold five
 # elements per lane (``m`` is at most 5), ``h`` is a small histogram.
 
@@ -252,6 +255,14 @@ TRIP_SHAPES = {
           y[i * m + q] = {e} * v[i * m + q];
         }
     """,
+    "stored_and_loaded": """
+        float s = 0.0f;
+        for (int q = 0; q < m; q++) {
+          y[i * m + q] = v[i * m + q] * {e};
+          s = s + y[i * m + m - 1];
+        }
+        y[i * m] = y[i * m] + s;
+    """,
     "colliding_reduction": """
         for (int q = 0; q < m; q++) {
           #pragma acc reductiontoarray(+: h[0:8])
@@ -263,6 +274,24 @@ TRIP_SHAPES = {
         for (int q = 0; q < m; q++) {
           float t = expf(v[i * m + q] * 0.25f) * {e};
           s = s + t;
+        }
+        y[i] = s;
+    """,
+    "masked_update": """
+        float s = 1.0f;
+        for (int q = 0; q < m; q++) {
+          float t = v[i * m + q] * {e};
+          if (t > a) { s = s + t; } else { s = s * 0.5f; }
+        }
+        y[i] = s;
+    """,
+    "rewritten_local": """
+        float s = 0.0f;
+        for (int q = 0; q < m; q++) {
+          float t = v[i * m + q] * {e};
+          s = s + t;
+          t = t * 0.5f;
+          s = s - t;
         }
         y[i] = s;
     """,
