@@ -1776,8 +1776,7 @@ class Vectorizer:
         self.emit(f"for {t0}, {k}, {shape} in {tiles}"
                   f"{parent.shape or f'({parent.n},)'}, ")
         self.indent += 1
-        block = _Region(n=f"{k} * {parent.n}", parent=parent,
-                        shape=shape,
+        block = _Region(n=f"{k} * {parent.n}", parent=parent, shape=shape,
                         trip=(il.var, t0, k))
         lines, free = self.lines, self._free
         saved = (self._split, self._part, self._lifted)
