@@ -322,15 +322,23 @@ class AuditedNumpy:
         return res
 
     def copyto(self, dst, src, casting="same_kind", where=True):
-        # A trip-axis block is held to the merge of its lanes flattened
-        # in C order, a lane vector to the merge itself.
-        lanes = np.broadcast_to(src, dst.shape).reshape(-1) \
-            if np.ndim(src) else src
-        mask = np.broadcast_to(where, dst.shape).reshape(-1) \
-            if np.ndim(where) else where
-        own = kernel_support_oracle.merge(
-            dst.reshape(-1), kernel_support_oracle.bcv(
-                lanes, dst.size, dst.dtype.type), mask)
+        if dst.ndim == 1:
+            own = kernel_support_oracle.merge(
+                dst, kernel_support_oracle.bcv(src, dst.shape[0],
+                                               dst.dtype.type), where)
+        else:
+            # A trip-axis block: a value of every element, of a row (the
+            # lanes it was entered on) or one scalar, held to the merge
+            # of the block flattened in C order.
+            assert np.shape(src) in ((), dst.shape, dst.shape[1:]), (
+                np.shape(src), dst.shape)
+            lanes = np.broadcast_to(src, dst.shape).reshape(-1) \
+                if np.ndim(src) else src
+            mask = np.broadcast_to(where, dst.shape).reshape(-1) \
+                if np.ndim(where) else where
+            own = kernel_support_oracle.merge(
+                dst.reshape(-1), kernel_support_oracle.bcv(
+                    lanes, dst.size, dst.dtype.type), mask)
         np.copyto(dst, src, casting=casting, where=where)
         assert own.dtype == dst.dtype and own.tobytes() == dst.tobytes()
         self.merges[dst.dtype.name] += 1
