@@ -67,11 +67,19 @@ def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1,
     return out
 
 
-#: Elements the slots of one trip-axis block hold together: 64 KiB of
-#: ``float32``, so a block's operands stay in a core's L2 cache and the
-#: scratch a launch grows is at most 64 bytes per lane from 1024 lanes
-#: on -- where one trip's calls already cover enough lanes that blocks
-#: of several trips gain little.
+#: Elements the slots of one trip-axis block hold together.  A block
+#: costs a fixed number of calls whatever its trips (``md_L0``: about 30
+#: NumPy and ``ks`` calls and 22 slot binds), more than one trip of a
+#: per-trip loop (29 calls), so it pays when it holds several trips;
+#: but every trip it holds grows the scratch of a launch by ``slots``
+#: elements per lane.  2**14 is the largest power of two that keeps
+#: ``md_L0``'s 16 block slots at one trip per block from 1,024 lanes on,
+#: within the 40 bytes per lane a launch may allocate there
+#: (``tests/test_span_lowering.py``; two trips take 44).  So a block of
+#: ``md_L0`` holds ``1024 // lanes`` trips -- 8 at 125 lanes, 2 at 500 --
+#: and one from 513 lanes on, where it costs more than a trip of the
+#: per-trip loop did (docs/PERFORMANCE.md, "Trip-axis lowering", has
+#: the measurements).
 BLOCK_ELEMS = 16384
 
 
@@ -110,21 +118,22 @@ def ld_block(arr: np.ndarray, lo: int, shape: tuple, steps: tuple,
     if out is not None:
         out[...] = ld_block(arr, lo, shape, steps)
         return out
-    lo = int(lo)
-    steps = [int(s) for s in steps]
     if 0 in shape:
         return np.empty(shape, dtype=arr.dtype)
-    reach = [s * (d - 1) for s, d in zip(steps, shape)]
-    first = lo + sum(r for r in reach if r < 0)
-    last = lo + sum(r for r in reach if r > 0)
+    lo = first = last = int(lo)
+    item = arr.strides[0]
+    # Lists, not tuples: NumPy 2.4's constructor of a buffer-backed
+    # array keeps memory for tuple shape and strides on every call.
+    strides = []
+    for s, d in zip(steps, shape):
+        s = int(s)
+        strides.append(s * item)
+        if s < 0:
+            first += s * (d - 1)
+        else:
+            last += s * (d - 1)
     if 0 <= first and last < arr.shape[0]:
-        item = arr.strides[0]
-        # Lists, not tuples: NumPy 2.4's constructor of a buffer-backed
-        # array keeps memory for tuple shape and strides on every call.
-        strides = [s * item for s in steps]
-        view = np.ndarray(list(shape), arr.dtype, arr, lo * item, strides) \
-            if arr.flags.c_contiguous else \
-            np.lib.stride_tricks.as_strided(arr[lo:], shape, strides)
+        view = np.ndarray(list(shape), arr.dtype, arr, lo * item, strides)
         return view.copy() if copy else view
     idx = np.full(shape, lo, dtype=np.int64)
     for axis, (s, d) in enumerate(zip(steps, shape)):
@@ -142,11 +151,11 @@ def take(arr: np.ndarray, idx: np.ndarray, base: int,
 
     Flat, through the array method: NumPy 2's ``np.take`` keeps about a
     hundred bytes per call it makes with a multi-dimensional index, and
-    the method allocates a buffer for one.
+    the method allocates a buffer for one.  ``out`` is a slot or a row
+    of one, so its flat view is never a copy.
     """
-    if not out.flags.c_contiguous:
-        return arr.take(idx - base, mode="clip", out=out)
-    arr.take((idx - base).reshape(-1), mode="clip", out=out.reshape(-1))
+    arr.take((idx - base).reshape(-1), mode="clip",
+             out=out.reshape(-1, copy=False))
     return out
 
 
@@ -252,8 +261,16 @@ def store(arr: np.ndarray, idx, values, op: str = "") -> None:
     written: a negative one would silently write from the buffer's end,
     so an index outside it is a window the compiler or the program got
     wrong, and raises like :func:`span_out`.
+
+    A trip-axis block is stored flattened in C order, trip-major as when
+    the trips ran one by one: ``ufunc.at`` has a fast loop for
+    one-dimensional operands only (about six times faster).
     """
     idx = np.asarray(idx)
+    if idx.ndim > 1:
+        if np.ndim(values):
+            values = np.broadcast_to(values, idx.shape).reshape(-1)
+        idx = idx.reshape(-1)
     if idx.size:
         low, high = int(idx.min()), int(idx.max())
         if low < 0 or high >= arr.shape[0]:
