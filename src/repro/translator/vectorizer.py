@@ -51,7 +51,9 @@ On every region
   :data:`~repro.translator.kernel_support.BLOCK_ELEMS` elements
   together, so a loop over many lanes runs as several blocks
   (``ks.tiles``).  Lane-varying bounds (``for (j = i; ...)``) add a
-  block bounds mask;
+  block bounds mask.  A loop whose block would compute nothing -- every
+  statement carried, bounds every lane shares -- replays its trips
+  straight from the range;
 * an index every lane shares is broadcast (``np.broadcast_to``) over the
   lanes, so a store keeps its last writer and ``ufunc.at`` its order.
 
@@ -284,7 +286,9 @@ class TripSplit:
       holds a loop (a nested constant-trip loop replays per trip, and
       runs as blocks of its own there);
     * is, or reads a local read by, an ``if`` the entering lanes lower
-      as sub-spans (``intervals``): sub-spans are spans of one trip.
+      as sub-spans (``intervals``): sub-spans are spans of one trip;
+    * sits on the flattened lanes of a CSR loop (``flat``): a block has
+      no position vector along its trips.
 
     Everything else is trip-parallel.  An ``if`` that is not carried
     but holds carried units is *mixed*: its condition is evaluated in
@@ -292,8 +296,9 @@ class TripSplit:
     """
 
     def __init__(self, body: C.Stmt, var: str, reductions: set[str],
-                 redeclared: set[str], intervals: set[int]) -> None:
-        self.var = var
+                 redeclared: set[str], intervals: set[int],
+                 flat: bool = False) -> None:
+        self.var, self.flat = var, flat
         #: (unit, enclosing ``if`` statements) in program order.
         self.units: list[tuple[C.Stmt, tuple[C.If, ...]]] = []
         self.ifs: list[C.If] = []
@@ -318,7 +323,7 @@ class TripSplit:
         carried |= span_reads & declared
 
         def touches(f) -> bool:
-            return f[4] or bool((f[0] | f[1]) & carried) \
+            return flat or f[4] or bool((f[0] | f[1]) & carried) \
                 or bool((f[2] | f[3]) & arrays)
 
         while True:
@@ -431,7 +436,8 @@ class TripSplit:
     def liftable(self, e: C.Expr, subscript: bool = False) -> bool:
         """Can ``e``, part of a carried unit, be computed in the block?"""
         names, loads, taint = self._expr_facts(e, set(), subscript)[::2]
-        return not (names & self.names or loads & self.arrays or taint)
+        return not (self.flat or names & self.names or loads & self.arrays
+                    or taint)
 
 
 class Vectorizer:
@@ -1700,52 +1706,28 @@ class Vectorizer:
     def emit_constant_loop(self, s: C.For, il: InnerLoop) -> None:
         assert il.lower is not None and il.upper is not None
         label = self.labels[id(s)]
-        jname = f"_j_{il.var}"
         outer_mask = self.mask
-        varying = self.lane_varying(il.lower) or self.lane_varying(il.upper)
         lanes = self.region.n if outer_mask is None \
             else f"int(np.count_nonzero({outer_mask}))"
-        split = self._trip_split(s, il, jname)
-        if not varying:
+        split = self._trip_split(s, il)
+        if not (self.lane_varying(il.lower) or self.lane_varying(il.upper)):
             lo, hi = self.tx(il.lower), self.tx(il.upper)
             trips = f"max(0, int({hi}))" if const_value(il.lower) == 0 \
                 else f"max(0, int({hi}) - int({lo}))"
             self.emit(f"ctx.dyn_count({label!r}, {trips} * {lanes})")
-            if split.parallel and self.region.span.pos is None:
-                self._emit_blocks(s, il, split, f"ks.tiles({lo}, {hi}, ")
-                return
-            first = lo if const_value(il.lower) is not None else f"int({lo})"
-            stop = f"int({hi})"
-        else:
-            # Lane-varying bounds: the union range, with a per-lane
-            # bounds mask.
-            lov, hiv = self._bound(il.lower, "_lov"), self._bound(il.upper, "_hiv")
-            sel = "" if outer_mask is None else f"[{outer_mask}]"
-            self.emit(f"ctx.dyn_count({label!r}, int(np.maximum("
-                      f"{hiv}{sel} - {lov}{sel}, 0).sum()))")
-            first = f"int({lov}.min()) if {lov}.size else 0"
-            stop = f"int({hiv}.max()) if {hiv}.size else 0"
-            if split.parallel and self.region.span.pos is None:
-                self._emit_blocks(s, il, split, f"ks.tiles({first}, {stop}, ",
-                                  (lov, hiv))
-                return
-        # Every unit is carried: one trip at a time.
-        self.emit(f"for {jname} in range({first}, {stop}):")
-        self.indent += 1
-        if varying:
-            bm = self.tmp("_m")
-            cond = f"(({jname} >= {lov}) & ({jname} < {hiv}))"
-            self.emit(f"{bm} = {cond}" if outer_mask is None
-                      else f"{bm} = {outer_mask} & {cond}")
-            self.mask = bm
-        self.scalar_vars[il.var] = jname
-        self.emit_stmt(s.body)
-        del self.scalar_vars[il.var]
-        self.mask = outer_mask
-        self.indent -= 1
+            self._emit_blocks(s, il, split, lo, hi)
+            return
+        # Lane-varying bounds: the union range, with a per-lane bounds
+        # mask.
+        lov, hiv = self._bound(il.lower, "_lov"), self._bound(il.upper, "_hiv")
+        sel = "" if outer_mask is None else f"[{outer_mask}]"
+        self.emit(f"ctx.dyn_count({label!r}, int(np.maximum("
+                  f"{hiv}{sel} - {lov}{sel}, 0).sum()))")
+        self._emit_blocks(s, il, split, f"int({lov}.min()) if {lov}.size else 0",
+                          f"int({hiv}.max()) if {hiv}.size else 0", (lov, hiv))
 
-    def _trip_split(self, s: C.For, il: InnerLoop, jname: str) -> TripSplit:
-        intervals = set()
+    def _trip_split(self, s: C.For, il: InnerLoop) -> TripSplit:
+        intervals, jname = set(), f"_j_{il.var}"
         if self.plain and self.mask is None:
             # Not before the body's locals are declared: a condition
             # reading one is a mask.
@@ -1762,18 +1744,22 @@ class Vectorizer:
                               or self._span_lowerable(st.orelse))}
             del self.scalar_vars[il.var]
         return TripSplit(s.body, il.var, set(self.reduction_vars),
-                         self._redeclared, intervals)
+                         self._redeclared, intervals,
+                         self.region.span.pos is not None)
 
     def _emit_blocks(self, s: C.For, il: InnerLoop, split: TripSplit,
-                     tiles: str, bounds: tuple | None = None) -> None:
-        """The loop as the blocks of ``tiles`` (the head of a
-        ``ks.tiles`` call): the trip-parallel units once per block, then
-        the carried ones once per trip of it, over row views."""
+                     lo: str, hi: str, bounds: tuple | None = None) -> None:
+        """The loop over ``[lo, hi)`` as blocks (``ks.tiles``): the
+        trip-parallel units once per block, then the carried ones once
+        per trip of it, over row views.  A block that computes nothing
+        -- every unit carried, the bounds lane-invariant -- is left out:
+        the trips replay straight from the range."""
         parent, outer_mask, base = self.region, self.mask, self.indent
+        names = self._tmp
         t0, k, shape = (self.tmp(p) for p in ("_t", "_k", "_s"))
         # Closed once the block's slots are counted.
         at, used = len(self.lines), self.slots_used
-        self.emit(f"for {t0}, {k}, {shape} in {tiles}"
+        self.emit(f"for {t0}, {k}, {shape} in ks.tiles({lo}, {hi}, "
                   f"{parent.shape or f'({parent.n},)'}, ")
         self.indent += 1
         block = _Region(n=f"{k} * {parent.n}", parent=parent, shape=shape,
@@ -1801,14 +1787,26 @@ class Vectorizer:
         self.emit_stmt(s.body)
         self._forget()
         del self.block_vars[il.var]
-        lines[at] += f"{max(self.slots_used - used, 1)}):"
-        pad = "    " * self.indent
-        lines += [pad + line for line in block.head] + self.lines
+        jname = f"_j_{il.var}"
+        # Nothing but the entering lanes' mask, which a trip reads as
+        # it is, and no value lifted for the replay to read a row of.
+        empty = bounds is None and not block.head \
+            and len(self.lines) == (outer_mask is not None) \
+            and len(self._lifted) == len(saved[2])
+        if empty:
+            self.indent, self._tmp = base, names
+            first = lo if const_value(il.lower) is not None else f"int({lo})"
+            lines[at] = "    " * base + \
+                f"for {jname} in range({first}, int({hi})):"
+        else:
+            lines[at] += f"{max(self.slots_used - used, 1)}):"
+            pad = "    " * self.indent
+            lines += [pad + line for line in block.head] + self.lines
         if split.carried:
-            row, jname = self.tmp("_r"), f"_j_{il.var}"
+            row = None if empty else self.tmp("_r")
             self.region, self._free, self.lines = parent, free, []
             self._rows[id(block)] = row
-            self.mask = outer_mask if mask is None \
+            self.mask = outer_mask if empty or mask is None \
                 else self._view_in(mask, block, None)
             self.scalar_vars[il.var] = jname
             self._part = "replay"
@@ -1817,12 +1815,16 @@ class Vectorizer:
             self._forget()
             # The trip's index only where a replayed unit reads it.
             trip = re.compile(rf"\b{jname}\b")
-            lines.append(pad + (
-                f"for {row}, {jname} in enumerate(range({t0}, {t0} + {k})):"
-                if any(trip.search(line) for line in self.lines)
-                else f"for {row} in range({k}):"))
+            if not empty:
+                lines.append(pad + (
+                    f"for {row}, {jname} in enumerate(range({t0}, {t0} + {k})):"
+                    if any(trip.search(line) for line in self.lines)
+                    else f"for {row} in range({k}):"))
             lines += self.lines
             del self._rows[id(block)], self.scalar_vars[il.var]
+        if len(lines) == at + 1:
+            # An empty body: nothing to run per trip.
+            del lines[at]
         self.lines, self._free, self.region = lines, free, parent
         self._split, self._part, self._lifted = saved
         self.mask, self.indent = outer_mask, base
@@ -1865,9 +1867,9 @@ class Vectorizer:
 
     def _own(self, v: _Val, temp: bool = False) -> _Val:
         """``v`` as a block value that stays put until the block's
-        trips are replayed: a slot no later operation takes, a view or
-        a bound array; in a slot of its own when ``temp`` (it is about
-        to be written)."""
+        trips are replayed: a slot no later operation takes or a bound
+        view or array (a replayed trip reads a row of a name); in a slot
+        of its own when ``temp`` (it is about to be written)."""
         if v.slot is not None:
             return v
         for key, (nv, _, slot) in list(self._numbered.items()):
@@ -1881,7 +1883,7 @@ class Vectorizer:
         if self._partial(v) or not v.vec:
             return self._bind(_Val(self._shared(replace(v, vec=False)), True,
                                    dtype=v.dtype))
-        return v
+        return self._bind(v) if v.view is not None else v
 
     def _lift(self, s: C.Stmt) -> None:
         """In the block part, the trip-parallel subexpressions of the

@@ -10,6 +10,8 @@ per trip (three for ``md_L0``: its masked ``fx``, ``fy``, ``fz``
 updates).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -110,8 +112,41 @@ def test_a_long_loop_runs_as_several_blocks():
     ("kmeans", "kmeans_L1", True), ("heat2d", "heat2d_L0", False)])
 def test_which_loops_run_as_blocks(app, kernel, blocked):
     """``heat2d``'s loop body is one ``if`` its lanes lower as sub-spans
-    of one trip each: it replays per trip as it always did."""
+    of one trip each: every statement is carried and nothing is computed
+    in a block, so its trips replay straight from the range."""
     from repro.apps import EXTRA_APPS
     text = repro.compile((ALL_APPS | EXTRA_APPS)[app].source).kernel_source(
         kernel)
     assert ("ks.tiles(" in text) == blocked
+
+
+def test_a_carried_loop_reads_its_lifted_loads_from_a_block():
+    """``md_fortran`` declares every local ahead of its neighbour loop,
+    so each statement of the loop is carried; its ``neigh`` load is
+    trip-parallel all the same: one block view per block, of which
+    each replayed trip reads a row."""
+    from repro.frontend import fortran
+    from repro.translator.compiler import compile_program
+    from tests.test_fortran_apps import MD_FORTRAN
+
+    plans = compile_program(fortran.parse_fortran(MD_FORTRAN)).plans
+    text = "\n".join(plan.source for plan in plans)
+    assert "ks.tiles(" in text
+    assert re.search(r"v_j\[\.\.\.\] = _u\d+\[_r\d+\]", text), text
+
+
+def test_a_loop_with_an_empty_body_still_counts_its_trips():
+    """No block and no replay: the loop leaves only its trip count."""
+    prog = repro.compile("""
+    void k(int n, int m, float *y) {
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {
+        for (int q = 0; q < m; q++) { }
+        y[i] = 1.0f;
+      }
+    }""")
+    assert "for " not in prog.kernel_source("k_L0")
+    args = {"n": 8, "m": 3, "y": np.zeros(8, np.float32)}
+    run = prog.run("k", args, ngpus=2)
+    assert (args["y"] == 1).all()
+    assert sum(c["L0"] for c in run.loop_stats[0].dyn_counts) == 24
