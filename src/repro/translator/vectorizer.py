@@ -1789,10 +1789,9 @@ class Vectorizer:
         del self.block_vars[il.var]
         jname = f"_j_{il.var}"
         # Nothing but the entering lanes' mask, which a trip reads as
-        # it is, and no value lifted for the replay to read a row of.
+        # it is (a value lifted for the replay is always bound).
         empty = bounds is None and not block.head \
-            and len(self.lines) == (outer_mask is not None) \
-            and len(self._lifted) == len(saved[2])
+            and len(self.lines) == (outer_mask is not None)
         if empty:
             self.indent, self._tmp = base, names
             first = lo if const_value(il.lower) is not None else f"int({lo})"

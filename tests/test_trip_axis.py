@@ -19,6 +19,7 @@ import repro
 from repro.apps import ALL_APPS
 from repro.runtime.kernelctx import KernelContext
 from repro.translator import kernel_support
+from tests.interp_oracle import oracle
 
 
 class Counting:
@@ -150,3 +151,49 @@ def test_a_loop_with_an_empty_body_still_counts_its_trips():
     run = prog.run("k", args, ngpus=2)
     assert (args["y"] == 1).all()
     assert sum(c["L0"] for c in run.loop_stats[0].dyn_counts) == 24
+
+
+def test_a_loop_on_csr_lanes_replays_every_statement():
+    """On a CSR loop's flattened lanes a block would have no position
+    vector along its trips: a trip-parallel statement replays there."""
+    prog = repro.compile("""
+    void k(int n, int m, int *row, float *val, float *w, float *y) {
+      #pragma acc parallel loop
+      for (int i = 0; i < n; i++) {
+        float sum = 0.0f;
+        for (int e = row[i]; e < row[i + 1]; e++) {
+          float acc = 0.0f;
+          for (int q = 0; q < m; q++) {
+            float t = w[q] * val[e];
+            acc = acc + t;
+          }
+          sum += acc;
+        }
+        y[i] = sum;
+      }
+    }""")
+    assert "ks.tiles(" not in prog.kernel_source("k_L0")
+    rng = np.random.default_rng(1)
+    row = np.concatenate([[0], np.cumsum(rng.integers(0, 4, 20))])
+    args = {"n": 20, "m": 5, "row": row.astype(np.int32),
+            "val": rng.standard_normal(row[-1]).astype(np.float32),
+            "w": rng.standard_normal(5).astype(np.float32),
+            "y": np.zeros(20, np.float32)}
+    want = {k: np.copy(v) for k, v in args.items()}
+    prog.run("k", args, ngpus=2)
+    oracle(prog).run("k", want, ngpus=2)
+    np.testing.assert_allclose(args["y"], want["y"], rtol=1e-5, atol=1e-6)
+
+
+def test_a_block_store_adds_trip_by_trip():
+    """``ks.store`` of a block adds in C order, trip-major: bit for bit
+    what storing its rows one after the other adds."""
+    rng = np.random.default_rng(3)
+    idx = rng.integers(0, 4, (5, 64))
+    vals = (rng.standard_normal((5, 64))
+            * 10.0 ** rng.integers(-4, 5, (5, 64))).astype(np.float32)
+    got, want = np.zeros(4, np.float32), np.zeros(4, np.float32)
+    kernel_support.store(got, idx, vals, "+")
+    for r in range(5):
+        np.add.at(want, idx[r], vals[r])
+    assert got.tobytes() == want.tobytes()
