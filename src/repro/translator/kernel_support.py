@@ -77,9 +77,8 @@ def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1,
 #: within the 40 bytes per lane a launch may allocate there
 #: (``tests/test_span_lowering.py``; two trips take 44).  So a block of
 #: ``md_L0`` holds ``1024 // lanes`` trips -- 8 at 125 lanes, 2 at 500 --
-#: and one from 513 lanes on, where it costs more than a trip of the
-#: per-trip loop did (docs/PERFORMANCE.md, "Trip-axis lowering", has
-#: the measurements).
+#: and one from 513 lanes on (docs/PERFORMANCE.md, "Trip-axis lowering",
+#: measures what each costs).
 BLOCK_ELEMS = 16384
 
 

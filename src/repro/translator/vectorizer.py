@@ -1793,6 +1793,7 @@ class Vectorizer:
         empty = bounds is None and not block.head \
             and len(self.lines) == (outer_mask is not None)
         if empty:
+            # Its names were never emitted: they are numbered afresh.
             self.indent, self._tmp = base, names
             first = lo if const_value(il.lower) is not None else f"int({lo})"
             lines[at] = "    " * base + \
@@ -1812,9 +1813,9 @@ class Vectorizer:
             self.indent += 1
             self.emit_stmt(s.body)
             self._forget()
-            # The trip's index only where a replayed unit reads it.
-            trip = re.compile(rf"\b{jname}\b")
             if not empty:
+                # The trip's index only where a replayed unit reads it.
+                trip = re.compile(rf"\b{jname}\b")
                 lines.append(pad + (
                     f"for {row}, {jname} in enumerate(range({t0}, {t0} + {k})):"
                     if any(trip.search(line) for line in self.lines)
