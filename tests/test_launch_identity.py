@@ -37,85 +37,85 @@ CONFIGS = {
 
 DIGESTS = {
     ('default', 'bfs'):
-        '99ec61cb9548c56cefbf53b7fd7393d7cdf000a636b82546ccfe34e64ad50635',
+        '744d05f60cea8944ac74470f561656af9f2e435f19caceb9c1e9996df09d12cd',
     ('default', 'gradpipe'):
-        '2c99858eec5dfc22f2a3a176dae9d3c4380b8ce09ef3562b98941f7f910e18fc',
+        '77348b675344d1e623dd5bfa6a33599034a212b7dc3be9e3d3a8aa3aee6b88c9',
     ('default', 'heat2d'):
-        '027013c6824ccafcc8e27fbf3113f4fc2b152eb0900cdd13b66e95f945e5a5cf',
+        '9bf9d17b86547a0579fc28f641a957f4b015cf18a24fea07589ec7b400dc3645',
     ('default', 'jacobi'):
-        'd1c45ead09bb3a0f1acc6ae3dd8de41837e8e49929b29909ff659ae47bec1b4b',
+        '650ec4269537f07ba6741cf6dac92b85637a8ac6bbf6d2240612f5fbdd210026',
     ('default', 'kmeans'):
-        '550a7803678d610b0326054de13a68a7eb8598b1cc930af3830f9f9025248a9a',
+        '881ee3e56933019258e64597f9646656df34cc9c236117463b7fb675cad24fe7',
     ('default', 'md'):
-        '23166a9fe93663fdc62f80401793d77bb0132495b99dc9957d8f447ac843e595',
+        'a8c9da794f91f6fc80f8a53adfff5340a7e5dcea8c75f69b28d3cccc5ba2f3fb',
     ('default', 'phasepipe'):
-        '0c5297b5a2de6be57515bc491417ebf215153155f3b69d7f351ff630a9333079',
+        '26bc5e6124d0105be317736185bd0dcd71f2fb28861fb3bf816da96cc98ec843',
     ('default', 'shift_scale'):
-        'ac4085056f5cd0bb0b43f1d98c988816c0a666bcb6715d53441c436017d3416c',
+        '7ba773d80bcbbc99d6d8576947ac94454630c3a5006bc6b2695e985c8359a6cf',
     ('default', 'spmv'):
-        'a008c161a2c7d6122b4e0d039971c9b8c17dad2bf718b22057aeb12502551e19',
+        '821c07f3e243e4d4ce7bfbe3bf0baef6585f9a41b5ac1d34e35d9b7a93bccd97',
     ('default', 'stencil'):
-        '41f14902f0c8e7fb69c3263721f7a6aa8a6e9a4923cbd216ad86268ac3501ec0',
+        '2ba03c25765172eddd1028a04f99036eb3f3c9afa654237ce7b500aeb2d9cc38',
     ('overlap_coalesce', 'bfs'):
-        'cdbbc03f5ff79d28d63e123d209c58d2f2a7701f370969c752ff605b88c073ba',
+        '58272b2cd6e2330e1216de181ba68538c904fc9b2f45d886814d212562b8ec9a',
     ('overlap_coalesce', 'gradpipe'):
-        'c2d7645d896a4bc097938e8cccc6a408730763bd249a1befa8334f7917f54118',
+        'ab314b5d7da58fa9cd3ef81c41e5afbfd031de4292930268490d9a6541e459fa',
     ('overlap_coalesce', 'heat2d'):
-        '9646aa34b08865ff837e8edb79e36fd7329105bb2ca8b86b973826497cdf92e8',
+        'a5be26cdce0cd5a76df324a2cf75ca89c3b2101633af1703e1696c7f1e5bf104',
     ('overlap_coalesce', 'jacobi'):
-        'c001ba9ae778f94956340b0bdd9119905fe217fa4f2a4eaf691add5f63724c40',
+        '6e8e3bc0aea141c681c97ae9261db4bf7e6ceed4a6dd1eeadc27b164322723cd',
     ('overlap_coalesce', 'kmeans'):
-        '867f3f1112a49dbbc02cd504998d65f768121797cdcb8cf7e70259d2603f91e6',
+        '38348417c8d3fc27ff7467e789968a094b9adf85584ac7fb4c242ae7f7c2e24b',
     ('overlap_coalesce', 'md'):
-        '79f5fa9a8ba2ce821aee94697daa1ccaffa2f4b59d85471b72e4c9dba24b4d57',
+        'e8a7b3361a680cb62f03a79c7896e0505740cfe893b6cb6e5fcfeb2d34942afa',
     ('overlap_coalesce', 'phasepipe'):
-        '0f281cbb46e1cbdb446663055220363a50a89139ea3abc4f8f3deeed052b4efe',
+        'f252da05b16fe5e17fe09d8f890c1b56e2260ad39dc0b856e3923e12d1194816',
     ('overlap_coalesce', 'shift_scale'):
-        'df55ef26e558b6714c0a69db67a1475106ebeb45f81e9981ff723d9dad3b605b',
+        'c72a397f2ab21a473af7f5a0764b25af6050d341b1638ef925103fc267c959eb',
     ('overlap_coalesce', 'spmv'):
-        '385e9ebb74c56de9594f305255aae957c66fc2fc4201bbf0cb2f10cfb0c76584',
+        'a26cc988fccb0516f3b422b32dfda375f37dfe276cb75661ea6bd61ff8925a57',
     ('overlap_coalesce', 'stencil'):
-        '0b31bd310353cd62cd5fbd6e8c24739093d5b448c9c839831d48a02f27a34bff',
+        '131e7d7f835ced4f8989d0c57f391cadd1386af35e6c80ceacaa20555a16cd1b',
     ('adaptive', 'bfs'):
-        '99ec61cb9548c56cefbf53b7fd7393d7cdf000a636b82546ccfe34e64ad50635',
+        '744d05f60cea8944ac74470f561656af9f2e435f19caceb9c1e9996df09d12cd',
     ('adaptive', 'gradpipe'):
-        '2c99858eec5dfc22f2a3a176dae9d3c4380b8ce09ef3562b98941f7f910e18fc',
+        '77348b675344d1e623dd5bfa6a33599034a212b7dc3be9e3d3a8aa3aee6b88c9',
     ('adaptive', 'heat2d'):
-        '027013c6824ccafcc8e27fbf3113f4fc2b152eb0900cdd13b66e95f945e5a5cf',
+        '9bf9d17b86547a0579fc28f641a957f4b015cf18a24fea07589ec7b400dc3645',
     ('adaptive', 'jacobi'):
-        'd1c45ead09bb3a0f1acc6ae3dd8de41837e8e49929b29909ff659ae47bec1b4b',
+        '650ec4269537f07ba6741cf6dac92b85637a8ac6bbf6d2240612f5fbdd210026',
     ('adaptive', 'kmeans'):
-        '550a7803678d610b0326054de13a68a7eb8598b1cc930af3830f9f9025248a9a',
+        '881ee3e56933019258e64597f9646656df34cc9c236117463b7fb675cad24fe7',
     ('adaptive', 'md'):
-        '23166a9fe93663fdc62f80401793d77bb0132495b99dc9957d8f447ac843e595',
+        'a8c9da794f91f6fc80f8a53adfff5340a7e5dcea8c75f69b28d3cccc5ba2f3fb',
     ('adaptive', 'phasepipe'):
-        '0c5297b5a2de6be57515bc491417ebf215153155f3b69d7f351ff630a9333079',
+        '26bc5e6124d0105be317736185bd0dcd71f2fb28861fb3bf816da96cc98ec843',
     ('adaptive', 'shift_scale'):
-        'ac4085056f5cd0bb0b43f1d98c988816c0a666bcb6715d53441c436017d3416c',
+        '7ba773d80bcbbc99d6d8576947ac94454630c3a5006bc6b2695e985c8359a6cf',
     ('adaptive', 'spmv'):
-        'a008c161a2c7d6122b4e0d039971c9b8c17dad2bf718b22057aeb12502551e19',
+        '821c07f3e243e4d4ce7bfbe3bf0baef6585f9a41b5ac1d34e35d9b7a93bccd97',
     ('adaptive', 'stencil'):
-        '41f14902f0c8e7fb69c3263721f7a6aa8a6e9a4923cbd216ad86268ac3501ec0',
+        '2ba03c25765172eddd1028a04f99036eb3f3c9afa654237ce7b500aeb2d9cc38',
     ('overlap_auto_2x2', 'bfs'):
-        '22b4a7aca9593785b2d82e6a3dd152860dc834724e127436e0c1bed1ebaef3bc',
+        'ffd2bd6e2e4a314ed476ae1e0dd7fc8d61ed9b84961d42591dd279bc9698e995',
     ('overlap_auto_2x2', 'gradpipe'):
-        'dbc14bb6db121586d7389bf258bb0465d2fc1822bcf4c5f5f93f1be3c728d628',
+        '80f42929223c66fdd3a076c3a125bf1cf7ae112871702f895a5a8ac512f680bb',
     ('overlap_auto_2x2', 'heat2d'):
-        '647ffdcc2c55e5ebb399704f117bd0751cc2fec4f3d24a60616e3c0e7c12a141',
+        '91543cea5d0d2bf7f41c226515b66c54d6befe798429402ff72186b8bf5eb143',
     ('overlap_auto_2x2', 'jacobi'):
-        '77de3b744b2b3046f2bcc02d0544cacafbc1897288f16b4a6ac77aa20401181e',
+        'e9d6073ddcb066b252c4ee090ee491187d47715758c34981fd73a978f1c74421',
     ('overlap_auto_2x2', 'kmeans'):
-        'b7b4ac541fd5e39a9730246bcd30a317ccff0cef96f8e8114df9442455be0b55',
+        'aff2714c011c5fd74e1404544321e8bf2dc696ed5af26faf4c701af4e118ceaf',
     ('overlap_auto_2x2', 'md'):
-        'fcc527746fbe2d25d66bc2ec34c2daf942d53c20b78792a49cb9c57ca40f032d',
+        '4823af74936b1f825d22161325f75186432210d3c593fa12fcfde67ed2270244',
     ('overlap_auto_2x2', 'phasepipe'):
-        '296fd81983ee19389dfc75a7c6d374af62749d6c560ba6d099aa150761a9b745',
+        '9981e21ed3722152ce63161644cd499c35257d27f7eabf69952be08e3c322255',
     ('overlap_auto_2x2', 'shift_scale'):
-        '2153a6d694f5d6c71f23f21b9e2afdcd35fee9f18d83cbd4e67d6c9259b260f6',
+        '4c78aa920ec610dd5088e63f5f902f848426ac83ab7486246c2589ec27be9ded',
     ('overlap_auto_2x2', 'spmv'):
-        'c535057c60def20ee1ab54e61ea7d84b4b976823024fdcd1aa67c899aba5dc1b',
+        '2042d497e3ad3da4e2c84f1a8eb2b9fee553289cc478a3b422f8aaea3704ad40',
     ('overlap_auto_2x2', 'stencil'):
-        'b666363f411e388b5134c32f023786e413ee73e5b3e2be3a2e0234ffc630d7c1',
+        '4566f0ae2e8218373836527b989710297de4d1f43a759137df03856e2548c6a5',
 }
 
 
