@@ -13,7 +13,10 @@ NIC-side counters:
   node pair as a serialized gather -> NIC -> scatter (``staged``), or
   as the same aggregation pipelined in NIC-sized chunks so the NIC leg
   of chunk *k* hides behind the PCIe legs of chunks *k±1*
-  (``ring``/``tree``/``auto``).
+  (``ring``/``tree``/``auto``).  :meth:`Transport.route` makes that
+  split and prices the peer copies once; :meth:`Transport.ship` issues
+  a route, so a layout's halo exchange is routed once and shipped
+  after every launch.
 * **broadcast** ``(src_gpu, targets, chunk runs)`` of one shared
   payload (replica dirty chunks).  Replicas on other nodes receive it
   once per *node*, not per member; the node hosts and the node-local
@@ -67,6 +70,11 @@ __all__ = [
 
 #: ``(src_gpu, dst_gpu, nbytes)``.
 Pair = tuple[int, int, int]
+#: A list of pairs as :meth:`Transport.ship` issues it: the peer copies
+#: in issue order, ``(src_gpu, dst_gpu, nbytes, price)`` with the bus's
+#: price (``None`` for a copy the bus routes over the NIC), then the
+#: cross-node pairs :meth:`Transport._exchange` aggregates.
+Route = tuple[list[tuple[int, int, int, tuple | None]], list[Pair]]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +175,10 @@ class Transport:
     Configured once from the run's :class:`RunConfig`; :attr:`mode` is
     its :attr:`~RunConfig.transport`, one of :data:`TRANSPORTS`.  The
     transport owns *pricing only*: the comm manager has already applied
-    the array data before calling :meth:`pairs` / :meth:`broadcast`, and
-    keeps the per-mechanism byte ledger; the counters here are the
-    NIC-side ones, so ablation comparisons stay apples-to-apples across
-    transports.
+    the array data before calling :meth:`pairs` / :meth:`ship` /
+    :meth:`broadcast`, and keeps the per-mechanism byte ledger; the
+    counters here are the NIC-side ones, so ablation comparisons stay
+    apples-to-apples across transports.
     """
 
     def __init__(self, platform: Any, config: RunConfig | None = None,
@@ -288,15 +296,21 @@ class Transport:
     def pairs(self, array: str | None, mech: str, pairs: list[Pair],
               direct: bool = False) -> None:
         """Ship ``(src_gpu, dst_gpu, nbytes)`` pairs under the
-        mechanism tag ``mech``.
+        mechanism tag ``mech``: :meth:`ship` of their :meth:`route`."""
+        self.ship(array, mech, self.route(pairs, direct))
 
-        Same-node pairs are peer copies in list order; the cross-node
-        ones follow them -- as peer copies too on the ``naive``
-        transport (the bus routes a cross-node peer copy over the NIC
-        itself), otherwise aggregated per node pair (:meth:`_exchange`).
-        ``direct`` ships every pair as a peer copy in list order,
-        whatever the transport: reduction hops (each depends on the
-        one before) and the direct replica fan-out.
+    def route(self, pairs: list[Pair], direct: bool = False) -> Route:
+        """How :meth:`ship` issues ``pairs``.
+
+        Same-node pairs are peer copies in list order, each checked and
+        priced here by :meth:`Bus.price_p2p`; the cross-node ones follow
+        them -- as peer copies too on the ``naive`` transport (the bus
+        routes a cross-node peer copy over the NIC itself), otherwise
+        aggregated per node pair (:meth:`_exchange`).  ``direct`` ships
+        every pair as a peer copy in list order, whatever the transport:
+        reduction hops (each depends on the one before) and the direct
+        replica fan-out.  A route depends on the pairs and the topology
+        only, so a layout's halo exchange keeps its route.
         """
         far: list[Pair] = []
         if self._multinode and not direct:
@@ -306,30 +320,25 @@ class Transport:
                 pairs = [p for p in pairs if node[p[0]] == node[p[1]]]
                 if self.mode == "naive":
                     pairs, far = pairs + far, []
+        price = self.bus.price_p2p
+        return [(g, t, n, price(g, t, n)) for g, t, n in pairs], far
+
+    def ship(self, array: str | None, mech: str, route: Route) -> None:
+        """Issue a :meth:`route` under the mechanism tag ``mech``, each
+        peer copy no earlier than its endpoints' issue floor."""
+        near, far = route
         bus, floor, note = self.bus, self._floor, self._note
         with self._tag(mech, array):
-            for g, t, nbytes in pairs:
-                tr = bus.p2p(g, t, nbytes, not_before=floor(g, t))
-                note(tr, g, t)
-                if tr.kind == "net":
+            for g, t, nbytes, price in near:
+                if price is None:
+                    tr = bus.p2p(g, t, nbytes, not_before=floor(g, t))
                     self.bytes_internode += nbytes
+                else:
+                    tr = bus.place_transfer("p2p", nbytes, g, t, price,
+                                            floor(g, t))
+                note(tr, g, t)
         if far:
             self._exchange(array, far)
-
-    def priced_pairs(self, pairs: list[Pair]) -> list[tuple]:
-        """``(src, dst, nbytes, price)``: ``pairs`` as :meth:`pairs`
-        issues them on one node without overlap -- peer copies in list
-        order, no issue floor -- each with its bus price, for
-        :meth:`replay_pairs`."""
-        price = self.bus.price_transfer
-        return [(g, t, n, price("p2p", n, g, t)) for g, t, n in pairs]
-
-    def replay_pairs(self, priced: list[tuple]) -> None:
-        """Issue pairs :meth:`priced_pairs` priced, at those prices."""
-        place = self.bus.place_transfer
-        for g, t, n, price in priced:
-            place("p2p", n, g, t, price)
-        self.transactions += len(priced)
 
     def _exchange(self, array: str | None, far: list[Pair]) -> None:
         """Cross-node pairs, aggregated per (source node, destination

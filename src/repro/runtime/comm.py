@@ -21,6 +21,12 @@ nbytes)`` pairs or as one broadcast of shared dirty chunks.  *How* that
 moves (direct, staged, ring, tree, pipelined; which tag, which floor)
 is the :class:`~repro.runtime.collectives.Transport`'s decision alone.
 
+A halo exchange depends on the layout only: its copies, bytes and the
+transport's route of its pairs are derived once per
+``ManagedArray.version`` and kept on ``ManagedArray.halo_plan``.  Every
+launch -- enacted or replayed from a launch graph -- runs the same
+:meth:`CommunicationManager.after_kernels`.
+
 Two pacing modes:
 
 * **synchronous** (default; the paper's behavior): all queued transfers
@@ -62,14 +68,6 @@ from .writemiss import RECORD_BYTES
 
 class CommError(RuntimeError):
     pass
-
-
-#: A synchronous coherence step recorded for replay
-#: (:meth:`CommunicationManager.record_halos`): per array, its name,
-#: halo copies, halo bytes and pairs as :meth:`Transport.priced_pairs`
-#: gives them; then the arrays the step leaves device-ahead.
-HaloRecord = tuple[list[tuple[str, list, int, list[tuple]]],
-                   list[ManagedArray]]
 
 
 @dataclass
@@ -206,39 +204,6 @@ class CommunicationManager:
                 return self.platform.bus.sync_split()
             return 0.0
         return clock.elapsed_in(CATEGORY_GPU_GPU) - gg0
-
-    def record_halos(self, configs: dict[str, ArrayConfig]) -> HaloRecord:
-        """The coherence step :meth:`after_kernels` just ran for a loop
-        whose arrays are read-only or ``LOCAL_PROVEN``, synchronous and
-        on one node: the halo exchange of each array's layout, every
-        pair priced by the transport."""
-        steps = []
-        for name, cfg in configs.items():
-            if cfg.write_handling == WriteHandling.LOCAL_PROVEN:
-                copies, pairs = self.loader._get(name).halo_plan[1]
-                steps.append((name, copies, sum(n for _, _, n in pairs),
-                              self.transport.priced_pairs(pairs)))
-        return steps, [self.loader._get(name)
-                       for name, cfg in configs.items() if cfg.written]
-
-    def replay_halos(self, record: HaloRecord) -> float:
-        """:meth:`after_kernels` from a :meth:`record_halos` record: the
-        same copies, ledger entries, transactions and transfers, placed
-        at their recorded prices; returns the GPU-GPU seconds."""
-        steps, written = record
-        bus = self.platform.bus
-        self.last_call_bytes = {}
-        for name, copies, nbytes, priced in steps:
-            for dst, src in copies:
-                np.copyto(dst, src)
-            if priced:
-                self._account(name, "halo", nbytes)
-                self.transport.replay_pairs(priced)
-        for ma in written:
-            ma.device_ahead = True
-        if bus.pending_count():
-            return bus.sync_split()
-        return 0.0
 
     # -- overlap bookkeeping -----------------------------------------------------
 
@@ -486,14 +451,22 @@ class CommunicationManager:
         self._ship(ma.name, "miss", MECH_MISS_REPLAY, pairs)
 
     def _refresh_halos(self, ma: ManagedArray) -> None:
-        """Owner blocks changed: update overlapping copies on other GPUs."""
+        """Owner blocks changed: update overlapping copies on other GPUs.
+
+        The layout's exchange -- copies, bytes and the transport's
+        route of its pairs -- is derived once per ``ma.version``."""
         plan = ma.halo_plan
         if plan is None or plan[0] != ma.version:
-            plan = ma.halo_plan = (ma.version, self._derive_halo_plan(ma))
-        copies, pairs = plan[1]
-        for dst, src in copies:
-            np.copyto(dst, src)
-        self._ship(ma.name, "halo", MECH_HALO, pairs)
+            copies, pairs = self._derive_halo_plan(ma)
+            plan = ma.halo_plan = (ma.version, copies,
+                                   sum(n for _, _, n in pairs),
+                                   self.transport.route(pairs))
+        _, copies, nbytes, route = plan
+        if copies:
+            for dst, src in copies:
+                np.copyto(dst, src)
+            self._account(ma.name, "halo", nbytes)
+            self.transport.ship(ma.name, MECH_HALO, route)
 
     def _derive_halo_plan(self, ma: ManagedArray) -> tuple[list, list[Pair]]:
         """Halo exchange of the resident layout: every ``(dst_view,

@@ -18,6 +18,7 @@ parallel loop:
 A synchronous loop that repeats a launch whose every array skipped its
 reload skips the map step's build: the executor places the
 :class:`LaunchGraph` it recorded (see :meth:`AccExecutor.run_loop`).
+The communicate step is the same on either path.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..vcuda.api import Platform
 from ..vcuda.bus import CATEGORY_CPU_GPU, CATEGORY_KERNELS
 from ..vcuda.device import KernelWork, LaunchConfig
 from .balancer import AdaptiveBalancer
-from .comm import CommunicationManager, HaloRecord
+from .comm import CommunicationManager
 from .config import RunConfig
 from .data_loader import DataLoader, ManagedArray
 from .kernelctx import KernelContext, ScratchArena
@@ -42,7 +43,7 @@ from .partition import split_tasks, window_free_names
 from .reduction_rt import finalize_scalar_reductions
 
 #: Write handlings whose post-kernel traffic is a function of the
-#: layout alone (halo refreshes at most), so a launch graph can hold it.
+#: layout alone (halo refreshes at most): the launches a graph replays.
 _REPLAYABLE = (WriteHandling.NONE, WriteHandling.LOCAL_PROVEN)
 
 
@@ -85,19 +86,21 @@ class GpuLaunch:
 
 @dataclass
 class LaunchGraph:
-    """One synchronous launch of a plan, recorded to be replayed.
+    """What the build of one synchronous launch of a plan decided,
+    recorded to be replayed: its key, tasks and priced launch nodes.
 
     Recorded at a launch whose every array skipped its reload; replayed
     while :meth:`AccExecutor._graph_key` returns the key it was recorded
     under, which pins everything the build read besides the kernel's own
-    data and the live timelines.
+    data and the live timelines.  The coherence step is not part of it:
+    a replayed launch runs :meth:`CommunicationManager.after_kernels`,
+    whose halo routes the arrays' layouts keep.
     """
 
     key: tuple
     tasks: list[tuple[int, int]]
     #: Per GPU, ``None`` where the slice is empty.
     kernels: list[GpuLaunch | None]
-    halos: HaloRecord
 
 
 @dataclass
@@ -179,8 +182,9 @@ class AccExecutor:
         """Run ``plan`` over ``[lower, upper)``: build, compute and place,
         communicate.  A launch whose key (:meth:`_graph_key`) is that of
         the plan's recorded :class:`LaunchGraph` skips the build and
-        places the graph's priced launches and halo transfers; a built
-        launch that skipped every reload records one."""
+        places the graph's priced launches; a built launch that skipped
+        every reload records one.  Either way the coherence step is
+        :meth:`CommunicationManager.after_kernels`."""
         memo = self._memo(plan)
         key = self._graph_key(plan, lower, upper, host_env)
         graph = memo.graph
@@ -201,8 +205,7 @@ class AccExecutor:
 
         # Step 2: compute, price and place.
         kern0 = self.platform.clock.elapsed_in(CATEGORY_KERNELS)
-        profiler = self.platform.profiler
-        profiler.note_loop_call(plan.name)
+        devices = self.platform.devices
         per_gpu_seconds = [0.0] * self.platform.ngpus
         contexts = memo.contexts
         for g, (t0, t1) in enumerate(tasks):
@@ -220,15 +223,13 @@ class AccExecutor:
                 # A fresh node, or other trip counts on the same slice.
                 node.dyn_counts = dict(ctx.dyn_counts)
                 node.work = plan.cost.total(n, ctx.dyn_counts)
-                node.seconds = self.platform.devices[g].kernel_time(
-                    node.work, node.config)
-            per_gpu_seconds[g], count = self._place(plan, g, n, node,
-                                                    configs)
-            profiler.record_kernel(plan.name, g, per_gpu_seconds[g],
-                                   launches=count, iterations=n)
+                node.seconds = devices[g].kernel_time(node.work,
+                                                      node.config)
+            placed = len(devices[g].launches)
+            per_gpu_seconds[g] = self._place(plan, g, n, node, configs)
             if self.tracer is not None:
                 fusion = getattr(plan, "fusion_members", None)
-                for rec in self.platform.devices[g].launches[-count:]:
+                for rec in devices[g].launches[placed:]:
                     self.tracer.kernel_event(rec, iterations=n,
                                              fusion=fusion)
         if not self.config.overlap:
@@ -239,14 +240,11 @@ class AccExecutor:
             self.sanitizer.after_kernels(plan)
 
         # Step 3: communicate.
+        stats.comm_seconds = self.comm.after_kernels(configs)
         if hit:
-            stats.comm_seconds = self.comm.replay_halos(graph.halos)
             self.graph_replays += 1
-        else:
-            stats.comm_seconds = self.comm.after_kernels(configs)
-            if key is not None:
-                memo.graph = LaunchGraph(key, tasks, nodes,
-                                         self.comm.record_halos(configs))
+        elif key is not None:
+            memo.graph = LaunchGraph(key, tasks, nodes)
         if self.config.overlap:
             if any(c.scalar_ops for c in contexts):
                 # The host consumes the reduction values right after this
@@ -421,10 +419,9 @@ class AccExecutor:
         return cfg
 
     def _place(self, plan: KernelPlanLike, g: int, n: int, node: GpuLaunch,
-               configs: dict) -> tuple[float, int]:
+               configs: dict) -> float:
         """Put GPU ``g``'s priced launch of ``n`` iterations on its
-        timeline; returns the launched seconds and launch count
-        (profiler feedback).
+        timeline; returns the launched seconds.
 
         Synchronous mode places it at the host clock.  Overlap mode
         waits only for the arrays this kernel touches, and splits off
@@ -453,10 +450,10 @@ class AccExecutor:
                     seconds.append(dev.kernel_time(work, cfg))
                     dev.place_launch(plan.name + part, work, cfg,
                                      seconds[-1], now, floor)
-                return seconds[0] + seconds[1], 2
+                return seconds[0] + seconds[1]
         dev.place_launch(plan.name, node.work, node.config, node.seconds,
                          now, ready)
-        return node.seconds, 1
+        return node.seconds
 
     def _split_geometry(self, g: int,
                         configs: dict) -> tuple[int, int] | None:

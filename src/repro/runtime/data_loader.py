@@ -142,12 +142,12 @@ class ManagedArray:
     #: executor's launch fast path caches argument bindings per
     #: (plan, GPU) and revalidates against this counter.
     version: int = 0
-    #: ``(version, plan)``: exchange geometry the communication manager
-    #: derived from this layout (halo refresh; windowed dirty
-    #: propagation) and replays until :attr:`version` moves.  The plans
-    #: hold views of the device buffers, which is why every path that
-    #: replaces buffers must bump :attr:`version` -- the one
-    #: invalidation rule.
+    #: Exchange geometry the communication manager derived from this
+    #: layout and reuses until :attr:`version` moves: ``(version,
+    #: copies, nbytes, route)`` of the halo refresh, ``(version,
+    #: targets)`` of windowed dirty propagation.  The plans hold views
+    #: of the device buffers, which is why every path that replaces
+    #: buffers must bump :attr:`version` -- the one invalidation rule.
     halo_plan: tuple | None = None
     windowed_plan: tuple | None = None
 

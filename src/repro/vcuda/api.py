@@ -55,7 +55,7 @@ class Platform:
         self.devices = [Device(i, spec)
                         for i, spec in enumerate(machine.gpu_specs[:ngpus])]
         self.bus = Bus(machine, self.clock)
-        self.profiler = Profiler(self.clock, ngpus=ngpus)
+        self.profiler = Profiler(self.clock)
         #: Node of each active device, resolved once (a cluster's
         #: ``node_of`` walks its node list on every call).
         self._nodes = [machine.node_of(g) for g in range(ngpus)]
@@ -287,4 +287,4 @@ class Platform:
         for d in self.devices:
             d.reset()
         self.bus = Bus(self.machine, self.clock)
-        self.profiler = Profiler(self.clock, ngpus=self.ngpus)
+        self.profiler = Profiler(self.clock)

@@ -359,18 +359,25 @@ class Bus:
         route over the NIC (a ``net`` transfer occupying both GPUs'
         PCIe links and both nodes' NIC ports).
         """
+        price = self.price_p2p(src, dst, nbytes)
+        if price is None:
+            return self._schedule_net(self._dev_node[src], self._dev_node[dst],
+                                      nbytes, src=src, dst=dst,
+                                      not_before=not_before, category=category)
+        return self.place_transfer("p2p", nbytes, src, dst, price,
+                                   not_before, category)
+
+    def price_p2p(self, src: int, dst: int, nbytes: int) -> tuple | None:
+        """Check a peer copy's endpoints and price it for
+        :meth:`place_transfer`; ``None`` when they sit on different
+        nodes (:meth:`p2p` routes that copy over the NIC)."""
         self._check_device(src)
         self._check_device(dst)
         if src == dst:
             raise ValueError("peer copy requires distinct devices")
-        if self._multinode:
-            a, b = self._node_of(src), self._node_of(dst)
-            if a != b:
-                return self._schedule_net(a, b, nbytes, src=src, dst=dst,
-                                          not_before=not_before,
-                                          category=category)
-        return self._schedule("p2p", nbytes, src, dst, not_before=not_before,
-                              category=category)
+        if self._multinode and self._dev_node[src] != self._dev_node[dst]:
+            return None
+        return self.price_transfer("p2p", nbytes, src, dst)
 
     def net(self, src_node: int, dst_node: int, nbytes: int, *,
             not_before: float = 0.0, category: str | None = None) -> Transfer:

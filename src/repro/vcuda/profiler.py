@@ -9,7 +9,7 @@ accumulators and can snapshot/diff them around a region of interest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bus import (
     CATEGORY_CPU_GPU,
@@ -78,77 +78,12 @@ class TimeBreakdown:
         )
 
 
-@dataclass
-class LoopKernelStats:
-    """Per-GPU kernel accounting of one parallel loop (by loop id).
-
-    Accumulated across every execution of the loop: launch counts,
-    busy seconds, and iterations assigned.  The adaptive balancer
-    consumes these to derive measured per-GPU throughput; the Fig. 8
-    machinery can report them standalone.
-    """
-
-    loop_id: str
-    launches: list[int] = field(default_factory=list)
-    busy_seconds: list[float] = field(default_factory=list)
-    iterations: list[int] = field(default_factory=list)
-    calls: int = 0
-
-    def _grow(self, gpu: int) -> None:
-        while len(self.launches) <= gpu:
-            self.launches.append(0)
-            self.busy_seconds.append(0.0)
-            self.iterations.append(0)
-
-    @property
-    def total_launches(self) -> int:
-        return sum(self.launches)
-
-    @property
-    def total_busy_seconds(self) -> float:
-        return sum(self.busy_seconds)
-
-
 class Profiler:
-    """Snapshots the clock's category accumulators around regions.
+    """Snapshots the clock's category accumulators around regions."""
 
-    Also keeps per-loop-id, per-GPU kernel accumulators
-    (:class:`LoopKernelStats`) fed by the executor at every launch.
-    """
-
-    def __init__(self, clock: VirtualClock, ngpus: int = 0) -> None:
+    def __init__(self, clock: VirtualClock) -> None:
         self.clock = clock
-        self.ngpus = ngpus
         self._region_start: tuple[float, TimeBreakdown] | None = None
-        self.loop_kernels: dict[str, LoopKernelStats] = {}
-
-    # -- per-loop kernel accounting ----------------------------------------
-
-    def record_kernel(self, loop_id: str, gpu: int, seconds: float,
-                      launches: int = 1, iterations: int = 0) -> None:
-        """Accumulate one (or more) kernel launches of ``loop_id`` on
-        GPU ``gpu``: busy time and iteration count."""
-        st = self.loop_kernels.get(loop_id)
-        if st is None:
-            st = LoopKernelStats(loop_id=loop_id)
-            st._grow(max(self.ngpus - 1, gpu))
-            self.loop_kernels[loop_id] = st
-        st._grow(gpu)
-        st.launches[gpu] += launches
-        st.busy_seconds[gpu] += seconds
-        st.iterations[gpu] += iterations
-
-    def note_loop_call(self, loop_id: str) -> None:
-        """Count one execution of the parallel loop ``loop_id``."""
-        st = self.loop_kernels.get(loop_id)
-        if st is None:
-            st = LoopKernelStats(loop_id=loop_id)
-            st._grow(self.ngpus - 1)
-            self.loop_kernels[loop_id] = st
-        st.calls += 1
-
-    def kernel_stats(self, loop_id: str) -> LoopKernelStats | None:
-        return self.loop_kernels.get(loop_id)
 
     def snapshot(self) -> TimeBreakdown:
         c = self.clock

@@ -2,9 +2,8 @@
 
 Unit coverage of the balancer mechanics (model prior, hysteresis,
 starvation, split-consistency groups, placement advisor), the loader's
-delta migration, the per-loop profiler accounting, and end-to-end
-parity: ``adaptive=True`` must never change program results, only
-timing.
+delta migration, and end-to-end parity: ``adaptive=True`` must never
+change program results, only timing.
 """
 
 from types import SimpleNamespace
@@ -28,7 +27,6 @@ from repro.translator.array_config import (
     WriteHandling,
 )
 from repro.vcuda import DESKTOP_MACHINE, Platform
-from repro.vcuda.profiler import LoopKernelStats, Profiler
 from repro.vcuda.specs import TESLA_C1060, TESLA_M2050
 from tests.util import run_source
 
@@ -51,60 +49,6 @@ def replica_span_cfg(name, coeff=1, lo=0, hi=0):
                        placement=Placement.REPLICA,
                        write_handling=WriteHandling.DIRTY_BITS,
                        inferred_window=w, inferred_span=(coeff, lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# Profiler per-loop accounting (satellite: launch counts / busy time by
-# loop id).
-# ---------------------------------------------------------------------------
-
-
-class TestLoopKernelStats:
-    def make(self, ngpus=3):
-        p = Platform(DESKTOP_MACHINE, min(ngpus, 2))
-        return Profiler(p.clock, ngpus=ngpus)
-
-    def test_record_accumulates_per_gpu(self):
-        prof = self.make(ngpus=2)
-        prof.note_loop_call("L0")
-        prof.record_kernel("L0", 0, 0.5, launches=1, iterations=100)
-        prof.record_kernel("L0", 1, 0.25, launches=2, iterations=60)
-        prof.record_kernel("L0", 1, 0.25, launches=1, iterations=60)
-        st = prof.kernel_stats("L0")
-        assert st.calls == 1
-        assert st.launches == [1, 3]
-        assert st.busy_seconds == [0.5, 0.5]
-        assert st.iterations == [100, 120]
-        assert st.total_launches == 4
-        assert st.total_busy_seconds == 1.0
-
-    def test_loops_keyed_independently(self):
-        prof = self.make()
-        prof.record_kernel("a", 0, 1.0)
-        prof.record_kernel("b", 0, 2.0)
-        assert prof.kernel_stats("a").busy_seconds[0] == 1.0
-        assert prof.kernel_stats("b").busy_seconds[0] == 2.0
-        assert prof.kernel_stats("nope") is None
-
-    def test_preallocates_all_gpu_slots(self):
-        prof = self.make(ngpus=3)
-        prof.note_loop_call("L")
-        st = prof.kernel_stats("L")
-        assert len(st.launches) == 3 and st.launches == [0, 0, 0]
-
-    def test_e2e_run_populates_loop_stats(self):
-        spec = ALL_APPS["md"]
-        prog = repro.compile(spec.source)
-        run = prog.run(spec.entry, spec.args_for("tiny"),
-                       machine="desktop", ngpus=2)
-        stats = run.platform.profiler.loop_kernels
-        assert stats, "no per-loop kernel stats recorded"
-        for st_ in stats.values():
-            assert isinstance(st_, LoopKernelStats)
-            assert st_.calls >= 1
-            assert st_.total_launches >= st_.calls
-            assert st_.total_busy_seconds > 0.0
-            assert sum(st_.iterations) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.apps import ALL_APPS, EXTRA_APPS
-from repro.bench.machines import hypothetical_node
+from repro.bench.machines import hypothetical_cluster, hypothetical_node
 from repro.frontend.parser import parse_expr
 from repro.runtime import partition
 from repro.runtime.comm import CommunicationManager
@@ -92,11 +92,11 @@ def forget_every_launch(monkeypatch):
                         cold_propagate)
 
 
-def run_app(name, params, ngpus, **flags):
+def run_app(name, params, ngpus, machine=None, **flags):
     spec = APPS[name]
     args = spec.make_args(**params)
     run = repro.compile(spec.source).run(
-        spec.entry, args, machine=hypothetical_node(max(ngpus, 1)),
+        spec.entry, args, machine=machine or hypothetical_node(max(ngpus, 1)),
         ngpus=ngpus, **flags)
     outs = {k: np.array(args[k]) for k in spec.outputs}
     return run, outs
@@ -109,11 +109,11 @@ def run_app(name, params, ngpus, **flags):
 
 
 class TestLaunchBudget:
-    def jacobi(self, maxiter):
+    def jacobi(self, maxiter, machine=None, **flags):
         # tol=1e-30 sweeps exactly ``maxiter`` rounds (tol=0 never
         # enters the loop: err starts at 2*tol).
         return run_app("jacobi", dict(n=4096, maxiter=maxiter, tol=1e-30),
-                       8)
+                       8, machine, **flags)
 
     def test_derivations_are_independent_of_sweep_count(self, counts):
         run5, outs5 = self.jacobi(5)
@@ -126,10 +126,23 @@ class TestLaunchBudget:
         assert after20 == after5
 
     def test_replay_changes_no_observable(self, counts, monkeypatch):
-        run, outs = self.jacobi(20)
+        self.warm_and_cold(counts, monkeypatch)
+
+    @pytest.mark.parametrize("flags,machine", [
+        (dict(overlap=True), None),
+        (dict(collective="auto"), lambda: hypothetical_cluster(2, 4)),
+    ], ids=["overlap", "cluster_auto"])
+    def test_cached_route_changes_no_observable(self, counts, monkeypatch,
+                                                flags, machine):
+        # No launch replays here: what the warm run keeps and the cold
+        # run rebuilds is the layout's halo copies and route.
+        self.warm_and_cold(counts, monkeypatch, machine, **flags)
+
+    def warm_and_cold(self, counts, monkeypatch, machine=None, **flags):
+        run, outs = self.jacobi(20, machine and machine(), **flags)
         warm = dict(counts)
         forget_every_launch(monkeypatch)
-        cold_run, cold_outs = self.jacobi(20)
+        cold_run, cold_outs = self.jacobi(20, machine and machine(), **flags)
         cold = {k: counts[k] - warm[k] for k in counts}
         # The monkeypatch really did defeat the replay ...
         assert cold["eval"] > 10 * warm["eval"]
@@ -142,6 +155,18 @@ class TestLaunchBudget:
             cold_run.platform.bus.bytes_moved()
         assert run.executor.loader.reloads_skipped == \
             cold_run.executor.loader.reloads_skipped
+        assert transfers(run) == transfers(cold_run)
+        for attr in ("ledger", "transactions", "bytes_internode"):
+            assert getattr(run.executor.comm, attr) == \
+                getattr(cold_run.executor.comm, attr), attr
+
+
+def transfers(run):
+    """Every transfer of ``run`` with its times as hex."""
+    bus = run.platform.bus
+    return [(t.kind, t.nbytes, t.src_device, t.dst_device,
+             float(t.start).hex(), float(t.end).hex())
+            for t in [*bus.completed, *bus.pending]]
 
 
 # ---------------------------------------------------------------------------
