@@ -24,8 +24,7 @@ is the :class:`~repro.runtime.collectives.Transport`'s decision alone.
 A halo exchange depends on the layout only: its copies, bytes and the
 transport's route of its pairs are derived once per
 ``ManagedArray.version`` and kept on ``ManagedArray.halo_plan``.  Every
-launch -- enacted or replayed from a launch graph -- runs the same
-:meth:`CommunicationManager.after_kernels`.
+launch runs the same :meth:`CommunicationManager.after_kernels`.
 
 Two pacing modes:
 

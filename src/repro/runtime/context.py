@@ -15,10 +15,9 @@ parallel loop:
    reductions (``GPU-GPU`` time); scalar reductions finalize into the
    host environment.
 
-A synchronous loop that repeats a launch whose every array skipped its
-reload skips the map step's build: the executor places the
-:class:`LaunchGraph` it recorded (see :meth:`AccExecutor.run_loop`).
-The communicate step is the same on either path.
+Every launch runs all three steps through one body
+(:meth:`AccExecutor.run_loop`); what a plan keeps between launches is
+its contexts and each GPU's priced launch (:class:`PlanMemo`).
 """
 
 from __future__ import annotations
@@ -39,12 +38,8 @@ from .comm import CommunicationManager
 from .config import RunConfig
 from .data_loader import DataLoader, ManagedArray
 from .kernelctx import KernelContext, ScratchArena
-from .partition import split_tasks, window_free_names
+from .partition import split_tasks
 from .reduction_rt import finalize_scalar_reductions
-
-#: Write handlings whose post-kernel traffic is a function of the
-#: layout alone (halo refreshes at most): the launches a graph replays.
-_REPLAYABLE = (WriteHandling.NONE, WriteHandling.LOCAL_PROVEN)
 
 
 class KernelPlanLike(Protocol):
@@ -75,32 +70,18 @@ class LoopRunStats:
 
 @dataclass(slots=True)
 class GpuLaunch:
-    """One GPU's launch node: the launch as priced for the trip counts
-    ``dyn_counts``."""
+    """One GPU's launch of ``n`` iterations, priced for the trip counts
+    ``dyn_counts``; ``halves`` are its priced interior and boundary
+    sub-launches when overlap mode splits off ``n_bnd`` boundary
+    iterations."""
 
+    n: int
+    dyn_counts: dict[str, int]
+    work: KernelWork
     config: LaunchConfig
-    dyn_counts: dict[str, int] | None = None
-    work: KernelWork | None = None
-    seconds: float = 0.0
-
-
-@dataclass
-class LaunchGraph:
-    """What the build of one synchronous launch of a plan decided,
-    recorded to be replayed: its key, tasks and priced launch nodes.
-
-    Recorded at a launch whose every array skipped its reload; replayed
-    while :meth:`AccExecutor._graph_key` returns the key it was recorded
-    under, which pins everything the build read besides the kernel's own
-    data and the live timelines.  The coherence step is not part of it:
-    a replayed launch runs :meth:`CommunicationManager.after_kernels`,
-    whose halo routes the arrays' layouts keep.
-    """
-
-    key: tuple
-    tasks: list[tuple[int, int]]
-    #: Per GPU, ``None`` where the slice is empty.
-    kernels: list[GpuLaunch | None]
+    seconds: float
+    n_bnd: int = 0
+    halves: tuple = ()
 
 
 @dataclass
@@ -109,17 +90,14 @@ class PlanMemo:
 
     #: Pinned: the memo is found by ``id(plan)``.
     plan: Any
-    #: The host scalars the ``localaccess`` bounds read, or ``None`` when
-    #: no launch of the plan can be replayed (:func:`_bound_names`).
-    bounds: tuple[str, ...] | None
+    #: Per GPU, the latest priced launch (``None`` before the first).
+    nodes: list[GpuLaunch | None]
     #: The configs object and the ``(array, version)`` pairs the
-    #: contexts were built for; the pairs also pin the arrays a graph's
-    #: key names by ``id``.
+    #: contexts were built for.
     configs: Any = None
     versions: list[tuple[ManagedArray, int]] = field(default_factory=list)
     #: Per-GPU kernel contexts with their argument bindings.
     contexts: list[KernelContext] = field(default_factory=list)
-    graph: LaunchGraph | None = None
 
 
 class AccExecutor:
@@ -163,9 +141,6 @@ class AccExecutor:
             self.balancer = AdaptiveBalancer(platform, loader)
             self.balancer.tracer = tracer
         self.history: list[LoopRunStats] = []
-        self._multinode = platform.machine.node_count > 1
-        #: Telemetry: launches replayed from a graph.
-        self.graph_replays = 0
         if config.overlap:
             platform.enable_overlap_accounting()
             loader.pre_access_hook = self._host_access_barrier
@@ -179,29 +154,15 @@ class AccExecutor:
         upper: int,
         host_env: dict[str, Any],
     ) -> LoopRunStats:
-        """Run ``plan`` over ``[lower, upper)``: build, compute and place,
-        communicate.  A launch whose key (:meth:`_graph_key`) is that of
-        the plan's recorded :class:`LaunchGraph` skips the build and
-        places the graph's priced launches; a built launch that skipped
-        every reload records one.  Either way the coherence step is
-        :meth:`CommunicationManager.after_kernels`."""
+        """Run ``plan`` over ``[lower, upper)``: map (:meth:`_build`),
+        compute, price and place (:meth:`_place`), then communicate
+        (:meth:`CommunicationManager.after_kernels`)."""
         memo = self._memo(plan)
-        key = self._graph_key(plan, lower, upper, host_env)
-        graph = memo.graph
-        hit = key is not None and graph is not None and graph.key == key
         scalars = self._scalars(plan, host_env)
         stats = LoopRunStats(kernel_name=plan.name)
-        # Step 1: map (the build), skipped on a graph hit.
-        if hit:
-            stats.tasks = list(graph.tasks)
-            # What ensure_for_loop does for an array that skips.
-            self.loader.reloads_skipped += len(memo.versions)
-            for ma, _ in memo.versions:
-                ma.reduction_identity = None
-        elif self._build(memo, plan, lower, upper, host_env, stats):
-            key = None  # this launch loaded: nothing to record
-        tasks, configs = stats.tasks, memo.configs
-        nodes = graph.kernels if hit else [None] * len(tasks)
+        # Step 1: map.
+        self._build(memo, plan, lower, upper, host_env, stats)
+        tasks, configs, nodes = stats.tasks, memo.configs, memo.nodes
 
         # Step 2: compute, price and place.
         kern0 = self.platform.clock.elapsed_in(CATEGORY_KERNELS)
@@ -217,16 +178,17 @@ class AccExecutor:
             if n <= 0:
                 continue
             node = nodes[g]
-            if node is None:
-                node = nodes[g] = GpuLaunch(self._launch_cfg(plan, n))
-            if node.dyn_counts != ctx.dyn_counts:
-                # A fresh node, or other trip counts on the same slice.
-                node.dyn_counts = dict(ctx.dyn_counts)
-                node.work = plan.cost.total(n, ctx.dyn_counts)
-                node.seconds = devices[g].kernel_time(node.work,
-                                                      node.config)
+            # The price is a pure function of the plan's cost info and
+            # launch geometry, n, the trip counts and device g's spec,
+            # so the node stands while n and the trip counts do.
+            if (node is None or node.n != n
+                    or node.dyn_counts != ctx.dyn_counts):
+                node = nodes[g] = GpuLaunch(
+                    n, dict(ctx.dyn_counts),
+                    *self._price(plan, g, n, plan.cost.total(
+                        n, ctx.dyn_counts)))
             placed = len(devices[g].launches)
-            per_gpu_seconds[g] = self._place(plan, g, n, node, configs)
+            per_gpu_seconds[g] = self._place(plan, g, node, configs)
             if self.tracer is not None:
                 fusion = getattr(plan, "fusion_members", None)
                 for rec in devices[g].launches[placed:]:
@@ -241,10 +203,6 @@ class AccExecutor:
 
         # Step 3: communicate.
         stats.comm_seconds = self.comm.after_kernels(configs)
-        if hit:
-            self.graph_replays += 1
-        elif key is not None:
-            memo.graph = LaunchGraph(key, tasks, nodes)
         if self.config.overlap:
             if any(c.scalar_ops for c in contexts):
                 # The host consumes the reduction values right after this
@@ -271,20 +229,21 @@ class AccExecutor:
         self.history.append(stats)
         return stats
 
-    # -- build and launch graphs -----------------------------------------------
+    # -- map --------------------------------------------------------------------
 
     def _memo(self, plan: KernelPlanLike) -> PlanMemo:
         memo = self._plans.get(id(plan))
         if memo is None or memo.plan is not plan:
-            memo = self._plans[id(plan)] = PlanMemo(plan, _bound_names(plan))
+            memo = self._plans[id(plan)] = PlanMemo(
+                plan, [None] * self.platform.ngpus)
         return memo
 
     def _build(self, memo: PlanMemo, plan: KernelPlanLike, lower: int,
                upper: int, host_env: dict[str, Any],
-               stats: LoopRunStats) -> bool:
+               stats: LoopRunStats) -> None:
         """Map: split the iteration space into ``stats.tasks``, make every
         array resident, and revalidate or rebuild the plan's contexts for
-        ``memo.configs``.  Returns whether any array reloaded."""
+        ``memo.configs``."""
         if self.tracer is not None:
             # Before planning, so balancer decisions (resplits,
             # placement switches) attribute to this loop.
@@ -300,9 +259,7 @@ class AccExecutor:
             self.tracer.loop_started(self.platform.clock.now, tasks)
         # (The window evaluator only reads host_env, so no defensive
         # copy per launch.)
-        skipped = self.loader.reloads_skipped
         self.loader.ensure_for_loop(configs, tasks, plan.loop_var, host_env)
-        loaded = self.loader.reloads_skipped - skipped < len(configs)
         bus = self.platform.bus
         if bus.pending_count():
             if self.config.overlap:
@@ -317,18 +274,16 @@ class AccExecutor:
         if memo.configs is not configs or any(
                 ma.version != v for ma, v in memo.versions):
             self._bind(memo, configs)
-        return loaded
 
     def _bind(self, memo: PlanMemo, configs: dict) -> None:
         """Build one context per GPU with every argument binding (buffer
         views, base offsets, trackers, miss buffers, windows) of
         ``configs``; a launch refreshes only its slice, scalars and
-        result slots.  A graph recorded over the old contexts goes."""
+        result slots."""
         arrays = [self.loader._get(name) for name in configs]
         memo.configs = configs
         memo.versions = [(ma, ma.version) for ma in arrays]
         memo.contexts = []
-        memo.graph = None
         for g, arena in enumerate(self._arenas):
             ctx = KernelContext(device_index=g, i0=0, i1=0,
                                 trace=self.tracer, arena=arena)
@@ -353,48 +308,6 @@ class AccExecutor:
                     ctx.reduction_arrays[name] = ctx.arrays[name]
             memo.contexts.append(ctx)
 
-    def _graph_key(self, plan: KernelPlanLike, lower: int, upper: int,
-                   host_env: dict[str, Any]) -> tuple | None:
-        """What the build of a synchronous launch of ``plan`` reads
-        besides the live timelines, or ``None`` when the launch
-        can be neither recorded nor replayed.
-
-        The key holds the bounds, and per array its ``ManagedArray``
-        (by identity: a graph pins the objects), ``version``, ``valid``,
-        ``signature`` and ``skip_invalidated``, and the type and value of
-        every host scalar the ``localaccess`` bounds read -- what
-        :meth:`DataLoader.ensure_for_loop` decides a reload skip from.
-        Overlap and adaptive mode, a tracer or sanitizer, a multi-node
-        machine, a queued transfer, and a plan with an array whose
-        coherence traffic depends on the launch's data (dirty bits, miss
-        checks, reductions) or whose window bound reads a host array
-        all give ``None``.
-        """
-        loader = self.loader
-        if (self.config.overlap or self.config.adaptive
-                or self.tracer is not None or self.sanitizer is not None
-                or loader.tracer is not None or loader.sanitizer is not None
-                or self._multinode or self.platform.bus.pending_count()):
-            return None
-        names = self._memo(plan).bounds
-        if names is None:
-            return None
-        key: list = [lower.__class__, lower, upper.__class__, upper]
-        arrays = loader.arrays
-        for name in plan.config.arrays:
-            ma = arrays.get(name)
-            if ma is None:
-                return None
-            key += (id(ma), ma.version, ma.valid, ma.signature,
-                    ma.skip_invalidated)
-        for n in names:
-            v = host_env.get(n)
-            if not isinstance(v, (int, float, np.generic)):
-                return None
-            # 1 == 1.0 == True, but C division differs by type.
-            key += (v.__class__, v)
-        return tuple(key)
-
     @staticmethod
     def _scalars(plan: KernelPlanLike,
                  host_env: dict[str, Any]) -> dict[str, Any]:
@@ -418,10 +331,17 @@ class AccExecutor:
                                block_dim=cfg.block_dim)
         return cfg
 
-    def _place(self, plan: KernelPlanLike, g: int, n: int, node: GpuLaunch,
+    def _price(self, plan: KernelPlanLike, g: int, n: int,
+               work: KernelWork) -> tuple[KernelWork, LaunchConfig, float]:
+        """``work`` of ``n`` iterations on GPU ``g``, with its launch
+        geometry and seconds."""
+        cfg = self._launch_cfg(plan, n)
+        return work, cfg, self.platform.devices[g].kernel_time(work, cfg)
+
+    def _place(self, plan: KernelPlanLike, g: int, node: GpuLaunch,
                configs: dict) -> float:
-        """Put GPU ``g``'s priced launch of ``n`` iterations on its
-        timeline; returns the launched seconds.
+        """Put GPU ``g``'s priced launch on its timeline; returns the
+        launched seconds.
 
         Synchronous mode places it at the host clock.  Overlap mode
         waits only for the arrays this kernel touches, and splits off
@@ -431,6 +351,7 @@ class AccExecutor:
         dev = self.platform.devices[g]
         now = ready = self.platform.clock.now
         if self.config.overlap:
+            n = node.n
             ready = self.comm.ready_time(g, configs)
             ready_int = self.comm.ready_time(g, configs, interior=True)
             split = (self._split_geometry(g, configs)
@@ -442,15 +363,16 @@ class AccExecutor:
                 # device is free; the boundary sub-launch waits for the
                 # halos.  Two launches pay extra launch overhead and
                 # reduced occupancy -- the honest cost of the overlap.
-                seconds = []
-                for part, m, floor in (("[int]", n - n_bnd, ready_int),
-                                       ("[bnd]", n_bnd, ready)):
-                    work = node.work.scaled(m / n)
-                    cfg = self._launch_cfg(plan, m)
-                    seconds.append(dev.kernel_time(work, cfg))
-                    dev.place_launch(plan.name + part, work, cfg,
-                                     seconds[-1], now, floor)
-                return seconds[0] + seconds[1]
+                if node.n_bnd != n_bnd:
+                    node.n_bnd = n_bnd
+                    node.halves = tuple(
+                        self._price(plan, g, m, node.work.scaled(m / n))
+                        for m in (n - n_bnd, n_bnd))
+                for part, (work, cfg, seconds), floor in zip(
+                        ("[int]", "[bnd]"), node.halves, (ready_int, ready)):
+                    dev.place_launch(plan.name + part, work, cfg, seconds,
+                                     now, floor)
+                return node.halves[0][2] + node.halves[1][2]
         dev.place_launch(plan.name, node.work, node.config, node.seconds,
                          now, ready)
         return node.seconds
@@ -529,20 +451,3 @@ class AccExecutor:
         for arena in self._arenas:
             arena.release()
         return self.comm.drain()
-
-
-def _bound_names(plan: KernelPlanLike) -> tuple[str, ...] | None:
-    """The host scalars the ``localaccess`` bounds of ``plan`` read, or
-    ``None`` when no launch of it can be replayed: an array's coherence
-    traffic depends on the launch's data, or a bound reads a host array."""
-    names: list[str] = []
-    for cfg in plan.config.arrays.values():
-        if cfg.write_handling not in _REPLAYABLE:
-            return None
-        if cfg.placement == Placement.DISTRIBUTED and cfg.window is not None:
-            free = window_free_names(cfg.window)
-            if free is None:
-                return None
-            names += [n for n in free
-                      if n != plan.loop_var and n not in names]
-    return tuple(names)

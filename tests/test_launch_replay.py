@@ -65,10 +65,22 @@ def counts(monkeypatch):
     return seen
 
 
+def cold_nodes(monkeypatch):
+    """Stub the memo's priced launches: every launch prices afresh."""
+    memo = AccExecutor._memo
+
+    def cold_memo(self, plan):
+        found = memo(self, plan)
+        found.nodes[:] = [None] * len(found.nodes)
+        return found
+
+    monkeypatch.setattr(AccExecutor, "_memo", cold_memo)
+
+
 def forget_every_launch(monkeypatch):
-    """Disable both replays: every launch derives from scratch (and so
-    takes the enacted path, not a launch graph)."""
-    monkeypatch.setattr(AccExecutor, "_graph_key", lambda self, *args: None)
+    """Disable both replays: every launch derives from scratch, and
+    prices its launches afresh."""
+    cold_nodes(monkeypatch)
     window_blocks = DataLoader._window_blocks
     refresh_halos = CommunicationManager._refresh_halos
     propagate = CommunicationManager._propagate_dirty_windowed
