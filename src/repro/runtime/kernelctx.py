@@ -140,7 +140,10 @@ class KernelContext:
     trace: Any = None
     #: Scratch slots of the span-native statements.
     arena: ScratchArena = field(default_factory=ScratchArena)
-    #: Memoized lane-index vector (``_iota_key`` is its (i0, i1)).
+    #: The launch's whole slice (``i0`` / ``i1`` are a strip's while
+    #: :meth:`KernelPlan.execute` runs it in strips).
+    span: tuple[int, int] = (0, 0)
+    #: Memoized lane-index vector (``_iota_key`` is the span it covers).
     _iota: np.ndarray | None = None
     _iota_key: tuple[int, int] | None = None
 
@@ -149,17 +152,21 @@ class KernelContext:
     ks = ks
 
     def iota(self) -> np.ndarray:
-        """The launch's global lane indices ``arange(i0, i1)``, memoized
-        across launches with the same geometry (the dominant case, as
-        contexts are cached) and returned read-only so a stale launch
-        can never corrupt it."""
-        key = (self.i0, self.i1)
-        if self._iota is None or self._iota_key != key:
-            v = np.arange(self.i0, self.i1, dtype=np.int64)
+        """The global lane indices ``arange(i0, i1)``: a slice of the
+        launch's span, memoized across launches with the same geometry
+        (the dominant case, as contexts are cached), so a strip builds
+        none; read-only, so a stale launch can never corrupt it."""
+        i0, i1 = self.i0, self.i1
+        lo, hi = self.span
+        if not lo <= i0 <= i1 <= hi:
+            # Called outside a launch's strips: the span is the slice.
+            lo, hi = self.span = i0, i1
+        if self._iota_key != (lo, hi):
+            v = np.arange(lo, hi, dtype=np.int64)
             v.setflags(write=False)
             self._iota = v
-            self._iota_key = key
-        return self._iota
+            self._iota_key = (lo, hi)
+        return self._iota[i0 - lo:i1 - lo]
 
     # -- instrumentation endpoints -------------------------------------------------
 

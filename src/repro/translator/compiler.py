@@ -21,6 +21,7 @@ information is derived from the access analysis and the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from dataclasses import dataclass, field
 from typing import Any
@@ -51,6 +52,7 @@ from .array_config import (
     WriteHandling,
     window_from_spec,
 )
+from . import kernel_support
 from .infer import harmonize_windows, infer_array_window
 from .cost import CostCollector, KernelCostInfo, PriceError, price_body
 from .spanlower import vectorize_loop
@@ -92,7 +94,8 @@ class CompileOptions:
 
 #: What a pickled :class:`KernelPlan` keeps: everything a run reads.
 _PLAN_RECORD = ("name", "config", "loop_var", "scalar_names", "cost",
-                "source_info", "block_dim", "max_gangs", "fusion_members")
+                "source_info", "block_dim", "max_gangs", "fusion_members",
+                "whole")
 
 
 @dataclass
@@ -120,13 +123,43 @@ class KernelPlan:
     #: Set on fused plans only: the member kernel names, in program
     #: order (:mod:`repro.translator.fusion`).  Trace events carry it.
     fusion_members: tuple[str, ...] | None = None
+    #: Set on a fused plan whose members touch one array at different
+    #: offsets (:func:`repro.translator.fusion.strips_reorder`): its
+    #: launches run as one strip.
+    whole: bool = False
     lower: C.Expr | None = None
     upper: C.Expr | None = None
     analysis: LoopAnalysis | None = None
     loop_directive: AccLoop | None = None
 
     def execute(self, ctx) -> None:
-        self.fn(ctx)
+        """Run the kernel over ``ctx``'s slice as consecutive strips of
+        at most :data:`~repro.translator.kernel_support.LANE_STRIP`
+        lanes (``ctx.i0`` / ``ctx.i1`` are the strip's while it runs),
+        or as one strip when the plan may not be cut."""
+        i0, i1 = ctx.span = ctx.i0, ctx.i1
+        step = kernel_support.LANE_STRIP if self.strips else max(i1 - i0, 1)
+        try:
+            for s in range(i0, i1, step):
+                ctx.i0, ctx.i1 = s, min(s + step, i1)
+                self.fn(ctx)
+        finally:
+            ctx.i0, ctx.i1 = i0, i1
+
+    @functools.cached_property
+    def strips(self) -> bool:
+        """Whether a launch may run in strips: a strip is a GPU split
+        that moves no data, except where the split regroups a result --
+        a ``+`` / ``*`` scalar reduction folds each strip's ``sum()``,
+        and two statements reducing into one ``reductiontoarray``
+        destination would interleave per strip -- or where fused
+        members would see each other's writes (:attr:`whole`)."""
+        cfg = self.config
+        return not (
+            self.whole
+            or any(op in ("+", "*") for op, _ in cfg.scalar_reductions)
+            or any(a.write_handling is WriteHandling.REDUCTION
+                   for a in cfg.arrays.values()))
 
     # -- pickling (the serve registry persists compiled programs) ----------
     #

@@ -34,9 +34,15 @@ Enabled with ``CompileOptions(fuse=True)``.  The pass is structured as:
      distributed arrays every surviving write is ``LOCAL_PROVEN``
      (miss-checked loops bail), so distinct offsets cannot alias across
      GPUs and output dependences are always safe.
-   * *anti* (group reads A, candidate writes A): always safe -- member
-     bodies run in program order per GPU and writes propagate after
-     the whole group, exactly as the unfused schedule ordered them.
+   * *anti* (group reads A, candidate writes A): always safe across
+     GPUs -- member bodies run in program order per GPU and writes
+     propagate after the whole group, exactly as the unfused schedule
+     ordered them.  Within a GPU they run in program order per *strip*
+     (``KernelPlan.execute``), and strips share memory: a later
+     member's write in one strip lands before an earlier member's
+     access in the next.  :func:`strips_reorder` keeps such a plan
+     whole (one strip a launch); a distributed output dependence at
+     different offsets is the same hazard.
 
    Reductions, write-miss-checked arrays, placement or window
    mismatches, geometry clauses that differ, and host statements or
@@ -308,6 +314,31 @@ def dependence_bail(m: "KernelPlan", cand: "KernelPlan",
                 if _offsets_disjoint(bw, cw, w) is None:
                     return f"replica write-write conflict on {name!r}"
     return None
+
+
+def strips_reorder(members: list["KernelPlan"]) -> bool:
+    """Whether cutting a launch of the fused members into strips would
+    reorder their accesses: true when an earlier member touches an
+    array that a later member writes other than at the same iteration's
+    element, or irregularly.  Accesses that can never alias (another
+    residue class) keep the cut invisible."""
+    for j, later in enumerate(members):
+        for name, cfg in later.config.arrays.items():
+            if not cfg.written:
+                continue
+            sw = _access_shape(later, name)
+            for earlier in members[:j]:
+                se = _access_shape(earlier, name)
+                touched = se.reads | se.writes
+                if not (touched or se.irregular):
+                    continue
+                if sw.irregular or se.irregular or sw.coeff is None or \
+                        sw.coeff != se.coeff or sw.coeff <= 0:
+                    return True
+                if any(_offsets_disjoint(b, c, sw.coeff) is None
+                       for b in sw.writes for c in touched):
+                    return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +691,7 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
         block_dim=first.block_dim,
         max_gangs=first.max_gangs,
         fusion_members=tuple(m.name for m in members),
+        whole=strips_reorder(members),
     )
 
 

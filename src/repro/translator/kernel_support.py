@@ -81,6 +81,15 @@ def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1,
 #: measures what each costs).
 BLOCK_ELEMS = 16384
 
+#: Lanes of one strip.  A GPU runs its slice as a grid of thread blocks,
+#: never as one vector, and :meth:`KernelPlan.execute` runs it as
+#: consecutive strips of this many lanes, so a kernel's temporaries stay
+#: in cache instead of going out to memory between two operations.  A
+#: strip is a cut of the slice that moves no data; a plan whose result
+#: would regroup under the cut runs as one strip.  2**15 is the fastest
+#: size measured on ``stream`` (docs/PERFORMANCE.md, "Lane strips").
+LANE_STRIP = 32768
+
 
 def tiles(lo, hi, shape: tuple, slots: int):
     """The blocks of a constant-trip loop over ``[lo, hi)`` entered on
@@ -309,6 +318,10 @@ _RED_IDENTITY = {
 }
 
 
+#: The fold of a ``max`` / ``min`` partial, and its NaN-ignoring lane fold.
+_NAN_IGNORING = {"max": (max, np.fmax), "min": (min, np.fmin)}
+
+
 def red_identity(op: str):
     return _RED_IDENTITY[op]
 
@@ -332,12 +345,17 @@ def red_fold(op: str, acc, values, mask, n_lanes: int):
         if is_vec:
             return acc * v.prod()
         return acc * (v**lanes)
-    if op == "max":
-        m = v.max() if is_vec else v
-        return max(acc, m)
-    if op == "min":
-        m = v.min() if is_vec else v
-        return min(acc, m)
+    if op in _NAN_IGNORING:
+        # C's fmax / fmin: a NaN is missing data, so the number wins and
+        # NaN comes out only when every operand is NaN -- at every level
+        # (lanes, strips, GPUs, the host's initial value).  ``v.max()``
+        # would propagate a NaN lane, and Python's ``max`` keep or drop
+        # a NaN by position.
+        pick, nan_ignoring = _NAN_IGNORING[op]
+        m = nan_ignoring.reduce(v) if is_vec else v
+        if m != m:
+            return acc
+        return m if acc != acc else pick(acc, m)
     if op in ("|", "||"):
         folded = bool(np.any(v)) if is_vec else bool(v)
         return (acc or folded) if op == "||" else (acc | (np.bitwise_or.reduce(v) if is_vec else v))

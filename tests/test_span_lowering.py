@@ -917,3 +917,101 @@ def test_recycler_cap_holds_over_a_mixed_sequence_of_runs(monkeypatch):
                                                seed=5))
         assert 0 < rec.bytes_held <= rec.cap
     assert rec.takes > rec.hits > 0
+
+
+# -- lane strips at ``stream`` sizes: counts, never seconds -----------------------
+
+
+def test_stream_sized_launch_runs_in_strips(monkeypatch):
+    """A launch of 2**18 lanes a GPU calls its kernel once per strip of
+    ``kernel_support.LANE_STRIP`` lanes."""
+    spec = APPS["jacobi"]
+    prog = repro.compile(spec.source)
+    per_launch = []
+    execute = KernelPlan.execute
+
+    def counted_execute(self, ctx):
+        per_launch.append([self.name, ctx.n_tasks, 0])
+        execute(self, ctx)
+
+    def counted(fn):
+        def call(ctx):
+            per_launch[-1][2] += 1
+            return fn(ctx)
+        return call
+
+    monkeypatch.setattr(KernelPlan, "execute", counted_execute)
+    for plan in prog.kernels:
+        monkeypatch.setattr(plan, "fn", counted(plan.fn))
+    n = 1 << 20
+    args = spec.make_args(n=n, maxiter=2, tol=1e-30, seed=5)
+    prog.run(spec.entry, args, machine=NODE4, ngpus=4)
+    strips = -(-(n // 4) // kernel_support.LANE_STRIP)
+    assert strips == 8
+    assert per_launch == [[name, n // 4, strips] for name in
+                          ("jacobi_L0", "jacobi_L1") for _ in range(4)] * 2
+
+
+@pytest.mark.parametrize("app,params,sweeps,options,ngpus", STREAM)
+def test_scratch_does_not_grow_with_the_slice(app, params, sweeps, options,
+                                              ngpus, monkeypatch):
+    """A strip's slots are strip-sized: the arena of a 2**17-lane slice
+    holds as many bytes as the one of a 2**19-lane slice."""
+    spec = APPS[app]
+    prog = repro.compile(spec.source, options)
+    held = []
+    execute = KernelPlan.execute
+
+    def measured_execute(self, ctx):
+        execute(self, ctx)
+        held[-1] = max(held[-1], ctx.arena.nbytes)
+
+    monkeypatch.setattr(KernelPlan, "execute", measured_execute)
+    for n in (1 << 17, 1 << 19):
+        held.append(0)
+        args = spec.make_args(**{**params, "n": n}, **{sweeps: 2}, seed=5)
+        prog.run(spec.entry, args, machine=hypothetical_node(1), ngpus=1)
+    assert held[0] == held[1] > 0, held
+
+
+def strip_launches(launches, source, name, args, scalars):
+    """Two launches of kernel ``name`` of ``source`` over one context
+    holding ``args`` (the second is the steady state)."""
+    ctx = KernelContext(device_index=0, i0=0, i1=args["n"],
+                        scalars={k: args[k] for k in scalars},
+                        permissive=True)
+    for k, v in args.items():
+        if isinstance(v, np.ndarray):
+            ctx.arrays[k] = np.array(v)
+            ctx.base[k] = 0
+    kernel = repro.compile(source).kernel(name)
+    launches.clear()
+    for _ in range(2):
+        kernel.execute(ctx)
+    return launches
+
+
+def test_strips_of_an_iota_kernel_build_no_index_vector(launches):
+    """``shift_scale_L0`` reads its lane indices (``ctx.iota()``): at
+    2**17 lanes its strips slice the launch's memoized vector, so after
+    the first launch none builds one or grows the arena."""
+    args = APPS["shift_scale"].make_args(n=1 << 17, shift=4099, seed=5)
+    first, second = strip_launches(launches, APPS["shift_scale"].source,
+                                   "shift_scale_L0", args,
+                                   ("n", "shift", "scale"))
+    assert first["arange"] == 1
+    assert second["misses"] == 0 and not per_operation_calls(second), second
+
+
+def test_strips_of_a_csr_kernel_stay_in_the_arena(launches):
+    """``spmv_L0`` above ``LANE_STRIP`` rows: after the first launch no
+    strip grows the arena, and each calls ``np.arange`` only in its
+    flattening."""
+    args = APPS["spmv"].make_args(n=40000, avg_nnz_per_row=8, seed=5)
+    strips = -(-args["n"] // kernel_support.LANE_STRIP)
+    assert strips == 2
+    first, second = strip_launches(launches, APPS["spmv"].source, "spmv_L0",
+                                   args, ("n", "nnz"))
+    assert first["misses"] > 0 and second["misses"] == 0, second
+    assert per_operation_calls(second) == {
+        "arange": strips * FLATTENING_ARANGES["spmv_L0"]}, second
