@@ -46,9 +46,9 @@ def sweep(app_name):
                 "elapsed": run.elapsed,
                 "gpu_gpu_exposed": run.breakdown.gpu_gpu,
                 "gpu_gpu_hidden": run.breakdown.gpu_gpu_overlapped,
-                "transactions": comm.transactions,
+                "transactions": comm.transport.transactions,
                 "coalesced_away": comm.transactions_coalesced_away,
-                "staged_broadcasts": comm.staged_broadcasts,
+                "staged_broadcasts": comm.transport.staged_broadcasts,
             }
     return out
 

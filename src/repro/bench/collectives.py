@@ -81,11 +81,11 @@ def collective_sweep(nodes: int = 2, gpus_per_node: int = 4,
         comm = run.executor.comm
         out[variant] = {
             "cross_node_bytes": bus.cross_node_bytes(),
-            "internode_bytes": comm.bytes_internode,
+            "internode_bytes": comm.transport.bytes_internode,
             "nic_transfers": sum(
                 1 for t in bus.completed if t.kind == "net"),
-            "collective_broadcasts": comm.collective_broadcasts,
-            "collective_steps": comm.collective_steps,
+            "collective_broadcasts": comm.transport.collective_broadcasts,
+            "collective_steps": comm.transport.collective_steps,
             "modeled_seconds": run.breakdown.total,
             "net_seconds": run.breakdown.net,
         }

@@ -119,12 +119,12 @@ def internode_sweep(nodes: int = 2, gpus_per_node: int = 4,
                 err_msg=f"{name} perturbed by internode={mode}")
         out[mode] = {
             "cross_node_bytes": bus.cross_node_bytes(),
-            "internode_bytes": comm.bytes_internode,
+            "internode_bytes": comm.transport.bytes_internode,
             "replica_bytes": comm.bytes_replica,
             "halo_bytes": comm.bytes_halo,
             "nic_transfers": sum(
                 1 for t in bus.completed if t.kind == "net"),
-            "staged_exchanges": comm.staged_exchanges,
+            "staged_exchanges": comm.transport.staged_exchanges,
             "modeled_seconds": run.breakdown.total,
             "net_seconds": run.breakdown.net,
         }

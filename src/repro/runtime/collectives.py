@@ -31,9 +31,14 @@ NIC-side counters:
   * **tree** -- a binomial tree, ``ceil(log2 N)`` rounds of concurrent
     full-payload sends.  Latency-optimal for small payloads.
   * **auto** -- price both against the modeled per-edge bandwidth and
-    latency (:func:`node_schedule_costs`) and take the cheaper one; the
+    latency (:func:`schedule_costs`) and take the cheaper one; the
     oversubscribed cross-group bandwidth of a two-level fabric enters
     the edge costs directly and acts as the tiebreak.
+
+  Both tiers -- the node hosts over the NIC and one node's GPUs over
+  peer copies -- share one path order (:func:`ring_order`), one cost
+  rule (:func:`schedule_costs`) and one issue routine
+  (:meth:`Transport._collective`, whose ring is :meth:`Bus.net_pipeline`).
 
 Everything here only prices *when* modeled transfers happen; array data
 is applied eagerly by the comm manager before any schedule runs, so
@@ -44,9 +49,9 @@ determinism matrix pins it).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any
+from typing import Any, Callable
 
-from ..vcuda.bus import CATEGORY_GPU_GPU, Bus, Transfer
+from ..vcuda.bus import CATEGORY_GPU_GPU, Bus, Transfer, net_seconds
 from ..vcuda.specs import ClusterSpec
 from ..trace.events import (
     MECH_COLLECTIVE_PIPELINE,
@@ -64,6 +69,7 @@ __all__ = [
     "Transport",
     "node_schedule_costs",
     "ring_order",
+    "schedule_costs",
     "select_node_schedule",
     "tree_rounds",
 ]
@@ -76,23 +82,28 @@ Pair = tuple[int, int, int]
 #: cross-node pairs :meth:`Transport._exchange` aggregates.
 Route = tuple[list[tuple[int, int, int, tuple | None]], list[Pair]]
 
+#: Mechanism tag of each collective schedule.
+_MECH = {"ring": MECH_COLLECTIVE_RING, "tree": MECH_COLLECTIVE_TREE}
+
 
 # ---------------------------------------------------------------------------
 # Pure cost model (no platform required -- `explain --collectives` uses
 # these directly on a spec).
 # ---------------------------------------------------------------------------
 
-def ring_order(cluster: ClusterSpec, src_node: int,
-               nodes: list[int]) -> list[int]:
-    """Order ``nodes`` (which must include ``src_node``) into a
-    broadcast path starting at the source with each leaf-switch group
-    contiguous: the path crosses the root switch once per extra group
-    -- the minimum for a connected path -- instead of once per hop."""
-    src_group = cluster.group_of(src_node)
-    rest = sorted(n for n in nodes if n != src_node)
-    rest.sort(key=lambda n: (cluster.group_of(n) != src_group,
-                             cluster.group_of(n), n))
-    return [src_node] + rest
+def ring_order(cluster: ClusterSpec, src: int, members: list[int],
+               domain: Callable[[int], int] | None = None) -> list[int]:
+    """Order ``members`` into a broadcast path: the source first, then
+    the rest of its own domain, then every other domain contiguous.
+    A node's domain is its leaf-switch group (``cluster.group_of``,
+    the default ``domain``), a GPU's its I/O hub: the path crosses the
+    root switch (the QPI) once per extra domain -- the minimum for a
+    connected path -- instead of once per hop."""
+    domain = domain or cluster.group_of
+    home = domain(src)
+    rest = sorted(m for m in members if m != src)
+    rest.sort(key=lambda m: (domain(m) != home, domain(m), m))
+    return [src] + rest
 
 
 def tree_rounds(count: int) -> list[list[tuple[int, int]]]:
@@ -109,60 +120,58 @@ def tree_rounds(count: int) -> list[list[tuple[int, int]]]:
     return rounds
 
 
-def _edge_cost(cluster: ClusterSpec, a: int, b: int, nbytes: int) -> float:
-    """Unloaded cost of one NIC message between nodes ``a`` and ``b``;
-    ``inf`` for a dead/degraded-to-zero link so ``auto`` never picks a
-    schedule across it when an alternative exists."""
-    bw = cluster.link_bandwidth(a, b)
-    if not (bw > 0.0) or bw != bw or bw == float("inf"):
-        return float("inf")
-    return cluster.link_latency(a, b) + nbytes / bw
+def schedule_costs(path: list[int], chunks: list[int], total: int,
+                   hop: Callable[[int, int, int], float]) -> dict[str, float]:
+    """Modeled cost of broadcasting ``total`` bytes along ``path`` (the
+    source first) under each schedule, ``hop(a, b, nbytes)`` pricing one
+    unloaded message.
+
+    ring: the ``K`` ``chunks`` pipeline over ``H`` hops.  One hop
+    degenerates to ``K`` serialized messages; with relays every
+    interior port is half-duplex (it cannot receive chunk *k+1* while
+    forwarding chunk *k*), so the steady-state period is two steps per
+    chunk: ``(H + 2*(K-1)) * max_edge_step``.
+
+    tree: ``ceil(log2 N)`` rounds, each costing its slowest edge's
+    full-payload message.
+    """
+    hops = len(path) - 1
+    step = max(hop(a, b, chunks[0]) for a, b in zip(path, path[1:]))
+    ring = (len(chunks) if hops == 1 else hops + 2 * (len(chunks) - 1)) * step
+    tree = sum(max(hop(path[s], path[r], total) for s, r in rnd)
+               for rnd in tree_rounds(len(path)))
+    return {"ring": ring, "tree": tree}
+
+
+def _cheaper(costs: dict[str, float]) -> str:
+    """The ``auto`` rule: cheaper modeled schedule, ties to ``tree``
+    (fewer messages on the wire for the same modeled time)."""
+    return "ring" if costs["ring"] < costs["tree"] else "tree"
 
 
 def node_schedule_costs(cluster: ClusterSpec, src_node: int,
                         dst_nodes: list[int], nbytes: int,
                         chunk_bytes: int | None = None) -> dict[str, float]:
-    """Modeled cost of broadcasting ``nbytes`` from ``src_node`` to
-    ``dst_nodes`` under each schedule.
-
-    ring: ``K`` chunks pipeline over ``H`` hops.  One hop degenerates
-    to ``K`` serialized messages; with relays every interior NIC port
-    is half-duplex (it cannot receive chunk *k+1* while forwarding
-    chunk *k*), so the steady-state period is two steps per chunk:
-    ``(H + 2*(K-1)) * max_edge_step``.
-
-    tree: ``ceil(log2 N)`` rounds, each costing its slowest edge's
-    full-payload message.
-    """
+    """:func:`schedule_costs` of broadcasting ``nbytes`` from
+    ``src_node`` to ``dst_nodes`` over the NIC; a dead link prices
+    ``inf`` (:func:`~repro.vcuda.bus.net_seconds`), so ``auto`` never
+    picks a schedule across it when an alternative exists."""
     participants = [src_node] + sorted(set(dst_nodes) - {src_node})
     if len(participants) < 2 or nbytes <= 0:
         return {"ring": 0.0, "tree": 0.0}
     if chunk_bytes is None:
         chunk_bytes = cluster.nic.collective_chunk_bytes
-    path = ring_order(cluster, src_node, participants)
-    chunks = Bus.split_chunks(nbytes, chunk_bytes)
-    hops = len(path) - 1
-    step = max(_edge_cost(cluster, a, b, chunks[0])
-               for a, b in zip(path, path[1:]))
-    if hops == 1:
-        ring = len(chunks) * step
-    else:
-        ring = (hops + 2 * (len(chunks) - 1)) * step
-    tree = 0.0
-    for rnd in tree_rounds(len(path)):
-        tree += max(_edge_cost(cluster, path[s], path[d], nbytes)
-                    for s, d in rnd)
-    return {"ring": ring, "tree": tree}
+    return schedule_costs(ring_order(cluster, src_node, participants),
+                          Bus.split_chunks(nbytes, chunk_bytes), nbytes,
+                          lambda a, b, n: net_seconds(cluster, a, b, n))
 
 
 def select_node_schedule(cluster: ClusterSpec, src_node: int,
                          dst_nodes: list[int], nbytes: int,
                          chunk_bytes: int | None = None) -> str:
-    """The ``auto`` rule: cheaper modeled schedule, ties to ``tree``
-    (fewer messages on the wire for the same modeled time)."""
-    costs = node_schedule_costs(cluster, src_node, dst_nodes, nbytes,
-                                chunk_bytes)
-    return "ring" if costs["ring"] < costs["tree"] else "tree"
+    """The ``auto`` pick (:func:`_cheaper`) for a node broadcast."""
+    return _cheaper(node_schedule_costs(cluster, src_node, dst_nodes,
+                                        nbytes, chunk_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +277,18 @@ class Transport:
         return d.end
 
     def _net(self, src_node: int, dst_node: int, nbytes: int,
-             ready: float) -> float:
-        """Host-to-host NIC leg; returns its completion time."""
+             ready: float) -> Transfer:
+        """Host-to-host NIC leg."""
         tr = self.bus.net(src_node, dst_node, nbytes, not_before=ready)
         self._note(tr, None, None)
-        return tr.end
+        return tr
+
+    def _p2p(self, a: int, b: int, nbytes: int, ready: float) -> Transfer:
+        """Peer-copy leg, no earlier than its endpoints' issue floor."""
+        tr = self.bus.p2p(a, b, nbytes, not_before=max(ready,
+                                                       self._floor(a, b)))
+        self._note(tr, a, b)
+        return tr
 
     def _scatter(self, t: int, nbytes: int, ready: float,
                  local: bool = True) -> None:
@@ -365,7 +381,7 @@ class Transport:
                     ready = 0.0
                     for g in sorted(outbound):
                         ready = max(ready, self._gather(g, outbound[g]))
-                    ready = self._net(sn, dn, total, ready)
+                    ready = self._net(sn, dn, total, ready).end
                     for t in sorted(inbound):
                         self._scatter(t, inbound[t], ready)
                 else:
@@ -385,7 +401,7 @@ class Transport:
         for g in sorted(outbound):
             for c in Bus.split_chunks(outbound[g], self.net_chunk):
                 stream.append((c, self._net(src_node, dst_node, c,
-                                            self._gather(g, c))))
+                                            self._gather(g, c)).end))
         # Scatter consumes the chunk stream in order: destination
         # bytes map onto whichever NET chunks delivered them, and
         # each H2D piece waits only for *its* chunk, not the last.
@@ -484,7 +500,7 @@ class Transport:
             with self._tag(MECH_INTERNODE_STAGED, array):
                 ready = self._gather(g, total)
                 for dn in dst_nodes:
-                    arrived = self._net(src_node, dn, total, ready)
+                    arrived = self._net(src_node, dn, total, ready).end
                     self.staged_exchanges += 1
                     for t in members[dn]:
                         self._scatter(t, total, arrived)
@@ -494,42 +510,42 @@ class Transport:
             schedule = select_node_schedule(self.machine, src_node,
                                             dst_nodes, total, self.net_chunk)
         path = ring_order(self.machine, src_node, [src_node] + dst_nodes)
-        with self._tag(MECH_COLLECTIVE_RING if schedule == "ring"
-                       else MECH_COLLECTIVE_TREE, array):
-            if schedule == "ring":
-                chunks = Bus.split_chunks(total, self.net_chunk)
-                ready = [self._gather(g, c) for c in chunks]
-                arrivals = self.bus.net_pipeline(path, chunks,
-                                                 chunk_ready=ready)
-                for tr in (t for ts in arrivals.values() for t in ts):
-                    self._note(tr, None, None)
-                for dn in dst_nodes:
-                    for t in members[dn]:
-                        for tr in arrivals[dn]:
-                            self._scatter(t, tr.nbytes, tr.end)
-                steps = len(chunks) * (len(path) - 1)
-            else:
-                done = {src_node: self._gather(g, total)}
-                steps = 0
-                for rnd in tree_rounds(len(path)):
-                    for s, r in rnd:
-                        done[path[r]] = self._net(path[s], path[r], total,
-                                                  done[path[s]])
-                        steps += 1
-                for dn in dst_nodes:
-                    for t in members[dn]:
-                        self._scatter(t, total, done[dn])
-        self.broadcasts[schedule] += 1
-        self._record(schedule, "internode", steps, total * (len(path) - 1))
+        chunks = (Bus.split_chunks(total, self.net_chunk)
+                  if schedule == "ring" else [total])
+        with self._tag(_MECH[schedule], array):
+            ready = [self._gather(g, c) for c in chunks]
+            arrivals = self._collective(schedule, "internode", path, chunks,
+                                        ready, self._net)
+            for dn in dst_nodes:
+                for t in members[dn]:
+                    for tr in arrivals[dn]:
+                        self._scatter(t, tr.nbytes, tr.end)
 
-    def _gpu_order(self, g: int, targets: list[int]) -> list[int]:
-        """PCIe-hub-local ring: same-hub peers first so the chain
-        crosses the QPI/IOH boundary once per extra hub, not per hop."""
-        hub = self._hub
-        src_hub = hub[g]
-        rest = sorted(targets)
-        rest.sort(key=lambda t: (hub[t] != src_hub, hub[t], t))
-        return [g] + rest
+    def _collective(self, schedule: str, scope: str, path: list[int],
+                    chunks: list[int], ready: list[float],
+                    leg: Callable[[int, int, int, float], Transfer],
+                    ) -> dict[int, list[Transfer]]:
+        """Issue one collective broadcast along ``path`` (the source
+        first), each hop by ``leg`` (:meth:`_net` or :meth:`_p2p`):
+        ``ring`` pipelines ``chunks`` chunk-major through
+        :meth:`Bus.net_pipeline`, ``tree`` sends its one chunk down
+        :func:`tree_rounds`.  Chunk *k* leaves the source no earlier
+        than ``ready[k]``.  Returns the transfers that delivered each
+        chunk to each other member."""
+        if schedule == "ring":
+            arrivals = self.bus.net_pipeline(path, chunks, leg, ready)
+        else:
+            done = {path[0]: ready[0]}
+            arrivals = {}
+            for rnd in tree_rounds(len(path)):
+                for s, r in rnd:
+                    tr = leg(path[s], path[r], chunks[0], done[path[s]])
+                    done[path[r]] = tr.end
+                    arrivals[path[r]] = [tr]
+        self.broadcasts[schedule] += 1
+        hops = len(path) - 1
+        self._record(schedule, scope, len(chunks) * hops, sum(chunks) * hops)
+        return arrivals
 
     def _gpu_broadcast(self, array: str | None, g: int, targets: list[int],
                        runs: list[tuple[int, int]],
@@ -540,54 +556,20 @@ class Transport:
         direct fan-out cheaper) and the caller falls through."""
         if total <= 0 or len(targets) < 2:
             return None
-        bus = self.bus
-        order = self._gpu_order(g, targets)
+        path = ring_order(self.machine, g, targets, self._hub.__getitem__)
         chunks = Bus.split_chunks(total, self.machine.node_bus(
             self._node[g]).collective_chunk_bytes)
-        edges = list(zip(order, order[1:]))
-        hop = max(bus.duration("p2p", chunks[0], a, b) for a, b in edges)
-        if len(edges) == 1:
-            ring_cost = len(chunks) * hop
-        else:
-            ring_cost = (len(edges) + 2 * (len(chunks) - 1)) * hop
-        rounds = tree_rounds(len(order))
-        tree_cost = sum(
-            max(bus.duration("p2p", total, order[s], order[r])
-                for s, r in rnd)
-            for rnd in rounds)
-        if self.mode == "auto":
-            if self._fan_out_cost(g, targets, runs) <= min(ring_cost,
-                                                           tree_cost):
+        schedule = self.mode
+        if schedule == "auto":
+            duration = self.bus.duration
+            costs = schedule_costs(path, chunks, total,
+                                   lambda a, b, n: duration("p2p", n, a, b))
+            if self._fan_out_cost(g, targets, runs) <= min(costs.values()):
                 return None
-            schedule = "ring" if ring_cost < tree_cost else "tree"
-        else:
-            schedule = self.mode
-        floor, note = self._floor, self._note
-        with self._tag(MECH_COLLECTIVE_RING if schedule == "ring"
-                       else MECH_COLLECTIVE_TREE, array):
-            if schedule == "ring":
-                # Chunk-major issue order, mirroring Bus.net_pipeline:
-                # GPU-link occupancy is a scalar free-at, so leg-major
-                # order would stall relays on the whole inbound leg.
-                for c in chunks:
-                    ready = 0.0
-                    for a, b in edges:
-                        tr = bus.p2p(a, b, c,
-                                     not_before=max(ready, floor(a, b)))
-                        note(tr, a, b)
-                        ready = tr.end
-                steps = len(chunks) * len(edges)
-            else:
-                done = {g: 0.0}
-                steps = 0
-                for rnd in rounds:
-                    for s, r in rnd:
-                        a, b = order[s], order[r]
-                        tr = bus.p2p(a, b, total,
-                                     not_before=max(done[a], floor(a, b)))
-                        note(tr, a, b)
-                        done[b] = tr.end
-                        steps += 1
-        self.broadcasts[schedule] += 1
-        self._record(schedule, "intranode", steps, total * len(edges))
+            schedule = _cheaper(costs)
+        if schedule == "tree":
+            chunks = [total]
+        with self._tag(_MECH[schedule], array):
+            self._collective(schedule, "intranode", path, chunks,
+                             [0.0] * len(chunks), self._p2p)
         return schedule

@@ -103,11 +103,6 @@ def _ledger_view(kind: str, what: str) -> property:
         doc=f"Telemetry: bytes shipped by {what}, all arrays.")
 
 
-def _transport_view(name: str) -> property:
-    return property(lambda self: getattr(self.transport, name),
-                    doc=f":attr:`Transport.{name}` (the transport counts).")
-
-
 class CommunicationManager:
     """Executes the post-kernel coherence step for one loop."""
 
@@ -140,13 +135,6 @@ class CommunicationManager:
     bytes_miss = _ledger_view("miss", "write-miss replay")
     bytes_halo = _ledger_view("halo", "halo refreshes")
     bytes_reduction = _ledger_view("reduction", "reduction merges")
-    transactions = _transport_view("transactions")
-    bytes_internode = _transport_view("bytes_internode")
-    staged_exchanges = _transport_view("staged_exchanges")
-    staged_broadcasts = _transport_view("staged_broadcasts")
-    collective_broadcasts = _transport_view("collective_broadcasts")
-    collective_steps = _transport_view("collective_steps")
-    bytes_collective = _transport_view("bytes_collective")
 
     # -- top level -----------------------------------------------------------------
 

@@ -29,6 +29,17 @@ class ScalarError(RuntimeError):
         super().__init__(f"run-time error{where}: {message}")
 
 
+def c_fmax(x: Any, y: Any) -> Any:
+    """C's ``fmax``: a NaN argument is missing data, so the other wins
+    (Python's ``max`` keeps or drops a NaN by position)."""
+    return y if x != x or y > x else x
+
+
+def c_fmin(x: Any, y: Any) -> Any:
+    """C's ``fmin``, NaN as missing data like :func:`c_fmax`."""
+    return y if x != x or y < x else x
+
+
 _MATH_FUNCS: dict[str, Callable[..., Any]] = {
     "sqrt": math.sqrt, "sqrtf": math.sqrt,
     "rsqrt": lambda x: 1.0 / math.sqrt(x), "rsqrtf": lambda x: 1.0 / math.sqrt(x),
@@ -39,8 +50,8 @@ _MATH_FUNCS: dict[str, Callable[..., Any]] = {
     "sin": math.sin, "cos": math.cos,
     "floor": math.floor, "floorf": math.floor,
     "ceil": math.ceil, "ceilf": math.ceil,
-    "min": min, "fmin": min, "fminf": min,
-    "max": max, "fmax": max, "fmaxf": max,
+    "min": min, "fmin": c_fmin, "fminf": c_fmin,
+    "max": max, "fmax": c_fmax, "fmaxf": c_fmax,
 }
 
 

@@ -136,8 +136,8 @@ _MATH_CALLS = {
     "pow": "np.power", "powf": "np.power", "sin": "np.sin", "cos": "np.cos",
     "floor": "np.floor", "floorf": "np.floor",
     "ceil": "np.ceil", "ceilf": "np.ceil",
-    "min": "np.minimum", "fmin": "np.minimum", "fminf": "np.minimum",
-    "max": "np.maximum", "fmax": "np.maximum", "fmaxf": "np.maximum",
+    "min": "np.minimum", "fmin": "np.fmin", "fminf": "np.fmin",
+    "max": "np.maximum", "fmax": "np.fmax", "fmaxf": "np.fmax",
 }
 
 _DTYPES = {"float": "np.float32", "double": "np.float64", "char": "np.int8",

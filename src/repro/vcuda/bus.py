@@ -53,6 +53,19 @@ CATEGORY_NET_OVERLAPPED = "NET (hidden)"
 _PRICE_MEMO_LIMIT = 4096
 
 
+def net_seconds(cluster: ClusterSpec, a: int, b: int, nbytes: int) -> float:
+    """Unloaded seconds of one NIC message of ``nbytes`` between nodes
+    ``a`` and ``b`` (latency + bytes / bandwidth, nothing when empty);
+    ``inf`` over a dead link -- zero, NaN or infinite bandwidth -- so a
+    schedule cost never picks it and :meth:`Bus.price_net` refuses it."""
+    bw = cluster.link_bandwidth(a, b)
+    if not 0.0 < bw < float("inf"):
+        return float("inf")
+    if nbytes == 0:
+        return 0.0
+    return cluster.link_latency(a, b) + nbytes / bw
+
+
 class NetworkError(RuntimeError):
     """A modeled NIC link cannot carry a transfer (dead or degraded to
     zero/invalid bandwidth).  Structured: carries the endpoints and the
@@ -127,13 +140,14 @@ class Bus:
         self._dev_node = [machine.node_of(g) for g in gpus]
         self._dev_spec = [machine.node_bus(n) if self._multinode
                           else self.spec for n in self._dev_node]
-        #: Virtual time at which each GPU's PCIe link becomes free.
-        self._link_free_at: list[float] = [0.0] * self._gpu_count
-        #: Virtual time at which each I/O hub's host uplink frees up.
-        self._hub_free_at: list[float] = \
-            [0.0] * (1 + max(self._dev_hub, default=0))
-        #: Virtual time at which each node's NIC port frees up.
-        self._nic_free_at: list[float] = [0.0] * machine.node_count
+        #: Virtual time at which each link frees up, in one table: GPU
+        #: ``g``'s PCIe link at slot ``g``, then each I/O hub's host
+        #: uplink, then each node's NIC port.  A price names the slots
+        #: a transfer holds (:meth:`place_transfer`).
+        hubs = 1 + max(self._dev_hub, default=0)
+        self._free_at = [0.0] * (self._gpu_count + hubs + machine.node_count)
+        self._hub_slot = [self._gpu_count + h for h in self._dev_hub]
+        self._nic_slot = self._gpu_count + hubs
         self._pending: list[Transfer] = []
         self.completed: list[Transfer] = []
         #: Optional clock-advance hook ``(timestamp, category) -> None``.
@@ -178,51 +192,59 @@ class Bus:
             bw = spec.p2p_same_hub if same_hub else spec.p2p_cross_hub
         return spec.latency + nbytes / bw
 
-    def _net_duration(self, src_node: int, dst_node: int,
-                      nbytes: int) -> float:
-        machine = self.machine
-        assert isinstance(machine, ClusterSpec)
-        bw = machine.link_bandwidth(src_node, dst_node)
-        # Validate the link before the zero-byte shortcut: a transfer
-        # over a dead link must fail loudly even when empty, not stall
-        # silently or ship stale data.
-        if not (bw > 0.0) or bw != bw or bw == float("inf"):
-            raise NetworkError(src_node, dst_node, bw)
-        if nbytes < 0:
-            raise ValueError("transfer size must be non-negative")
-        if nbytes == 0:
-            return 0.0
-        return machine.link_latency(src_node, dst_node) + nbytes / bw
-
     def price_transfer(self, kind: TransferKind, nbytes: int,
                        src: int | None, dst: int | None) -> tuple:
         """What placing a PCIe transfer of this shape costs, as
-        ``(duration, hub, hub_occupancy, node)``: its link seconds, the
-        I/O hub whose host uplink it also occupies (``None`` for a peer
-        copy) and for how long, and the node it runs on.  A pure
-        function of the shape on a fixed topology, so it is computed
-        once per shape and looked up afterwards; :meth:`place_transfer`
-        puts a priced transfer on the links."""
+        ``(duration, holds, src_node, dst_node)``: its seconds, the
+        ``(slot, seconds)`` each link it occupies is held for, and the
+        node it runs on (twice).  A pure function of the shape on a
+        fixed topology, so it is computed once per shape and looked up
+        afterwards; :meth:`place_transfer` puts a priced transfer on
+        the links."""
         key = (kind, nbytes, nbytes.__class__, src, dst)
         price = self._prices.get(key)
         if price is not None:
             return price
         duration = self._duration(kind, nbytes, src, dst)
-        dev = src if src is not None else dst
-        hub = None
-        hub_occupancy = 0.0
-        if kind != "p2p" and dev is not None:
+        if kind == "p2p":
+            dev = src
+            holds = ((src, duration), (dst, duration))
+        else:
             # Host transfers also consume the shared I/O-hub uplink, for a
             # fraction of their duration equal to link/uplink bandwidth:
             # concurrent same-hub transfers serialize on that share.
+            dev = src if src is not None else dst
             spec = self._dev_spec[dev]
-            hub = self._dev_hub[dev]
             link_bw = (spec.h2d_bandwidth if kind == "h2d"
                        else spec.d2h_bandwidth)
-            hub_occupancy = duration * min(
-                1.0, link_bw / spec.hub_uplink_bandwidth)
-        node = 0 if dev is None else self._dev_node[dev]
-        return self._keep_price(key, (duration, hub, hub_occupancy, node))
+            holds = ((dev, duration), (self._hub_slot[dev], duration * min(
+                1.0, link_bw / spec.hub_uplink_bandwidth)))
+        node = self._dev_node[dev]
+        return self._keep_price(key, (duration, holds, node, node))
+
+    def price_net(self, src_node: int, dst_node: int, nbytes: int,
+                  src: int | None = None, dst: int | None = None) -> tuple:
+        """Price a NIC transfer for :meth:`place_transfer`, memoised per
+        shape like :meth:`price_transfer`: both nodes' NIC ports and,
+        for a direct cross-node peer copy, both GPUs' PCIe links are
+        held for its :func:`net_seconds`.  A dead link raises
+        :class:`NetworkError`, even for an empty transfer: it must fail
+        loudly, not stall silently or ship stale data."""
+        key = ("net", nbytes, nbytes.__class__, src_node, dst_node, src, dst)
+        price = self._prices.get(key)
+        if price is not None:
+            return price
+        seconds = net_seconds(self.machine, src_node, dst_node, nbytes)
+        if seconds == float("inf"):
+            raise NetworkError(src_node, dst_node,
+                               self.machine.link_bandwidth(src_node, dst_node))
+        if nbytes < 0:
+            raise ValueError("transfer size must be non-negative")
+        slots = (self._nic_slot + src_node, self._nic_slot + dst_node)
+        if src is not None:
+            slots += (src, dst)
+        return self._keep_price(key, (seconds, tuple(
+            (slot, seconds) for slot in slots), src_node, dst_node))
 
     def _keep_price(self, key: tuple, price: tuple) -> tuple:
         if len(self._prices) >= _PRICE_MEMO_LIMIT:
@@ -235,28 +257,22 @@ class Bus:
         dst: int | None, price: tuple, not_before: float = 0.0,
         category: str | None = None,
     ) -> Transfer:
-        """Queue a transfer priced by :meth:`price_transfer`: it starts
-        at the latest of now, the issue dependency, both endpoint links
-        and the hub uplink, and occupies them for the priced seconds."""
-        duration, hub, hub_occupancy, node = price
-        free = self._link_free_at
+        """Queue a transfer priced by :meth:`price_transfer` or
+        :meth:`price_net`: it starts at the latest of now, the issue
+        dependency and every link it holds, and holds each for its
+        priced seconds."""
+        duration, holds, src_node, dst_node = price
+        free = self._free_at
         start = self.clock.now
         if not_before > start:
             start = not_before
-        if src is not None and free[src] > start:
-            start = free[src]
-        if dst is not None and free[dst] > start:
-            start = free[dst]
-        if hub is not None and self._hub_free_at[hub] > start:
-            start = self._hub_free_at[hub]
-        end = start + duration
-        if src is not None:
-            free[src] = end
-        if dst is not None:
-            free[dst] = end
-        if hub is not None:
-            self._hub_free_at[hub] = start + hub_occupancy
-        t = Transfer(kind, nbytes, src, dst, start, end, category, node, node)
+        for slot, _ in holds:
+            if free[slot] > start:
+                start = free[slot]
+        for slot, seconds in holds:
+            free[slot] = start + seconds
+        t = Transfer(kind, nbytes, src, dst, start, start + duration,
+                     category, src_node, dst_node)
         self._pending.append(t)
         if self.observer is not None:
             self.observer(t)
@@ -275,40 +291,10 @@ class Bus:
         src: int | None = None, dst: int | None = None,
         not_before: float = 0.0, category: str | None = None,
     ) -> Transfer:
-        """Reserve both endpoint nodes' NIC ports (and, for a direct
-        cross-node peer copy, the endpoint GPUs' PCIe links)."""
-        key = ("net", nbytes, nbytes.__class__, src_node, dst_node)
-        price = self._prices.get(key)
-        if price is None:
-            price = self._keep_price(
-                key, (self._net_duration(src_node, dst_node, nbytes),))
-        duration, = price
-        nic = self._nic_free_at
-        free = self._link_free_at
-        start = self.clock.now
-        if not_before > start:
-            start = not_before
-        if nic[src_node] > start:
-            start = nic[src_node]
-        if nic[dst_node] > start:
-            start = nic[dst_node]
-        if src is not None and free[src] > start:
-            start = free[src]
-        if dst is not None and free[dst] > start:
-            start = free[dst]
-        end = start + duration
-        nic[src_node] = end
-        nic[dst_node] = end
-        if src is not None:
-            free[src] = end
-        if dst is not None:
-            free[dst] = end
-        t = Transfer("net", nbytes, src, dst, start, end, category,
-                     src_node, dst_node)
-        self._pending.append(t)
-        if self.observer is not None:
-            self.observer(t)
-        return t
+        return self.place_transfer(
+            "net", nbytes, src, dst,
+            self.price_net(src_node, dst_node, nbytes, src, dst),
+            not_before, category)
 
     # -- public API ----------------------------------------------------------
 
@@ -325,11 +311,9 @@ class Bus:
         self._check_device(device)
         node = self._node_of(device)
         if self._multinode and node != 0 and not local:
-            hop = self._schedule_net(
+            not_before = self._schedule_net(
                 0, node, nbytes, not_before=not_before,
-                category=category if category is not None
-                else CATEGORY_CPU_GPU)
-            not_before = hop.end
+                category=category or CATEGORY_CPU_GPU).end
         return self._schedule("h2d", nbytes, None, device,
                               not_before=not_before, category=category)
 
@@ -343,10 +327,8 @@ class Bus:
         pcie = self._schedule("d2h", nbytes, device, None,
                               not_before=not_before, category=category)
         if self._multinode and node != 0 and not local:
-            return self._schedule_net(
-                node, 0, nbytes, not_before=pcie.end,
-                category=category if category is not None
-                else CATEGORY_CPU_GPU)
+            return self._schedule_net(node, 0, nbytes, not_before=pcie.end,
+                                      category=category or CATEGORY_CPU_GPU)
         return pcie
 
     def p2p(self, src: int, dst: int, nbytes: int, *,
@@ -390,37 +372,33 @@ class Bus:
         return self._schedule_net(src_node, dst_node, nbytes,
                                   not_before=not_before, category=category)
 
-    def net_pipeline(self, path: list[int], chunks: list[int], *,
-                     chunk_ready: list[float] | None = None,
-                     category: str | None = None,
+    def net_pipeline(self, path: list[int], chunks: list[int],
+                     leg: Callable[[int, int, int, float], Transfer],
+                     chunk_ready: list[float],
                      ) -> dict[int, list[Transfer]]:
-        """Queue a chunked multi-leg NET pipeline along ``path`` (a
-        sequence of distinct nodes).
+        """Queue a chunked multi-leg pipeline along ``path`` (distinct
+        nodes, or distinct GPUs of one node), each hop issued by
+        ``leg(a, b, nbytes, ready)`` -- a NIC transfer or a peer copy.
 
         Chunk *k* on leg *i* depends on chunk *k* having finished leg
-        *i-1*; NIC-port occupancy then serializes same-port chunks, so
-        leg *i+1* of chunk *k* naturally overlaps leg *i* of chunk
-        *k+1* -- the bandwidth-optimal pipelined schedule a ring
-        broadcast prices.  ``chunk_ready[k]`` (optional) is the time
-        chunk *k* leaves the source node (e.g. its gather D2H end).
+        *i-1*; link occupancy then serializes same-link chunks, so leg
+        *i+1* of chunk *k* naturally overlaps leg *i* of chunk *k+1* --
+        the bandwidth-optimal pipelined schedule a ring broadcast
+        prices.  ``chunk_ready[k]`` is the time chunk *k* leaves the
+        source (e.g. its gather D2H end).
 
-        Returns the per-node arrival transfers: ``result[node][k]`` is
-        the transfer that delivered chunk *k* to ``node``.
+        Returns the per-member arrival transfers: ``result[member][k]``
+        is the transfer that delivered chunk *k* to ``member``.
         """
-        if len(path) < 2:
-            return {}
         arrivals: dict[int, list[Transfer]] = {n: [] for n in path[1:]}
         legs = list(zip(path, path[1:]))
         # Chunk-major issue order: a chunk traverses every leg before
-        # the next chunk is issued.  NIC-port occupancy is a scalar
-        # free-at per node, so leg-major order would (wrongly) make a
-        # relay node wait for the whole inbound leg before forwarding
-        # anything.
-        for k, nbytes in enumerate(chunks):
-            ready = chunk_ready[k] if chunk_ready is not None else 0.0
+        # the next chunk is issued.  Link occupancy is a scalar free-at
+        # per link, so leg-major order would (wrongly) make a relay
+        # wait for the whole inbound leg before forwarding anything.
+        for nbytes, ready in zip(chunks, chunk_ready):
             for a, b in legs:
-                tr = self.net(a, b, nbytes, not_before=ready,
-                              category=category)
+                tr = leg(a, b, nbytes, ready)
                 ready = tr.end
                 arrivals[b].append(tr)
         return arrivals

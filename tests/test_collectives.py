@@ -178,7 +178,7 @@ class TestEngineContract:
         run = prog.run(spec.entry, spec.args_for("tiny"), machine=cluster,
                        ngpus=8, internode="naive", collective="none")
         assert run.executor.comm.transport.mode == "naive"
-        assert run.executor.comm.collective_broadcasts == 0
+        assert run.executor.comm.transport.collective_broadcasts == 0
 
     def test_flag_pairs_select_five_transports(self):
         p = Platform(hypothetical_cluster(2, 2), 4)
@@ -206,7 +206,7 @@ class TestEngineContract:
                 np.testing.assert_array_equal(b[name], v)
         # Same modeled schedule, not merely same results.
         assert run.elapsed == base.elapsed
-        assert run.executor.comm.collective_broadcasts == 0
+        assert run.executor.comm.transport.collective_broadcasts == 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,7 @@ class TestBitIdentity:
                        ngpus=8, collective=mode)
         for name in ("a", "record"):
             np.testing.assert_array_equal(args[name], ref[name])
-        assert run.executor.comm.collective_broadcasts > 0
+        assert run.executor.comm.transport.collective_broadcasts > 0
 
     @pytest.mark.parametrize("mode", SCHEDULES)
     def test_composes_with_overlap_and_coalesce(self, mode):
@@ -325,8 +325,8 @@ class TestTelemetry:
         assert transport.broadcasts[mode] > 0
         assert transport.broadcasts["tree" if mode == "ring" else "ring"] == 0
         assert transport.staged_exchanges > 0
-        assert comm.collective_steps > 0
-        assert comm.bytes_collective > 0
+        assert transport.collective_steps > 0
+        assert transport.bytes_collective > 0
         metrics = run.tracer.metrics
         assert metrics.counter_total("collective_steps",
                                      schedule=mode) > 0
@@ -350,9 +350,9 @@ class TestTelemetry:
         run = self._traced_run("none")
         comm = run.executor.comm
         assert comm.transport.mode == "staged"
-        assert comm.collective_broadcasts == 0
-        assert comm.collective_steps == 0
-        assert comm.bytes_collective == 0
+        assert comm.transport.collective_broadcasts == 0
+        assert comm.transport.collective_steps == 0
+        assert comm.transport.bytes_collective == 0
         mechs = {e.mechanism for e in run.tracer.events
                  if getattr(e, "mechanism", None)}
         assert not mechs & {MECH_COLLECTIVE_RING, MECH_COLLECTIVE_TREE,

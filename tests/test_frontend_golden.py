@@ -30,7 +30,12 @@ reads) -- were regenerated once more with the trip-axis lowering
 (docs/PERFORMANCE.md, "Trip-axis lowering"), and ``md_fortran`` again
 when a loop whose every statement is carried went through the same
 block emitter (its ``neigh`` load became one block view per block, of
-which each trip reads a row).  The other six are the
+which each trip reads a row).  ``stencil_probes`` was regenerated
+once more when C's ``fmax`` / ``fmin`` began to treat a NaN as missing
+data: its probe kernel's ``np.maximum(_q2, _q4, out=_q5)`` became
+``np.fmax(_q2, _q4, out=_q5)``, plain and fused, and nothing else moved
+(its inputs hold no NaN, so ``tests/test_transport_identity.py`` and
+``BENCH_multinode.json`` pin the same run).  The other six are the
 ``59bfbe5`` digests still.
 
 One thing it changed on purpose is visible in a bundled source: a
@@ -94,7 +99,7 @@ GOLDEN = {
     "stencil":
         "8bed7767bfba8fe9f338cae7ca12de1a5e4cc28eb0954a6ab5defcb67aaf0f92",
     "stencil_probes":
-        "f83fbe97eac19158553e3237a9af66b392fe8f2d9fe4ac0a69ae5a8b44fabfc2",
+        "1bb858d4c2e58b51676a9fade006de885697257b392878277ad40957fcef17fd",
 }
 
 

@@ -71,7 +71,7 @@ def observables(run, args):
                         s.dyn_counts) for s in run.loop_stats],
         "loader": (ex.loader.loads, ex.loader.reloads_skipped),
         "ledger": dict(ex.comm.ledger),
-        "transactions": ex.comm.transactions,
+        "transactions": ex.comm.transport.transactions,
     }
 
 

@@ -152,9 +152,10 @@ class TestInternodeTransports:
         for mode in ("staged", "naive"):
             run = prog.run(PROBE_ENTRY, probe_args(), machine=cluster,
                            ngpus=8, internode=mode)
-            comm = run.executor.comm
+            transport = run.executor.comm.transport
             moved[mode] = (run.platform.bus.cross_node_bytes(),
-                           comm.bytes_internode, comm.staged_exchanges)
+                           transport.bytes_internode,
+                           transport.staged_exchanges)
         assert moved["staged"][0] < moved["naive"][0]
         assert moved["staged"][1] < moved["naive"][1]
         assert moved["staged"][2] > 0 and moved["naive"][2] == 0

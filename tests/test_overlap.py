@@ -227,7 +227,8 @@ class TestCoalescing:
     def test_fewer_transactions_same_bytes(self):
         off, base = self._run_bfs(False)
         on, outs = self._run_bfs(True)
-        assert on.executor.comm.transactions < off.executor.comm.transactions
+        assert (on.executor.comm.transport.transactions
+                < off.executor.comm.transport.transactions)
         assert on.executor.comm.transactions_coalesced_away > 0
         assert on.executor.comm.bytes_replica == \
             off.executor.comm.bytes_replica
