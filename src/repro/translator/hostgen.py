@@ -44,6 +44,8 @@ from .cscalar import (
     ScalarError,
     _apply_scalar_op,
     c_div,
+    c_fmax,
+    c_fmin,
     c_mod,
 )
 from .vectorizer import exec_source
@@ -408,7 +410,8 @@ class _FunctionEmitter:
             types = [t for _, t in args]
             if fn in (math.floor, math.ceil):
                 t = "i"
-            elif fn in (abs, min, max):
+            elif fn in (abs, min, max, c_fmin, c_fmax):
+                # The result is one of the operands, of that operand's type.
                 t = _join(types)
             else:
                 t = "f"

@@ -457,6 +457,14 @@ HANDWRITTEN = {
     "scalar_passed_as_array": """
     void f(float *a) { a[0] = 1.0f; }
     int k(int n, float *x) { f(n); return 0; }""",
+    # ``fmax`` / ``fmin`` return one operand, so two int-valued operands
+    # keep ``/`` an integer division.
+    "fmax_of_ints_divides_as_int": """
+    double k(int n, float *x) {
+      int i0 = 2;
+      return fmax((i0 < 0 ? 1.5f : i0), (i0 < 0 ? 1.5f : n)) / 2
+             + fmin((i0 < 0 ? 1.5f : n), (i0 < 0 ? 1.5f : 7)) / 2;
+    }""",
 }
 
 
