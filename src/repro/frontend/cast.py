@@ -52,10 +52,6 @@ class CType:
         return self.is_pointer or self.is_array
 
     @property
-    def is_float(self) -> bool:
-        return self.base in ("float", "double")
-
-    @property
     def rank(self) -> int:
         """Number of subscriptable dimensions."""
         return self.pointers + len(self.array_dims)
@@ -87,7 +83,9 @@ class CType:
 
 @dataclass
 class Expr:
-    pass
+    #: The C type of the value, set by :mod:`repro.frontend.typer` (a
+    #: base-type name; ``float*`` for an array name).
+    ty: str = field(default="", kw_only=True, repr=False, compare=False)
 
 
 @dataclass

@@ -48,6 +48,7 @@ from .lexer import (
     tokenize,
 )
 from .parser import BINARY_PREC, Parser
+from .typer import type_program
 
 
 class FortranError(SyntaxError):
@@ -686,5 +687,6 @@ def parse_fortran(source: str) -> C.Program:
     prog = FortranParser(source).parse_program()
     _rebase_directives(prog)
     _bind_loopvar_placeholders(prog)
+    type_program(prog, fortran=True)
     prog.source, prog.frontend = source, "fortran"
     return prog

@@ -15,6 +15,7 @@ from __future__ import annotations
 from sys import intern
 
 from . import cast as C
+from .typer import literal_type, type_program
 from .lexer import (
     CHAR_ESCAPES,
     CHAR_LIT,
@@ -363,7 +364,8 @@ class Parser(Cursor):
                             else int(text), t.line)
         elif kind == FLOAT_LIT:
             self.advance()
-            expr = C.FloatLit(float(t.value.rstrip("fFlL")), t.line)
+            expr = C.FloatLit(float(t.value.rstrip("fFlL")), t.line,
+                              ty=literal_type(t.value))
         elif kind == CHAR_LIT:
             self.advance()
             body = t.value[1:-1]
@@ -420,8 +422,8 @@ class Parser(Cursor):
 
 
 def parse(source: str) -> C.Program:
-    """Parse a full translation unit."""
-    tree = Parser(tokenize(source)).parse_program()
+    """Parse a full translation unit, every expression typed."""
+    tree = type_program(Parser(tokenize(source)).parse_program())
     tree.source, tree.frontend = source, "c"
     return tree
 

@@ -47,10 +47,9 @@ def finalize_scalar_reductions(
             raise KeyError(
                 f"reduction variable {name!r} is not a live host variable")
         final = red_fold(op, acc, np.asarray(initial), None, 1)
-        # A host scalar is a Python scalar of its C type, always: a
-        # later kernel's ``out=`` proofs and NEP 50 promotion see it.
-        final = int(final) if isinstance(initial, (int, np.integer)) \
-            else float(final)
+        # A host scalar holds its C type's value (a ``float`` a float32
+        # scalar, a ``double`` a Python float, an integer a Python int).
+        final = type(initial)(final)
         host_env[name] = final
         finalized[name] = final
     if platform.bus.pending_count():

@@ -275,8 +275,7 @@ class ShadowOracle:
             if initial is None:
                 continue
             final = red_fold(op, acc, np.asarray(initial), None, 1)
-            expect.scalars[name] = int(final) \
-                if isinstance(initial, (int, np.integer)) else float(final)
+            expect.scalars[name] = type(initial)(final)
         self.loops_run += 1
         return expect
 

@@ -436,20 +436,12 @@ def _compile_loop(name: str, loop_stmt: C.For, loop_dir: AccLoop,
     config = _build_loop_config(name, nest.var, analysis, localaccess,
                                 scope, options)
 
-    scalar_types = {
-        s.name: s.ctype.base for s in _all_symbols(scope) if not s.is_array
-    }
-    local_types = {}
-    for st in C.walk(nest.body):
-        if isinstance(st, C.Decl):
-            local_types[st.name] = st.ctype.base
     for pname in loop_dir.private:
         sym = scope.lookup(pname)
         if sym is None or sym.is_array:
             raise CompileError(
                 f"private({pname}) must name a scalar variable",
                 loop_dir.line)
-        local_types[pname] = sym.ctype.base
 
     block_dim = max_gangs = None
     par_dir = next((d for d in region_stmt.directives
@@ -470,10 +462,8 @@ def _compile_loop(name: str, loop_stmt: C.For, loop_dir: AccLoop,
     # either becomes a kernel or is rejected here, at its line.
     cost = CostCollector()
     try:
-        labels = price_body(analysis, config, scalar_types, local_types,
-                            cost)
-        info = vectorize_loop(name, analysis, config, scalar_types,
-                              local_types, labels)
+        labels = price_body(analysis, config, cost)
+        info = vectorize_loop(name, analysis, config, labels)
     except (PriceError, VectorizeError) as exc:
         raise CompileError(str(exc), loop_stmt.line) from exc
     return KernelPlan(

@@ -2,8 +2,8 @@
 
 :func:`price_body` walks a parallel-loop body once, before any code is
 generated, and charges each C operation into a :class:`CostCollector`
-bucket from facts of the *statement*: the ``float``/``int`` type of an
-expression, the coalescing class of an access
+bucket from facts of the *statement*: whether an expression's C type
+(:mod:`repro.frontend.typer`) is floating or integer, the coalescing class of an access
 (:func:`classify_access`), the array's write handling, the inner loop a
 statement sits in.  No emitter holds a collector, so a kernel's modeled
 cost cannot depend on how its statements were lowered.  The walk is
@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..frontend import cast as C
 from ..frontend.analysis import LoopAnalysis, affine_in, expr_mentions
 from ..frontend.directives import AccReductionToArray
+from ..frontend.typer import is_float, operand_type
 from ..vcuda.device import KernelWork
 from .array_config import ArrayConfig, LoopConfig, WriteHandling
 
@@ -137,48 +138,6 @@ CALL_KIND = {
 }
 
 _COMPARISONS = ("<", ">", "<=", ">=", "==", "!=")
-_ITEMSIZE = {"char": 1, "int": 4, "unsigned int": 4, "float": 4,
-             "long": 8, "unsigned long": 8, "double": 8}
-
-
-def _is_float(ctype: str | None) -> bool:
-    return ctype in ("float", "double")
-
-
-def expr_type(e: C.Expr, local_types: dict[str, str],
-              scalar_types: dict[str, str],
-              arrays: dict[str, ArrayConfig]) -> str:
-    """'float' or 'int' (bools count as int)."""
-    def rec(x: C.Expr) -> str:
-        return expr_type(x, local_types, scalar_types, arrays)
-
-    if isinstance(e, C.FloatLit):
-        return "float"
-    if isinstance(e, C.Ident):
-        # Loop variables and unknowns are ints.
-        ctype = local_types.get(e.name) or scalar_types.get(e.name)
-        return "float" if _is_float(ctype) else "int"
-    if isinstance(e, C.Index):
-        cfg = arrays.get(e.array.name) if isinstance(e.array, C.Ident) \
-            else None
-        return "float" if cfg is not None and _is_float(cfg.ctype) else "int"
-    if isinstance(e, C.BinOp):
-        if e.op in _COMPARISONS or e.op in ("&&", "||"):
-            return "int"
-        return "float" if "float" in (rec(e.left), rec(e.right)) else "int"
-    if isinstance(e, C.UnOp):
-        return rec(e.operand) if e.op in ("-", "+") else "int"
-    if isinstance(e, C.Ternary):
-        return "float" if "float" in (rec(e.then), rec(e.other)) else "int"
-    if isinstance(e, C.Call):
-        if e.func in ("min", "max", "abs") and e.args:
-            return rec(e.args[0])
-        return "float"
-    if isinstance(e, C.CastExpr):
-        return "float" if e.to.is_float else "int"
-    if isinstance(e, C.Assign):
-        return rec(e.value)
-    return "int"  # IntLit
 
 
 def classify_access(cfg: ArrayConfig | None, idx: C.Expr, axis_var: str,
@@ -259,12 +218,9 @@ class _Pricer:
     """State of one :func:`price_body` walk."""
 
     def __init__(self, analysis: LoopAnalysis, config: LoopConfig,
-                 scalar_types: dict[str, str], local_types: dict[str, str],
                  cost: CostCollector, label_base: int) -> None:
         self.var = analysis.nest.var
         self.arrays = config.arrays
-        self.scalar_types = scalar_types
-        self.local_types = dict(local_types)
         self.cost = cost
         self.reductions = {v: op for op, v in analysis.scalar_reductions}
         self.inner = {id(il.stmt): il for il in analysis.inner_loops}
@@ -278,10 +234,6 @@ class _Pricer:
         self.axis_var = self.var
         self.depth = 0
 
-    def is_float(self, e: C.Expr) -> bool:
-        return expr_type(e, self.local_types, self.scalar_types,
-                         self.arrays) == "float"
-
     # -- expressions -----------------------------------------------------------
 
     def expr(self, e: C.Expr) -> None:
@@ -290,12 +242,11 @@ class _Pricer:
         if isinstance(e, C.BinOp):
             self.expr(e.left)
             self.expr(e.right)
-            self.arith(e.op, self.is_float(e.left) or self.is_float(e.right),
-                       e.line)
+            self.arith(e.op, is_float(operand_type(e)), e.line)
         elif isinstance(e, C.UnOp):
             self.expr(e.operand)
             if e.op == "-":
-                self.arith("-", self.is_float(e.operand))
+                self.arith("-", is_float(e.ty))
             elif e.op in ("!", "~"):
                 cost.intop()
             elif e.op != "+":
@@ -316,22 +267,22 @@ class _Pricer:
             cfg, idx = self.subscript(e, "access to")
             self.expr(idx)
             cost.intop()
-            cost.access(_ITEMSIZE.get(cfg.ctype, 4),
+            cost.access(C.CType(cfg.ctype).itemsize(),
                         self.access_class(cfg, idx))
         elif isinstance(e, C.CastExpr):
             self.expr(e.operand)
         elif isinstance(e, C.Assign):
             raise PriceError("assignment used as a value", e.line)
 
-    def arith(self, op: str, is_float: bool, line: int = 0) -> None:
+    def arith(self, op: str, floating: bool, line: int = 0) -> None:
         cost = self.cost
         if op in ("+", "-", "*", "/", "%"):
-            if is_float:
+            if floating:
                 cost.flop(op)
             else:
                 cost.intop(4 if op in ("/", "%") else 1)
         elif op in _COMPARISONS:
-            cost.flop("cmp") if is_float else cost.intop()
+            cost.flop("cmp") if floating else cost.intop()
         elif op in ("&&", "||", "<<", ">>", "&", "|", "^"):
             cost.intop()
         else:
@@ -369,7 +320,6 @@ class _Pricer:
             if s.init is not None:
                 self.expr(s.init)
             self.locals[s.name] = self.depth
-            self.local_types[s.name] = s.ctype.base
         elif isinstance(s, C.ExprStmt):
             if isinstance(s.expr, C.Assign):
                 self.assign(s.expr)
@@ -425,12 +375,11 @@ class _Pricer:
         else:
             self.expr(a.value)
             if a.op:
-                is_float = self.is_float(a.value) or _is_float(
-                    self.local_types.get(a.target.name))
-                if a.op == "%" and not is_float:
+                floating = is_float(operand_type(a))
+                if a.op == "%" and not floating:
                     self.cost.intop()  # '%=' on an int local: one op
                 else:
-                    self.arith(a.op, is_float, a.line)
+                    self.arith(a.op, floating, a.line)
 
     def scalar_reduction(self, name: str, a: C.Assign) -> None:
         op = self.reductions[name]
@@ -446,7 +395,7 @@ class _Pricer:
         cfg, idx = self.subscript(a.target, "store to")
         self.expr(idx)
         self.expr(a.value)
-        size = _ITEMSIZE.get(cfg.ctype, 4)
+        size = C.CType(cfg.ctype).itemsize()
         access = self.access_class(cfg, idx)
         cost.intop()
         cost.access(size, access)
@@ -454,7 +403,7 @@ class _Pricer:
             # Compound store: read-modify-write -- one extra access plus
             # the combining operation itself.
             cost.access(size, access)
-            if _is_float(cfg.ctype):
+            if is_float(a.target.ty):
                 cost.flop(a.op if a.op in ("+", "-", "*", "/") else "cmp")
             else:
                 cost.intop()
@@ -480,12 +429,11 @@ class _Pricer:
         # hierarchical reduction (shared memory within a block, then per
         # GPU, section IV-B4), so the accumulations never hit DRAM at
         # scatter cost; the serialization factor covers the merge steps.
-        self.cost.access(_ITEMSIZE.get(cfg.ctype, 4) * 2, ACCESS_COALESCED)
+        self.cost.access(C.CType(cfg.ctype).itemsize() * 2, ACCESS_COALESCED)
         self.cost.serialize(2.0)
 
 
 def price_body(analysis: LoopAnalysis, config: LoopConfig,
-               scalar_types: dict[str, str], local_types: dict[str, str],
                cost: CostCollector, label_base: int = 0) -> dict[int, str]:
     """Charge one parallel-loop body into ``cost``, one AST walk.
 
@@ -494,7 +442,6 @@ def price_body(analysis: LoopAnalysis, config: LoopConfig,
     trip counts under these names.  Raises :class:`PriceError` at a
     construct outside the supported statement set.
     """
-    pricer = _Pricer(analysis, config, scalar_types, local_types, cost,
-                     label_base)
+    pricer = _Pricer(analysis, config, cost, label_base)
     pricer.stmt(analysis.nest.body)
     return pricer.labels

@@ -14,6 +14,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..frontend.typer import INTEGERS
+
 _NP_DTYPES = {"float": np.float32, "double": np.float64, "char": np.int8,
               "int": np.int32, "unsigned int": np.uint32,
               "long": np.int64, "unsigned long": np.uint64}
@@ -53,6 +55,22 @@ _MATH_FUNCS: dict[str, Callable[..., Any]] = {
     "min": min, "fmin": c_fmin, "fminf": c_fmin,
     "max": max, "fmax": c_fmax, "fmaxf": c_fmax,
 }
+
+
+def c_convert(value: Any, have: str, want: str) -> Any:
+    """``value``, of C type ``have``, converted to type ``want`` -- at an
+    assignment, a parameter or an operand of a wider operation: a
+    ``float`` is a float32 NumPy scalar, a ``double`` a Python float, an
+    integer a Python int (truncated toward zero)."""
+    if want == have:
+        return value
+    if want == "float":
+        return np.float32(value)
+    if want == "double":
+        return float(value)
+    if want in INTEGERS and have not in INTEGERS:
+        return int(value)
+    return value
 
 
 def _is_int(v: Any) -> bool:

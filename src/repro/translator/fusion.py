@@ -517,7 +517,7 @@ def _demotable_shape(members: list["KernelPlan"],
 
 def _subst_var(e: C.Expr, old: str, new: str) -> C.Expr:
     if isinstance(e, C.Ident):
-        return C.Ident(new) if e.name == old else e
+        return C.Ident(new, ty=e.ty) if e.name == old else e
     if not isinstance(e, C.Expr):
         return e
     kwargs = {}
@@ -599,24 +599,6 @@ def _member_codegen_config(m: "KernelPlan", demoted: list[DemotedArray],
     return cfg
 
 
-def _scalar_types(scope: "Scope") -> dict[str, str]:
-    from .compiler import _all_symbols
-    return {s.name: s.ctype.base for s in _all_symbols(scope)
-            if not s.is_array}
-
-
-def _local_types(m: "KernelPlan", scope: "Scope") -> dict[str, str]:
-    out: dict[str, str] = {}
-    for st in C.walk(m.analysis.nest.body):
-        if isinstance(st, C.Decl):
-            out[st.name] = st.ctype.base
-    for pname in _private_names(m):
-        sym = scope.lookup(pname)
-        if sym is not None and not sym.is_array:
-            out[pname] = sym.ctype.base
-    return out
-
-
 def _private_names(m: "KernelPlan") -> list[str]:
     if m.loop_directive is None:
         return []
@@ -635,7 +617,6 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
                      for aname, cfg in m.config.arrays.items() if cfg.written}
     merged = _merged_config(name, members, demoted_names)
     scalar_names = sorted({n for m in members for n in m.scalar_names})
-    scalar_types = _scalar_types(scope)
 
     # Locals and privates share the ``v_{name}`` namespace with the
     # array bindings.  Scalars shadowed by one member are re-bound
@@ -643,8 +624,9 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
     # the whole group (surfaced as a "fused codegen failed" reason).
     all_arrays = set(merged.arrays) | demoted_names
     for m in members:
-        clash = (set(_local_types(m, scope)) | set(_private_names(m))) \
-            & all_arrays
+        clash = {st.name for st in C.walk(m.analysis.nest.body)
+                 if isinstance(st, C.Decl)} | set(_private_names(m))
+        clash &= all_arrays
         if clash:
             raise VectorizeError(
                 f"member local shadows fused array binding: {sorted(clash)}")
@@ -664,14 +646,12 @@ def build_fused_plan(name: str, members: list["KernelPlan"],
     bodies = []
     tmp_base = 0
     for m in members:
-        local_types = _local_types(m, scope)
         codegen_cfg = _member_codegen_config(m, demoted, group_written)
         # Labels number on from the previous member's: one bucket each.
-        labels = price_body(m.analysis, codegen_cfg, scalar_types,
-                            local_types, shared_cost,
+        labels = price_body(m.analysis, codegen_cfg, shared_cost,
                             label_base=len(shared_cost.buckets) - 1)
-        body = lower_body(m.analysis, codegen_cfg, scalar_types, local_types,
-                          labels, tmp_base=tmp_base, slot_base=len(demoted))
+        body = lower_body(m.analysis, codegen_cfg, labels,
+                          tmp_base=tmp_base, slot_base=len(demoted))
         bodies.append(body)
         tmp_base = body.tmp_end
 

@@ -29,9 +29,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..frontend import cast as C
 from .compiler import CompiledProgram
-from .cscalar import _NP_DTYPES
+from .cscalar import _NP_DTYPES, c_convert
 from .hostgen import HOST_FILENAME, HostError, host_functions
 
 if TYPE_CHECKING:  # avoid a runtime translator<->runtime package cycle
@@ -94,9 +93,8 @@ def _coerce_arg(name: str, base: str, arraylike: bool, value: Any) -> Any:
                 f"argument {name!r} must have dtype {np.dtype(want)}, "
                 f"got {arr.dtype}")
         return arr
-    if C.CType(base).is_float:
-        return float(value)
-    return int(value)
+    # A scalar argument is converted to the parameter's C type.
+    return c_convert(value, "", base)
 
 
 def _innermost_host_function(exc: BaseException, default: str) -> str:

@@ -12,20 +12,19 @@ and the reduction write-back share, and ``RunResult.env`` returns -- and
 ``rt`` is the :class:`~repro.translator.host.HostExecutor` of the run
 (``rt.loader``, ``rt.executor``, ``rt.regions``).  Control flow is
 native Python; expressions are Python operators on the objects the C
-semantics prescribe (Python ``int``/``float`` for declared scalars,
-NumPy scalars for array elements); OpenACC constructs are direct calls
-into the runtime.  The text holds no per-run state, so every run and
+semantics prescribe (below; NumPy scalars for array elements); OpenACC
+constructs are direct calls into the runtime.  The text holds no per-run state, so every run and
 every serve thread of a program shares one exec'd module.
 
-*Static facts, dynamic rules.*  Whatever depends on an operand's type at
-run time -- ``/`` and ``%`` (integer or floating), the coercion of a
-scalar store, whether a name holds an array -- goes through a helper of
-this module that applies the dynamic rule, and is specialised to the
-plain operator only where the emitter knows the type: a name has the
-one C type the function declares it with (the frontend rejects a second)
-wherever a declaration ran on every path to the use.  A name a store
-could leave holding something else (``int x; x = a;`` with ``a`` an
-array) loses its static type for the whole function.
+*C types, static conversions.*  Every expression node carries its C
+type (:mod:`repro.frontend.typer`), so each conversion C makes -- an
+operand of a wider operation, an assignment, a parameter, a return --
+is written into the text where it happens: a ``float`` is a float32
+NumPy scalar, a ``double`` a Python float, an integer a Python int.
+What only the run can tell -- whether a name was declared on the path
+taken, whether it holds an array -- goes through a helper of this
+module, specialised to a plain ``E[name]`` wherever a declaration ran
+on every path to the use.
 """
 
 from __future__ import annotations
@@ -38,11 +37,13 @@ import numpy as np
 from ..frontend import cast as C
 from ..frontend.directives import AccData, AccParallel, AccUpdate
 from .compiler import CompiledProgram, CompileError
+from ..frontend.typer import FLOATS, INTEGERS, computes_in, operand_type
 from .cscalar import (
     _MATH_FUNCS,
     _NP_DTYPES,
     ScalarError,
     _apply_scalar_op,
+    c_convert,
     c_div,
     c_fmax,
     c_fmin,
@@ -100,29 +101,28 @@ def _oob(name: str, idx: int, line: int) -> None:
 
 
 def _store(value: Any, arr: np.ndarray, idx: int, name: str, line: int,
-           before_write: Any, op: str = "") -> Any:
-    """``name[idx] op= value`` in value position."""
+           before_write: Any, ty: str, op: str = "", opty: str = "") -> Any:
+    """``name[idx] op= value`` in value position (``value`` already in
+    the operation type ``opty``); the element's new value."""
     if not 0 <= idx < arr.shape[0]:
         _oob(name, idx, line)
     if op:
-        value = _apply_scalar_op(arr[idx], op, value, line)
+        value = c_convert(_apply_scalar_op(
+            c_convert(arr[idx], ty, opty), op, value, line), opty, ty)
     before_write(arr)
     arr[idx] = value
     return value
 
 
-def _assign(E: dict, name: str, value: Any, line: int, op: str = "") -> Any:
-    """``name op= value`` where the emitter does not know what ``name``
-    holds: the stored value takes the type of the current one."""
+def _assign(E: dict, name: str, value: Any, line: int, ty: str,
+            op: str = "", opty: str = "") -> Any:
+    """``name op= value`` in value position (``value`` already in the
+    operation type ``opty``, or in ``ty`` for a plain store)."""
     if name not in E:
         raise HostError(f"assignment to undeclared {name!r} (line {line})")
-    cur = E[name]
     if op:
-        value = _apply_scalar_op(cur, op, value, line)
-    if isinstance(cur, float):
-        value = float(value)
-    elif isinstance(cur, int) and not isinstance(value, np.ndarray):
-        value = int(value)
+        value = c_convert(_apply_scalar_op(
+            c_convert(E[name], ty, opty), op, value, line), opty, ty)
     E[name] = value
     return value
 
@@ -161,52 +161,27 @@ def format_host_source(compiled: CompiledProgram, func: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Static types
+# Conversions
 # ---------------------------------------------------------------------------
 #
-# An expression's type is ``"i"``/``"f"`` (exactly a Python int/float),
-# ``"I"``/``"F"`` (integer/floating, possibly a NumPy scalar) or None
-# (unknown: may even be an array).  A name's kind is ``"i"``/``"f"`` or
-# ``"a" + element type`` for arrays.
+# Every expression node carries its C type (``ty``, set by
+# :mod:`repro.frontend.typer`).  An operand whose type differs from the
+# type its operation computes in is converted first, as C converts it; a
+# stored value is converted to its object's type.  The text is that of
+# :func:`~repro.translator.cscalar.c_convert`.
 
 
-def _declared_kind(ctype: C.CType, is_param: bool) -> str:
-    if ctype.is_arraylike:
-        # Array arguments are dtype-checked only for the known C types;
-        # a host-declared array of any other type is float64.
-        dt = _NP_DTYPES.get(ctype.base, None if is_param else np.float64)
-        if dt is None:
-            return "a"
-        return "aI" if np.issubdtype(dt, np.integer) else "aF"
-    return "f" if ctype.is_float else "i"
-
-
-def _arith(lt: str | None, rt: str | None) -> str | None:
-    """Type of ``l + r`` / ``l - r`` / ``l * r``."""
-    if lt is None or rt is None:
-        return None
-    if lt in "iI" and rt in "iI":
-        return "i" if lt == rt == "i" else "I"
-    return "f" if lt in "if" and rt in "if" else "F"
-
-
-def _join(types: list[str | None]) -> str | None:
-    """Type of a value that is one of several (ternary, ``min``)."""
-    if not types or None in types:
-        return None
-    if len(set(types)) == 1:
-        return types[0]
-    if all(t in "iI" for t in types):
-        return "I"
-    if all(t in "fF" for t in types):
-        return "F"
-    return None
-
-
-def _coerce(text: str, have: str | None, want: str) -> str:
-    if have == want:
+def _convert(text: str, have: str, want: str) -> str:
+    """Text of ``c_convert(text, have, want)``."""
+    if want == have:
         return text
-    return f"float({text})" if want == "f" else f"int({text})"
+    if want == "float":
+        return f"np.float32({text})"
+    if want == "double":
+        return f"float({text})"
+    if want in INTEGERS and have not in INTEGERS:
+        return f"int({text})"
+    return text
 
 
 def _pure(e: C.Expr) -> bool:
@@ -233,22 +208,18 @@ def _binds_continue(s: C.Stmt) -> bool:
 
 
 class _FunctionEmitter:
-    """Lowers one function; ``demoted`` names have no static kind."""
+    """Lowers one function."""
 
-    def __init__(self, func: C.FunctionDef, demoted: set[str],
-                 compiled: CompiledProgram, ordinals: dict[int, int]) -> None:
+    def __init__(self, func: C.FunctionDef, compiled: CompiledProgram,
+                 ordinals: dict[int, int]) -> None:
         self.func = func
         self.symbols = compiled.scopes[func.name].symbols
-        #: Kind of each name looked up so far (None: no static kind).
-        self.kinds: dict[str, str | None] = dict.fromkeys(demoted)
         self.compiled = compiled
         self.ordinals = ordinals
         self.lines: list[str] = []
         self.depth = 1
         #: Names declared on every path to the statement being emitted.
         self.defined = {p.name for p in func.params}
-        #: Names whose static kind a store of this function can break.
-        self.demoted = demoted
         #: Arrays the enclosing ``data`` constructs of this function hold
         #: open (a region's names stay registered until its exit).
         self.open: set[str] = set()
@@ -277,92 +248,97 @@ class _FunctionEmitter:
 
     # -- names -----------------------------------------------------------------
 
-    def kind(self, name: str) -> str | None:
-        """What ``name`` holds once a declaration ran: the frontend
-        rejects a name declared with two types in one function."""
-        if name not in self.kinds:
-            sym = self.symbols.get(name)
-            self.kinds[name] = None if sym is None else \
-                _declared_kind(sym.ctype, sym.storage == "param")
-        return self.kinds[name]
-
-    def load(self, name: str) -> tuple[str, str | None]:
-        kind = self.kind(name)
-        text = f"E[{name!r}]" if name in self.defined \
+    def load(self, name: str) -> str:
+        return f"E[{name!r}]" if name in self.defined \
             else f"_var(E, {name!r})"
-        return text, kind if kind in ("i", "f") else None
 
     def array(self, name: str, message: str) -> str:
         """The host array ``name``; ``HostError(message)`` if it is none."""
-        if name in self.defined and (self.kind(name) or "")[:1] == "a":
+        sym = self.symbols.get(name)
+        if name in self.defined and sym is not None \
+                and sym.ctype.is_arraylike:
             return f"E[{name!r}]"
         return f"_ndarray(E, {name!r}, {message!r})"
 
-    def element_type(self, name: str) -> str | None:
-        kind = self.kind(name) or ""
-        return kind[1] if kind[:1] == "a" and len(kind) == 2 else None
-
     def index(self, e: C.Expr) -> str:
-        text, t = self.expr(e)
-        return _coerce(text, t, "i")
+        """``e`` as a Python int: an element or a call may be a NumPy
+        one."""
+        text = self.expr(e)
+        if e.ty in INTEGERS and not any(isinstance(x, (C.Index, C.Call))
+                                        for x in C.walk_expr(e)):
+            return text
+        return f"int({text})"
+
+    def operand(self, e: C.Expr, want: str) -> str:
+        """``e`` converted to ``want`` where it computes in another type."""
+        return _convert(self.expr(e), computes_in(e), want)
+
+    def stored(self, e: C.Expr, want: str) -> str:
+        """``e`` converted to the type of the object it is stored in (a
+        ``float`` literal becomes a float32 value too)."""
+        if want == "float" and isinstance(e, C.FloatLit):
+            return f"np.float32({self.expr(e)})"
+        return self.operand(e, want)
 
     # -- expressions -------------------------------------------------------------
 
-    def expr(self, e: C.Expr) -> tuple[str, str | None]:
-        """Python text of ``e`` in value position, and its static type."""
+    def expr(self, e: C.Expr) -> str:
+        """Python text of ``e`` in value position."""
         if isinstance(e, C.IntLit):
-            return (str(e.value) if e.value >= 0 else f"({e.value})"), "i"
+            return str(e.value) if e.value >= 0 else f"({e.value})"
         if isinstance(e, C.FloatLit):
-            text = repr(e.value)
-            if not math.isfinite(e.value):
+            # A float literal is its float32 value in any arithmetic.
+            value = float(np.float32(e.value)) if e.ty == "float" \
+                else e.value
+            text = repr(value)
+            if not math.isfinite(value):
                 text = f"float({text!r})"
-            return (text if e.value >= 0 else f"({text})"), "f"
+            return text if value >= 0 else f"({text})"
         if isinstance(e, C.Ident):
             return self.load(e.name)
         if isinstance(e, C.BinOp):
             return self.binop(e)
         if isinstance(e, C.UnOp):
             if e.op == "!":
-                return f"(0 if {self.cond(e.operand)} else 1)", "i"
-            v, t = self.expr(e.operand)
+                return f"(0 if {self.cond(e.operand)} else 1)"
+            v = self.expr(e.operand)
             if e.op == "-":
-                return f"(-{v})", t
+                return f"(-{v})"
             if e.op == "+":
-                return v, t
+                return v
             if e.op == "~":
-                return f"(~{_coerce(v, t, 'i')})", "i"
+                return f"(~{_convert(v, e.operand.ty, 'int')})"
             return self.fail(ScalarError, f"unsupported unary op {e.op!r}",
-                             e.line, after=(v,)), None
+                             e.line, after=(v,))
         if isinstance(e, C.Ternary):
-            a, at = self.expr(e.then)
-            b, bt = self.expr(e.other)
-            return f"({a} if {self.cond(e.cond)} else {b})", _join([at, bt])
+            a = self.operand(e.then, e.ty)
+            b = self.operand(e.other, e.ty)
+            return f"({a} if {self.cond(e.cond)} else {b})"
         if isinstance(e, C.Call):
             return self.call(e)
         if isinstance(e, C.Index):
             if len(e.indices) != 1:
                 return self.fail(ScalarError, "multi-dimensional subscript",
-                                 e.line), None
+                                 e.line)
             idx = self.index(e.indices[0])
             if not isinstance(e.array, C.Ident):
                 return self.fail(
                     TypeError, "subscript of a non-identifier expression",
-                    after=(idx,)), None
-            return (f"_elem(E, {e.array.name!r}, {idx})",
-                    self.element_type(e.array.name))
+                    after=(idx,))
+            return f"_elem(E, {e.array.name!r}, {idx})"
         if isinstance(e, C.CastExpr):
-            v, t = self.expr(e.operand)
+            v = self.expr(e.operand)
             if e.to.pointers:
                 return self.fail(ScalarError, "pointer casts unsupported",
-                                 e.line, after=(v,)), None
+                                 e.line, after=(v,))
             dt = _NP_DTYPES.get(e.to.base, np.float64)
             if np.issubdtype(dt, np.integer):
-                return f"np.{dt.__name__}({v}).item()", "i"
-            return f"np.{dt.__name__}({v})", "F" if t else None
+                return f"np.{dt.__name__}({v}).item()"
+            return f"np.{dt.__name__}({v})"
         if isinstance(e, C.Assign):
             return self.assign_value(e)
         return self.fail(
-            ScalarError, f"unsupported expression {type(e).__name__}"), None
+            ScalarError, f"unsupported expression {type(e).__name__}")
 
     def fail(self, cls: type, *args: Any, after: tuple[str, ...] = ()) -> str:
         """Text that raises ``cls(*args)`` once ``after`` is evaluated."""
@@ -373,67 +349,64 @@ class _FunctionEmitter:
         """Python text of ``e`` where only its truth matters."""
         if isinstance(e, C.BinOp):
             if e.op in _COMPARE:
-                return f"({self.expr(e.left)[0]} {e.op} {self.expr(e.right)[0]})"
+                t = operand_type(e)
+                return (f"({self.operand(e.left, t)} {e.op} "
+                        f"{self.operand(e.right, t)})")
             if e.op in ("&&", "||"):
                 word = "and" if e.op == "&&" else "or"
                 return f"({self.cond(e.left)} {word} {self.cond(e.right)})"
         if isinstance(e, C.UnOp) and e.op == "!":
             return f"(not {self.cond(e.operand)})"
-        return self.expr(e)[0]
+        return self.expr(e)
 
-    def binop(self, e: C.BinOp) -> tuple[str, str | None]:
-        op = e.op
+    def binop(self, e: C.BinOp) -> str:
+        op, t = e.op, e.ty
         if op in _COMPARE or op in ("&&", "||"):
-            return f"(1 if {self.cond(e)} else 0)", "i"
-        l, lt = self.expr(e.left)
-        r, rt = self.expr(e.right)
-        t = _arith(lt, rt)
-        if op in ("+", "-", "*"):
-            return f"({l} {op} {r})", t
-        if op in ("/", "%"):
-            if t in ("f", "F"):
+            return f"(1 if {self.cond(e)} else 0)"
+        if op in ("+", "-", "*", "/", "%"):
+            l, r = self.operand(e.left, t), self.operand(e.right, t)
+            if op in ("+", "-", "*"):
+                return f"({l} {op} {r})"
+            if t in FLOATS:
                 if op == "/":
-                    return f"({l} / {r})", t
-                return f"math.fmod({l}, {r})", "f"
+                    return f"({l} / {r})"
+                return _convert(f"math.fmod({l}, {r})", "double", t)
             helper = "c_div" if op == "/" else "c_mod"
-            return f"{helper}({l}, {r}, {e.line})", "i" if t else None
+            return f"{helper}({l}, {r}, {e.line})"
         if op in ("<<", ">>", "&", "|", "^"):
-            return (f"({_coerce(l, lt, 'i')} {op} {_coerce(r, rt, 'i')})",
-                    "i")
+            return (f"({self.operand(e.left, 'int')} {op} "
+                    f"{self.operand(e.right, 'int')})")
         return self.fail(ScalarError, f"unsupported binary op {op!r}", e.line,
-                         after=(l, r)), None
+                         after=(self.expr(e.left), self.expr(e.right)))
 
-    def call(self, e: C.Call) -> tuple[str, str | None]:
+    def call(self, e: C.Call) -> str:
         fn = _MATH_FUNCS.get(e.func)
         if fn is not None:
-            args = [self.expr(a) for a in e.args]
-            types = [t for _, t in args]
-            if fn in (math.floor, math.ceil):
-                t = "i"
-            elif fn in (abs, min, max, c_fmin, c_fmax):
-                # The result is one of the operands, of that operand's type.
-                t = _join(types)
-            else:
-                t = "f"
-            return f"_m_{e.func}({', '.join(a for a, _ in args)})", t
+            t = computes_in(e)
+            args = ", ".join(self.operand(a, t) if t in FLOATS
+                             else self.expr(a) for a in e.args)
+            # ``math`` computes in double; ``floor`` / ``ceil`` return an
+            # int, the others of ``abs`` / ``min`` / ``max`` an operand.
+            have = "long" if fn in (math.floor, math.ceil) else t \
+                if fn in (abs, min, max, c_fmin, c_fmax) else "double"
+            return _convert(f"_m_{e.func}({args})", have, t)
         if e.func in _IGNORED_CALLS:
-            return "0", "i"
+            return "0"
         try:
             callee = self.compiled.program.function(e.func)
         except KeyError:
             return self.fail(
                 HostError,
-                f"call to unknown function {e.func!r} at line {e.line}"), None
+                f"call to unknown function {e.func!r} at line {e.line}")
         if len(e.args) != len(callee.params):
             return self.fail(
                 HostError,
                 f"{e.func} expects {len(callee.params)} arguments, got "
-                f"{len(e.args)} (line {e.line})"), None
+                f"{len(e.args)} (line {e.line})")
         items = []
         for p, a in zip(callee.params, e.args):
             if not p.ctype.is_arraylike:
-                v, t = self.expr(a)
-                value = _coerce(v, t, "f" if p.ctype.is_float else "i")
+                value = self.stored(a, p.ctype.base)
             elif isinstance(a, C.Ident):
                 # By reference, as in C.
                 value = self.array(a.name, f"{a.name!r} is not an array")
@@ -442,7 +415,7 @@ class _FunctionEmitter:
                     HostError,
                     f"array argument {p.name!r} must be passed by name")
             items.append(f"{p.name!r}: {value}")
-        return f"host_{e.func}({{{', '.join(items)}}}, rt)", None
+        return f"host_{e.func}({{{', '.join(items)}}}, rt)"
 
     # -- assignments -------------------------------------------------------------
 
@@ -462,63 +435,53 @@ class _FunctionEmitter:
             name, f"{name!r} is not a host array (line {a.line})")
         return arr, self.index(a.target.indices[0])
 
-    def scalar_target_type(self, name: str, vt: str | None) -> str | None:
-        """Static kind of scalar ``name`` if a store of a ``vt`` value
-        keeps it, else None (and the name is demoted)."""
-        kind = self.kind(name)
-        if kind == "f" or (kind == "i" and vt is not None):
-            return kind
-        if kind is not None:
-            self.demoted.add(name)
-        return None
-
-    def assign_value(self, a: C.Assign,
-                     value: tuple[str, str | None] | None = None
-                     ) -> tuple[str, str | None]:
-        """An assignment whose value is used: through the helpers."""
-        v, vt = value or self.expr(a.value)
-        op = f", {a.op!r}" if a.op else ""
+    def assign_value(self, a: C.Assign) -> str:
+        """An assignment whose value is used: through the helpers, which
+        apply a compound operator in its operation type and convert the
+        result to the target's."""
+        opty = operand_type(a)
+        v = self.stored(a.value, opty)
+        op = f", {a.op!r}, {opty!r}" if a.op else ""
         if isinstance(a.target, C.Ident):
-            name = a.target.name
-            return (f"_assign(E, {name!r}, {v}, {a.line}{op})",
-                    self.scalar_target_type(name, vt))
+            return (f"_assign(E, {a.target.name!r}, {v}, {a.line}, "
+                    f"{a.target.ty!r}{op})")
         target = self.store_target(a, v)
         if isinstance(target, str):
-            return target, None
+            return target
         self.uses_before_write = True
         arr, idx = target
         name = a.target.array.name
-        return (f"_store({v}, {arr}, {idx}, {name!r}, {a.line}, _bhw{op})",
-                None if a.op else vt)
+        return (f"_store({v}, {arr}, {idx}, {name!r}, {a.line}, _bhw, "
+                f"{a.target.ty!r}{op})")
 
-    def compound(self, cur: str, ct: str | None, op: str, v: str,
-                 vt: str | None, line: int) -> tuple[str, str | None]:
-        """``cur op v`` by the compound-assignment rules."""
-        t = _arith(ct, vt)
-        if op in ("+", "-", "*"):
-            return f"({cur} {op} {v})", t
-        if op == "/" and t in ("f", "F"):
-            return f"({cur} / {v})", t
-        return f"_aop({cur}, {op!r}, {v}, {line})", None
+    def compound(self, cur: str, op: str, v: str, t: str, line: int) -> str:
+        """``cur op v`` in type ``t`` by the compound-assignment rules."""
+        if op in ("+", "-", "*") or op == "/" and t in FLOATS:
+            return f"({cur} {op} {v})"
+        return f"_aop({cur}, {op!r}, {v}, {line})"
 
     def assign_stmt(self, a: C.Assign) -> None:
         """An assignment whose value is dropped: native statements."""
-        v, vt = self.expr(a.value)
         if isinstance(a.target, C.Ident):
-            name = a.target.name
-            kind = self.scalar_target_type(name, vt)
-            if kind is None or name not in self.defined:
-                self.emit(self.assign_value(a, (v, vt))[0])
+            name, ty = a.target.name, a.target.ty
+            if name not in self.defined:
+                self.emit(self.assign_value(a))
                 return
+            opty = operand_type(a)
+            v = self.stored(a.value, opty)
             if a.op:
                 if not _pure(a.value):
                     # The value is evaluated before the target is read.
                     self.emit(f"_v = {v}")
                     v = "_v"
-                v, vt = self.compound(f"E[{name!r}]", kind, a.op, v, vt,
-                                      a.line)
-            self.emit(f"E[{name!r}] = {_coerce(v, vt, kind)}")
+                v = _convert(self.compound(
+                    _convert(f"E[{name!r}]", ty, opty), a.op, v, opty,
+                    a.line), opty, ty)
+            self.emit(f"E[{name!r}] = {v}")
             return
+        opty = operand_type(a)
+        # A plain store converts as the element is assigned.
+        v = self.stored(a.value, opty) if a.op else self.expr(a.value)
         target = self.store_target(a, v)
         if isinstance(target, str):
             self.emit(target)
@@ -533,7 +496,8 @@ class _FunctionEmitter:
                   f"_oob({name!r}, _i, {a.line})")
         if a.op:
             self.emit("_v = " + self.compound(
-                "_a[_i]", self.element_type(name), a.op, "_v", vt, a.line)[0])
+                _convert("_a[_i]", a.target.ty, opty), a.op, "_v", opty,
+                a.line))
         self.emit("_bhw(_a)")
         self.emit("_a[_i] = _v")
 
@@ -541,7 +505,7 @@ class _FunctionEmitter:
         if isinstance(e, C.Assign):
             self.assign_stmt(e)
         elif e is not None:
-            self.emit(self.expr(e)[0])
+            self.emit(self.expr(e))
 
     # -- statements ----------------------------------------------------------------
 
@@ -666,7 +630,8 @@ class _FunctionEmitter:
             self.loops -= 1
         elif isinstance(s, C.Return):
             self.emit("return" if s.value is None
-                      else f"return {self.expr(s.value)[0]}")
+                      else "return " + self.stored(
+                          s.value, self.func.return_type.base))
         elif isinstance(s, (C.Break, C.Continue)):
             word = "break" if isinstance(s, C.Break) else "continue"
             if not self.loops:
@@ -698,11 +663,10 @@ class _FunctionEmitter:
                 f"supported on the host (line {s.line})"))
             return
         else:
-            want = "f" if s.ctype.is_float else "i"
-            v, t = self.expr(s.init) if s.init is not None else ("0", "i")
-            if s.init is None and want == "f":
-                v, t = "0.0", "f"
-            self.emit(f"E[{s.name!r}] = {_coerce(v, t, want)}")
+            ty = s.ctype.base
+            v = _convert("0", "int", ty) if s.init is None \
+                else self.stored(s.init, ty)
+            self.emit(f"E[{s.name!r}] = {v}")
         self.defined.add(s.name)
 
     def for_loop(self, s: C.For) -> None:
@@ -747,20 +711,10 @@ class _FunctionEmitter:
         self.loops -= 1
 
 
-def _emit_function(func: C.FunctionDef, compiled: CompiledProgram,
-                   ordinals: dict[int, int]) -> str:
-    demoted: set[str] = set()
-    while True:
-        known = len(demoted)
-        source = _FunctionEmitter(func, demoted, compiled, ordinals).source()
-        if len(demoted) == known:
-            return source
-
-
 def emit_host_program(compiled: CompiledProgram) -> str:
     """Generated Python module text of every function of the program."""
     ordinals = {key: k for k, key in enumerate(compiled.regions_by_stmt)}
-    return "\n\n".join(_emit_function(func, compiled, ordinals)
+    return "\n\n".join(_FunctionEmitter(func, compiled, ordinals).source()
                        for func in compiled.program.functions)
 
 
@@ -772,29 +726,27 @@ def emit_host_program(compiled: CompiledProgram) -> str:
 class _BoundEmitter(_FunctionEmitter):
     """A ``localaccess`` bound, lowered like a host expression of no
     function: the loop variable is the argument ``i``; every other name
-    and every element the bound reads is looked up in ``E`` at run time,
-    with no static type (the dynamic helpers apply C's rules)."""
+    and every element the bound reads is looked up in ``E`` at run time
+    (the dynamic helpers apply C's integer rules)."""
 
     def __init__(self, loop_var: str) -> None:
         self.loop_var = loop_var
         self.symbols: dict = {}
-        self.kinds: dict[str, str | None] = {}
         self.defined: set[str] = set()
 
-    def load(self, name: str) -> tuple[str, str | None]:
-        if name == self.loop_var:
-            return "i", "i"
-        return f"_var(E, {name!r})", None
+    def load(self, name: str) -> str:
+        return "i" if name == self.loop_var else f"_var(E, {name!r})"
 
-    def call(self, e: C.Call) -> tuple[str, str | None]:
+    def index(self, e: C.Expr) -> str:
+        return f"int({self.expr(e)})"
+
+    def call(self, e: C.Call) -> str:
         if e.func in _MATH_FUNCS:
             return super().call(e)
-        return self.fail(ScalarError, f"unsupported call {e.func!r}",
-                         e.line), None
+        return self.fail(ScalarError, f"unsupported call {e.func!r}", e.line)
 
-    def assign_value(self, a: C.Assign, value=None) -> tuple[str, None]:
-        return self.fail(ScalarError, "assignment in value position",
-                         a.line), None
+    def assign_value(self, a: C.Assign) -> str:
+        return self.fail(ScalarError, "assignment in value position", a.line)
 
 
 def bound_functions(lower: C.Expr, upper: C.Expr, loop_var: str,

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..frontend.analysis import LoopAnalysis
+from ..frontend.typer import is_float
 from .array_config import LoopConfig
-from .vectorizer import KernelSourceInfo, Vectorizer
+from .vectorizer import _DTYPES, KernelSourceInfo, Vectorizer
 
 
 @dataclass
@@ -28,27 +29,22 @@ class LoweredBody:
     tmp_end: int
     #: The body reads the full-span lane-index vector ``_i``.
     iota: bool
-    #: Host scalars the body reads.
-    scalars: set[str]
+    #: Host scalars the body reads, with their C types.
+    scalars: dict[str, str]
     #: Kernel-local names (they may shadow scalar bindings).
     locals: set[str]
     #: Arena slots the body uses, and whether it loads a span.
     slots: int
     loads: bool
-    #: Host scalars the ``out=`` proofs need as exactly a Python
-    #: ``float`` / ``int`` (name -> type name).
-    weak: dict[str, str]
 
 
 def lower_body(analysis: LoopAnalysis, config: LoopConfig,
-               scalar_types: dict[str, str], local_types: dict[str, str],
                labels: dict[int, str], tmp_base: int = 0,
                slot_base: int = 0) -> LoweredBody:
     """Lower one loop body, once.  ``labels`` is what
     :func:`~repro.translator.cost.price_body` returned for it: a body is
     priced before it is lowered, never by its lowering."""
-    out = Vectorizer(analysis, config, scalar_types, dict(local_types),
-                     labels, slot_base=slot_base)
+    out = Vectorizer(analysis, config, labels, slot_base=slot_base)
     out._tmp = tmp_base
     lines: list[str] = []
     for piece in out.body_pieces():
@@ -56,15 +52,16 @@ def lower_body(analysis: LoopAnalysis, config: LoopConfig,
     return LoweredBody(
         lines=lines, tmp_end=out._tmp, iota=out.uses_iota,
         scalars=out.used_scalars, locals=set(out.locals),
-        slots=out.slots_used, loads=out.loads, weak=out.weak)
+        slots=out.slots_used, loads=out.loads)
 
 
-def scalar_binding(name: str, pytype: str | None = None) -> str:
-    """Kernel-entry binding of host scalar ``name``; through ``pytype``
-    when an ``out=`` proof leans on its Python type."""
+def scalar_binding(name: str, ctype: str = "") -> str:
+    """Kernel-entry binding of host scalar ``name``: a ``float`` /
+    ``double`` as a NumPy scalar of its C type, an integer as the host
+    holds it."""
     src = f"ctx.scalars[{name!r}]"
-    if pytype:
-        src = f"{pytype}({src})"
+    if is_float(ctype):
+        src = f"{_DTYPES[ctype]}({src})"
     return f"    v_{name} = {src}"
 
 
@@ -82,11 +79,9 @@ def kernel_source(bindings: list[tuple[str, str | None]],
         head.append("    _slot = ctx.arena.slot")
     if any(b.loads for b in bodies):
         head.append("    _ld = ks.ld_span")
-    weak = {n: t for body in bodies for n, t in body.weak.items()}
-    used = set().union(*(body.scalars for body in bodies))
-    # Only the scalars a body reads are bound; one an ``out=`` proof
-    # leans on, through its C type.
-    bound = [(scalar_binding(s, weak[s]) if s in weak else line, s)
+    used = {n: t for body in bodies for n, t in body.scalars.items()}
+    # Only the scalars a body reads are bound, through their C types.
+    bound = [(line if s is None else scalar_binding(s, used[s]), s)
              for line, s in bindings if s is None or s in used]
     lines = [
         "def kernel(ctx):",
@@ -122,10 +117,9 @@ def binding_lines(arrays: list[str], scalars: list[str]
 
 
 def vectorize_loop(name: str, analysis: LoopAnalysis, config: LoopConfig,
-                   scalar_types: dict[str, str], local_types: dict[str, str],
                    labels: dict[int, str]) -> KernelSourceInfo:
     """Translate one priced parallel loop into kernel source."""
-    body = lower_body(analysis, config, scalar_types, local_types, labels)
+    body = lower_body(analysis, config, labels)
     bindings = binding_lines(sorted(config.arrays),
                              sorted(set(analysis.host_scalars)))
     footer = []

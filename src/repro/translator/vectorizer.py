@@ -66,16 +66,19 @@ each flat lane to its outer lane.  On that region an outer-lane operand
 position vector once per straight-line run, and an outer local's ``+=``
 is ``np.add.at`` over it.
 
-``out=`` changes where a result lands, never what it is -- but only if
-the slot's dtype is the dtype NumPy would have chosen.  That is proven
-per operation from the C types (array and local dtypes are exact; a
-Python ``float`` is weak against a float array under value-based casting
-and under NEP 50 alike; a host scalar a proof leans on is bound through
-its C type at kernel entry; a comparison with a lane vector is ``bool``;
-in a block, an integer vector against an integer literal below 2**31, or
-against a host scalar of C type ``int`` bound as a Python ``int``, keeps
-the vector's integer dtype under both rules); whatever cannot be proven
-is evaluated unbuffered, same ufunc, same operands.
+Every operation computes in the dtype of its C type
+(:mod:`repro.frontend.typer`; ``fabs`` / ``fmax`` / ``fmin`` of
+``float`` operands stay float32, which is exact): an operand of another
+dtype is converted first, as C converts it (``ks.cast_to`` for a lane
+vector, the dtype's constructor for a scalar), a ``float`` / ``double``
+host scalar is bound as a NumPy scalar of its type, and a literal's text
+is its value in its own type (NumPy gives it the other operand's dtype).
+So the dtype NumPy computes a ufunc in is the node's, and ``out=`` -- a
+slot of that dtype, or a destination of it -- changes where a result
+lands, never what it is; a ``double`` operation rounds once, where it
+is stored.  Integer operations take their operands' wider dtype; one
+whose width is not tracked, and index arithmetic outside a block, is
+evaluated unbuffered, same ufunc, same operands.
 
 Array accesses are rewritten from global to buffer-local indices by
 subtracting the per-array base offset (section IV-B3); stores are
@@ -97,6 +100,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from ..frontend import cast as C
 from ..frontend.analysis import (
     InnerLoop,
@@ -107,11 +112,12 @@ from ..frontend.analysis import (
     strided_in,
 )
 from ..frontend.directives import AccReductionToArray
+from ..frontend.typer import computes_in, is_float, operand_type
 from .array_config import ArrayConfig, LoopConfig, Placement, WriteHandling
+from .cscalar import _NP_DTYPES
 from .cost import (
     ACCESS_RANDOM,
     classify_access,
-    expr_type,
     reduction_contrib,
     reduction_directive,
 )
@@ -140,12 +146,20 @@ _MATH_CALLS = {
     "max": "np.maximum", "fmax": "np.fmax", "fmaxf": "np.fmax",
 }
 
-_DTYPES = {"float": "np.float32", "double": "np.float64", "char": "np.int8",
-           "int": "np.int32", "unsigned int": "np.uint32",
-           "long": "np.int64", "unsigned long": "np.uint64"}
+#: C type -> the NumPy dtype's source text.
+_DTYPES = {c: f"np.{t.__name__}" for c, t in _NP_DTYPES.items()}
 
 _FLOAT_DTYPES = ("np.float32", "np.float64")
 _INT_DTYPES = ("np.int32", "np.int64")
+
+
+def _literal(e: C.IntLit | C.FloatLit, ty: str = "") -> str:
+    """A literal's text as an operand of a ``ty`` operation: a ``float``
+    literal in ``double`` arithmetic is its float32 value; elsewhere
+    NumPy rounds it to the float32 it meets."""
+    if e.ty == "float" and ty == "double":
+        return repr(float(np.float32(e.value)))
+    return repr(e.value)
 #: Math calls whose NumPy SIMD and scalar loops need not agree bit for
 #: bit: a statement calling one replays per trip, at today's positions.
 _IMPRECISE = frozenset({"exp", "expf", "log", "logf", "pow", "powf",
@@ -174,16 +188,12 @@ class _Val:
     src: str
     #: Lane vector (True) or lane-invariant scalar.
     vec: bool
-    #: Vectors: the NumPy dtype (source text) the value provably has.
+    #: The NumPy dtype (source text) of the value; None for a scalar
+    #: that is a Python ``int`` / ``float`` (weak: it takes the dtype of
+    #: the array it meets) and for an integer vector of untracked width.
     dtype: str | None = None
-    #: Scalars: ``'f'`` Python float, ``'i'`` Python int, ``'il'`` int
-    #: literal below 2**31, a dtype text for a NumPy scalar of exactly
-    #: that dtype, None when unknown.
-    kind: str | None = None
     #: Scratch slot this temporary owns (released once consumed).
     slot: int | None = None
-    #: ``(host scalar, Python type name)`` pairs ``kind`` relies on.
-    deps: frozenset = frozenset()
     #: ``(array, offset source, step source)`` when the value is a span
     #: view of a device buffer.
     view: tuple[str, str, str] | None = None
@@ -450,15 +460,11 @@ class Vectorizer:
         self,
         analysis: LoopAnalysis,
         config: LoopConfig,
-        scalar_types: dict[str, str],
-        local_types: dict[str, str],
         labels: dict[int, str],
         slot_base: int = 0,
     ) -> None:
         self.an = analysis
         self.config = config
-        self.scalar_types = scalar_types
-        self.local_types = local_types
         self.labels = labels
         self.lines: list[str] = []
         self.indent = 1
@@ -474,8 +480,9 @@ class Vectorizer:
         self._inner_by_id = {id(il.stmt): il for il in analysis.inner_loops}
         #: The body read the lane-index vector ``_i``.
         self.uses_iota = False
-        #: Host scalars the body reads (only these are bound).
-        self.used_scalars: set[str] = set()
+        #: Host scalars the body reads (only these are bound), with
+        #: their C types.
+        self.used_scalars: dict[str, str] = {}
         self.private_names: list[str] = (
             list(analysis.nest.directive.private)
             if analysis.nest.directive is not None else [])
@@ -500,13 +507,13 @@ class Vectorizer:
         decls = [st.name for st in C.walk(self.an.nest.body)
                  if isinstance(st, C.Decl)]
         self._redeclared = {n for n in decls if decls.count(n) > 1}
+        #: The body's locals: its declarations and ``private`` names.
+        self.local_names = {*decls, *self.private_names}
         #: Value numbers of the current straight-line run: source text of
         #: a lane-vector computation -> (the name it is bound to, what it
         #: reads: ``v_<local>`` names and ``@<array>``, the slot it keeps
         #: until the number ends).
         self._numbered: dict[str, tuple[_Val, frozenset, int | None]] = {}
-        #: Host scalars whose Python type the ``out=`` proofs rely on.
-        self.weak: dict[str, str] = {}
         #: The body loads a span (``_ld`` must be bound).
         self.loads = False
         #: Trip variables of the blocks being lowered -> their block.
@@ -536,11 +543,6 @@ class Vectorizer:
         self._tmp += 1
         return f"{prefix}{self._tmp}"
 
-    def expr_type(self, e: C.Expr) -> str:
-        """'float' or 'int' (bools count as int)."""
-        return expr_type(e, self.local_types, self.scalar_types,
-                         self.config.arrays)
-
     def lane_varying(self, e: C.Expr) -> bool:
         """Does ``e`` differ across lanes?"""
         for x in C.walk_expr(e):
@@ -558,10 +560,8 @@ class Vectorizer:
     # lane-invariant bounds and guards.
 
     def tx(self, e: C.Expr) -> str:
-        if isinstance(e, C.IntLit):
-            return repr(e.value)
-        if isinstance(e, C.FloatLit):
-            return repr(e.value)
+        if isinstance(e, (C.IntLit, C.FloatLit)):
+            return _literal(e)
         if isinstance(e, C.Ident):
             return self._bx_ident(e).src
         if isinstance(e, C.BinOp):
@@ -570,11 +570,12 @@ class Vectorizer:
             return self.tx_unop(e)
         if isinstance(e, C.Ternary):
             c = self.as_bool(e.cond)
-            a = self.tx(e.then)
-            b = self.tx(e.other)
+            a = self.tx_as(e.then, e.ty)
+            b = self.tx_as(e.other, e.ty)
             return f"np.where({c}, {a}, {b})"
         if isinstance(e, C.Call):
-            args = ", ".join(self.tx(a) for a in e.args)
+            t = computes_in(e)
+            args = ", ".join(self.tx_as(a, t) for a in e.args)
             return f"{_MATH_CALLS[e.func]}({args})"
         if isinstance(e, C.Index):
             # A value kept in an expression string may outlive a later
@@ -587,14 +588,25 @@ class Vectorizer:
             return f"ks.cast_to({self.tx(e.operand)}, {dt})"
         raise VectorizeError(f"unsupported expression {type(e).__name__}")
 
+    def tx_as(self, e: C.Expr, ty: str) -> str:
+        """The text of ``e`` converted to ``ty`` where an operand of
+        another type is converted (a literal's text is exact in both)."""
+        if isinstance(e, (C.IntLit, C.FloatLit)):
+            return _literal(e, ty)
+        src = self.tx(e)
+        if is_float(ty) and computes_in(e) != ty:
+            return f"ks.cast_to({src}, {_DTYPES[ty]})"
+        return src
+
     def tx_binop(self, e: C.BinOp) -> str:
         op = e.op
-        l = self.tx(e.left)
-        r = self.tx(e.right)
         if op in ("&&", "||"):
+            l, r = self.tx(e.left), self.tx(e.right)
             return f"({self._boolify(l)} {op[0]} {self._boolify(r)})"
-        if op in ("/", "%") and "float" not in (self.expr_type(e.left),
-                                                self.expr_type(e.right)):
+        t = operand_type(e)
+        l = self.tx_as(e.left, t)
+        r = self.tx_as(e.right, t)
+        if op in ("/", "%") and not is_float(t):
             # C truncates an integer quotient toward zero, NumPy floors.
             if op == "/":
                 return f"ks.tdiv({l}, {r})"
@@ -849,7 +861,7 @@ class Vectorizer:
             return self._number(src, e, lambda: self._bind(view))
         if not self.lane_varying(idx):
             return _Val(f"ks.ld(v_{name}, {self.tx(idx)} - _b_{name})", False,
-                        kind=dt)
+                        dtype=dt)
         if self.region.shape is not None and dt is not None:
             return self._block_gather(e, name, idx, dt, out)
         iv = self.bx(idx)
@@ -969,11 +981,8 @@ class Vectorizer:
         if hit is not None:
             return replace(hit[0], src=self._view_in(hit[0].src, hit[1], None),
                            slot=None)
-        if isinstance(e, C.FloatLit):
-            return _Val(repr(e.value), False, kind="f")
-        if isinstance(e, C.IntLit):
-            return _Val(repr(e.value), False,
-                        kind="il" if abs(e.value) < 2 ** 31 else "i")
+        if isinstance(e, (C.IntLit, C.FloatLit)):
+            return _Val(_literal(e), False)
         if isinstance(e, C.Ident):
             return self._bx_ident(e)
         if isinstance(e, C.Index):
@@ -983,13 +992,13 @@ class Vectorizer:
         if isinstance(e, C.UnOp) and e.op == "-":
             v = self.bx(e.operand)
             if not v.vec:
-                kind = "i" if v.kind == "il" else v.kind
-                return _Val(f"(-{v.src})", False, kind=kind, deps=v.deps)
-            return self._op("np.negative", f"(-{v.src})", [v], out, e)
+                return _Val(f"(-{v.src})", False, dtype=v.dtype)
+            return self._op("np.negative", f"(-{v.src})", [v], out, e,
+                            v.dtype)
         if isinstance(e, C.BinOp) and e.op in _UFUNCS:
             return self._bx_binop(e, out)
         if isinstance(e, C.BinOp) and e.op in _COMPARE:
-            vals = [self.bx(e.left), self.bx(e.right)]
+            vals = self._operands(e, [e.left, e.right], operand_type(e))
             plain = f"({vals[0].src} {e.op} {vals[1].src})"
             if not any(v.vec for v in vals):
                 return _Val(plain, False)
@@ -998,20 +1007,24 @@ class Vectorizer:
             return self._op(_COMPARE[e.op], plain, vals, None, e, "np.bool_")
         if isinstance(e, C.Call) and _MATH_CALLS[e.func].startswith("np."):
             fn = _MATH_CALLS[e.func]
-            vals = [self.bx(a) for a in e.args]
+            t = computes_in(e)
+            vals = self._operands(e, e.args, t)
             plain = f"{fn}({', '.join(v.src for v in vals)})"
+            dt = _DTYPES[t] if is_float(t) else self._int_dtype(vals)
             if not any(v.vec for v in vals):
-                return _Val(plain, False)
-            return self._op(fn, plain, vals, out, e)
+                return _Val(plain, False, dtype=dt)
+            return self._op(fn, plain, vals, out, e, dt)
         if isinstance(e, C.CastExpr):
             v = self.bx(e.operand)
             dt = _DTYPES.get(e.to.base if not e.to.pointers else "long",
                              "np.float64")
             src = f"ks.cast_to({v.src}, {dt})"
             if not v.vec:
-                return _Val(src, False, kind=dt)
+                return _Val(src, False, dtype=dt)
             return self._eager(src, [v], e, dtype=dt)
-        return _Val(self.tx(e), self.lane_varying(e))
+        t = computes_in(e)
+        return _Val(self.tx(e), self.lane_varying(e),
+                    dtype=_DTYPES[t] if is_float(t) else None)
 
     def _bx_ident(self, e: C.Ident) -> _Val:
         n = e.name
@@ -1029,7 +1042,7 @@ class Vectorizer:
         if n in self.csr_vars:
             return _Val(self.csr_vars[n], True, dtype="np.int64")
         if n in self.scalar_vars:
-            return _Val(self.scalar_vars[n], False, kind="i")
+            return _Val(self.scalar_vars[n], False)
         if n in self.reduction_vars:
             raise VectorizeError(
                 f"reduction variable {n!r} may only appear in its reduction "
@@ -1039,74 +1052,68 @@ class Vectorizer:
             if pos is None or self.local_home[n] is self.region:
                 home = self.local_home[n]
                 return _Val(self.local_src(n), True,
-                            dtype=_DTYPES.get(self.local_types.get(n, "")),
+                            dtype=_DTYPES.get(e.ty),
                             axes=1 if block and home is not self.region
                             else None)
-            return self._outer(self.locals[n], _DTYPES.get(
-                self.local_types[n], "np.float64"), e)
+            return self._outer(self.locals[n], _DTYPES[e.ty], e)
         if n in self.config.arrays:
             raise VectorizeError(f"array {n!r} used without subscript", e.line)
-        if n in self.scalar_types or n in self.an.host_scalars:
-            self.used_scalars.add(n)
-            ctype = self.scalar_types.get(n)
-            if ctype in ("float", "double"):
-                return _Val(f"v_{n}", False, kind="f",
-                            deps=frozenset({(n, "float")}))
-            if ctype in _DTYPES:
-                return _Val(f"v_{n}", False, kind="i",
-                            deps=frozenset({(n, "int")}))
-            return _Val(f"v_{n}", False)
+        if n in self.an.host_scalars:
+            # A floating scalar is bound as a NumPy scalar of its C type.
+            self.used_scalars[n] = e.ty
+            return _Val(f"v_{n}", False,
+                        dtype=_DTYPES[e.ty] if is_float(e.ty) else None)
         raise VectorizeError(f"unknown identifier {n!r}", e.line)
 
     def _bx_binop(self, e: C.BinOp, out: tuple | None) -> _Val:
-        left = self.bx(e.left)
-        right = self.bx(e.right)
-        tdiv = e.op == "/" and "float" not in (
-            self.expr_type(e.left), self.expr_type(e.right))
+        t = e.ty
+        vals = self._operands(e, [e.left, e.right], t)
+        left, right = vals
+        tdiv = e.op == "/" and not is_float(t)
         plain = f"ks.tdiv({left.src}, {right.src})" if tdiv \
             else f"({left.src} {e.op} {right.src})"
-        if left.vec or right.vec:
-            if tdiv:
-                return self._eager(plain, [left, right], e)
-            return self._op(_UFUNCS[e.op], plain, [left, right], out, e)
-        pyscalars = ("f", "i", "il")
-        kind = None
-        if left.kind in pyscalars and right.kind in pyscalars:
-            kind = "f" if "f" in (left.kind, right.kind) else "i"
-        return _Val(plain, False, kind=kind, deps=left.deps | right.deps)
+        dt = _DTYPES[t] if is_float(t) else self._int_dtype(vals)
+        if not (left.vec or right.vec):
+            return _Val(plain, False, dtype=dt)
+        if tdiv or dt in _INT_DTYPES and self.region.shape is None:
+            # Outside a block an index vector is made once: unbuffered
+            # (and its width is not tracked).
+            return self._eager(plain, vals, e)
+        return self._op(_UFUNCS[e.op], plain, vals, out, e, dt)
 
-    def _proven(self, vals: list[_Val]) -> str | None:
-        """The float dtype NumPy gives an arithmetic ufunc over ``vals``,
-        when that can be told from the C types alone."""
-        dtype = None
-        for v in vals:
-            if v.vec:
-                if dtype in _INT_DTYPES and v.dtype in _INT_DTYPES:
-                    # Two integer vectors: the wider one's dtype.
-                    dtype = max(dtype, v.dtype, key=_INT_DTYPES.index)
-                    continue
-                if v.dtype not in _FLOAT_DTYPES + _INT_DTYPES \
-                        or dtype not in (None, v.dtype):
-                    return None
-                dtype = v.dtype
-        if dtype is None:
-            return None
-        if dtype in _INT_DTYPES and self.region.shape is None:
-            # Outside a block an index vector is made once: unbuffered.
-            return None
-        weak = ("f", "il") if dtype in _FLOAT_DTYPES else ("il",)
-        for v in vals:
-            if not v.vec and v.kind not in weak + (dtype,) \
-                    and not (dtype in _INT_DTYPES and self._c_int(v)):
-                return None
-        return dtype
+    def _operands(self, e: C.Expr, args: list[C.Expr], ty: str) -> list[_Val]:
+        """The operands of ``e``, each converted to ``ty`` -- the type
+        ``e`` computes in -- where it has another dtype, as C converts
+        it first: ``ks.cast_to`` for a vector, the dtype's constructor
+        for a scalar.  A literal is not converted (its text is exact and
+        NumPy gives it the other operand's dtype), and a scalar
+        operation of literals alone computes in ``ty`` through its first
+        operand.  An integer operation converts nothing: its operands
+        meet at the wider integer dtype."""
+        vals = [_Val(_literal(a, ty), False)
+                if isinstance(a, (C.IntLit, C.FloatLit)) else self.bx(a)
+                for a in args]
+        if not is_float(ty):
+            return vals
+        dt = _DTYPES[ty]
+        for k, (v, a) in enumerate(zip(vals, args)):
+            if v.dtype != dt and not isinstance(a, (C.IntLit, C.FloatLit)):
+                vals[k] = self._eager(f"ks.cast_to({v.src}, {dt})", [v], a,
+                                      dt) if v.vec \
+                    else _Val(f"{dt}({v.src})", False, dtype=dt)
+        if vals and not any(v.vec or v.dtype for v in vals):
+            vals[0] = _Val(f"{dt}({vals[0].src})", False, dtype=dt)
+        return vals
 
-    def _c_int(self, v: _Val) -> bool:
-        """``v`` is a Python ``int`` over host scalars of C type ``int``:
-        weak against an integer vector under NEP 50, and in its range
-        -- so value-based casting keeps the vector's dtype too."""
-        return v.kind == "i" and bool(v.deps) and all(
-            self.scalar_types.get(n) == "int" for n, _ in v.deps)
+    @staticmethod
+    def _int_dtype(vals: list[_Val]) -> str | None:
+        """The dtype NumPy gives an integer operation over ``vals``: the
+        wider of its NumPy operands (a Python ``int`` is weak), or None
+        when an operand's width is not tracked."""
+        dtypes = [v.dtype for v in vals if v.vec or v.dtype]
+        if not set(dtypes) <= set(_INT_DTYPES):
+            return None
+        return max(dtypes, key=_INT_DTYPES.index, default=None)
 
     def _dense(self, v: _Val) -> _Val:
         """A block's strided view as a ufunc operand: copied into a slot
@@ -1157,18 +1164,16 @@ class Vectorizer:
 
     def _op(self, ufunc: str, plain: str, vals: list[_Val],
             out: tuple | None, e: C.Expr, dtype: str | None = None) -> _Val:
-        """``ufunc`` over ``vals`` into a slot of its result ``dtype`` --
-        given, or proven from the operands; unbuffered when neither."""
-        if self._partial(_Val("", True, axes=self._axes(vals))):
-            # Lane- or trip-only operands: no block-sized slot for them.
-            return self._eager(plain, vals, e, dtype)
-        if dtype is None:
-            dtype = self._proven(vals)
-            if dtype is None:
-                return self._eager(plain, vals, e)
-            for v in vals:
-                if not v.vec:
-                    self.weak.update(v.deps)
+        """``ufunc`` over ``vals`` into a slot of its result ``dtype``:
+        every operand has the dtype of the operation's C type or is
+        weak, so that is the dtype NumPy computes in.  Unbuffered when
+        the dtype is not tracked (an integer of unknown width)."""
+        if dtype is None or self._partial(
+                _Val("", True, axes=self._axes(vals))):
+            # Lane- or trip-only operands: no block-sized slot for them
+            # (an unbuffered integer keeps no tracked width).
+            return self._eager(plain, vals, e,
+                               None if dtype in _INT_DTYPES else dtype)
         if self.region.shape is not None:
             if out is not None and out[1] == dtype and vals[0].vec \
                     and vals[0].view is not None and not any(
@@ -1284,13 +1289,15 @@ class Vectorizer:
         pyname = f"v_{name}"
         self._take_slot(pyname, dtype, hoist=name not in self._redeclared)
         self.locals[name] = pyname
-        self.local_types[name] = ctype
         self.local_home[name] = self.region
         self._forget(pyname)
         return pyname, dtype
 
     def emit_private(self, name: str) -> None:
-        pyname, _ = self._declare(name, self.local_types.get(name, "float"))
+        # Of the type its identifiers have (unread: any type will do).
+        ctype = next((x.ty for x in C.all_exprs(self.an.nest.body)
+                      if isinstance(x, C.Ident) and x.name == name), "float")
+        pyname, _ = self._declare(name, ctype)
         self.emit(f"{pyname}.fill(0)")
 
     def emit_decl(self, s: C.Decl) -> None:
@@ -1326,11 +1333,11 @@ class Vectorizer:
                       f"{self._shared(v)}[{m}])")
             self._release(v)
         else:
-            value = C.BinOp(a.op, a.target, a.value, a.line) if a.op \
-                else a.value
+            value = C.BinOp(a.op, a.target, a.value, a.line,
+                            ty=operand_type(a)) if a.op else a.value
             self._assign_into(
                 self.local_src(name),
-                _DTYPES.get(self.local_types[name], "np.float64"), value,
+                _DTYPES.get(a.target.ty, "np.float64"), value,
                 self.mask)
         self._forget(pyname)
 
@@ -1545,8 +1552,8 @@ class Vectorizer:
         if coeff == 0:
             return Interval(guards=(f"(({self.tx(left.offset)}) {cond.op} "
                                     f"({self.tx(right.offset)}))",))
-        if coeff not in (1, -1) or self.expr_type(cond.left) != "int" \
-                or self.expr_type(cond.right) != "int":
+        if coeff not in (1, -1) or is_float(cond.left.ty) \
+                or is_float(cond.right.ty):
             return None
         # coeff*i + l  op  r   <=>   i  op'  coeff*(r - l)
         op = cond.op if coeff == 1 else _FLIP[cond.op]
@@ -1573,7 +1580,7 @@ class Vectorizer:
         """Can ``s`` run unmasked over a sub-span?  Not when it folds a
         reduction (two sub-spans would fold in another order) or changes
         the lane axis."""
-        bound_names = set(self.local_types) | {self.an.nest.var}
+        bound_names = self.local_names | {self.an.nest.var}
         for st in C.walk(s):
             if reduction_directive(st) is not None:
                 return False
@@ -1919,12 +1926,14 @@ class Vectorizer:
         if not op and isinstance(e, C.BinOp) and isinstance(e.left, C.Ident) \
                 and e.left.name == name:
             op, e = e.op, e.right
-        dtype = _DTYPES.get(self.local_types.get(name, ""))
+        dtype = _DTYPES.get(a.target.ty)
         if op not in _IDENTITY or dtype not in _FLOAT_DTYPES \
                 or not self._split.liftable(e) or not self.lane_varying(e):
             return False
         v = self.bx(e)
-        if self._proven([_Val("", True, dtype=dtype), v]) != dtype:
+        if v.dtype != dtype or _DTYPES.get(
+                operand_type(a) if a.op else a.value.ty) != dtype:
+            # ``x op e`` computes in another dtype than ``x``'s.
             self._lifted[id(e)] = (self._own(v), self.region)
             return False
         v = self._own(v, temp=v.slot is None)
@@ -1952,7 +1961,7 @@ class Vectorizer:
         if v.vec:
             self.emit(f"{name} = np.array({v.src}, dtype=np.int64)")
         else:
-            if self.expr_type(e) != "int":
+            if is_float(e.ty):
                 v = replace(v, src=f"ks.cast_to({v.src}, np.int64)")
             self.emit(f"{name} = {self._shared(v)}")
         self._release(v)
@@ -1965,14 +1974,17 @@ class Vectorizer:
         assert il.lower is not None and il.upper is not None
         label = self.labels[id(s)]
         lo, hi = self._bound(il.lower, "_lo"), self._bound(il.upper, "_hi")
-        act, cnt, pos = (self.tmp(p) for p in ("_act", "_cnt", "_pos"))
-        self.emit(f"{act} = np.arange({self.region.n})" if self.mask is None
-                  else f"{act} = np.nonzero({self.mask})[0]")
-        self.emit(f"{cnt} = np.maximum({hi}[{act}] - {lo}[{act}], 0)")
+        sel = act = ""
+        if self.mask is not None:
+            act = self.tmp("_act")
+            self.emit(f"{act} = np.nonzero({self.mask})[0]")
+            sel = f"[{act}]"
+        cnt, pos = self.tmp("_cnt"), self.tmp("_pos")
+        self.emit(f"{cnt} = np.maximum({hi}{sel} - {lo}{sel}, 0)")
         self.emit(f"ctx.dyn_count({label!r}, int({cnt}.sum()))")
         evar = f"_e_{il.var}"
         mark = len(self.lines)
-        self.emit(f"{evar} = ks.flat_ranges({lo}[{act}], {cnt})")
+        self.emit(f"{evar} = ks.flat_ranges({lo}{sel}, {cnt})")
         self._forget()
         # The flattened lanes are a region of their own, unmasked, whose
         # slots are never ones the outer lanes bind ahead of a loop.
@@ -1984,7 +1996,10 @@ class Vectorizer:
         del self.csr_vars[il.var]
         self._forget()
         if self.region.pos_used:
-            # Only a body reading an outer-lane operand needs it.
+            # Only a body reading an outer-lane operand needs it; with
+            # every lane active, its lanes are the region's own.
+            r = outer[0]
+            act = act or f"{self.lane_index(r)} - {r.lo}"
             self.lines.insert(mark, "    " * self.indent
                               + f"{pos} = np.repeat({act}, {cnt})")
         self.region, self._free, self.mask = outer

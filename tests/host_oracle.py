@@ -5,7 +5,8 @@
 Moved verbatim from ``repro/translator/host.py`` -- a fresh
 ``ExprEvaluator`` per statement, control flow by exceptions, ``id(stmt)``
 lookups at run time -- except that array stores are range-checked like
-the generated code's.
+the generated code's, and that values convert by the C type of every
+node (:mod:`repro.frontend.typer`) where the generated code converts.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from repro.frontend.directives import (
     AccUpdate,
     ArraySection,
 )
+from repro.frontend.typer import operand_type
 from repro.translator.compiler import CompiledProgram, KernelPlan
 from repro.translator.host import HostError, RunResult
-from repro.translator.cscalar import _NP_DTYPES, _apply_scalar_op
+from repro.translator.cscalar import _NP_DTYPES, c_convert
 from tests.interp_oracle import ExprEvaluator, InterpError
 
 
@@ -83,17 +85,18 @@ class WalkerHostExecutor:
                     f"argument {p.name!r} must have dtype {np.dtype(want)}, "
                     f"got {arr.dtype}")
             return arr
-        if p.ctype.is_float:
-            return float(value)
-        return int(value)
+        return c_convert(value, "", p.ctype.base)
 
     # -- function execution -----------------------------------------------------------
 
     def _run_function(self, func: C.FunctionDef, env: dict[str, Any]) -> Any:
+        outer, self._func = getattr(self, "_func", None), func
         try:
             self._exec(func.body, env)
         except _Return as r:
             return r.value
+        finally:
+            self._func = outer
         return None
 
     def _evaluator(self, env: dict[str, Any]) -> ExprEvaluator:
@@ -111,7 +114,7 @@ class WalkerHostExecutor:
             return arr[idx]
 
         def assign_hook(a: C.Assign) -> Any:
-            return self._exec_assign(a, env)
+            return self._exec_assign(a, env, value_position=True)
 
         def call_hook(call: C.Call) -> Any:
             return self._call_function(call, env)
@@ -143,8 +146,7 @@ class WalkerHostExecutor:
                     raise HostError(f"{a.name!r} is not an array")
                 new_env[p.name] = arr  # by reference, as in C
             else:
-                v = ev.eval(a)
-                new_env[p.name] = float(v) if p.ctype.is_float else int(v)
+                new_env[p.name] = ev.stored(a, p.ctype.base)
         return self._run_function(func, new_env)
 
     # -- statement execution ---------------------------------------------------------------
@@ -208,7 +210,8 @@ class WalkerHostExecutor:
                 except _Continue:
                     continue
         elif isinstance(s, C.Return):
-            raise _Return(ev.eval(s.value) if s.value is not None else None)
+            raise _Return(None if s.value is None else ev.stored(
+                s.value, self._func.return_type.base))
         elif isinstance(s, C.Break):
             raise _Break()
         elif isinstance(s, C.Continue):
@@ -229,8 +232,9 @@ class WalkerHostExecutor:
             raise HostError(
                 f"pointer declaration {s.name!r} without array extent is not "
                 f"supported on the host (line {s.line})")
-        v = ev.eval(s.init) if s.init is not None else 0
-        env[s.name] = float(v) if s.ctype.is_float else int(v)
+        base = s.ctype.base
+        env[s.name] = ev.stored(s.init, base) if s.init is not None \
+            else c_convert(0, "int", base)
 
     def _exec_for(self, s: C.For, env: dict[str, Any]) -> None:
         ev = self._evaluator(env)
@@ -254,21 +258,20 @@ class WalkerHostExecutor:
                 else:
                     self._evaluator(env).eval(s.step)
 
-    def _exec_assign(self, a: C.Assign, env: dict[str, Any]) -> Any:
+    def _exec_assign(self, a: C.Assign, env: dict[str, Any],
+                     value_position: bool = False) -> Any:
         ev = self._evaluator(env)
-        value = ev.eval(a.value)
+        # A plain array store in statement position converts as the
+        # element is assigned.
+        value = ev.eval(a.value) if not (a.op or value_position) \
+            and isinstance(a.target, C.Index) \
+            else ev.stored(a.value, operand_type(a))
         if isinstance(a.target, C.Ident):
             name = a.target.name
             if name not in env:
                 raise HostError(f"assignment to undeclared {name!r} "
                                 f"(line {a.line})")
-            if a.op:
-                value = _apply_scalar_op(env[name], a.op, value, a.line)
-            if isinstance(env[name], float):
-                value = float(value)
-            elif isinstance(env[name], int) and not isinstance(value, np.ndarray):
-                value = int(value)
-            env[name] = value
+            value = env[name] = ev.assigned(a, env[name], value)
             return value
         if isinstance(a.target, C.Index):
             arr = env.get(a.target.base_name())
@@ -283,8 +286,7 @@ class WalkerHostExecutor:
                 raise HostError(
                     f"host write {a.target.base_name()}[{idx}] out of range "
                     f"(line {a.line})")
-            if a.op:
-                value = _apply_scalar_op(arr[idx], a.op, value, a.line)
+            value = ev.assigned(a, arr[idx], value)
             self.loader.before_host_write(arr)
             arr[idx] = value
             return value

@@ -10,7 +10,9 @@ same :class:`~repro.runtime.kernelctx.KernelContext` the kernels use,
 and reports every array access to ``ctx.access_hook(name, iteration,
 index, kind)`` when a test sets one.  The C scalar rules (``/`` and
 ``%``, compound assignment, the math library, declared dtypes) are the
-host program's, from :mod:`repro.translator.cscalar`.
+host program's, from :mod:`repro.translator.cscalar`, applied by the C
+type of every node (:mod:`repro.frontend.typer`): an operand converts to
+the type its operation computes in, a stored value to its object's.
 
 :func:`oracle` gives a program whose every kernel is run by the
 interpreter: copied plans whose ``fn`` is the interpreter's ``run``, so
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -29,6 +32,7 @@ import numpy as np
 from repro.api import AccProgram
 from repro.frontend import cast as C
 from repro.frontend.directives import AccReductionToArray
+from repro.frontend.typer import FLOATS, computes_in, operand_type
 from repro.translator import fusion
 from repro.translator.array_config import LoopConfig, WriteHandling
 from repro.translator.compiler import CompiledProgram, KernelPlan
@@ -37,7 +41,10 @@ from repro.translator.cscalar import (
     _NP_DTYPES,
     ScalarError,
     _apply_scalar_op,
+    c_convert,
     c_div,
+    c_fmax,
+    c_fmin,
     c_mod,
 )
 from repro.translator.kernel_support import red_fold, red_identity
@@ -70,36 +77,43 @@ class ExprEvaluator:
         if isinstance(e, C.IntLit):
             return e.value
         if isinstance(e, C.FloatLit):
-            return e.value
+            return float(np.float32(e.value)) if e.ty == "float" else e.value
         if isinstance(e, C.Ident):
             return self.load_var(e.name)
         if isinstance(e, C.BinOp):
             return self._binop(e)
         if isinstance(e, C.UnOp):
+            if e.op == "!":
+                return 0 if self.eval(e.operand) else 1
             v = self.eval(e.operand)
             if e.op == "-":
                 return -v
             if e.op == "+":
                 return v
-            if e.op == "!":
-                return 1 if not v else 0
             if e.op == "~":
-                return ~int(v)
+                return ~c_convert(v, e.operand.ty, "int")
             raise InterpError(f"unsupported unary op {e.op!r}", e.line)
         if isinstance(e, C.Ternary):
-            return self.eval(e.then) if self.eval(e.cond) else self.eval(e.other)
+            branch = e.then if self.eval(e.cond) else e.other
+            return self.operand(branch, e.ty)
         if isinstance(e, C.Call):
             fn = _MATH_FUNCS.get(e.func)
             if fn is not None:
-                return fn(*(self.eval(a) for a in e.args))
+                t = computes_in(e)
+                args = [self.operand(a, t) if t in FLOATS else self.eval(a)
+                        for a in e.args]
+                have = "long" if fn in (math.floor, math.ceil) else t \
+                    if fn in (abs, min, max, c_fmin, c_fmax) else "double"
+                return c_convert(fn(*args), have, t)
             if self.call_hook is not None:
                 return self.call_hook(e)
             raise InterpError(f"unsupported call {e.func!r}", e.line)
         if isinstance(e, C.Index):
             if len(e.indices) != 1:
                 raise InterpError("multi-dimensional subscript", e.line)
-            idx = int(self.eval(e.indices[0]))
-            return self.load_elem(e.base_name(), idx)
+            idx = e.indices[0]
+            return self.load_elem(
+                e.base_name(), c_convert(self.eval(idx), idx.ty, "int"))
         if isinstance(e, C.CastExpr):
             v = self.eval(e.operand)
             if e.to.pointers:
@@ -112,14 +126,37 @@ class ExprEvaluator:
             return self.assign_hook(e)
         raise InterpError(f"unsupported expression {type(e).__name__}")
 
+    def operand(self, e: C.Expr, want: str) -> Any:
+        """``e`` converted to ``want`` where it computes in another type."""
+        return c_convert(self.eval(e), computes_in(e), want)
+
+    def stored(self, e: C.Expr, want: str) -> Any:
+        """``e`` converted to the type of the object it is stored in."""
+        if want == "float" and isinstance(e, C.FloatLit):
+            return np.float32(self.eval(e))
+        return self.operand(e, want)
+
+    def assigned(self, a: C.Assign, cur: Any, value: Any) -> Any:
+        """What ``target op= value`` leaves in a target holding ``cur``
+        (``value`` from :meth:`stored` in ``operand_type(a)``)."""
+        if not a.op:
+            return value
+        opty = operand_type(a)
+        return c_convert(_apply_scalar_op(
+            c_convert(cur, a.target.ty, opty), a.op, value, a.line),
+            opty, a.target.ty)
+
     def _binop(self, e: C.BinOp) -> Any:
         op = e.op
         if op == "&&":
             return 1 if (self.eval(e.left) and self.eval(e.right)) else 0
         if op == "||":
             return 1 if (self.eval(e.left) or self.eval(e.right)) else 0
-        l = self.eval(e.left)
-        r = self.eval(e.right)
+        t = operand_type(e)
+        if op in ("+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!="):
+            l, r = self.operand(e.left, t), self.operand(e.right, t)
+        else:
+            l, r = self.operand(e.left, "int"), self.operand(e.right, "int")
         if op == "+":
             return l + r
         if op == "-":
@@ -127,9 +164,10 @@ class ExprEvaluator:
         if op == "*":
             return l * r
         if op == "/":
-            return c_div(l, r, e.line)
+            return l / r if t in FLOATS else c_div(l, r, e.line)
         if op == "%":
-            return c_mod(l, r, e.line)
+            return c_convert(math.fmod(l, r), "double", t) if t in FLOATS \
+                else c_mod(l, r, e.line)
         if op == "<":
             return 1 if l < r else 0
         if op == ">":
@@ -143,15 +181,15 @@ class ExprEvaluator:
         if op == "!=":
             return 1 if l != r else 0
         if op == "<<":
-            return int(l) << int(r)
+            return l << r
         if op == ">>":
-            return int(l) >> int(r)
+            return l >> r
         if op == "&":
-            return int(l) & int(r)
+            return l & r
         if op == "|":
-            return int(l) | int(r)
+            return l | r
         if op == "^":
-            return int(l) ^ int(r)
+            return l ^ r
         raise InterpError(f"unsupported binary op {op!r}", e.line)
 
 
@@ -173,7 +211,7 @@ class KernelInterpreter:
     scalar_reductions: list[tuple[str, str]]
     #: Names the loop directive lists as private(...): fresh per iteration.
     private_names: tuple[str, ...] = ()
-    #: Declared C types of kernel locals (assignment rounds to these).
+    #: Declared C types of the ``private`` names (their initial zero).
     local_types: dict | None = None
 
     def run(self, ctx) -> None:
@@ -182,7 +220,8 @@ class KernelInterpreter:
         for i in range(ctx.i0, ctx.i1):
             env: dict[str, Any] = {self.loop_var: i}
             for name in self.private_names:
-                env[name] = 0
+                env[name] = c_convert(
+                    0, "int", (self.local_types or {}).get(name, "int"))
             self._exec(self.body, env, ctx, partials, red_ops)
         for var, op in red_ops.items():
             ctx.reduce_scalar(op, var, partials[var])
@@ -228,9 +267,9 @@ class KernelInterpreter:
             for st in s.body:
                 self._exec(st, env, ctx, partials, red_ops)
         elif isinstance(s, C.Decl):
-            dt = _NP_DTYPES.get(s.ctype.base, np.float64)
-            v = ev.eval(s.init) if s.init is not None else 0
-            env[s.name] = dt(v).item() if np.issubdtype(dt, np.integer) else dt(v)
+            base = s.ctype.base
+            env[s.name] = ev.stored(s.init, base) if s.init is not None \
+                else c_convert(0, "int", base)
         elif isinstance(s, C.ExprStmt):
             if s.expr is None:
                 return
@@ -291,17 +330,8 @@ class KernelInterpreter:
             if name not in env:
                 raise InterpError(
                     f"assignment to non-local {name!r} in kernel", a.line)
-            value = ev.eval(a.value)
-            if a.op:
-                cur = env[name]
-                value = _apply_scalar_op(cur, a.op, value, a.line)
-            base = (self.local_types or {}).get(name)
-            if base is not None and name != self.loop_var:
-                dt = _NP_DTYPES.get(base)
-                if dt is not None:
-                    value = dt(value).item() \
-                        if np.issubdtype(dt, np.integer) else dt(value)
-            env[name] = value
+            value = ev.stored(a.value, operand_type(a))
+            env[name] = ev.assigned(a, env[name], value)
             return
         if isinstance(a.target, C.Index):
             name = a.target.base_name()
@@ -309,7 +339,8 @@ class KernelInterpreter:
             if cfg is None:
                 raise InterpError(f"store to unmanaged array {name!r}", a.line)
             idx = int(ev.eval(a.target.indices[0]))
-            value = ev.eval(a.value)
+            value = ev.stored(a.value, operand_type(a)) if a.op \
+                else ev.eval(a.value)
             hook = getattr(ctx, "access_hook", None)
             if hook is not None:
                 hook(name, env.get(self.loop_var), idx, "w")
@@ -328,10 +359,7 @@ class KernelInterpreter:
             if not (0 <= local < arr.shape[0]):
                 raise InterpError(
                     f"write of {name}[{idx}] outside the loaded window")
-            if a.op:
-                arr[local] = _apply_scalar_op(arr[local], a.op, value, a.line)
-            else:
-                arr[local] = value
+            arr[local] = ev.assigned(a, arr[local], value)
             if handling == WriteHandling.DIRTY_BITS:
                 ctx.mark_dirty(name, gi)
             return
@@ -426,7 +454,8 @@ def _interpreter(plan: KernelPlan, config: LoopConfig,
         config=config,
         scalar_reductions=scalar_reductions,
         private_names=tuple(fusion._private_names(plan)),
-        local_types=fusion._local_types(plan, scope),
+        local_types={n: scope.lookup(n).ctype.base
+                     for n in fusion._private_names(plan)},
     )
 
 

@@ -6,14 +6,11 @@ Every bundled C app and every divergence probe of
 and on a 2x2 cluster.  Each array a clause writes back must hold gcc's
 bytes, as pinned in ``tests/c_oracle_digests.json``.
 
-A known divergence is a strict xfail that names its class:
+The rows of a float parameter (stencil's ``a`` too), a double literal
+and an int operand pass: every expression carries its C type
+(:mod:`repro.frontend.typer`) and the generated code converts as C
+does.  A known divergence is a strict xfail that names its class:
 
-* ``float parameter``: a ``float`` parameter is bound as a Python float,
-  so ``(1.0f - s)`` computes in double (stencil's ``a`` too);
-* ``double literal``: ``a[i] * 0.1`` computes in float32 under NumPy's
-  weak-scalar rule, where C computes in double;
-* ``int operand``: ``a[i] + (i + 16777217)`` adds in float64 in a
-  kernel, where C converts the int to float first;
 * ``libm``: NumPy's float32 ``exp`` is not glibc's ``expf`` (one ulp
   apart on some inputs);
 * ``kmeans split``: on more than one GPU, kmeans adds its float32
@@ -42,13 +39,7 @@ MACHINES = {"1gpu": (lambda: hypothetical_node(4), 1),
             "2x2": (lambda: hypothetical_cluster(2, 2), 4)}
 
 #: (case, array) -> divergence class, on every machine.
-KNOWN = {("probe_libm", "k"): "libm",
-         ("probe_float_param", "k"): "float parameter",
-         ("probe_float_param", "h"): "float parameter",
-         ("stencil", "a"): "float parameter",
-         ("probe_double_literal", "k"): "double literal",
-         ("probe_double_literal", "h"): "double literal",
-         ("probe_int_operand", "k"): "int operand"}
+KNOWN = {("probe_libm", "k"): "libm"}
 #: (case, array) rows that diverge on more than one GPU only.
 SPLIT = {("kmeans", "clusters"): "kmeans split",
          ("kmeans", "new_centers"): "kmeans split"}

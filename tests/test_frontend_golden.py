@@ -35,8 +35,23 @@ once more when C's ``fmax`` / ``fmin`` began to treat a NaN as missing
 data: its probe kernel's ``np.maximum(_q2, _q4, out=_q5)`` became
 ``np.fmax(_q2, _q4, out=_q5)``, plain and fused, and nothing else moved
 (its inputs hold no NaN, so ``tests/test_transport_identity.py`` and
-``BENCH_multinode.json`` pin the same run).  The other six are the
-``59bfbe5`` digests still.
+``BENCH_multinode.json`` pin the same run).
+
+Eleven were regenerated when every expression got its C type
+(``repro.frontend.typer``) and the emitters began to follow it: a
+``float`` kernel scalar is bound as ``np.float32(ctx.scalars[...])``
+and a ``double`` one as ``np.float64(...)`` where ``float(...)`` or
+nothing bound them (``daxpy_fortran``, ``heat2d``, ``md``,
+``md_fortran``, ``saxpy_fortran``, ``shift_scale``, ``stencil``,
+``stencil_probes``); ``spmv``'s unmasked CSR flattening indexes its row
+bounds directly and takes its position vector from ``ctx.iota()``
+instead of an ``np.arange`` of active lanes; and the host text converts
+where C converts: ``jacobi``'s ``err = 0.0f`` stores
+``np.float32(0.0)``, ``kmeans`` divides by ``np.float32(counts[c])``,
+``md_fortran``'s undeclared-value ``real`` locals start as
+``np.float32(0)``.  Only ``stencil``'s outputs moved (its ``a`` now
+equals gcc's, ``tests/test_c_oracle.py``).  ``bfs`` did not move, and
+``gradpipe`` and ``phasepipe`` are the ``59bfbe5`` digests still.
 
 One thing it changed on purpose is visible in a bundled source: a
 continued ``#pragma`` now carries the line of its ``#``, not of its last
@@ -75,31 +90,31 @@ GOLDEN = {
     "bfs":
         "b3e2e74b5a988704123eec746136fc9d1c1437ccd22c86ffd6056ee3f58399c8",
     "daxpy_fortran":
-        "d18e3928ff60bad55f21132f7acdbc56528f500c9365defdcb77cfdccc66265d",
+        "b0bd0c8700fa2c1f6c14085b808d1de0f85b60704b453168b6dc58fd16394072",
     "gradpipe":
         "1843807097bd0886c8d0cc743916f4b038c4450e9062661367b7a54f7187a3d0",
     "heat2d":
-        "d2755d192776d3833f213b7ef9cf7ad48fd1def441b201f69f88605a23a91235",
+        "1b6d7f3235b35faebf55721bc6a75e7dee4b4e0447b85376163d43b8168dcdee",
     "jacobi":
-        "8213c5eb0068a0e9087d9aa568ca13819a1c6b115cdcf77a82e5791f4cce9e7e",
+        "87def59dbe15d08d735f958af599fbb152b887258b98f7fb5115aa67e0bdf529",
     "kmeans":
-        "7f32d3ea019c8b5c4c50c56034260d4a99c6ffb3996cf36176cb47613911629f",
+        "3f5eeea805df676ffccaefc247d583c5c8a3d4455d82c0abd13041b389c9def5",
     "md":
-        "2d5bc637b33e412fa2bbba9f36379372ee71809f798e57c60bdc9ddbfaec00a1",
+        "cb5d5f0e297b940f666310c290e5034da814fcb9c19120992110e3f56b3fdf53",
     "md_fortran":
-        "47a0150c587356b52ac87e20e297e03d175d4cf638e1f4f5b933dccfba4efb1e",
+        "d0fb879fbbb47a602eb39ca43994e2522ac6073a0278d96ead49ef8832406d3e",
     "phasepipe":
         "1ae9791ed5f7bbf84ebd80789d6ef88aa97fbad0dc3941b5093de5ae60097c41",
     "saxpy_fortran":
-        "e1b54b809447a8008d8f99fcf9cb641f504478837d44af7d15a3a5df2e77ebaf",
+        "61dcb1f801f393c949ea4d584c9ce4d26b6eb577f3d6dd84f78de14b6653877c",
     "shift_scale":
-        "9e414f962e3841fda212bac3119d03a143c0dd8c1b0d28bb45d5af875f1c0581",
+        "3c17cd9a4fa45fa29db95b45cd2f3cdaeaa6fe90fd74707cc36909a68439b50c",
     "spmv":
-        "2fce346723d94b30ff3f0efbe3bfbeeeb637061c9657eed0da26c59160056599",
+        "005ffb3e96b3842228fee70c0b2598f2ca95543e2fd46a6177183db6cf556e25",
     "stencil":
-        "8bed7767bfba8fe9f338cae7ca12de1a5e4cc28eb0954a6ab5defcb67aaf0f92",
+        "44ca22b1c92dd0933b35d19a578ab23c838413045d51a29f73723e20644743d8",
     "stencil_probes":
-        "1bb858d4c2e58b51676a9fade006de885697257b392878277ad40957fcef17fd",
+        "84df88a56052093c9293d6e95365bb1b7cf04899e5913050886ca4350ca4541c",
 }
 
 

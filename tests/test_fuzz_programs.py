@@ -8,13 +8,19 @@ class of bugs a vectorizing translator breeds: mask mishandling, type
 promotion drift, operator precedence/codegen mismatches, and
 index-rewriting errors.
 
+Every expression node of a drawn program and of every bundled source
+has a C type after parsing, and a drawn float kernel computes in its
+expression's C type (:class:`TestCTypes`).
+
 Every generated program additionally runs under the coherence
 sanitizer on 1, 2 and 4 GPUs: no :class:`CoherenceViolation` may fire,
 and the outputs must be bit-identical to the unsanitized run of the
 same configuration (the sanitizer is a pure observer).
 """
 
+import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +28,18 @@ from hypothesis import given, seed, settings, strategies as st
 
 from repro import CompileOptions
 from repro.bench.machines import hypothetical_node
+from repro.frontend import cast as C
+from repro.frontend import parse
+from repro.frontend.fortran import parse_fortran
+from repro.frontend.typer import computes_in
+from repro.runtime.kernelctx import KernelContext
+from repro.translator import kernel_support
+from tests.test_frontend_golden import C_SOURCES, FORTRAN_SOURCES
 from tests.util import run_source
+
+#: Every bundled C and Fortran source, with its parser.
+BUNDLED = {**{n: (s, parse) for n, s in C_SOURCES.items()},
+           **{n: (s, parse_fortran) for n, s in FORTRAN_SOURCES.items()}}
 
 #: ``database=None``: don't depend on the local ``.hypothesis`` example
 #: database, so a failure printed by CI replays identically on any
@@ -464,3 +481,100 @@ class TestFusionFuzz:
         """
         src = make_two_loop_program(f"y[i] = {e1};", body2)
         run_fused_vs_unfused(src, lambda: fresh_args(data.draw, n))
+
+
+# -- C types: every node typed, every float kernel computing in its type ---------
+
+#: The contexts a drawn float expression is stored from: as it is, in a
+#: ``double`` operation, with an ``int`` operand, with the ``float``
+#: parameter.
+_TYPED_CONTEXTS = ["{e}", "({e}) * 0.1", "({e}) + (i + 16777217)",
+                   "({e}) * a"]
+#: Kernel ufuncs whose ``out=`` result the dtype check watches.
+_ARITHMETIC = ("add", "subtract", "multiply", "divide", "negative", "abs",
+               "fmax", "fmin", "maximum", "minimum", "sqrt", "exp", "log",
+               "power", "floor", "ceil")
+
+
+def untyped_nodes(tree):
+    """Expression nodes of ``tree`` (bodies and directives) without a
+    C type."""
+    def exprs(x):
+        if isinstance(x, C.Expr):
+            yield from C.walk_expr(x)
+        elif isinstance(x, (list, tuple)):
+            for item in x:
+                yield from exprs(item)
+        elif isinstance(x, dict):
+            yield from exprs(list(x.values()))
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            for f in dataclasses.fields(x):
+                yield from exprs(getattr(x, f.name))
+
+    return [C.render_expr(e) for func in tree.functions
+            for st in C.walk(func.body)
+            for e in [*C.stmt_exprs(st), *exprs(st.directives)]
+            for e in C.walk_expr(e) if not e.ty]
+
+
+def checked_modules(stored):
+    """Kernel ``np`` and ``ks`` that check C's arithmetic at run time:
+    a ufunc writing through ``out=`` must compute in the ``out`` dtype
+    (NumPy's promotion of its operands), and the dtype of every value a
+    span store takes is recorded in ``stored`` (None: a Python
+    scalar)."""
+    fake_np = types.SimpleNamespace(**vars(np))
+    for name in _ARITHMETIC:
+        def checked(*args, out=None, _uf=getattr(np, name), **kw):
+            if out is None:
+                return _uf(*args, **kw)
+            assert np.result_type(*args) == out.dtype, (_uf.__name__, args)
+            return _uf(*args, out=out, **kw)
+        setattr(fake_np, name, checked)
+    fake_ks = types.SimpleNamespace(**vars(kernel_support))
+
+    def store_span(arr, lo, n, values, *rest):
+        # A Python scalar (a literal's value) takes the array's dtype.
+        stored.append(getattr(values, "dtype", None))
+        return kernel_support.store_span(arr, lo, n, values, *rest)
+
+    def span_out(arr, *rest):
+        view = kernel_support.span_out(arr, *rest)
+        stored.append(view.dtype)
+        return view
+
+    fake_ks.store_span, fake_ks.span_out = store_span, span_out
+    return fake_np, fake_ks
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_every_bundled_expression_has_a_c_type(name):
+    source, parse = BUNDLED[name]
+    assert untyped_nodes(parse(source)) == []
+
+
+class TestCTypes:
+    @seed(_case_seed("TestCTypes::test_float_kernels_compute_in_their_c_type"))
+    @given(st.data(), st.integers(1, 13))
+    @settings(**_SETTINGS)
+    def test_float_kernels_compute_in_their_c_type(self, data, n):
+        """Every node of the drawn program is typed, and the kernel's
+        value for ``y[i]`` has the dtype of the expression's C type."""
+        context = data.draw(st.sampled_from(_TYPED_CONTEXTS))
+        src = make_program(
+            f"y[i] = {context.format(e=float_expr(data.draw))};")
+        tree = parse(src)
+        assert untyped_nodes(tree) == []
+        store = next(e for e in C.all_exprs(tree.functions[0].body)
+                     if isinstance(e, C.Assign)
+                     and isinstance(e.target, C.Index))
+        want = {"float": np.float32, "double": np.float64}[
+            computes_in(store.value)]
+        stored = []
+        fake_np, fake_ks = checked_modules(stored)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KernelContext, "np", fake_np)
+            mp.setattr(KernelContext, "ks", fake_ks)
+            run_source(src, fresh_args(data.draw, n), ngpus=1)
+        assert stored and set(stored) - {None} <= {np.dtype(want)}, \
+            (src, stored)

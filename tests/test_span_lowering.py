@@ -134,9 +134,7 @@ def lowering_of(src):
     been emitted (locals registered)."""
     compiled = repro.compile(src).compiled
     plan = compiled.plans[0]
-    vec = Vectorizer(plan.analysis, plan.config,
-                     {"n": "int", "p": "int", "w": "float"},
-                     {"t": "int", "f": "float"}, labels={})
+    vec = Vectorizer(plan.analysis, plan.config, labels={})
     for piece in vec.body_pieces():
         vec.emit_piece(piece)
     return vec, plan.analysis.nest.body
@@ -524,10 +522,11 @@ class TestDtypeAudit:
 
     def test_integer_block_slots_match_numpys_own_result(self):
         """Rule 6's integer cases -- an int vector against an integer
-        literal below 2**31 or a host ``int`` -- land in arena slots of
-        the vector's dtype, bit for bit NumPy's unbuffered result."""
+        literal or a host ``int`` (bound as the host holds it) -- land in
+        arena slots of the vector's dtype, bit for bit NumPy's unbuffered
+        result."""
         prog = repro.compile(DTYPE_KERNELS["int_block"])
-        assert "v_s = int(ctx.scalars['s'])" in prog.kernel_source("k_L0")
+        assert "v_s = ctx.scalars['s']" in prog.kernel_source("k_L0")
         rng = np.random.default_rng(5)
 
         def arrays():
@@ -559,13 +558,14 @@ class TestDtypeAudit:
         "a", [0.3, np.float32(0.3), np.float64(0.3), 1],
         ids=["float", "np.float32", "np.float64", "int"])
     def test_host_scalar_is_bound_through_its_c_type(self, a):
-        """``out=`` leans on ``a`` being a Python float, so the kernel
-        binds it as one: whatever the caller hands in, the audited
-        ``out=`` statements run and give the bits of ``a = float(a)``."""
+        """``a`` is a ``float``, so the kernel binds it as a float32
+        scalar: whatever the caller hands in, the audited ``out=``
+        statements run and give the bits of ``a = np.float32(a)``."""
         prog = repro.compile(DTYPE_KERNELS["host_scalar_types"])
-        assert "v_a = float(ctx.scalars['a'])" in prog.kernel_source("k_L0")
+        assert "v_a = np.float32(ctx.scalars['a'])" \
+            in prog.kernel_source("k_L0")
         out = []
-        for value in (a, float(a)):
+        for value in (a, np.float32(a)):
             arrays = {"x": self.arrays()["x"], "y": self.arrays()["y"]}
             audit = AuditedNumpy()
             launch(prog, "k_L0", {"n": 33, "a": value}, arrays, audit=audit)
@@ -590,10 +590,9 @@ void g(int n, float acc, float *x, float *y) {
 
 
 @pytest.mark.parametrize("ngpus", [1, 2, 4])
-def test_reduction_result_is_a_python_float(ngpus, monkeypatch):
-    """A reduction result is a host scalar like any other: a Python
-    float, which a later kernel's ``out=`` proofs may lean on and which
-    stays weak against float32 under NEP 50."""
+def test_reduction_result_holds_its_c_type(ngpus, monkeypatch):
+    """A reduction result is a host scalar like any other: a ``float``
+    one is a float32 scalar, which a later kernel binds as it is."""
     audit = AuditedNumpy()
     monkeypatch.setattr(KernelContext, "np", audit)
     prog = repro.compile(REDUCE_THEN_READ)
@@ -603,7 +602,7 @@ def test_reduction_result_is_a_python_float(ngpus, monkeypatch):
     reduced = {"n": 257, "x": x.copy(), "y": y.copy()}
     run = prog.run("f", reduced, machine=NODE4, ngpus=ngpus)
     acc = run.result.env["acc"]
-    assert type(acc) is float
+    assert type(acc) is np.float32
     assert audit.buffered > 0  # f_L0 has no arithmetic: f_L1 buffered
     passed = {"n": 257, "acc": acc, "x": x.copy(), "y": y.copy()}
     prog.run("g", passed, machine=NODE4, ngpus=ngpus)
@@ -773,9 +772,13 @@ def test_md_launch_allocates_a_constant_number_of_lane_vectors(ngpus,
 
 
 #: The flattening of a CSR loop is the one place a launch builds index
-#: vectors: the active-lane vector (``np.arange`` when no mask selects
-#: it) and ``ks.flat_ranges``' offsets.
-FLATTENING_ARANGES = {"bfs_L0": 1, "spmv_L0": 2}
+#: vectors: ``ks.flat_ranges``' offsets.  With no mask every lane is
+#: active and the position vector is built from ``ctx.iota()``, so
+#: ``spmv_L0`` builds no ``np.arange`` of its lanes (it built one before
+#: the unmasked flattening indexed the bounds directly) -- except the
+#: one that fills a context's ``iota`` memo on its first launch.
+FLATTENING_ARANGES = {"bfs_L0": 1, "spmv_L0": 1}
+IOTA_MEMO_ARANGES = {"bfs_L0": 0, "spmv_L0": 1}
 
 
 @pytest.mark.parametrize("ngpus", [1, 4])
@@ -792,7 +795,8 @@ def test_csr_launch_calls_no_per_operation_helper(app, ngpus, launches):
     for rec in recs:
         calls = per_operation_calls(rec)
         assert set(calls) <= {"arange"}, rec
-        assert calls.get("arange", 0) <= FLATTENING_ARANGES[rec["kernel"]], rec
+        assert calls.get("arange", 0) <= FLATTENING_ARANGES[rec["kernel"]] \
+            + IOTA_MEMO_ARANGES[rec["kernel"]], rec
 
 
 #: ``spmv``'s loop with two more statements in its CSR body: a local
