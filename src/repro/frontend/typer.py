@@ -23,8 +23,6 @@ drops a kind suffix, so ``1.0d0`` is a ``float`` too.
 
 from __future__ import annotations
 
-import dataclasses
-
 from . import cast as C
 
 #: Integer types in conversion rank order (``long`` is 64 bits).
@@ -97,20 +95,20 @@ def operand_type(e: C.Expr) -> str:
 def _rule(e: C.Expr, names: dict[str, str], returns: dict[str, str],
           fortran: bool) -> str:
     """The type of ``e``, its operands typed."""
-    if isinstance(e, C.IntLit):
-        return e.ty or ("int" if abs(e.value) < 2 ** 31 else "long")
-    if isinstance(e, C.FloatLit):
-        return e.ty or ("float" if fortran else "double")
     if isinstance(e, C.Ident):
         return names.get(e.name, "int")
-    if isinstance(e, C.Index):
-        return e.array.ty.rstrip("*") or "int"
     if isinstance(e, C.BinOp):
         if e.op in COMPARISONS:
             return "int"
         # A shift has its promoted left operand's type.
         return arith(e.left.ty, "char" if e.op in ("<<", ">>")
                      else e.right.ty)
+    if isinstance(e, C.IntLit):
+        return e.ty or ("int" if abs(e.value) < 2 ** 31 else "long")
+    if isinstance(e, C.Index):
+        return e.array.ty.rstrip("*") or "int"
+    if isinstance(e, C.FloatLit):
+        return e.ty or ("float" if fortran else "double")
     if isinstance(e, C.UnOp):
         if e.op == "*":
             return e.operand.ty[:-1] if e.operand.ty.endswith("*") else "int"
@@ -138,16 +136,22 @@ def _rule(e: C.Expr, names: dict[str, str], returns: dict[str, str],
     return "int"
 
 
-def _exprs_in(x):
-    """Every expression tree held in ``x`` (a directive's fields too)."""
-    if isinstance(x, C.Expr):
-        yield x
-    elif isinstance(x, (list, tuple, dict)):
-        for item in x.values() if isinstance(x, dict) else x:
-            yield from _exprs_in(item)
-    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-        for f in dataclasses.fields(x):
-            yield from _exprs_in(getattr(x, f.name))
+def _exprs_in(x, out: list) -> list:
+    """Every expression tree held in ``x`` (a directive's fields too),
+    appended to ``out``."""
+    if isinstance(x, (str, int, type(None))):
+        pass
+    elif isinstance(x, C.Expr):
+        out.append(x)
+    elif isinstance(x, (list, tuple)):
+        for item in x:
+            _exprs_in(item, out)
+    elif isinstance(x, dict):
+        _exprs_in(list(x.values()), out)
+    elif hasattr(x, "__dataclass_fields__"):
+        for name in x.__dataclass_fields__:
+            _exprs_in(getattr(x, name), out)
+    return out
 
 
 def type_program(program: C.Program, fortran: bool = False) -> C.Program:
@@ -156,23 +160,30 @@ def type_program(program: C.Program, fortran: bool = False) -> C.Program:
         return ctype.base + "*" if ctype.is_arraylike else ctype.base
 
     def typed(e: C.Expr) -> None:
-        for x in C.child_exprs(e):
-            typed(x)
+        if isinstance(e, C.BinOp):
+            typed(e.left)
+            typed(e.right)
+        elif not isinstance(e, (C.Ident, C.IntLit, C.FloatLit)):
+            for x in C.child_exprs(e):
+                typed(x)
         e.ty = _rule(e, names, returns, fortran)
 
     returns = {f.name: f.return_type.base for f in program.functions}
     names = globals_ = {d.name: name_type(d.ctype) for d in program.globals}
     for e in _exprs_in([(d.init, d.ctype.array_dims)
-                        for d in program.globals]):
+                        for d in program.globals], []):
         typed(e)
     for func in program.functions:
+        stmts = list(C.walk(func.body))
         names = {**globals_,
                  **{p.name: name_type(p.ctype) for p in func.params},
-                 **{st.name: name_type(st.ctype) for st in C.walk(func.body)
+                 **{st.name: name_type(st.ctype) for st in stmts
                     if isinstance(st, C.Decl)}}
-        for st in C.walk(func.body):
-            dims = st.ctype.array_dims if isinstance(st, C.Decl) else ()
-            for e in _exprs_in([list(C.stmt_exprs(st)), dims,
-                                st.directives]):
+        for st in stmts:
+            for e in C.stmt_exprs(st):
                 typed(e)
+            dims = st.ctype.array_dims if isinstance(st, C.Decl) else ()
+            if dims or st.directives:
+                for e in _exprs_in([dims, st.directives], []):
+                    typed(e)
     return program
