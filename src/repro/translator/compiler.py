@@ -372,7 +372,7 @@ def _compile_function(func: C.FunctionDef, scope: Scope,
     # plans, so per-loop reports and lookups are unchanged.
     if options.fuse and len(func_plans) > 1:
         from .fusion import fuse_function
-        fuse_function(func, func_plans, scope, compiled)
+        fuse_function(func, func_plans, compiled)
 
 
 def _walk_outside_regions(body: C.Stmt, compiled: CompiledProgram):

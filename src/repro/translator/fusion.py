@@ -97,7 +97,6 @@ from .vectorizer import (
 )
 
 if TYPE_CHECKING:
-    from ..frontend.symbols import Scope
     from .compiler import CompiledProgram, KernelPlan
 
 # ---------------------------------------------------------------------------
@@ -606,8 +605,7 @@ def _private_names(m: "KernelPlan") -> list[str]:
 
 
 def build_fused_plan(name: str, members: list["KernelPlan"],
-                     demoted: list[DemotedArray],
-                     scope: "Scope") -> "KernelPlan":
+                     demoted: list[DemotedArray]) -> "KernelPlan":
     """Assemble the fused KernelPlan."""
     from .compiler import KernelPlan
 
@@ -719,19 +717,19 @@ def _has_update(stmt: C.Stmt) -> bool:
 
 
 def fuse_function(func: C.FunctionDef, func_plans: list["KernelPlan"],
-                  scope: "Scope", compiled: "CompiledProgram") -> None:
+                  compiled: "CompiledProgram") -> None:
     """Run the fusion pass over one function (mutates ``compiled``)."""
     counter = len(compiled.fusion_groups)
 
     # Within-region runs: all loops of one multi-loop construct.
     for region in _regions_in_order(func, compiled):
         if len(region.plans) > 1:
-            counter = _fuse_within_region(region, func, func_plans, scope,
+            counter = _fuse_within_region(region, func, func_plans,
                                           compiled, counter)
 
     # Cross-region runs: adjacent single-loop region statements.
     for run in _adjacent_region_runs(func, compiled):
-        counter = _fuse_run(run, func, func_plans, scope, compiled,
+        counter = _fuse_run(run, func, func_plans, compiled,
                             counter)
 
 
@@ -774,7 +772,7 @@ def _adjacent_region_runs(func: C.FunctionDef, compiled: "CompiledProgram"):
     return runs
 
 
-def _fuse_within_region(region, func, func_plans, scope, compiled,
+def _fuse_within_region(region, func, func_plans, compiled,
                         counter: int) -> int:
     i = 0
     while i < len(region.plans) - 1:
@@ -799,7 +797,7 @@ def _fuse_within_region(region, func, func_plans, scope, compiled,
             j += 1
         if len(members) >= 2:
             member_stmts: set[int] = set()  # all inside the region stmt
-            group = _make_group(members, func, func_plans, scope, compiled,
+            group = _make_group(members, func, func_plans, compiled,
                                 member_stmts, counter)
             if group is not None:
                 region.plans[i:j] = [group.fused]
@@ -810,7 +808,7 @@ def _fuse_within_region(region, func, func_plans, scope, compiled,
     return counter
 
 
-def _fuse_run(run, func, func_plans, scope, compiled,
+def _fuse_run(run, func, func_plans, compiled,
               counter: int) -> int:
     i = 0
     while i < len(run) - 1:
@@ -844,7 +842,7 @@ def _fuse_run(run, func, func_plans, scope, compiled,
             j += 1
         if len(members) >= 2:
             member_stmts = {id(stmt) for stmt, _ in sites}
-            group = _make_group(members, func, func_plans, scope, compiled,
+            group = _make_group(members, func, func_plans, compiled,
                                 member_stmts, counter)
             if group is not None:
                 from .compiler import ParallelRegion
@@ -861,12 +859,12 @@ def _fuse_run(run, func, func_plans, scope, compiled,
     return counter
 
 
-def _make_group(members, func, func_plans, scope, compiled, member_stmts,
+def _make_group(members, func, func_plans, compiled, member_stmts,
                 counter: int) -> FusionGroup | None:
     demoted = find_demotions(members, func, func_plans, member_stmts)
     name = f"{members[0].name}_f{len(members)}"
     try:
-        fused = build_fused_plan(name, members, demoted, scope)
+        fused = build_fused_plan(name, members, demoted)
     except VectorizeError as exc:
         compiled.fusion_bails.append(FusionBail(
             first=members[0].name, second=members[-1].name,
