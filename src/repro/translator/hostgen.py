@@ -275,10 +275,11 @@ class _FunctionEmitter:
 
     def stored(self, e: C.Expr, want: str) -> str:
         """``e`` converted to the type of the object it is stored in (a
-        ``float`` literal becomes a float32 value too)."""
+        ``float`` literal becomes a float32 value, an integer a Python
+        int)."""
         if want == "float" and isinstance(e, C.FloatLit):
             return f"np.float32({self.expr(e)})"
-        return self.operand(e, want)
+        return self.index(e) if want in INTEGERS else self.operand(e, want)
 
     # -- expressions -------------------------------------------------------------
 

@@ -32,7 +32,7 @@ import numpy as np
 from repro.api import AccProgram
 from repro.frontend import cast as C
 from repro.frontend.directives import AccReductionToArray
-from repro.frontend.typer import FLOATS, computes_in, operand_type
+from repro.frontend.typer import FLOATS, INTEGERS, computes_in, operand_type
 from repro.translator import fusion
 from repro.translator.array_config import LoopConfig, WriteHandling
 from repro.translator.compiler import CompiledProgram, KernelPlan
@@ -134,7 +134,8 @@ class ExprEvaluator:
         """``e`` converted to the type of the object it is stored in."""
         if want == "float" and isinstance(e, C.FloatLit):
             return np.float32(self.eval(e))
-        return self.operand(e, want)
+        return int(self.eval(e)) if want in INTEGERS \
+            else self.operand(e, want)
 
     def assigned(self, a: C.Assign, cur: Any, value: Any) -> Any:
         """What ``target op= value`` leaves in a target holding ``cur``
