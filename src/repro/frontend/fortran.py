@@ -24,7 +24,9 @@ Lowering rules:
   ``.eq. .ne. .lt. .le. .gt. .ge.`` map to their C forms; logical
   literals map to 1/0.
 * Types: ``real`` -> float, ``double precision``/``real(8)`` -> double,
-  ``integer`` -> int, ``logical`` -> int.
+  ``integer`` -> int, ``logical`` -> int; a real literal is a ``double``
+  with a ``d`` exponent or a double kind (``1.0d0``, ``1.0_8``,
+  ``1.0_dp``), else a ``float``.
 
 The result plugs into :func:`repro.translator.compiler.compile_source`
 via ``repro.compile_fortran``.
@@ -48,7 +50,7 @@ from .lexer import (
     tokenize,
 )
 from .parser import BINARY_PREC, Parser
-from .typer import type_program
+from .typer import literal_type, type_program
 
 
 class FortranError(SyntaxError):
@@ -163,7 +165,8 @@ class _ExprParser(Parser):
         if t.kind == INT_LIT:
             return C.IntLit(int(t.value), self.line)
         if t.kind == FLOAT_LIT:
-            return C.FloatLit(float(t.value), self.line)
+            return C.FloatLit(float(t.value.rstrip("f")), self.line,
+                              ty=literal_type(t.value))
         if t.kind == PUNCT and t.value == "(":
             e = self.parse_binary(1)
             self.expect(PUNCT, ")")

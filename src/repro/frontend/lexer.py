@@ -154,6 +154,19 @@ _DOT_WORDS = {
     ".le.": (PUNCT, "<="), ".gt.": (PUNCT, ">"), ".ge.": (PUNCT, ">="),
 }
 
+def _fortran_real(text: str) -> str:
+    """A Fortran real literal in C's spelling: a ``d`` exponent or a
+    kind suffix other than ``_4`` / ``_sp`` / ``_real32`` (``1.0d0``,
+    ``1.0_8``, ``1.0_dp``) is C's ``double``, any other a ``float``
+    (C's ``f`` suffix); the suffix drops and a ``d`` exponent is C's
+    ``e``."""
+    number, _, kind = text.partition("_")
+    double = "d" in number.lower() or \
+        kind.lower() not in ("", "4", "sp", "real32")
+    return number.replace("d", "e").replace("D", "e") + \
+        ("" if double else "f")
+
+
 FORTRAN_TABLE = Table(
     r"(?P<dotword>\.(?:and|or|not|eq|ne|lt|le|gt|ge|true|false)\.)"
     r"|(?P<float>(?:\d+\.\d*|\.\d+|\d+)(?:[edED][+-]?\d+)(?:_\w+)?"
@@ -167,9 +180,7 @@ FORTRAN_TABLE = Table(
     kinds={"id": ID, "punct": PUNCT},
     respell={
         "dotword": lambda text: _DOT_WORDS[text.lower()],
-        # Kind suffixes (1.0_8) drop; a d exponent is C's e.
-        "float": lambda text: (FLOAT_LIT, text.split("_")[0]
-                               .replace("d", "e").replace("D", "e")),
+        "float": lambda text: (FLOAT_LIT, _fortran_real(text)),
         "int": lambda text: (INT_LIT, text.split("_")[0]),
         "ne": lambda text: (PUNCT, "!="),
     },

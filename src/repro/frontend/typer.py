@@ -17,8 +17,9 @@ result is that ``float`` value, so float32 gives C's bits -- and
 :func:`operand_type`, the type each operand is converted to first.
 
 A Fortran program's intrinsics are generic (``sqrt`` of a ``real`` is a
-``real``) and its real literals are default-kind ``real``: the scanner
-drops a kind suffix, so ``1.0d0`` is a ``float`` too.
+``real``); its real literals are typed by their kind as C's are by their
+suffix (the scanner spells ``0.1`` as ``0.1f`` and ``0.1d0`` as
+``0.1e0``).
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _rule(e: C.Expr, names: dict[str, str], returns: dict[str, str],
     if isinstance(e, C.Index):
         return e.array.ty.rstrip("*") or "int"
     if isinstance(e, C.FloatLit):
-        return e.ty or ("float" if fortran else "double")
+        return e.ty
     if isinstance(e, C.UnOp):
         if e.op == "*":
             return e.operand.ty[:-1] if e.operand.ty.endswith("*") else "int"

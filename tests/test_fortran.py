@@ -469,3 +469,63 @@ class TestFortranExpressions:
         out = np.zeros(1, dtype=np.float32)
         repro.compile_fortran(src).run("f", {"out": out})
         assert out[0] == 1.0
+
+
+SCALE_F = """
+subroutine scale(n, x, y)
+  integer :: n
+  {kind} :: x(n), y(n)
+  integer :: i
+  !$acc data copyin(x[0:n]) copyout(y[0:n])
+  !$acc parallel
+  !$acc localaccess x[stride(1)] y[stride(1)]
+  !$acc loop gang
+  do i = 1, n
+    y(i) = x(i) * {literal}
+  end do
+  !$acc end parallel
+  !$acc end data
+end subroutine scale
+"""
+
+
+class TestRealLiteralKind:
+    """A real literal keeps its kind, as gfortran reads it: ``0.1d0`` or
+    ``0.1_8`` is the double 0.1, a plain ``0.1`` the default-kind real
+    (widened where it meets a ``real(8)``)."""
+
+    @pytest.mark.parametrize("text,ty", [
+        ("0.1", "float"), ("2.5E-3", "float"), ("1.0_4", "float"),
+        ("1.e3_sp", "float"), ("0.1d0", "double"), ("1D+4", "double"),
+        ("1.0_8", "double"), ("3.0_dp", "double"), ("1.e3_real64", "double"),
+    ])
+    def test_kind_gives_the_c_type(self, text, ty):
+        tree = parse_fortran(f"""
+        subroutine f(a)
+          real(8) :: a
+          a = {text}
+        end subroutine f
+        """)
+        lit = tree.functions[0].body.body[-1].expr.value
+        assert isinstance(lit, C.FloatLit) and lit.ty == ty
+
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    @pytest.mark.parametrize("kind,literal,want", [
+        ("real(8)", "0.1d0", lambda x: x * 0.1),
+        ("real(8)", "0.1_8", lambda x: x * 0.1),
+        ("real(8)", "0.1", lambda x: x * np.float64(np.float32(0.1))),
+        ("real", "0.1d0",
+         lambda x: (x.astype(np.float64) * 0.1).astype(np.float32)),
+        ("real", "0.1", lambda x: x * np.float32(0.1)),
+    ])
+    def test_scaled_array_matches_numpy(self, kind, literal, want, ngpus):
+        dtype = np.float64 if kind == "real(8)" else np.float32
+        n = 257
+        x = np.random.default_rng(5).random(n).astype(dtype)
+        y = np.zeros(n, dtype)
+        prog = repro.compile_fortran(
+            SCALE_F.format(kind=kind, literal=literal))
+        prog.run("scale", {"n": n, "x": x, "y": y}, ngpus=ngpus)
+        expected = want(x)
+        assert expected.dtype == dtype
+        assert y.tobytes() == expected.tobytes()

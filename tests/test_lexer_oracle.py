@@ -21,8 +21,13 @@ column.  Exactly three behaviours differ on purpose:
 
 The Fortran table is held to ``oracle_tokenize_fortran`` the same way.
 Its ``col`` is checked as a relation: the oracle's pointed at the blanks
-before a token, the scanner's points at the token.
+before a token, the scanner's points at the token.  One more behaviour
+differs on purpose there: the oracle dropped a real literal's kind, the
+scanner spells a default-kind one with C's ``f`` suffix (``1.0`` ->
+``1.0f``, ``1.0d0`` -> ``1.0e0``), so the C type is kept.
 """
+
+import re
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -218,6 +223,16 @@ def test_fortran_table_matches_oracle(text, line):
         assert str(exc).endswith(repr(text[caught.value.col - 1:])[1:])
         return
     new = rows(tokenize(text, line, FORTRAN_TABLE))
+    # The kind: an f suffix marks a default-kind real literal.
+    for got in new:
+        if got[0] == FLOAT_LIT:
+            kind = re.match(r"[\d.]+(?:[edED][+-]?\d+)?(?:_(\w+))?",
+                            text[got[3] - 1:])
+            default = "d" not in kind[0].lower() and \
+                (kind[1] or "4").lower() in ("4", "sp", "real32")
+            assert got[1].endswith("f") == default, (got, kind[0])
+    new = [(k, v.removesuffix("f") if k == FLOAT_LIT else v, *rest)
+           for k, v, *rest in new]
     assert [r[:3] for r in new] == [r[:3] for r in old]
     assert new[-1] == old[-1]  # EOF: one past the text
     for got, want in zip(new[:-1], old[:-1]):
