@@ -24,7 +24,6 @@ from typing import Iterator
 
 from . import cast as C
 from .directives import AccLoop, AccReductionToArray
-from .typer import arith
 
 
 class AnalysisError(ValueError):
@@ -363,8 +362,7 @@ def normalize_loop(stmt: C.For, directive: AccLoop | None = None) -> LoopNest:
         raise AnalysisError("parallel loop condition must be 'i < hi'", line)
     upper = stmt.cond.right
     if stmt.cond.op == "<=":
-        upper = C.BinOp("+", upper, C.IntLit(1, ty="int"),
-                        ty=arith(upper.ty, "int"))
+        upper = C.BinOp("+", upper, C.IntLit(1))
     # step
     step_ok = False
     if isinstance(stmt.step, C.Assign) and isinstance(stmt.step.target, C.Ident) \
@@ -431,8 +429,7 @@ def normalize_inner(f: C.For) -> tuple[C.Expr, C.Expr, str]:
         raise AnalysisError("inner loop condition must be 'j < hi'", line)
     upper = f.cond.right
     if f.cond.op == "<=":
-        upper = C.BinOp("+", upper, C.IntLit(1, ty="int"),
-                        ty=arith(upper.ty, "int"))
+        upper = C.BinOp("+", upper, C.IntLit(1))
     return lower, upper, var
 
 

@@ -24,6 +24,8 @@ suffix (the scanner spells ``0.1`` as ``0.1f`` and ``0.1d0`` as
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import cast as C
 
 #: Integer types in conversion rank order (``long`` is 64 bits).
@@ -49,6 +51,12 @@ def is_float(ty: str) -> bool:
     return ty in FLOATS
 
 
+def is_integer(ty: str) -> bool:
+    """An integer type.  A node built after the pass (a normalized loop
+    bound, a subscript) has no type and is an integer."""
+    return ty in INTEGERS or not ty
+
+
 def arith(a: str, b: str) -> str:
     """The common type of two operands; a pointer keeps its type."""
     for t in (a, b):
@@ -68,6 +76,15 @@ def literal_type(text: str) -> str:
     6.4.4.2); an integer literal is an ``int``, or a ``long`` where it
     does not fit."""
     return "float" if text[-1] in "fF" else "double"
+
+
+def literal_value(e: C.IntLit | C.FloatLit, ty: str = "double"):
+    """A literal's value as an operand of a ``ty`` operation: a ``float``
+    literal in ``double`` arithmetic is its float32 value (in ``float``
+    arithmetic NumPy rounds it to the float32 it meets)."""
+    if e.ty == "float" and ty == "double":
+        return float(np.float32(e.value))
+    return e.value
 
 
 def computes_in(e: C.Expr) -> str:
@@ -105,7 +122,7 @@ def _rule(e: C.Expr, names: dict[str, str], returns: dict[str, str],
         return arith(e.left.ty, "char" if e.op in ("<<", ">>")
                      else e.right.ty)
     if isinstance(e, C.IntLit):
-        return e.ty or ("int" if abs(e.value) < 2 ** 31 else "long")
+        return "int" if abs(e.value) < 2 ** 31 else "long"
     if isinstance(e, C.Index):
         return e.array.ty.rstrip("*") or "int"
     if isinstance(e, C.FloatLit):

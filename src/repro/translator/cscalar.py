@@ -14,7 +14,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..frontend.typer import INTEGERS
+from ..frontend.typer import INTEGERS, is_integer
 
 _NP_DTYPES = {"float": np.float32, "double": np.float64, "char": np.int8,
               "int": np.int32, "unsigned int": np.uint32,
@@ -57,20 +57,30 @@ _MATH_FUNCS: dict[str, Callable[..., Any]] = {
 }
 
 
-def c_convert(value: Any, have: str, want: str) -> Any:
-    """``value``, of C type ``have``, converted to type ``want`` -- at an
-    assignment, a parameter or an operand of a wider operation: a
-    ``float`` is a float32 NumPy scalar, a ``double`` a Python float, an
-    integer a Python int (truncated toward zero)."""
-    if want == have:
-        return value
-    if want == "float":
-        return np.float32(value)
-    if want == "double":
-        return float(value)
-    if want in INTEGERS and have not in INTEGERS:
-        return int(value)
-    return value
+#: The constructor, by its name in the host program, that converts a
+#: value to a C type: a ``float`` is a float32 NumPy scalar, a
+#: ``double`` a Python float, an integer a Python int (truncated toward
+#: zero).
+CONVERT = {"float": "np.float32", "double": "float",
+           **dict.fromkeys(INTEGERS, "int")}
+_CONSTRUCTORS = {"np.float32": np.float32, "float": float, "int": int}
+
+
+def converter(have: str | None, want: str) -> str:
+    """The name in :data:`CONVERT` that converts a value of C type
+    ``have`` (None: any value) to ``want`` -- at an assignment, a
+    parameter or an operand of a wider operation; "" where the host
+    holds both alike (one type, or two integer types)."""
+    if have is not None and (want == have
+                             or is_integer(want) and is_integer(have)):
+        return ""
+    return CONVERT.get(want, "")
+
+
+def c_convert(value: Any, have: str | None, want: str) -> Any:
+    """``value``, of C type ``have``, converted to type ``want``."""
+    name = converter(have, want)
+    return _CONSTRUCTORS[name](value) if name else value
 
 
 def _is_int(v: Any) -> bool:

@@ -94,7 +94,7 @@ def _coerce_arg(name: str, base: str, arraylike: bool, value: Any) -> Any:
                 f"got {arr.dtype}")
         return arr
     # A scalar argument is converted to the parameter's C type.
-    return c_convert(value, "", base)
+    return c_convert(value, None, base)
 
 
 def _innermost_host_function(exc: BaseException, default: str) -> str:

@@ -37,7 +37,14 @@ import numpy as np
 from ..frontend import cast as C
 from ..frontend.directives import AccData, AccParallel, AccUpdate
 from .compiler import CompiledProgram, CompileError
-from ..frontend.typer import FLOATS, INTEGERS, computes_in, operand_type
+from ..frontend.typer import (
+    FLOATS,
+    INTEGERS,
+    computes_in,
+    is_integer,
+    literal_value,
+    operand_type,
+)
 from .cscalar import (
     _MATH_FUNCS,
     _NP_DTYPES,
@@ -48,6 +55,7 @@ from .cscalar import (
     c_fmax,
     c_fmin,
     c_mod,
+    converter,
 )
 from .vectorizer import exec_source
 
@@ -167,21 +175,13 @@ def format_host_source(compiled: CompiledProgram, func: str) -> str:
 # Every expression node carries its C type (``ty``, set by
 # :mod:`repro.frontend.typer`).  An operand whose type differs from the
 # type its operation computes in is converted first, as C converts it; a
-# stored value is converted to its object's type.  The text is that of
-# :func:`~repro.translator.cscalar.c_convert`.
+# stored value is converted to its object's type.
 
 
 def _convert(text: str, have: str, want: str) -> str:
     """Text of ``c_convert(text, have, want)``."""
-    if want == have:
-        return text
-    if want == "float":
-        return f"np.float32({text})"
-    if want == "double":
-        return f"float({text})"
-    if want in INTEGERS and have not in INTEGERS:
-        return f"int({text})"
-    return text
+    name = converter(have, want)
+    return f"{name}({text})" if name else text
 
 
 def _pure(e: C.Expr) -> bool:
@@ -264,7 +264,7 @@ class _FunctionEmitter:
         """``e`` as a Python int: an element or a call may be a NumPy
         one."""
         text = self.expr(e)
-        if e.ty in INTEGERS and not any(isinstance(x, (C.Index, C.Call))
+        if is_integer(e.ty) and not any(isinstance(x, (C.Index, C.Call))
                                         for x in C.walk_expr(e)):
             return text
         return f"int({text})"
@@ -274,11 +274,11 @@ class _FunctionEmitter:
         return _convert(self.expr(e), computes_in(e), want)
 
     def stored(self, e: C.Expr, want: str) -> str:
-        """``e`` converted to the type of the object it is stored in (a
-        ``float`` literal becomes a float32 value, an integer a Python
-        int)."""
-        if want == "float" and isinstance(e, C.FloatLit):
-            return f"np.float32({self.expr(e)})"
+        """``e`` converted to the type of the object it is stored in (the
+        text of a floating literal is a Python float; an integer is
+        stored as a Python int)."""
+        if isinstance(e, C.FloatLit):
+            return _convert(self.expr(e), "double", want)
         return self.index(e) if want in INTEGERS else self.operand(e, want)
 
     # -- expressions -------------------------------------------------------------
@@ -288,9 +288,7 @@ class _FunctionEmitter:
         if isinstance(e, C.IntLit):
             return str(e.value) if e.value >= 0 else f"({e.value})"
         if isinstance(e, C.FloatLit):
-            # A float literal is its float32 value in any arithmetic.
-            value = float(np.float32(e.value)) if e.ty == "float" \
-                else e.value
+            value = literal_value(e)
             text = repr(value)
             if not math.isfinite(value):
                 text = f"float({text!r})"

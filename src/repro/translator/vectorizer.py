@@ -112,7 +112,12 @@ from ..frontend.analysis import (
     strided_in,
 )
 from ..frontend.directives import AccReductionToArray
-from ..frontend.typer import computes_in, is_float, operand_type
+from ..frontend.typer import (
+    computes_in,
+    is_float,
+    literal_value,
+    operand_type,
+)
 from .array_config import ArrayConfig, LoopConfig, Placement, WriteHandling
 from .cscalar import _NP_DTYPES
 from .cost import (
@@ -154,12 +159,9 @@ _INT_DTYPES = ("np.int32", "np.int64")
 
 
 def _literal(e: C.IntLit | C.FloatLit, ty: str = "") -> str:
-    """A literal's text as an operand of a ``ty`` operation: a ``float``
-    literal in ``double`` arithmetic is its float32 value; elsewhere
-    NumPy rounds it to the float32 it meets."""
-    if e.ty == "float" and ty == "double":
-        return repr(float(np.float32(e.value)))
-    return repr(e.value)
+    """A literal's text as an operand of a ``ty`` operation."""
+    return repr(literal_value(e, ty))
+
 #: Math calls whose NumPy SIMD and scalar loops need not agree bit for
 #: bit: a statement calling one replays per trip, at today's positions.
 _IMPRECISE = frozenset({"exp", "expf", "log", "logf", "pow", "powf",
