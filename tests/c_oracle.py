@@ -19,7 +19,10 @@ of C's arithmetic: each computes its expression in a kernel (into
 The gcc outputs are kept as SHA-256 digests in
 ``tests/c_oracle_digests.json``, so the tests need no gcc;
 ``PYTHONPATH=src:. python tests/c_oracle.py --write`` rebuilds them
-(``gcc -O0 -std=c99 -ffp-contract=off -lm``).
+(``gcc -O0 -std=c99 -ffp-contract=off -lm``) and ``--check`` compares a
+rebuild with them, leaving out :data:`LIBC_DEPENDENT`.  The checked-in
+digests were made with gcc 12.2.0 (Debian 12.2.0-14+deb12u1) and glibc
+2.36 on x86-64.
 """
 
 from __future__ import annotations
@@ -84,6 +87,11 @@ PROBES = {
     "int_operand": "a[i] + (i + 16777217)",
     "libm": "expf(a[i] * 0.01f)",
 }
+
+
+#: Cases whose gcc bytes are the C library's: glibc picks its ``expf``
+#: (FMA or SSE2 on x86-64) at run time, and versions differ.
+LIBC_DEPENDENT = ("probe_libm",)
 
 
 @dataclass(frozen=True)
@@ -215,6 +223,14 @@ def load_digests() -> dict[str, dict[str, str]]:
 def main(argv: list[str]) -> int:
     table = gcc_digests()
     text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+    if "--check" in argv:
+        pinned = load_digests()
+        moved = sorted(name for name in {*table, *pinned}
+                       if name not in LIBC_DEPENDENT
+                       and table.get(name) != pinned.get(name))
+        for name in moved:
+            print(f"{name}: gcc's outputs differ from {DIGESTS_PATH.name}")
+        return 1 if moved else 0
     if "--write" in argv:
         DIGESTS_PATH.write_text(text)
     else:
