@@ -24,6 +24,7 @@ from typing import Iterator
 
 from . import cast as C
 from .directives import AccLoop, AccReductionToArray
+from .typer import libm
 
 
 class AnalysisError(ValueError):
@@ -494,14 +495,8 @@ def analyze_loop(nest: LoopNest, array_names: set[str],
     return la
 
 
-_BUILTINS = {"sqrt", "sqrtf", "fabs", "fabsf", "abs", "exp", "expf", "log",
-             "logf", "pow", "powf", "min", "max", "fmin", "fmax", "fminf",
-             "fmaxf", "floor", "floorf", "ceil", "ceilf", "sin", "cos",
-             "sizeof", "rsqrt", "rsqrtf"}
-
-
 def _is_builtin(name: str) -> bool:
-    return name in _BUILTINS
+    return name == "sizeof" or libm(name) is not None
 
 
 def _opaque_locals(stmts: list[C.Stmt], array_names: set[str],

@@ -31,20 +31,25 @@ from . import cast as C
 #: Integer types in conversion rank order (``long`` is 64 bits).
 INTEGERS = ("char", "int", "unsigned int", "long", "unsigned long")
 FLOATS = ("float", "double")
-#: Return type of every math call; None: the common type of the
-#: arguments (``min`` / ``max``, macros in C).
-LIBM = {
-    "sqrt": "double", "sqrtf": "float", "rsqrt": "double",
-    "rsqrtf": "float", "fabs": "double", "fabsf": "float", "abs": "int",
-    "exp": "double", "expf": "float", "log": "double", "logf": "float",
-    "pow": "double", "powf": "float", "sin": "double", "cos": "double",
-    "floor": "double", "floorf": "float", "ceil": "double", "ceilf": "float",
-    "fmin": "double", "fminf": "float", "fmax": "double", "fmaxf": "float",
-    "min": None, "max": None,
-}
+#: The math library: return type of each call (None: the common type of
+#: the arguments -- ``min`` / ``max``, macros in C).  A ``double`` call's
+#: name with an ``f`` is its ``float`` variant (``sqrtf``); the other
+#: tables of math calls (emitters, prices) are keyed as this one.
+LIBM = {**dict.fromkeys(("sqrt", "rsqrt", "fabs", "exp", "log", "pow", "sin",
+                         "cos", "floor", "ceil", "fmin", "fmax"), "double"),
+        "abs": "int", "min": None, "max": None}
 #: Calls exact on ``float`` operands (see :func:`computes_in`).
 EXACT = ("fabs", "fmax", "fmin")
 COMPARISONS = ("<", ">", "<=", ">=", "==", "!=", "&&", "||")
+
+
+def libm(name: str) -> str | None:
+    """The :data:`LIBM` call ``name`` is, or is the ``float`` variant of
+    (``sqrtf`` -> ``sqrt``); None where it is no math call."""
+    if name in LIBM:
+        return name
+    return name[:-1] if LIBM.get(name[:-1]) == "double" \
+        and name[-1:] == "f" else None
 
 
 def is_float(ty: str) -> bool:
@@ -138,12 +143,12 @@ def _rule(e: C.Expr, names: dict[str, str], returns: dict[str, str],
         return e.to.base + "*" * e.to.pointers
     if isinstance(e, C.Assign):
         return e.target.ty
-    if isinstance(e, C.Call) and e.func in LIBM:
+    if isinstance(e, C.Call) and libm(e.func):
         common = "int"
         for a in e.args:
             common = arith(common, a.ty)
         if not fortran:
-            return LIBM[e.func] or common
+            return LIBM.get(e.func, "float") or common
         # Fortran's intrinsics are generic in their argument.
         if e.func in ("floor", "ceil"):
             return "int"

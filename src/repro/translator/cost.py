@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 from ..frontend import cast as C
 from ..frontend.analysis import LoopAnalysis, affine_in, expr_mentions
 from ..frontend.directives import AccReductionToArray
-from ..frontend.typer import is_float, operand_type
+from ..frontend.typer import is_float, libm, operand_type
 from ..vcuda.device import KernelWork
 from .array_config import ArrayConfig, LoopConfig, WriteHandling
 
-#: FLOP charges per operation (Fermi-era throughput ratios).
+#: FLOP charges per operation and per math call, keyed as
+#: ``typer.LIBM`` (Fermi-era throughput ratios).
 FLOP_COST = {
     "+": 1.0, "-": 1.0, "*": 1.0,
     "/": 4.0, "%": 4.0,
@@ -40,7 +41,8 @@ FLOP_COST = {
     "sqrt": 8.0, "rsqrt": 4.0,
     "exp": 16.0, "log": 16.0, "pow": 24.0,
     "sin": 16.0, "cos": 16.0,
-    "abs": 1.0, "minmax": 1.0, "floor": 1.0, "ceil": 1.0,
+    **dict.fromkeys(("abs", "fabs", "min", "fmin", "max", "fmax", "floor",
+                     "ceil"), 1.0),
 }
 
 #: Memory access classes (decided from affine analysis wrt the lane axis).
@@ -125,17 +127,6 @@ class KernelCostInfo:
 
 
 # -- statement facts shared by the pricing walk and the emitters -----------
-
-#: ``FLOP_COST`` kind of every math call a kernel body may make.
-CALL_KIND = {
-    "sqrt": "sqrt", "sqrtf": "sqrt", "rsqrt": "rsqrt", "rsqrtf": "rsqrt",
-    "fabs": "abs", "fabsf": "abs", "abs": "abs",
-    "exp": "exp", "expf": "exp", "log": "log", "logf": "log",
-    "pow": "pow", "powf": "pow", "sin": "sin", "cos": "cos",
-    "floor": "floor", "floorf": "floor", "ceil": "ceil", "ceilf": "ceil",
-    "min": "minmax", "fmin": "minmax", "fminf": "minmax",
-    "max": "minmax", "fmax": "minmax", "fmaxf": "minmax",
-}
 
 _COMPARISONS = ("<", ">", "<=", ">=", "==", "!=")
 
@@ -257,12 +248,12 @@ class _Pricer:
                 self.expr(part)
             cost.flop("cmp")
         elif isinstance(e, C.Call):
-            if e.func not in CALL_KIND:
+            if libm(e.func) is None:
                 raise PriceError(f"unsupported function call {e.func!r}",
                                  e.line)
             for arg in e.args:
                 self.expr(arg)
-            cost.flop(CALL_KIND[e.func])
+            cost.flop(libm(e.func))
         elif isinstance(e, C.Index):
             cfg, idx = self.subscript(e, "access to")
             self.expr(idx)
@@ -388,7 +379,7 @@ class _Pricer:
             raise PriceError(f"statement does not match the declared {op!r} "
                              f"reduction on {name!r}", a.line)
         self.expr(contrib)
-        self.cost.flop("minmax" if op in ("max", "min") else "cmp")
+        self.cost.flop(op if op in ("max", "min") else "cmp")
 
     def store(self, a: C.Assign) -> None:
         cost = self.cost

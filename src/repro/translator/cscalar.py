@@ -42,18 +42,13 @@ def c_fmin(x: Any, y: Any) -> Any:
     return y if x != x or y < x else x
 
 
+#: Python function of every math call, keyed as ``typer.LIBM``.
 _MATH_FUNCS: dict[str, Callable[..., Any]] = {
-    "sqrt": math.sqrt, "sqrtf": math.sqrt,
-    "rsqrt": lambda x: 1.0 / math.sqrt(x), "rsqrtf": lambda x: 1.0 / math.sqrt(x),
-    "fabs": abs, "fabsf": abs, "abs": abs,
-    "exp": math.exp, "expf": math.exp,
-    "log": math.log, "logf": math.log,
-    "pow": math.pow, "powf": math.pow,
-    "sin": math.sin, "cos": math.cos,
-    "floor": math.floor, "floorf": math.floor,
-    "ceil": math.ceil, "ceilf": math.ceil,
-    "min": min, "fmin": c_fmin, "fminf": c_fmin,
-    "max": max, "fmax": c_fmax, "fmaxf": c_fmax,
+    "sqrt": math.sqrt, "rsqrt": lambda x: 1.0 / math.sqrt(x),
+    "fabs": abs, "abs": abs, "exp": math.exp, "log": math.log,
+    "pow": math.pow, "sin": math.sin, "cos": math.cos,
+    "floor": math.floor, "ceil": math.ceil,
+    "min": min, "fmin": c_fmin, "max": max, "fmax": c_fmax,
 }
 
 

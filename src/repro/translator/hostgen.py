@@ -42,6 +42,7 @@ from ..frontend.typer import (
     INTEGERS,
     computes_in,
     is_integer,
+    libm,
     literal_value,
     operand_type,
 )
@@ -148,7 +149,8 @@ _NAMESPACE: dict[str, Any] = {
     "_aop": _apply_scalar_op, "_fail": _fail, "_var": _var, "_elem": _elem,
     "_ndarray": _ndarray, "_oob": _oob, "_store": _store, "_assign": _assign,
     "_present": _present,
-    **{f"_m_{name}": fn for name, fn in _MATH_FUNCS.items()},
+    # A math call and its ``float`` variant (``_m_sqrt``, ``_m_sqrtf``).
+    **{f"_m_{n}{f}": fn for n, fn in _MATH_FUNCS.items() for f in ("", "f")},
 }
 
 
@@ -188,7 +190,7 @@ def _pure(e: C.Expr) -> bool:
     """No assignment and no call to a host function inside ``e``."""
     return not any(
         isinstance(n, C.Assign)
-        or (isinstance(n, C.Call) and n.func not in _MATH_FUNCS)
+        or (isinstance(n, C.Call) and libm(n.func) is None)
         for n in C.walk_expr(e))
 
 
@@ -379,8 +381,8 @@ class _FunctionEmitter:
                          after=(self.expr(e.left), self.expr(e.right)))
 
     def call(self, e: C.Call) -> str:
-        fn = _MATH_FUNCS.get(e.func)
-        if fn is not None:
+        if libm(e.func):
+            fn = _MATH_FUNCS[libm(e.func)]
             t = computes_in(e)
             args = ", ".join(self.operand(a, t) if t in FLOATS
                              else self.expr(a) for a in e.args)
@@ -740,7 +742,7 @@ class _BoundEmitter(_FunctionEmitter):
         return f"int({self.expr(e)})"
 
     def call(self, e: C.Call) -> str:
-        if e.func in _MATH_FUNCS:
+        if libm(e.func):
             return super().call(e)
         return self.fail(ScalarError, f"unsupported call {e.func!r}", e.line)
 

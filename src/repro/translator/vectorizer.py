@@ -115,6 +115,7 @@ from ..frontend.directives import AccReductionToArray
 from ..frontend.typer import (
     computes_in,
     is_float,
+    libm,
     literal_value,
     operand_type,
 )
@@ -138,17 +139,13 @@ class VectorizeError(NotImplementedError):
         self.line = line
 
 
-#: Python function of every math call (``cost.CALL_KIND`` prices them).
+#: Kernel function of every math call, keyed as ``typer.LIBM``.
 _MATH_CALLS = {
-    "sqrt": "np.sqrt", "sqrtf": "np.sqrt",
-    "rsqrt": "_rsqrt", "rsqrtf": "_rsqrt",
-    "fabs": "np.abs", "fabsf": "np.abs", "abs": "np.abs",
-    "exp": "np.exp", "expf": "np.exp", "log": "np.log", "logf": "np.log",
-    "pow": "np.power", "powf": "np.power", "sin": "np.sin", "cos": "np.cos",
-    "floor": "np.floor", "floorf": "np.floor",
-    "ceil": "np.ceil", "ceilf": "np.ceil",
-    "min": "np.minimum", "fmin": "np.fmin", "fminf": "np.fmin",
-    "max": "np.maximum", "fmax": "np.fmax", "fmaxf": "np.fmax",
+    "sqrt": "np.sqrt", "rsqrt": "_rsqrt", "fabs": "np.abs", "abs": "np.abs",
+    "exp": "np.exp", "log": "np.log", "pow": "np.power", "sin": "np.sin",
+    "cos": "np.cos", "floor": "np.floor", "ceil": "np.ceil",
+    "min": "np.minimum", "fmin": "np.fmin", "max": "np.maximum",
+    "fmax": "np.fmax",
 }
 
 #: C type -> the NumPy dtype's source text.
@@ -578,7 +575,7 @@ class Vectorizer:
         if isinstance(e, C.Call):
             t = computes_in(e)
             args = ", ".join(self.tx_as(a, t) for a in e.args)
-            return f"{_MATH_CALLS[e.func]}({args})"
+            return f"{_MATH_CALLS[libm(e.func)]}({args})"
         if isinstance(e, C.Index):
             # A value kept in an expression string may outlive a later
             # store of the statement: copy a view when the kernel stores
@@ -1007,8 +1004,9 @@ class Vectorizer:
             # A comparison with a lane vector is a bool lane vector,
             # whatever it compares.
             return self._op(_COMPARE[e.op], plain, vals, None, e, "np.bool_")
-        if isinstance(e, C.Call) and _MATH_CALLS[e.func].startswith("np."):
-            fn = _MATH_CALLS[e.func]
+        if isinstance(e, C.Call) and \
+                _MATH_CALLS[libm(e.func)].startswith("np."):
+            fn = _MATH_CALLS[libm(e.func)]
             t = computes_in(e)
             vals = self._operands(e, e.args, t)
             plain = f"{fn}({', '.join(v.src for v in vals)})"

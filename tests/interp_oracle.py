@@ -32,7 +32,13 @@ import numpy as np
 from repro.api import AccProgram
 from repro.frontend import cast as C
 from repro.frontend.directives import AccReductionToArray
-from repro.frontend.typer import FLOATS, INTEGERS, computes_in, operand_type
+from repro.frontend.typer import (
+    FLOATS,
+    INTEGERS,
+    computes_in,
+    libm,
+    operand_type,
+)
 from repro.translator import fusion
 from repro.translator.array_config import LoopConfig, WriteHandling
 from repro.translator.compiler import CompiledProgram, KernelPlan
@@ -97,7 +103,7 @@ class ExprEvaluator:
             branch = e.then if self.eval(e.cond) else e.other
             return self.operand(branch, e.ty)
         if isinstance(e, C.Call):
-            fn = _MATH_FUNCS.get(e.func)
+            fn = _MATH_FUNCS.get(libm(e.func))
             if fn is not None:
                 t = computes_in(e)
                 args = [self.operand(a, t) if t in FLOATS else self.eval(a)

@@ -15,10 +15,11 @@ from repro.translator.cost import (
     ACCESS_COALESCED,
     ACCESS_RANDOM,
     ACCESS_STRIDED,
-    CALL_KIND,
+    FLOP_COST,
     CostCollector,
     KernelCostInfo,
 )
+from repro.frontend.typer import LIBM
 from repro.translator.cscalar import _MATH_FUNCS
 from repro.translator.vectorizer import _MATH_CALLS
 from repro.vcuda.device import KernelWork
@@ -225,4 +226,5 @@ class TestInterpreterOnlyLoops:
         assert reason in str(exc.value)
 
     def test_every_priced_call_has_an_emitter_and_an_interpreter(self):
-        assert set(CALL_KIND) == set(_MATH_CALLS) == set(_MATH_FUNCS)
+        assert set(LIBM) == set(_MATH_CALLS) == set(_MATH_FUNCS) \
+            <= set(FLOP_COST)
