@@ -154,6 +154,7 @@ _DOT_WORDS = {
     ".le.": (PUNCT, "<="), ".gt.": (PUNCT, ">"), ".ge.": (PUNCT, ">="),
 }
 
+
 def _fortran_real(text: str) -> str:
     """A Fortran real literal in C's spelling: a ``d`` exponent or a
     kind suffix other than ``_4`` / ``_sp`` / ``_real32`` (``1.0d0``,
