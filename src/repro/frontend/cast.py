@@ -83,8 +83,9 @@ class CType:
 
 @dataclass
 class Expr:
-    #: The C type of the value, set by :mod:`repro.frontend.typer` (a
-    #: base-type name; ``float*`` for an array name).
+    #: The C type of the value, set where the front end builds the node
+    #: (:mod:`repro.frontend.typer`: a base-type name; ``float*`` for an
+    #: array name).
     ty: str = field(default="", kw_only=True, repr=False, compare=False)
 
 

@@ -172,8 +172,8 @@ class _ClauseParser(Parser):
     """Parser over one pragma line, scanned at its source line, with
     section helpers."""
 
-    def __init__(self, text: str, line: int) -> None:
-        super().__init__(tokenize(text, line))
+    def __init__(self, text: str, line: int, scope: Parser | None) -> None:
+        super().__init__(tokenize(text, line), scope)
         self.line = line
 
     def err(self, msg: str) -> DirectiveError:
@@ -318,7 +318,7 @@ def _parse_localaccess_spec(p: _ClauseParser) -> LocalAccessSpec:
         if len(args) > 3:
             raise p.err("stride() takes (stride[, left[, right]])")
         while len(args) < 3:
-            args.append(C.IntLit(0))
+            args.append(C.IntLit(0, ty="int"))
         return LocalAccessSpec(kind="stride", stride=args[0],
                                left=args[1], right=args[2])
     if p.at(ID, "range"):
@@ -359,14 +359,16 @@ def _parse_reductiontoarray(p: _ClauseParser, line: int) -> AccReductionToArray:
                                line=line)
 
 
-def parse_pragma(text: str, line: int) -> Directive | None:
-    """Parse the text after ``#pragma``; returns None for non-acc pragmas.
+def parse_pragma(text: str, line: int,
+                 scope: Parser | None = None) -> Directive | None:
+    """Parse the text after ``#pragma``, in ``scope`` (the program's
+    parser, which types names); returns None for non-acc pragmas.
 
     Non-``acc`` pragmas (``omp``, ``once``, ...) are ignored so that the
     same source file can carry an OpenMP fallback annotation, as the
     paper's benchmark sources do.
     """
-    p = _ClauseParser(text, line)
+    p = _ClauseParser(text, line, scope)
     if not p.accept(ID, "acc"):
         return None
     head = p.expect(ID).value

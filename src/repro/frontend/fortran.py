@@ -38,7 +38,8 @@ import re
 from dataclasses import dataclass
 
 from . import cast as C
-from .directives import Directive, parse_pragma
+from .directives import (AccData, AccLocalAccess, AccParallel, Directive,
+                         LocalAccessSpec, parse_pragma)
 from .lexer import (
     EOF,
     FLOAT_LIT,
@@ -50,7 +51,7 @@ from .lexer import (
     tokenize,
 )
 from .parser import BINARY_PREC, Parser
-from .typer import literal_type, type_program
+from .typer import binary, call, element, int_type, literal_type, unary
 
 
 class FortranError(SyntaxError):
@@ -126,19 +127,19 @@ class _ExprParser(Parser):
 
     The Fortran table has already respelled the operators as C's; what
     is left of the surface is ``**`` (right-associative, a ``pow``
-    call) and ``name(args)``, where ``array_names`` distinguishes
-    ``a(i)`` subscripts (1-based, lowered to ``a[i-1]``) from
-    function/intrinsic calls.
+    call) and ``name(args)``, where the unit's declared arrays
+    distinguish ``a(i)`` subscripts (1-based, lowered to ``a[i-1]``)
+    from function/intrinsic calls.
     """
 
-    def __init__(self, text: str, array_names: set[str], line: int) -> None:
+    def __init__(self, text: str, unit: "FortranParser", line: int) -> None:
         try:
             tokens = tokenize(text, line, FORTRAN_TABLE)
         except LexError as exc:
             raise FortranError(f"cannot tokenize {text[exc.col - 1:]!r}",
                                line) from None
-        super().__init__(tokens)
-        self.arrays = array_names
+        super().__init__(tokens, unit)
+        self.arrays = unit.arrays
         self.line = line
 
     def error(self, message: str) -> FortranError:
@@ -154,16 +155,18 @@ class _ExprParser(Parser):
     def parse_unary(self) -> C.Expr:
         left = self._parse_operand()
         if self.accept(PUNCT, "**"):
-            return C.Call("pow", [left, self.parse_binary(_POWER)],
-                          line=self.line)
+            return self.call("pow", [left, self.parse_binary(_POWER)],
+                             self.line)
         return left
 
     def _parse_operand(self) -> C.Expr:
         t = self.advance()
         if t.kind == PUNCT and t.value in ("-", "+", "!"):
-            return C.UnOp(t.value, self._parse_operand(), line=self.line)
+            operand = self._parse_operand()
+            return C.UnOp(t.value, operand, line=self.line,
+                          ty=unary(t.value, operand.ty))
         if t.kind == INT_LIT:
-            return C.IntLit(int(t.value), self.line)
+            return _int(int(t.value), self.line)
         if t.kind == FLOAT_LIT:
             return C.FloatLit(float(t.value.rstrip("f")), self.line,
                               ty=literal_type(t.value))
@@ -173,7 +176,8 @@ class _ExprParser(Parser):
             return e
         if t.kind == ID:
             if not self.accept(PUNCT, "("):
-                return C.Ident(t.value, self.line)
+                return C.Ident(t.value, self.line,
+                               ty=self.names.get(t.value, "int"))
             args = []
             if not self.at(PUNCT, ")"):
                 args.append(self.parse_binary(1))
@@ -190,8 +194,10 @@ class _ExprParser(Parser):
                 raise FortranError(
                     f"array {name!r} must have exactly one subscript "
                     "(linearize multi-dimensional data)", self.line)
-            return C.Index(C.Ident(name, self.line),
-                           [_minus_one(args[0])], line=self.line)
+            array = self.names.get(name, "int")
+            return C.Index(C.Ident(name, self.line, ty=array),
+                           [_minus_one(args[0])], line=self.line,
+                           ty=element(array))
         if low in _INTRINSICS:
             mapped = {"abs": "fabs", "mod": "%", "real": "(float)",
                       "dble": "(double)", "int": "(int)",
@@ -199,26 +205,35 @@ class _ExprParser(Parser):
             if mapped == "%":
                 if len(args) != 2:
                     raise FortranError("mod() takes two arguments", self.line)
-                return C.BinOp("%", args[0], args[1], line=self.line)
+                return _bin("%", args[0], args[1], self.line)
             if mapped in ("(float)", "(int)", "(double)"):
                 base = mapped.strip("()")
-                return C.CastExpr(C.CType(base), args[0], line=self.line)
-            return C.Call(mapped, args, line=self.line)
+                return C.CastExpr(C.CType(base), args[0], line=self.line,
+                                  ty=base)
+            return self.call(mapped, args, self.line)
         # Unknown callable: keep as a call (program-defined function).
-        return C.Call(name, args, line=self.line)
+        return self.call(name, args, self.line)
+
+
+def _int(value: int, line: int = 0) -> C.IntLit:
+    return C.IntLit(value, line, ty=int_type(value))
+
+
+def _bin(op: str, left: C.Expr, right: C.Expr, line: int = 0) -> C.BinOp:
+    return C.BinOp(op, left, right, line, ty=binary(op, left.ty, right.ty))
 
 
 def _minus_one(e: C.Expr) -> C.Expr:
     """Lower a 1-based subscript to 0-based, folding constants."""
     if isinstance(e, C.IntLit):
-        return C.IntLit(e.value - 1, e.line)
+        return _int(e.value - 1, e.line)
     if isinstance(e, C.BinOp) and e.op == "+" and isinstance(e.right, C.IntLit):
         if e.right.value == 1:
             return e.left
-        return C.BinOp("+", e.left, C.IntLit(e.right.value - 1), e.line)
+        return _bin("+", e.left, _int(e.right.value - 1), e.line)
     if isinstance(e, C.BinOp) and e.op == "-" and isinstance(e.right, C.IntLit):
-        return C.BinOp("-", e.left, C.IntLit(e.right.value + 1), e.line)
-    return C.BinOp("-", e, C.IntLit(1))
+        return _bin("-", e.left, _int(e.right.value + 1), e.line)
+    return _bin("-", e, _int(1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +264,19 @@ _CALL_RE = re.compile(r"^call\s+(?P<name>\w+)\s*\((?P<args>.*)\)\s*$",
 
 
 class FortranParser:
-    """Parses one or more subroutines into a C :class:`~cast.Program`."""
+    """Parses one or more subroutines into a C :class:`~cast.Program`;
+    the scope (``names``, calls) of its expression and clause parsers."""
+
+    fortran = True
 
     def __init__(self, source: str) -> None:
         self.lines = _scan_lines(source)
         self.pos = 0
+        self.units = {m.group("name") for line in self.lines
+                      if (m := _UNIT_RE.match(line.text))}
+
+    def return_type(self, func: str) -> str:
+        return "void" if func in self.units else "int"
 
     # -- helpers ---------------------------------------------------------------
 
@@ -269,7 +292,7 @@ class FortranParser:
         return line
 
     def expr(self, text: str, line: int) -> C.Expr:
-        return _ExprParser(text, self.arrays, line).parse()
+        return _ExprParser(text, self, line).parse()
 
     # -- program ------------------------------------------------------------------
 
@@ -288,6 +311,7 @@ class FortranParser:
         name = m.group("name")
         params = [a.strip() for a in m.group("args").split(",") if a.strip()]
         self.arrays: set[str] = set()
+        self.names: dict[str, str] = {}
         param_types: dict[str, C.CType] = {}
         body: list[C.Stmt] = []
         # Declarations first (they may mention dummy args).
@@ -335,6 +359,7 @@ class FortranParser:
             is_array = dm.group("dim") is not None
             if is_array:
                 self.arrays.add(dname)
+            self.names[dname] = base + "*" * is_array
             if dname in params:
                 if is_array:
                     # Dummy array argument: becomes a pointer parameter
@@ -370,8 +395,6 @@ class FortranParser:
         ``acc_end`` names an OpenACC construct whose Fortran-style
         ``!$acc end <construct>`` sentinel also terminates this block.
         """
-        from .directives import AccData, AccParallel
-
         stmts: list[C.Stmt] = []
         pending_directives: list[Directive] = []
         while True:
@@ -431,7 +454,7 @@ class FortranParser:
                 # Stray 'end' sentinel of a combined construct
                 # ('!$acc end parallel loop'): structural no-op.
                 return None
-            d = parse_pragma("acc " + body, no)
+            d = parse_pragma("acc " + body, no, self)
             return [d] if d is not None else None
 
         m = _DO_WHILE_RE.match(text)
@@ -449,12 +472,14 @@ class FortranParser:
             lo = self.expr(m.group("lo"), no)
             hi = self.expr(m.group("hi"), no)
             body = self._parse_block(("end do", "enddo"), unit_name)
-            init = C.ExprStmt(expr=C.Assign(C.Ident(var, no), lo, "", no),
-                              line=no)
+            ty = self.names.get(var, "int")
+            init = C.ExprStmt(expr=C.Assign(C.Ident(var, no, ty=ty), lo, "",
+                                            no, ty=ty), line=no)
             return C.For(
                 init=init,
-                cond=C.BinOp("<=", C.Ident(var, no), hi, no),
-                step=C.Assign(C.Ident(var, no), C.IntLit(1), "+", no),
+                cond=_bin("<=", C.Ident(var, no, ty=ty), hi, no),
+                step=C.Assign(C.Ident(var, no, ty=ty), _int(1), "+", no,
+                              ty=ty),
                 body=C.Compound(body=body, line=no),
                 line=no,
             )
@@ -497,8 +522,8 @@ class FortranParser:
             m = _ELSE_IF_RE.match(line.text)
             if m is not None:
                 self.next_line()
-                sub = self._parse_if_chain_tail(m.group("cond"), line.number,
-                                                unit_name)
+                sub = self._parse_if_chain(m.group("cond"), line.number,
+                                           unit_name)
                 node_ref = node
                 while node_ref.orelse is not None:
                     node_ref = node_ref.orelse  # type: ignore[assignment]
@@ -520,16 +545,14 @@ class FortranParser:
                                    "a statement", line.number)
             current.append(stmt)
 
-    def _parse_if_chain_tail(self, cond_text: str, no: int,
-                             unit_name: str) -> C.If:
-        return self._parse_if_chain(cond_text, no, unit_name)
-
     def _lower_simple(self, text: str, no: int, unit_name: str) -> C.Stmt:
         m = _CALL_RE.match(text)
         if m is not None:
             args = [self.expr(a, no)
                     for a in _split_top_level(m.group("args")) if a.strip()]
-            return C.ExprStmt(expr=C.Call(m.group("name"), args, no), line=no)
+            name = m.group("name")
+            return C.ExprStmt(expr=C.Call(name, args, no, ty=call(
+                name, args, True, self.return_type)), line=no)
         # Assignment: target = expr (target may be a(expr)).
         eq = _find_top_level_equals(text)
         if eq < 0:
@@ -543,41 +566,15 @@ class FortranParser:
         # 'dest = dest OP v' back into 'dest OP= v' so the translator's
         # reduction machinery (reductiontoarray, atomic-style stores)
         # sees the same form the C frontend produces.
+        op = ""
         if isinstance(target, C.Index) and isinstance(value, C.BinOp) \
                 and value.op in ("+", "*"):
-            if _expr_equal(value.left, target):
-                return C.ExprStmt(expr=C.Assign(target, value.right,
-                                                value.op, no), line=no)
-            if value.op == "+" and _expr_equal(value.right, target):
-                return C.ExprStmt(expr=C.Assign(target, value.left,
-                                                value.op, no), line=no)
-        return C.ExprStmt(expr=C.Assign(target, value, "", no), line=no)
-
-
-def _expr_equal(a: C.Expr, b: C.Expr) -> bool:
-    """Structural equality of two lowered expressions."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, C.IntLit):
-        return a.value == b.value
-    if isinstance(a, C.FloatLit):
-        return a.value == b.value
-    if isinstance(a, C.Ident):
-        return a.name == b.name
-    if isinstance(a, C.BinOp):
-        return a.op == b.op and _expr_equal(a.left, b.left) \
-            and _expr_equal(a.right, b.right)
-    if isinstance(a, C.UnOp):
-        return a.op == b.op and _expr_equal(a.operand, b.operand)
-    if isinstance(a, C.Index):
-        return _expr_equal(a.array, b.array) \
-            and len(a.indices) == len(b.indices) \
-            and all(_expr_equal(x, y)
-                    for x, y in zip(a.indices, b.indices))
-    if isinstance(a, C.Call):
-        return a.func == b.func and len(a.args) == len(b.args) \
-            and all(_expr_equal(x, y) for x, y in zip(a.args, b.args))
-    return False
+            if value.left == target:
+                value, op = value.right, value.op
+            elif value.op == "+" and value.right == target:
+                value, op = value.left, value.op
+        return C.ExprStmt(expr=C.Assign(target, value, op, no, ty=target.ty),
+                          line=no)
 
 
 def _split_top_level(text: str) -> list[str]:
@@ -631,8 +628,6 @@ def _rebase_directives(prog: C.Program) -> None:
     ``[s*(i-1)+1-l, s*i+r]`` 1-based == ``[s*(i-1)-l, s*i-1+r]``
     0-based.
     """
-    from .directives import AccLocalAccess, LocalAccessSpec
-
     for func in prog.functions:
         for stmt in C.walk(func.body):
             for d in stmt.directives:
@@ -643,8 +638,6 @@ def _rebase_directives(prog: C.Program) -> None:
 
 
 def _rebase_spec(spec):
-    from .directives import LocalAccessSpec
-
     if spec.kind == "all":
         return spec
     if spec.kind in ("range", "bounds"):
@@ -654,16 +647,15 @@ def _rebase_spec(spec):
     # stride(s, l, r) with a 1-based loop variable i: rewrite as bounds.
     assert spec.kind == "stride"
     s, l, r = spec.stride, spec.left, spec.right
-    i = C.Ident("__loopvar__")
-    lo = C.BinOp("-", C.BinOp("*", s, C.BinOp("-", i, C.IntLit(1))), l)
-    hi = C.BinOp("+", C.BinOp("-", C.BinOp("*", s, i), C.IntLit(1)), r)
+    # A ``do`` variable is an integer.
+    i = C.Ident("__loopvar__", ty="int")
+    lo = _bin("-", _bin("*", s, _bin("-", i, _int(1))), l)
+    hi = _bin("+", _bin("-", _bin("*", s, i), _int(1)), r)
     return LocalAccessSpec(kind="bounds", lo=lo, hi=hi)
 
 
 def _bind_loopvar_placeholders(prog: C.Program) -> None:
     """Replace the ``__loopvar__`` placeholder with each loop's variable."""
-    from .directives import AccLocalAccess
-
     for func in prog.functions:
         for stmt in C.walk(func.body):
             las = [d for d in stmt.directives
@@ -690,6 +682,5 @@ def parse_fortran(source: str) -> C.Program:
     prog = FortranParser(source).parse_program()
     _rebase_directives(prog)
     _bind_loopvar_placeholders(prog)
-    type_program(prog, fortran=True)
     prog.source, prog.frontend = source, "fortran"
     return prog

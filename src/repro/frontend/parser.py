@@ -15,7 +15,8 @@ from __future__ import annotations
 from sys import intern
 
 from . import cast as C
-from .typer import literal_type, type_program
+from .typer import (arith, binary, call, element, int_type, literal_type,
+                    name_type, unary)
 from .lexer import (
     CHAR_ESCAPES,
     CHAR_LIT,
@@ -34,6 +35,9 @@ from .lexer import (
 
 _TYPE_KEYWORDS = {"void", "char", "short", "int", "long", "float", "double",
                   "signed", "unsigned", "const", "restrict", "static"}
+
+#: What a function head's return type is spelled with.
+_HEAD = _TYPE_KEYWORDS | {"*"}
 
 _ASSIGN_OPS = {"=": "", "+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%",
                "&=": "&", "|=": "|", "^=": "^", "<<=": "<<", ">>=": ">>"}
@@ -61,8 +65,47 @@ class ParseError(SyntaxError):
 
 
 class Parser(Cursor):
+    """Builds each node with its C type (:mod:`repro.frontend.typer`).
+    ``scope`` (this parser, or the one a pragma or Fortran statement is
+    in) types names -- ``names``: globals, then a function's parameters
+    and locals as they are declared -- and calls."""
+
+    fortran = False
+    returns: dict[str, str] | None = None
+
+    def __init__(self, tokens: list[Token], scope=None) -> None:
+        super().__init__(tokens)
+        self.scope = scope or self
+        self.names: dict[str, str] = scope.names if scope else {}
+
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.tok)
+
+    def return_type(self, func: str) -> str:
+        """The base return type of the file's function ``func`` (else
+        ``int``).  A call may precede the definition: the first call
+        reads every function head -- ``type *name(`` outside braces --
+        off the tokens."""
+        if self.returns is None:
+            mark, tokens, depth, self.returns = self.pos, self.tokens, 0, {}
+            for k, t in enumerate(tokens):
+                depth += (t.value == "{") - (t.value == "}")
+                if t.value != "(" or depth or tokens[k - 1].kind != ID:
+                    continue
+                start = k - 1
+                while tokens[start - 1].value in _HEAD:
+                    start -= 1
+                if tokens[start].value in _TYPE_KEYWORDS:
+                    self.seek(start)
+                    self.returns[tokens[k - 1].value] = \
+                        self._parse_type_specifiers().base
+            self.seek(mark)
+        return self.returns.get(func, "int")
+
+    def call(self, func: str, args: list[C.Expr], line: int) -> C.Call:
+        scope = self.scope
+        return C.Call(func=func, args=args, line=line, ty=call(
+            func, args, scope.fortran, scope.return_type))
 
     # -- top level -------------------------------------------------------------
 
@@ -141,6 +184,7 @@ class Parser(Cursor):
                 dims.append(self.parse_expression())
             self.expect(PUNCT, "]")
         ctype = C.CType(base.base, pointers, tuple(dims), base.const)
+        self.names[name_tok.value] = name_type(ctype)
         return name_tok.value, ctype, name_tok.line
 
     def _parse_declaration(self) -> list[C.Decl]:
@@ -164,6 +208,7 @@ class Parser(Cursor):
         name_tok = self.expect(ID)
         self.expect(PUNCT, "(")
         params: list[C.Param] = []
+        globals_, self.names = self.names, dict(self.names)
         if not self.at(PUNCT, ")"):
             if self.at(KEYWORD, "void") and self.peek().value == ")":
                 self.advance()
@@ -176,6 +221,7 @@ class Parser(Cursor):
                         break
         self.expect(PUNCT, ")")
         body = self.parse_compound()
+        self.names = globals_
         return C.FunctionDef(
             name=name_tok.value, return_type=rtype, params=params, body=body,
             line=name_tok.line,
@@ -189,13 +235,13 @@ class Parser(Cursor):
             return self._parse_statement_inner()
         from .directives import parse_pragma  # late import: avoids cycle
 
-        directives = []
+        pragmas = []
         while self.tok.kind == PRAGMA:
-            tok = self.advance()
-            d = parse_pragma(tok.value, tok.line)
-            if d is not None:
-                directives.append(d)
+            pragmas.append(self.advance())
         stmt = self._parse_statement_inner()
+        # After the statement: a clause may name its own ``for``'s variable.
+        directives = [d for d in (parse_pragma(t.value, t.line, self)
+                                  for t in pragmas) if d is not None]
         if directives:
             stmt.directives = directives + stmt.directives
         return stmt
@@ -298,7 +344,7 @@ class Parser(Cursor):
             self.advance()
             value = self.parse_assignment()
             return C.Assign(target=left, value=value,
-                            op=_ASSIGN_OPS[t.value], line=t.line)
+                            op=_ASSIGN_OPS[t.value], line=t.line, ty=left.ty)
         return left
 
     #: A full expression.  The subset has no comma operator.
@@ -311,7 +357,8 @@ class Parser(Cursor):
         other = self.parse_binary(1)  # right-associative, below assignment
         if self.tok.value == "?":
             other = self._parse_ternary_tail(other)
-        return C.Ternary(cond=cond, then=then, other=other)
+        return C.Ternary(cond=cond, then=then, other=other,
+                         ty=arith(then.ty, other.ty))
 
     def parse_binary(self, min_prec: int) -> C.Expr:
         """Precedence climb over :data:`BINARY_PREC` (both languages)."""
@@ -326,7 +373,7 @@ class Parser(Cursor):
             # Interned: every use of an operator in a tree is one object,
             # which is what the registry's pickle of it costs.
             left = C.BinOp(op=intern(t.value), left=left, right=right,
-                           line=t.line)
+                           line=t.line, ty=binary(t.value, left.ty, right.ty))
 
     def parse_unary(self) -> C.Expr:
         """One operand: prefix operators, a primary, its postfix forms."""
@@ -334,18 +381,22 @@ class Parser(Cursor):
         kind = t.kind
         if kind == ID:
             self.advance()
-            expr: C.Expr = C.Ident(t.value, t.line)
+            expr: C.Expr = C.Ident(t.value, t.line,
+                                   ty=self.names.get(t.value, "int"))
         elif kind == PUNCT:
             op = t.value
             if op in _PREFIX_OPS:
                 self.advance()
-                return C.UnOp(op=op, operand=self.parse_unary(), line=t.line)
+                operand = self.parse_unary()
+                return C.UnOp(op=op, operand=operand, line=t.line,
+                              ty=unary(op, operand.ty))
             if op == "++" or op == "--":
                 # Pre-inc/dec desugars to compound assignment.
                 self.advance()
                 operand = self.parse_unary()
-                return C.Assign(target=operand, value=C.IntLit(1, t.line),
-                                op=op[0], line=t.line)
+                return C.Assign(target=operand, value=C.IntLit(1, t.line,
+                                                               ty="int"),
+                                op=op[0], line=t.line, ty=operand.ty)
             if op != "(":
                 raise self.error("expected expression")
             self.advance()
@@ -354,14 +405,15 @@ class Parser(Cursor):
                 ctype = C.CType(ctype.base, self._parse_pointers())
                 self.expect(PUNCT, ")")
                 return C.CastExpr(to=ctype, operand=self.parse_unary(),
-                                  line=t.line)
+                                  line=t.line,
+                                  ty=ctype.base + "*" * ctype.pointers)
             expr = self.parse_expression()
             self.expect(PUNCT, ")")
         elif kind == INT_LIT:
             self.advance()
             text = t.value.rstrip("uUlL")
-            expr = C.IntLit(int(text, 16) if text[:2] in ("0x", "0X")
-                            else int(text), t.line)
+            value = int(text, 16) if text[:2] in ("0x", "0X") else int(text)
+            expr = C.IntLit(value, t.line, ty=int_type(value))
         elif kind == FLOAT_LIT:
             self.advance()
             expr = C.FloatLit(float(t.value.rstrip("fFlL")), t.line,
@@ -369,11 +421,12 @@ class Parser(Cursor):
         elif kind == CHAR_LIT:
             self.advance()
             body = t.value[1:-1]
-            expr = C.IntLit(ord(CHAR_ESCAPES.get(body, body)), t.line)
+            expr = C.IntLit(ord(CHAR_ESCAPES.get(body, body)), t.line,
+                            ty="int")
         elif kind == STRING_LIT:
             # Strings only appear as printf-style arguments; keep the text.
             self.advance()
-            expr = C.Ident(t.value, t.line)
+            expr = C.Ident(t.value, t.line, ty="int")
         elif kind == KEYWORD and t.value == "sizeof":
             return self._parse_sizeof()
         else:
@@ -388,7 +441,8 @@ class Parser(Cursor):
                 while self.accept(PUNCT, "["):
                     indices.append(self.parse_expression())
                     self.expect(PUNCT, "]")
-                expr = C.Index(array=expr, indices=indices, line=t.line)
+                expr = C.Index(array=expr, indices=indices, line=t.line,
+                               ty=element(expr.ty))
             elif op == "(" and isinstance(expr, C.Ident):
                 self.advance()
                 args: list[C.Expr] = []
@@ -398,13 +452,14 @@ class Parser(Cursor):
                         if not self.accept(PUNCT, ","):
                             break
                 self.expect(PUNCT, ")")
-                expr = C.Call(func=expr.name, args=args, line=t.line)
+                expr = self.call(expr.name, args, t.line)
             elif op == "++" or op == "--":
                 self.advance()
                 # Post-inc in expression statements behaves like pre-inc in
                 # the subset (value unused); desugar identically.
-                expr = C.Assign(target=expr, value=C.IntLit(1, t.line),
-                                op=op[0], line=t.line)
+                expr = C.Assign(target=expr, value=C.IntLit(1, t.line,
+                                                            ty="int"),
+                                op=op[0], line=t.line, ty=expr.ty)
             else:
                 return expr
 
@@ -415,15 +470,16 @@ class Parser(Cursor):
             ctype = self._parse_type_specifiers()
             pointers = self._parse_pointers()
             self.expect(PUNCT, ")")
-            return C.IntLit(8 if pointers else ctype.itemsize(), t.line)
+            return C.IntLit(8 if pointers else ctype.itemsize(), t.line,
+                            ty="int")
         e = self.parse_expression()
         self.expect(PUNCT, ")")
-        return C.Call(func="sizeof", args=[e], line=t.line)
+        return C.Call(func="sizeof", args=[e], line=t.line, ty="int")
 
 
 def parse(source: str) -> C.Program:
     """Parse a full translation unit, every expression typed."""
-    tree = type_program(Parser(tokenize(source)).parse_program())
+    tree = Parser(tokenize(source)).parse_program()
     tree.source, tree.frontend = source, "c"
     return tree
 

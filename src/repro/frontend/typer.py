@@ -1,13 +1,13 @@
-"""The C type of every expression: one pass over the tree.
+"""The C type of every expression: one rule per kind of node.
 
-:func:`type_program` runs once per parsed program (``parse`` and
-``parse_fortran`` call it) and sets ``ty`` on every expression of every
-function body and directive by C99's usual arithmetic conversions
-(section 6.3.1.8): the integer promotions, then ``double`` over
-``float`` over the integers, and among the integers the higher rank
-(``unsigned`` at equal rank).  A type is a base-type name (``char``,
-``int``, ``unsigned int``, ``long``, ``unsigned long``, ``float``,
-``double``) or, for an array or pointer, its element type and a ``*``.
+The parsers (C, directive clauses, Fortran) set ``ty`` on each node as
+they build it, from its operands' types and the names declared so far,
+by these rules: C99's usual arithmetic conversions (section 6.3.1.8) --
+the integer promotions, then ``double`` over ``float`` over the
+integers, and among the integers the higher rank (``unsigned`` at equal
+rank).  A type is a base-type name (``char``, ``int``, ``unsigned
+int``, ``long``, ``unsigned long``, ``float``, ``double``) or, for an
+array or pointer, its element type and a ``*``.
 
 The emitters read ``ty`` and decide no type.  What else they need is
 here: :func:`computes_in`, the type a node is evaluated in -- its C
@@ -57,7 +57,7 @@ def is_float(ty: str) -> bool:
 
 
 def is_integer(ty: str) -> bool:
-    """An integer type.  A node built after the pass (a normalized loop
+    """An integer type.  A node the translator builds (a normalized loop
     bound, a subscript) has no type and is an integer."""
     return ty in INTEGERS or not ty
 
@@ -78,9 +78,14 @@ def arith(a: str, b: str) -> str:
 
 def literal_type(text: str) -> str:
     """The type a floating literal's spelling gives it (C99 section
-    6.4.4.2); an integer literal is an ``int``, or a ``long`` where it
-    does not fit."""
+    6.4.4.2)."""
     return "float" if text[-1] in "fF" else "double"
+
+
+def int_type(value: int) -> str:
+    """An integer literal's type: an ``int``, or a ``long`` where it does
+    not fit."""
+    return "int" if abs(value) < 2 ** 31 else "long"
 
 
 def literal_value(e: C.IntLit | C.FloatLit, ty: str = "double"):
@@ -115,98 +120,41 @@ def operand_type(e: C.Expr) -> str:
     return computes_in(e)
 
 
-def _rule(e: C.Expr, names: dict[str, str], returns: dict[str, str],
-          fortran: bool) -> str:
-    """The type of ``e``, its operands typed."""
-    if isinstance(e, C.Ident):
-        return names.get(e.name, "int")
-    if isinstance(e, C.BinOp):
-        if e.op in COMPARISONS:
-            return "int"
-        # A shift has its promoted left operand's type.
-        return arith(e.left.ty, "char" if e.op in ("<<", ">>")
-                     else e.right.ty)
-    if isinstance(e, C.IntLit):
-        return "int" if abs(e.value) < 2 ** 31 else "long"
-    if isinstance(e, C.Index):
-        return e.array.ty.rstrip("*") or "int"
-    if isinstance(e, C.FloatLit):
-        return e.ty
-    if isinstance(e, C.UnOp):
-        if e.op == "*":
-            return e.operand.ty[:-1] if e.operand.ty.endswith("*") else "int"
-        return e.operand.ty + "*" if e.op == "&" else "int" \
-            if e.op == "!" else arith(e.operand.ty, "char")
-    if isinstance(e, C.Ternary):
-        return arith(e.then.ty, e.other.ty)
-    if isinstance(e, C.CastExpr):
-        return e.to.base + "*" * e.to.pointers
-    if isinstance(e, C.Assign):
-        return e.target.ty
-    if isinstance(e, C.Call) and libm(e.func):
-        common = "int"
-        for a in e.args:
-            common = arith(common, a.ty)
-        if not fortran:
-            return LIBM.get(e.func, "float") or common
-        # Fortran's intrinsics are generic in their argument.
-        if e.func in ("floor", "ceil"):
-            return "int"
-        return common if e.func in ("abs", "fabs", "min", "max") \
-            or is_float(common) else "float"
-    if isinstance(e, C.Call):
-        return returns.get(e.func, "int")
-    return "int"
+def name_type(ctype: C.CType) -> str:
+    """The type of a declared name: an array or a pointer is its element
+    type and a ``*``."""
+    return ctype.base + "*" if ctype.is_arraylike else ctype.base
 
 
-def _exprs_in(x, out: list) -> list:
-    """Every expression tree held in ``x`` (a directive's fields too),
-    appended to ``out``."""
-    if isinstance(x, (str, int, type(None))):
-        pass
-    elif isinstance(x, C.Expr):
-        out.append(x)
-    elif isinstance(x, (list, tuple)):
-        for item in x:
-            _exprs_in(item, out)
-    elif isinstance(x, dict):
-        _exprs_in(list(x.values()), out)
-    elif hasattr(x, "__dataclass_fields__"):
-        for name in x.__dataclass_fields__:
-            _exprs_in(getattr(x, name), out)
-    return out
+def binary(op: str, left: str, right: str) -> str:
+    """A comparison is an ``int``, a shift its promoted left operand."""
+    if op in COMPARISONS:
+        return "int"
+    return arith(left, "char" if op in ("<<", ">>") else right)
 
 
-def type_program(program: C.Program, fortran: bool = False) -> C.Program:
-    """Set ``ty`` on every expression of ``program`` (in place)."""
-    def name_type(ctype: C.CType) -> str:
-        return ctype.base + "*" if ctype.is_arraylike else ctype.base
+def unary(op: str, operand: str) -> str:
+    if op == "*":
+        return operand[:-1] if operand.endswith("*") else "int"
+    return operand + "*" if op == "&" else "int" if op == "!" \
+        else arith(operand, "char")
 
-    def typed(e: C.Expr) -> None:
-        if isinstance(e, C.BinOp):
-            typed(e.left)
-            typed(e.right)
-        elif not isinstance(e, (C.Ident, C.IntLit, C.FloatLit)):
-            for x in C.child_exprs(e):
-                typed(x)
-        e.ty = _rule(e, names, returns, fortran)
 
-    returns = {f.name: f.return_type.base for f in program.functions}
-    names = globals_ = {d.name: name_type(d.ctype) for d in program.globals}
-    for e in _exprs_in([(d.init, d.ctype.array_dims)
-                        for d in program.globals], []):
-        typed(e)
-    for func in program.functions:
-        stmts = list(C.walk(func.body))
-        names = {**globals_,
-                 **{p.name: name_type(p.ctype) for p in func.params},
-                 **{st.name: name_type(st.ctype) for st in stmts
-                    if isinstance(st, C.Decl)}}
-        for st in stmts:
-            for e in C.stmt_exprs(st):
-                typed(e)
-            dims = st.ctype.array_dims if isinstance(st, C.Decl) else ()
-            if dims or st.directives:
-                for e in _exprs_in([dims, st.directives], []):
-                    typed(e)
-    return program
+def element(array: str) -> str:
+    return array.rstrip("*") or "int"
+
+
+def call(func: str, args: list[C.Expr], fortran: bool, returns) -> str:
+    """A call: a math call by :data:`LIBM` (a Fortran intrinsic is
+    generic in its argument), any other by ``returns(func)``."""
+    if not libm(func):
+        return returns(func)
+    common = "int"
+    for a in args:
+        common = arith(common, a.ty)
+    if not fortran:
+        return LIBM.get(func, "float") or common
+    if func in ("floor", "ceil"):
+        return "int"
+    return common if func in ("abs", "fabs", "min", "max") \
+        or is_float(common) else "float"
