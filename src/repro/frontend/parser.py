@@ -410,10 +410,16 @@ class Parser(Cursor):
             expr = self.parse_expression()
             self.expect(PUNCT, ")")
         elif kind == INT_LIT:
-            self.advance()
             text = t.value.rstrip("uUlL")
-            value = int(text, 16) if text[:2] in ("0x", "0X") else int(text)
-            expr = C.IntLit(value, t.line, ty=int_type(value))
+            base = 16 if text[:2] in ("0x", "0X") else 8 if text[0] == "0" \
+                else 10
+            try:
+                value = int(text, base)
+            except ValueError:
+                raise self.error("invalid digit in octal constant") from None
+            self.advance()
+            expr = C.IntLit(value, t.line, ty=int_type(
+                value, t.value[len(text):].lower(), base == 10))
         elif kind == FLOAT_LIT:
             self.advance()
             expr = C.FloatLit(float(t.value.rstrip("fFlL")), t.line,

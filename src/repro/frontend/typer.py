@@ -5,9 +5,10 @@ they build it, from its operands' types and the names declared so far,
 by these rules: C99's usual arithmetic conversions (section 6.3.1.8) --
 the integer promotions, then ``double`` over ``float`` over the
 integers, and among the integers the higher rank (``unsigned`` at equal
-rank).  A type is a base-type name (``char``, ``int``, ``unsigned
-int``, ``long``, ``unsigned long``, ``float``, ``double``) or, for an
-array or pointer, its element type and a ``*``.
+rank) -- and an integer literal's type from its spelling.  A type is a
+base-type name (``char``, ``int``, ``unsigned int``, ``long``,
+``unsigned long``, ``float``, ``double``) or, for an array or pointer,
+its element type and a ``*``.
 
 The emitters read ``ty`` and decide no type.  What else they need is
 here: :func:`computes_in`, the type a node is evaluated in -- its C
@@ -82,10 +83,20 @@ def literal_type(text: str) -> str:
     return "float" if text[-1] in "fF" else "double"
 
 
-def int_type(value: int) -> str:
-    """An integer literal's type: an ``int``, or a ``long`` where it does
-    not fit."""
-    return "int" if abs(value) < 2 ** 31 else "long"
+def int_type(value: int, suffix: str = "", decimal: bool = True) -> str:
+    """An integer literal's type (C99 section 6.4.4.1): the first of
+    ``int``, ``unsigned int``, ``long``, ``unsigned long`` that holds its
+    value, of those its spelling allows -- a ``u`` suffix only the
+    unsigned ones, an ``l`` suffix (``suffix`` is lower case) only the
+    longs, and an unsuffixed decimal literal only the signed ones."""
+    for ty, bits in (("int", 31), ("unsigned int", 32), ("long", 63),
+                     ("unsigned long", 64)):
+        unsigned = ty[0] == "u"
+        if abs(value) < 2 ** bits and ("l" not in suffix or "long" in ty) \
+                and (unsigned if "u" in suffix
+                     else not (unsigned and decimal)):
+            return ty
+    return "unsigned long"
 
 
 def literal_value(e: C.IntLit | C.FloatLit, ty: str = "double"):

@@ -65,9 +65,11 @@ def converter(have: str | None, want: str) -> str:
     """The name in :data:`CONVERT` that converts a value of C type
     ``have`` (None: any value) to ``want`` -- at an assignment, a
     parameter or an operand of a wider operation; "" where the host
-    holds both alike (one type, or two integer types)."""
-    if have is not None and (want == have
-                             or is_integer(want) and is_integer(have)):
+    holds both alike (one type, or two integer types -- but an element
+    of an ``int`` array is a 32-bit NumPy scalar, made a Python int for
+    a ``long`` operation)."""
+    if have is not None and (want == have or is_integer(want) and is_integer(
+            have) and not (want == "long" and have in INTEGERS[:3])):
         return ""
     return CONVERT.get(want, "")
 

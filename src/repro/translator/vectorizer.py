@@ -1088,20 +1088,22 @@ class Vectorizer:
         for a scalar.  A literal is not converted (its text is exact and
         NumPy gives it the other operand's dtype), and a scalar
         operation of literals alone computes in ``ty`` through its first
-        operand.  An integer operation converts nothing: its operands
-        meet at the wider integer dtype."""
+        operand.  An integer operation converts only an ``int`` operand
+        of a ``long`` one: otherwise its operands meet at the wider
+        integer dtype, as C's do."""
         vals = [_Val(_literal(a, ty), False)
                 if isinstance(a, (C.IntLit, C.FloatLit)) else self.bx(a)
                 for a in args]
-        if not is_float(ty):
+        dt = _DTYPES.get(ty)
+        if not is_float(ty) and dt != "np.int64":
             return vals
-        dt = _DTYPES[ty]
         for k, (v, a) in enumerate(zip(vals, args)):
-            if v.dtype != dt and not isinstance(a, (C.IntLit, C.FloatLit)):
+            if v.dtype != dt and not isinstance(a, (C.IntLit, C.FloatLit)) \
+                    and (is_float(ty) or v.dtype == "np.int32"):
                 vals[k] = self._eager(f"ks.cast_to({v.src}, {dt})", [v], a,
                                       dt) if v.vec \
                     else _Val(f"{dt}({v.src})", False, dtype=dt)
-        if vals and not any(v.vec or v.dtype for v in vals):
+        if is_float(ty) and vals and not any(v.vec or v.dtype for v in vals):
             vals[0] = _Val(f"{dt}({vals[0].src})", False, dtype=dt)
         return vals
 

@@ -239,6 +239,51 @@ class TestExpressions:
         assert e.op == "|"
 
 
+class TestIntegerLiterals:
+    """An integer literal's value and C type come from its spelling (C99
+    section 6.4.4.1): a ``0``-prefixed literal is octal, a suffix
+    narrows the list of types, and the first type that holds the value
+    is the literal's."""
+
+    @pytest.mark.parametrize("text, value, ty", [
+        ("7", 7, "int"), ("0", 0, "int"), ("2147483647", 2**31 - 1, "int"),
+        ("2147483648", 2**31, "long"),
+        ("010", 8, "int"), ("0777", 511, "int"), ("00", 0, "int"),
+        ("020000000000", 2**31, "unsigned int"),
+        ("0x7fffffff", 2**31 - 1, "int"),
+        ("0x80000000", 2**31, "unsigned int"),
+        ("0X100000000", 2**32, "long"),
+        ("0x8000000000000000", 2**63, "unsigned long"),
+        ("2L", 2, "long"), ("2l", 2, "long"), ("2LL", 2, "long"),
+        ("2u", 2, "unsigned int"), ("2U", 2, "unsigned int"),
+        ("4294967296u", 2**32, "unsigned long"),
+        ("2ul", 2, "unsigned long"), ("2LU", 2, "unsigned long"),
+        ("0x10L", 16, "long"), ("0xffffffffffffffffL", 2**64 - 1,
+                                "unsigned long"),
+        ("010u", 8, "unsigned int"),
+    ])
+    def test_spelling_gives_value_and_type(self, text, value, ty):
+        e = parse_expr(text)
+        assert isinstance(e, C.IntLit) and (e.value, e.ty) == (value, ty)
+
+    def test_long_literal_widens_the_operation(self):
+        body = body_of("void f(int *a, long *b) { b[0] = a[0] * 2L; }")
+        assign = body[0].expr
+        assert (assign.value.ty, assign.value.left.ty) == ("long", "int")
+
+    @pytest.mark.parametrize("text, col", [("08", 1), ("a + 09", 5),
+                                           ("0128u", 1)])
+    def test_octal_literal_with_8_or_9_is_a_parse_error(self, text, col):
+        with pytest.raises(ParseError, match="octal") as caught:
+            parse_expr(text)
+        assert (caught.value.line, caught.value.col) == (1, col)
+
+    def test_octal_error_points_at_the_literal_in_a_program(self):
+        with pytest.raises(ParseError) as caught:
+            parse("void f(int *h) {\n  h[0] = 019 + 0;\n}")
+        assert (caught.value.line, caught.value.col) == (2, 10)
+
+
 class TestMalformedLiterals:
     """Each of these escaped ``parse_expr`` as a bare ValueError /
     TypeError without a location."""

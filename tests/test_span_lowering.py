@@ -1019,3 +1019,43 @@ def test_strips_of_a_csr_kernel_stay_in_the_arena(launches):
     assert first["misses"] > 0 and second["misses"] == 0, second
     assert per_operation_calls(second) == {
         "arange": strips * FLATTENING_ARANGES["spmv_L0"]}, second
+
+
+class TestIntegerLiterals:
+    """An integer literal's spelling gives its value and C type, and an
+    integer operation computes in its C type's width, on the host and
+    in kernels, as gcc does."""
+
+    LONG_PRODUCT = """
+    void k(int n, int *a, long *b) {
+      #pragma acc parallel loop copyin(a[0:n]) copyout(b[0:n])
+      for (int i = 0; i < n; i++) { b[i] = a[i] * 2L; }
+      for (int j = 0; j < 2; j++) { b[n + j] = a[j] * 2L; }
+    }
+    """
+
+    OCTAL = """
+    void k(int n, int *h) {
+      #pragma acc parallel loop copy(h[0:n])
+      for (int i = 0; i < n; i++) { h[i] = 010 + 0; }
+      h[n] = 010 + 0;
+      h[n + 1] = 0x10 + 017;
+    }
+    """
+
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_int_operand_of_a_long_product_is_widened_first(self, ngpus):
+        n = 37
+        a = np.full(n, 2_000_000_000, np.int32)
+        b = np.zeros(n + 2, np.int64)
+        prog = repro.compile(self.LONG_PRODUCT)
+        prog.run("k", {"n": n, "a": a, "b": b}, ngpus=ngpus)
+        assert b.tolist() == [4_000_000_000] * (n + 2)
+        assert "ks.cast_to(" in prog.kernel_source("k_L0")
+
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_octal_literal_on_the_host_and_in_a_kernel(self, ngpus):
+        n = 9
+        h = np.zeros(n + 2, np.int32)
+        repro.compile(self.OCTAL).run("k", {"n": n, "h": h}, ngpus=ngpus)
+        assert h.tolist() == [8] * (n + 1) + [31]
