@@ -1,14 +1,13 @@
 """The C type of every expression: one rule per kind of node.
 
-The parsers (C, directive clauses, Fortran) set ``ty`` on each node as
-they build it, from its operands' types and the names declared so far,
-by these rules: C99's usual arithmetic conversions (section 6.3.1.8) --
-the integer promotions, then ``double`` over ``float`` over the
-integers, and among the integers the higher rank (``unsigned`` at equal
-rank) -- and an integer literal's type from its spelling.  A type is a
-base-type name (``char``, ``int``, ``unsigned int``, ``long``,
-``unsigned long``, ``float``, ``double``) or, for an array or pointer,
-its element type and a ``*``.
+The parsers set ``ty`` on each node as they build it, from its operands'
+types and the names declared so far, by C99's usual arithmetic
+conversions (section 6.3.1.8) -- the integer promotions, then ``double``
+over ``float`` over the integers, and among the integers the higher
+rank (``unsigned`` at equal rank) -- and an integer literal's type by
+its spelling.  A type is a base-type name (``char``, ``int``,
+``unsigned int``, ``long``, ``unsigned long``, ``float``, ``double``)
+or, for an array or pointer, its element type and a ``*``.
 
 The emitters read ``ty`` and decide no type.  What else they need is
 here: :func:`computes_in`, the type a node is evaluated in -- its C
@@ -24,6 +23,8 @@ suffix (the scanner spells ``0.1`` as ``0.1f`` and ``0.1d0`` as
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -63,6 +64,7 @@ def is_integer(ty: str) -> bool:
     return ty in INTEGERS or not ty
 
 
+@cache
 def arith(a: str, b: str) -> str:
     """The common type of two operands; a pointer keeps its type."""
     for t in (a, b):
@@ -89,6 +91,8 @@ def int_type(value: int, suffix: str = "", decimal: bool = True) -> str:
     value, of those its spelling allows -- a ``u`` suffix only the
     unsigned ones, an ``l`` suffix (``suffix`` is lower case) only the
     longs, and an unsuffixed decimal literal only the signed ones."""
+    if not suffix and abs(value) < 2 ** 31:
+        return "int"
     for ty, bits in (("int", 31), ("unsigned int", 32), ("long", 63),
                      ("unsigned long", 64)):
         unsigned = ty[0] == "u"
