@@ -12,9 +12,11 @@ arrays a ``copy`` / ``copyout`` / ``update host`` clause writes back
 ``create`` or ``copyin`` array is not compared: OpenACC leaves its host
 image alone, where the sequential program writes it.
 
-Besides the apps, :data:`PROBES` holds one program per divergence class
-of C's arithmetic: each computes its expression in a kernel (into
-``k``) and in a host loop outside any parallel construct (into ``h``).
+Besides the apps, :data:`PROBES` and :data:`INT_PROBES` hold one
+program per divergence class of C's arithmetic -- over a ``float``
+array, and over an ``int`` one stored into ``long`` arrays: each
+computes its expression in a kernel (into ``k``) and in a host loop
+outside any parallel construct (into ``h``).
 
 The gcc outputs are kept as SHA-256 digests in
 ``tests/c_oracle_digests.json``, so the tests need no gcc;
@@ -54,11 +56,15 @@ _DTYPES = {"int": np.int32, "float": np.float32, "double": np.float64,
            "long": np.int64}
 
 
-def _probe(expr: str) -> str:
+def _probe(expr: str, types: str = "float") -> str:
     """A probe program: ``expr`` over ``a[i]``, ``s`` and ``i`` in a
-    kernel (into ``k``) and in a host loop (into ``h``)."""
+    kernel (into ``k``) and in a host loop (into ``h``); ``types``
+    ``"int"`` makes ``a`` an ``int`` array and ``k`` / ``h`` ``long``
+    ones (no ``s``)."""
+    params = "int n, float s, float *a, float *k, float *h" \
+        if types == "float" else "int n, int *a, long *k, long *h"
     return f"""
-void probe(int n, float s, float *a, float *k, float *h) {{
+void probe({params}) {{
   #pragma acc data copyin(a[0:n]) copyout(k[0:n])
   {{
     #pragma acc parallel loop
@@ -80,12 +86,30 @@ def _probe_args(n: int = 1000, seed: int = 21) -> dict[str, Any]:
             "k": np.zeros(n, np.float32), "h": np.zeros(n, np.float32)}
 
 
+def _int_probe_args(n: int = 1000, seed: int = 21) -> dict[str, Any]:
+    """``a`` over the whole ``int`` range, led by values whose doubled
+    product needs 64 bits (``2000000000``, ``1999999998``, a multiple
+    of 3) or an ``unsigned`` wrap (``-1``)."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2 ** 31, 2 ** 31, n, dtype=np.int64).astype(np.int32)
+    a[:4] = (2_000_000_000, 1_999_999_998, -1, -2_000_000_001)
+    return {"n": n, "a": a, "k": np.zeros(n, np.int64),
+            "h": np.zeros(n, np.int64)}
+
+
 #: Divergence class -> the expression its probe computes.
 PROBES = {
     "float_param": "(1.0f - s) * a[i] + s * 0.5f * a[i]",
     "double_literal": "a[i] * 0.1",
     "int_operand": "a[i] + (i + 16777217)",
     "libm": "expf(a[i] * 0.01f)",
+}
+#: The same over the integer template (``int *a``, ``long *k, *h``).
+INT_PROBES = {
+    "long_mod": "(a[i] * 2L) % 7",
+    "long_ternary": "a[i] > 0 ? a[i] * 2L : 0",
+    "long_logical": "!(a[i] % 3) && a[i] * 2L > 3000000000L",
+    "unsigned": "a[i] * 2u",
 }
 
 
@@ -112,6 +136,9 @@ def cases() -> dict[str, Case]:
     for cls, expr in PROBES.items():
         name = f"probe_{cls}"
         out[name] = Case(name, _probe(expr), "probe", _probe_args)
+    for cls, expr in INT_PROBES.items():
+        name = f"probe_{cls}"
+        out[name] = Case(name, _probe(expr, "int"), "probe", _int_probe_args)
     return out
 
 

@@ -13,6 +13,11 @@ does.  A known divergence is a strict xfail that names its class:
 
 * ``libm``: NumPy's float32 ``exp`` is not glibc's ``expf`` (one ulp
   apart on some inputs);
+* ``expression string``: the kernel text of ``%``, ``?:`` and ``!`` /
+  ``&&`` converts its operands to a floating type only, so an ``int``
+  operand of a ``long`` operation computes in 32 bits;
+* ``unsigned``: an ``unsigned int`` operation computes in the signed
+  type of its ``int`` operand, in the kernel and on the host;
 * ``kmeans split``: on more than one GPU, kmeans adds its float32
   partial sums in another order than the sequential loop (ROADMAP
   item 13).
@@ -39,7 +44,12 @@ MACHINES = {"1gpu": (lambda: hypothetical_node(4), 1),
             "2x2": (lambda: hypothetical_cluster(2, 2), 4)}
 
 #: (case, array) -> divergence class, on every machine.
-KNOWN = {("probe_libm", "k"): "libm"}
+KNOWN = {("probe_libm", "k"): "libm",
+         ("probe_long_mod", "k"): "expression string",
+         ("probe_long_ternary", "k"): "expression string",
+         ("probe_long_logical", "k"): "expression string",
+         ("probe_unsigned", "k"): "unsigned",
+         ("probe_unsigned", "h"): "unsigned"}
 #: (case, array) rows that diverge on more than one GPU only.
 SPLIT = {("kmeans", "clusters"): "kmeans split",
          ("kmeans", "new_centers"): "kmeans split"}
