@@ -181,13 +181,13 @@ class AuditedModules:
             self.report(arr, idx, "r")
             return ks.ld(arr, idx)
 
-        def ld_span(arr, lo, n, step=1, copy=False):
+        def ld_span(arr, lo, n, step=1):
             self.report_span(arr, lo, n, step, "r")
-            return ks.ld_span(arr, lo, n, step, copy)
+            return ks.ld_span(arr, lo, n, step)
 
-        def ld_block(arr, lo, shape, steps, copy=False, out=None):
+        def ld_block(arr, lo, shape, steps, out=None):
             self.report_block(arr, lo, shape, steps, "r")
-            return ks.ld_block(arr, lo, shape, steps, copy, out)
+            return ks.ld_block(arr, lo, shape, steps, out)
 
         def block_take(arr, idx, base, out):
             self.report(arr, idx - base, "r")

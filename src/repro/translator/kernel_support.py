@@ -31,14 +31,12 @@ def ld(arr: np.ndarray, idx):
     return arr[min(max(int(idx), 0), arr.shape[0] - 1)]
 
 
-def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1,
-            copy: bool = False):
+def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1):
     """Strided gather ``arr[lo], arr[lo+step], ...`` (``n`` lanes) -- the
     :func:`ld` fast path.
 
     Value-identical to ``ld(arr, lo + step*arange(n))``: when ``step >=
-    1`` and the span lies in the buffer it is one slice (a view;
-    ``copy`` when the value may outlive a later store to the array);
+    1`` and the span lies in the buffer it is one slice (a view);
     otherwise it falls back to the exact clipped gather, preserving
     guarded-load semantics for predicated lanes.
     """
@@ -47,8 +45,7 @@ def ld_span(arr: np.ndarray, lo: int, n: int, step: int = 1,
     size = arr.shape[0]
     last = lo + (n - 1) * step
     if step >= 1 and 0 <= lo and last < size:
-        sl = arr[lo:last + 1:step]
-        return sl.copy() if copy else sl
+        return arr[lo:last + 1:step]
     if step != 1 or size == 0:
         return arr[np.clip(lo + step * np.arange(n, dtype=np.int64), 0,
                            size - 1)]
@@ -112,14 +109,12 @@ def trips(first: int, k: int) -> np.ndarray:
 
 
 def ld_block(arr: np.ndarray, lo: int, shape: tuple, steps: tuple,
-             copy: bool = False, out: np.ndarray | None = None
-             ) -> np.ndarray:
+             out: np.ndarray | None = None) -> np.ndarray:
     """Block gather ``arr[lo + sum(steps[a] * k_a)]`` over the index
     grid of ``shape`` -- the :func:`ld_span` of a trip-axis block.
 
     When every element lies in the buffer it is a strided view (a step
-    of 0 repeats along its axis; ``copy`` when the value may outlive a
-    later store to the array); otherwise it is the exact clipped gather
+    of 0 repeats along its axis); otherwise it is the exact clipped gather
     :func:`ld` performs on the same index grid.  With ``out`` the block
     is written there, and ``out`` returned.
     """
@@ -141,8 +136,7 @@ def ld_block(arr: np.ndarray, lo: int, shape: tuple, steps: tuple,
         else:
             last += s * (d - 1)
     if 0 <= first and last < arr.shape[0]:
-        view = np.ndarray(list(shape), arr.dtype, arr, lo * item, strides)
-        return view.copy() if copy else view
+        return np.ndarray(list(shape), arr.dtype, arr, lo * item, strides)
     idx = np.full(shape, lo, dtype=np.int64)
     for axis, (s, d) in enumerate(zip(steps, shape)):
         if s:
@@ -382,7 +376,13 @@ def tmod(a, b):
 
 
 def cast_to(v, dtype):
-    """C-style cast to a NumPy dtype, scalar- and vector-aware."""
+    """C's conversion of a lane vector or a scalar to a NumPy dtype (an
+    integer the target cannot hold wraps, C99 section 6.3.1.3)."""
     if isinstance(v, np.ndarray):
         return v.astype(dtype)
-    return dtype(v)
+    return np.asarray(v).astype(dtype)[()]
+
+
+def rsqrt(x):
+    """``1 / sqrt(x)`` in the dtype of ``x``."""
+    return 1 / np.sqrt(x)

@@ -66,19 +66,24 @@ each flat lane to its outer lane.  On that region an outer-lane operand
 position vector once per straight-line run, and an outer local's ``+=``
 is ``np.add.at`` over it.
 
-Every operation computes in the dtype of its C type
+Every C expression has one lowering, :meth:`Vectorizer.bx` --
+arithmetic, ``%``, shifts and bit operators, comparisons, ``!`` /
+``&&`` / ``||`` (bool lanes, or a Python ``not`` / ``and`` / ``or``),
+``?:`` (``np.where``), casts, math calls -- and a lane-invariant value is
+its own text, which bounds, guards and offsets read as it is.  Every
+operation computes in the dtype of its C type
 (:mod:`repro.frontend.typer`; ``fabs`` / ``fmax`` / ``fmin`` of
-``float`` operands stay float32, which is exact): an operand of another
-dtype is converted first, as C converts it (``ks.cast_to`` for a lane
-vector, the dtype's constructor for a scalar), a ``float`` / ``double``
-host scalar is bound as a NumPy scalar of its type, and a literal's text
-is its value in its own type (NumPy gives it the other operand's dtype).
-So the dtype NumPy computes a ufunc in is the node's, and ``out=`` -- a
-slot of that dtype, or a destination of it -- changes where a result
-lands, never what it is; a ``double`` operation rounds once, where it
-is stored.  Integer operations take their operands' wider dtype; one
-whose width is not tracked, and index arithmetic outside a block, is
-evaluated unbuffered, same ufunc, same operands.
+``float`` operands stay float32, which is exact), its operands converted
+first by one rule (:meth:`Vectorizer._operands`): a floating, ``long``
+or ``unsigned`` operation converts every operand of another dtype (an
+``unsigned`` one wraps modulo ``2**bits``, as C's does), an ``int`` one
+only a bool or unsigned operand.  A ``float`` / ``double`` host scalar is
+bound as a NumPy scalar of its type, and a literal's text is its value
+in its own type (NumPy gives it the other operand's dtype).  So the
+dtype NumPy computes a ufunc in is the node's, and ``out=`` -- a slot of
+that dtype, or a destination of it -- changes where a result lands,
+never what it is; a ``double`` operation rounds once, where it is
+stored.  Index arithmetic outside a block is evaluated unbuffered.
 
 Array accesses are rewritten from global to buffer-local indices by
 subtracting the per-array base offset (section IV-B3); stores are
@@ -141,7 +146,7 @@ class VectorizeError(NotImplementedError):
 
 #: Kernel function of every math call, keyed as ``typer.LIBM``.
 _MATH_CALLS = {
-    "sqrt": "np.sqrt", "rsqrt": "_rsqrt", "fabs": "np.abs", "abs": "np.abs",
+    "sqrt": "np.sqrt", "rsqrt": "ks.rsqrt", "fabs": "np.abs", "abs": "np.abs",
     "exp": "np.exp", "log": "np.log", "pow": "np.power", "sin": "np.sin",
     "cos": "np.cos", "floor": "np.floor", "ceil": "np.ceil",
     "min": "np.minimum", "fmin": "np.fmin", "max": "np.maximum",
@@ -152,7 +157,8 @@ _MATH_CALLS = {
 _DTYPES = {c: f"np.{t.__name__}" for c, t in _NP_DTYPES.items()}
 
 _FLOAT_DTYPES = ("np.float32", "np.float64")
-_INT_DTYPES = ("np.int32", "np.int64")
+#: Integer dtypes in C's conversion rank.
+_INT_DTYPES = ("np.int32", "np.uint32", "np.int64", "np.uint64")
 
 
 def _literal(e: C.IntLit | C.FloatLit, ty: str = "") -> str:
@@ -166,7 +172,12 @@ _IMPRECISE = frozenset({"exp", "expf", "log", "logf", "pow", "powf",
 #: The value a carried ``x = x op e`` leaves ``x`` unchanged with.
 _IDENTITY = {"+": -0.0, "-": 0.0, "*": 1.0}
 _UFUNCS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply",
-           "/": "np.divide"}
+           "/": "np.divide", "%": "np.fmod", "<<": "np.left_shift",
+           ">>": "np.right_shift", "&": "np.bitwise_and",
+           "|": "np.bitwise_or", "^": "np.bitwise_xor"}
+#: A logical operator: its lane ufunc and its lane-invariant word.
+_LOGICAL = {"!": ("np.logical_not", "not"), "&&": ("np.logical_and", "and"),
+            "||": ("np.logical_or", "or")}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 _COMPARE = {"<": "np.less", "<=": "np.less_equal", ">": "np.greater",
             ">=": "np.greater_equal", "==": "np.equal", "!=": "np.not_equal"}
@@ -552,85 +563,6 @@ class Vectorizer:
                     return True
         return False
 
-    # -- expression strings ----------------------------------------------------------
-    #
-    # The text of what :meth:`bx` does not evaluate itself (logical
-    # operators, ``%``, ternaries, casts in conditions) and of
-    # lane-invariant bounds and guards.
-
-    def tx(self, e: C.Expr) -> str:
-        if isinstance(e, (C.IntLit, C.FloatLit)):
-            return _literal(e)
-        if isinstance(e, C.Ident):
-            return self._bx_ident(e).src
-        if isinstance(e, C.BinOp):
-            return self.tx_binop(e)
-        if isinstance(e, C.UnOp):
-            return self.tx_unop(e)
-        if isinstance(e, C.Ternary):
-            c = self.as_bool(e.cond)
-            a = self.tx_as(e.then, e.ty)
-            b = self.tx_as(e.other, e.ty)
-            return f"np.where({c}, {a}, {b})"
-        if isinstance(e, C.Call):
-            t = computes_in(e)
-            args = ", ".join(self.tx_as(a, t) for a in e.args)
-            return f"{_MATH_CALLS[libm(e.func)]}({args})"
-        if isinstance(e, C.Index):
-            # A value kept in an expression string may outlive a later
-            # store of the statement: copy a view when the kernel stores
-            # to the array.
-            return self._bx_load(
-                e, copy=self.config.arrays[e.base_name()].written).src
-        if isinstance(e, C.CastExpr):
-            dt = _DTYPES.get(e.to.base if not e.to.pointers else "long", "np.float64")
-            return f"ks.cast_to({self.tx(e.operand)}, {dt})"
-        raise VectorizeError(f"unsupported expression {type(e).__name__}")
-
-    def tx_as(self, e: C.Expr, ty: str) -> str:
-        """The text of ``e`` converted to ``ty`` where an operand of
-        another type is converted (a literal's text is exact in both)."""
-        if isinstance(e, (C.IntLit, C.FloatLit)):
-            return _literal(e, ty)
-        src = self.tx(e)
-        if is_float(ty) and computes_in(e) != ty:
-            return f"ks.cast_to({src}, {_DTYPES[ty]})"
-        return src
-
-    def tx_binop(self, e: C.BinOp) -> str:
-        op = e.op
-        if op in ("&&", "||"):
-            l, r = self.tx(e.left), self.tx(e.right)
-            return f"({self._boolify(l)} {op[0]} {self._boolify(r)})"
-        t = operand_type(e)
-        l = self.tx_as(e.left, t)
-        r = self.tx_as(e.right, t)
-        if op in ("/", "%") and not is_float(t):
-            # C truncates an integer quotient toward zero, NumPy floors.
-            if op == "/":
-                return f"ks.tdiv({l}, {r})"
-            return f"np.fmod({l}, {r})" if self.lane_varying(e) \
-                else f"ks.tmod({l}, {r})"
-        return f"({l} {op} {r})"
-
-    def _boolify(self, src: str) -> str:
-        return f"(np.asarray({src}) != 0)"
-
-    def tx_unop(self, e: C.UnOp) -> str:
-        v = self.tx(e.operand)
-        if e.op == "!":
-            return f"(~{self._boolify(v)})"
-        return v if e.op == "+" else f"({e.op}{v})"
-
-    def as_bool(self, e: C.Expr) -> str:
-        src = self.tx(e)
-        if isinstance(e, C.BinOp) and e.op in ("<", ">", "<=", ">=", "==", "!=",
-                                               "&&", "||"):
-            return src
-        if isinstance(e, C.UnOp) and e.op == "!":
-            return src
-        return self._boolify(src)
-
     # -- lane regions --------------------------------------------------------------
 
     @property
@@ -708,7 +640,7 @@ class Vectorizer:
                     and not self.lane_varying(parts[1]):
                 coeff = const_value(parts[0])
                 if coeff is None or coeff >= 1:
-                    span = self.tx(parts[1]), self.tx(parts[0])
+                    span = self.bx(parts[1]).src, self.bx(parts[0]).src
             self._spans[id(idx)] = span
         return self._spans[id(idx)]
 
@@ -826,8 +758,7 @@ class Vectorizer:
 
     # -- loads ---------------------------------------------------------------------------
 
-    def _bx_load(self, e: C.Index, copy: bool = False,
-                 out: tuple | None = None) -> _Val:
+    def _bx_load(self, e: C.Index, out: tuple | None = None) -> _Val:
         """A load: a span view, a lane-invariant element, or the guarded
         gather ``np.take(..., mode='clip')`` into a slot -- or, as the
         root of an assignment (``out``, see :meth:`bx`) with the
@@ -840,8 +771,7 @@ class Vectorizer:
         if block is not None:
             start, steps = block
             src = (f"ks.ld_block(v_{name}, {start} - _b_{name}, "
-                   f"{self.region.shape}, ({steps})"
-                   f"{', copy=True' if copy else ''})")
+                   f"{self.region.shape}, ({steps}))")
             # Used where it stands: a view costs a call, not a copy.
             return _Val(src, True, dtype=dt, view=(name, "", ""))
         span = self.span_start(idx)
@@ -852,15 +782,14 @@ class Vectorizer:
             # data-dependent predicate) fall back to the clipped gather
             # inside ld_span, so values match ks.ld exactly.
             src = (f"_ld(v_{name}, {self._at(off, step)} - _b_{name}, "
-                   f"{self.region.n}{'' if step == '1' else ', ' + step}"
-                   f"{', copy=True' if copy else ''})")
+                   f"{self.region.n}{'' if step == '1' else ', ' + step})")
             view = _Val(src, True, dtype=dt, view=(name, off, step))
             if step == "1":
                 return view
             return self._number(src, e, lambda: self._bind(view))
         if not self.lane_varying(idx):
-            return _Val(f"ks.ld(v_{name}, {self.tx(idx)} - _b_{name})", False,
-                        dtype=dt)
+            return _Val(f"ks.ld(v_{name}, {self.bx(idx).src} - _b_{name})",
+                        False, dtype=dt)
         if self.region.shape is not None and dt is not None:
             return self._block_gather(e, name, idx, dt, out)
         iv = self.bx(idx)
@@ -936,12 +865,12 @@ class Vectorizer:
         if not trip or any(self.lane_varying(x)
                            for x in (lane[0], trip[0], trip[1])):
             return None
-        terms = [self.tx(trip[1])] if const_value(trip[1]) != 0 else []
+        terms = [self.bx(trip[1]).src] if const_value(trip[1]) != 0 else []
         steps = []
         # The trip axis first, the lanes last.
         for coeff, at in ((trip[0], first), (lane[0], r.parent.lo)):
             c = const_value(coeff)
-            step = self.tx(coeff) if c is None else repr(c)
+            step = self.bx(coeff).src if c is None else repr(c)
             steps.append(step)
             if c != 0:
                 terms.append(at if c == 1 else f"{step} * {at}")
@@ -988,24 +917,26 @@ class Vectorizer:
             return self._bx_load(e, out=out)
         if isinstance(e, C.UnOp) and e.op == "+":
             return self.bx(e.operand, out)
-        if isinstance(e, C.UnOp) and e.op == "-":
-            v = self.bx(e.operand)
+        if isinstance(e, C.UnOp) and e.op in "-~":
+            v = self._operands(e, [e.operand], computes_in(e))[0]
             if not v.vec:
-                return _Val(f"(-{v.src})", False, dtype=v.dtype)
-            return self._op("np.negative", f"(-{v.src})", [v], out, e,
-                            v.dtype)
-        if isinstance(e, C.BinOp) and e.op in _UFUNCS:
+                return _Val(f"({e.op}{v.src})", False, dtype=v.dtype)
+            return self._op("np.negative" if e.op == "-" else "np.invert",
+                            f"({e.op}{v.src})", [v], out, e, v.dtype)
+        if isinstance(e, (C.UnOp, C.BinOp)) and e.op in _LOGICAL:
+            return self.truth(e)
+        if isinstance(e, C.BinOp):
             return self._bx_binop(e, out)
-        if isinstance(e, C.BinOp) and e.op in _COMPARE:
-            vals = self._operands(e, [e.left, e.right], operand_type(e))
-            plain = f"({vals[0].src} {e.op} {vals[1].src})"
-            if not any(v.vec for v in vals):
-                return _Val(plain, False)
-            # A comparison with a lane vector is a bool lane vector,
-            # whatever it compares.
-            return self._op(_COMPARE[e.op], plain, vals, None, e, "np.bool_")
-        if isinstance(e, C.Call) and \
-                _MATH_CALLS[libm(e.func)].startswith("np."):
+        if isinstance(e, C.Ternary):
+            c = self.truth(e.cond)
+            a, b = self._operands(e, [e.then, e.other], e.ty)
+            if not (c.vec or a.vec or b.vec):
+                return _Val(f"({a.src} if {c.src} else {b.src})", False,
+                            dtype=a.dtype if a.dtype == b.dtype else None)
+            dt = _DTYPES[e.ty] if is_float(e.ty) else None
+            return self._eager(f"np.where({c.src}, {a.src}, {b.src})",
+                               [c, a, b], e, dt)
+        if isinstance(e, C.Call):
             fn = _MATH_CALLS[libm(e.func)]
             t = computes_in(e)
             vals = self._operands(e, e.args, t)
@@ -1013,18 +944,35 @@ class Vectorizer:
             dt = _DTYPES[t] if is_float(t) else self._int_dtype(vals)
             if not any(v.vec for v in vals):
                 return _Val(plain, False, dtype=dt)
+            if fn.startswith("ks."):
+                return self._eager(plain, vals, e, dt)
             return self._op(fn, plain, vals, out, e, dt)
         if isinstance(e, C.CastExpr):
-            v = self.bx(e.operand)
-            dt = _DTYPES.get(e.to.base if not e.to.pointers else "long",
-                             "np.float64")
-            src = f"ks.cast_to({v.src}, {dt})"
-            if not v.vec:
-                return _Val(src, False, dtype=dt)
-            return self._eager(src, [v], e, dtype=dt)
-        t = computes_in(e)
-        return _Val(self.tx(e), self.lane_varying(e),
-                    dtype=_DTYPES[t] if is_float(t) else None)
+            return self._convert(self.bx(e.operand), e, _DTYPES.get(
+                e.to.base if not e.to.pointers else "long", "np.float64"))
+        raise VectorizeError(f"unsupported expression {type(e).__name__}",
+                             e.line)
+
+    def truth(self, e: C.Expr) -> _Val:
+        """``e`` where only its truth counts -- a condition, an operand
+        of ``!`` / ``&&`` / ``||``: a bool lane vector, or a lane-invariant
+        Python bool (``not``, ``and``, ``or``: C's short circuit)."""
+        op = e.op if isinstance(e, (C.UnOp, C.BinOp)) else None
+        if op in _LOGICAL:
+            vals = [self.truth(x) for x in C.child_exprs(e)]
+            ufunc, word = _LOGICAL[op]
+            plain = f"({word} {vals[0].src})" if op == "!" \
+                else f"({vals[0].src} {word} {vals[1].src})"
+        else:
+            v = self.bx(e)
+            if v.dtype == "np.bool_" or op in _COMPARE:
+                return v
+            vals, ufunc = [v, _Val("0", False)], "np.not_equal"
+            plain = f"({v.src} != 0)"
+        if not any(v.vec for v in vals):
+            return _Val(plain, False, dtype="np.bool_")
+        return self._op(ufunc, f"{ufunc}({', '.join(v.src for v in vals)})",
+                        vals, None, e, "np.bool_")
 
     def _bx_ident(self, e: C.Ident) -> _Val:
         n = e.name
@@ -1066,46 +1014,70 @@ class Vectorizer:
         raise VectorizeError(f"unknown identifier {n!r}", e.line)
 
     def _bx_binop(self, e: C.BinOp, out: tuple | None) -> _Val:
-        t = e.ty
+        t = operand_type(e)
         vals = self._operands(e, [e.left, e.right], t)
         left, right = vals
-        tdiv = e.op == "/" and not is_float(t)
-        plain = f"ks.tdiv({left.src}, {right.src})" if tdiv \
-            else f"({left.src} {e.op} {right.src})"
+        vec = left.vec or right.vec
+        # C truncates an integer quotient and remainder toward zero,
+        # NumPy floors; a lane remainder is ``np.fmod``.
+        if e.op == "/" and not is_float(t):
+            plain = f"ks.tdiv({left.src}, {right.src})"
+        elif e.op == "%":
+            fn = "np.fmod" if vec or is_float(t) else "ks.tmod"
+            plain = f"{fn}({left.src}, {right.src})"
+        else:
+            plain = f"({left.src} {e.op} {right.src})"
+        if e.op in _COMPARE:
+            # A comparison with a lane vector is a bool lane vector,
+            # whatever it compares.
+            if not vec:
+                return _Val(plain, False, dtype="np.bool_")
+            return self._op(_COMPARE[e.op], plain, vals, None, e, "np.bool_")
         dt = _DTYPES[t] if is_float(t) else self._int_dtype(vals)
-        if not (left.vec or right.vec):
+        if not vec:
             return _Val(plain, False, dtype=dt)
-        if tdiv or dt in _INT_DTYPES and self.region.shape is None:
-            # Outside a block an index vector is made once: unbuffered
-            # (and its width is not tracked).
-            return self._eager(plain, vals, e)
+        if e.op in "+-" and self.plain and not (left.vec and right.vec) \
+                and self.region.iota in (left.src, right.src):
+            # The lane index shifted is used where it stands, as a span
+            # view is: nothing writes either.
+            return _Val(plain, True, dtype=dt)
+        if plain.startswith("ks.") or dt in _INT_DTYPES \
+                and self.region.shape is None:
+            # Outside a block an index vector is made once, unbuffered.
+            return self._eager(plain, vals, e, dt)
         return self._op(_UFUNCS[e.op], plain, vals, out, e, dt)
 
     def _operands(self, e: C.Expr, args: list[C.Expr], ty: str) -> list[_Val]:
         """The operands of ``e``, each converted to ``ty`` -- the type
         ``e`` computes in -- where it has another dtype, as C converts
-        it first: ``ks.cast_to`` for a vector, the dtype's constructor
-        for a scalar.  A literal is not converted (its text is exact and
-        NumPy gives it the other operand's dtype), and a scalar
-        operation of literals alone computes in ``ty`` through its first
-        operand.  An integer operation converts only an ``int`` operand
-        of a ``long`` one: otherwise its operands meet at the wider
-        integer dtype, as C's do."""
+        it first (the one place an operand is converted).  A floating,
+        ``long`` or ``unsigned`` operation converts every operand of
+        another dtype, an ``int`` one only a bool or unsigned operand
+        (signed ones meet at the wider dtype, as C's do).  A literal is
+        not converted: its text is exact and NumPy gives it the other
+        operand's dtype -- a scalar operation of literals alone computes
+        in ``ty`` through its first operand."""
         vals = [_Val(_literal(a, ty), False)
                 if isinstance(a, (C.IntLit, C.FloatLit)) else self.bx(a)
                 for a in args]
         dt = _DTYPES.get(ty)
-        if not is_float(ty) and dt != "np.int64":
+        if dt is None:
             return vals
+        wide = dt != "np.int32"
         for k, (v, a) in enumerate(zip(vals, args)):
             if v.dtype != dt and not isinstance(a, (C.IntLit, C.FloatLit)) \
-                    and (is_float(ty) or v.dtype == "np.int32"):
-                vals[k] = self._eager(f"ks.cast_to({v.src}, {dt})", [v], a,
-                                      dt) if v.vec \
-                    else _Val(f"{dt}({v.src})", False, dtype=dt)
-        if is_float(ty) and vals and not any(v.vec or v.dtype for v in vals):
-            vals[0] = _Val(f"{dt}({vals[0].src})", False, dtype=dt)
+                    and (wide or v.dtype not in (None, "np.int32", "np.int64")):
+                vals[k] = self._convert(v, a, dt)
+        if wide and vals and not any(v.vec or v.dtype for v in vals):
+            vals[0] = self._convert(vals[0], args[0], dt)
         return vals
+
+    def _convert(self, v: _Val, e: C.Expr, dt: str) -> _Val:
+        """``v``, the value of ``e``, as a ``dt``, as C converts it."""
+        if v.vec:
+            return self._eager(f"ks.cast_to({v.src}, {dt})", [v], e, dt)
+        return _Val(f"{dt}({v.src})" if dt in _FLOAT_DTYPES
+                    else f"ks.cast_to({v.src}, {dt})", False, dtype=dt)
 
     @staticmethod
     def _int_dtype(vals: list[_Val]) -> str | None:
@@ -1260,19 +1232,13 @@ class Vectorizer:
         elif isinstance(s, C.Decl):
             self.emit_decl(s)
         elif isinstance(s, C.ExprStmt):
-            if s.expr is None:
-                return
             if isinstance(s.expr, C.Assign):
                 if isinstance(s.expr.target, C.Ident):
                     self.emit_scalar_assign(s.expr)
                 else:
                     self.emit_store(s.expr)
-            elif isinstance(s.expr, C.Call):
-                if s.expr.func in ("printf", "fprintf"):
-                    self.emit(f"pass  # {s.expr.func} elided in kernel")
-                else:
-                    self.tx(s.expr)  # side-effect-free; evaluate for errors
-            else:
+            elif s.expr is not None and not isinstance(s.expr, C.Call):
+                # A call -- a math function, ``printf`` -- emits nothing.
                 raise VectorizeError("expression statement has no effect", s.line)
         elif isinstance(s, C.If):
             self.emit_if(s)
@@ -1542,7 +1508,7 @@ class Vectorizer:
         if not (isinstance(cond, C.BinOp) and cond.op in _FLIP):
             if self.lane_varying(cond):
                 return None
-            return Interval(guards=(f"({self.tx(cond)})",))
+            return Interval(guards=(f"({self.bx(cond).src})",))
         var = self.an.nest.var
         left = affine_in(cond.left, var)
         right = affine_in(cond.right, var)
@@ -1552,8 +1518,8 @@ class Vectorizer:
             return None
         coeff = left.coeff - right.coeff
         if coeff == 0:
-            return Interval(guards=(f"(({self.tx(left.offset)}) {cond.op} "
-                                    f"({self.tx(right.offset)}))",))
+            return Interval(guards=(f"(({self.bx(left.offset).src}) "
+                                    f"{cond.op} ({self.bx(right.offset).src}))",))
         if coeff not in (1, -1) or is_float(cond.left.ty) \
                 or is_float(cond.right.ty):
             return None
@@ -1563,9 +1529,9 @@ class Vectorizer:
         if lc is not None and rc is not None:
             d = repr(coeff * (rc - lc))
         else:
-            rhs = self.tx(right.offset)
+            rhs = self.bx(right.offset).src
             if lc != 0:
-                rhs = f"({rhs}) - ({self.tx(left.offset)})"
+                rhs = f"({rhs}) - ({self.bx(left.offset).src})"
             d = f"{'' if coeff == 1 else '-'}int({rhs})"
         d1 = repr(int(d) + 1) if d.lstrip("-").isdigit() else f"{d} + 1"
         if op == "<":
@@ -1610,12 +1576,7 @@ class Vectorizer:
             return
         # A condition over lane vectors is the mask as it stands; a
         # lane-invariant one is broadcast over the lanes.
-        if isinstance(s.cond, C.BinOp) and s.cond.op in _COMPARE:
-            c = self.bx(s.cond)
-        elif self.lane_varying(s.cond):
-            c = self._eager(self.as_bool(s.cond), [], s.cond)
-        else:
-            c = _Val(self.as_bool(s.cond), False)
+        c = self.truth(s.cond)
         if not c.vec:
             c = self._bind(_Val(self._shared(c), True, dtype="np.bool_"))
         self.emit_masked(s, c.src)
@@ -1720,7 +1681,7 @@ class Vectorizer:
             else f"int(np.count_nonzero({outer_mask}))"
         split = self._trip_split(s, il)
         if not (self.lane_varying(il.lower) or self.lane_varying(il.upper)):
-            lo, hi = self.tx(il.lower), self.tx(il.upper)
+            lo, hi = self.bx(il.lower).src, self.bx(il.upper).src
             trips = f"max(0, int({hi}))" if const_value(il.lower) == 0 \
                 else f"max(0, int({hi}) - int({lo}))"
             self.emit(f"ctx.dyn_count({label!r}, {trips} * {lanes})")
@@ -1843,13 +1804,7 @@ class Vectorizer:
         the block evaluates its masks, each replayed trip reads a row."""
         outer = self.mask
         if self._part == "block":
-            if isinstance(s.cond, C.BinOp) and s.cond.op in _COMPARE:
-                c = self.bx(s.cond)
-            elif self.lane_varying(s.cond):
-                c = self._eager(self.as_bool(s.cond), [], s.cond)
-            else:
-                c = _Val(self.as_bool(s.cond), False)
-            c = self._own(c)
+            c = self._own(self.truth(s.cond))
             m_then, m_else = c.src, None
             if outer is not None:
                 m_then = self._bind(_Val(f"{outer} & {c.src}", True)).src

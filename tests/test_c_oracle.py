@@ -6,18 +6,17 @@ Every bundled C app and every divergence probe of
 and on a 2x2 cluster.  Each array a clause writes back must hold gcc's
 bytes, as pinned in ``tests/c_oracle_digests.json``.
 
-The rows of a float parameter (stencil's ``a`` too), a double literal
-and an int operand pass: every expression carries its C type
-(:mod:`repro.frontend.typer`) and the generated code converts as C
-does.  A known divergence is a strict xfail that names its class:
+The rows of a float parameter (stencil's ``a`` too), a double literal,
+an int operand, and the integer probes -- ``%``, ``?:`` and ``!`` /
+``&&`` over a ``long`` product, an ``unsigned`` product -- pass: every
+expression carries its C type (:mod:`repro.frontend.typer`), every
+kernel operator converts its operands by one rule
+(``Vectorizer._operands``) and the host program converts as C does.  A known divergence is a strict xfail that names its class:
 
 * ``libm``: NumPy's float32 ``exp`` is not glibc's ``expf`` (one ulp
   apart on some inputs);
-* ``expression string``: the kernel text of ``%``, ``?:`` and ``!`` /
-  ``&&`` converts its operands to a floating type only, so an ``int``
-  operand of a ``long`` operation computes in 32 bits;
-* ``unsigned``: an ``unsigned int`` operation computes in the signed
-  type of its ``int`` operand, in the kernel and on the host;
+* ``unsigned``: the host program computes an ``unsigned int``
+  operation in the signed type of its ``int`` operand;
 * ``kmeans split``: on more than one GPU, kmeans adds its float32
   partial sums in another order than the sequential loop (ROADMAP
   item 13).
@@ -45,10 +44,6 @@ MACHINES = {"1gpu": (lambda: hypothetical_node(4), 1),
 
 #: (case, array) -> divergence class, on every machine.
 KNOWN = {("probe_libm", "k"): "libm",
-         ("probe_long_mod", "k"): "expression string",
-         ("probe_long_ternary", "k"): "expression string",
-         ("probe_long_logical", "k"): "expression string",
-         ("probe_unsigned", "k"): "unsigned",
          ("probe_unsigned", "h"): "unsigned"}
 #: (case, array) rows that diverge on more than one GPU only.
 SPLIT = {("kmeans", "clusters"): "kmeans split",

@@ -77,24 +77,24 @@ def test_lane_invariant_ld_matches(size, idx):
 
 
 @given(size=SIZES, dtype=DTYPES, lo=st.integers(-12, 36), n=st.integers(-1, 12),
-       step=STEPS, copy=st.booleans())
+       step=STEPS)
 @settings(max_examples=400, deadline=None)
-def test_ld_span_matches_the_clip_gather(size, dtype, lo, n, step, copy):
+def test_ld_span_matches_the_clip_gather(size, dtype, lo, n, step):
     arr = array_of(size, dtype)
     idx = lo + step * np.arange(max(n, 0), dtype=np.int64)
     if size == 0 and n > 0:
         with pytest.raises(IndexError):
             oracle.ld(arr, idx)
         with pytest.raises(IndexError):
-            ks.ld_span(arr, lo, n, step, copy)
+            ks.ld_span(arr, lo, n, step)
         return
-    got = ks.ld_span(arr, lo, n, step, copy)
+    got = ks.ld_span(arr, lo, n, step)
     same(got, oracle.ld(arr, idx))
     inside = n > 0 and lo >= 0 and lo + (n - 1) * step < size
     # A view exactly where a slice walks the lanes: inside the buffer,
     # with a positive stride.
     assert np.shares_memory(got, arr) == (
-        inside and step >= 1 and not copy)
+        inside and step >= 1)
 
 
 @given(size=st.integers(1, 24), lo=st.integers(-4, 30), n=st.integers(0, 10),
