@@ -17,9 +17,9 @@ result is that ``float`` value, so float32 gives C's bits -- and
 :func:`operand_type`, the type each operand is converted to first.
 
 A Fortran program's intrinsics are generic (``sqrt`` of a ``real`` is a
-``real``); its real literals are typed by their kind as C's are by their
-suffix (the scanner spells ``0.1`` as ``0.1f`` and ``0.1d0`` as
-``0.1e0``).
+``real``, ``i ** 2`` of an ``integer`` an ``integer``); its real
+literals are typed by their kind as C's are by their suffix (the scanner
+spells ``0.1`` as ``0.1f`` and ``0.1d0`` as ``0.1e0``).
 """
 
 from __future__ import annotations
@@ -161,7 +161,8 @@ def element(array: str) -> str:
 
 def call(func: str, args: list[C.Expr], fortran: bool, returns) -> str:
     """A call: a math call by :data:`LIBM` (a Fortran intrinsic is
-    generic in its argument), any other by ``returns(func)``."""
+    generic in its argument: ``**`` of integers is an integer), any
+    other by ``returns(func)``."""
     if not libm(func):
         return returns(func)
     common = "int"
@@ -171,5 +172,5 @@ def call(func: str, args: list[C.Expr], fortran: bool, returns) -> str:
         return LIBM.get(func, "float") or common
     if func in ("floor", "ceil"):
         return "int"
-    return common if func in ("abs", "fabs", "min", "max") \
+    return common if func in ("abs", "fabs", "min", "max", "pow") \
         or is_float(common) else "float"

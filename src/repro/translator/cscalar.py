@@ -3,8 +3,9 @@
 The host program (:mod:`repro.translator.hostgen`) computes on Python
 ``int``/``float`` values and NumPy scalars.  Where C's rule differs from
 Python's -- ``/`` and ``%`` truncate toward zero, compound assignment,
-the math library, the dtype of a declared C type -- the emitted text
-calls one of these helpers.
+the math library, the dtype of a declared C type, ``unsigned``
+arithmetic modulo ``2**bits`` -- the emitted text calls one of these
+helpers.
 """
 
 from __future__ import annotations
@@ -42,36 +43,61 @@ def c_fmin(x: Any, y: Any) -> Any:
     return y if x != x or y < x else x
 
 
+def c_pow(x: Any, y: Any) -> Any:
+    """``pow``, exact on integers (Fortran's ``**``; C's takes doubles)."""
+    exact = _is_int(x) and _is_int(y) and y >= 0
+    return int(x) ** int(y) if exact else math.pow(x, y)
+
+
 #: Python function of every math call, keyed as ``typer.LIBM``.
 _MATH_FUNCS: dict[str, Callable[..., Any]] = {
     "sqrt": math.sqrt, "rsqrt": lambda x: 1.0 / math.sqrt(x),
     "fabs": abs, "abs": abs, "exp": math.exp, "log": math.log,
-    "pow": math.pow, "sin": math.sin, "cos": math.cos,
+    "pow": c_pow, "sin": math.sin, "cos": math.cos,
     "floor": math.floor, "ceil": math.ceil,
     "min": min, "fmin": c_fmin, "max": max, "fmax": c_fmax,
 }
 
 
+#: The unsigned types: values and arithmetic modulo ``2**bits`` (C99
+#: section 6.2.5).
+UNSIGNED = ("unsigned int", "unsigned long")
 #: The constructor, by its name in the host program, that converts a
 #: value to a C type: a ``float`` is a float32 NumPy scalar, a
 #: ``double`` a Python float, an integer a Python int (truncated toward
-#: zero).
+#: zero), an unsigned one modulo ``2**bits``.
 CONVERT = {"float": "np.float32", "double": "float",
-           **dict.fromkeys(INTEGERS, "int")}
-_CONSTRUCTORS = {"np.float32": np.float32, "float": float, "int": int}
+           **dict.fromkeys(INTEGERS, "int"),
+           "unsigned int": "_u32", "unsigned long": "_u64"}
+_CONSTRUCTORS = {"np.float32": np.float32, "float": float, "int": int,
+                 "_u32": lambda v: int(v) & 0xFFFF_FFFF,
+                 "_u64": lambda v: int(v) & 0xFFFF_FFFF_FFFF_FFFF}
 
 
 def converter(have: str | None, want: str) -> str:
     """The name in :data:`CONVERT` that converts a value of C type
-    ``have`` (None: any value) to ``want`` -- at an assignment, a
-    parameter or an operand of a wider operation; "" where the host
-    holds both alike (one type, or two integer types -- but an element
-    of an ``int`` array is a 32-bit NumPy scalar, made a Python int for
-    a ``long`` operation)."""
+    ``have`` (None: any value, or the result of a ``want`` operation)
+    to ``want`` -- at an assignment, a parameter or an operand of a
+    wider operation; "" where the host holds both alike (one type, or
+    two integer types -- but an element of an ``int`` array is a 32-bit
+    NumPy scalar, made a Python int for a ``long`` operation, and an
+    unsigned value is always taken modulo ``2**bits``)."""
     if have is not None and (want == have or is_integer(want) and is_integer(
-            have) and not (want == "long" and have in INTEGERS[:3])):
+            have) and want not in UNSIGNED
+            and not (want == "long" and have in INTEGERS[:3])):
         return ""
     return CONVERT.get(want, "")
+
+
+def wrapped(text: str, ty: str) -> str:
+    """Text of ``text``, the result of a ``ty`` operation, as C holds
+    it: an unsigned one modulo ``2**bits``."""
+    return f"{CONVERT[ty]}({text})" if ty in UNSIGNED else text
+
+
+def c_wrap(value: Any, ty: str) -> Any:
+    """``value``, the result of a ``ty`` operation, as C holds it."""
+    return _CONSTRUCTORS[CONVERT[ty]](value) if ty in UNSIGNED else value
 
 
 def c_convert(value: Any, have: str | None, want: str) -> Any:

@@ -47,8 +47,10 @@ from ..frontend.typer import (
     operand_type,
 )
 from .cscalar import (
+    _CONSTRUCTORS,
     _MATH_FUNCS,
     _NP_DTYPES,
+    UNSIGNED,
     ScalarError,
     _apply_scalar_op,
     c_convert,
@@ -56,7 +58,9 @@ from .cscalar import (
     c_fmax,
     c_fmin,
     c_mod,
+    c_wrap,
     converter,
+    wrapped,
 )
 from .vectorizer import exec_source
 
@@ -116,8 +120,8 @@ def _store(value: Any, arr: np.ndarray, idx: int, name: str, line: int,
     if not 0 <= idx < arr.shape[0]:
         _oob(name, idx, line)
     if op:
-        value = c_convert(_apply_scalar_op(
-            c_convert(arr[idx], ty, opty), op, value, line), opty, ty)
+        value = c_convert(c_wrap(_apply_scalar_op(
+            c_convert(arr[idx], ty, opty), op, value, line), opty), opty, ty)
     before_write(arr)
     arr[idx] = value
     return value
@@ -130,8 +134,8 @@ def _assign(E: dict, name: str, value: Any, line: int, ty: str,
     if name not in E:
         raise HostError(f"assignment to undeclared {name!r} (line {line})")
     if op:
-        value = c_convert(_apply_scalar_op(
-            c_convert(E[name], ty, opty), op, value, line), opty, ty)
+        value = c_convert(c_wrap(_apply_scalar_op(
+            c_convert(E[name], ty, opty), op, value, line), opty), opty, ty)
     E[name] = value
     return value
 
@@ -148,7 +152,7 @@ _NAMESPACE: dict[str, Any] = {
     "HostError": HostError, "c_div": c_div, "c_mod": c_mod,
     "_aop": _apply_scalar_op, "_fail": _fail, "_var": _var, "_elem": _elem,
     "_ndarray": _ndarray, "_oob": _oob, "_store": _store, "_assign": _assign,
-    "_present": _present,
+    "_present": _present, **{u: _CONSTRUCTORS[u] for u in ("_u32", "_u64")},
     # A math call and its ``float`` variant (``_m_sqrt``, ``_m_sqrtf``).
     **{f"_m_{n}{f}": fn for n, fn in _MATH_FUNCS.items() for f in ("", "f")},
 }
@@ -281,7 +285,8 @@ class _FunctionEmitter:
         stored as a Python int)."""
         if isinstance(e, C.FloatLit):
             return _convert(self.expr(e), "double", want)
-        return self.index(e) if want in INTEGERS else self.operand(e, want)
+        return self.index(e) if want in INTEGERS and want not in UNSIGNED \
+            else self.operand(e, want)
 
     # -- expressions -------------------------------------------------------------
 
@@ -304,11 +309,12 @@ class _FunctionEmitter:
                 return f"(0 if {self.cond(e.operand)} else 1)"
             v = self.expr(e.operand)
             if e.op == "-":
-                return f"(-{v})"
+                return wrapped(f"(-{v})", e.ty)
             if e.op == "+":
                 return v
             if e.op == "~":
-                return f"(~{_convert(v, e.operand.ty, 'int')})"
+                return wrapped(f"(~{_convert(v, e.operand.ty, 'int')})",
+                               e.ty)
             return self.fail(ScalarError, f"unsupported unary op {e.op!r}",
                              e.line, after=(v,))
         if isinstance(e, C.Ternary):
@@ -367,7 +373,7 @@ class _FunctionEmitter:
         if op in ("+", "-", "*", "/", "%"):
             l, r = self.operand(e.left, t), self.operand(e.right, t)
             if op in ("+", "-", "*"):
-                return f"({l} {op} {r})"
+                return wrapped(f"({l} {op} {r})", t)
             if t in FLOATS:
                 if op == "/":
                     return f"({l} / {r})"
@@ -375,8 +381,8 @@ class _FunctionEmitter:
             helper = "c_div" if op == "/" else "c_mod"
             return f"{helper}({l}, {r}, {e.line})"
         if op in ("<<", ">>", "&", "|", "^"):
-            return (f"({self.operand(e.left, 'int')} {op} "
-                    f"{self.operand(e.right, 'int')})")
+            return wrapped(f"({self.operand(e.left, t)} {op} "
+                           f"{self.operand(e.right, t)})", t)
         return self.fail(ScalarError, f"unsupported binary op {op!r}", e.line,
                          after=(self.expr(e.left), self.expr(e.right)))
 
@@ -458,8 +464,8 @@ class _FunctionEmitter:
     def compound(self, cur: str, op: str, v: str, t: str, line: int) -> str:
         """``cur op v`` in type ``t`` by the compound-assignment rules."""
         if op in ("+", "-", "*") or op == "/" and t in FLOATS:
-            return f"({cur} {op} {v})"
-        return f"_aop({cur}, {op!r}, {v}, {line})"
+            return wrapped(f"({cur} {op} {v})", t)
+        return wrapped(f"_aop({cur}, {op!r}, {v}, {line})", t)
 
     def assign_stmt(self, a: C.Assign) -> None:
         """An assignment whose value is dropped: native statements."""

@@ -45,6 +45,7 @@ from repro.translator.compiler import CompiledProgram, KernelPlan
 from repro.translator.cscalar import (
     _MATH_FUNCS,
     _NP_DTYPES,
+    UNSIGNED,
     ScalarError,
     _apply_scalar_op,
     c_convert,
@@ -52,6 +53,7 @@ from repro.translator.cscalar import (
     c_fmax,
     c_fmin,
     c_mod,
+    c_wrap,
 )
 from repro.translator.kernel_support import red_fold, red_identity
 
@@ -93,11 +95,11 @@ class ExprEvaluator:
                 return 0 if self.eval(e.operand) else 1
             v = self.eval(e.operand)
             if e.op == "-":
-                return -v
+                return c_wrap(-v, e.ty)
             if e.op == "+":
                 return v
             if e.op == "~":
-                return ~c_convert(v, e.operand.ty, "int")
+                return c_wrap(~c_convert(v, e.operand.ty, "int"), e.ty)
             raise InterpError(f"unsupported unary op {e.op!r}", e.line)
         if isinstance(e, C.Ternary):
             branch = e.then if self.eval(e.cond) else e.other
@@ -141,7 +143,7 @@ class ExprEvaluator:
         if want == "float" and isinstance(e, C.FloatLit):
             return np.float32(self.eval(e))
         return int(self.eval(e)) if want in INTEGERS \
-            else self.operand(e, want)
+            and want not in UNSIGNED else self.operand(e, want)
 
     def assigned(self, a: C.Assign, cur: Any, value: Any) -> Any:
         """What ``target op= value`` leaves in a target holding ``cur``
@@ -149,21 +151,22 @@ class ExprEvaluator:
         if not a.op:
             return value
         opty = operand_type(a)
-        return c_convert(_apply_scalar_op(
-            c_convert(cur, a.target.ty, opty), a.op, value, a.line),
+        return c_convert(c_wrap(_apply_scalar_op(
+            c_convert(cur, a.target.ty, opty), a.op, value, a.line), opty),
             opty, a.target.ty)
 
     def _binop(self, e: C.BinOp) -> Any:
+        """``e``'s value; an unsigned one modulo ``2**bits``."""
+        return c_wrap(self._value(e), e.ty)
+
+    def _value(self, e: C.BinOp) -> Any:
         op = e.op
         if op == "&&":
             return 1 if (self.eval(e.left) and self.eval(e.right)) else 0
         if op == "||":
             return 1 if (self.eval(e.left) or self.eval(e.right)) else 0
         t = operand_type(e)
-        if op in ("+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!="):
-            l, r = self.operand(e.left, t), self.operand(e.right, t)
-        else:
-            l, r = self.operand(e.left, "int"), self.operand(e.right, "int")
+        l, r = self.operand(e.left, t), self.operand(e.right, t)
         if op == "+":
             return l + r
         if op == "-":

@@ -15,8 +15,6 @@ kernel operator converts its operands by one rule
 
 * ``libm``: NumPy's float32 ``exp`` is not glibc's ``expf`` (one ulp
   apart on some inputs);
-* ``unsigned``: the host program computes an ``unsigned int``
-  operation in the signed type of its ``int`` operand;
 * ``kmeans split``: on more than one GPU, kmeans adds its float32
   partial sums in another order than the sequential loop (ROADMAP
   item 13).
@@ -43,8 +41,7 @@ MACHINES = {"1gpu": (lambda: hypothetical_node(4), 1),
             "2x2": (lambda: hypothetical_cluster(2, 2), 4)}
 
 #: (case, array) -> divergence class, on every machine.
-KNOWN = {("probe_libm", "k"): "libm",
-         ("probe_unsigned", "h"): "unsigned"}
+KNOWN = {("probe_libm", "k"): "libm"}
 #: (case, array) rows that diverge on more than one GPU only.
 SPLIT = {("kmeans", "clusters"): "kmeans split",
          ("kmeans", "new_centers"): "kmeans split"}

@@ -236,6 +236,35 @@ class TestEndToEnd:
         assert (args["x"] == 5.0).all()
         assert len(run.loop_stats) == 5
 
+    INTEGER_POWER = """
+    subroutine sq(n, k, h)
+      integer :: n
+      integer :: k(n), h(n)
+      integer :: i
+      !$acc parallel loop copyout(k)
+      do i = 1, n
+        k(i) = i ** 2
+      end do
+      do i = 1, n
+        h(i) = i ** 2
+      end do
+    end subroutine sq
+    """
+
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_integer_power_stays_an_integer(self, ngpus):
+        """``i ** 2`` of an ``integer`` is an ``integer`` in the kernel
+        and on the host: 4099 ** 2 is 16801801, which a float32 power
+        rounds to 16801800."""
+        n = 4099
+        args, _, prog = run_f(self.INTEGER_POWER, {
+            "n": n, "k": np.zeros(n, np.int32), "h": np.zeros(n, np.int32)},
+            ngpus=ngpus)
+        want = (np.arange(1, n + 1, dtype=np.int64) ** 2).tolist()
+        assert args["k"].tolist() == want and args["h"].tolist() == want
+        text = prog.kernel_source("sq_L0")
+        assert "np.power(_i, 2" in text and "float" not in text
+
     def test_exit_and_cycle_on_host(self):
         src = """
         subroutine count(n, out)

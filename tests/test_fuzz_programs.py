@@ -490,6 +490,12 @@ class TestFusionFuzz:
 #: parameter.
 _TYPED_CONTEXTS = ["{e}", "({e}) * 0.1", "({e}) + (i + 16777217)",
                    "({e}) * a"]
+#: The contexts a drawn ``int`` expression is stored into ``z[i]`` from:
+#: truncating remainders, a ternary over a ``long`` operation, ``!`` /
+#: ``&&`` / ``||``, a bitwise complement.
+_INT_CONTEXTS = ["({e}) % 3", "({e}) % -4",
+                 "({e}) > 2 ? ({e}) * 3000000000L / 1000000000L : -({e})",
+                 "!(({e}) % 2) || ({e}) < 0 && m", "!({e}) + ~({e})"]
 #: Kernel ufuncs whose ``out=`` result the dtype check watches.
 _ARITHMETIC = ("add", "subtract", "multiply", "divide", "negative", "abs",
                "fmax", "fmin", "maximum", "minimum", "sqrt", "exp", "log",
@@ -578,3 +584,22 @@ class TestCTypes:
             run_source(src, fresh_args(data.draw, n), ngpus=1)
         assert stored and set(stored) - {None} <= {np.dtype(want)}, \
             (src, stored)
+
+    @seed(_case_seed("TestCTypes::test_int_kernels_agree_with_the_oracle"))
+    @given(st.data(), st.integers(1, 13))
+    @settings(**_SETTINGS)
+    def test_int_kernels_agree_with_the_oracle(self, data, n):
+        """``%``, ``?:`` and ``!`` over a drawn ``int`` expression store
+        what the interpreter oracle stores, on 1 and 2 GPUs."""
+        context = data.draw(st.sampled_from(_INT_CONTEXTS))
+        src = make_program(
+            f"z[i] = {context.format(e=int_expr(data.draw))};")
+        args = fresh_args(data.draw, n)
+        def run(ngpus, interp):
+            fresh = {k: v.copy() if isinstance(v, np.ndarray) else v
+                     for k, v in args.items()}
+            return run_source(src, fresh, ngpus=ngpus,
+                              interp=interp)[0]["z"].tolist()
+
+        for ngpus in (1, 2):
+            assert run(ngpus, False) == run(ngpus, True), (src, ngpus)

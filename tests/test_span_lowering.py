@@ -45,7 +45,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.apps import ALL_APPS, EXTRA_APPS, AppSpec
 from repro.bench import multinode
-from repro.bench.machines import hypothetical_node
+from repro.bench.machines import hypothetical_cluster, hypothetical_node
 from repro.runtime.kernelctx import KernelContext, ScratchArena
 from repro.translator import kernel_support
 from repro.translator.compiler import CompileOptions, KernelPlan
@@ -53,6 +53,7 @@ from repro.translator.vectorizer import Vectorizer
 from repro.vcuda import memory as vmem
 from tests import kernel_support_oracle
 from tests.interp_oracle import oracle
+from tests.util import run_source
 
 APPS = {**ALL_APPS, **EXTRA_APPS}
 APPS["stencil_probes"] = AppSpec(
@@ -1059,3 +1060,93 @@ class TestIntegerLiterals:
         h = np.zeros(n + 2, np.int32)
         repro.compile(self.OCTAL).run("k", {"n": n, "h": h}, ngpus=ngpus)
         assert h.tolist() == [8] * (n + 1) + [31]
+
+
+class TestIntegerOperators:
+    """Every kernel operator -- ``%``, ``?:``, ``!`` / ``&&`` / ``||``,
+    shifts, bit operators, math calls -- is lowered by
+    ``Vectorizer.bx`` and converts its operands by one rule
+    (``Vectorizer._operands``), so an ``int`` operand of a ``long`` or
+    ``unsigned`` operation is converted first, as gcc converts it."""
+
+    WITNESSES = """
+    void k(int n, int *a, long *b, long *c, long *d, long *e) {
+      #pragma acc parallel loop copyin(a[0:n]) copyout(b[0:n], c[0:n], d[0:n], e[0:n])
+      for (int i = 0; i < n; i++) {
+        b[i] = (a[i] * 2L) % 7;
+        c[i] = a[i] > 0 ? a[i] * 2L : 0;
+        d[i] = !(a[i] % 3) && a[i] * 2L > 3000000000L;
+        e[i] = a[i] * 2u;
+      }
+      for (int j = 0; j < n; j++) {
+        b[n + j] = (a[j] * 2L) % 7;
+        c[n + j] = a[j] > 0 ? a[j] * 2L : 0;
+        d[n + j] = !(a[j] % 3) && a[j] * 2L > 3000000000L;
+        e[n + j] = a[j] * 2u;
+      }
+    }
+    """
+    A = [2_000_000_000, 1_999_999_998, -1, -7, 3, 0, -2_000_000_001]
+    #: gcc's values for each of ``A``.
+    WANT = {"b": [3, 6, -2, 0, 6, 0, -5],
+            "c": [4_000_000_000, 3_999_999_996, 0, 0, 6, 0, 0],
+            "d": [0, 1, 0, 0, 0, 0, 0],
+            "e": [4_000_000_000, 3_999_999_996, 4_294_967_294,
+                  4_294_967_282, 6, 0, 294_967_294]}
+
+    @pytest.mark.parametrize("machine,ngpus", [
+        ("desktop", 1), ("desktop", 2), (NODE4, 4),
+        (hypothetical_cluster(2, 2), 4)],
+        ids=["1gpu", "2gpu", "4gpu", "2x2"])
+    def test_witnesses_equal_gcc_in_kernels_and_on_the_host(self, machine,
+                                                            ngpus):
+        n = len(self.A)
+        args = {"n": n, "a": np.array(self.A, np.int32),
+                **{x: np.zeros(2 * n, np.int64) for x in "bcde"}}
+        repro.compile(self.WITNESSES).run("k", args, machine=machine,
+                                          ngpus=ngpus)
+        for x, want in self.WANT.items():
+            # The kernel's lanes, then the host loop's.
+            assert args[x].tolist() == want + want, x
+
+    def test_a_shared_subexpression_is_computed_once(self):
+        text = repro.compile(self.WITNESSES).kernel_source("k_L0")
+        # ``a[i] * 2L`` feeds the ``%``, the ternary and the ``&&``.
+        assert text.count(" * 2)") == 2  # the long product and ``* 2u``
+        assert "np.where(" in text and "np.fmod(" in text
+        assert "np.asarray" not in text and "copy=True" not in text
+
+    LANE_INVARIANT = """
+    void k(int n, int m, int *a, int *b) {
+      #pragma acc parallel loop copyin(a[0:n]) copyout(b[0:n])
+      for (int i = 0; i < n; i++) {
+        if (!m && a[i] > 0) { b[i] = ~m + (m % 4) + (a[i] << 2); }
+        else { b[i] = (m > 2 ? m : -m) | (a[i] & 6) ^ (a[i] >> 1); }
+      }
+    }
+    """
+
+    @pytest.mark.parametrize("m,want", [
+        (0, [11, -6, 0, 27, -7, 47]), (1, [-1] * 6),
+        (5, [7, -1, 5, 5, -3, 7]), (-6, [7, -2, 6, 7, -1, 6])])
+    def test_lane_invariant_operators_follow_c(self, m, want):
+        """A lane-invariant ``!`` is a Python ``not`` (``~`` of a bool
+        is -2) and ``%`` truncates: the kernel and the interpreter
+        oracle store gcc's values."""
+        a = np.array([3, -4, 0, 7, -1, 12], np.int32)
+        for interp in (False, True):
+            args, _ = run_source(self.LANE_INVARIANT, {
+                "n": a.size, "m": m, "a": a.copy(),
+                "b": np.zeros(a.size, np.int32)}, interp=interp)
+            assert args["b"].tolist() == want, interp
+
+    def test_rsqrt_runs_in_a_kernel(self):
+        src = """
+        void k(int n, float *x, float *y) {
+          #pragma acc parallel loop copyin(x[0:n]) copyout(y[0:n])
+          for (int i = 0; i < n; i++) { y[i] = rsqrt(x[i]); }
+        }
+        """
+        x = np.array([1.0, 4.0, 16.0], np.float32)
+        args, _ = run_source(src, {"n": 3, "x": x, "y": np.zeros(3, np.float32)})
+        np.testing.assert_allclose(args["y"], [1.0, 0.5, 0.25])

@@ -11,7 +11,10 @@ It looks up a name in one flat map per function (globals, parameters,
 every local the body declares, wherever) and a call in the return
 types of every function the file defines.  Parameter dimensions it
 does not type.  An integer literal it types by value alone (``int``,
-else ``long``); a floating literal's type it reads off the node.
+else ``long``); a floating literal's type it reads off the node.  One
+rule moved with the parser's since: a Fortran ``**`` of integers is an
+integer (the pass typed it ``real``, and ``i ** 2`` lost its last digit
+above 2**24).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def _rule(e: C.Expr, names: dict[str, str], returns: dict[str, str],
         # Fortran's intrinsics are generic in their argument.
         if e.func in ("floor", "ceil"):
             return "int"
-        return common if e.func in ("abs", "fabs", "min", "max") \
+        return common if e.func in ("abs", "fabs", "min", "max", "pow") \
             or is_float(common) else "float"
     if isinstance(e, C.Call):
         return returns.get(e.func, "int")
