@@ -59,45 +59,41 @@ _MATH_FUNCS: dict[str, Callable[..., Any]] = {
 }
 
 
-#: The unsigned types: values and arithmetic modulo ``2**bits`` (C99
-#: section 6.2.5).
+#: The unsigned types: values and arithmetic modulo ``2**bits``.
 UNSIGNED = ("unsigned int", "unsigned long")
+
+
+def _modulo(bits: int, signed: bool) -> Callable[[Any], int]:
+    """Conversion to a ``bits``-wide integer type, modulo ``2**bits``."""
+    low = -(1 << bits - 1) if signed else 0
+    return lambda v: (int(v) - low) % (1 << bits) + low
+
+
 #: The constructor, by its name in the host program, that converts a
 #: value to a C type: a ``float`` is a float32 NumPy scalar, a
 #: ``double`` a Python float, an integer a Python int (truncated toward
-#: zero), an unsigned one modulo ``2**bits``.
-CONVERT = {"float": "np.float32", "double": "float",
-           **dict.fromkeys(INTEGERS, "int"),
-           "unsigned int": "_u32", "unsigned long": "_u64"}
+#: zero) modulo ``2**bits``, as gcc converts it.
+CONVERT = {"float": "np.float32", "double": "float", "char": "int",
+           "int": "_i32", "unsigned int": "_u32", "long": "_i64",
+           "unsigned long": "_u64"}
 _CONSTRUCTORS = {"np.float32": np.float32, "float": float, "int": int,
-                 "_u32": lambda v: int(v) & 0xFFFF_FFFF,
-                 "_u64": lambda v: int(v) & 0xFFFF_FFFF_FFFF_FFFF}
+                 **{f"_{k}{b}": _modulo(b, k == "i")
+                    for k in "iu" for b in (32, 64)}}
 
 
 def converter(have: str | None, want: str) -> str:
     """The name in :data:`CONVERT` that converts a value of C type
-    ``have`` (None: any value, or the result of a ``want`` operation)
-    to ``want`` -- at an assignment, a parameter or an operand of a
-    wider operation; "" where the host holds both alike (one type, or
-    two integer types -- but an element of an ``int`` array is a 32-bit
-    NumPy scalar, made a Python int for a ``long`` operation, and an
-    unsigned value is always taken modulo ``2**bits``)."""
-    if have is not None and (want == have or is_integer(want) and is_integer(
-            have) and want not in UNSIGNED
-            and not (want == "long" and have in INTEGERS[:3])):
+    ``have`` (None: any value -- a cast) to ``want`` -- at an
+    assignment, a parameter, an operand, or (``have`` is ``want``) the
+    result of an operation; "" where the host holds both alike: one type
+    or two signed integer types (but an element of an ``int`` array is a
+    32-bit NumPy scalar, made a Python int for a ``long`` operation).
+    An unsigned value is always taken modulo ``2**bits``."""
+    if have is not None and have not in UNSIGNED and want not in UNSIGNED \
+            and (want == have or is_integer(want) and is_integer(have)
+                 and not (want == "long" and have in INTEGERS[:3])):
         return ""
     return CONVERT.get(want, "")
-
-
-def wrapped(text: str, ty: str) -> str:
-    """Text of ``text``, the result of a ``ty`` operation, as C holds
-    it: an unsigned one modulo ``2**bits``."""
-    return f"{CONVERT[ty]}({text})" if ty in UNSIGNED else text
-
-
-def c_wrap(value: Any, ty: str) -> Any:
-    """``value``, the result of a ``ty`` operation, as C holds it."""
-    return _CONSTRUCTORS[CONVERT[ty]](value) if ty in UNSIGNED else value
 
 
 def c_convert(value: Any, have: str | None, want: str) -> Any:

@@ -58,9 +58,7 @@ from .cscalar import (
     c_fmax,
     c_fmin,
     c_mod,
-    c_wrap,
     converter,
-    wrapped,
 )
 from .vectorizer import exec_source
 
@@ -120,8 +118,8 @@ def _store(value: Any, arr: np.ndarray, idx: int, name: str, line: int,
     if not 0 <= idx < arr.shape[0]:
         _oob(name, idx, line)
     if op:
-        value = c_convert(c_wrap(_apply_scalar_op(
-            c_convert(arr[idx], ty, opty), op, value, line), opty), opty, ty)
+        value = c_convert(_apply_scalar_op(
+            c_convert(arr[idx], ty, opty), op, value, line), opty, ty)
     before_write(arr)
     arr[idx] = value
     return value
@@ -134,8 +132,8 @@ def _assign(E: dict, name: str, value: Any, line: int, ty: str,
     if name not in E:
         raise HostError(f"assignment to undeclared {name!r} (line {line})")
     if op:
-        value = c_convert(c_wrap(_apply_scalar_op(
-            c_convert(E[name], ty, opty), op, value, line), opty), opty, ty)
+        value = c_convert(_apply_scalar_op(
+            c_convert(E[name], ty, opty), op, value, line), opty, ty)
     E[name] = value
     return value
 
@@ -152,7 +150,7 @@ _NAMESPACE: dict[str, Any] = {
     "HostError": HostError, "c_div": c_div, "c_mod": c_mod,
     "_aop": _apply_scalar_op, "_fail": _fail, "_var": _var, "_elem": _elem,
     "_ndarray": _ndarray, "_oob": _oob, "_store": _store, "_assign": _assign,
-    "_present": _present, **{u: _CONSTRUCTORS[u] for u in ("_u32", "_u64")},
+    "_present": _present, **_CONSTRUCTORS,
     # A math call and its ``float`` variant (``_m_sqrt``, ``_m_sqrtf``).
     **{f"_m_{n}{f}": fn for n, fn in _MATH_FUNCS.items() for f in ("", "f")},
 }
@@ -285,8 +283,9 @@ class _FunctionEmitter:
         stored as a Python int)."""
         if isinstance(e, C.FloatLit):
             return _convert(self.expr(e), "double", want)
-        return self.index(e) if want in INTEGERS and want not in UNSIGNED \
-            else self.operand(e, want)
+        if want in INTEGERS and not converter(computes_in(e), want):
+            return self.index(e)
+        return self.operand(e, want)
 
     # -- expressions -------------------------------------------------------------
 
@@ -309,12 +308,12 @@ class _FunctionEmitter:
                 return f"(0 if {self.cond(e.operand)} else 1)"
             v = self.expr(e.operand)
             if e.op == "-":
-                return wrapped(f"(-{v})", e.ty)
+                return _convert(f"(-{v})", e.ty, e.ty)
             if e.op == "+":
                 return v
             if e.op == "~":
-                return wrapped(f"(~{_convert(v, e.operand.ty, 'int')})",
-                               e.ty)
+                return _convert(f"(~{_convert(v, e.operand.ty, 'int')})",
+                                e.ty, e.ty)
             return self.fail(ScalarError, f"unsupported unary op {e.op!r}",
                              e.line, after=(v,))
         if isinstance(e, C.Ternary):
@@ -338,10 +337,7 @@ class _FunctionEmitter:
             if e.to.pointers:
                 return self.fail(ScalarError, "pointer casts unsupported",
                                  e.line, after=(v,))
-            dt = _NP_DTYPES.get(e.to.base, np.float64)
-            if np.issubdtype(dt, np.integer):
-                return f"np.{dt.__name__}({v}).item()"
-            return f"np.{dt.__name__}({v})"
+            return _convert(v, None, e.to.base)
         if isinstance(e, C.Assign):
             return self.assign_value(e)
         return self.fail(
@@ -373,7 +369,7 @@ class _FunctionEmitter:
         if op in ("+", "-", "*", "/", "%"):
             l, r = self.operand(e.left, t), self.operand(e.right, t)
             if op in ("+", "-", "*"):
-                return wrapped(f"({l} {op} {r})", t)
+                return _convert(f"({l} {op} {r})", t, t)
             if t in FLOATS:
                 if op == "/":
                     return f"({l} / {r})"
@@ -381,8 +377,8 @@ class _FunctionEmitter:
             helper = "c_div" if op == "/" else "c_mod"
             return f"{helper}({l}, {r}, {e.line})"
         if op in ("<<", ">>", "&", "|", "^"):
-            return wrapped(f"({self.operand(e.left, t)} {op} "
-                           f"{self.operand(e.right, t)})", t)
+            return _convert(f"({self.operand(e.left, t)} {op} "
+                            f"{self.operand(e.right, t)})", t, t)
         return self.fail(ScalarError, f"unsupported binary op {op!r}", e.line,
                          after=(self.expr(e.left), self.expr(e.right)))
 
@@ -464,8 +460,8 @@ class _FunctionEmitter:
     def compound(self, cur: str, op: str, v: str, t: str, line: int) -> str:
         """``cur op v`` in type ``t`` by the compound-assignment rules."""
         if op in ("+", "-", "*") or op == "/" and t in FLOATS:
-            return wrapped(f"({cur} {op} {v})", t)
-        return wrapped(f"_aop({cur}, {op!r}, {v}, {line})", t)
+            return _convert(f"({cur} {op} {v})", t, t)
+        return _convert(f"_aop({cur}, {op!r}, {v}, {line})", t, t)
 
     def assign_stmt(self, a: C.Assign) -> None:
         """An assignment whose value is dropped: native statements."""
@@ -487,8 +483,10 @@ class _FunctionEmitter:
             self.emit(f"E[{name!r}] = {v}")
             return
         opty = operand_type(a)
-        # A plain store converts as the element is assigned.
-        v = self.stored(a.value, opty) if a.op else self.expr(a.value)
+        # A plain store converts as the element is assigned (an unsigned
+        # value into a signed element wraps first: NumPy would refuse it).
+        v = self.stored(a.value, opty) if a.op or computes_in(
+            a.value) in UNSIGNED else self.expr(a.value)
         target = self.store_target(a, v)
         if isinstance(target, str):
             self.emit(target)

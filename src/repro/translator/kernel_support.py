@@ -197,7 +197,9 @@ def store_span(arr: np.ndarray, lo: int, n: int, values, op: str = "",
         return
     dst = span_out(arr, lo, n, step)
     if op == "":
-        dst[...] = values
+        # NumPy wraps an array into a signed element, as C, not a scalar.
+        dst[...] = values if isinstance(values, np.ndarray) \
+            else np.asarray(values)
     elif op == "+":
         dst += values
     elif op == "-":
@@ -280,7 +282,8 @@ def store(arr: np.ndarray, idx, values, op: str = "") -> None:
                 f"store index {low if low < 0 else high} outside a buffer "
                 f"of {arr.shape[0]} elements")
     if op == "":
-        arr[idx] = values
+        arr[idx] = values if isinstance(values, np.ndarray) \
+            else np.asarray(values)  # as in :func:`store_span`
     elif op == "+":
         np.add.at(arr, idx, values)
     elif op == "-":
@@ -386,3 +389,10 @@ def cast_to(v, dtype):
 def rsqrt(x):
     """``1 / sqrt(x)`` in the dtype of ``x``."""
     return 1 / np.sqrt(x)
+
+
+def ipow(x, y):
+    """Fortran's integer ``x ** y``; a negative ``y``, which ``np.power``
+    refuses, gives ``1 / x**-y`` truncated."""
+    p = np.power(x, np.abs(y))
+    return np.where(np.asarray(y) < 0, np.where(np.abs(p) == 1, p, 0), p)

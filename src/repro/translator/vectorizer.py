@@ -157,7 +157,7 @@ _MATH_CALLS = {
 _DTYPES = {c: f"np.{t.__name__}" for c, t in _NP_DTYPES.items()}
 
 _FLOAT_DTYPES = ("np.float32", "np.float64")
-#: Integer dtypes in C's conversion rank.
+#: Integer dtypes in C's conversion rank: signed, then unsigned, per width.
 _INT_DTYPES = ("np.int32", "np.uint32", "np.int64", "np.uint64")
 
 
@@ -937,8 +937,9 @@ class Vectorizer:
             return self._eager(f"np.where({c.src}, {a.src}, {b.src})",
                                [c, a, b], e, dt)
         if isinstance(e, C.Call):
-            fn = _MATH_CALLS[libm(e.func)]
             t = computes_in(e)
+            fn = _MATH_CALLS[libm(e.func)] if is_float(t) or libm(
+                e.func) != "pow" else "ks.ipow"
             vals = self._operands(e, e.args, t)
             plain = f"{fn}({', '.join(v.src for v in vals)})"
             dt = _DTYPES[t] if is_float(t) else self._int_dtype(vals)
@@ -1066,7 +1067,7 @@ class Vectorizer:
         wide = dt != "np.int32"
         for k, (v, a) in enumerate(zip(vals, args)):
             if v.dtype != dt and not isinstance(a, (C.IntLit, C.FloatLit)) \
-                    and (wide or v.dtype not in (None, "np.int32", "np.int64")):
+                    and (wide or v.dtype not in (None, *_INT_DTYPES[::2])):
                 vals[k] = self._convert(v, a, dt)
         if wide and vals and not any(v.vec or v.dtype for v in vals):
             vals[0] = self._convert(vals[0], args[0], dt)
@@ -1189,7 +1190,10 @@ class Vectorizer:
         if mask is None:
             v = self.bx(e, out=(dst, dtype, None, None))
             if v.src != dst:
-                self.emit(f"{dst}[...] = {v.src}")
+                # An unsigned scalar as a 0-d array, as ks.store_span has it.
+                self.emit(f"{dst}[...] = " + (
+                    v.src if v.vec or v.dtype not in _INT_DTYPES[1::2]
+                    else f"np.asarray({v.src})"))
         else:
             v = self.bx(e)
             self.emit(f"np.copyto({dst}, {v.src}, casting='unsafe', "
@@ -1518,8 +1522,9 @@ class Vectorizer:
             return None
         coeff = left.coeff - right.coeff
         if coeff == 0:
-            return Interval(guards=(f"(({self.bx(left.offset).src}) "
-                                    f"{cond.op} ({self.bx(right.offset).src}))",))
+            left, right = self.bx(left.offset), self.bx(right.offset)
+            return Interval(
+                guards=(f"(({left.src}) {cond.op} ({right.src}))",))
         if coeff not in (1, -1) or is_float(cond.left.ty) \
                 or is_float(cond.right.ty):
             return None

@@ -45,7 +45,6 @@ from repro.translator.compiler import CompiledProgram, KernelPlan
 from repro.translator.cscalar import (
     _MATH_FUNCS,
     _NP_DTYPES,
-    UNSIGNED,
     ScalarError,
     _apply_scalar_op,
     c_convert,
@@ -53,7 +52,7 @@ from repro.translator.cscalar import (
     c_fmax,
     c_fmin,
     c_mod,
-    c_wrap,
+    converter,
 )
 from repro.translator.kernel_support import red_fold, red_identity
 
@@ -95,11 +94,12 @@ class ExprEvaluator:
                 return 0 if self.eval(e.operand) else 1
             v = self.eval(e.operand)
             if e.op == "-":
-                return c_wrap(-v, e.ty)
+                return c_convert(-v, e.ty, e.ty)
             if e.op == "+":
                 return v
             if e.op == "~":
-                return c_wrap(~c_convert(v, e.operand.ty, "int"), e.ty)
+                return c_convert(~c_convert(v, e.operand.ty, "int"), e.ty,
+                                 e.ty)
             raise InterpError(f"unsupported unary op {e.op!r}", e.line)
         if isinstance(e, C.Ternary):
             branch = e.then if self.eval(e.cond) else e.other
@@ -126,8 +126,7 @@ class ExprEvaluator:
             v = self.eval(e.operand)
             if e.to.pointers:
                 raise InterpError("pointer casts unsupported", e.line)
-            dt = _NP_DTYPES.get(e.to.base, np.float64)
-            return dt(v).item() if np.issubdtype(dt, np.integer) else dt(v)
+            return c_convert(v, None, e.to.base)
         if isinstance(e, C.Assign):
             if self.assign_hook is None:
                 raise InterpError("assignment in value position", e.line)
@@ -142,8 +141,9 @@ class ExprEvaluator:
         """``e`` converted to the type of the object it is stored in."""
         if want == "float" and isinstance(e, C.FloatLit):
             return np.float32(self.eval(e))
-        return int(self.eval(e)) if want in INTEGERS \
-            and want not in UNSIGNED else self.operand(e, want)
+        if want in INTEGERS and not converter(computes_in(e), want):
+            return int(self.eval(e))
+        return self.operand(e, want)
 
     def assigned(self, a: C.Assign, cur: Any, value: Any) -> Any:
         """What ``target op= value`` leaves in a target holding ``cur``
@@ -151,13 +151,13 @@ class ExprEvaluator:
         if not a.op:
             return value
         opty = operand_type(a)
-        return c_convert(c_wrap(_apply_scalar_op(
-            c_convert(cur, a.target.ty, opty), a.op, value, a.line), opty),
+        return c_convert(_apply_scalar_op(
+            c_convert(cur, a.target.ty, opty), a.op, value, a.line),
             opty, a.target.ty)
 
     def _binop(self, e: C.BinOp) -> Any:
         """``e``'s value; an unsigned one modulo ``2**bits``."""
-        return c_wrap(self._value(e), e.ty)
+        return c_convert(self._value(e), e.ty, e.ty)
 
     def _value(self, e: C.BinOp) -> Any:
         op = e.op
@@ -349,8 +349,7 @@ class KernelInterpreter:
             if cfg is None:
                 raise InterpError(f"store to unmanaged array {name!r}", a.line)
             idx = int(ev.eval(a.target.indices[0]))
-            value = ev.stored(a.value, operand_type(a)) if a.op \
-                else ev.eval(a.value)
+            value = ev.stored(a.value, operand_type(a))
             hook = getattr(ctx, "access_hook", None)
             if hook is not None:
                 hook(name, env.get(self.loop_var), idx, "w")

@@ -251,6 +251,33 @@ class TestEndToEnd:
     end subroutine sq
     """
 
+    NEGATIVE_POWER = """
+    subroutine ng(n, m, k, h)
+      integer :: n, m
+      integer :: k(n), h(n)
+      integer :: i
+      !$acc parallel loop copyout(k)
+      do i = 1, n
+        k(i) = (2 * i - 7) ** m
+      end do
+      do i = 1, n
+        h(i) = (2 * i - 7) ** m
+      end do
+    end subroutine ng
+    """
+
+    @pytest.mark.parametrize("m,want", [(-1, [0, 0, -1, 1, 0]),
+                                        (-2, [0, 0, 1, 1, 0]),
+                                        (3, [-125, -27, -1, 1, 27])])
+    def test_negative_integer_power_truncates(self, m, want):
+        """``x ** m`` of integers with ``m < 0`` is ``1 / x**-m``
+        truncated (bases -5, -3, -1, 1, 3), in the kernel as on the
+        host."""
+        args, _, _ = run_f(self.NEGATIVE_POWER, {
+            "n": 5, "m": m, "k": np.zeros(5, np.int32),
+            "h": np.zeros(5, np.int32)}, ngpus=2)
+        assert args["k"].tolist() == want and args["h"].tolist() == want
+
     @pytest.mark.parametrize("ngpus", [1, 2])
     def test_integer_power_stays_an_integer(self, ngpus):
         """``i ** 2`` of an ``integer`` is an ``integer`` in the kernel
@@ -263,7 +290,7 @@ class TestEndToEnd:
         want = (np.arange(1, n + 1, dtype=np.int64) ** 2).tolist()
         assert args["k"].tolist() == want and args["h"].tolist() == want
         text = prog.kernel_source("sq_L0")
-        assert "np.power(_i, 2" in text and "float" not in text
+        assert "ks.ipow(_i, 2)" in text and "float" not in text
 
     def test_exit_and_cycle_on_host(self):
         src = """

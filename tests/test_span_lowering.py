@@ -1140,6 +1140,33 @@ class TestIntegerOperators:
                 "b": np.zeros(a.size, np.int32)}, interp=interp)
             assert args["b"].tolist() == want, interp
 
+    UNSIGNED_SCALARS = """
+    void k(int n, int m, int *a, int *b, int *c, long *d, int *h) {
+      #pragma acc parallel loop copyin(a[0:n]) copyout(b[0:n], c[0:n], d[0:n])
+      for (int i = 0; i < n; i++) {
+        int x = m * 3u;
+        b[i] = -5u + m;
+        c[a[i] * 0] = m * 3u;
+        d[i] = x + (m * 3u);
+      }
+      h[0] = m * 3u;
+      h[1] = (int)(m * 5u);
+    }
+    """
+
+    @pytest.mark.parametrize("ngpus", [1, 2])
+    def test_unsigned_scalars_wrap_into_signed_objects(self, ngpus):
+        """A lane-invariant ``unsigned`` value stored into a signed local
+        or element, and a cast of one, wrap as gcc converts them (NumPy
+        refuses an out-of-range scalar)."""
+        args = {"n": 3, "m": -1, "a": np.arange(3, dtype=np.int32),
+                **{x: np.zeros(3, np.int32) for x in "bc"},
+                "d": np.zeros(3, np.int64), "h": np.zeros(2, np.int32)}
+        repro.compile(self.UNSIGNED_SCALARS).run("k", args, ngpus=ngpus)
+        assert args["b"].tolist() == [-6] * 3 and args["c"][0] == -3
+        assert args["d"].tolist() == [4_294_967_290] * 3
+        assert args["h"].tolist() == [-3, -5]
+
     def test_rsqrt_runs_in_a_kernel(self):
         src = """
         void k(int n, float *x, float *y) {
