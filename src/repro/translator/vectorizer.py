@@ -966,7 +966,7 @@ class Vectorizer:
                 else f"({vals[0].src} {word} {vals[1].src})"
         else:
             v = self.bx(e)
-            if v.dtype == "np.bool_" or op in _COMPARE:
+            if v.dtype == "np.bool_":
                 return v
             vals, ufunc = [v, _Val("0", False)], "np.not_equal"
             plain = f"({v.src} != 0)"
